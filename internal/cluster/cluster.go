@@ -133,28 +133,23 @@ type Config struct {
 	// FreezeWeights disables Clove weight adaptation (WeightTableConfig
 	// .Frozen) — differential tests only.
 	FreezeWeights bool
-	// Domains shards the cluster across event domains (one per leaf, one per
-	// spine) on a sim.Engine instead of one Simulator; RunMix then uses the
-	// all-to-all sharded driver (mixdomains.go). Implied — and forced — for
-	// topologies with more than two leaves, which the legacy two-leaf driver
-	// cannot run. Results are bit-identical at any DomainWorkers but are a
-	// different (sharded) simulation than single-sim mode at the same seed.
-	Domains bool
 	// DomainWorkers is how many OS threads execute domain windows in sharded
-	// mode (<=1 = serial). Any value produces identical results.
+	// mode (<=1 = serial). Any value produces identical results. Sharded
+	// mode is not a knob: New selects it for topologies with more than two
+	// leaves (see New).
 	DomainWorkers int
 	// ServersPerClient caps each client's persistent-connection fan-out in
-	// the sharded mix driver (0 = min(32, hosts on other leaves)); the
-	// legacy driver's full two-leaf mesh would be quadratic at 1024 hosts.
+	// RunMix's sharded mesh (0 = min(32, hosts on other leaves)); the
+	// two-leaf full mesh would be quadratic at 1024 hosts.
 	ServersPerClient int
 }
 
 // Cluster is a fully wired deployment ready to run workloads.
 type Cluster struct {
 	Cfg Config
-	// Sim is the single Simulator in legacy mode; nil in sharded mode.
+	// Sim is the run's one Simulator; nil in sharded mode.
 	Sim *sim.Simulator
-	// Eng is the sharded engine in domain mode; nil in legacy mode.
+	// Eng is the sharded engine; nil on a single Simulator.
 	Eng *sim.Engine
 	LS  *netem.LeafSpine
 
@@ -164,13 +159,19 @@ type Cluster struct {
 	Recorder  *stats.FCTRecorder
 	// Oracle is the installed correctness oracle, nil unless Config.Oracle.
 	Oracle *oracle.Oracle
-	// Trace is the installed tracer, nil unless Config.Telemetry is set.
+	// Trace is the installed tracer of a single-Simulator run, nil unless
+	// Config.Telemetry is set. Sharded runs keep one tracer per event domain
+	// instead (see ExportTraces).
 	Trace *telemetry.Tracer
+
+	// shards is the run's event domains in domain order — exactly one on a
+	// single Simulator. Everything past construction is written against it.
+	shards []shard
 
 	rtt      sim.Time
 	tcpCfg   tcp.Config
 	conns    map[connKey]*Conn
-	connList []*Conn // open order, for deterministic telemetry sampling
+	connList []*Conn // open order
 	nextPort uint16
 
 	// loadScale multiplies every mix-workload arrival rate; scenario
@@ -178,12 +179,6 @@ type Cluster struct {
 	// In sharded mode it is written only at engine barriers and read by
 	// domain windows after them, so no synchronization is needed.
 	loadScale float64
-
-	// Sharded-mode state: per-domain tracers (domain order) and per-domain
-	// connection lists (by client's domain, open order) for race-free,
-	// deterministic telemetry sampling.
-	domTraces []*telemetry.Tracer
-	domConns  [][]*Conn
 }
 
 type connKey struct {
@@ -194,15 +189,19 @@ type connKey struct {
 // New builds the cluster: topology, vswitches with the scheme's policy, and
 // (for CONGA) the in-network fabric. Link failure, if configured, is applied
 // before routing converges, as in the paper's asymmetric experiments.
+//
+// A topology with more than two leaves is built sharded: one event domain
+// per leaf (the leaf switch, its hosts, and everything stacked on them) and
+// one per spine, run by a sim.Engine in conservative windows bounded by the
+// trunk delay (DESIGN.md §4d). Results are bit-identical at any
+// Config.DomainWorkers, but a sharded run is a different simulation than a
+// single-Simulator run of the same seed — the engine defines its own
+// same-timestamp order and per-domain RNG streams — so determinism holds
+// within a mode, not across modes. The mode is decided here, once; past
+// construction everything works on c.shards.
 func New(cfg Config) *Cluster {
 	if cfg.Topo.Leaves == 0 {
 		cfg.Topo = netem.PaperTestbed(0.01)
-	}
-	if cfg.Topo.Leaves > 2 {
-		cfg.Domains = true
-	}
-	if cfg.Domains {
-		return newSharded(cfg)
 	}
 	if cfg.PathsK == 0 {
 		cfg.PathsK = 4
@@ -210,24 +209,48 @@ func New(cfg Config) *Cluster {
 	if cfg.MPTCPSubflows == 0 {
 		cfg.MPTCPSubflows = tcp.DefaultSubflows
 	}
-	s := sim.New(cfg.Seed)
-	ls := netem.BuildLeafSpine(s, cfg.Topo)
 	c := &Cluster{
 		Cfg:       cfg,
-		Sim:       s,
-		LS:        ls,
 		Recorder:  &stats.FCTRecorder{},
-		rtt:       ls.BaseRTT(),
 		conns:     map[connKey]*Conn{},
 		nextPort:  10000,
 		loadScale: 1,
 	}
+	sharded := cfg.Topo.Leaves > 2
+	if sharded {
+		if cfg.Scheme == SchemeCONGA {
+			panic("cluster: conga is not supported in domain (sharded) mode: its leaf-to-leaf congestion tables span event domains")
+		}
+		c.Eng = sim.NewEngine(cfg.Seed, cfg.Topo.FabricDelay())
+		c.LS = netem.BuildLeafSpineSharded(c.Eng, cfg.Topo)
+		c.shards = make([]shard, c.Eng.NumDomains())
+		for i := range c.shards {
+			c.shards[i] = newShard(c.Eng.Domain(i).Simulator, cfg.Telemetry)
+		}
+	} else {
+		c.Sim = sim.New(cfg.Seed)
+		c.LS = netem.BuildLeafSpine(c.Sim, cfg.Topo)
+		c.shards = []shard{newShard(c.Sim, cfg.Telemetry)}
+		c.Trace = c.shards[0].trace
+	}
+	ls := c.LS
+	c.rtt = ls.BaseRTT()
 	// The oracle attaches before anything else happens (in particular before
 	// FailPaperLink) so its link-state tracking observes every transition.
 	if cfg.Oracle {
 		c.Oracle = oracle.New()
-		ls.Pool().SetObserver(c.Oracle)
-		s.SetEventHook(c.Oracle.AfterEvent)
+		if sharded {
+			// Domains run concurrently, so they share one locked observer.
+			// No per-event hook: it only drives the periodic live-counter
+			// self-audit, which CheckOracle's end-of-run Check covers.
+			obs := oracle.NewLocked(c.Oracle)
+			for _, p := range ls.Pools() {
+				p.SetObserver(obs)
+			}
+		} else {
+			ls.Pool().SetObserver(c.Oracle)
+			c.Sim.SetEventHook(c.Oracle.AfterEvent)
+		}
 		if connConsistent(cfg.Scheme) {
 			c.Oracle.RequireConnConsistency()
 		}
@@ -249,9 +272,6 @@ func New(cfg Config) *Cluster {
 		c.tcpCfg = tcp.DefaultConfig()
 	}
 	c.tcpCfg.ECN = cfg.TenantECN
-	// All transport endpoints draw segments from (and release them to) the
-	// topology's shared packet free list.
-	c.tcpCfg.Pool = ls.Pool()
 
 	if cfg.AsymmetricFailure {
 		ls.FailPaperLink()
@@ -288,7 +308,9 @@ func New(cfg Config) *Cluster {
 		wtCfg.UtilAge = cfg.UtilAge
 	}
 
-	for i, h := range ls.Hosts() {
+	c.VSwitches = make([]*vswitch.VSwitch, 0, len(ls.Hosts()))
+	for _, h := range ls.Hosts() {
+		s := c.simFor(h.HostID())
 		var pol vswitch.PathPolicy
 		switch cfg.Scheme {
 		case SchemeECMP, SchemeMPTCP, SchemeCONGA, SchemeLetFlow:
@@ -316,7 +338,6 @@ func New(cfg Config) *Cluster {
 		default:
 			panic(fmt.Sprintf("cluster: unknown scheme %q", cfg.Scheme))
 		}
-		_ = i
 		c.VSwitches = append(c.VSwitches, vswitch.New(s, h, vcfg, pol))
 	}
 
@@ -325,10 +346,12 @@ func New(cfg Config) *Cluster {
 		// Hardware flowlet detection runs at a finer timescale than the
 		// software edge (the CONGA ASIC reroutes within a fraction of an
 		// RTT); a quarter of the edge gap reproduces its advantage.
-		c.Conga = conga.Attach(s, ls, conga.Config{FlowletGap: c.Cfg.FlowletGap / 4})
+		c.Conga = conga.Attach(c.Sim, ls, conga.Config{FlowletGap: c.Cfg.FlowletGap / 4})
 	case SchemeLetFlow:
-		attachLetFlow(s, ls, c.Cfg.FlowletGap)
+		attachLetFlow(ls, c.Cfg.FlowletGap)
 	case SchemeCharon, SchemeCharonRef:
+		// Load stamping reads only the local egress link's DRE, so unlike
+		// CONGA it is domain-safe: each leaf stamps inside its own window.
 		attachCharonStamping(ls)
 	}
 	c.setupTelemetry()
@@ -374,9 +397,8 @@ func (c *Cluster) Quiesce() {
 	for _, pr := range c.Probers {
 		pr.Stop()
 	}
-	c.Trace.Stop()
-	for _, tr := range c.domTraces {
-		tr.Stop()
+	for i := range c.shards {
+		c.shards[i].trace.Stop()
 	}
 }
 

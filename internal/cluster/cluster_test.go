@@ -171,6 +171,40 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
+// TestCutOffBeforeTargetIsTimedOut pins that a run MaxSimTime cuts off
+// between arrivals — everything issued so far has completed, the target has
+// not been reached — reports TimedOut from both drivers. RunWebSearch used
+// to compare against Issued and report success.
+func TestCutOffBeforeTargetIsTimedOut(t *testing.T) {
+	drivers := []struct {
+		name string
+		run  func(c *Cluster) (completed, issued int, timedOut bool)
+	}{
+		{"RunWebSearch", func(c *Cluster) (int, int, bool) {
+			p := smallWS(0.4)
+			p.MaxSimTime = 1
+			res := c.RunWebSearch(p)
+			return res.Completed, res.Issued, res.TimedOut
+		}},
+		{"RunMix", func(c *Cluster) (int, int, bool) {
+			p := shardedMix()
+			p.MaxSimTime = 1
+			res := c.RunMix(p)
+			return res.Completed, res.Issued, res.TimedOut
+		}},
+	}
+	for _, d := range drivers {
+		c := New(Config{Seed: 1, Topo: smallTopo(), Scheme: SchemeECMP})
+		completed, issued, timedOut := d.run(c)
+		if completed != 0 || issued != 0 {
+			t.Fatalf("%s: %d/%d jobs within 1 ns of sim time", d.name, completed, issued)
+		}
+		if !timedOut {
+			t.Errorf("%s: cut off before the first arrival but TimedOut = false", d.name)
+		}
+	}
+}
+
 func TestUnknownSchemePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

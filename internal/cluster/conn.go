@@ -36,10 +36,10 @@ func (c *Cluster) OpenConn(client, server packet.HostID, idx int) *Conn {
 	cvs, svs := c.VSwitches[client], c.VSwitches[server]
 
 	// Each endpoint lives on its host's Simulator and draws from its host's
-	// pool. In legacy mode both resolve to the cluster-wide Sim and the
-	// topology's shared pool, so this is behavior-identical there; in
-	// sharded mode they are the endpoint's domain Sim and pool.
-	cs, ss := c.simFor(client), c.simFor(server)
+	// pool: the cluster-wide ones on a single Simulator, the owning domain's
+	// in sharded mode.
+	csh := &c.shards[c.shardOf(client)]
+	cs, ss := csh.sim, c.simFor(server)
 	ccfg, scfg := c.tcpCfg, c.tcpCfg
 	ccfg.Pool = c.poolFor(client)
 	scfg.Pool = c.poolFor(server)
@@ -60,20 +60,18 @@ func (c *Cluster) OpenConn(client, server packet.HostID, idx int) *Conn {
 		cvs.Register(flow.Reverse(), snd.HandleAck)
 		conn.snd = snd
 	}
-	tr := c.traceFor(client)
-	if conn.mp != nil {
-		for _, sub := range conn.mp.Subflows() {
-			sub.SetTrace(tr)
+	if tr := csh.trace; tr != nil {
+		if conn.mp != nil {
+			for _, sub := range conn.mp.Subflows() {
+				sub.SetTrace(tr)
+			}
+		} else {
+			conn.snd.SetTrace(tr)
 		}
-	} else {
-		conn.snd.SetTrace(tr)
+		csh.conns = append(csh.conns, conn)
 	}
 	c.conns[key] = conn
 	c.connList = append(c.connList, conn)
-	if c.domConns != nil {
-		id := c.domFor(client).ID()
-		c.domConns[id] = append(c.domConns[id], conn)
-	}
 	return conn
 }
 

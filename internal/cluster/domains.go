@@ -4,209 +4,60 @@ import (
 	"fmt"
 	"path/filepath"
 
-	"clove/internal/clove"
-	"clove/internal/netem"
-	"clove/internal/oracle"
 	"clove/internal/packet"
 	"clove/internal/sim"
-	"clove/internal/stats"
-	"clove/internal/tcp"
 	"clove/internal/telemetry"
-	"clove/internal/vswitch"
 )
 
-// Sharded (domain-mode) cluster construction. The fabric is built with
-// netem.BuildLeafSpineSharded — one event domain per leaf (leaf switch +
-// its hosts + everything stacked on them: vswitches, TCP endpoints,
-// probers) and one per spine — and the run executes on a sim.Engine in
-// conservative windows bounded by the trunk propagation delay. Everything
-// a host schedules lands on its own domain's Simulator; the only
-// cross-domain interactions are trunk-link propagation (netem) and the
-// sharded workload driver's incast request/response hand-offs
-// (mixdomains.go), both via Domain.Post.
-//
-// Results are bit-identical at any Config.DomainWorkers, but a sharded run
-// is a *different* simulation than a single-sim run of the same seed: the
-// engine defines its own same-timestamp event order and per-domain RNG
-// streams. Determinism guarantees therefore hold within a mode, not across
-// modes.
-
-// newSharded builds the domain-mode cluster. Mirrors New; CONGA is
-// rejected (its fabric state spans switches in different domains).
-func newSharded(cfg Config) *Cluster {
-	if cfg.Scheme == SchemeCONGA {
-		panic("cluster: conga is not supported in domain (sharded) mode: its leaf-to-leaf congestion tables span event domains")
-	}
-	if cfg.PathsK == 0 {
-		cfg.PathsK = 4
-	}
-	if cfg.MPTCPSubflows == 0 {
-		cfg.MPTCPSubflows = tcp.DefaultSubflows
-	}
-	eng := sim.NewEngine(cfg.Seed, cfg.Topo.FabricDelay())
-	ls := netem.BuildLeafSpineSharded(eng, cfg.Topo)
-	c := &Cluster{
-		Cfg:       cfg,
-		Eng:       eng,
-		LS:        ls,
-		Recorder:  &stats.FCTRecorder{},
-		rtt:       ls.BaseRTT(),
-		conns:     map[connKey]*Conn{},
-		nextPort:  10000,
-		loadScale: 1,
-	}
-	if cfg.Oracle {
-		c.Oracle = oracle.New()
-		obs := oracle.NewLocked(c.Oracle)
-		for _, p := range ls.Pools() {
-			p.SetObserver(obs)
-		}
-		// No per-event hook: it only drives the periodic live-counter
-		// self-audit, which CheckOracle's end-of-run Check covers.
-		if connConsistent(cfg.Scheme) {
-			c.Oracle.RequireConnConsistency()
-		}
-	}
-	if cfg.FlowletGap == 0 {
-		c.Cfg.FlowletGap = c.rtt
-	}
-	if cfg.RelayInterval == 0 {
-		c.Cfg.RelayInterval = c.rtt / 2
-	}
-	if cfg.Beta == 0 {
-		c.Cfg.Beta = 1.0 / 3.0
-	}
-	c.tcpCfg = cfg.TCP
-	if c.tcpCfg.MSS == 0 {
-		c.tcpCfg = tcp.DefaultConfig()
-	}
-	c.tcpCfg.ECN = cfg.TenantECN
-	// tcpCfg.Pool stays nil: endpoints get their own domain's pool in
-	// OpenConn.
-
-	if cfg.AsymmetricFailure {
-		ls.FailPaperLink()
-	}
-
-	vcfg := vswitch.Config{
-		EncapDstPort:       7471,
-		FlowletGap:         c.Cfg.FlowletGap,
-		RelayInterval:      c.Cfg.RelayInterval,
-		StandaloneFeedback: true,
-	}
-	switch cfg.Scheme {
-	case SchemeCloveECN, SchemeCloveINT, SchemeCloveUniform:
-		vcfg.MaskECN = true
-		vcfg.RequestINT = cfg.Scheme == SchemeCloveINT
-	case SchemeCloveLatency:
-		vcfg.MaskECN = true
-		vcfg.MeasureLatency = true
-		vcfg.AdaptiveFlowletGap = cfg.AdaptiveFlowletGap
-	default:
-		vcfg.MaskECN = false
-	}
-
-	wtCfg := clove.DefaultWeightTableConfig(c.rtt)
-	wtCfg.Beta = c.Cfg.Beta
-	wtCfg.Frozen = cfg.FreezeWeights
-	if cfg.CongestedAge > 0 {
-		wtCfg.CongestedAge = cfg.CongestedAge
-	}
-	if cfg.UtilAge > 0 {
-		wtCfg.UtilAge = cfg.UtilAge
-	}
-
-	for _, h := range ls.Hosts() {
-		s := h.Domain().Simulator
-		var pol vswitch.PathPolicy
-		switch cfg.Scheme {
-		case SchemeECMP, SchemeMPTCP, SchemeLetFlow:
-			pol = vswitch.NewECMP()
-		case SchemeEdgeFlowlet:
-			pol = vswitch.NewEdgeFlowlet()
-		case SchemeCloveECN:
-			pol = vswitch.NewCloveECN(wtCfg)
-		case SchemeCloveUniform:
-			pol = vswitch.NewCloveUniform()
-		case SchemeCloveINT, SchemeCloveLatency:
-			pol = vswitch.NewCloveINT(wtCfg, s.Now)
-		case SchemePresto:
-			pol = vswitch.NewPresto(s)
-		case SchemeConcury:
-			pol = vswitch.NewConcury()
-		case SchemeConcuryRef:
-			pol = vswitch.NewConcuryRef()
-		case SchemeCharon:
-			pol = vswitch.NewCharon(wtCfg.UtilAge, s.Now)
-		case SchemeCharonRef:
-			pol = vswitch.NewCharonRef(wtCfg.UtilAge, s.Now)
-		default:
-			panic(fmt.Sprintf("cluster: unknown scheme %q", cfg.Scheme))
-		}
-		c.VSwitches = append(c.VSwitches, vswitch.New(s, h, vcfg, pol))
-	}
-
-	switch cfg.Scheme {
-	case SchemeLetFlow:
-		attachLetFlowSharded(ls, c.Cfg.FlowletGap)
-	case SchemeCharon, SchemeCharonRef:
-		// Load stamping reads only the local egress link's DRE, so unlike
-		// CONGA it is domain-safe: each leaf stamps inside its own window.
-		attachCharonStamping(ls)
-	}
-	c.setupTelemetrySharded()
-	return c
+// shard is one event domain's slice of a run: the Simulator everything in
+// the domain schedules on and the tracer sampling the domain's own state. A
+// single-Simulator cluster has exactly one shard; a sharded one has one per
+// sim.Engine domain, in domain order. Everything a host schedules lands on
+// its own shard's Simulator; the only cross-shard interactions are
+// trunk-link propagation (netem) and RunMix's incast hand-off, both via
+// Domain.Post.
+type shard struct {
+	sim   *sim.Simulator
+	trace *telemetry.Tracer // nil unless Config.Telemetry
+	// conns are the connections whose client lives here, in open order:
+	// what the tracer's cwnd stream samples. Maintained only when traced.
+	conns []*Conn
 }
 
-// attachLetFlowSharded installs one LetFlow instance per switch, each bound
-// to its switch's own domain Simulator (clock and RNG). The legacy attach
-// shares one instance across switches; since all its per-switch state is
-// keyed by switch ID and it only reads sim.Now/Rand, per-switch instances
-// implement the same algorithm with domain-confined state.
-func attachLetFlowSharded(ls *netem.LeafSpine, gap sim.Time) {
-	for _, sw := range ls.Switches() {
-		lb := &letFlowLB{
-			sim:      sw.Sim(),
-			flowlets: map[packet.NodeID]*clove.FlowletTable{sw.ID(): clove.NewFlowletTable(gap)},
-			pinned:   map[packet.NodeID]map[packet.FiveTuple]*netem.Link{sw.ID(): {}},
-		}
-		sw.SetLB(lb)
+func newShard(s *sim.Simulator, tcfg *telemetry.Config) shard {
+	sh := shard{sim: s}
+	if tcfg != nil {
+		sh.trace = telemetry.NewTracer(s, *tcfg)
 	}
+	return sh
 }
+
+// shardOfNode returns the index in c.shards of the shard owning fabric node
+// id: its event domain's ID, or 0 on a single Simulator.
+func (c *Cluster) shardOfNode(id packet.NodeID) int {
+	if c.Eng == nil {
+		return 0
+	}
+	return c.LS.NodeDomain(id).ID()
+}
+
+// shardOf returns the index in c.shards of the shard owning host h.
+func (c *Cluster) shardOf(h packet.HostID) int { return c.shardOfNode(c.LS.Host(h).ID()) }
+
+// simFor returns the Simulator everything on host h must schedule on.
+func (c *Cluster) simFor(h packet.HostID) *sim.Simulator { return c.shards[c.shardOf(h)].sim }
+
+// poolFor returns the packet pool endpoints on host h must use: the
+// topology-wide pool on a single Simulator, the owning domain's otherwise.
+func (c *Cluster) poolFor(h packet.HostID) *packet.Pool { return c.LS.Host(h).Pool() }
 
 // domFor returns the event domain owning host h (sharded mode only).
 func (c *Cluster) domFor(h packet.HostID) *sim.Domain { return c.LS.Host(h).Domain() }
 
-// simFor returns the Simulator everything on host h must schedule on.
-func (c *Cluster) simFor(h packet.HostID) *sim.Simulator {
-	if c.Eng != nil {
-		return c.domFor(h).Simulator
-	}
-	return c.Sim
-}
-
-// poolFor returns the packet pool endpoints on host h must use. In legacy
-// mode this is the topology-wide shared pool, so using it uniformly keeps
-// single-sim behavior unchanged.
-func (c *Cluster) poolFor(h packet.HostID) *packet.Pool { return c.LS.Host(h).Pool() }
-
-// traceFor returns the tracer events on host h must report to: the single
-// run tracer in legacy mode, the owning domain's in sharded mode. Nil when
-// telemetry is disabled.
-func (c *Cluster) traceFor(h packet.HostID) *telemetry.Tracer {
-	if c.Eng == nil {
-		return c.Trace
-	}
-	if c.domTraces == nil {
-		return nil
-	}
-	return c.domTraces[c.domFor(h).ID()]
-}
-
 // ScheduleControl schedules a control-plane action (scenario link flaps,
-// load ramps) at absolute time at: an ordinary event in legacy mode, a
-// global barrier event in sharded mode (control actions touch state in many
-// domains, so they must run while all domains are paused).
+// load ramps) at absolute time at: an ordinary event on a single Simulator,
+// a global barrier event in sharded mode (control actions touch state in
+// many domains, so they must run while all domains are paused).
 func (c *Cluster) ScheduleControl(at sim.Time, fn func()) {
 	if c.Eng != nil {
 		c.Eng.GlobalAt(at, fn)
@@ -215,88 +66,15 @@ func (c *Cluster) ScheduleControl(at sim.Time, fn func()) {
 	c.Sim.After(at-c.Sim.Now(), fn)
 }
 
-// setupTelemetrySharded mirrors setupTelemetry with one tracer per domain,
-// each sampling only domain-owned state (links by source node, weight
-// tables and senders by host), so sampling happens race-free inside the
-// owner's windows and every domain's trace bytes are a pure function of
-// the run. ExportTraces writes them under domain-NN subdirectories.
-func (c *Cluster) setupTelemetrySharded() {
-	if c.Cfg.Telemetry == nil {
-		return
-	}
-	nd := c.Eng.NumDomains()
-	c.domTraces = make([]*telemetry.Tracer, nd)
-	c.domConns = make([][]*Conn, nd)
-	for i := 0; i < nd; i++ {
-		c.domTraces[i] = telemetry.NewTracer(c.Eng.Domain(i).Simulator, *c.Cfg.Telemetry)
-	}
-
-	domLinks := make([][]*netem.Link, nd)
-	for _, l := range c.LS.Links() {
-		id := c.LS.NodeDomain(l.From()).ID()
-		domLinks[id] = append(domLinks[id], l)
-		l.SetTrace(c.domTraces[id])
-	}
-	domHosts := make([][]int, nd)
-	for hi, v := range c.VSwitches {
-		id := c.domFor(packet.HostID(hi)).ID()
-		domHosts[id] = append(domHosts[id], hi)
-		v.SetTrace(c.domTraces[id])
-	}
-
-	for i := 0; i < nd; i++ {
-		tr := c.domTraces[i]
-		links := domLinks[i]
-		hosts := domHosts[i]
-		domID := i
-		tr.AddSampler(func(now sim.Time) {
-			for _, l := range links {
-				st := l.Stats()
-				tr.QueueSample(now, l.ID(), l.Name(), l.QueueLen(), st.ECNMarks, st.Drops+st.DownDrops)
-			}
-		})
-		tr.AddSampler(func(now sim.Time) {
-			for _, hi := range hosts {
-				tv, ok := c.VSwitches[hi].Policy().(tableVisitor)
-				if !ok {
-					continue
-				}
-				srcID := packet.HostID(hi)
-				tv.VisitTables(func(dst packet.HostID, t *clove.WeightTable) {
-					t.VisitStates(func(p clove.PathState) {
-						age := sim.Time(-1)
-						if p.LastCongested > 0 {
-							age = now - p.LastCongested
-						}
-						tr.WeightSample(now, srcID, dst, p.Port, p.Weight, p.Util, age)
-					})
-				})
-			}
-		})
-		tr.AddSampler(func(now sim.Time) {
-			for _, conn := range c.domConns[domID] {
-				if conn.mp != nil {
-					for _, sub := range conn.mp.Subflows() {
-						sampleSender(tr, now, sub)
-					}
-					continue
-				}
-				sampleSender(tr, now, conn.snd)
-			}
-		})
-		tr.Start()
-	}
-}
-
 // ExportTraces writes the run's trace files under dir: the single tracer's
-// files directly (legacy), or one domain-NN subdirectory per domain
-// (sharded). No-op when telemetry is disabled.
+// files directly, or one domain-NN subdirectory per event domain in sharded
+// mode. No-op when telemetry is disabled.
 func (c *Cluster) ExportTraces(dir string) error {
 	if c.Eng == nil {
 		return c.Trace.Export(dir)
 	}
-	for i, tr := range c.domTraces {
-		if err := tr.Export(filepath.Join(dir, fmt.Sprintf("domain-%02d", i))); err != nil {
+	for i := range c.shards {
+		if err := c.shards[i].trace.Export(filepath.Join(dir, fmt.Sprintf("domain-%02d", i))); err != nil {
 			return err
 		}
 	}

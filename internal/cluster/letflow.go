@@ -15,21 +15,20 @@ import (
 // clocking and spawn new flowlets.
 type letFlowLB struct {
 	sim      *sim.Simulator
-	flowlets map[packet.NodeID]*clove.FlowletTable
-	pinned   map[packet.NodeID]map[packet.FiveTuple]*netem.Link
+	flowlets *clove.FlowletTable
+	pinned   map[packet.FiveTuple]*netem.Link
 }
 
-// attachLetFlow installs LetFlow on every switch in the fabric.
-func attachLetFlow(s *sim.Simulator, ls *netem.LeafSpine, gap sim.Time) {
-	lb := &letFlowLB{
-		sim:      s,
-		flowlets: map[packet.NodeID]*clove.FlowletTable{},
-		pinned:   map[packet.NodeID]map[packet.FiveTuple]*netem.Link{},
-	}
+// attachLetFlow installs LetFlow on every switch in the fabric: one instance
+// per switch, bound to the switch's own Simulator (clock and RNG), so its
+// state stays confined to the switch's event domain.
+func attachLetFlow(ls *netem.LeafSpine, gap sim.Time) {
 	for _, sw := range ls.Switches() {
-		lb.flowlets[sw.ID()] = clove.NewFlowletTable(gap)
-		lb.pinned[sw.ID()] = map[packet.FiveTuple]*netem.Link{}
-		sw.SetLB(lb)
+		sw.SetLB(&letFlowLB{
+			sim:      sw.Sim(),
+			flowlets: clove.NewFlowletTable(gap),
+			pinned:   map[packet.FiveTuple]*netem.Link{},
+		})
 	}
 }
 
@@ -37,18 +36,16 @@ func attachLetFlow(s *sim.Simulator, ls *netem.LeafSpine, gap sim.Time) {
 func (l *letFlowLB) Observe(*netem.Switch, *packet.Packet, *netem.Link) {}
 
 // Pick implements netem.SwitchLB: random next-hop per flowlet.
-func (l *letFlowLB) Pick(sw *netem.Switch, pkt *packet.Packet, candidates []*netem.Link) (*netem.Link, bool) {
+func (l *letFlowLB) Pick(_ *netem.Switch, pkt *packet.Packet, candidates []*netem.Link) (*netem.Link, bool) {
 	if len(candidates) == 1 {
 		return candidates[0], true
 	}
 	outer := pkt.OuterTuple()
-	ft := l.flowlets[sw.ID()]
-	pinned := l.pinned[sw.ID()]
-	_, isNew := ft.Touch(outer, l.sim.Now())
-	eg := pinned[outer]
+	_, isNew := l.flowlets.Touch(outer, l.sim.Now())
+	eg := l.pinned[outer]
 	if isNew || eg == nil || !containsLink(eg, candidates) {
 		eg = candidates[l.sim.Rand().Intn(len(candidates))]
-		pinned[outer] = eg
+		l.pinned[outer] = eg
 	}
 	return eg, true
 }

@@ -5,6 +5,7 @@ import (
 
 	"clove/internal/packet"
 	"clove/internal/sim"
+	"clove/internal/stats"
 	"clove/internal/workload"
 )
 
@@ -61,18 +62,23 @@ const (
 )
 
 // RunMix drives the blended workload to completion and records every job in
-// c.Recorder. Clients are the hosts of leaf 1, servers of leaf 2; each client
-// keeps a persistent connection to every server (and, when incast is in the
-// mix, each server one back to every client), so ML all-to-all and incast
-// use the same cached transports as the singleton flows.
+// c.Recorder. Each client keeps a persistent connection to every one of its
+// servers (and, when incast is in the mix, each server one back), so ML
+// all-to-all and incast use the same cached transports as the singleton
+// flows. Who the clients and servers are depends on the fabric: see
+// twoLeafMesh and rotatedMesh.
+//
+// Each client's arrival chain runs entirely on its own shard's Simulator and
+// RNG stream — on a single Simulator that is the run's one stream, drawn
+// from in event order. Web, RPC, and ML jobs start on the client host; only
+// incast starts on other hosts (startIncastShard). Completions are counted
+// and FCT samples recorded per shard, then merged in shard order, so the
+// figure tables are bit-identical at any worker count.
 //
 // Scenario event scripts schedule their link flaps, switch failures, and
-// load ramps on c.Sim before calling RunMix; SetLoadScale takes effect on
-// every inter-arrival gap drawn after the ramp fires.
+// load ramps through ScheduleControl before calling RunMix; SetLoadScale
+// takes effect on every inter-arrival gap drawn after the ramp fires.
 func (c *Cluster) RunMix(p MixParams) MixResult {
-	if c.Eng != nil {
-		return c.runMixDomains(p)
-	}
 	if p.SizeScale == 0 {
 		p.SizeScale = 1
 	}
@@ -83,10 +89,6 @@ func (c *Cluster) RunMix(p MixParams) MixResult {
 	if p.FracWebSearch < 0 || p.FracRPC < 0 || p.FracML < 0 || p.FracIncast < 0 ||
 		fracSum < 0.999 || fracSum > 1.001 {
 		panic(fmt.Sprintf("cluster: mix fractions must be >= 0 and sum to 1, got %v", fracSum))
-	}
-	nHosts := c.Cfg.Topo.HostsPerLeaf
-	if p.IncastFanout <= 0 || p.IncastFanout > nHosts {
-		p.IncastFanout = nHosts
 	}
 	if p.IncastBytes == 0 {
 		p.IncastBytes = 1e6
@@ -111,151 +113,304 @@ func (c *Cluster) RunMix(p MixParams) MixResult {
 	}
 	c.Recorder.SetSizeScale(p.SizeScale)
 
-	rng := c.Sim.Rand()
-
-	// Persistent connection meshes. The forward mesh carries web, RPC, and
-	// ML traffic; the reverse mesh (servers answering clients) exists only
-	// when incast is in the blend.
-	fwd := make([][]*Conn, nHosts)
-	var rev [][]*Conn
-	var pairs [][2]packet.HostID
-	for ci := 0; ci < nHosts; ci++ {
-		fwd[ci] = make([]*Conn, nHosts)
-		for si := 0; si < nHosts; si++ {
-			client, server := packet.HostID(ci), packet.HostID(nHosts+si)
-			fwd[ci][si] = c.OpenConn(client, server, 0)
-			pairs = append(pairs, [2]packet.HostID{client, server}, [2]packet.HostID{server, client})
-		}
+	// Persistent connection meshes, fwd[client][k] and rev[client][k]. The
+	// forward mesh carries web, RPC, and ML traffic; the reverse mesh
+	// (servers answering clients) exists only when incast is in the blend.
+	var fwd, rev [][]*Conn
+	if c.Eng == nil {
+		fwd, rev = c.twoLeafMesh(p.FracIncast > 0)
+	} else {
+		fwd, rev = c.rotatedMesh(p.FracIncast > 0)
 	}
-	if p.FracIncast > 0 {
-		rev = make([][]*Conn, nHosts)
-		for ci := 0; ci < nHosts; ci++ {
-			rev[ci] = make([]*Conn, nHosts)
-			for si := 0; si < nHosts; si++ {
-				rev[ci][si] = c.OpenConn(packet.HostID(nHosts+si), packet.HostID(ci), 0)
-			}
-		}
+	nClients, nServers := len(fwd), len(fwd[0])
+	if p.IncastFanout <= 0 || p.IncastFanout > nServers {
+		p.IncastFanout = nServers
 	}
-	c.SetupPaths(pairs)
 
 	// Arrival rate per client, from the blend's mean job footprint.
 	meanJob := p.FracWebSearch*webDist.Mean() + p.FracRPC*rpcDist.Mean() +
 		p.FracML*float64(mlBytes) + p.FracIncast*float64(incastBytes)
-	rate := workload.ArrivalRateForLoad(p.Load, c.LS.BisectionBps(), nHosts, meanJob)
+	rate := workload.ArrivalRateForLoad(p.Load, c.LS.BisectionBps(), nClients, meanJob)
 
-	res := MixResult{}
-	jobsPerClient := p.TotalJobs / nHosts
+	jobsPerClient := p.TotalJobs / nClients
 	if jobsPerClient == 0 {
 		jobsPerClient = 1
 	}
-	target := jobsPerClient * nHosts
-	jobDone := func() {
-		res.Completed++
-		if res.Completed == target {
-			c.Sim.Stop()
+	target := jobsPerClient * nClients
+
+	// Per-shard run state. Each slot is written only by its owning shard
+	// (mid-window) and read at barriers / after the run; padding keeps the
+	// hot counters off shared cache lines.
+	type shardCounters struct {
+		completed int
+		issued    int
+		_         [48]byte
+	}
+	cnt := make([]shardCounters, len(c.shards))
+	recs := make([]*stats.FCTRecorder, len(c.shards))
+	for i := range recs {
+		recs[i] = &stats.FCTRecorder{}
+		recs[i].SetSizeScale(p.SizeScale)
+	}
+	completed := func() int {
+		tot := 0
+		for i := range cnt {
+			tot += cnt[i].completed
 		}
+		return tot
 	}
-	// recordFlow finishes a singleton (web/RPC) job.
-	recordFlow := func(conn *Conn, size int64) func(sim.Time) {
-		return func(fct sim.Time) {
-			c.Recorder.Add(size, fct)
-			if tr := c.Trace; tr != nil {
-				tr.FCT(c.Sim.Now(), conn.Client, conn.Server, size, fct)
+
+	// One arrival chain per client, entirely on the client's shard.
+	for ci := 0; ci < nClients; ci++ {
+		ci := ci
+		client := packet.HostID(ci)
+		si := c.shardOf(client)
+		s, tr := c.shards[si].sim, c.shards[si].trace
+		st, rec := &cnt[si], recs[si]
+		rng := s.Rand()
+
+		// Stop on target: the job that completes a single-Simulator run
+		// stops it from inside its own event; the engine instead polls the
+		// summed counters at its barriers (see the run call below).
+		jobDone := func() {
+			st.completed++
+			if c.Eng == nil && st.completed == target {
+				s.Stop()
 			}
-			jobDone()
 		}
-	}
-	// recordShard traces one shard of a composite job and completes the job
-	// when the last shard lands: the Recorder sees one sample whose FCT
-	// spans issue → slowest shard, the paper's partition–aggregate metric.
-	type composite struct {
-		pending int
-		total   int64
-		start   sim.Time
-	}
-	recordShard := func(conn *Conn, comp *composite, shard int64) func(sim.Time) {
-		return func(sim.Time) {
-			if tr := c.Trace; tr != nil {
-				tr.FCT(c.Sim.Now(), conn.Client, conn.Server, shard, c.Sim.Now()-comp.start)
-			}
-			comp.pending--
-			if comp.pending == 0 {
-				c.Recorder.Add(comp.total, c.Sim.Now()-comp.start)
+		// recordFlow finishes a singleton (web/RPC) job.
+		recordFlow := func(conn *Conn, size int64) func(sim.Time) {
+			return func(fct sim.Time) {
+				rec.Add(size, fct)
+				if tr != nil {
+					tr.FCT(s.Now(), conn.Client, conn.Server, size, fct)
+				}
 				jobDone()
 			}
 		}
-	}
-
-	pick := func() int {
-		u := rng.Float64()
-		switch {
-		case u < p.FracWebSearch:
-			return mixWeb
-		case u < p.FracWebSearch+p.FracRPC:
-			return mixRPC
-		case u < p.FracWebSearch+p.FracRPC+p.FracML:
-			return mixML
-		default:
-			return mixIncast
+		// recordShard traces one shard of a composite job and completes the
+		// job when the last shard lands: the recorder sees one sample whose
+		// FCT spans issue → slowest shard, the paper's partition–aggregate
+		// metric.
+		type composite struct {
+			pending int
+			total   int64
+			start   sim.Time
 		}
-	}
-
-	issueJob := func(ci int) {
-		res.Issued++
-		switch pick() {
-		case mixWeb:
-			si := rng.Intn(nHosts)
-			size := webDist.Sample(rng)
-			fwd[ci][si].StartJob(size, recordFlow(fwd[ci][si], size))
-		case mixRPC:
-			si := rng.Intn(nHosts)
-			size := rpcDist.Sample(rng)
-			fwd[ci][si].StartJob(size, recordFlow(fwd[ci][si], size))
-		case mixML:
-			shard := mlBytes / int64(nHosts)
-			if shard <= 0 {
-				shard = 1
-			}
-			comp := &composite{pending: nHosts, total: shard * int64(nHosts), start: c.Sim.Now()}
-			for si := 0; si < nHosts; si++ {
-				fwd[ci][si].StartJob(shard, recordShard(fwd[ci][si], comp, shard))
-			}
-		case mixIncast:
-			shard := incastBytes / int64(p.IncastFanout)
-			if shard <= 0 {
-				shard = 1
-			}
-			perm := rng.Perm(nHosts)[:p.IncastFanout]
-			comp := &composite{pending: p.IncastFanout, total: shard * int64(p.IncastFanout), start: c.Sim.Now()}
-			for _, si := range perm {
-				rev[ci][si].StartJob(shard, recordShard(rev[ci][si], comp, shard))
+		recordShard := func(conn *Conn, comp *composite, shard int64) func(sim.Time) {
+			return func(sim.Time) {
+				if tr != nil {
+					tr.FCT(s.Now(), conn.Client, conn.Server, shard, s.Now()-comp.start)
+				}
+				comp.pending--
+				if comp.pending == 0 {
+					rec.Add(comp.total, s.Now()-comp.start)
+					jobDone()
+				}
 			}
 		}
-	}
-
-	// One arrival chain per client. The inter-arrival gap is drawn at
-	// schedule time so a mid-run SetLoadScale bends the process immediately.
-	nextGap := func() sim.Time {
-		return sim.FromSeconds(rng.ExpFloat64() / (rate * c.loadScale))
-	}
-	for ci := 0; ci < nHosts; ci++ {
-		ci := ci
+		pick := func() int {
+			u := rng.Float64()
+			switch {
+			case u < p.FracWebSearch:
+				return mixWeb
+			case u < p.FracWebSearch+p.FracRPC:
+				return mixRPC
+			case u < p.FracWebSearch+p.FracRPC+p.FracML:
+				return mixML
+			default:
+				return mixIncast
+			}
+		}
+		issueJob := func() {
+			st.issued++
+			switch pick() {
+			case mixWeb:
+				k := rng.Intn(nServers)
+				size := webDist.Sample(rng)
+				fwd[ci][k].StartJob(size, recordFlow(fwd[ci][k], size))
+			case mixRPC:
+				k := rng.Intn(nServers)
+				size := rpcDist.Sample(rng)
+				fwd[ci][k].StartJob(size, recordFlow(fwd[ci][k], size))
+			case mixML:
+				shard := mlBytes / int64(nServers)
+				if shard <= 0 {
+					shard = 1
+				}
+				comp := &composite{pending: nServers, total: shard * int64(nServers), start: s.Now()}
+				for k := 0; k < nServers; k++ {
+					fwd[ci][k].StartJob(shard, recordShard(fwd[ci][k], comp, shard))
+				}
+			case mixIncast:
+				shard := incastBytes / int64(p.IncastFanout)
+				if shard <= 0 {
+					shard = 1
+				}
+				perm := rng.Perm(nServers)[:p.IncastFanout]
+				comp := &composite{pending: p.IncastFanout, total: shard * int64(p.IncastFanout), start: s.Now()}
+				for _, k := range perm {
+					conn := rev[ci][k]
+					c.startIncastShard(client, conn, shard, recordShard(conn, comp, shard))
+				}
+			}
+		}
+		// The inter-arrival gap is drawn at schedule time so a mid-run
+		// SetLoadScale bends the process immediately.
+		nextGap := func() sim.Time {
+			return sim.FromSeconds(rng.ExpFloat64() / (rate * c.loadScale))
+		}
 		var issue func(remaining int)
 		issue = func(remaining int) {
 			if remaining == 0 {
 				return
 			}
-			issueJob(ci)
-			c.Sim.After(nextGap(), func() { issue(remaining - 1) })
+			issueJob()
+			s.After(nextGap(), func() { issue(remaining - 1) })
 		}
-		c.Sim.After(p.Warmup+nextGap(), func() { issue(jobsPerClient) })
+		s.After(p.Warmup+nextGap(), func() { issue(jobsPerClient) })
 	}
 
-	c.Sim.RunUntil(p.MaxSimTime)
+	if c.Eng == nil {
+		c.Sim.RunUntil(p.MaxSimTime)
+	} else {
+		workers := c.Cfg.DomainWorkers
+		if workers <= 0 {
+			workers = 1
+		}
+		c.Eng.Run(p.MaxSimTime, workers, func() bool { return completed() >= target })
+	}
+
+	res := MixResult{Completed: completed()}
+	for i := range cnt {
+		res.Issued += cnt[i].issued
+		c.Recorder.Merge(recs[i])
+	}
 	if res.Completed < target {
 		res.TimedOut = true
 	}
 	return res
+}
+
+// twoLeafMesh opens the single-Simulator mesh and installs its paths:
+// clients are the hosts of leaf 1, servers those of leaf 2, fully meshed.
+// All forward connections open before any reverse one; OpenConn order fixes
+// the port numbers, so it must not change.
+func (c *Cluster) twoLeafMesh(incast bool) (fwd, rev [][]*Conn) {
+	n := c.Cfg.Topo.HostsPerLeaf
+	var pairs [][2]packet.HostID
+	fwd = make([][]*Conn, n)
+	for ci := 0; ci < n; ci++ {
+		fwd[ci] = make([]*Conn, n)
+		for si := 0; si < n; si++ {
+			client, server := packet.HostID(ci), packet.HostID(n+si)
+			fwd[ci][si] = c.OpenConn(client, server, 0)
+			pairs = append(pairs, [2]packet.HostID{client, server}, [2]packet.HostID{server, client})
+		}
+	}
+	if incast {
+		rev = make([][]*Conn, n)
+		for ci := 0; ci < n; ci++ {
+			rev[ci] = make([]*Conn, n)
+			for si := 0; si < n; si++ {
+				rev[ci][si] = c.OpenConn(packet.HostID(n+si), packet.HostID(ci), 0)
+			}
+		}
+	}
+	c.SetupPaths(pairs)
+	return fwd, rev
+}
+
+// rotatedMesh opens the sharded mesh and installs its paths: every host is
+// a client, and its servers are Config.ServersPerClient hosts on other
+// leaves (the two-leaf full mesh would be quadratic at 1024 hosts), taken
+// in host order rotated by the client index so load spreads evenly. Forward
+// and reverse connections open interleaved; as in twoLeafMesh the order
+// fixes the port numbers.
+func (c *Cluster) rotatedMesh(incast bool) (fwd, rev [][]*Conn) {
+	hostsPerLeaf := c.Cfg.Topo.HostsPerLeaf
+	nHosts := c.Cfg.Topo.Leaves * hostsPerLeaf
+	spc := c.Cfg.ServersPerClient
+	maxSpc := nHosts - hostsPerLeaf // hosts on other leaves
+	if spc <= 0 {
+		spc = 32
+	}
+	if spc > maxSpc {
+		spc = maxSpc
+	}
+	fwd = make([][]*Conn, nHosts)
+	if incast {
+		rev = make([][]*Conn, nHosts)
+	}
+	var pairs [][2]packet.HostID
+	for ci := 0; ci < nHosts; ci++ {
+		leaf := ci / hostsPerLeaf
+		cand := make([]packet.HostID, 0, maxSpc)
+		for h := 0; h < nHosts; h++ {
+			if h/hostsPerLeaf != leaf {
+				cand = append(cand, packet.HostID(h))
+			}
+		}
+		fwd[ci] = make([]*Conn, spc)
+		if rev != nil {
+			rev[ci] = make([]*Conn, spc)
+		}
+		client := packet.HostID(ci)
+		for k := 0; k < spc; k++ {
+			server := cand[(ci+k)%len(cand)]
+			fwd[ci][k] = c.OpenConn(client, server, 0)
+			pairs = append(pairs, [2]packet.HostID{client, server}, [2]packet.HostID{server, client})
+			if rev != nil {
+				rev[ci][k] = c.OpenConn(server, client, 0)
+			}
+		}
+	}
+	c.SetupPaths(pairs)
+	return fwd, rev
+}
+
+// startIncastShard starts one incast response of shard bytes on conn, whose
+// sender lives on the responding server, for a request issued by client;
+// finish must run back on the client's shard, where the composite job and
+// its recorder live. On a single Simulator both are direct calls. Across
+// event domains the request travels to the server's domain as a post (one
+// engine lookahead of modeled request latency) and the completion
+// notification back the same way.
+func (c *Cluster) startIncastShard(client packet.HostID, conn *Conn, shard int64, finish func(sim.Time)) {
+	if c.Eng == nil {
+		conn.StartJob(shard, finish)
+		return
+	}
+	d := c.domFor(client)
+	req := &incastReq{c: c, conn: conn, shard: shard, clientDom: d.ID(), finish: finish}
+	d.Post(c.domFor(conn.Client).ID(), d.Now()+c.Eng.Lookahead(), incastStart, req, nil)
+}
+
+// incastReq carries one incast shard across domains: incastStart fires in
+// the responding server's domain and starts the reverse-connection job;
+// when that job completes (still in the server's domain), the notification
+// posts back and finish — a client-domain closure — runs at the client.
+type incastReq struct {
+	c         *Cluster
+	conn      *Conn // reverse conn: sender on the responding server host
+	shard     int64
+	clientDom int
+	finish    func(sim.Time)
+}
+
+// incastStart runs in the server's domain.
+func incastStart(a, _ any) {
+	req := a.(*incastReq)
+	sd := req.c.domFor(req.conn.Client) // conn.Client is the responding server
+	req.conn.StartJob(req.shard, func(sim.Time) {
+		sd.Post(req.clientDom, sd.Now()+req.c.Eng.Lookahead(), incastFinish, req, nil)
+	})
+}
+
+// incastFinish runs back in the client's domain.
+func incastFinish(a, _ any) {
+	req := a.(*incastReq)
+	req.finish(0)
 }
 
 // AbortOpenConns tears down the transport of every open connection (see

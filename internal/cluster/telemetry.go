@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"clove/internal/clove"
+	"clove/internal/netem"
 	"clove/internal/packet"
 	"clove/internal/sim"
 	"clove/internal/tcp"
@@ -15,75 +16,86 @@ type tableVisitor interface {
 	VisitTables(func(packet.HostID, *clove.WeightTable))
 }
 
-// setupTelemetry builds and arms the run's tracer when Config.Telemetry is
-// set. All polled streams iterate deterministic structures — the topology's
-// link list, the host-indexed vswitch slice, sorted destination tables, the
-// connection open-order list — never Go maps, so the captured records (and
-// the exported trace bytes) are a pure function of the seed regardless of
-// worker count or process. When Config.Telemetry is nil this is a no-op and
-// every telemetry call site in the hot path stays behind its single nil
-// check.
+// setupTelemetry wires and arms each shard's tracer when Config.Telemetry is
+// set. A tracer samples only state its own shard owns — links by source
+// node, weight tables and senders by host — so in sharded mode sampling runs
+// race-free inside the owner's windows. All polled streams iterate
+// deterministic structures — the topology's link list, the host-indexed
+// vswitch slice, sorted destination tables, the shard's connection
+// open-order list — never Go maps, so the captured records (and the
+// exported trace bytes) are a pure function of the seed regardless of worker
+// count or process. When Config.Telemetry is nil this is a no-op and every
+// telemetry call site in the hot path stays behind its single nil check.
 func (c *Cluster) setupTelemetry() {
 	if c.Cfg.Telemetry == nil {
 		return
 	}
-	tr := telemetry.NewTracer(c.Sim, *c.Cfg.Telemetry)
-	c.Trace = tr
-
-	links := c.LS.Links()
-	for _, l := range links {
-		l.SetTrace(tr)
+	shardLinks := make([][]*netem.Link, len(c.shards))
+	for _, l := range c.LS.Links() {
+		i := c.shardOfNode(l.From())
+		shardLinks[i] = append(shardLinks[i], l)
+		l.SetTrace(c.shards[i].trace)
 	}
-	for _, v := range c.VSwitches {
-		v.SetTrace(tr)
+	shardHosts := make([][]int, len(c.shards))
+	for hi, v := range c.VSwitches {
+		i := c.shardOf(packet.HostID(hi))
+		shardHosts[i] = append(shardHosts[i], hi)
+		v.SetTrace(c.shards[i].trace)
 	}
 
-	// Stream: link queue occupancy plus cumulative ECN marks and drops, for
-	// every link in topology build order.
-	tr.AddSampler(func(now sim.Time) {
-		for _, l := range links {
-			st := l.Stats()
-			tr.QueueSample(now, l.ID(), l.Name(), l.QueueLen(), st.ECNMarks, st.Drops+st.DownDrops)
-		}
-	})
+	for i := range c.shards {
+		sh := &c.shards[i]
+		tr, links, hosts := sh.trace, shardLinks[i], shardHosts[i]
 
-	// Stream: per-destination path weights, INT utilizations, and congestion
-	// ages for every source hypervisor running a weight-table policy.
-	tr.AddSampler(func(now sim.Time) {
-		for src, v := range c.VSwitches {
-			tv, ok := v.Policy().(tableVisitor)
-			if !ok {
-				continue
+		// Stream: link queue occupancy plus cumulative ECN marks and drops,
+		// for the shard's links in topology build order.
+		tr.AddSampler(func(now sim.Time) {
+			for _, l := range links {
+				st := l.Stats()
+				tr.QueueSample(now, l.ID(), l.Name(), l.QueueLen(), st.ECNMarks, st.Drops+st.DownDrops)
 			}
-			srcID := packet.HostID(src)
-			tv.VisitTables(func(dst packet.HostID, t *clove.WeightTable) {
-				t.VisitStates(func(p clove.PathState) {
-					age := sim.Time(-1) // never congested
-					if p.LastCongested > 0 {
-						age = now - p.LastCongested
-					}
-					tr.WeightSample(now, srcID, dst, p.Port, p.Weight, p.Util, age)
-				})
-			})
-		}
-	})
+		})
 
-	// Stream: sender cwnd/ssthresh/RTO/outstanding for every open connection
-	// (MPTCP samples each subflow). connList is in open order; the conns map
-	// iterates in randomized order and must not drive sampling.
-	tr.AddSampler(func(now sim.Time) {
-		for _, conn := range c.connList {
-			if conn.mp != nil {
-				for _, sub := range conn.mp.Subflows() {
-					sampleSender(tr, now, sub)
+		// Stream: per-destination path weights, INT utilizations, and
+		// congestion ages for every source hypervisor running a
+		// weight-table policy.
+		tr.AddSampler(func(now sim.Time) {
+			for _, hi := range hosts {
+				tv, ok := c.VSwitches[hi].Policy().(tableVisitor)
+				if !ok {
+					continue
 				}
-				continue
+				srcID := packet.HostID(hi)
+				tv.VisitTables(func(dst packet.HostID, t *clove.WeightTable) {
+					t.VisitStates(func(p clove.PathState) {
+						age := sim.Time(-1) // never congested
+						if p.LastCongested > 0 {
+							age = now - p.LastCongested
+						}
+						tr.WeightSample(now, srcID, dst, p.Port, p.Weight, p.Util, age)
+					})
+				})
 			}
-			sampleSender(tr, now, conn.snd)
-		}
-	})
+		})
 
-	tr.Start()
+		// Stream: sender cwnd/ssthresh/RTO/outstanding for every open
+		// connection whose client lives here (MPTCP samples each subflow).
+		// sh.conns is in open order; the conns map iterates in randomized
+		// order and must not drive sampling.
+		tr.AddSampler(func(now sim.Time) {
+			for _, conn := range sh.conns {
+				if conn.mp != nil {
+					for _, sub := range conn.mp.Subflows() {
+						sampleSender(tr, now, sub)
+					}
+					continue
+				}
+				sampleSender(tr, now, conn.snd)
+			}
+		})
+
+		tr.Start()
+	}
 }
 
 func sampleSender(tr *telemetry.Tracer, now sim.Time, s *tcp.Sender) {

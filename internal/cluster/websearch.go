@@ -145,7 +145,9 @@ func (c *Cluster) RunWebSearch(p WebSearchParams) WebSearchResult {
 	}
 
 	c.Sim.RunUntil(p.MaxSimTime)
-	if res.Completed < res.Issued {
+	// Against target, not Issued: a run cut off between arrivals has
+	// completed everything it issued and still fell short.
+	if res.Completed < target {
 		res.TimedOut = true
 	}
 	return res

@@ -29,17 +29,13 @@ import (
 //     mutate both sides, so they are legal only at engine barriers (global
 //     events) — which is where scenario actions already run.
 
-// enterDomain directs subsequent AddSwitch/AddHost calls at d.
-func (t *Topology) enterDomain(d *sim.Domain, pool *packet.Pool) {
-	t.curDom = d
-	t.curPool = pool
-}
-
-// addDomainPool registers one per-domain pool in creation order.
-func (t *Topology) addDomainPool() *packet.Pool {
-	p := &packet.Pool{}
-	t.pools = append(t.pools, p)
-	return p
+// enterDomain directs subsequent AddSwitch/AddHost calls at the engine's
+// k-th domain and its pool. No-op on a single-Simulator topology.
+func (t *Topology) enterDomain(k int) {
+	if t.eng == nil {
+		return
+	}
+	t.curDom, t.curPool = t.eng.Domain(k), t.pools[k]
 }
 
 // Sharded reports whether this topology was built across event domains.
@@ -116,59 +112,19 @@ func (t *Topology) scheduleRecompute() {
 }
 
 // BuildLeafSpineSharded constructs the leaf–spine fabric across event
-// domains of eng: one domain per leaf (owning the leaf switch and all its
-// hosts — where nearly all events live), and one domain per spine. The only
-// cross-domain links are the leaf<->spine trunks, whose propagation delay
-// must be at least the engine lookahead.
-//
-// Node creation order (and therefore IDs, names, and ECMP hash seeds) is
-// identical to BuildLeafSpine.
+// domains of eng, which must not have any yet: one domain per leaf (owning
+// the leaf switch and all its hosts — where nearly all events live), then
+// one per spine, each with its own packet pool. The only cross-domain links
+// are the leaf<->spine trunks, whose propagation delay must be at least the
+// engine lookahead. Everything else is BuildLeafSpine's builder body.
 func BuildLeafSpineSharded(eng *sim.Engine, cfg LeafSpineConfig) *LeafSpine {
 	if d := cfg.trunkDelay(); d < eng.Lookahead() {
 		panic(fmt.Sprintf("netem: trunk delay %v under engine lookahead %v", d, eng.Lookahead()))
 	}
 	t := &Topology{eng: eng, byName: map[string]*Link{}}
-	ls := &LeafSpine{Topology: t, Cfg: cfg}
-
-	leafDoms := make([]*sim.Domain, cfg.Leaves)
-	leafPools := make([]*packet.Pool, cfg.Leaves)
-	for i := range leafDoms {
-		leafDoms[i] = eng.AddDomain()
-		leafPools[i] = t.addDomainPool()
+	for i := 0; i < cfg.Leaves+cfg.Spines; i++ {
+		eng.AddDomain()
+		t.pools = append(t.pools, &packet.Pool{})
 	}
-	spineDoms := make([]*sim.Domain, cfg.Spines)
-	spinePools := make([]*packet.Pool, cfg.Spines)
-	for i := range spineDoms {
-		spineDoms[i] = eng.AddDomain()
-		spinePools[i] = t.addDomainPool()
-	}
-
-	for i := 0; i < cfg.Leaves; i++ {
-		t.enterDomain(leafDoms[i], leafPools[i])
-		ls.Leaves = append(ls.Leaves, t.AddSwitch(fmt.Sprintf("L%d", i+1)))
-	}
-	for i := 0; i < cfg.Spines; i++ {
-		t.enterDomain(spineDoms[i], spinePools[i])
-		ls.Spines = append(ls.Spines, t.AddSwitch(fmt.Sprintf("S%d", i+1)))
-	}
-	// Trunks: addLink derives each direction's owning domain from its source
-	// node, so no enterDomain is needed here.
-	trunkCfg := LinkConfig{RateBps: cfg.TrunkRateBps, Delay: cfg.trunkDelay(), QueueCap: cfg.QueueCap, ECNK: cfg.ECNK}
-	for _, lf := range ls.Leaves {
-		for _, sp := range ls.Spines {
-			for k := 0; k < cfg.TrunksPerPair; k++ {
-				t.Connect(lf, sp, k, trunkCfg)
-			}
-		}
-	}
-	upCfg := LinkConfig{RateBps: cfg.HostRateBps, Delay: cfg.LinkDelay, QueueCap: HostQdiscCap}
-	downCfg := LinkConfig{RateBps: cfg.HostRateBps, Delay: cfg.LinkDelay, QueueCap: cfg.QueueCap, ECNK: cfg.ECNK}
-	for li, lf := range ls.Leaves {
-		t.enterDomain(leafDoms[li], leafPools[li])
-		for j := 0; j < cfg.HostsPerLeaf; j++ {
-			t.AddHost(fmt.Sprintf("h%d", li*cfg.HostsPerLeaf+j), lf, upCfg, downCfg)
-		}
-	}
-	t.ComputeRoutes()
-	return ls
+	return buildLeafSpine(t, cfg)
 }

@@ -342,16 +342,29 @@ type LeafSpine struct {
 	Spines []*Switch
 }
 
-// BuildLeafSpine constructs the topology and computes initial routes.
+// BuildLeafSpine constructs the topology on a single Simulator and computes
+// initial routes.
 func BuildLeafSpine(s *sim.Simulator, cfg LeafSpineConfig) *LeafSpine {
-	t := NewTopology(s)
+	return buildLeafSpine(NewTopology(s), cfg)
+}
+
+// buildLeafSpine is the one builder body behind BuildLeafSpine and
+// BuildLeafSpineSharded, so node creation order (and therefore IDs, names,
+// and ECMP hash seeds) cannot differ between them. Leaf i and its hosts
+// enter domain i, spine i enters domain Leaves+i; on a single-Simulator
+// topology enterDomain has nothing to direct.
+func buildLeafSpine(t *Topology, cfg LeafSpineConfig) *LeafSpine {
 	ls := &LeafSpine{Topology: t, Cfg: cfg}
 	for i := 0; i < cfg.Leaves; i++ {
+		t.enterDomain(i)
 		ls.Leaves = append(ls.Leaves, t.AddSwitch(fmt.Sprintf("L%d", i+1)))
 	}
 	for i := 0; i < cfg.Spines; i++ {
+		t.enterDomain(cfg.Leaves + i)
 		ls.Spines = append(ls.Spines, t.AddSwitch(fmt.Sprintf("S%d", i+1)))
 	}
+	// Trunks: addLink derives each direction's owning domain from its source
+	// node, so no enterDomain is needed here.
 	trunkCfg := LinkConfig{RateBps: cfg.TrunkRateBps, Delay: cfg.trunkDelay(), QueueCap: cfg.QueueCap, ECNK: cfg.ECNK}
 	for _, lf := range ls.Leaves {
 		for _, sp := range ls.Spines {
@@ -363,6 +376,7 @@ func BuildLeafSpine(s *sim.Simulator, cfg LeafSpineConfig) *LeafSpine {
 	upCfg := LinkConfig{RateBps: cfg.HostRateBps, Delay: cfg.LinkDelay, QueueCap: HostQdiscCap}
 	downCfg := LinkConfig{RateBps: cfg.HostRateBps, Delay: cfg.LinkDelay, QueueCap: cfg.QueueCap, ECNK: cfg.ECNK}
 	for li, lf := range ls.Leaves {
+		t.enterDomain(li)
 		for j := 0; j < cfg.HostsPerLeaf; j++ {
 			t.AddHost(fmt.Sprintf("h%d", li*cfg.HostsPerLeaf+j), lf, upCfg, downCfg)
 		}

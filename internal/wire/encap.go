@@ -1,6 +1,22 @@
+// Package wire implements the byte-level codec of the overlay header the
+// real datapath (internal/datapath) puts on the network: an STT-like shim
+// whose context field carries Clove's reflected path feedback. The
+// simulator mirrors the same fields as structs. (The paper's deployments
+// encapsulate in STT or Geneve; the outer IP/TCP/UDP headers are the
+// kernel's business here, since the datapath sends over UDP sockets.)
+//
+// The codec follows the gopacket convention of an explicit, allocation-free
+// Put/Unmarshal pair and defensive length validation: truncated input
+// returns an error, never panics.
 package wire
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"errors"
+)
+
+// ErrTruncated reports input shorter than the header being parsed.
+var ErrTruncated = errors.New("wire: truncated packet")
 
 // SttShimLen is the length of the STT-like shim header that follows the
 // outer TCP header. Its layout mirrors the fields the paper's Fig. 3 relies
@@ -120,39 +136,3 @@ func quantizeUtil(u float64) uint8 {
 }
 
 func dequantizeUtil(q uint8) float64 { return float64(q) / 255 }
-
-// VxlanHeaderLen is the fixed VXLAN header length (RFC 7348 layout).
-const VxlanHeaderLen = 8
-
-// Vxlan is a VXLAN header; Clove in a UDP-based overlay steers paths with
-// the outer UDP source port, and this implementation additionally uses the
-// reserved bytes the way STT uses its context field (a documented deviation
-// from RFC 7348, required because VXLAN has no context bits of its own).
-type Vxlan struct {
-	VNI      uint32
-	Reserved uint8 // low reserved byte, used for the feedback ECN bit
-}
-
-// Marshal appends the 8-byte header to b.
-func (v *Vxlan) Marshal(b []byte) []byte {
-	off := len(b)
-	b = append(b, make([]byte, VxlanHeaderLen)...)
-	p := b[off:]
-	p[0] = 0x08 // I flag: VNI valid
-	binary.BigEndian.PutUint32(p[4:], v.VNI<<8)
-	p[7] = v.Reserved
-	return b
-}
-
-// Unmarshal parses the header and returns bytes consumed.
-func (v *Vxlan) Unmarshal(b []byte) (int, error) {
-	if len(b) < VxlanHeaderLen {
-		return 0, ErrTruncated
-	}
-	if b[0]&0x08 == 0 {
-		return 0, ErrBadVersion
-	}
-	v.VNI = binary.BigEndian.Uint32(b[4:]) >> 8
-	v.Reserved = b[7]
-	return VxlanHeaderLen, nil
-}

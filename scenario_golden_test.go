@@ -13,8 +13,10 @@ import (
 // — certifying every scripted flap, switch failure, and load ramp against
 // the conservation/pool invariants — and parallel (-j 4, 4 domain workers
 // inside each sharded run) without it, so the scripted timelines stay
-// byte-identical at any worker count on both axes. Regenerate with
-// `go test -run TestGoldenScenariosQuick -update`.
+// byte-identical at any worker count on both axes. The passes share no
+// state and run as parallel subtests. Regenerate with
+// `go test -run TestGoldenScenariosQuick -update`, under which only the
+// serial pass runs, since it is the writer.
 func TestGoldenScenariosQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario golden regression is minutes of simulation; skipped in -short")
@@ -31,6 +33,10 @@ func TestGoldenScenariosQuick(t *testing.T) {
 	for _, pass := range passes {
 		pass := pass
 		t.Run(pass.name, func(t *testing.T) {
+			if *updateGolden && pass.name != "serial-oracle" {
+				t.Skip("-update: only the serial pass runs, since it is the writer")
+			}
+			t.Parallel()
 			for _, name := range ScenarioNames() {
 				sp, err := LoadScenario(name)
 				if err != nil {
@@ -44,7 +50,7 @@ func TestGoldenScenariosQuick(t *testing.T) {
 				}, nil)
 				got := FormatRows(rows)
 				path := filepath.Join("testdata", "golden", "scenarios", fmt.Sprintf("%s.txt", name))
-				if *updateGolden && pass.name == "serial-oracle" {
+				if *updateGolden {
 					if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 						t.Fatalf("update golden %s: %v", path, err)
 					}
