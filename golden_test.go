@@ -2,7 +2,6 @@ package clove
 
 import (
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -41,35 +40,46 @@ func TestGoldenFiguresQuick(t *testing.T) {
 				t.Skip("-update: only the serial pass runs, since it is the writer")
 			}
 			t.Parallel()
+			compare := func(t *testing.T, name, got string) {
+				t.Helper()
+				path := filepath.Join("testdata", "golden", "quick", name+".txt")
+				if *updateGolden {
+					if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
+						t.Fatalf("update golden %s: %v", path, err)
+					}
+					return
+				}
+				want, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatalf("missing golden (run with -update to create): %v", err)
+				}
+				if got != string(want) {
+					t.Errorf("%s output diverges from %s (-update to accept):\n--- got ---\n%s--- want ---\n%s",
+						name, path, got, want)
+				}
+			}
+			scale := func() Scale {
+				sc := QuickScale()
+				sc.Parallelism = pass.parallelism
+				sc.Oracle = pass.oracle
+				return sc
+			}
 			for _, id := range FigureIDs() {
 				id := id
 				t.Run(id, func(t *testing.T) {
 					t.Parallel()
-					sc := QuickScale()
-					sc.Parallelism = pass.parallelism
-					sc.Oracle = pass.oracle
-					rows, err := RunFigure(id, sc, nil)
+					rows, err := RunFigure(id, scale(), nil)
 					if err != nil {
 						t.Fatalf("RunFigure(%q): %v", id, err)
 					}
-					got := FormatRows(rows)
-					path := filepath.Join("testdata", "golden", "quick", fmt.Sprintf("fig%s.txt", id))
-					if *updateGolden {
-						if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
-							t.Fatalf("update golden %s: %v", path, err)
-						}
-						return
-					}
-					want, err := os.ReadFile(path)
-					if err != nil {
-						t.Fatalf("missing golden (run with -update to create): %v", err)
-					}
-					if got != string(want) {
-						t.Errorf("fig%s output diverges from %s (-update to accept):\n--- got ---\n%s--- want ---\n%s",
-							id, path, got, want)
-					}
+					compare(t, "fig"+id, FormatRows(rows))
 				})
 			}
+			// What `clovesim -fig summary -scale quick` prints.
+			t.Run("summary", func(t *testing.T) {
+				t.Parallel()
+				compare(t, "summary", RunSummary(scale(), 0.7, nil).String()+"\n")
+			})
 		})
 	}
 }
