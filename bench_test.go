@@ -2,20 +2,15 @@ package clove
 
 import (
 	"runtime"
+	"strconv"
 	"testing"
 
 	"clove/internal/cluster"
-	"clove/internal/experiments"
 	"clove/internal/netem"
 	"clove/internal/sim"
 )
 
-// The benchmarks below regenerate every evaluation artifact of the paper at
-// QuickScale (see EXPERIMENTS.md for paper-vs-measured tables at larger
-// scales). Each reports the figure's headline metric via b.ReportMetric so
-// `go test -bench=.` output doubles as a miniature results table.
-
-func reportTopLoad(b *testing.B, rows []experiments.Row) {
+func reportTopLoad(b *testing.B, rows []Row) {
 	b.Helper()
 	var maxLoad float64
 	for _, r := range rows {
@@ -50,133 +45,67 @@ func metricSafe(s string) string {
 	return string(out)
 }
 
-func BenchmarkFig4b_SymmetricAvgFCT(b *testing.B) {
-	b.ReportAllocs()
-	sc := experiments.Quick()
-	var rows []experiments.Row
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig4b(sc, nil)
-	}
-	reportTopLoad(b, rows)
-}
-
-func BenchmarkFig4c_AsymmetricAvgFCT(b *testing.B) {
-	b.ReportAllocs()
-	sc := experiments.Quick()
-	var rows []experiments.Row
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig4c(sc, nil)
-	}
-	reportTopLoad(b, rows)
-}
-
-func BenchmarkFig5a_MiceFCT(b *testing.B) {
-	b.ReportAllocs()
-	sc := experiments.Quick()
-	sc.Loads = []float64{0.7} // the breakdown figure's interesting point
-	var rows []experiments.Row
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig5a(sc, nil)
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.MiceFCTSec*1000, "msMice:"+r.Scheme)
-	}
-}
-
-func BenchmarkFig5b_ElephantFCT(b *testing.B) {
-	b.ReportAllocs()
-	sc := experiments.Quick()
-	sc.Loads = []float64{0.7}
-	var rows []experiments.Row
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig5b(sc, nil)
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.ElephFCTSec*1000, "msEleph:"+r.Scheme)
-	}
-}
-
-func BenchmarkFig5c_P99FCT(b *testing.B) {
-	b.ReportAllocs()
-	sc := experiments.Quick()
-	sc.Loads = []float64{0.7}
-	var rows []experiments.Row
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig5c(sc, nil)
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.P99FCTSec*1000, "msP99:"+r.Scheme)
-	}
-}
-
-func BenchmarkFig6_ParamSensitivity(b *testing.B) {
-	b.ReportAllocs()
-	sc := experiments.Quick()
-	sc.Loads = []float64{0.7}
-	var rows []experiments.Row
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig6(sc, nil)
-	}
-	reportTopLoad(b, rows)
-}
-
-func BenchmarkFig7_Incast(b *testing.B) {
-	b.ReportAllocs()
-	sc := experiments.Quick()
-	var rows []experiments.Row
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig7(sc, nil)
-	}
-	for _, r := range rows {
-		if r.Fanout == 3 { // the largest fanout at quick scale
-			b.ReportMetric(r.GoodputBps/1e9, "gbps:"+r.Scheme)
+// BenchmarkFigure regenerates every evaluation artifact of the paper at
+// QuickScale, each as its own one-figure plan (see EXPERIMENTS.md for
+// paper-vs-measured tables at larger scales). Each reports the figure's
+// headline metric via b.ReportMetric so `go test -bench=Figure` output
+// doubles as a miniature results table.
+func BenchmarkFigure(b *testing.B) {
+	perScheme := func(unit string, metric func(Row) float64) func(*testing.B, []Row) {
+		return func(b *testing.B, rows []Row) {
+			for _, r := range rows {
+				b.ReportMetric(metric(r), unit+":"+r.Scheme)
+			}
 		}
 	}
-}
-
-func BenchmarkFig8a_SimSymmetric(b *testing.B) {
-	b.ReportAllocs()
-	sc := experiments.Quick()
-	var rows []experiments.Row
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig8a(sc, nil)
+	at70 := []float64{0.7} // the breakdown figures' interesting point
+	cases := []struct {
+		id     string
+		loads  []float64 // nil = the quick sweep
+		report func(*testing.B, []Row)
+	}{
+		{"4b", nil, reportTopLoad},
+		{"4c", nil, reportTopLoad},
+		{"5a", at70, perScheme("msMice", func(r Row) float64 { return r.MiceFCTSec * 1000 })},
+		{"5b", at70, perScheme("msEleph", func(r Row) float64 { return r.ElephFCTSec * 1000 })},
+		{"5c", at70, perScheme("msP99", func(r Row) float64 { return r.P99FCTSec * 1000 })},
+		{"6", at70, reportTopLoad},
+		{"7", nil, func(b *testing.B, rows []Row) {
+			for _, r := range rows {
+				if r.Fanout == 3 { // the largest fanout at quick scale
+					b.ReportMetric(r.GoodputBps/1e9, "gbps:"+r.Scheme)
+				}
+			}
+		}},
+		{"8a", nil, reportTopLoad},
+		{"8b", nil, reportTopLoad},
+		{"9", nil, perScheme("msMiceP99", func(r Row) float64 { return r.P99FCTSec * 1000 })},
+		{"summary", nil, func(b *testing.B, rows []Row) {
+			h := Headline(rows)
+			b.ReportMetric(h.CloveVsECMP, "xCloveVsECMP")
+			b.ReportMetric(h.EdgeFlowletVsECMP, "xEdgeFlowletVsECMP")
+			b.ReportMetric(h.CloveECNGainCapture*100, "pctGainCaptureECN")
+			b.ReportMetric(h.CloveINTGainCapture*100, "pctGainCaptureINT")
+		}},
 	}
-	reportTopLoad(b, rows)
-}
-
-func BenchmarkFig8b_SimAsymmetric(b *testing.B) {
-	b.ReportAllocs()
-	sc := experiments.Quick()
-	var rows []experiments.Row
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig8b(sc, nil)
+	for _, tc := range cases {
+		b.Run(tc.id, func(b *testing.B) {
+			b.ReportAllocs()
+			sc := QuickScale()
+			if tc.loads != nil {
+				sc.Loads = tc.loads
+			}
+			var rows []Row
+			for i := 0; i < b.N; i++ {
+				figs, err := RunFigures([]string{tc.id}, sc, 0.7, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rows = figs[0]
+			}
+			tc.report(b, rows)
+		})
 	}
-	reportTopLoad(b, rows)
-}
-
-func BenchmarkFig9_MiceCDF(b *testing.B) {
-	b.ReportAllocs()
-	sc := experiments.Quick()
-	var rows []experiments.Row
-	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig9(sc, nil)
-	}
-	for _, r := range rows {
-		b.ReportMetric(r.P99FCTSec*1000, "msMiceP99:"+r.Scheme)
-	}
-}
-
-func BenchmarkHeadlineSummary(b *testing.B) {
-	b.ReportAllocs()
-	sc := experiments.Quick()
-	var h experiments.HeadlineResult
-	for i := 0; i < b.N; i++ {
-		h = experiments.Summary(sc, 0.7, nil)
-	}
-	b.ReportMetric(h.CloveVsECMP, "xCloveVsECMP")
-	b.ReportMetric(h.EdgeFlowletVsECMP, "xEdgeFlowletVsECMP")
-	b.ReportMetric(h.CloveECNGainCapture*100, "pctGainCaptureECN")
-	b.ReportMetric(h.CloveINTGainCapture*100, "pctGainCaptureINT")
 }
 
 // --- Ablation benches (design choices beyond the paper's figures) ---
@@ -209,7 +138,7 @@ func BenchmarkAblationBeta(b *testing.B) {
 		for _, beta := range []float64{0.125, 1.0 / 3.0, 0.5} {
 			beta := beta
 			mean := ablationRun(b, func(cfg *cluster.Config) { cfg.Beta = beta })
-			b.ReportMetric(mean*1000, "msFCT:beta="+fmtFloat(beta))
+			b.ReportMetric(mean*1000, "msFCT:beta="+strconv.FormatFloat(beta, 'g', 3, 64))
 		}
 	}
 }
@@ -225,7 +154,7 @@ func BenchmarkAblationRelayFreq(b *testing.B) {
 			mean := ablationRun(b, func(cfg *cluster.Config) {
 				cfg.RelayInterval = sim.Time(float64(rtt) * mult)
 			})
-			b.ReportMetric(mean*1000, "msFCT:relay="+fmtFloat(mult)+"xRTT")
+			b.ReportMetric(mean*1000, "msFCT:relay="+strconv.FormatFloat(mult, 'g', 3, 64)+"xRTT")
 		}
 	}
 }
@@ -238,7 +167,7 @@ func BenchmarkAblationPathCount(b *testing.B) {
 		for _, k := range []int{2, 3, 4} {
 			k := k
 			mean := ablationRun(b, func(cfg *cluster.Config) { cfg.PathsK = k })
-			b.ReportMetric(mean*1000, "msFCT:k="+fmtInt(k))
+			b.ReportMetric(mean*1000, "msFCT:k="+strconv.Itoa(k))
 		}
 	}
 }
@@ -254,7 +183,7 @@ func BenchmarkAblationFlowletGap(b *testing.B) {
 			mean := ablationRun(b, func(cfg *cluster.Config) {
 				cfg.FlowletGap = sim.Time(float64(rtt) * mult)
 			})
-			b.ReportMetric(mean*1000, "msFCT:gap="+fmtFloat(mult)+"xRTT")
+			b.ReportMetric(mean*1000, "msFCT:gap="+strconv.FormatFloat(mult, 'g', 3, 64)+"xRTT")
 		}
 	}
 }
@@ -287,10 +216,12 @@ func BenchmarkAblationProberVsOracle(b *testing.B) {
 func benchSweepAtJ(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.Helper()
-	sc := experiments.Quick()
+	sc := QuickScale()
 	sc.Parallelism = workers
 	for i := 0; i < b.N; i++ {
-		experiments.Fig8a(sc, nil)
+		if _, err := RunFigure("8a", sc, nil); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -314,29 +245,4 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		b.ReportMetric(float64(c.Sim.Processed()), "events/run")
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
-}
-
-func fmtFloat(f float64) string {
-	switch {
-	case f == 0.125:
-		return "0.125"
-	case f == 0.25:
-		return "0.25"
-	case f == 0.5:
-		return "0.5"
-	case f == 1.0/3.0:
-		return "0.33"
-	default:
-		if f == float64(int(f)) {
-			return fmtInt(int(f))
-		}
-		return "x"
-	}
-}
-
-func fmtInt(i int) string {
-	if i < 10 {
-		return string(rune('0' + i))
-	}
-	return string(rune('0'+i/10)) + string(rune('0'+i%10))
 }

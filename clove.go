@@ -34,7 +34,6 @@
 package clove
 
 import (
-	"fmt"
 	"io"
 	"time"
 
@@ -139,18 +138,44 @@ func FigureIDs() []string { return experiments.ExperimentIDs() }
 // RunFigure regenerates one of the paper's evaluation figures at the given
 // scale, streaming progress lines to progress (may be nil).
 func RunFigure(id string, sc Scale, progress io.Writer) ([]Row, error) {
-	fn, ok := experiments.Registry[id]
-	if !ok {
-		return nil, fmt.Errorf("clove: unknown figure %q (known: %v)", id, experiments.ExperimentIDs())
+	spec, err := experiments.Figure(id)
+	if err != nil {
+		return nil, err
 	}
-	return fn(sc, progress), nil
+	return experiments.Run(sc, []experiments.Spec{spec}, progress)[0], nil
 }
 
 // RunSummary measures the paper's headline ratios at the given load on the
 // asymmetric topology.
 func RunSummary(sc Scale, load float64, progress io.Writer) HeadlineResult {
-	return experiments.Summary(sc, load, progress)
+	spec := experiments.SummarySpec(load)
+	return Headline(experiments.Run(sc, []experiments.Spec{spec}, progress)[0])
 }
+
+// RunFigures regenerates several figures as one plan: a simulation that more
+// than one of them asks for runs once (Figs. 5a–c are breakdowns of 4c's
+// runs, Fig. 9 and the summary read Fig. 8b's, Figs. 8a/8b repeat part of
+// 4b/4c), so the result is the bytes of one RunFigure call per id in fewer
+// simulations. ids are FigureIDs entries, or "summary" for the runs behind
+// the headline ratios at load (unused otherwise): Headline turns those rows
+// into the ratios. Rows come back per id, in the order asked.
+func RunFigures(ids []string, sc Scale, load float64, progress io.Writer) ([][]Row, error) {
+	specs := make([]experiments.Spec, len(ids))
+	for i, id := range ids {
+		if id == "summary" {
+			specs[i] = experiments.SummarySpec(load)
+			continue
+		}
+		var err error
+		if specs[i], err = experiments.Figure(id); err != nil {
+			return nil, err
+		}
+	}
+	return experiments.Run(sc, specs, progress), nil
+}
+
+// Headline derives the headline ratios from the "summary" rows of RunFigures.
+func Headline(rows []Row) HeadlineResult { return experiments.Headline(rows) }
 
 // FormatRows renders figure rows as an aligned text table.
 func FormatRows(rows []Row) string { return experiments.FormatRows(rows) }

@@ -12,10 +12,14 @@
 //	clovesim -scenario storm-rolling-spine -scale quick -oracle
 //	clovesim -scenario ./my-spec.json
 //
-// Independent (scheme, load, seed) runs execute on a worker pool sized by
-// -j (default GOMAXPROCS). Results are collected in deterministic grid
-// order, so the printed tables are byte-identical at any -j for the same
-// seeds.
+// The requested figures are expanded into one plan of (scheme, load, seed)
+// runs; a run that several figures share (5a–c are breakdowns of 4c, 9 and
+// the summary read 8b, 8a/8b repeat part of 4b/4c) is simulated once, so
+// -fig all performs under half the simulations its figures list. Distinct
+// runs execute on a worker pool sized by -j (default GOMAXPROCS) and results
+// are collected in deterministic grid order, so the printed tables are
+// byte-identical at any -j for the same seeds — and to running each figure
+// on its own.
 //
 // Figures: 4b 4c 5a 5b 5c 6 7 8a 8b 9 (see DESIGN.md for the experiment
 // index), plus "summary" and "all".
@@ -119,7 +123,6 @@ func main() {
 		}
 	}
 	sc.Parallelism = *workers
-	sc.DomainWorkers = *domWorkers
 	sc.Oracle = *useOracle
 	if *traceDir != "" {
 		sc.Telemetry = &clove.TraceSpec{
@@ -162,24 +165,20 @@ func main() {
 		return
 	}
 
-	run := func(id string) {
-		rows, err := clove.RunFigure(id, sc, progress)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "clovesim:", err)
-			os.Exit(2)
-		}
-		fmt.Print(clove.FormatRows(rows))
+	ids := []string{*fig}
+	if *fig == "all" {
+		ids = append(clove.FigureIDs(), "summary")
 	}
-
-	switch *fig {
-	case "summary":
-		fmt.Println(clove.RunSummary(sc, *load, progress))
-	case "all":
-		for _, id := range clove.FigureIDs() {
-			run(id)
+	figs, err := clove.RunFigures(ids, sc, *load, progress)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "clovesim:", err)
+		os.Exit(2)
+	}
+	for i, id := range ids {
+		if id == "summary" {
+			fmt.Println(clove.Headline(figs[i]))
+		} else {
+			fmt.Print(clove.FormatRows(figs[i]))
 		}
-		fmt.Println(clove.RunSummary(sc, *load, progress))
-	default:
-		run(*fig)
 	}
 }

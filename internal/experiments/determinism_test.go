@@ -18,64 +18,71 @@ func detScale() Scale {
 	return sc
 }
 
-func detOpts() sweepOpts {
-	return sweepOpts{
+func detSpec() Spec {
+	return Spec{
 		figure:  "det",
 		schemes: []cluster.Scheme{cluster.SchemeECMP, cluster.SchemeCloveECN},
 		asym:    true,
 	}
 }
 
-// TestSweepDeterministicAcrossParallelism pins the end-to-end determinism
-// invariant of the concurrent runner: the same seeds must produce
-// byte-identical FormatRows output at -j 1, -j 4, and -j GOMAXPROCS, and
-// across two repeated runs at the same -j. This extends the DESIGN.md
-// "identical seeds => identical packet traces" guarantee through the
-// worker pool, the out-of-order job completion, and the cross-seed
-// aggregation.
-func TestSweepDeterministicAcrossParallelism(t *testing.T) {
-	run := func(parallelism int) string {
-		sc := detScale()
-		sc.Parallelism = parallelism
-		// io.Discard (not nil) keeps the concurrent progress path in play.
-		return FormatRows(sweep(sc, detOpts(), io.Discard))
+// figure returns a table spec by ID.
+func figure(t *testing.T, id string) Spec {
+	t.Helper()
+	spec, err := Figure(id)
+	if err != nil {
+		t.Fatal(err)
 	}
-	want := run(1)
-	if want == "" {
-		t.Fatal("empty sweep output")
-	}
-	for _, j := range []int{1, 4, runtime.GOMAXPROCS(0)} {
-		if got := run(j); got != want {
-			t.Errorf("output at -j %d differs from -j 1:\n--- j=1 ---\n%s--- j=%d ---\n%s", j, want, j, got)
-		}
-	}
+	return spec
 }
 
-// TestFig7DeterministicAcrossParallelism covers the incast runner's
-// separate pooling path the same way.
-func TestFig7DeterministicAcrossParallelism(t *testing.T) {
-	run := func(parallelism int) string {
-		sc := detScale()
-		sc.Parallelism = parallelism
-		return FormatRows(Fig7(sc, io.Discard))
+// TestRunDeterministicAcrossParallelism pins the end-to-end determinism
+// invariant of the executor, for every kind of spec it projects and for a
+// plan whose specs share runs: the same seeds must produce byte-identical
+// output at -j 1, -j 1 again, -j 4, and -j GOMAXPROCS. This extends the
+// DESIGN.md "identical seeds => identical packet traces" guarantee through
+// the worker pool, the out-of-order job completion, the run sharing, and the
+// cross-seed aggregation.
+func TestRunDeterministicAcrossParallelism(t *testing.T) {
+	cases := []struct {
+		name  string
+		specs []Spec
+	}{
+		{"load-sweep", []Spec{detSpec()}},
+		{"incast", []Spec{figure(t, "7")}},
+		{"mice-cdf", []Spec{figure(t, "9")}},
+		{"summary", []Spec{SummarySpec(0.5)}},
+		{"shared", []Spec{figure(t, "8b"), figure(t, "9"), SummarySpec(0.5)}},
 	}
-	want := run(1)
-	if got := run(4); got != want {
-		t.Errorf("fig7 output at -j 4 differs from -j 1:\n%s\nvs\n%s", want, got)
-	}
-}
-
-// TestFig9DeterministicAcrossParallelism covers the CDF-aggregation path:
-// per-run mice samples are merged after the pool drains, in grid order.
-func TestFig9DeterministicAcrossParallelism(t *testing.T) {
-	run := func(parallelism int) string {
-		sc := detScale()
-		sc.Parallelism = parallelism
-		return FormatRows(Fig9(sc, io.Discard))
-	}
-	want := run(1)
-	if got := run(4); got != want {
-		t.Errorf("fig9 output at -j 4 differs from -j 1:\n%s\nvs\n%s", want, got)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(parallelism int) string {
+				sc := detScale()
+				sc.Parallelism = parallelism
+				// io.Discard (not nil) keeps the concurrent progress path in play.
+				out := ""
+				for _, rows := range Run(sc, tc.specs, io.Discard) {
+					out += FormatRows(rows)
+					if rows[0].Figure == "summary" {
+						h := Headline(rows)
+						if h.CloveVsECMP <= 0 {
+							t.Errorf("bad headline: %+v", h)
+						}
+						out += h.String()
+					}
+				}
+				return out
+			}
+			want := run(1)
+			if want == "" {
+				t.Fatal("empty output")
+			}
+			for _, j := range []int{1, 4, runtime.GOMAXPROCS(0)} {
+				if got := run(j); got != want {
+					t.Errorf("output at -j %d differs from -j 1:\n--- j=1 ---\n%s--- j=%d ---\n%s", j, want, j, got)
+				}
+			}
+		})
 	}
 }
 
@@ -87,7 +94,7 @@ func TestFig9DeterministicAcrossParallelism(t *testing.T) {
 func TestSweepConcurrentRaceSmoke(t *testing.T) {
 	sc := detScale()
 	sc.Parallelism = 4
-	rows := sweep(sc, detOpts(), io.Discard)
+	rows := Run(sc, []Spec{detSpec()}, io.Discard)[0]
 	if len(rows) != 4 { // 2 schemes x 2 loads
 		t.Fatalf("rows = %d, want 4", len(rows))
 	}
@@ -98,21 +105,6 @@ func TestSweepConcurrentRaceSmoke(t *testing.T) {
 		if r.Replicates != 2 {
 			t.Errorf("%s/%s: replicates = %d, want 2", r.Figure, r.Scheme, r.Replicates)
 		}
-	}
-}
-
-// TestSummaryConcurrent exercises the pooled Summary path and its
-// repeat-run stability.
-func TestSummaryConcurrent(t *testing.T) {
-	sc := detScale()
-	sc.Parallelism = 4
-	a := Summary(sc, 0.5, io.Discard)
-	b := Summary(sc, 0.5, io.Discard)
-	if a != b {
-		t.Errorf("summary not reproducible across runs:\n%+v\n%+v", a, b)
-	}
-	if a.CloveVsECMP <= 0 {
-		t.Errorf("bad headline: %+v", a)
 	}
 }
 

@@ -16,39 +16,47 @@ import (
 // steering even when the weights say it must not. Both runs execute under
 // the oracle.
 func TestFrozenCloveECNEquivalentToUniform(t *testing.T) {
+	diffSpecs(t,
+		Spec{figure: "diff-frozen", schemes: []cluster.Scheme{cluster.SchemeCloveECN},
+			variants: []variant{{mutate: func(cfg *cluster.Config) { cfg.FreezeWeights = true }}}},
+		Spec{figure: "diff-uniform", schemes: []cluster.Scheme{cluster.SchemeCloveUniform}})
+}
+
+// diffSpecs simulates two one-scheme specs cell by cell — every (load, seed)
+// of the grid, under the oracle — and asserts the two runs' full FCT sample
+// streams and summaries are identical.
+func diffSpecs(t *testing.T, a, b Spec) {
+	t.Helper()
 	sc := tiny()
 	sc.Seeds = []int64{1, 2}
 	sc.Loads = []float64{0.4, 0.7}
 	sc.Oracle = true
-
-	frozen := sweepOpts{
-		figure: "diff-frozen",
-		mutate: func(cfg *cluster.Config) { cfg.FreezeWeights = true },
+	points, _ := newPlan(sc, []Spec{a, b})
+	if len(points[0]) != len(sc.Loads) || len(points[1]) != len(sc.Loads) {
+		t.Fatalf("grids of %d and %d points, want %d each", len(points[0]), len(points[1]), len(sc.Loads))
 	}
-	uniform := sweepOpts{figure: "diff-uniform"}
-	for _, load := range sc.Loads {
-		for _, seed := range sc.Seeds {
-			recE, toE := runOne(sc, frozen, cluster.SchemeCloveECN, load, seed)
-			recU, toU := runOne(sc, uniform, cluster.SchemeCloveUniform, load, seed)
-			if toE != toU {
-				t.Fatalf("load=%.1f seed=%d: timeout mismatch frozen=%v uniform=%v", load, seed, toE, toU)
+	for pi := range points[0] {
+		for si := range sc.Seeds {
+			runA, runB := points[0][pi].runs[si], points[1][pi].runs[si]
+			nameA, nameB := runA.names[0], runB.names[0]
+			recA, recB := runA.simulate().Recorder, runB.simulate().Recorder
+			if runA.timedOut != runB.timedOut {
+				t.Fatalf("timeout mismatch %s=%v %s=%v", nameA, runA.timedOut, nameB, runB.timedOut)
 			}
-			sE, sU := recE.Samples(), recU.Samples()
-			if len(sE) == 0 {
-				t.Fatalf("load=%.1f seed=%d: run produced no samples", load, seed)
+			sA, sB := recA.Samples(), recB.Samples()
+			if len(sA) == 0 {
+				t.Fatalf("%s: run produced no samples", nameA)
 			}
-			if len(sE) != len(sU) {
-				t.Fatalf("load=%.1f seed=%d: %d vs %d samples", load, seed, len(sE), len(sU))
+			if len(sA) != len(sB) {
+				t.Fatalf("%s: %d samples vs %s: %d", nameA, len(sA), nameB, len(sB))
 			}
-			for i := range sE {
-				if sE[i] != sU[i] {
-					t.Fatalf("load=%.1f seed=%d: sample %d diverges: frozen=%+v uniform=%+v",
-						load, seed, i, sE[i], sU[i])
+			for i := range sA {
+				if sA[i] != sB[i] {
+					t.Fatalf("sample %d diverges: %s=%+v %s=%+v", i, nameA, sA[i], nameB, sB[i])
 				}
 			}
-			if !reflect.DeepEqual(recE.Summarize(), recU.Summarize()) {
-				t.Fatalf("load=%.1f seed=%d: summaries diverge:\nfrozen:  %+v\nuniform: %+v",
-					load, seed, recE.Summarize(), recU.Summarize())
+			if !reflect.DeepEqual(recA.Summarize(), recB.Summarize()) {
+				t.Fatalf("summaries diverge:\n%s: %+v\n%s: %+v", nameA, recA.Summarize(), nameB, recB.Summarize())
 			}
 		}
 	}
@@ -59,17 +67,17 @@ func TestFrozenCloveECNEquivalentToUniform(t *testing.T) {
 // finish): mean and stderr are symmetric functions of the replicates, so
 // FormatRows output must be byte-identical under seed permutation.
 func TestSeedPermutationInvariance(t *testing.T) {
-	opts := sweepOpts{
+	spec := Spec{
 		figure:  "perm",
 		schemes: []cluster.Scheme{cluster.SchemeECMP, cluster.SchemeCloveECN},
 	}
 	fwd := tiny()
 	fwd.Seeds = []int64{1, 2}
-	rowsFwd := sweep(fwd, opts, nil)
+	rowsFwd := Run(fwd, []Spec{spec}, nil)[0]
 
 	rev := tiny()
 	rev.Seeds = []int64{2, 1}
-	rowsRev := sweep(rev, opts, nil)
+	rowsRev := Run(rev, []Spec{spec}, nil)[0]
 
 	a, b := FormatRows(rowsFwd), FormatRows(rowsRev)
 	if a != b {
@@ -77,42 +85,12 @@ func TestSeedPermutationInvariance(t *testing.T) {
 	}
 }
 
-// diffRun executes one (scheme, load, seed) cell twice — once with the
-// production policy, once with its replay reference — under the oracle, and
-// asserts the full FCT sample streams and summaries are identical.
+// diffRun runs one scheme and its replay reference through diffSpecs.
 func diffRun(t *testing.T, prod, ref cluster.Scheme) {
 	t.Helper()
-	sc := tiny()
-	sc.Seeds = []int64{1, 2}
-	sc.Loads = []float64{0.4, 0.7}
-	sc.Oracle = true
-	opts := sweepOpts{figure: "diff-" + string(prod)}
-	for _, load := range sc.Loads {
-		for _, seed := range sc.Seeds {
-			recP, toP := runOne(sc, opts, prod, load, seed)
-			recR, toR := runOne(sc, opts, ref, load, seed)
-			if toP != toR {
-				t.Fatalf("load=%.1f seed=%d: timeout mismatch %s=%v %s=%v", load, seed, prod, toP, ref, toR)
-			}
-			sP, sR := recP.Samples(), recR.Samples()
-			if len(sP) == 0 {
-				t.Fatalf("load=%.1f seed=%d: run produced no samples", load, seed)
-			}
-			if len(sP) != len(sR) {
-				t.Fatalf("load=%.1f seed=%d: %d vs %d samples", load, seed, len(sP), len(sR))
-			}
-			for i := range sP {
-				if sP[i] != sR[i] {
-					t.Fatalf("load=%.1f seed=%d: sample %d diverges: %s=%+v %s=%+v",
-						load, seed, i, prod, sP[i], ref, sR[i])
-				}
-			}
-			if !reflect.DeepEqual(recP.Summarize(), recR.Summarize()) {
-				t.Fatalf("load=%.1f seed=%d: summaries diverge:\n%s: %+v\n%s: %+v",
-					load, seed, prod, recP.Summarize(), ref, recR.Summarize())
-			}
-		}
-	}
+	diffSpecs(t,
+		Spec{figure: "diff", schemes: []cluster.Scheme{prod}},
+		Spec{figure: "diff", schemes: []cluster.Scheme{ref}})
 }
 
 // TestConcuryEquivalentToReference pins the stateless scheme against an

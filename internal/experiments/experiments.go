@@ -5,21 +5,16 @@
 // (Fig. 7), the simulation comparison against Clove-INT and CONGA
 // (Figs. 8a, 8b), the mice-FCT CDF (Fig. 9), and the headline summary
 // ratios. Each experiment runs at a configurable Scale so the same code
-// drives quick benchmarks and paper-scale runs.
+// drives quick benchmarks and paper-scale runs. A figure is an entry of the
+// Spec table (figures.go); Run performs a list of specs as one plan (plan.go).
 package experiments
 
 import (
 	"fmt"
-	"io"
-	"path/filepath"
 	"sort"
-	"time"
 
-	"clove/internal/cluster"
-	"clove/internal/netem"
 	"clove/internal/sim"
 	"clove/internal/stats"
-	"clove/internal/telemetry"
 )
 
 // Scale trades fidelity for runtime. Link rates are always the paper's
@@ -37,12 +32,6 @@ type Scale struct {
 	IncastBytes    int64
 	MaxSimTime     sim.Time
 
-	// DomainWorkers is the engine worker count inside each sharded
-	// (leaves > 2) scenario run; 0/1 runs the conservative windows
-	// serially. Orthogonal to Parallelism (workers across runs) and, like
-	// it, never changes output bytes.
-	DomainWorkers int
-
 	// Parallelism bounds the worker pool running independent (scheme,
 	// load, seed) jobs: 0 means GOMAXPROCS, 1 forces a serial run. Any
 	// value produces byte-identical FormatRows output for the same seeds
@@ -56,16 +45,17 @@ type Scale struct {
 
 	// Telemetry, when non-nil, traces every run and exports each run's
 	// streams under Telemetry.Dir. Tracing reads simulation state but never
-	// perturbs it, and every run's trace directory is written by exactly one
-	// job, so trace bytes — like FormatRows output — are identical for the
-	// same seeds at any Parallelism.
+	// perturbs it, and every trace directory is written by exactly one job,
+	// so trace bytes — like FormatRows output — are identical for the same
+	// seeds at any Parallelism.
 	Telemetry *TraceSpec
 }
 
 // TraceSpec asks every run of an experiment for a telemetry trace
 // (internal/telemetry). Each run exports into its own subdirectory of Dir
 // named <figure>_<scheme>[_<variant>]_load<NNN>_seed<N> (incast runs use
-// fanout<NN> instead of load<NNN>).
+// fanout<NN> instead of load<NNN>); a run that several figures of one plan
+// share is exported under each figure's name.
 type TraceSpec struct {
 	// Dir is the root output directory (created if missing).
 	Dir string
@@ -77,23 +67,19 @@ type TraceSpec struct {
 	MaxSamples int
 }
 
-// config converts the spec into the cluster-level telemetry config.
-func (ts *TraceSpec) config() *telemetry.Config {
-	if ts == nil {
-		return nil
-	}
-	return &telemetry.Config{Interval: ts.Interval, MaxSamples: ts.MaxSamples}
-}
-
-// runDir names one run's trace subdirectory. point is "load070" or
-// "fanout05"; the variant label (Fig. 6) is folded to lowercase
-// alphanumerics and dashes so it is filesystem-safe.
-func traceRunDir(figure string, scheme cluster.Scheme, variant, point string, seed int64) string {
-	name := fmt.Sprintf("%s_%s", figure, scheme)
-	if v := sanitizeLabel(variant); v != "" {
+// runName names one requested run — in progress lines, oracle verdicts and
+// as its trace subdirectory — from its figure's prefix, its row and its
+// seed. The variant label (Fig. 6) is folded to lowercase alphanumerics and
+// dashes so the name is filesystem-safe.
+func runName(prefix string, row Row, seed int64) string {
+	name := prefix + "_" + row.Scheme
+	if v := sanitizeLabel(row.Variant); v != "" {
 		name += "_" + v
 	}
-	return fmt.Sprintf("%s_%s_seed%d", name, point, seed)
+	if row.Fanout > 0 {
+		return fmt.Sprintf("%s_fanout%02d_seed%d", name, row.Fanout, seed)
+	}
+	return fmt.Sprintf("%s_load%03d_seed%d", name, int(row.Load*100+0.5), seed)
 }
 
 func sanitizeLabel(s string) string {
@@ -169,361 +155,6 @@ type Row struct {
 	MeanFCTStderrSec float64
 	P99FCTStderrSec  float64
 	GoodputStderrBps float64
-}
-
-// sweepOpts configures one load-sweep experiment.
-type sweepOpts struct {
-	figure     string
-	schemes    []cluster.Scheme
-	asym       bool
-	prestoGood bool // grant Presto ideal weights (asym runs)
-	// mutate tweaks the cluster config per run (Fig. 6 variants).
-	mutate  func(*cluster.Config)
-	variant string
-	maxLoad float64 // skip sweep points above this (paper stops asym at 0.8)
-}
-
-// runOne executes one (scheme, load, seed) run and returns its recorder.
-func runOne(sc Scale, opts sweepOpts, scheme cluster.Scheme, load float64, seed int64) (*stats.FCTRecorder, bool) {
-	cfg := cluster.Config{
-		Seed:               seed,
-		Topo:               netem.ScaledTestbed(1.0, sc.HostsPerLeaf),
-		Scheme:             scheme,
-		AsymmetricFailure:  opts.asym,
-		PrestoIdealWeights: opts.prestoGood && scheme == cluster.SchemePresto,
-		Oracle:             sc.Oracle,
-		Telemetry:          sc.Telemetry.config(),
-	}
-	if opts.mutate != nil {
-		opts.mutate(&cfg)
-	}
-	c := cluster.New(cfg)
-	res := c.RunWebSearch(cluster.WebSearchParams{
-		Load:           load,
-		TotalJobs:      sc.TotalJobs,
-		ConnsPerClient: sc.ConnsPerClient,
-		SizeScale:      sc.SizeScale,
-		MaxSimTime:     sc.MaxSimTime,
-	})
-	if err := c.CheckOracle(); err != nil {
-		panic(fmt.Sprintf("%s %s load=%.2f seed=%d: %v", opts.figure, scheme, load, seed, err))
-	}
-	if sc.Telemetry != nil {
-		point := fmt.Sprintf("load%03d", int(load*100+0.5))
-		dir := filepath.Join(sc.Telemetry.Dir, traceRunDir(opts.figure, scheme, opts.variant, point, seed))
-		if err := c.Trace.Export(dir); err != nil {
-			panic(fmt.Sprintf("%s %s load=%.2f seed=%d: trace export: %v", opts.figure, scheme, load, seed, err))
-		}
-	}
-	return c.Recorder, res.TimedOut
-}
-
-// sweep runs the cross product schemes x loads x seeds and aggregates.
-func sweep(sc Scale, opts sweepOpts, progress io.Writer) []Row {
-	return sweepMany(sc, []sweepOpts{opts}, progress)
-}
-
-// sweepPoint is one grid point of a sweep: every seed replicate of it is
-// an independent job.
-type sweepPoint struct {
-	opts   *sweepOpts
-	scheme cluster.Scheme
-	load   float64
-}
-
-// runOutcome is what one (point, seed) job contributes to its row.
-type runOutcome struct {
-	sum      stats.Summary
-	timedOut bool
-}
-
-// sweepMany expands every opts' schemes x loads grid (in order) into
-// seed-replicated jobs, runs them on the worker pool, and aggregates each
-// grid point's replicates into one Row. Rows come back in the same order
-// the serial nested loops produced, whatever the parallelism.
-func sweepMany(sc Scale, optsList []sweepOpts, progress io.Writer) []Row {
-	var pts []sweepPoint
-	for oi := range optsList {
-		opts := &optsList[oi]
-		for _, scheme := range opts.schemes {
-			for _, load := range sc.Loads {
-				if opts.maxLoad > 0 && load > opts.maxLoad {
-					continue
-				}
-				pts = append(pts, sweepPoint{opts: opts, scheme: scheme, load: load})
-			}
-		}
-	}
-	seeds := sc.Seeds
-	outs := make([]runOutcome, len(pts)*len(seeds))
-	tracker := newProgressTracker(progress, len(outs))
-	runJobs(sc.Workers(), len(outs), func(i int) {
-		p := pts[i/len(seeds)]
-		seed := seeds[i%len(seeds)]
-		start := time.Now()
-		rec, timedOut := runOne(sc, *p.opts, p.scheme, p.load, seed)
-		outs[i] = runOutcome{sum: rec.Summarize(), timedOut: timedOut}
-		tracker.jobDone(fmt.Sprintf("%s %s load=%.0f%% seed=%d",
-			p.opts.figure, p.scheme, p.load*100, seed), time.Since(start))
-	})
-
-	rows := make([]Row, 0, len(pts))
-	for pi, p := range pts {
-		row := Row{
-			Figure: p.opts.figure, Scheme: string(p.scheme), Load: p.load,
-			Variant: p.opts.variant, Replicates: len(seeds),
-		}
-		means := make([]float64, 0, len(seeds))
-		p99s := make([]float64, 0, len(seeds))
-		mices := make([]float64, 0, len(seeds))
-		elephs := make([]float64, 0, len(seeds))
-		for si := range seeds {
-			o := outs[pi*len(seeds)+si]
-			if o.timedOut {
-				row.TimedOutRuns++
-			}
-			means = append(means, o.sum.MeanSec)
-			p99s = append(p99s, o.sum.P99Sec)
-			mices = append(mices, o.sum.MiceMeanSec)
-			elephs = append(elephs, o.sum.ElephMeanSec)
-			row.Samples += o.sum.Count
-		}
-		row.MeanFCTSec, row.MeanFCTStderrSec = stats.MeanStderr(means)
-		row.P99FCTSec, row.P99FCTStderrSec = stats.MeanStderr(p99s)
-		row.MiceFCTSec, _ = stats.MeanStderr(mices)
-		row.ElephFCTSec, _ = stats.MeanStderr(elephs)
-		rows = append(rows, row)
-		tracker.rowf("%s %-13s load=%.0f%% mean=%.4fs±%.4f p99=%.4fs n=%d\n",
-			p.opts.figure, row.Scheme, p.load*100, row.MeanFCTSec, row.MeanFCTStderrSec,
-			row.P99FCTSec, row.Samples)
-	}
-	return rows
-}
-
-// testbedSchemes are the deployable schemes of the hardware evaluation
-// (Sec. 5). CONGA and Clove-INT need new switch features and only appear in
-// the simulation figures (Sec. 6).
-func testbedSchemes() []cluster.Scheme {
-	return []cluster.Scheme{
-		cluster.SchemeECMP, cluster.SchemeEdgeFlowlet, cluster.SchemeCloveECN,
-		cluster.SchemeMPTCP, cluster.SchemePresto,
-	}
-}
-
-// simSchemes are the simulation-only sweeps: the paper's set plus the two
-// contrast points added here — stateless Concury and in-network Charon —
-// which, like CONGA and Clove-INT, need features a commodity edge or
-// fabric of the testbed era did not have.
-func simSchemes() []cluster.Scheme {
-	return []cluster.Scheme{
-		cluster.SchemeECMP, cluster.SchemeEdgeFlowlet, cluster.SchemeCloveECN,
-		cluster.SchemeCloveINT, cluster.SchemeCONGA,
-		cluster.SchemeConcury, cluster.SchemeCharon,
-	}
-}
-
-// Fig4b regenerates "Symmetric topology - avg FCT" (testbed, Fig. 4b).
-func Fig4b(sc Scale, progress io.Writer) []Row {
-	return sweep(sc, sweepOpts{figure: "fig4b", schemes: testbedSchemes()}, progress)
-}
-
-// Fig4c regenerates "Asymmetric topology - avg FCT" (testbed, Fig. 4c);
-// Presto receives the ideal static path weights, as in the paper.
-func Fig4c(sc Scale, progress io.Writer) []Row {
-	return sweep(sc, sweepOpts{
-		figure: "fig4c", schemes: testbedSchemes(),
-		asym: true, prestoGood: true, maxLoad: 0.8,
-	}, progress)
-}
-
-// Fig5a regenerates "Avg FCTs for <100KB flows" on the asymmetric testbed.
-func Fig5a(sc Scale, progress io.Writer) []Row {
-	rows := sweep(sc, sweepOpts{
-		figure: "fig5a", schemes: testbedSchemes(),
-		asym: true, prestoGood: true, maxLoad: 0.8,
-	}, progress)
-	return rows
-}
-
-// Fig5b regenerates "Avg FCTs for >10MB flows" on the asymmetric testbed.
-// (With SizeScale < 1 the elephant bucket scales with it; the Row carries
-// the elephant-bucket mean.)
-func Fig5b(sc Scale, progress io.Writer) []Row {
-	return sweep(sc, sweepOpts{
-		figure: "fig5b", schemes: testbedSchemes(),
-		asym: true, prestoGood: true, maxLoad: 0.8,
-	}, progress)
-}
-
-// Fig5c regenerates "99th percentile FCTs" on the asymmetric testbed.
-func Fig5c(sc Scale, progress io.Writer) []Row {
-	return sweep(sc, sweepOpts{
-		figure: "fig5c", schemes: testbedSchemes(),
-		asym: true, prestoGood: true, maxLoad: 0.8,
-	}, progress)
-}
-
-// Fig6 regenerates the Clove-ECN parameter-sensitivity study: variants of
-// (flowlet gap, ECN threshold) on the asymmetric topology.
-func Fig6(sc Scale, progress io.Writer) []Row {
-	variants := []struct {
-		label   string
-		gapMult float64
-		ecnK    int
-	}{
-		{"clove-best (1*RTT, 20pkts)", 1, 20},
-		{"clove (0.2*RTT, 20pkts)", 0.2, 20},
-		{"clove (5*RTT, 20pkts)", 5, 20},
-		{"clove (1*RTT, 40pkts)", 1, 40},
-	}
-	var optsList []sweepOpts
-	for _, v := range variants {
-		v := v
-		optsList = append(optsList, sweepOpts{
-			figure:  "fig6",
-			schemes: []cluster.Scheme{cluster.SchemeCloveECN},
-			asym:    true, maxLoad: 0.8,
-			variant: v.label,
-			mutate: func(cfg *cluster.Config) {
-				cfg.Topo.ECNK = v.ecnK
-				// The gap multiple is in units of the effective (loaded)
-				// RTT, matching the cluster default of 1x effective RTT.
-				rtt := netem.BuildLeafSpine(sim.New(0), cfg.Topo).BaseRTT()
-				cfg.FlowletGap = sim.Time(float64(rtt) * v.gapMult)
-			},
-		})
-	}
-	// One pool across all variants: a variant is just more grid columns.
-	return sweepMany(sc, optsList, progress)
-}
-
-// Fig7 regenerates the incast experiment: client goodput vs request fanout
-// for Clove-ECN, Edge-Flowlet, and MPTCP.
-func Fig7(sc Scale, progress io.Writer) []Row {
-	schemes := []cluster.Scheme{cluster.SchemeCloveECN, cluster.SchemeEdgeFlowlet, cluster.SchemeMPTCP}
-	fanouts := []int{1, 3, 5, 7, 9, 11, 13, 15}
-	type point struct {
-		scheme cluster.Scheme
-		fanout int
-	}
-	var pts []point
-	for _, scheme := range schemes {
-		for _, fanout := range fanouts {
-			if fanout > sc.HostsPerLeaf {
-				continue
-			}
-			pts = append(pts, point{scheme, fanout})
-		}
-	}
-	type incastOutcome struct {
-		goodput   float64
-		completed int
-		timedOut  bool
-	}
-	seeds := sc.Seeds
-	outs := make([]incastOutcome, len(pts)*len(seeds))
-	tracker := newProgressTracker(progress, len(outs))
-	runJobs(sc.Workers(), len(outs), func(i int) {
-		p := pts[i/len(seeds)]
-		seed := seeds[i%len(seeds)]
-		start := time.Now()
-		c := cluster.New(cluster.Config{
-			Seed:      seed,
-			Topo:      netem.ScaledTestbed(1.0, sc.HostsPerLeaf),
-			Scheme:    p.scheme,
-			Oracle:    sc.Oracle,
-			Telemetry: sc.Telemetry.config(),
-		})
-		res := c.RunIncast(cluster.IncastParams{
-			Fanout:        p.fanout,
-			ResponseBytes: sc.IncastBytes,
-			Requests:      sc.IncastRequests,
-			MaxSimTime:    sc.MaxSimTime,
-		})
-		if err := c.CheckOracle(); err != nil {
-			panic(fmt.Sprintf("fig7 %s fanout=%d seed=%d: %v", p.scheme, p.fanout, seed, err))
-		}
-		if sc.Telemetry != nil {
-			point := fmt.Sprintf("fanout%02d", p.fanout)
-			dir := filepath.Join(sc.Telemetry.Dir, traceRunDir("fig7", p.scheme, "", point, seed))
-			if err := c.Trace.Export(dir); err != nil {
-				panic(fmt.Sprintf("fig7 %s fanout=%d seed=%d: trace export: %v", p.scheme, p.fanout, seed, err))
-			}
-		}
-		outs[i] = incastOutcome{goodput: res.GoodputBps, completed: res.Completed, timedOut: res.TimedOut}
-		tracker.jobDone(fmt.Sprintf("fig7 %s fanout=%d seed=%d", p.scheme, p.fanout, seed), time.Since(start))
-	})
-	rows := make([]Row, 0, len(pts))
-	for pi, p := range pts {
-		row := Row{Figure: "fig7", Scheme: string(p.scheme), Fanout: p.fanout, Replicates: len(seeds)}
-		goodputs := make([]float64, 0, len(seeds))
-		for si := range seeds {
-			o := outs[pi*len(seeds)+si]
-			if o.timedOut {
-				row.TimedOutRuns++
-			}
-			goodputs = append(goodputs, o.goodput)
-			row.Samples += o.completed
-		}
-		row.GoodputBps, row.GoodputStderrBps = stats.MeanStderr(goodputs)
-		rows = append(rows, row)
-		tracker.rowf("fig7 %-13s fanout=%-2d goodput=%.2f±%.2f Gbps\n",
-			row.Scheme, p.fanout, row.GoodputBps/1e9, row.GoodputStderrBps/1e9)
-	}
-	return rows
-}
-
-// Fig8a regenerates the NS2 symmetric comparison including Clove-INT and
-// CONGA.
-func Fig8a(sc Scale, progress io.Writer) []Row {
-	return sweep(sc, sweepOpts{figure: "fig8a", schemes: simSchemes()}, progress)
-}
-
-// Fig8b regenerates the NS2 asymmetric comparison.
-func Fig8b(sc Scale, progress io.Writer) []Row {
-	return sweep(sc, sweepOpts{
-		figure: "fig8b", schemes: simSchemes(),
-		asym: true, maxLoad: 0.7,
-	}, progress)
-}
-
-// Fig9 regenerates the CDF of mice-flow FCTs at 70% load on the asymmetric
-// topology for ECMP, Clove-ECN, and CONGA.
-func Fig9(sc Scale, progress io.Writer) []Row {
-	schemes := []cluster.Scheme{cluster.SchemeECMP, cluster.SchemeCloveECN, cluster.SchemeCONGA}
-	seeds := sc.Seeds
-	// Each job extracts its run's mice samples; the CDF aggregation
-	// happens afterwards in deterministic (scheme, seed) index order.
-	mice := make([][]stats.Sample, len(schemes)*len(seeds))
-	tracker := newProgressTracker(progress, len(mice))
-	runJobs(sc.Workers(), len(mice), func(i int) {
-		scheme := schemes[i/len(seeds)]
-		seed := seeds[i%len(seeds)]
-		start := time.Now()
-		rec, _ := runOne(sc, sweepOpts{figure: "fig9", asym: true}, scheme, 0.7, seed)
-		mice[i] = rec.Mice().Samples()
-		tracker.jobDone(fmt.Sprintf("fig9 %s seed=%d", scheme, seed), time.Since(start))
-	})
-	var rows []Row
-	for si, scheme := range schemes {
-		agg := &stats.FCTRecorder{}
-		for j := si * len(seeds); j < (si+1)*len(seeds); j++ {
-			for _, s := range mice[j] {
-				agg.Add(s.Size, s.FCT)
-			}
-		}
-		row := Row{
-			Figure: "fig9", Scheme: string(scheme), Load: 0.7,
-			Samples: agg.Count(), CDF: agg.CDF(20),
-			MeanFCTSec: agg.Mean(), Replicates: len(seeds),
-		}
-		if agg.Count() > 0 {
-			row.P99FCTSec = agg.Percentile(0.99)
-		}
-		rows = append(rows, row)
-		tracker.rowf("fig9 %-13s mice n=%d p99=%.4fs\n", row.Scheme, row.Samples, row.P99FCTSec)
-	}
-	return rows
 }
 
 // FormatRows renders rows as an aligned text table, grouped by figure.

@@ -19,6 +19,12 @@ func tiny() Scale {
 	}
 }
 
+// runFigure runs one table figure as a one-spec plan.
+func runFigure(t *testing.T, id string, sc Scale) []Row {
+	t.Helper()
+	return Run(sc, []Spec{figure(t, id)}, nil)[0]
+}
+
 func checkRows(t *testing.T, rows []Row, wantSchemes int, figure string) {
 	t.Helper()
 	if len(rows) != wantSchemes {
@@ -38,7 +44,7 @@ func checkRows(t *testing.T, rows []Row, wantSchemes int, figure string) {
 }
 
 func TestFig4b(t *testing.T) {
-	rows := Fig4b(tiny(), nil)
+	rows := runFigure(t, "4b", tiny())
 	checkRows(t, rows, 5, "fig4b")
 	for _, r := range rows {
 		if r.MeanFCTSec <= 0 {
@@ -48,24 +54,20 @@ func TestFig4b(t *testing.T) {
 }
 
 func TestFig4cAsymmetric(t *testing.T) {
-	rows := Fig4c(tiny(), nil)
+	rows := runFigure(t, "4c", tiny())
 	checkRows(t, rows, 5, "fig4c")
 }
 
 func TestFig5Breakdowns(t *testing.T) {
 	sc := tiny()
-	for name, fn := range map[string]func(Scale, interface{ Write([]byte) (int, error) }) []Row{} {
-		_ = name
-		_ = fn
-	}
-	rows := Fig5a(sc, nil)
+	rows := runFigure(t, "5a", sc)
 	checkRows(t, rows, 5, "fig5a")
 	for _, r := range rows {
 		if r.MiceFCTSec <= 0 {
 			t.Errorf("fig5a %s: no mice FCT", r.Scheme)
 		}
 	}
-	rows = Fig5c(sc, nil)
+	rows = runFigure(t, "5c", sc)
 	checkRows(t, rows, 5, "fig5c")
 	for _, r := range rows {
 		if r.P99FCTSec < r.MeanFCTSec {
@@ -75,7 +77,7 @@ func TestFig5Breakdowns(t *testing.T) {
 }
 
 func TestFig6Variants(t *testing.T) {
-	rows := Fig6(tiny(), nil)
+	rows := runFigure(t, "6", tiny())
 	if len(rows) != 4 {
 		t.Fatalf("fig6 rows = %d, want 4 variants x 1 load", len(rows))
 	}
@@ -89,8 +91,7 @@ func TestFig6Variants(t *testing.T) {
 }
 
 func TestFig7Incast(t *testing.T) {
-	sc := tiny()
-	rows := Fig7(sc, nil)
+	rows := runFigure(t, "7", tiny())
 	// Fanouts capped at HostsPerLeaf=4: {1,3} x 3 schemes.
 	if len(rows) != 6 {
 		t.Fatalf("fig7 rows = %d, want 6", len(rows))
@@ -103,7 +104,7 @@ func TestFig7Incast(t *testing.T) {
 }
 
 func TestFig8Simulation(t *testing.T) {
-	rows := Fig8a(tiny(), nil)
+	rows := runFigure(t, "8a", tiny())
 	checkRows(t, rows, 7, "fig8a")
 	seen := map[string]bool{}
 	for _, r := range rows {
@@ -115,12 +116,12 @@ func TestFig8Simulation(t *testing.T) {
 	if !seen["concury"] || !seen["charon"] {
 		t.Error("fig8a missing the stateless/in-network contrast schemes")
 	}
-	rows = Fig8b(tiny(), nil)
+	rows = runFigure(t, "8b", tiny())
 	checkRows(t, rows, 7, "fig8b")
 }
 
 func TestFig9CDF(t *testing.T) {
-	rows := Fig9(tiny(), nil)
+	rows := runFigure(t, "9", tiny())
 	if len(rows) != 3 {
 		t.Fatalf("fig9 rows = %d", len(rows))
 	}
@@ -140,7 +141,7 @@ func TestSummaryRatios(t *testing.T) {
 	sc.TotalJobs = 1000
 	sc.SizeScale = 0.1
 	sc.Seeds = []int64{1, 2}
-	h := Summary(sc, 0.7, nil)
+	h := Headline(Run(sc, []Spec{SummarySpec(0.7)}, nil)[0])
 	if h.CloveVsECMP <= 0 || h.EdgeFlowletVsECMP <= 0 {
 		t.Fatalf("bad ratios: %+v", h)
 	}
@@ -166,16 +167,5 @@ func TestFormatRows(t *testing.T) {
 	}
 	if !strings.Contains(out, "100%@") {
 		t.Errorf("CDF row missing:\n%s", out)
-	}
-}
-
-func TestRegistryComplete(t *testing.T) {
-	for _, id := range ExperimentIDs() {
-		if Registry[id] == nil {
-			t.Errorf("registry missing %q", id)
-		}
-	}
-	if len(Registry) != len(ExperimentIDs()) {
-		t.Error("registry/IDs mismatch")
 	}
 }

@@ -1,41 +1,25 @@
 package experiments
 
 import (
-	"fmt"
-	"io"
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// This file is the concurrent sweep engine. Every figure expands its
-// (scheme, load, seed) grid into independent jobs; runJobs executes them
-// across a bounded worker pool and each job writes its result into a
-// pre-sized slice at its own index, so aggregation order — and therefore
-// every Row and every FormatRows byte — is identical at any parallelism.
-// Safety rests on each job building a fully self-contained simulation
-// (cluster.New wires a private event heap, RNG, topology, and recorder;
-// no package in the sim stack holds mutable package-level state), which
-// determinism_test.go pins end-to-end and the -race smoke test checks.
-
-// Workers resolves the Scale's Parallelism setting to a concrete worker
-// count: Parallelism if positive, else GOMAXPROCS.
-func (sc Scale) Workers() int {
-	if sc.Parallelism > 0 {
-		return sc.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// runJobs executes fn(i) for every i in [0, n) across at most workers
-// goroutines. With workers <= 1 it degrades to a plain serial loop on the
-// calling goroutine (the -j 1 path has no goroutine machinery at all).
-// fn must confine its writes to index-owned state; runJobs returns after
-// all jobs complete, and that return happens-before the caller's reads.
+// runJobs is the worker pool under Run: it executes fn(i) for every i in
+// [0, n) across at most workers goroutines (0 = GOMAXPROCS, the
+// Scale.Parallelism convention); with one worker it is a plain serial loop on
+// the calling goroutine (the -j 1 path has no goroutine machinery at all).
+// fn must confine its writes to index-owned state, and runJobs' return
+// happens-before the caller's reads: a plan's jobs each write their own run's
+// digest, so every Row and FormatRows byte is identical at any parallelism.
+// Each job builds a fully self-contained simulation (cluster.New wires a
+// private event heap, RNG, topology, and recorder; no package in the sim
+// stack holds mutable package-level state), which determinism_test.go pins
+// end-to-end and the -race smoke test checks.
 func runJobs(workers, n int, fn func(int)) {
-	if n <= 0 {
-		return
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n
@@ -62,47 +46,4 @@ func runJobs(workers, n int, fn func(int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// progressTracker serializes progress output from concurrent jobs. Per-job
-// completion lines stream in completion order (they carry wall-clock
-// timings and are inherently nondeterministic); aggregate row lines are
-// emitted by the caller after the pool drains, in deterministic grid
-// order. A nil tracker (no progress writer) makes every method a no-op.
-type progressTracker struct {
-	mu    sync.Mutex
-	w     io.Writer
-	total int
-	done  int
-	start time.Time
-}
-
-func newProgressTracker(w io.Writer, total int) *progressTracker {
-	if w == nil {
-		return nil
-	}
-	return &progressTracker{w: w, total: total, start: time.Now()}
-}
-
-// jobDone reports one completed job with its wall-clock duration.
-func (p *progressTracker) jobDone(label string, d time.Duration) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.done++
-	fmt.Fprintf(p.w, "  [%d/%d] %s  (%.2fs, %.1fs elapsed)\n",
-		p.done, p.total, label, d.Seconds(), time.Since(p.start).Seconds())
-}
-
-// rowf emits one aggregate line (the per-row summary the serial sweep used
-// to stream); callers invoke it in deterministic order after runJobs.
-func (p *progressTracker) rowf(format string, args ...any) {
-	if p == nil {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	fmt.Fprintf(p.w, format, args...)
 }

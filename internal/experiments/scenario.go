@@ -1,14 +1,10 @@
 package experiments
 
 import (
-	"fmt"
 	"io"
-	"path/filepath"
-	"time"
 
 	"clove/internal/cluster"
 	"clove/internal/scenario"
-	"clove/internal/stats"
 )
 
 // ScenarioOpts configures one scenario run, mirroring the Scale knobs the
@@ -30,71 +26,23 @@ type ScenarioOpts struct {
 	DomainWorkers int
 }
 
-func (o ScenarioOpts) workers() int {
-	return Scale{Parallelism: o.Parallelism}.Workers()
-}
-
 // RunScenario executes every (scheme, seed) run of the spec — identical
 // scripted timeline in each — and aggregates one Row per scheme. Row order
-// follows the spec's scheme list whatever the parallelism.
+// follows the spec's scheme list whatever the parallelism. A scenario is one
+// more Spec for Run: a one-load sweep whose runs are the scripted RunMix.
 func RunScenario(sp *scenario.Spec, opts ScenarioOpts, progress io.Writer) []Row {
 	if opts.Quick {
 		sp = sp.Quick()
 	}
-	figure := "scenario/" + sp.Name
-	seeds := sp.Seeds
-	outs := make([]runOutcome, len(sp.Schemes)*len(seeds))
-	tracker := newProgressTracker(progress, len(outs))
-	runJobs(opts.workers(), len(outs), func(i int) {
-		scheme := sp.Schemes[i/len(seeds)]
-		seed := seeds[i%len(seeds)]
-		start := time.Now()
-		c := cluster.New(sp.ClusterConfig(scheme, seed, opts.Oracle, opts.Telemetry.config(), opts.DomainWorkers))
-		sp.InstallEvents(c)
-		res := c.RunMix(sp.MixParams())
-		if err := c.CheckOracle(); err != nil {
-			panic(fmt.Sprintf("%s %s seed=%d: %v", figure, scheme, seed, err))
-		}
-		if opts.Telemetry != nil {
-			point := fmt.Sprintf("load%03d", int(sp.Workload.Load*100+0.5))
-			dir := filepath.Join(opts.Telemetry.Dir,
-				traceRunDir("scn-"+sp.Name, cluster.Scheme(scheme), "", point, seed))
-			if err := c.ExportTraces(dir); err != nil {
-				panic(fmt.Sprintf("%s %s seed=%d: trace export: %v", figure, scheme, seed, err))
-			}
-		}
-		outs[i] = runOutcome{sum: c.Recorder.Summarize(), timedOut: res.TimedOut}
-		tracker.jobDone(fmt.Sprintf("%s %s seed=%d", figure, scheme, seed), time.Since(start))
-	})
-
-	rows := make([]Row, 0, len(sp.Schemes))
-	for si, scheme := range sp.Schemes {
-		row := Row{
-			Figure: figure, Scheme: scheme, Load: sp.Workload.Load,
-			Replicates: len(seeds),
-		}
-		means := make([]float64, 0, len(seeds))
-		p99s := make([]float64, 0, len(seeds))
-		mices := make([]float64, 0, len(seeds))
-		elephs := make([]float64, 0, len(seeds))
-		for k := range seeds {
-			o := outs[si*len(seeds)+k]
-			if o.timedOut {
-				row.TimedOutRuns++
-			}
-			means = append(means, o.sum.MeanSec)
-			p99s = append(p99s, o.sum.P99Sec)
-			mices = append(mices, o.sum.MiceMeanSec)
-			elephs = append(elephs, o.sum.ElephMeanSec)
-			row.Samples += o.sum.Count
-		}
-		row.MeanFCTSec, row.MeanFCTStderrSec = stats.MeanStderr(means)
-		row.P99FCTSec, row.P99FCTStderrSec = stats.MeanStderr(p99s)
-		row.MiceFCTSec, _ = stats.MeanStderr(mices)
-		row.ElephFCTSec, _ = stats.MeanStderr(elephs)
-		rows = append(rows, row)
-		tracker.rowf("%s %-13s mean=%.4fs±%.4f p99=%.4fs n=%d\n",
-			figure, row.Scheme, row.MeanFCTSec, row.MeanFCTStderrSec, row.P99FCTSec, row.Samples)
+	schemes := make([]cluster.Scheme, len(sp.Schemes))
+	for i, name := range sp.Schemes {
+		schemes[i] = cluster.Scheme(name)
 	}
-	return rows
+	sc := Scale{Seeds: sp.Seeds, Parallelism: opts.Parallelism, Oracle: opts.Oracle, Telemetry: opts.Telemetry}
+	spec := Spec{
+		figure: "scenario/" + sp.Name, prefix: "scn-" + sp.Name,
+		schemes: schemes, loads: []float64{sp.Workload.Load},
+		scn: sp, domainWorkers: opts.DomainWorkers,
+	}
+	return Run(sc, []Spec{spec}, progress)[0]
 }

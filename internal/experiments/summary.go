@@ -2,11 +2,8 @@ package experiments
 
 import (
 	"fmt"
-	"io"
-	"time"
 
 	"clove/internal/cluster"
-	"clove/internal/stats"
 )
 
 // HeadlineResult reproduces the paper's headline claims as measured ratios:
@@ -23,46 +20,25 @@ type HeadlineResult struct {
 	CloveINTGainCapture float64
 }
 
-// Summary runs the asymmetric comparison at one high load across the five
-// simulation schemes (scheme x seed jobs on the worker pool) and derives
-// the headline ratios.
-func Summary(sc Scale, load float64, progress io.Writer) HeadlineResult {
-	schemes := simSchemes()
-	seeds := sc.Seeds
-	perRun := make([]float64, len(schemes)*len(seeds))
-	tracker := newProgressTracker(progress, len(perRun))
-	runJobs(sc.Workers(), len(perRun), func(i int) {
-		scheme := schemes[i/len(seeds)]
-		seed := seeds[i%len(seeds)]
-		start := time.Now()
-		rec, _ := runOne(sc, sweepOpts{asym: true}, scheme, load, seed)
-		perRun[i] = rec.Mean()
-		tracker.jobDone(fmt.Sprintf("summary %s seed=%d", scheme, seed), time.Since(start))
-	})
+// Headline derives the headline ratios from the rows of a SummarySpec run
+// (per scheme, the mean over seeds of each run's average FCT). Ratios against
+// a zero (missing) scheme mean stay 0, and the gain-capture fractions are
+// only defined when CONGA actually improves on ECMP (gain > 0).
+func Headline(rows []Row) HeadlineResult {
+	var res HeadlineResult
 	means := map[cluster.Scheme]float64{}
-	for si, scheme := range schemes {
-		means[scheme], _ = stats.MeanStderr(perRun[si*len(seeds) : (si+1)*len(seeds)])
-		tracker.rowf("summary %-13s load=%.0f%% mean=%.4fs\n", scheme, load*100, means[scheme])
+	for _, r := range rows {
+		res.Load = r.Load
+		means[cluster.Scheme(r.Scheme)] = r.MeanFCTSec
 	}
-	return deriveHeadline(load, means)
-}
-
-// deriveHeadline turns per-scheme mean FCTs into the paper's headline
-// ratios. Ratios against a zero (missing) scheme mean stay 0, and the
-// gain-capture fractions are only defined when CONGA actually improves on
-// ECMP (gain > 0).
-func deriveHeadline(load float64, means map[cluster.Scheme]float64) HeadlineResult {
-	res := HeadlineResult{Load: load}
 	ecmp := means[cluster.SchemeECMP]
-	conga := means[cluster.SchemeCONGA]
 	if m := means[cluster.SchemeCloveECN]; m > 0 {
 		res.CloveVsECMP = ecmp / m
 	}
 	if m := means[cluster.SchemeEdgeFlowlet]; m > 0 {
 		res.EdgeFlowletVsECMP = ecmp / m
 	}
-	gain := ecmp - conga
-	if gain > 0 {
+	if gain := ecmp - means[cluster.SchemeCONGA]; gain > 0 {
 		res.CloveECNGainCapture = (ecmp - means[cluster.SchemeCloveECN]) / gain
 		res.CloveINTGainCapture = (ecmp - means[cluster.SchemeCloveINT]) / gain
 	}
@@ -79,23 +55,4 @@ func (h HeadlineResult) String() string {
 			"  Clove-INT captures           %5.1f%% of ECMP->CONGA gain (paper: ~95%%)",
 		h.Load*100, h.CloveVsECMP, h.EdgeFlowletVsECMP,
 		h.CloveECNGainCapture*100, h.CloveINTGainCapture*100)
-}
-
-// Registry maps experiment IDs to their runners, for the CLI.
-var Registry = map[string]func(Scale, io.Writer) []Row{
-	"4b": Fig4b,
-	"4c": Fig4c,
-	"5a": Fig5a,
-	"5b": Fig5b,
-	"5c": Fig5c,
-	"6":  Fig6,
-	"7":  Fig7,
-	"8a": Fig8a,
-	"8b": Fig8b,
-	"9":  Fig9,
-}
-
-// ExperimentIDs lists the registry keys in figure order.
-func ExperimentIDs() []string {
-	return []string{"4b", "4c", "5a", "5b", "5c", "6", "7", "8a", "8b", "9"}
 }

@@ -10,6 +10,15 @@ import (
 
 func almost(a, b float64) bool { return math.Abs(a-b) < 1e-12 }
 
+// deriveHeadline feeds Headline one summary row per scheme mean.
+func deriveHeadline(load float64, means map[cluster.Scheme]float64) HeadlineResult {
+	var rows []Row
+	for scheme, mean := range means {
+		rows = append(rows, Row{Figure: "summary", Scheme: string(scheme), Load: load, MeanFCTSec: mean})
+	}
+	return Headline(rows)
+}
+
 // TestDeriveHeadlineRatios checks the headline-ratio arithmetic against
 // hand-computed values.
 func TestDeriveHeadlineRatios(t *testing.T) {

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 
 	"clove/internal/cluster"
@@ -51,9 +52,9 @@ func readTree(t *testing.T, root string) map[string]string {
 // byte-identical whether the sweep ran serially or on four workers.
 func TestTraceFilesDeterministicAcrossParallelism(t *testing.T) {
 	dir1, dir4 := t.TempDir(), t.TempDir()
-	opts := sweepOpts{figure: "trace", schemes: []cluster.Scheme{cluster.SchemeCloveECN}}
-	sweep(traceScale(dir1, 1), opts, io.Discard)
-	sweep(traceScale(dir4, 4), opts, io.Discard)
+	specs := []Spec{{figure: "trace", schemes: []cluster.Scheme{cluster.SchemeCloveECN}}}
+	Run(traceScale(dir1, 1), specs, io.Discard)
+	Run(traceScale(dir4, 4), specs, io.Discard)
 
 	tree1 := readTree(t, dir1)
 	tree4 := readTree(t, dir4)
@@ -97,6 +98,29 @@ func TestTraceFilesDeterministicAcrossParallelism(t *testing.T) {
 				t.Errorf("%s: %s.csv has no data rows", d, stream)
 			}
 		}
+	}
+}
+
+// TestSummaryTraceDirsNamed: the summary's runs export under their figure's
+// name like every other figure's (they used to carry an empty one and land in
+// "_ecmp_load050_seed1").
+func TestSummaryTraceDirsNamed(t *testing.T) {
+	dir := t.TempDir()
+	Run(traceScale(dir, 4), []Spec{SummarySpec(0.5)}, nil)
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := len(simSchemes) * 2; len(entries) != want {
+		t.Errorf("%d run directories, want %d", len(entries), want)
+	}
+	for _, e := range entries {
+		if !strings.HasPrefix(e.Name(), "summary_") {
+			t.Errorf("run directory %q lacks the summary_ prefix", e.Name())
+		}
+	}
+	if _, err := os.Stat(filepath.Join(dir, "summary_ecmp_load050_seed1", "fct.csv")); err != nil {
+		t.Error(err)
 	}
 }
 

@@ -58,7 +58,9 @@ func treeDigest(t *testing.T, root string) (digest string, runDirs int) {
 // that share most of their runs (5a repeats 4c, 6's best variant and 9's
 // ECMP/Clove-ECN repeat parts of it) to a committed digest, at -j 1 and
 // -j 4: every figure must find every one of its runs under its own
-// directory names with the exact bytes, however the runs were produced.
+// directory names with the exact bytes, however the runs were produced —
+// one figure at a time, or as one plan that simulates each shared run once
+// and exports it under every requesting figure's name.
 // It is written against the facade only.
 func TestTracedFiguresPinned(t *testing.T) {
 	ids := []string{"4c", "5a", "6", "9"}
@@ -86,6 +88,11 @@ func TestTracedFiguresPinned(t *testing.T) {
 	}{
 		{"one-by-one-j1", oneByOne(1)},
 		{"one-by-one-j4", oneByOne(4)},
+		{"one-plan-j4", func(t *testing.T, dir string) {
+			if _, err := RunFigures(ids, scale(dir, 4), 0, nil); err != nil {
+				t.Fatalf("RunFigures(%v): %v", ids, err)
+			}
+		}},
 	}
 	for _, tc := range cases {
 		tc := tc
