@@ -12,6 +12,11 @@
 //	clovesim -scenario storm-rolling-spine -scale quick -oracle
 //	clovesim -scenario ./my-spec.json
 //
+// A scenario spec fixes its own topology, workload and seeds, so -scenario
+// rejects -hosts, -jobs, -size-scale, -seeds and -load. Every run, sharded
+// (more than two leaves) or not, is one goroutine; -j is the only
+// parallelism.
+//
 // The requested figures are expanded into one plan of (scheme, load, seed)
 // runs; a run that several figures share (5a–c are breakdowns of 4c, 9 and
 // the summary read 8b, 8a/8b repeat part of 4b/4c) is simulated once, so
@@ -38,15 +43,14 @@ import (
 
 func main() {
 	var (
-		fig        = flag.String("fig", "all", "figure to regenerate (4b..9, summary, all)")
-		scen       = flag.String("scenario", "", "run a declarative scenario instead of a figure: an embedded name (see -list-scenarios) or a spec-file path")
-		listScen   = flag.Bool("list-scenarios", false, "list the embedded scenario library and exit")
-		scale      = flag.String("scale", "standard", "run scale: quick | standard | paper")
-		load       = flag.Float64("load", 0.7, "network load for -fig summary")
-		verbose    = flag.Bool("v", false, "stream per-run progress")
-		workers    = flag.Int("j", 0, "parallel simulation workers (0 = GOMAXPROCS, 1 = serial); output is identical for any -j")
-		domWorkers = flag.Int("workers", 0, "event-domain workers inside each sharded (leaves > 2) scenario run (0/1 = serial); output is identical for any -workers")
-		useOracle  = flag.Bool("oracle", false, "run every simulation under the correctness oracle (see EXPERIMENTS.md \"Correctness\"); panics on any invariant violation")
+		fig       = flag.String("fig", "all", "figure to regenerate (4b..9, summary, all)")
+		scen      = flag.String("scenario", "", "run a declarative scenario instead of a figure: an embedded name (see -list-scenarios) or a spec-file path; the spec fixes hosts, jobs, sizes, seeds and load")
+		listScen  = flag.Bool("list-scenarios", false, "list the embedded scenario library and exit")
+		scale     = flag.String("scale", "standard", "run scale: quick | standard | paper")
+		load      = flag.Float64("load", 0.7, "network load for -fig summary")
+		verbose   = flag.Bool("v", false, "stream per-run progress")
+		workers   = flag.Int("j", 0, "parallel simulation workers, one run each (0 = GOMAXPROCS, 1 = serial); output is identical for any -j")
+		useOracle = flag.Bool("oracle", false, "run every simulation under the correctness oracle (see EXPERIMENTS.md \"Correctness\"); panics on any invariant violation")
 
 		// Telemetry (see EXPERIMENTS.md "Telemetry & tracing").
 		traceDir      = flag.String("trace", "", "export per-run telemetry traces (JSONL+CSV) under this directory")
@@ -149,17 +153,27 @@ func main() {
 		return
 	}
 	if *scen != "" {
+		ignored := false
+		flag.Visit(func(f *flag.Flag) {
+			switch f.Name {
+			case "hosts", "jobs", "size-scale", "seeds", "load":
+				fmt.Fprintf(os.Stderr, "clovesim: -%s does not apply to -scenario (the spec fixes it)\n", f.Name)
+				ignored = true
+			}
+		})
+		if ignored {
+			os.Exit(2)
+		}
 		sp, err := clove.LoadScenario(*scen)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "clovesim:", err)
 			os.Exit(2)
 		}
 		rows := clove.RunScenario(sp, clove.ScenarioOpts{
-			Quick:         *scale == "quick",
-			Parallelism:   *workers,
-			Oracle:        *useOracle,
-			Telemetry:     sc.Telemetry,
-			DomainWorkers: *domWorkers,
+			Quick:       *scale == "quick",
+			Parallelism: *workers,
+			Oracle:      *useOracle,
+			Telemetry:   sc.Telemetry,
 		}, progress)
 		fmt.Print(clove.FormatRows(rows))
 		return

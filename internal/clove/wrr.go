@@ -41,17 +41,6 @@ func (w *WRR) Reset(ports []uint16, weights []float64) {
 	w.current = make([]float64, len(ports))
 }
 
-// SetWeight updates one port's weight in place (smoothing state preserved).
-// Unknown ports are ignored.
-func (w *WRR) SetWeight(port uint16, weight float64) {
-	for i, p := range w.ports {
-		if p == port {
-			w.weights[i] = weight
-			return
-		}
-	}
-}
-
 // Len returns the number of ports.
 func (w *WRR) Len() int { return len(w.ports) }
 

@@ -133,11 +133,6 @@ type Config struct {
 	// FreezeWeights disables Clove weight adaptation (WeightTableConfig
 	// .Frozen) — differential tests only.
 	FreezeWeights bool
-	// DomainWorkers is how many OS threads execute domain windows in sharded
-	// mode (<=1 = serial). Any value produces identical results. Sharded
-	// mode is not a knob: New selects it for topologies with more than two
-	// leaves (see New).
-	DomainWorkers int
 	// ServersPerClient caps each client's persistent-connection fan-out in
 	// RunMix's sharded mesh (0 = min(32, hosts on other leaves)); the
 	// two-leaf full mesh would be quadratic at 1024 hosts.
@@ -176,8 +171,6 @@ type Cluster struct {
 
 	// loadScale multiplies every mix-workload arrival rate; scenario
 	// load-ramp events change it mid-run (see RunMix and SetLoadScale).
-	// In sharded mode it is written only at engine barriers and read by
-	// domain windows after them, so no synchronization is needed.
 	loadScale float64
 }
 
@@ -193,11 +186,11 @@ type connKey struct {
 // A topology with more than two leaves is built sharded: one event domain
 // per leaf (the leaf switch, its hosts, and everything stacked on them) and
 // one per spine, run by a sim.Engine in conservative windows bounded by the
-// trunk delay (DESIGN.md §4d). Results are bit-identical at any
-// Config.DomainWorkers, but a sharded run is a different simulation than a
-// single-Simulator run of the same seed — the engine defines its own
-// same-timestamp order and per-domain RNG streams — so determinism holds
-// within a mode, not across modes. The mode is decided here, once; past
+// trunk delay (DESIGN.md §4d). Either way a run is one goroutine. A sharded
+// run is a different simulation than a single-Simulator run of the same
+// seed — the engine defines its own same-timestamp order and per-domain RNG
+// streams — so determinism holds within a mode, not across modes. The mode
+// is not a knob: it is decided here, once, from the leaf count; past
 // construction everything works on c.shards.
 func New(cfg Config) *Cluster {
 	if cfg.Topo.Leaves == 0 {
@@ -216,8 +209,7 @@ func New(cfg Config) *Cluster {
 		nextPort:  10000,
 		loadScale: 1,
 	}
-	sharded := cfg.Topo.Leaves > 2
-	if sharded {
+	if cfg.Topo.Leaves > 2 {
 		if cfg.Scheme == SchemeCONGA {
 			panic("cluster: conga is not supported in domain (sharded) mode: its leaf-to-leaf congestion tables span event domains")
 		}
@@ -236,20 +228,15 @@ func New(cfg Config) *Cluster {
 	ls := c.LS
 	c.rtt = ls.BaseRTT()
 	// The oracle attaches before anything else happens (in particular before
-	// FailPaperLink) so its link-state tracking observes every transition.
+	// FailPaperLink) so its link-state tracking observes every transition:
+	// one observer on every pool, one event hook on every shard's Simulator.
 	if cfg.Oracle {
 		c.Oracle = oracle.New()
-		if sharded {
-			// Domains run concurrently, so they share one locked observer.
-			// No per-event hook: it only drives the periodic live-counter
-			// self-audit, which CheckOracle's end-of-run Check covers.
-			obs := oracle.NewLocked(c.Oracle)
-			for _, p := range ls.Pools() {
-				p.SetObserver(obs)
-			}
-		} else {
-			ls.Pool().SetObserver(c.Oracle)
-			c.Sim.SetEventHook(c.Oracle.AfterEvent)
+		for _, p := range ls.Pools() {
+			p.SetObserver(c.Oracle)
+		}
+		for i := range c.shards {
+			c.shards[i].sim.SetEventHook(c.Oracle.AfterEvent)
 		}
 		if connConsistent(cfg.Scheme) {
 			c.Oracle.RequireConnConsistency()
@@ -351,7 +338,7 @@ func New(cfg Config) *Cluster {
 		attachLetFlow(ls, c.Cfg.FlowletGap)
 	case SchemeCharon, SchemeCharonRef:
 		// Load stamping reads only the local egress link's DRE, so unlike
-		// CONGA it is domain-safe: each leaf stamps inside its own window.
+		// CONGA it never reaches across event domains.
 		attachCharonStamping(ls)
 	}
 	c.setupTelemetry()

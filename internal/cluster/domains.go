@@ -57,7 +57,8 @@ func (c *Cluster) domFor(h packet.HostID) *sim.Domain { return c.LS.Host(h).Doma
 // ScheduleControl schedules a control-plane action (scenario link flaps,
 // load ramps) at absolute time at: an ordinary event on a single Simulator,
 // a global barrier event in sharded mode (control actions touch state in
-// many domains, so they must run while all domains are paused).
+// many domains, so they must run between windows, with every domain clock
+// at the same time).
 func (c *Cluster) ScheduleControl(at sim.Time, fn func()) {
 	if c.Eng != nil {
 		c.Eng.GlobalAt(at, fn)

@@ -72,8 +72,9 @@ const (
 // RNG stream — on a single Simulator that is the run's one stream, drawn
 // from in event order. Web, RPC, and ML jobs start on the client host; only
 // incast starts on other hosts (startIncastShard). Completions are counted
-// and FCT samples recorded per shard, then merged in shard order, so the
-// figure tables are bit-identical at any worker count.
+// and FCT samples recorded per shard, then merged in shard order: the
+// sample stream is a function of the decomposition, not of how the engine
+// interleaves domains inside a window.
 //
 // Scenario event scripts schedule their link flaps, switch failures, and
 // load ramps through ScheduleControl before calling RunMix; SetLoadScale
@@ -138,13 +139,10 @@ func (c *Cluster) RunMix(p MixParams) MixResult {
 	}
 	target := jobsPerClient * nClients
 
-	// Per-shard run state. Each slot is written only by its owning shard
-	// (mid-window) and read at barriers / after the run; padding keeps the
-	// hot counters off shared cache lines.
+	// Per-shard run state, summed at barriers and after the run.
 	type shardCounters struct {
 		completed int
 		issued    int
-		_         [48]byte
 	}
 	cnt := make([]shardCounters, len(c.shards))
 	recs := make([]*stats.FCTRecorder, len(c.shards))
@@ -274,11 +272,7 @@ func (c *Cluster) RunMix(p MixParams) MixResult {
 	if c.Eng == nil {
 		c.Sim.RunUntil(p.MaxSimTime)
 	} else {
-		workers := c.Cfg.DomainWorkers
-		if workers <= 0 {
-			workers = 1
-		}
-		c.Eng.Run(p.MaxSimTime, workers, func() bool { return completed() >= target })
+		c.Eng.Run(p.MaxSimTime, func() bool { return completed() >= target })
 	}
 
 	res := MixResult{Completed: completed()}

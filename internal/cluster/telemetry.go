@@ -18,14 +18,14 @@ type tableVisitor interface {
 
 // setupTelemetry wires and arms each shard's tracer when Config.Telemetry is
 // set. A tracer samples only state its own shard owns — links by source
-// node, weight tables and senders by host — so in sharded mode sampling runs
-// race-free inside the owner's windows. All polled streams iterate
+// node, weight tables and senders by host — so in sharded mode every sample
+// reads state at the sampling shard's own clock. All polled streams iterate
 // deterministic structures — the topology's link list, the host-indexed
 // vswitch slice, sorted destination tables, the shard's connection
 // open-order list — never Go maps, so the captured records (and the
-// exported trace bytes) are a pure function of the seed regardless of worker
-// count or process. When Config.Telemetry is nil this is a no-op and every
-// telemetry call site in the hot path stays behind its single nil check.
+// exported trace bytes) are a pure function of the seed. When
+// Config.Telemetry is nil this is a no-op and every telemetry call site in
+// the hot path stays behind its single nil check.
 func (c *Cluster) setupTelemetry() {
 	if c.Cfg.Telemetry == nil {
 		return

@@ -33,9 +33,8 @@ type Spec struct {
 	variants []variant // labelled settings (Fig. 6); nil = the defaults, unlabelled
 
 	// RunScenario's: each run is scn's scripted RunMix on its own topology.
-	scn           *scenario.Spec
-	domainWorkers int
-	prefix        string
+	scn    *scenario.Spec
+	prefix string
 }
 
 // variant is one labelled setting of a parameter study.

@@ -112,7 +112,7 @@ func (s *Spec) cells(sc Scale) (out []Row) {
 
 func (s *Spec) key(sc Scale, tcfg *telemetry.Config, v variant, row Row, seed int64) runKey {
 	if s.scn != nil {
-		return runKey{scn: s.scn, cfg: s.scn.ClusterConfig(row.Scheme, seed, sc.Oracle, tcfg, s.domainWorkers)}
+		return runKey{scn: s.scn, cfg: s.scn.ClusterConfig(row.Scheme, seed, sc.Oracle, tcfg, 0)}
 	}
 	k := runKey{cfg: cluster.Config{
 		Seed:               seed,

@@ -20,10 +20,6 @@ type ScenarioOpts struct {
 	Oracle bool
 	// Telemetry, when non-nil, exports each run's trace under its Dir.
 	Telemetry *TraceSpec
-	// DomainWorkers is the per-run engine worker count on sharded
-	// (leaves > 2) scenarios: 0/1 = serial windows, N = N workers. Like
-	// Parallelism it never changes output bytes, only wall-clock time.
-	DomainWorkers int
 }
 
 // RunScenario executes every (scheme, seed) run of the spec — identical
@@ -42,7 +38,7 @@ func RunScenario(sp *scenario.Spec, opts ScenarioOpts, progress io.Writer) []Row
 	spec := Spec{
 		figure: "scenario/" + sp.Name, prefix: "scn-" + sp.Name,
 		schemes: schemes, loads: []float64{sp.Workload.Load},
-		scn: sp, domainWorkers: opts.DomainWorkers,
+		scn: sp,
 	}
 	return Run(sc, []Spec{spec}, progress)[0]
 }

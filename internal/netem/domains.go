@@ -13,11 +13,9 @@ import (
 // node's domain (queue, serializer, DRE), and a link whose endpoints sit in
 // different domains becomes a cross-domain channel — its propagation stage
 // is a Domain.Post with delay >= the engine lookahead instead of a local
-// event. Each domain also gets its own packet.Pool, so the per-hop
-// alloc-free recycling never crosses a thread boundary; a packet that
-// crosses domains is simply recycled into the receiving domain's pool
-// (pools are plain free lists — buffers migrate, ownership stays
-// single-threaded).
+// event. Each domain also gets its own packet.Pool; a packet that crosses
+// domains is simply recycled into the receiving domain's pool (pools are
+// plain free lists — buffers migrate).
 //
 // Ownership rules for cross-domain packets:
 //
@@ -38,9 +36,6 @@ func (t *Topology) enterDomain(k int) {
 	t.curDom, t.curPool = t.eng.Domain(k), t.pools[k]
 }
 
-// Sharded reports whether this topology was built across event domains.
-func (t *Topology) Sharded() bool { return t.eng != nil }
-
 // Engine returns the engine a sharded topology runs on (nil otherwise).
 func (t *Topology) Engine() *sim.Engine { return t.eng }
 
@@ -52,14 +47,6 @@ func (t *Topology) Pools() []*packet.Pool {
 		return []*packet.Pool{t.pool}
 	}
 	return t.pools
-}
-
-// NodePool returns the pool owning node id's packets.
-func (t *Topology) NodePool(id packet.NodeID) *packet.Pool {
-	if t.eng == nil {
-		return t.pool
-	}
-	return t.nodePool[id]
 }
 
 // NodeDomain returns the event domain owning node id, or nil on a
@@ -98,7 +85,7 @@ func (t *Topology) recordNode() {
 
 // scheduleRecompute reruns ComputeRoutes after the reconvergence delay.
 // Route tables are read by every domain, so in sharded mode the recompute
-// is a global event (it runs at a barrier, while all domains are paused).
+// is a global event (it runs at a barrier, between windows).
 func (t *Topology) scheduleRecompute() {
 	if t.RouteRecomputeDelay <= 0 {
 		t.ComputeRoutes()

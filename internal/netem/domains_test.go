@@ -28,7 +28,7 @@ func shardedCfg() LeafSpineConfig {
 // returns a per-destination arrival log (host order), plus total DownDrops.
 // A global event flaps one trunk pair mid-run so the barrier/recompute path
 // is exercised too.
-func runShardedFabric(t *testing.T, workers int) ([]string, int64) {
+func runShardedFabric(t *testing.T) ([]string, int64) {
 	t.Helper()
 	cfg := shardedCfg()
 	eng := sim.NewEngine(77, cfg.TrunkDelay)
@@ -59,9 +59,9 @@ func runShardedFabric(t *testing.T, workers int) ([]string, int64) {
 	}
 	eng.GlobalAt(30*sim.Microsecond, func() { ls.SetLinkPairUp("L1", "S1", 0, false) })
 	eng.GlobalAt(60*sim.Microsecond, func() { ls.SetLinkPairUp("L1", "S1", 0, true) })
-	eng.Run(5*sim.Millisecond, workers, nil)
+	eng.Run(5*sim.Millisecond, nil)
 	if eng.Pending() != 0 {
-		t.Fatalf("workers=%d: %d events still pending after run", workers, eng.Pending())
+		t.Fatalf("%d events still pending after run", eng.Pending())
 	}
 	var all []string
 	for i, lg := range logs {
@@ -76,22 +76,20 @@ func runShardedFabric(t *testing.T, workers int) ([]string, int64) {
 	return all, downDrops
 }
 
-// TestShardedFabricDeterministicAcrossWorkers: identical arrivals (content,
-// order, timestamps) at any worker count, including across a mid-run trunk
-// flap driven from a global event.
-func TestShardedFabricDeterministicAcrossWorkers(t *testing.T) {
-	ref, refDrops := runShardedFabric(t, 1)
+// TestShardedFabricDeterministicAcrossRuns: the same fabric built twice
+// delivers identical arrivals (content, order, timestamps), including
+// across a mid-run trunk flap driven from a global event.
+func TestShardedFabricDeterministicAcrossRuns(t *testing.T) {
+	ref, refDrops := runShardedFabric(t)
 	if len(ref) == 0 {
 		t.Fatal("reference run delivered nothing")
 	}
-	for _, w := range []int{2, 4, 8} {
-		got, drops := runShardedFabric(t, w)
-		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("workers=%d arrival log diverges (len %d vs %d)", w, len(got), len(ref))
-		}
-		if drops != refDrops {
-			t.Fatalf("workers=%d DownDrops = %d, want %d", w, drops, refDrops)
-		}
+	got, drops := runShardedFabric(t)
+	if !reflect.DeepEqual(got, ref) {
+		t.Fatalf("second run's arrival log diverges (len %d vs %d)", len(got), len(ref))
+	}
+	if drops != refDrops {
+		t.Fatalf("second run's DownDrops = %d, want %d", drops, refDrops)
 	}
 }
 

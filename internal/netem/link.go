@@ -6,7 +6,6 @@ package netem
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"clove/internal/packet"
 	"clove/internal/sim"
@@ -67,13 +66,10 @@ type Link struct {
 	// srcDom is non-nil iff the endpoints live in different event domains:
 	// the propagation stage then crosses via Domain.Post and runs in the
 	// receiving domain. rxPool is the receiving node's pool (== pool on
-	// domain-local links). propDownDrops counts down-drops detected on the
-	// receive side; it is separate from stats (and atomic) because the
-	// source domain may be running — and writing stats — concurrently.
-	srcDom        *sim.Domain
-	dstDomID      int
-	rxPool        *packet.Pool
-	propDownDrops atomic.Int64
+	// domain-local links).
+	srcDom   *sim.Domain
+	dstDomID int
+	rxPool   *packet.Pool
 
 	// Telemetry counter handles, resolved at wiring time in SetTrace; nil
 	// when telemetry is disabled (Add on a nil handle is a no-op branch).
@@ -154,14 +150,8 @@ func (l *Link) SetRateBps(rate int64) {
 // the one currently serializing).
 func (l *Link) QueueLen() int { return l.qlen }
 
-// Stats returns a snapshot of the link counters. On a cross-domain link the
-// receive-side down-drop count is folded in; the snapshot is exact whenever
-// the engine is at a barrier (or done).
-func (l *Link) Stats() LinkStats {
-	st := l.stats
-	st.DownDrops += l.propDownDrops.Load()
-	return st
-}
+// Stats returns a snapshot of the link counters.
+func (l *Link) Stats() LinkStats { return l.stats }
 
 // Utilization returns the DRE-estimated egress utilization in [0, ~1.1].
 func (l *Link) Utilization() float64 { return l.dre.Utilization() }
@@ -265,9 +255,8 @@ func (l *Link) Enqueue(pkt *packet.Packet) {
 // what makes a forwarded hop schedule zero allocations.
 func linkTxDone(a, _ any) { a.(*Link).txDone() }
 
-// linkPropagate runs in the RECEIVING node's domain: on a cross-domain link
-// it must touch only receive-side state (l.up and queueCap are safe — the
-// former changes only at engine barriers, the latter is immutable).
+// linkPropagate runs in the RECEIVING node's domain on a cross-domain link,
+// so the packet ends up in (or is freed into) that domain's pool.
 func linkPropagate(a, b any) {
 	l := a.(*Link)
 	pkt := b.(*packet.Packet)
@@ -278,21 +267,11 @@ func linkPropagate(a, b any) {
 		l.to.Receive(pkt, l)
 		return
 	}
-	if l.srcDom != nil {
-		// The source domain may be running (and writing l.stats / l.qlen)
-		// concurrently: count atomically and report occupancy as unknown.
-		l.propDownDrops.Add(1)
-		if o := l.rxPool.Obs(); o != nil {
-			o.LinkDrop(l.id, pkt, packet.DropLinkDown, 0, l.queueCap)
-		}
-		l.rxPool.Put(pkt)
-		return
-	}
 	l.stats.DownDrops++
-	if o := l.pool.Obs(); o != nil {
+	if o := l.rxPool.Obs(); o != nil {
 		o.LinkDrop(l.id, pkt, packet.DropLinkDown, l.qlen, l.queueCap)
 	}
-	l.pool.Put(pkt)
+	l.rxPool.Put(pkt)
 }
 
 func (l *Link) transmitNext() {

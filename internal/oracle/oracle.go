@@ -114,9 +114,10 @@ type connPick struct {
 	version int
 }
 
-// Oracle shadows one simulation run. Install with
-// pool.SetObserver(o) and sim.SetEventHook(o.AfterEvent); call Check once
-// the run finishes. Not safe for concurrent use — one Oracle per run,
+// Oracle shadows one simulation run. Install with pool.SetObserver(o) on
+// every pool of the run and sim.SetEventHook(o.AfterEvent) on every
+// Simulator (a sharded run has one of each per event domain); call Check
+// once the run finishes. Not safe for concurrent use — one Oracle per run,
 // matching the simulator's own single-threaded contract.
 type Oracle struct {
 	pkts   map[*packet.Packet]pktState

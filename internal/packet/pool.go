@@ -69,14 +69,6 @@ func (p *Pool) Puts() int64 {
 	return p.puts
 }
 
-// FreePackets reports the current packet free-list size.
-func (p *Pool) FreePackets() int {
-	if p == nil {
-		return 0
-	}
-	return len(p.packets)
-}
-
 // Get returns a zeroed packet, recycled when possible.
 func (p *Pool) Get() *Packet {
 	if p == nil {

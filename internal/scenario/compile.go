@@ -31,17 +31,15 @@ func (s *Spec) TopoConfig() netem.LeafSpineConfig {
 }
 
 // ClusterConfig builds the cluster config for one (scheme, seed) run of
-// this scenario. workers sets cluster.Config.DomainWorkers — the engine
-// worker count on sharded (leaves > 2) topologies, ignored on two-leaf
-// ones; results are byte-identical at any value.
-func (s *Spec) ClusterConfig(scheme string, seed int64, oracle bool, tcfg *telemetry.Config, workers int) cluster.Config {
+// this scenario. The unnamed int is ignored: it was the engine worker count,
+// and bench/ (which product PRs may not edit) still passes it.
+func (s *Spec) ClusterConfig(scheme string, seed int64, oracle bool, tcfg *telemetry.Config, _ int) cluster.Config {
 	return cluster.Config{
 		Seed:             seed,
 		Topo:             s.TopoConfig(),
 		Scheme:           cluster.Scheme(scheme),
 		Oracle:           oracle,
 		Telemetry:        tcfg,
-		DomainWorkers:    workers,
 		ServersPerClient: s.Workload.ServersPerClient,
 	}
 }

@@ -3,35 +3,35 @@ package sim
 import (
 	"fmt"
 	"slices"
-	"sync/atomic"
 )
 
-// This file is the sharded parallel-in-time engine: one simulation split
-// into event domains, each a full Simulator (own slab heap, clock, RNG),
-// coupled only through cross-domain messages that must respect a positive
-// lookahead. Execution proceeds in conservative windows: every domain runs
-// its events up to a horizon no later than (earliest pending event anywhere
-// + lookahead); any message a domain emits during a window therefore arrives
-// at or after the horizon, so it can be injected at the barrier before the
-// next window without ever violating timestamp order. Domains never observe
-// each other mid-window, which makes the execution order — and every
-// simulated outcome — a pure function of the domain decomposition,
-// independent of how many OS threads execute the windows.
+// This file is the sharded engine: one simulation split into event domains,
+// each a full Simulator (own slab heap, clock, RNG), coupled only through
+// cross-domain messages that must respect a positive lookahead. Execution
+// proceeds in conservative windows: every domain, in domain order on the
+// calling goroutine, runs its events up to a horizon no later than (earliest
+// pending event anywhere + lookahead); any message a domain emits during a
+// window therefore arrives at or after the horizon, so it can be injected at
+// the barrier before the next window without ever violating timestamp order.
+// Domains never observe each other mid-window, which makes the execution
+// order — and every simulated outcome — a pure function of the domain
+// decomposition.
 //
 // Determinism contract: for a fixed engine (same domains, same seeds, same
-// scheduled work), runs are bit-identical at any worker count. The engine
-// guarantees this by construction:
+// scheduled work), runs are bit-identical. The engine guarantees this by
+// construction:
 //
 //   - each domain's event stream is a sequential Simulator run;
-//   - cross-domain posts are buffered in per-source-domain slices (touched
-//     only by the goroutine executing that domain's window) and flushed at
-//     the barrier in sorted (time, source domain, source sequence) order;
+//   - cross-domain posts are buffered in per-source-domain slices and flushed
+//     at the barrier in sorted (time, source domain, source sequence) order;
 //   - global control actions (route recomputation, scripted failures, stop
-//     checks) execute serially at barriers, at deterministic times.
+//     checks) execute at barriers, at deterministic times.
 //
 // Note that a sharded run defines its *own* total order of same-timestamp
-// events — consistent across worker counts, but not identical to running
-// the same workload on one shared Simulator.
+// events — not identical to running the same workload on one shared
+// Simulator. That order is why the domains exist at all: a window holds a
+// handful of events (DESIGN.md §4d, "Why serial"), far too few to pay for a
+// thread barrier, so nothing here runs concurrently.
 
 // timeMax is the sentinel for "no pending event".
 const timeMax = Time(1<<63 - 1)
@@ -74,8 +74,7 @@ func (d *Domain) Engine() *Engine { return d.eng }
 
 // Post schedules fn(a, b) at absolute time at on the dst domain. It is the
 // only legal way to touch another domain: the message is buffered in this
-// domain's outbox (thread-confined during a window) and injected into dst's
-// event queue at the next barrier.
+// domain's outbox and injected into dst's event queue at the next barrier.
 //
 // at must be at least the posting domain's current time plus the engine
 // lookahead — the conservative-synchronization contract that makes barrier
@@ -89,7 +88,7 @@ func (d *Domain) Post(dst int, at Time, fn EventFunc, a, b any) {
 	if dst < 0 || dst >= len(d.eng.domains) {
 		panic(fmt.Sprintf("sim: post to unknown domain %d", dst))
 	}
-	if min := d.Now() + d.eng.lookahead; at < min {
+	if earliest := d.Now() + d.eng.lookahead; at < earliest {
 		panic(fmt.Sprintf("sim: cross-domain post at %v under lookahead (now %v + %v)",
 			at, d.Now(), d.eng.lookahead))
 	}
@@ -110,12 +109,6 @@ type Engine struct {
 	gseq    uint64
 
 	posts []xpost // flush scratch, reused
-
-	// worker machinery, live only inside Run(workers > 1).
-	workCh  []chan Time
-	doneCh  chan struct{}
-	nextDom atomic.Int64
-	remain  atomic.Int64
 }
 
 // NewEngine creates an engine with the given base seed and lookahead. The
@@ -127,7 +120,7 @@ func NewEngine(seed int64, lookahead Time) *Engine {
 	if lookahead <= 0 {
 		panic(fmt.Sprintf("sim: non-positive engine lookahead %v", lookahead))
 	}
-	return &Engine{seed: seed, lookahead: lookahead, doneCh: make(chan struct{})}
+	return &Engine{seed: seed, lookahead: lookahead}
 }
 
 // AddDomain creates the next domain. Its Simulator seed is derived from the
@@ -154,9 +147,6 @@ func (e *Engine) NumDomains() int { return len(e.domains) }
 // Domain returns the i-th domain.
 func (e *Engine) Domain(i int) *Domain { return e.domains[i] }
 
-// Domains returns all domains in creation order (read-only).
-func (e *Engine) Domains() []*Domain { return e.domains }
-
 // Processed sums fired events across all domains.
 func (e *Engine) Processed() uint64 {
 	var n uint64
@@ -179,11 +169,10 @@ func (e *Engine) Pending() int {
 }
 
 // GlobalAt schedules a control-plane action at absolute time at. Globals
-// run serially at a barrier once every domain clock has reached exactly
-// that time, after all domain events with timestamps <= at have fired —
-// they may therefore touch state in any domain (route tables, link
-// administrative state, load knobs) without synchronization. Scheduling in
-// the past panics.
+// run at a barrier once every domain clock has reached exactly that time,
+// after all domain events with timestamps <= at have fired — they may
+// therefore touch state in any domain (route tables, link administrative
+// state, load knobs). Scheduling in the past panics.
 func (e *Engine) GlobalAt(at Time, fn func()) {
 	if at < e.now {
 		panic(fmt.Sprintf("sim: global event at %v before engine now %v", at, e.now))
@@ -221,20 +210,11 @@ func (e *Engine) minNext() Time {
 }
 
 // Run executes the sharded simulation until every queue drains, until the
-// deadline is reached, or until stop (evaluated at each barrier, serially)
-// reports true. workers is the number of OS threads executing windows;
-// results are bit-identical for any value. On return every domain clock
-// equals min(deadline, drain time).
-func (e *Engine) Run(until Time, workers int, stop func() bool) {
+// deadline is reached, or until stop (evaluated at each barrier) reports
+// true. On return every domain clock equals min(deadline, drain time).
+func (e *Engine) Run(until Time, stop func() bool) {
 	if until < e.now {
 		panic(fmt.Sprintf("sim: engine deadline %v before now %v", until, e.now))
-	}
-	if workers > len(e.domains) {
-		workers = len(e.domains)
-	}
-	if workers > 1 {
-		e.startWorkers(workers)
-		defer e.stopWorkers()
 	}
 	for {
 		if stop != nil && stop() {
@@ -247,12 +227,12 @@ func (e *Engine) Run(until Time, workers int, stop func() bool) {
 		}
 		if tmin == timeMax && gmin == timeMax {
 			// Fully drained: advance clocks to the deadline, as RunUntil does.
-			e.window(until, workers)
+			e.window(until)
 			e.now = until
 			return
 		}
 		if tmin > until && gmin > until {
-			e.window(until, workers)
+			e.window(until)
 			e.now = until
 			return
 		}
@@ -269,7 +249,7 @@ func (e *Engine) Run(until Time, workers int, stop func() bool) {
 				horizon = until
 			}
 		}
-		e.window(horizon, workers)
+		e.window(horizon)
 		e.flushPosts()
 		e.now = horizon
 		if horizon == gmin {
@@ -278,62 +258,18 @@ func (e *Engine) Run(until Time, workers int, stop func() bool) {
 	}
 }
 
-// window runs every domain up to and including horizon. With one worker it
-// is a plain loop on the calling goroutine; otherwise the persistent
-// workers claim domains off a shared counter (dynamic load balancing; the
-// claim order cannot affect results because domains are independent within
-// a window).
-func (e *Engine) window(horizon Time, workers int) {
-	if workers <= 1 {
-		for _, d := range e.domains {
-			d.RunUntil(horizon)
-		}
-		return
+// window runs every domain, in domain order, up to and including horizon.
+func (e *Engine) window(horizon Time) {
+	for _, d := range e.domains {
+		d.RunUntil(horizon)
 	}
-	e.nextDom.Store(0)
-	e.remain.Store(int64(workers))
-	for _, ch := range e.workCh {
-		ch <- horizon
-	}
-	<-e.doneCh
-}
-
-func (e *Engine) startWorkers(n int) {
-	e.workCh = make([]chan Time, n)
-	for i := range e.workCh {
-		ch := make(chan Time, 1)
-		e.workCh[i] = ch
-		go func() {
-			for dl := range ch {
-				for {
-					i := e.nextDom.Add(1) - 1
-					if i >= int64(len(e.domains)) {
-						break
-					}
-					e.domains[i].RunUntil(dl)
-				}
-				if e.remain.Add(-1) == 0 {
-					e.doneCh <- struct{}{}
-				}
-			}
-		}()
-	}
-}
-
-func (e *Engine) stopWorkers() {
-	for _, ch := range e.workCh {
-		close(ch)
-	}
-	e.workCh = nil
 }
 
 // flushPosts injects every message buffered during the last window into its
 // destination domain, in (time, source domain, source sequence) order. The
-// order is a pure function of the window's (deterministic) contents, and
-// injection happens while all domains are paused, so the resulting event
-// sequence numbers — and hence same-timestamp tie-breaks — are identical at
-// any worker count. Buffers are reused; the flush allocates nothing in
-// steady state.
+// order is a pure function of the window's contents, so the resulting event
+// sequence numbers — and hence same-timestamp tie-breaks — are too. Buffers
+// are reused; the flush allocates nothing in steady state.
 func (e *Engine) flushPosts() {
 	e.posts = e.posts[:0]
 	for _, d := range e.domains {

@@ -10,7 +10,7 @@ import (
 // every domain runs a local event chain with RNG-jittered gaps, and every
 // few events posts a message to the next domain in the ring with an
 // RNG-jittered cross-domain delay (always >= lookahead). Each fired event
-// appends a record to its domain's thread-confined log.
+// appends a record to its domain's log.
 type ringModel struct {
 	eng  *Engine
 	logs [][]string
@@ -50,8 +50,8 @@ func (m *ringModel) step(d *Domain, tag string, n int) {
 	d.After(Time(1+d.Rand().Int63n(int64(3*Microsecond))), func() { m.step(d, tag, n+1) })
 }
 
-func (m *ringModel) run(until Time, workers int) []string {
-	m.eng.Run(until, workers, nil)
+func (m *ringModel) run(until Time) []string {
+	m.eng.Run(until, nil)
 	var all []string
 	for i, lg := range m.logs {
 		for _, s := range lg {
@@ -61,21 +61,17 @@ func (m *ringModel) run(until Time, workers int) []string {
 	return all
 }
 
-// TestEngineDeterministicAcrossWorkers is the core tentpole guarantee: the
-// same seeded model produces an identical per-domain event log at any
-// worker count.
-func TestEngineDeterministicAcrossWorkers(t *testing.T) {
+// TestEngineDeterministicAcrossRuns is the engine's determinism contract:
+// the same seeded model, built twice, produces an identical per-domain
+// event log.
+func TestEngineDeterministicAcrossRuns(t *testing.T) {
 	const until = 500 * Microsecond
-	ref := buildRing(42, 6).run(until, 1)
+	ref := buildRing(42, 6).run(until)
 	if len(ref) == 0 {
 		t.Fatal("reference run produced no events")
 	}
-	for _, workers := range []int{2, 4, 8} {
-		got := buildRing(42, 6).run(until, workers)
-		if !reflect.DeepEqual(got, ref) {
-			t.Fatalf("workers=%d log diverges from workers=1 (len %d vs %d)",
-				workers, len(got), len(ref))
-		}
+	if got := buildRing(42, 6).run(until); !reflect.DeepEqual(got, ref) {
+		t.Fatalf("second run's log diverges from the first (len %d vs %d)", len(got), len(ref))
 	}
 }
 
@@ -83,8 +79,8 @@ func TestEngineDeterministicAcrossWorkers(t *testing.T) {
 // one RNG stream: a different engine seed must change the log.
 func TestEngineSeedSensitivity(t *testing.T) {
 	const until = 500 * Microsecond
-	a := buildRing(1, 4).run(until, 1)
-	b := buildRing(2, 4).run(until, 1)
+	a := buildRing(1, 4).run(until)
+	b := buildRing(2, 4).run(until)
 	if reflect.DeepEqual(a, b) {
 		t.Fatal("different seeds produced identical logs")
 	}
@@ -105,7 +101,7 @@ func TestEnginePostUnderLookaheadPanics(t *testing.T) {
 		}()
 		d0.Post(1, d0.Now()+9*Microsecond, func(any, any) {}, nil, nil)
 	})
-	eng.Run(Microsecond, 1, nil)
+	eng.Run(Microsecond, nil)
 }
 
 // TestEngineZeroLookaheadPanics: a zero or negative lookahead would allow
@@ -137,7 +133,7 @@ func TestEngineGlobalsRunAtBarriers(t *testing.T) {
 	})
 	eng.GlobalAt(10*Microsecond, func() { order = append(order, "g2@10") })
 	eng.GlobalAt(5*Microsecond, func() { order = append(order, "g0@5") })
-	eng.Run(20*Microsecond, 1, nil)
+	eng.Run(20*Microsecond, nil)
 	want := []string{"g0@5", "d0@10", "d1@10", "g1@10", "g2@10", "g3@10", "d1@11"}
 	if !reflect.DeepEqual(order, want) {
 		t.Fatalf("order = %v, want %v", order, want)
@@ -151,35 +147,32 @@ func TestEngineGlobalsRunAtBarriers(t *testing.T) {
 }
 
 // TestEnginePostTieOrder pins the flush order for messages landing at the
-// same timestamp: source domain id, then source sequence — independent of
-// which worker ran which domain.
+// same timestamp: source domain id, then source sequence.
 func TestEnginePostTieOrder(t *testing.T) {
-	for _, workers := range []int{1, 3} {
-		eng := NewEngine(5, Microsecond)
-		var doms []*Domain
-		for i := 0; i < 4; i++ {
-			doms = append(doms, eng.AddDomain())
-		}
-		var got []string
-		// Domains 3,2,1 each post two messages to domain 0, all landing at
-		// exactly 2µs. Expected arrival order: by (src, seq).
-		for _, src := range []int{3, 2, 1} {
-			d := doms[src]
-			src := src
-			d.At(Microsecond, func() {
-				for k := 0; k < 2; k++ {
-					k := k
-					d.Post(0, 2*Microsecond, func(any, any) {
-						got = append(got, fmt.Sprintf("s%dk%d", src, k))
-					}, nil, nil)
-				}
-			})
-		}
-		eng.Run(10*Microsecond, workers, nil)
-		want := []string{"s1k0", "s1k1", "s2k0", "s2k1", "s3k0", "s3k1"}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("workers=%d arrival order = %v, want %v", workers, got, want)
-		}
+	eng := NewEngine(5, Microsecond)
+	var doms []*Domain
+	for i := 0; i < 4; i++ {
+		doms = append(doms, eng.AddDomain())
+	}
+	var got []string
+	// Domains 3,2,1 each post two messages to domain 0, all landing at
+	// exactly 2µs. Expected arrival order: by (src, seq).
+	for _, src := range []int{3, 2, 1} {
+		d := doms[src]
+		src := src
+		d.At(Microsecond, func() {
+			for k := 0; k < 2; k++ {
+				k := k
+				d.Post(0, 2*Microsecond, func(any, any) {
+					got = append(got, fmt.Sprintf("s%dk%d", src, k))
+				}, nil, nil)
+			}
+		})
+	}
+	eng.Run(10*Microsecond, nil)
+	want := []string{"s1k0", "s1k1", "s2k0", "s2k1", "s3k0", "s3k1"}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("arrival order = %v, want %v", got, want)
 	}
 }
 
@@ -195,7 +188,7 @@ func TestEngineStopAtBarrier(t *testing.T) {
 		d.After(Microsecond, tick)
 	}
 	d.After(Microsecond, tick)
-	eng.Run(Second, 1, func() bool { return fired >= 10 })
+	eng.Run(Second, func() bool { return fired >= 10 })
 	if fired < 10 || fired > 12 {
 		t.Fatalf("fired = %d, want ~10 (stop checked at barriers)", fired)
 	}
@@ -216,7 +209,7 @@ func TestEngineProcessedPending(t *testing.T) {
 	if eng.Pending() != 4 {
 		t.Fatalf("Pending() = %d, want 4", eng.Pending())
 	}
-	eng.Run(Millisecond, 2, nil)
+	eng.Run(Millisecond, nil)
 	if eng.Pending() != 0 {
 		t.Fatalf("Pending() = %d after drain, want 0", eng.Pending())
 	}
@@ -235,14 +228,14 @@ func TestEngineResumableRun(t *testing.T) {
 		i := i
 		d.At(Time(i)*10*Microsecond, func() { at = append(at, d.Now()) })
 	}
-	eng.Run(15*Microsecond, 1, nil)
+	eng.Run(15*Microsecond, nil)
 	if len(at) != 1 {
 		t.Fatalf("fired %d events before first deadline, want 1", len(at))
 	}
 	if eng.Now() != 15*Microsecond {
 		t.Fatalf("Now() = %v, want 15µs", eng.Now())
 	}
-	eng.Run(Millisecond, 2, nil)
+	eng.Run(Millisecond, nil)
 	if len(at) != 4 {
 		t.Fatalf("fired %d events total, want 4", len(at))
 	}

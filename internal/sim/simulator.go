@@ -14,7 +14,7 @@ import (
 const maxEventFree = 1 << 15
 
 // Simulator is a single-threaded discrete-event scheduler. It owns the
-// virtual clock: time only advances when Run (or Step) pops the next event.
+// virtual clock: time only advances when a run loop pops the next event.
 //
 // Simulator is not safe for concurrent use; the simulated network is a
 // sequential program by design so that runs are reproducible.
@@ -209,15 +209,6 @@ func (s *Simulator) fire() {
 // every fired event's callback returns. Used by the correctness oracle for
 // per-event audits; nil (the default) costs one predictable branch per event.
 func (s *Simulator) SetEventHook(fn func()) { s.onEvent = fn }
-
-// Step fires the single next event. It reports false when the queue is empty.
-func (s *Simulator) Step() bool {
-	if len(s.heap) == 0 {
-		return false
-	}
-	s.fire()
-	return true
-}
 
 // The three run loops are written out directly rather than sharing a
 // continue-predicate closure: the predicate was an indirect call per fired

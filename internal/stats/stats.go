@@ -46,10 +46,11 @@ func (r *FCTRecorder) Add(size int64, fct sim.Time) {
 	r.sorted = false
 }
 
-// Merge appends every sample of o, in o's insertion order. The sharded
-// workload driver keeps one recorder per event domain and merges them in
-// domain order, so the combined sample sequence — and with it every
-// order-sensitive float summation downstream — is deterministic.
+// Merge appends every sample of o, in o's insertion order. The workload
+// driver keeps one recorder per shard (event domain) and merges them in
+// shard order, so the combined sample sequence — and with it every
+// order-sensitive float summation downstream — is a function of the
+// decomposition alone.
 func (r *FCTRecorder) Merge(o *FCTRecorder) {
 	r.samples = append(r.samples, o.samples...)
 	r.sorted = false

@@ -141,9 +141,6 @@ func (s *Sender) Abort() {
 	s.sndLimit = s.sndNxt
 }
 
-// Aborted reports whether Abort was called.
-func (s *Sender) Aborted() bool { return s.aborted }
-
 // StartJob appends size bytes to the stream. done (optional) fires when the
 // last byte is acknowledged, with the flow completion time measured from
 // this call. Jobs queued behind earlier jobs include the queueing delay in

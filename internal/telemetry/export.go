@@ -13,7 +13,7 @@ import (
 // (header + one row per record). Numbers are formatted with strconv, records
 // appear in capture order, and no wall-clock state is written, so the
 // directory's bytes are a pure function of the run — identical for the same
-// seed at any worker count.
+// seed at any -j.
 //
 // Files: queue, weights, cwnd, retx, flowlet, fct, sim (.jsonl and .csv
 // each) and metrics.jsonl/metrics.csv. Streams that captured nothing still

@@ -16,7 +16,7 @@
 //
 // Everything is deterministic: records carry only simulated time, streams
 // are appended in event order, and export formats numbers with strconv, so
-// a trace directory is byte-identical for the same seed at any worker count.
+// a trace directory is byte-identical for the same seed at any -j.
 package telemetry
 
 import "sort"

@@ -241,9 +241,6 @@ func (v *VSwitch) Register(match packet.FiveTuple, handler func(*packet.Packet))
 	v.endpoints[match] = handler
 }
 
-// Unregister removes an endpoint handler.
-func (v *VSwitch) Unregister(match packet.FiveTuple) { delete(v.endpoints, match) }
-
 // FromVM accepts a packet from the tenant VM, encapsulates it, picks the
 // path, piggybacks any pending feedback for the destination hypervisor, and
 // transmits it.

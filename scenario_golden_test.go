@@ -11,9 +11,8 @@ import (
 // scenario byte-for-byte against testdata/golden/scenarios/. As with the
 // figure goldens, two passes run: serial (-j 1) under the correctness oracle
 // — certifying every scripted flap, switch failure, and load ramp against
-// the conservation/pool invariants — and parallel (-j 4, 4 domain workers
-// inside each sharded run) without it, so the scripted timelines stay
-// byte-identical at any worker count on both axes. The passes share no
+// the conservation/pool invariants — and parallel (-j 4) without it, so the
+// scripted timelines stay byte-identical at any -j. The passes share no
 // state and run as parallel subtests. Regenerate with
 // `go test -run TestGoldenScenariosQuick -update`, under which only the
 // serial pass runs, since it is the writer.
@@ -25,10 +24,9 @@ func TestGoldenScenariosQuick(t *testing.T) {
 		name        string
 		parallelism int
 		oracle      bool
-		domWorkers  int
 	}{
-		{"serial-oracle", 1, true, 1},
-		{"parallel-j4", 4, false, 4},
+		{"serial-oracle", 1, true},
+		{"parallel-j4", 4, false},
 	}
 	for _, pass := range passes {
 		pass := pass
@@ -43,10 +41,9 @@ func TestGoldenScenariosQuick(t *testing.T) {
 					t.Fatalf("LoadScenario(%q): %v", name, err)
 				}
 				rows := RunScenario(sp, ScenarioOpts{
-					Quick:         true,
-					Parallelism:   pass.parallelism,
-					Oracle:        pass.oracle,
-					DomainWorkers: pass.domWorkers,
+					Quick:       true,
+					Parallelism: pass.parallelism,
+					Oracle:      pass.oracle,
 				}, nil)
 				got := FormatRows(rows)
 				path := filepath.Join("testdata", "golden", "scenarios", fmt.Sprintf("%s.txt", name))
