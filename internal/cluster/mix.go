@@ -71,10 +71,10 @@ const (
 // Each client's arrival chain runs entirely on its own shard's Simulator and
 // RNG stream — on a single Simulator that is the run's one stream, drawn
 // from in event order. Web, RPC, and ML jobs start on the client host; only
-// incast starts on other hosts (startIncastShard). Completions are counted
-// and FCT samples recorded per shard, then merged in shard order: the
-// sample stream is a function of the decomposition, not of how the engine
-// interleaves domains inside a window.
+// incast starts on other hosts (startIncastShard). FCT samples are recorded
+// per shard, then merged in shard order: the sample stream is a function of
+// the decomposition, not of how the engine interleaves domains inside a
+// window.
 //
 // Scenario event scripts schedule their link flaps, switch failures, and
 // load ramps through ScheduleControl before calling RunMix; SetLoadScale
@@ -139,23 +139,13 @@ func (c *Cluster) RunMix(p MixParams) MixResult {
 	}
 	target := jobsPerClient * nClients
 
-	// Per-shard run state, summed at barriers and after the run.
-	type shardCounters struct {
-		completed int
-		issued    int
-	}
-	cnt := make([]shardCounters, len(c.shards))
+	// One recorder per shard, merged in shard order after the run: that
+	// order is the run's sample stream.
+	var completed, issued int
 	recs := make([]*stats.FCTRecorder, len(c.shards))
 	for i := range recs {
 		recs[i] = &stats.FCTRecorder{}
 		recs[i].SetSizeScale(p.SizeScale)
-	}
-	completed := func() int {
-		tot := 0
-		for i := range cnt {
-			tot += cnt[i].completed
-		}
-		return tot
 	}
 
 	// One arrival chain per client, entirely on the client's shard.
@@ -164,15 +154,15 @@ func (c *Cluster) RunMix(p MixParams) MixResult {
 		client := packet.HostID(ci)
 		si := c.shardOf(client)
 		s, tr := c.shards[si].sim, c.shards[si].trace
-		st, rec := &cnt[si], recs[si]
+		rec := recs[si]
 		rng := s.Rand()
 
 		// Stop on target: the job that completes a single-Simulator run
 		// stops it from inside its own event; the engine instead polls the
-		// summed counters at its barriers (see the run call below).
+		// counter at its barriers (see the run call below).
 		jobDone := func() {
-			st.completed++
-			if c.Eng == nil && st.completed == target {
+			completed++
+			if c.Eng == nil && completed == target {
 				s.Stop()
 			}
 		}
@@ -221,7 +211,7 @@ func (c *Cluster) RunMix(p MixParams) MixResult {
 			}
 		}
 		issueJob := func() {
-			st.issued++
+			issued++
 			switch pick() {
 			case mixWeb:
 				k := rng.Intn(nServers)
@@ -272,13 +262,12 @@ func (c *Cluster) RunMix(p MixParams) MixResult {
 	if c.Eng == nil {
 		c.Sim.RunUntil(p.MaxSimTime)
 	} else {
-		c.Eng.Run(p.MaxSimTime, func() bool { return completed() >= target })
+		c.Eng.Run(p.MaxSimTime, func() bool { return completed >= target })
 	}
 
-	res := MixResult{Completed: completed()}
-	for i := range cnt {
-		res.Issued += cnt[i].issued
-		c.Recorder.Merge(recs[i])
+	res := MixResult{Completed: completed, Issued: issued}
+	for _, rec := range recs {
+		c.Recorder.Merge(rec)
 	}
 	if res.Completed < target {
 		res.TimedOut = true
