@@ -92,10 +92,10 @@ func TestFacadeEndpointLifecycle(t *testing.T) {
 	if len(a.Ports()) != 2 {
 		t.Errorf("ports = %v", a.Ports())
 	}
-	w := a.Weights()
+	w := a.WeightsSorted()
 	var sum float64
-	for _, v := range w {
-		sum += v
+	for _, pw := range w {
+		sum += pw.Weight
 	}
 	if sum < 0.99 || sum > 1.01 {
 		t.Errorf("initial weights not a distribution: %v", w)

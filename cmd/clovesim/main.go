@@ -37,6 +37,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 
 	"clove"
 )
@@ -182,6 +183,14 @@ func main() {
 	ids := []string{*fig}
 	if *fig == "all" {
 		ids = append(clove.FigureIDs(), "summary")
+	}
+	if !slices.Contains(ids, "summary") {
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name == "load" {
+				fmt.Fprintln(os.Stderr, "clovesim: -load applies to -fig summary (and all) only")
+				os.Exit(2)
+			}
+		})
 	}
 	figs, err := clove.RunFigures(ids, sc, *load, progress)
 	if err != nil {

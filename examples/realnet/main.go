@@ -74,22 +74,20 @@ func main() {
 		time.Sleep(100 * time.Millisecond)
 		sst, rst := snd.Stats(), recv.Stats()
 		fmt.Printf("t=%3dms weights=%v  sent=%d delivered=%d ce=%d fb=%d\n",
-			(i+1)*100, fmtWeights(snd.Weights()), sst.Sent, rst.Received, rst.CEObserved, sst.FeedbackReceived)
+			(i+1)*100, fmtWeights(snd), sst.Sent, rst.Received, rst.CEObserved, sst.FeedbackReceived)
 	}
 	close(stop)
 
 	fmt.Println("\nthe marked path's weight should have collapsed toward the floor")
 }
 
-func fmtWeights(w map[uint16]float64) string {
+func fmtWeights(e *clove.Endpoint) string {
 	out := "{"
-	first := true
-	for p, v := range w {
-		if !first {
+	for i, pw := range e.WeightsSorted() {
+		if i > 0 {
 			out += " "
 		}
-		first = false
-		out += fmt.Sprintf("%d:%.2f", p, v)
+		out += fmt.Sprintf("%d:%.2f", pw.Port, pw.Weight)
 	}
 	return out + "}"
 }

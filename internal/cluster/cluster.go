@@ -89,11 +89,6 @@ type Config struct {
 	RelayInterval sim.Time
 	// Beta overrides the weight-reduction fraction (default 1/3).
 	Beta float64
-	// CongestedAge overrides how long a path stays "congested" after ECN
-	// feedback (drives weight redistribution and ECN unmasking).
-	CongestedAge sim.Time
-	// UtilAge overrides how long INT utilization samples stay trusted.
-	UtilAge sim.Time
 	// PathsK is how many disjoint paths discovery selects (default 4).
 	PathsK int
 	// UseProber selects real traceroute discovery with periodic refresh;
@@ -102,8 +97,6 @@ type Config struct {
 	UseProber bool
 	// ProbeInterval for periodic rediscovery when UseProber is set.
 	ProbeInterval sim.Time
-	// MPTCPSubflows for the MPTCP scheme (default 4, as deployed in Sec. 5).
-	MPTCPSubflows int
 	// PrestoIdealWeights grants Presto the statically-correct asymmetric
 	// path weights (Sec. 5.2 gives it this benefit of the doubt).
 	PrestoIdealWeights bool
@@ -112,8 +105,6 @@ type Config struct {
 	// AdaptiveFlowletGap lets the clove-latency scheme widen the flowlet
 	// gap with the measured path-delay spread (Sec. 7 extension).
 	AdaptiveFlowletGap bool
-	// TCP overrides the transport parameters (zero value = defaults).
-	TCP tcp.Config
 	// TenantECN gives tenant VM stacks RFC 3168 ECN response. Off by
 	// default: the paper's 2017 tenant stacks run loss-based TCP without
 	// ECN negotiation, and the fabric's ECN marks exist solely for the
@@ -186,7 +177,8 @@ type connKey struct {
 // A topology with more than two leaves is built sharded: one event domain
 // per leaf (the leaf switch, its hosts, and everything stacked on them) and
 // one per spine, run by a sim.Engine in conservative windows bounded by the
-// trunk delay (DESIGN.md §4d). Either way a run is one goroutine. A sharded
+// trunk delay (DESIGN.md §4d). Either way a run is one goroutine drawing
+// packets from the topology's one pool (LS.Pool()). A sharded
 // run is a different simulation than a single-Simulator run of the same
 // seed — the engine defines its own same-timestamp order and per-domain RNG
 // streams — so determinism holds within a mode, not across modes. The mode
@@ -198,9 +190,6 @@ func New(cfg Config) *Cluster {
 	}
 	if cfg.PathsK == 0 {
 		cfg.PathsK = 4
-	}
-	if cfg.MPTCPSubflows == 0 {
-		cfg.MPTCPSubflows = tcp.DefaultSubflows
 	}
 	c := &Cluster{
 		Cfg:       cfg,
@@ -229,12 +218,11 @@ func New(cfg Config) *Cluster {
 	c.rtt = ls.BaseRTT()
 	// The oracle attaches before anything else happens (in particular before
 	// FailPaperLink) so its link-state tracking observes every transition:
-	// one observer on every pool, one event hook on every shard's Simulator.
+	// the observer on the topology's pool, one event hook on every shard's
+	// Simulator.
 	if cfg.Oracle {
 		c.Oracle = oracle.New()
-		for _, p := range ls.Pools() {
-			p.SetObserver(c.Oracle)
-		}
+		ls.Pool().SetObserver(c.Oracle)
 		for i := range c.shards {
 			c.shards[i].sim.SetEventHook(c.Oracle.AfterEvent)
 		}
@@ -254,10 +242,8 @@ func New(cfg Config) *Cluster {
 	if cfg.Beta == 0 {
 		c.Cfg.Beta = 1.0 / 3.0
 	}
-	c.tcpCfg = cfg.TCP
-	if c.tcpCfg.MSS == 0 {
-		c.tcpCfg = tcp.DefaultConfig()
-	}
+	c.tcpCfg = tcp.DefaultConfig()
+	c.tcpCfg.Pool = ls.Pool()
 	c.tcpCfg.ECN = cfg.TenantECN
 
 	if cfg.AsymmetricFailure {
@@ -288,12 +274,6 @@ func New(cfg Config) *Cluster {
 	wtCfg := clove.DefaultWeightTableConfig(c.rtt)
 	wtCfg.Beta = c.Cfg.Beta
 	wtCfg.Frozen = cfg.FreezeWeights
-	if cfg.CongestedAge > 0 {
-		wtCfg.CongestedAge = cfg.CongestedAge
-	}
-	if cfg.UtilAge > 0 {
-		wtCfg.UtilAge = cfg.UtilAge
-	}
 
 	c.VSwitches = make([]*vswitch.VSwitch, 0, len(ls.Hosts()))
 	for _, h := range ls.Hosts() {

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"clove/internal/netem"
@@ -215,13 +217,18 @@ func TestUnknownSchemePanics(t *testing.T) {
 }
 
 func TestIncastParamValidation(t *testing.T) {
-	c := New(Config{Seed: 1, Topo: smallTopo(), Scheme: SchemeECMP})
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic for zero fanout")
-		}
-	}()
-	c.RunIncast(IncastParams{Fanout: 0, ResponseBytes: 1, Requests: 1})
+	topo := smallTopo()
+	over := topo.HostsPerLeaf + 1
+	for fanout, want := range map[int]string{0: "must be positive", over: fmt.Sprintf("fanout %d exceeds the %d hosts", over, over-1)} {
+		func() {
+			defer func() {
+				if msg := fmt.Sprint(recover()); !strings.Contains(msg, want) {
+					t.Errorf("fanout %d: panic %q, want one containing %q", fanout, msg, want)
+				}
+			}()
+			New(Config{Seed: 1, Topo: topo, Scheme: SchemeECMP}).RunIncast(IncastParams{Fanout: fanout, ResponseBytes: 1, Requests: 1})
+		}()
+	}
 }
 
 func TestConnReuse(t *testing.T) {

@@ -19,14 +19,15 @@ type Conn struct {
 
 // OpenConn establishes the idx-th persistent connection between client and
 // server (connections are cached per (client, server, idx)). Under the
-// MPTCP scheme the connection carries the configured number of subflows.
+// MPTCP scheme the connection carries tcp.DefaultSubflows subflows (4, as
+// deployed in Sec. 5).
 func (c *Cluster) OpenConn(client, server packet.HostID, idx int) *Conn {
 	key := connKey{client, server, idx}
 	if conn, ok := c.conns[key]; ok {
 		return conn
 	}
 	sp := c.nextPort
-	c.nextPort += uint16(c.Cfg.MPTCPSubflows) + 1
+	c.nextPort += tcp.DefaultSubflows + 1
 	flow := packet.FiveTuple{
 		Src: client, Dst: server,
 		SrcPort: sp, DstPort: 80,
@@ -35,27 +36,23 @@ func (c *Cluster) OpenConn(client, server packet.HostID, idx int) *Conn {
 	conn := &Conn{Client: client, Server: server, Flow: flow}
 	cvs, svs := c.VSwitches[client], c.VSwitches[server]
 
-	// Each endpoint lives on its host's Simulator and draws from its host's
-	// pool: the cluster-wide ones on a single Simulator, the owning domain's
-	// in sharded mode.
+	// Each endpoint lives on its host's Simulator (the cluster's one, or the
+	// owning domain's in sharded mode).
 	csh := &c.shards[c.shardOf(client)]
 	cs, ss := csh.sim, c.simFor(server)
-	ccfg, scfg := c.tcpCfg, c.tcpCfg
-	ccfg.Pool = c.poolFor(client)
-	scfg.Pool = c.poolFor(server)
 
 	if c.Cfg.Scheme == SchemeMPTCP {
-		mp := tcp.NewMPSender(cs, ccfg, flow, c.Cfg.MPTCPSubflows, cvs.FromVM)
+		mp := tcp.NewMPSender(cs, c.tcpCfg, flow, tcp.DefaultSubflows, cvs.FromVM)
 		for _, sub := range mp.Subflows() {
 			sf := sub.Flow()
-			rcv := tcp.NewReceiver(ss, scfg, sf, svs.FromVM)
+			rcv := tcp.NewReceiver(ss, c.tcpCfg, sf, svs.FromVM)
 			svs.Register(sf, rcv.HandleData)
 			cvs.Register(sf.Reverse(), mp.HandleAck)
 		}
 		conn.mp = mp
 	} else {
-		snd := tcp.NewSender(cs, ccfg, flow, cvs.FromVM)
-		rcv := tcp.NewReceiver(ss, scfg, flow, svs.FromVM)
+		snd := tcp.NewSender(cs, c.tcpCfg, flow, cvs.FromVM)
+		rcv := tcp.NewReceiver(ss, c.tcpCfg, flow, svs.FromVM)
 		svs.Register(flow, rcv.HandleData)
 		cvs.Register(flow.Reverse(), snd.HandleAck)
 		conn.snd = snd

@@ -47,10 +47,6 @@ func (c *Cluster) shardOf(h packet.HostID) int { return c.shardOfNode(c.LS.Host(
 // simFor returns the Simulator everything on host h must schedule on.
 func (c *Cluster) simFor(h packet.HostID) *sim.Simulator { return c.shards[c.shardOf(h)].sim }
 
-// poolFor returns the packet pool endpoints on host h must use: the
-// topology-wide pool on a single Simulator, the owning domain's otherwise.
-func (c *Cluster) poolFor(h packet.HostID) *packet.Pool { return c.LS.Host(h).Pool() }
-
 // domFor returns the event domain owning host h (sharded mode only).
 func (c *Cluster) domFor(h packet.HostID) *sim.Domain { return c.LS.Host(h).Domain() }
 

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+
 	"clove/internal/packet"
 	"clove/internal/sim"
 )
@@ -35,6 +37,9 @@ type IncastResult struct {
 func (c *Cluster) RunIncast(p IncastParams) IncastResult {
 	if p.Fanout <= 0 || p.Requests <= 0 || p.ResponseBytes <= 0 {
 		panic("cluster: incast parameters must be positive")
+	}
+	if p.Fanout > c.Cfg.Topo.HostsPerLeaf {
+		panic(fmt.Sprintf("cluster: incast fanout %d exceeds the %d hosts of the server leaf", p.Fanout, c.Cfg.Topo.HostsPerLeaf))
 	}
 	if c.Eng != nil {
 		panic("cluster: RunIncast is single-sim only; domain-mode clusters run workloads through RunMix (FracIncast)")

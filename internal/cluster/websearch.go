@@ -23,14 +23,9 @@ type WebSearchParams struct {
 	// SizeScale multiplies flow sizes (1.0 = paper sizes); smaller values
 	// keep packet-level simulation cheap while preserving the shape.
 	SizeScale float64
-	// Dist overrides the flow-size distribution (default web-search).
-	Dist *workload.EmpiricalCDF
 	// MaxSimTime guards against non-converging runs (default 10 min sim
 	// time): the run stops and unfinished jobs are dropped from the stats.
 	MaxSimTime sim.Time
-	// Warmup delays the first arrivals, giving the prober (when enabled)
-	// one round to install paths.
-	Warmup sim.Time
 }
 
 // WebSearchResult is the outcome of one run.
@@ -53,13 +48,10 @@ func (c *Cluster) RunWebSearch(p WebSearchParams) WebSearchResult {
 	if p.SizeScale == 0 {
 		p.SizeScale = 1
 	}
-	if p.Dist == nil {
-		p.Dist = workload.WebSearch()
-	}
 	if p.MaxSimTime == 0 {
 		p.MaxSimTime = 600 * sim.Second
 	}
-	dist := p.Dist
+	dist := workload.WebSearch()
 	if p.SizeScale != 1 {
 		dist = dist.Scaled(p.SizeScale)
 	}
@@ -140,8 +132,7 @@ func (c *Cluster) RunWebSearch(p WebSearchParams) WebSearchResult {
 			w.conn.StartJob(size, record(w.conn, size))
 			c.Sim.After(w.arrivals.Next(), func() { issue(remaining - 1) })
 		}
-		start := p.Warmup + w.arrivals.Next()
-		c.Sim.After(start, func() { issue(jobsPerConn) })
+		c.Sim.After(w.arrivals.Next(), func() { issue(jobsPerConn) })
 	}
 
 	c.Sim.RunUntil(p.MaxSimTime)

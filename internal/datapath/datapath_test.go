@@ -181,15 +181,11 @@ func TestFeedbackShiftsWeightsThroughEmulator(t *testing.T) {
 	if recv.Stats().CEObserved == 0 {
 		t.Fatal("receiver observed no CE marks")
 	}
-	w := snd.Weights()
+	w := snd.WeightsSorted()
 	var minW, maxW = 1.0, 0.0
-	for _, x := range w {
-		if x < minW {
-			minW = x
-		}
-		if x > maxW {
-			maxW = x
-		}
+	for _, pw := range w {
+		minW = min(minW, pw.Weight)
+		maxW = max(maxW, pw.Weight)
 	}
 	if maxW-minW < 0.05 {
 		t.Errorf("weights did not shift away from the marked path: %v", w)

@@ -301,13 +301,6 @@ func (e *Endpoint) Ports() []uint16 { return append([]uint16(nil), e.ports...) }
 // single endpoint out of it at runtime).
 func BatchSyscallsSupported() bool { return batchSyscallsAvailable }
 
-// Weights returns the current path-weight snapshot.
-func (e *Endpoint) Weights() map[uint16]float64 {
-	e.wmu.Lock()
-	defer e.wmu.Unlock()
-	return e.weights.Weights()
-}
-
 // PathWeight is one path's share of the weighted round-robin, in the
 // deterministic sorted form returned by WeightsSorted.
 type PathWeight struct {
@@ -315,16 +308,16 @@ type PathWeight struct {
 	Weight float64 `json:"weight"`
 }
 
-// WeightsSorted returns the path weights sorted by port. Weights is a map,
-// so ranging over it is nondeterministic run-to-run; anything printed or
-// serialized (the cloved stats line, the /stats admin endpoint) uses this
-// form instead.
+// WeightsSorted returns the current path-weight snapshot sorted by port, so
+// anything printed or serialized from it (the cloved stats line, the /stats
+// admin endpoint) is the same run to run.
 func (e *Endpoint) WeightsSorted() []PathWeight {
-	w := e.Weights()
-	out := make([]PathWeight, 0, len(w))
-	for port, weight := range w {
-		out = append(out, PathWeight{Port: port, Weight: weight})
-	}
+	e.wmu.Lock()
+	out := make([]PathWeight, 0, e.weights.Len())
+	e.weights.VisitStates(func(p clove.PathState) {
+		out = append(out, PathWeight{Port: p.Port, Weight: p.Weight})
+	})
+	e.wmu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Port < out[j].Port })
 	return out
 }

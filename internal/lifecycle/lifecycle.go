@@ -48,19 +48,6 @@ type Component interface {
 	Stop() error
 }
 
-// Ready is optionally implemented by components with a distinct readiness
-// condition (e.g. "the tunnel has a remote"). Manager.Ready aggregates it;
-// a component without it is ready whenever it is started.
-type Ready interface {
-	Ready() error
-}
-
-// Healthy is optionally implemented by components with a liveness check.
-// Manager.Healthy aggregates it.
-type Healthy interface {
-	Healthy() error
-}
-
 // DefaultTimeout bounds each component's Init/Start/Stop call when the
 // corresponding Manager field is zero.
 const DefaultTimeout = 30 * time.Second
@@ -71,7 +58,7 @@ type entry struct {
 }
 
 // Manager owns an ordered list of components. Not safe for concurrent Add;
-// Init/Start/Stop/Ready/Healthy are mutually serialized.
+// Init/Start/Stop are mutually serialized.
 type Manager struct {
 	// InitTimeout, StartTimeout and StopTimeout bound each individual
 	// component call in the respective phase. Zero means DefaultTimeout;
@@ -96,17 +83,6 @@ func (m *Manager) Add(name string, c Component) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.comps = append(m.comps, entry{name: name, comp: c})
-}
-
-// Names returns the registered component names in order.
-func (m *Manager) Names() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]string, len(m.comps))
-	for i, e := range m.comps {
-		out[i] = e.name
-	}
-	return out
 }
 
 // Init initializes every component in order; the first error aborts.
@@ -163,44 +139,6 @@ func (m *Manager) stopLocked() error {
 	return errors.Join(errs...)
 }
 
-// Ready aggregates the Ready check of every started component that
-// implements it; it fails if any component has not been started yet.
-func (m *Manager) Ready() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.stopped {
-		return errors.New("lifecycle: stopped")
-	}
-	if m.startedN < len(m.comps) {
-		return fmt.Errorf("lifecycle: %d/%d components started", m.startedN, len(m.comps))
-	}
-	var errs []error
-	for _, e := range m.comps {
-		if r, ok := e.comp.(Ready); ok {
-			if err := r.Ready(); err != nil {
-				errs = append(errs, fmt.Errorf("%s: %w", e.name, err))
-			}
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// Healthy aggregates the Healthy check of every component that implements
-// it.
-func (m *Manager) Healthy() error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var errs []error
-	for _, e := range m.comps {
-		if h, ok := e.comp.(Healthy); ok {
-			if err := h.Healthy(); err != nil {
-				errs = append(errs, fmt.Errorf("%s: %w", e.name, err))
-			}
-		}
-	}
-	return errors.Join(errs...)
-}
-
 // call runs one phase function under the phase timeout. ctx carries the
 // deadline to cooperative components; the select enforces it on
 // uncooperative ones (whose goroutine then outlives the call — documented
@@ -230,49 +168,4 @@ func (m *Manager) call(ctx context.Context, phase, name string, d time.Duration,
 	case <-t.C:
 		return fmt.Errorf("lifecycle: %s %s: timed out after %v", phase, name, d)
 	}
-}
-
-// Fn adapts plain functions into a Component; nil fields are no-ops. The
-// Ready/Healthy hooks are aggregated by the manager when set.
-type Fn struct {
-	InitFn    func(ctx context.Context) error
-	StartFn   func(ctx context.Context) error
-	StopFn    func() error
-	ReadyFn   func() error
-	HealthyFn func() error
-}
-
-func (f *Fn) Init(ctx context.Context) error {
-	if f.InitFn == nil {
-		return nil
-	}
-	return f.InitFn(ctx)
-}
-
-func (f *Fn) Start(ctx context.Context) error {
-	if f.StartFn == nil {
-		return nil
-	}
-	return f.StartFn(ctx)
-}
-
-func (f *Fn) Stop() error {
-	if f.StopFn == nil {
-		return nil
-	}
-	return f.StopFn()
-}
-
-func (f *Fn) Ready() error {
-	if f.ReadyFn == nil {
-		return nil
-	}
-	return f.ReadyFn()
-}
-
-func (f *Fn) Healthy() error {
-	if f.HealthyFn == nil {
-		return nil
-	}
-	return f.HealthyFn()
 }

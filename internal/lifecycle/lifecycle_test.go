@@ -10,14 +10,17 @@ import (
 	"time"
 )
 
-// recorder is a Component that appends phase markers to a shared log.
+// recorder is a Component that appends phase markers to a shared log. A
+// non-nil gate makes that phase block until the gate is closed.
 type recorder struct {
-	name     string
-	log      *eventLog
-	initErr  error
-	startErr error
-	stopErr  error
-	stops    atomic.Int64
+	name      string
+	log       *eventLog
+	initErr   error
+	startErr  error
+	stopErr   error
+	startGate chan struct{}
+	stopGate  chan struct{}
+	stops     atomic.Int64
 }
 
 type eventLog struct {
@@ -44,12 +47,18 @@ func (r *recorder) Init(context.Context) error {
 
 func (r *recorder) Start(context.Context) error {
 	r.log.add("start:" + r.name)
+	if r.startGate != nil {
+		<-r.startGate
+	}
 	return r.startErr
 }
 
 func (r *recorder) Stop() error {
 	r.stops.Add(1)
 	r.log.add("stop:" + r.name)
+	if r.stopGate != nil {
+		<-r.stopGate
+	}
 	return r.stopErr
 }
 
@@ -166,7 +175,7 @@ func TestStopTimeoutNamesComponentAndMovesOn(t *testing.T) {
 	m := New()
 	m.StopTimeout = 50 * time.Millisecond
 	release := make(chan struct{})
-	stuck := &Fn{StopFn: func() error { <-release; return nil }}
+	stuck := &recorder{name: "stuck", log: log, stopGate: release}
 	a := &recorder{name: "a", log: log}
 	m.Add("a", a)
 	m.Add("stuck", stuck)
@@ -193,51 +202,10 @@ func TestStartTimeout(t *testing.T) {
 	m.StartTimeout = 50 * time.Millisecond
 	release := make(chan struct{})
 	defer close(release)
-	m.Add("slow", &Fn{StartFn: func(context.Context) error { <-release; return nil }})
+	m.Add("slow", &recorder{name: "slow", log: &eventLog{}, startGate: release})
 	err := m.Start(context.Background())
 	if err == nil || !strings.Contains(err.Error(), "start slow: timed out") {
 		t.Fatalf("err = %v, want start timeout", err)
-	}
-}
-
-func TestReadyAggregation(t *testing.T) {
-	m := New()
-	readyErr := errors.New("no remote yet")
-	var gate atomic.Pointer[error]
-	gate.Store(&readyErr)
-	m.Add("tunnel", &Fn{ReadyFn: func() error {
-		if e := gate.Load(); e != nil {
-			return *e
-		}
-		return nil
-	}})
-	m.Add("plain", &recorder{name: "plain", log: &eventLog{}})
-
-	if err := m.Ready(); err == nil {
-		t.Error("ready before start")
-	}
-	if err := m.Start(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Ready(); err == nil || !strings.Contains(err.Error(), "no remote yet") {
-		t.Errorf("ready = %v, want tunnel unready", err)
-	}
-	gate.Store(nil)
-	if err := m.Ready(); err != nil {
-		t.Errorf("ready = %v after gate cleared", err)
-	}
-	m.Stop()
-	if err := m.Ready(); err == nil {
-		t.Error("ready after stop")
-	}
-}
-
-func TestHealthyAggregation(t *testing.T) {
-	m := New()
-	m.Add("ok", &Fn{})
-	m.Add("sick", &Fn{HealthyFn: func() error { return errors.New("degraded") }})
-	if err := m.Healthy(); err == nil || !strings.Contains(err.Error(), "sick: degraded") {
-		t.Errorf("healthy = %v, want sick component named", err)
 	}
 }
 

@@ -112,8 +112,10 @@ func TestShardedBuilderMatchesLegacyShape(t *testing.T) {
 	if eng.NumDomains() != cfg.Leaves+cfg.Spines {
 		t.Fatalf("domains = %d, want %d", eng.NumDomains(), cfg.Leaves+cfg.Spines)
 	}
-	if got := len(sharded.Pools()); got != cfg.Leaves+cfg.Spines {
-		t.Fatalf("pools = %d, want %d", got, cfg.Leaves+cfg.Spines)
+	for _, ls := range []*LeafSpine{legacy, sharded} {
+		if got := ls.Pools(); len(got) != 1 || got[0] != ls.Pool() {
+			t.Fatalf("Pools() = %v, want the topology's one pool", got)
+		}
 	}
 	// Hosts belong to their leaf's domain; leaf domains come first.
 	for i := 0; i < cfg.Leaves*cfg.HostsPerLeaf; i++ {

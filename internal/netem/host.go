@@ -40,8 +40,7 @@ func (h *Host) Name() string { return h.name }
 func (h *Host) Uplink() *Link { return h.uplink }
 
 // Pool returns the packet free list everything on this host draws from: the
-// simulation-wide pool on single-sim topologies, the owning domain's pool on
-// sharded ones.
+// topology's one pool (Topology.Pool).
 func (h *Host) Pool() *packet.Pool { return h.pool }
 
 // Domain returns the event domain owning this host, or nil on a single-sim

@@ -65,11 +65,9 @@ type Link struct {
 	// Cross-domain channel state (sharded topologies; see domains.go).
 	// srcDom is non-nil iff the endpoints live in different event domains:
 	// the propagation stage then crosses via Domain.Post and runs in the
-	// receiving domain. rxPool is the receiving node's pool (== pool on
-	// domain-local links).
+	// receiving domain.
 	srcDom   *sim.Domain
 	dstDomID int
-	rxPool   *packet.Pool
 
 	// Telemetry counter handles, resolved at wiring time in SetTrace; nil
 	// when telemetry is disabled (Add on a nil handle is a no-op branch).
@@ -97,7 +95,6 @@ func newLink(s *sim.Simulator, pool *packet.Pool, id packet.LinkID, name string,
 		name:     name,
 		sim:      s,
 		pool:     pool,
-		rxPool:   pool,
 		from:     from,
 		to:       to,
 		rate:     cfg.RateBps,
@@ -255,23 +252,22 @@ func (l *Link) Enqueue(pkt *packet.Packet) {
 // what makes a forwarded hop schedule zero allocations.
 func linkTxDone(a, _ any) { a.(*Link).txDone() }
 
-// linkPropagate runs in the RECEIVING node's domain on a cross-domain link,
-// so the packet ends up in (or is freed into) that domain's pool.
+// linkPropagate runs in the RECEIVING node's domain on a cross-domain link.
 func linkPropagate(a, b any) {
 	l := a.(*Link)
 	pkt := b.(*packet.Packet)
 	if l.up {
-		if o := l.rxPool.Obs(); o != nil {
+		if o := l.pool.Obs(); o != nil {
 			o.LinkDeliver(l.id, pkt)
 		}
 		l.to.Receive(pkt, l)
 		return
 	}
 	l.stats.DownDrops++
-	if o := l.rxPool.Obs(); o != nil {
+	if o := l.pool.Obs(); o != nil {
 		o.LinkDrop(l.id, pkt, packet.DropLinkDown, l.qlen, l.queueCap)
 	}
-	l.rxPool.Put(pkt)
+	l.pool.Put(pkt)
 }
 
 func (l *Link) transmitNext() {

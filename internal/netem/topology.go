@@ -32,12 +32,9 @@ type Topology struct {
 
 	// Sharded-construction state (see domains.go); all nil/empty when the
 	// topology lives on a single Simulator.
-	eng      *sim.Engine
-	curDom   *sim.Domain
-	curPool  *packet.Pool
-	nodeDom  []*sim.Domain  // owning domain per NodeID
-	nodePool []*packet.Pool // owning pool per NodeID
-	pools    []*packet.Pool // one pool per domain, creation order
+	eng     *sim.Engine
+	curDom  *sim.Domain
+	nodeDom []*sim.Domain // owning domain per NodeID
 }
 
 // NewTopology creates an empty fabric bound to s, with a fresh packet pool.
@@ -47,6 +44,10 @@ func NewTopology(s *sim.Simulator) *Topology {
 
 // Pool returns the simulation-wide packet free list.
 func (t *Topology) Pool() *packet.Pool { return t.pool }
+
+// Pools returns the same pool as a one-element slice, for callers that sum
+// over a topology's pools.
+func (t *Topology) Pools() []*packet.Pool { return []*packet.Pool{t.pool} }
 
 // Hosts returns all hosts in creation order (HostID order).
 func (t *Topology) Hosts() []*Host { return t.hosts }
@@ -84,7 +85,7 @@ func (t *Topology) AddSwitch(name string) *Switch {
 		id:   t.nextNode,
 		name: name,
 		sim:  t.buildSim(),
-		pool: t.buildPool(),
+		pool: t.pool,
 		seed: 0x9e3779b97f4a7c15 * uint64(t.nextNode+1),
 		topo: t,
 	}
@@ -99,7 +100,7 @@ func (t *Topology) AddSwitch(name string) *Switch {
 // marking — a local stack backpressures rather than marks); downCfg shapes
 // the leaf's switch port toward the host.
 func (t *Topology) AddHost(name string, leaf *Switch, upCfg, downCfg LinkConfig) *Host {
-	h := &Host{id: t.nextNode, hostID: packet.HostID(len(t.hosts)), name: name, pool: t.buildPool(), dom: t.curDom}
+	h := &Host{id: t.nextNode, hostID: packet.HostID(len(t.hosts)), name: name, pool: t.pool, dom: t.curDom}
 	t.nextNode++
 	t.recordNode()
 	up := t.addLink(fmt.Sprintf("%s->%s#0", name, leaf.name), h.id, leaf, upCfg)
@@ -123,15 +124,13 @@ func (t *Topology) Connect(a, b *Switch, trunk int, cfg LinkConfig) {
 }
 
 func (t *Topology) addLink(name string, from packet.NodeID, to Node, cfg LinkConfig) *Link {
-	s, pool := t.Sim, t.pool
+	s := t.Sim
 	if t.eng != nil {
-		s, pool = t.nodeDom[from].Simulator, t.nodePool[from]
+		s = t.nodeDom[from].Simulator
 	}
-	l := newLink(s, pool, t.nextLink, name, from, to, cfg)
+	l := newLink(s, t.pool, t.nextLink, name, from, to, cfg)
 	if t.eng != nil {
-		dst := t.nodeDom[to.ID()]
-		l.rxPool = t.nodePool[to.ID()]
-		if src := t.nodeDom[from]; src != dst {
+		if src, dst := t.nodeDom[from], t.nodeDom[to.ID()]; src != dst {
 			l.srcDom = src
 			l.dstDomID = dst.ID()
 		}

@@ -2,9 +2,11 @@ package packet
 
 // Pool is a single-threaded free list for Packet, Encap, and Conga structs,
 // owned by one simulation (the topology builder creates it; every element of
-// that simulation shares it). It exists because the simulator's hot path —
-// one Packet per TCP segment, one Encap per overlay hop, one ACK per
-// delivery — otherwise spends most of its time in the allocator.
+// that simulation shares it, across all its event domains when the run is
+// sharded — they take turns on one goroutine). It exists because the
+// simulator's hot path — one Packet per TCP segment, one Encap per overlay
+// hop, one ACK per delivery — otherwise spends most of its time in the
+// allocator.
 //
 // Pool is deliberately not a sync.Pool: simulations are sequential programs
 // and a sync.Pool's per-P caches and GC-driven emptying would both cost

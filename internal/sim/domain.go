@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 )
@@ -22,8 +23,9 @@ import (
 // construction:
 //
 //   - each domain's event stream is a sequential Simulator run;
-//   - cross-domain posts are buffered in per-source-domain slices and flushed
-//     at the barrier in sorted (time, source domain, source sequence) order;
+//   - cross-domain posts are buffered in one outbox and flushed at the barrier
+//     in stable (time, source domain) order, which keeps each source's posts
+//     in the order it made them;
 //   - global control actions (route recomputation, scripted failures, stop
 //     checks) execute at barriers, at deterministic times.
 //
@@ -37,12 +39,11 @@ import (
 const timeMax = Time(1<<63 - 1)
 
 // xpost is one buffered cross-domain message: fn(a, b) scheduled onto the
-// dst domain at time at. src and seq establish the deterministic flush
-// order for messages landing at the same timestamp.
+// dst domain at time at. src breaks ties between messages landing at the
+// same timestamp.
 type xpost struct {
 	at       Time
 	src, dst int32
-	seq      uint64
 	fn       EventFunc
 	a, b     any
 }
@@ -54,16 +55,14 @@ type globalEvent struct {
 	fn  func()
 }
 
-// Domain is one shard of a sharded simulation: a full Simulator plus the
-// cross-domain outbox. Components inside a domain hold the embedded
+// Domain is one shard of a sharded simulation: a full Simulator plus its
+// place in the engine. Components inside a domain hold the embedded
 // *Simulator and schedule on it exactly as in a single-sim run; only
 // boundary components (cross-domain links, workload fan-out) use Post.
 type Domain struct {
 	*Simulator
 	id  int32
 	eng *Engine
-	out []xpost
-	seq uint64
 }
 
 // ID returns the domain's index within its engine.
@@ -73,8 +72,8 @@ func (d *Domain) ID() int { return int(d.id) }
 func (d *Domain) Engine() *Engine { return d.eng }
 
 // Post schedules fn(a, b) at absolute time at on the dst domain. It is the
-// only legal way to touch another domain: the message is buffered in this
-// domain's outbox and injected into dst's event queue at the next barrier.
+// only legal way to touch another domain: the message is buffered in the
+// engine's outbox and injected into dst's event queue at the next barrier.
 //
 // at must be at least the posting domain's current time plus the engine
 // lookahead — the conservative-synchronization contract that makes barrier
@@ -92,8 +91,7 @@ func (d *Domain) Post(dst int, at Time, fn EventFunc, a, b any) {
 		panic(fmt.Sprintf("sim: cross-domain post at %v under lookahead (now %v + %v)",
 			at, d.Now(), d.eng.lookahead))
 	}
-	d.out = append(d.out, xpost{at: at, src: d.id, dst: int32(dst), seq: d.seq, fn: fn, a: a, b: b})
-	d.seq++
+	d.eng.posts = append(d.eng.posts, xpost{at: at, src: d.id, dst: int32(dst), fn: fn, a: a, b: b})
 }
 
 // Engine coordinates a set of event domains through conservative windows.
@@ -108,7 +106,7 @@ type Engine struct {
 	globals []globalEvent // sorted by (at, seq)
 	gseq    uint64
 
-	posts []xpost // flush scratch, reused
+	posts []xpost // the cross-domain outbox, in posting order; backing array reused
 }
 
 // NewEngine creates an engine with the given base seed and lookahead. The
@@ -220,40 +218,27 @@ func (e *Engine) Run(until Time, stop func() bool) {
 		if stop != nil && stop() {
 			return
 		}
-		tmin := e.minNext()
 		gmin := timeMax
 		if len(e.globals) > 0 {
 			gmin = e.globals[0].at
 		}
-		if tmin == timeMax && gmin == timeMax {
-			// Fully drained: advance clocks to the deadline, as RunUntil does.
-			e.window(until)
-			e.now = until
-			return
-		}
-		if tmin > until && gmin > until {
-			e.window(until)
-			e.now = until
-			return
-		}
-		var horizon Time
-		if gmin <= tmin {
-			// Domain events at exactly gmin fire first, then the globals.
-			horizon = gmin
-		} else {
+		// horizon = min(until, gmin, tmin+lookahead): domain events at exactly
+		// gmin fire first, then the globals. The subtraction keeps a drained
+		// tmin (timeMax) from overflowing.
+		horizon := min(until, gmin)
+		tmin := e.minNext()
+		if tmin < horizon-e.lookahead {
 			horizon = tmin + e.lookahead
-			if gmin < horizon {
-				horizon = gmin
-			}
-			if horizon > until {
-				horizon = until
-			}
 		}
 		e.window(horizon)
 		e.flushPosts()
 		e.now = horizon
 		if horizon == gmin {
 			e.runGlobals(gmin)
+		} else if tmin > until {
+			// Nothing was pending at or before the deadline (drained included),
+			// so this window only advanced the clocks to it.
+			return
 		}
 	}
 }
@@ -265,50 +250,23 @@ func (e *Engine) window(horizon Time) {
 	}
 }
 
-// flushPosts injects every message buffered during the last window into its
-// destination domain, in (time, source domain, source sequence) order. The
-// order is a pure function of the window's contents, so the resulting event
-// sequence numbers — and hence same-timestamp tie-breaks — are too. Buffers
-// are reused; the flush allocates nothing in steady state.
+// flushPosts injects every message buffered since the last flush into its
+// destination domain, in (time, source domain, source posting order). Each
+// source appends its own posts in the order it makes them, however sources
+// interleave, so a stable sort on (time, source) yields exactly that total
+// order. It is a pure function of the window's contents, so the resulting
+// event sequence numbers — and hence same-timestamp tie-breaks — are too. The
+// outbox is reused; the flush allocates nothing in steady state.
 func (e *Engine) flushPosts() {
-	e.posts = e.posts[:0]
-	for _, d := range e.domains {
-		e.posts = append(e.posts, d.out...)
-		for i := range d.out {
-			d.out[i].fn, d.out[i].a, d.out[i].b = nil, nil, nil
-		}
-		d.out = d.out[:0]
-	}
-	// (at, src, seq) is a total order — seq is unique per source — so the
-	// unstable pdqsort yields one deterministic permutation. At fabric scale
-	// a window can carry thousands of trunk crossings, which rules out the
-	// quadratic nearly-sorted-insertion shortcut.
-	slices.SortFunc(e.posts, postCmp)
+	slices.SortStableFunc(e.posts, func(a, b xpost) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.src, b.src))
+	})
 	for i := range e.posts {
 		p := &e.posts[i]
 		e.domains[p.dst].AtCall(p.at, p.fn, p.a, p.b)
 		p.fn, p.a, p.b = nil, nil, nil
 	}
-}
-
-// postCmp orders cross-domain posts by (time, source domain, source seq).
-func postCmp(a, b xpost) int {
-	if a.at != b.at {
-		if a.at < b.at {
-			return -1
-		}
-		return 1
-	}
-	if a.src != b.src {
-		return int(a.src) - int(b.src)
-	}
-	if a.seq < b.seq {
-		return -1
-	}
-	if a.seq > b.seq {
-		return 1
-	}
-	return 0
+	e.posts = e.posts[:0]
 }
 
 // runGlobals executes every queued global action with timestamp at, in

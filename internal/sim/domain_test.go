@@ -118,7 +118,7 @@ func TestEngineZeroLookaheadPanics(t *testing.T) {
 // TestEngineGlobalsRunAtBarriers pins the ordering contract for control
 // events: all domain events with timestamps <= t fire before a global at t,
 // and globals at the same time run in scheduling order (including ones they
-// enqueue themselves).
+// enqueue themselves) — also when t is the deadline itself.
 func TestEngineGlobalsRunAtBarriers(t *testing.T) {
 	eng := NewEngine(3, 2*Microsecond)
 	d0 := eng.AddDomain()
@@ -133,8 +133,12 @@ func TestEngineGlobalsRunAtBarriers(t *testing.T) {
 	})
 	eng.GlobalAt(10*Microsecond, func() { order = append(order, "g2@10") })
 	eng.GlobalAt(5*Microsecond, func() { order = append(order, "g0@5") })
-	eng.Run(20*Microsecond, nil)
 	want := []string{"g0@5", "d0@10", "d1@10", "g1@10", "g2@10", "g3@10", "d1@11"}
+	eng.Run(10*Microsecond, nil) // deadline == global time == an event's time
+	if !reflect.DeepEqual(order, want[:6]) || eng.Now() != 10*Microsecond || eng.Pending() != 1 {
+		t.Fatalf("at the 10µs deadline: order = %v, Now() = %v, Pending() = %d", order, eng.Now(), eng.Pending())
+	}
+	eng.Run(20*Microsecond, nil)
 	if !reflect.DeepEqual(order, want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}
@@ -146,31 +150,38 @@ func TestEngineGlobalsRunAtBarriers(t *testing.T) {
 	}
 }
 
-// TestEnginePostTieOrder pins the flush order for messages landing at the
-// same timestamp: source domain id, then source sequence.
+// TestEnginePostTieOrder pins the flush order: per destination, messages
+// fire by (time, source domain id, order the source posted them), however
+// the sources' posts to different destinations and times interleave in the
+// outbox.
 func TestEnginePostTieOrder(t *testing.T) {
-	eng := NewEngine(5, Microsecond)
+	const us = Microsecond
+	eng := NewEngine(5, us)
 	var doms []*Domain
 	for i := 0; i < 4; i++ {
 		doms = append(doms, eng.AddDomain())
 	}
-	var got []string
-	// Domains 3,2,1 each post two messages to domain 0, all landing at
-	// exactly 2µs. Expected arrival order: by (src, seq).
-	for _, src := range []int{3, 2, 1} {
-		d := doms[src]
-		src := src
-		d.At(Microsecond, func() {
-			for k := 0; k < 2; k++ {
-				k := k
-				d.Post(0, 2*Microsecond, func(any, any) {
-					got = append(got, fmt.Sprintf("s%dk%d", src, k))
-				}, nil, nil)
-			}
-		})
+	// A pending event at 0 bounds the first window at 1µs, before any
+	// message lands.
+	doms[0].At(0, func() {})
+	var got [2][]string
+	nth := map[int]int{}
+	for _, p := range []struct {
+		src, dst int
+		at       Time
+	}{
+		{3, 0, 2 * us}, {3, 0, 2 * us}, {2, 1, 2 * us}, {1, 0, 2 * us}, {3, 1, 3 * us}, {2, 0, 3 * us},
+		{1, 0, 2 * us}, {2, 1, 2 * us}, {3, 1, 2 * us}, {1, 1, 3 * us}, {2, 0, 2 * us}, {3, 0, 3 * us},
+	} {
+		dst, label := p.dst, fmt.Sprintf("s%d#%d", p.src, nth[p.src]) // k-th post of its source
+		nth[p.src]++
+		doms[p.src].Post(dst, p.at, func(any, any) { got[dst] = append(got[dst], label) }, nil, nil)
 	}
-	eng.Run(10*Microsecond, nil)
-	want := []string{"s1k0", "s1k1", "s2k0", "s2k1", "s3k0", "s3k1"}
+	eng.Run(10*us, nil)
+	want := [2][]string{
+		{"s1#0", "s1#1", "s2#3", "s3#0", "s3#1", "s2#1", "s3#4"},
+		{"s2#0", "s2#2", "s3#3", "s1#2", "s3#2"},
+	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("arrival order = %v, want %v", got, want)
 	}
@@ -219,7 +230,9 @@ func TestEngineProcessedPending(t *testing.T) {
 }
 
 // TestEngineResumableRun: Run may be called repeatedly with increasing
-// deadlines; clocks and pending work carry over.
+// deadlines; clocks and pending work carry over. Everything at or before a
+// deadline fires before Run returns, including a message posted one
+// lookahead earlier that lands exactly on it.
 func TestEngineResumableRun(t *testing.T) {
 	eng := NewEngine(13, Microsecond)
 	d := eng.AddDomain()
@@ -228,9 +241,11 @@ func TestEngineResumableRun(t *testing.T) {
 		i := i
 		d.At(Time(i)*10*Microsecond, func() { at = append(at, d.Now()) })
 	}
+	landed := false
+	d.At(14*Microsecond, func() { d.Post(0, 15*Microsecond, func(any, any) { landed = true }, nil, nil) })
 	eng.Run(15*Microsecond, nil)
-	if len(at) != 1 {
-		t.Fatalf("fired %d events before first deadline, want 1", len(at))
+	if len(at) != 1 || !landed {
+		t.Fatalf("before the first deadline: fired %d events (want 1), message on the deadline fired = %v", len(at), landed)
 	}
 	if eng.Now() != 15*Microsecond {
 		t.Fatalf("Now() = %v, want 15µs", eng.Now())

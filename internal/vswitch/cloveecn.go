@@ -8,35 +8,65 @@ import (
 	"clove/internal/sim"
 )
 
-// CloveECN is the paper's primary deployable scheme (Sec. 3.2): weighted
-// round-robin over discovered paths, with path weights reduced on ECN
-// feedback and the remainder redistributed to uncongested paths.
-type CloveECN struct {
+// weightTables is the per-destination weight-table plumbing CloveECN and
+// CloveINT share: the tables, their deterministic iteration order, and the
+// PathPolicy methods that do not depend on how a port is picked.
+type weightTables struct {
 	cfg    clove.WeightTableConfig
 	tables map[packet.HostID]*clove.WeightTable
 	dsts   []packet.HostID // table keys, ascending (deterministic iteration)
 }
 
-// NewCloveECN creates the policy; cfg controls the weight-adjustment rule.
-func NewCloveECN(cfg clove.WeightTableConfig) *CloveECN {
-	return &CloveECN{cfg: cfg, tables: map[packet.HostID]*clove.WeightTable{}}
+func newWeightTables(cfg clove.WeightTableConfig) weightTables {
+	return weightTables{cfg: cfg, tables: map[packet.HostID]*clove.WeightTable{}}
 }
-
-// Name implements PathPolicy.
-func (*CloveECN) Name() string { return "clove-ecn" }
 
 // Table returns the weight table for dst (nil before discovery) — exposed
 // for tests and telemetry.
-func (c *CloveECN) Table(dst packet.HostID) *clove.WeightTable { return c.tables[dst] }
+func (w *weightTables) Table(dst packet.HostID) *clove.WeightTable { return w.tables[dst] }
 
 // VisitTables calls fn for every destination's weight table in ascending
 // HostID order. The telemetry sampler walks tables every interval; iterating
 // the map directly would randomize sample order per process.
-func (c *CloveECN) VisitTables(fn func(packet.HostID, *clove.WeightTable)) {
-	for _, d := range c.dsts {
-		fn(d, c.tables[d])
+func (w *weightTables) VisitTables(fn func(packet.HostID, *clove.WeightTable)) {
+	for _, d := range w.dsts {
+		fn(d, w.tables[d])
 	}
 }
+
+// SetPaths implements PathPolicy, preserving state across rediscovery.
+func (w *weightTables) SetPaths(dst packet.HostID, ports []uint16) {
+	if t := w.tables[dst]; t != nil {
+		t.SetPorts(ports)
+		return
+	}
+	w.tables[dst] = clove.NewWeightTable(w.cfg, ports)
+	i := sort.Search(len(w.dsts), func(i int) bool { return w.dsts[i] >= dst })
+	w.dsts = append(w.dsts, 0)
+	copy(w.dsts[i+1:], w.dsts[i:])
+	w.dsts[i] = dst
+}
+
+// AllCongested implements PathPolicy.
+func (w *weightTables) AllCongested(dst packet.HostID, now sim.Time) bool {
+	t := w.tables[dst]
+	return t != nil && t.AllCongested(now)
+}
+
+// CloveECN is the paper's primary deployable scheme (Sec. 3.2): weighted
+// round-robin over discovered paths, with path weights reduced on ECN
+// feedback and the remainder redistributed to uncongested paths.
+type CloveECN struct {
+	weightTables
+}
+
+// NewCloveECN creates the policy; cfg controls the weight-adjustment rule.
+func NewCloveECN(cfg clove.WeightTableConfig) *CloveECN {
+	return &CloveECN{newWeightTables(cfg)}
+}
+
+// Name implements PathPolicy.
+func (*CloveECN) Name() string { return "clove-ecn" }
 
 // PickPort implements PathPolicy: weighted round-robin across discovered
 // paths. Before discovery completes it degrades to Edge-Flowlet behaviour
@@ -63,51 +93,22 @@ func (c *CloveECN) OnFeedback(dst packet.HostID, fb packet.Feedback, now sim.Tim
 	}
 }
 
-// SetPaths implements PathPolicy, preserving state across rediscovery.
-func (c *CloveECN) SetPaths(dst packet.HostID, ports []uint16) {
-	if t := c.tables[dst]; t != nil {
-		t.SetPorts(ports)
-		return
-	}
-	c.tables[dst] = clove.NewWeightTable(c.cfg, ports)
-	c.dsts = insertHostID(c.dsts, dst)
-}
-
-// AllCongested implements PathPolicy.
-func (c *CloveECN) AllCongested(dst packet.HostID, now sim.Time) bool {
-	t := c.tables[dst]
-	return t != nil && t.AllCongested(now)
-}
-
 // CloveINT is the forward-looking variant (Sec. 3.2): the destination
 // reflects INT-measured maximum path utilization, and new flowlets go to
 // the least-utilized path.
 type CloveINT struct {
-	cfg    clove.WeightTableConfig
-	tables map[packet.HostID]*clove.WeightTable
-	dsts   []packet.HostID // table keys, ascending (deterministic iteration)
-	now    func() sim.Time
+	weightTables
+	now func() sim.Time
 }
 
 // NewCloveINT creates the policy. now provides the simulation clock (the
 // least-utilized choice needs sample freshness).
 func NewCloveINT(cfg clove.WeightTableConfig, now func() sim.Time) *CloveINT {
-	return &CloveINT{cfg: cfg, tables: map[packet.HostID]*clove.WeightTable{}, now: now}
+	return &CloveINT{weightTables: newWeightTables(cfg), now: now}
 }
 
 // Name implements PathPolicy.
 func (*CloveINT) Name() string { return "clove-int" }
-
-// Table returns the weight table for dst (nil before discovery).
-func (c *CloveINT) Table(dst packet.HostID) *clove.WeightTable { return c.tables[dst] }
-
-// VisitTables calls fn for every destination's weight table in ascending
-// HostID order (see CloveECN.VisitTables).
-func (c *CloveINT) VisitTables(fn func(packet.HostID, *clove.WeightTable)) {
-	for _, d := range c.dsts {
-		fn(d, c.tables[d])
-	}
-}
 
 // PickPort implements PathPolicy: least utilized discovered path.
 func (c *CloveINT) PickPort(dst packet.HostID, flow packet.FiveTuple, flowletID uint32) uint16 {
@@ -130,32 +131,4 @@ func (c *CloveINT) OnFeedback(dst packet.HostID, fb packet.Feedback, now sim.Tim
 	if fb.ECN {
 		t.OnCongestion(fb.Port, now)
 	}
-}
-
-// SetPaths implements PathPolicy.
-func (c *CloveINT) SetPaths(dst packet.HostID, ports []uint16) {
-	if t := c.tables[dst]; t != nil {
-		t.SetPorts(ports)
-		return
-	}
-	c.tables[dst] = clove.NewWeightTable(c.cfg, ports)
-	c.dsts = insertHostID(c.dsts, dst)
-}
-
-// insertHostID inserts id into the sorted slice if absent.
-func insertHostID(s []packet.HostID, id packet.HostID) []packet.HostID {
-	i := sort.Search(len(s), func(i int) bool { return s[i] >= id })
-	if i < len(s) && s[i] == id {
-		return s
-	}
-	s = append(s, 0)
-	copy(s[i+1:], s[i:])
-	s[i] = id
-	return s
-}
-
-// AllCongested implements PathPolicy.
-func (c *CloveINT) AllCongested(dst packet.HostID, now sim.Time) bool {
-	t := c.tables[dst]
-	return t != nil && t.AllCongested(now)
 }
