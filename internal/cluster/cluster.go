@@ -251,10 +251,8 @@ func New(cfg Config) *Cluster {
 	}
 
 	vcfg := vswitch.Config{
-		EncapDstPort:       7471,
-		FlowletGap:         c.Cfg.FlowletGap,
-		RelayInterval:      c.Cfg.RelayInterval,
-		StandaloneFeedback: true,
+		FlowletGap:    c.Cfg.FlowletGap,
+		RelayInterval: c.Cfg.RelayInterval,
 	}
 	switch cfg.Scheme {
 	case SchemeCloveECN, SchemeCloveINT, SchemeCloveUniform:

@@ -58,12 +58,12 @@ func (c *Cluster) OpenConn(client, server packet.HostID, idx int) *Conn {
 		conn.snd = snd
 	}
 	if tr := csh.trace; tr != nil {
-		if conn.mp != nil {
-			for _, sub := range conn.mp.Subflows() {
-				sub.SetTrace(tr)
-			}
-		} else {
-			conn.snd.SetTrace(tr)
+		conn.eachSender(func(s *tcp.Sender) { s.SetTrace(tr) })
+		if len(csh.conns) == 0 {
+			// The shard's first traced connection: from here on its metrics
+			// file carries the transport totals (a spine shard lists none).
+			tr.AddMetric("tcp.retransmits", func() int64 { return transportStats(csh.conns).Retransmits })
+			tr.AddMetric("tcp.timeouts", func() int64 { return transportStats(csh.conns).Timeouts })
 		}
 		csh.conns = append(csh.conns, conn)
 	}
@@ -74,26 +74,34 @@ func (c *Cluster) OpenConn(client, server packet.HostID, idx int) *Conn {
 
 // TransportStats sums sender-side transport counters across all open
 // connections (diagnostics: retransmission and timeout pressure).
-func (c *Cluster) TransportStats() tcp.SenderStats {
+func (c *Cluster) TransportStats() tcp.SenderStats { return transportStats(c.connList) }
+
+func transportStats(conns []*Conn) tcp.SenderStats {
 	var agg tcp.SenderStats
-	add := func(s tcp.SenderStats) {
-		agg.SegmentsSent += s.SegmentsSent
-		agg.Retransmits += s.Retransmits
-		agg.FastRetransmits += s.FastRetransmits
-		agg.Timeouts += s.Timeouts
-		agg.ECNReductions += s.ECNReductions
-		agg.BytesAcked += s.BytesAcked
-	}
-	for _, conn := range c.conns {
-		if conn.mp != nil {
-			for _, sub := range conn.mp.Subflows() {
-				add(sub.Stats())
-			}
-			continue
-		}
-		add(conn.snd.Stats())
+	for _, conn := range conns {
+		conn.eachSender(func(s *tcp.Sender) {
+			st := s.Stats()
+			agg.SegmentsSent += st.SegmentsSent
+			agg.Retransmits += st.Retransmits
+			agg.FastRetransmits += st.FastRetransmits
+			agg.Timeouts += st.Timeouts
+			agg.ECNReductions += st.ECNReductions
+			agg.BytesAcked += st.BytesAcked
+		})
 	}
 	return agg
+}
+
+// eachSender calls fn for the connection's sender, or for every subflow's
+// under MPTCP.
+func (conn *Conn) eachSender(fn func(*tcp.Sender)) {
+	if conn.mp == nil {
+		fn(conn.snd)
+		return
+	}
+	for _, sub := range conn.mp.Subflows() {
+		fn(sub)
+	}
 }
 
 // StartJob sends size bytes on the connection; done fires with the job

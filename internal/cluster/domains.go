@@ -20,7 +20,8 @@ type shard struct {
 	sim   *sim.Simulator
 	trace *telemetry.Tracer // nil unless Config.Telemetry
 	// conns are the connections whose client lives here, in open order:
-	// what the tracer's cwnd stream samples. Maintained only when traced.
+	// what the tracer's cwnd stream samples and its tcp.* metrics sum.
+	// Maintained only when traced.
 	conns []*Conn
 }
 

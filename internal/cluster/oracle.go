@@ -35,7 +35,7 @@ func (c *Cluster) OraclePaths(src, dst packet.HostID, maxPorts int) []discovery.
 		port := uint16(33000 + i*97)
 		p := &packet.Packet{
 			Kind:  packet.KindData,
-			Encap: &packet.Encap{SrcHyp: src, DstHyp: dst, SrcPort: port, DstPort: 7471},
+			Encap: &packet.Encap{SrcHyp: src, DstHyp: dst, SrcPort: port, DstPort: vswitch.EncapDstPort},
 		}
 		links, ok := c.walk(src, p)
 		if !ok {

@@ -6,7 +6,6 @@ import (
 	"clove/internal/packet"
 	"clove/internal/sim"
 	"clove/internal/tcp"
-	"clove/internal/telemetry"
 )
 
 // tableVisitor is implemented by the Clove policies that keep per-destination
@@ -34,7 +33,6 @@ func (c *Cluster) setupTelemetry() {
 	for _, l := range c.LS.Links() {
 		i := c.shardOfNode(l.From())
 		shardLinks[i] = append(shardLinks[i], l)
-		l.SetTrace(c.shards[i].trace)
 	}
 	shardHosts := make([][]int, len(c.shards))
 	for hi, v := range c.VSwitches {
@@ -46,6 +44,20 @@ func (c *Cluster) setupTelemetry() {
 	for i := range c.shards {
 		sh := &c.shards[i]
 		tr, links, hosts := sh.trace, shardLinks[i], shardHosts[i]
+
+		// Metrics: the shard's ECN marks and queue-overflow drops, read
+		// from its links' own counters when the trace is exported.
+		linkTotal := func(field func(netem.LinkStats) int64) func() int64 {
+			return func() int64 {
+				var n int64
+				for _, l := range links {
+					n += field(l.Stats())
+				}
+				return n
+			}
+		}
+		tr.AddMetric("netem.ecn_marks", linkTotal(func(st netem.LinkStats) int64 { return st.ECNMarks }))
+		tr.AddMetric("netem.drops", linkTotal(func(st netem.LinkStats) int64 { return st.Drops }))
 
 		// Stream: link queue occupancy plus cumulative ECN marks and drops,
 		// for the shard's links in topology build order.
@@ -84,20 +96,12 @@ func (c *Cluster) setupTelemetry() {
 		// order and must not drive sampling.
 		tr.AddSampler(func(now sim.Time) {
 			for _, conn := range sh.conns {
-				if conn.mp != nil {
-					for _, sub := range conn.mp.Subflows() {
-						sampleSender(tr, now, sub)
-					}
-					continue
-				}
-				sampleSender(tr, now, conn.snd)
+				conn.eachSender(func(s *tcp.Sender) {
+					tr.CwndSample(now, s.Flow(), s.Cwnd(), s.Ssthresh(), s.RTO(), s.Outstanding())
+				})
 			}
 		})
 
 		tr.Start()
 	}
-}
-
-func sampleSender(tr *telemetry.Tracer, now sim.Time, s *tcp.Sender) {
-	tr.CwndSample(now, s.Flow(), s.Cwnd(), s.Ssthresh(), s.RTO(), s.Outstanding())
 }

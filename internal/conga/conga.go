@@ -56,7 +56,6 @@ type spineState struct {
 type Fabric struct {
 	sim    *sim.Simulator
 	cfg    Config
-	pool   *packet.Pool
 	leaves map[packet.NodeID]*leafState
 	spines map[packet.NodeID]*spineState
 	// leafOf maps a host to its leaf switch ID.
@@ -70,7 +69,6 @@ func Attach(s *sim.Simulator, ls *netem.LeafSpine, cfg Config) *Fabric {
 	f := &Fabric{
 		sim:    s,
 		cfg:    cfg,
-		pool:   ls.Pool(),
 		leaves: map[packet.NodeID]*leafState{},
 		spines: map[packet.NodeID]*spineState{},
 		leafOf: map[packet.HostID]packet.NodeID{},
@@ -181,9 +179,7 @@ func (f *Fabric) pickLeaf(sw *netem.Switch, st *leafState, pkt *packet.Packet, c
 				break
 			}
 		}
-		c := f.pool.GetConga()
-		c.LBTag = tag
-		pkt.Conga = c
+		pkt.AddConga().LBTag = tag
 		// Piggyback one feedback metric about paths from dstLeaf to us.
 		if m := st.fromLeaf[dstLeaf]; len(m) > 0 {
 			cursor := st.fbCursor[dstLeaf]

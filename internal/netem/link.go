@@ -9,7 +9,6 @@ import (
 
 	"clove/internal/packet"
 	"clove/internal/sim"
-	"clove/internal/telemetry"
 )
 
 // Node is anything that can receive a packet from a link.
@@ -68,11 +67,6 @@ type Link struct {
 	// receiving domain.
 	srcDom   *sim.Domain
 	dstDomID int
-
-	// Telemetry counter handles, resolved at wiring time in SetTrace; nil
-	// when telemetry is disabled (Add on a nil handle is a no-op branch).
-	trMarks *telemetry.Counter
-	trDrops *telemetry.Counter
 }
 
 // LinkConfig parameterizes a link.
@@ -156,16 +150,6 @@ func (l *Link) Utilization() float64 { return l.dre.Utilization() }
 // SetOnDrop installs a hook invoked on every dropped packet (tests, tracing).
 func (l *Link) SetOnDrop(fn func(*packet.Packet)) { l.onDrop = fn }
 
-// SetTrace resolves this link's telemetry counter handles (fabric-wide
-// aggregates: every link shares the same named counters). Nil disables.
-func (l *Link) SetTrace(tr *telemetry.Tracer) {
-	if tr == nil {
-		return
-	}
-	l.trMarks = tr.Counter("netem.ecn_marks")
-	l.trDrops = tr.Counter("netem.drops")
-}
-
 // SetUp changes the administrative state. Taking a link down drops the
 // queue contents and everything sent while down; bringing it back up starts
 // clean.
@@ -214,7 +198,6 @@ func (l *Link) Enqueue(pkt *packet.Packet) {
 	}
 	if l.qlen >= l.queueCap {
 		l.stats.Drops++
-		l.trDrops.Inc()
 		if o := l.pool.Obs(); o != nil {
 			o.LinkDrop(l.id, pkt, packet.DropQueueFull, l.qlen, l.queueCap)
 		}
@@ -228,7 +211,6 @@ func (l *Link) Enqueue(pkt *packet.Packet) {
 	if l.ecnK > 0 && l.qlen >= l.ecnK {
 		if pkt.MarkCE() {
 			l.stats.ECNMarks++
-			l.trMarks.Inc()
 			marked = true
 		}
 	}

@@ -250,12 +250,11 @@ func (s *Switch) answerProbe(probe *packet.Packet) {
 	echo.EchoNode = s.id
 	echo.EchoLink = chosenLink
 	echo.TTL = 64
-	e := s.pool.GetEncap()
+	e := echo.AddEncap()
 	e.SrcHyp = probe.Encap.DstHyp // nominal; echoes route on DstHyp
 	e.DstHyp = src
 	e.SrcPort = probe.ProbePort
 	e.DstPort = probe.Encap.DstPort
-	echo.Encap = e
 
 	// The probe terminates here; the echo replaces it on the wire.
 	s.pool.Put(probe)

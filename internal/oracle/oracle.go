@@ -25,8 +25,9 @@
 //     queue drains every packet has been released back. A retained packet
 //     (skipped Put) surfaces as a leak at Check time.
 //   - pool: no double-release and no use of a packet after its release
-//     (the datapath hooks double as use-after-release detectors), for both
-//     packets and detached encap headers.
+//     (the datapath hooks double as use-after-release detectors). A
+//     packet's overlay and CONGA headers are stored in the packet, so this
+//     covers them too.
 //   - tcp-stream: each TCP receiver observes its sender's byte stream in
 //     order, exactly once — senders emit contiguous coverage [0, maxSent)
 //     (retransmits re-send inside it), receivers advance their in-order
@@ -120,8 +121,7 @@ type connPick struct {
 // once the run finishes. Not safe for concurrent use — one Oracle per run,
 // matching the simulator's own single-threaded contract.
 type Oracle struct {
-	pkts   map[*packet.Packet]pktState
-	encaps map[*packet.Encap]bool // true = live
+	pkts map[*packet.Packet]pktState
 
 	created  int64 // packets issued (incl. implicitly registered ones)
 	released int64 // packets released
@@ -148,7 +148,6 @@ type Oracle struct {
 func New() *Oracle {
 	return &Oracle{
 		pkts:     map[*packet.Packet]pktState{},
-		encaps:   map[*packet.Encap]bool{},
 		linkDown: map[packet.LinkID]bool{},
 		streams:  map[packet.FiveTuple]*streamState{},
 		flowlets: map[flowletKey]uint16{},
@@ -189,8 +188,8 @@ func (o *Oracle) Err() error {
 
 // Check runs the end-of-run audit and returns the accumulated verdict.
 // When pendingEvents is 0 the event queue drained naturally, so every
-// tracked packet and encap header must have been released — anything still
-// live is a conservation leak. A run stopped early (pendingEvents > 0)
+// tracked packet must have been released — anything still live is a
+// conservation leak. A run stopped early (pendingEvents > 0)
 // legitimately has packets in flight, so the leak check is skipped.
 func (o *Oracle) Check(pendingEvents int) error {
 	if pendingEvents == 0 {
@@ -199,12 +198,6 @@ func (o *Oracle) Check(pendingEvents int) error {
 			if st != stFree {
 				leaked++
 				o.violationf("conservation", "packet leaked (never released): %s", pkt)
-			}
-		}
-		for e, liveE := range o.encaps {
-			if liveE {
-				leaked++
-				o.violationf("conservation", "encap header leaked (never released): srcPort=%d dst=%d", e.SrcPort, e.DstHyp)
 			}
 		}
 		if leaked == 0 && o.live != 0 {
@@ -286,29 +279,6 @@ func (o *Oracle) PoolPut(pkt *packet.Packet) {
 	o.pkts[pkt] = stFree
 	o.released++
 	o.live--
-}
-
-// PoolGetEncap implements packet.Observer.
-func (o *Oracle) PoolGetEncap(e *packet.Encap) {
-	if liveE, ok := o.encaps[e]; ok && liveE {
-		o.violationf("pool", "pool issued an encap header still marked live")
-		return
-	}
-	o.encaps[e] = true
-}
-
-// PoolPutEncap implements packet.Observer.
-func (o *Oracle) PoolPutEncap(e *packet.Encap) {
-	liveE, ok := o.encaps[e]
-	if !ok {
-		o.encaps[e] = false
-		return
-	}
-	if !liveE {
-		o.violationf("pool", "double release of encap header")
-		return
-	}
-	o.encaps[e] = false
 }
 
 // --- packet.Observer: links ---

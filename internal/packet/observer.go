@@ -40,11 +40,6 @@ type Observer interface {
 	PoolGet(pkt *Packet)
 	// PoolPut fires when a packet is released, before it is zeroed.
 	PoolPut(pkt *Packet)
-	// PoolGetEncap fires when the pool issues an encap header.
-	PoolGetEncap(e *Encap)
-	// PoolPutEncap fires when an encap header is released (directly, or
-	// implicitly via PoolPut of a packet that still carries it).
-	PoolPutEncap(e *Encap)
 
 	// LinkSetUp fires on every administrative state change of a link.
 	// Links start up; the observer may assume unknown links are up.

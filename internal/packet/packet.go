@@ -20,6 +20,12 @@
 // and simply never Put it. After Put the packet's contents are zeroed and
 // the struct may be reissued by the next Get, so holding a reference across
 // a Put is a use-after-release bug.
+//
+// A packet is ONE object: its overlay and CONGA headers are stored inside it
+// (AddEncap, AddConga) and die with it. Packet.Encap and Packet.Conga are
+// nil or point at that storage, so a header is never got, put, leaked or
+// released apart from its packet, and everything said above about the
+// packet covers its header bytes too. Decapsulation is `pkt.Encap = nil`.
 package packet
 
 import (
@@ -145,8 +151,6 @@ type Encap struct {
 	ECT            bool   // outer header is ECN-capable (set by hypervisor)
 	CE             bool   // congestion experienced, set by switches
 	Feedback       Feedback
-	FlowletSeq     uint32 // optional flowlet/flowcell sequence (Presto reassembly)
-	FlowletID      uint32
 }
 
 // Conga is the per-packet CONGA metadata (piggybacked in a custom fabric
@@ -173,10 +177,12 @@ type Packet struct {
 	InnerECT   bool // tenant stack is ECN-capable
 	InnerCE    bool // CE visible to the tenant stack (hypervisor-controlled)
 
-	// Overlay encapsulation; nil before encap / after decap.
+	// Overlay encapsulation; nil before encap / after decap, otherwise
+	// normally aimed at this packet's own storage by AddEncap.
 	Encap *Encap
 
-	// Telemetry.
+	// Telemetry. Conga is nil or, normally, aimed at this packet's own
+	// storage by AddConga.
 	INT   INTMeta
 	Conga *Conga
 
@@ -197,6 +203,26 @@ type Packet struct {
 	// PathTrace, when enabled on the packet, records every link traversed.
 	// Used by tests and by path discovery verification; nil in normal runs.
 	PathTrace []LinkID
+
+	// Header storage behind Encap and Conga (see AddEncap, AddConga).
+	encap Encap
+	conga Conga
+}
+
+// AddEncap attaches a zeroed overlay header stored inside the packet and
+// returns it for the caller to fill in.
+func (p *Packet) AddEncap() *Encap {
+	p.encap = Encap{}
+	p.Encap = &p.encap
+	return p.Encap
+}
+
+// AddConga attaches a zeroed CONGA header stored inside the packet and
+// returns it for the caller to fill in.
+func (p *Packet) AddConga() *Conga {
+	p.conga = Conga{}
+	p.Conga = &p.conga
+	return p.Conga
 }
 
 // Size returns the packet's total wire size in bytes, including inner
@@ -263,17 +289,15 @@ func (p *Packet) CEMarked() bool {
 	return p.InnerCE
 }
 
-// Clone returns a deep copy of the packet (Encap and Conga included).
-// PathTrace is copied too so the clone can diverge.
+// Clone returns a deep copy of the packet: the clone's Encap and Conga aim
+// at its own storage, and PathTrace is copied too, so the two can diverge.
 func (p *Packet) Clone() *Packet {
 	q := *p
 	if p.Encap != nil {
-		e := *p.Encap
-		q.Encap = &e
+		*q.AddEncap() = *p.Encap
 	}
 	if p.Conga != nil {
-		c := *p.Conga
-		q.Conga = &c
+		*q.AddConga() = *p.Conga
 	}
 	if p.PathTrace != nil {
 		q.PathTrace = append([]LinkID(nil), p.PathTrace...)

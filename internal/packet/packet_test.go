@@ -172,3 +172,75 @@ func TestQuickCloneIndependence(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A packet's headers are stored in the packet and die with it: what Put
+// recycles has no header attached and zeroed header storage, so nothing a
+// previous life wrote can reach the next one.
+func TestRecycledPacketHasNoHeaders(t *testing.T) {
+	var pool Pool
+	p := pool.Get()
+	e := p.AddEncap()
+	e.SrcPort, e.CE, e.Feedback = 50000, true, Feedback{Valid: true, Port: 9, ECN: true}
+	c := p.AddConga()
+	c.LBTag, c.FbValid, c.FbMetric = 3, true, 0.7
+	pool.Put(p)
+
+	q := pool.Get()
+	if q != p {
+		t.Fatal("pool did not recycle the released packet")
+	}
+	if q.Encap != nil || q.Conga != nil {
+		t.Errorf("recycled packet carries headers: Encap=%v Conga=%v", q.Encap, q.Conga)
+	}
+	if q.encap != (Encap{}) || q.conga != (Conga{}) {
+		t.Errorf("recycled packet's header storage not zeroed: %+v %+v", q.encap, q.conga)
+	}
+	if pool.Gets() != 2 || pool.Puts() != 1 {
+		t.Errorf("gets/puts = %d/%d, want 2/1", pool.Gets(), pool.Puts())
+	}
+}
+
+// Clone of a packet encapsulated in place re-aims the clone's header
+// pointers at the clone's own storage, so the two mutate independently.
+func TestCloneOfEncapsulatedPacketIsIndependent(t *testing.T) {
+	p := &Packet{Kind: KindData, PayloadLen: 100}
+	p.AddEncap().SrcPort = 1111
+	p.AddConga().LBTag = 3
+	q := p.Clone()
+	if q.Encap != &q.encap || q.Conga != &q.conga {
+		t.Fatal("clone's headers do not live in the clone")
+	}
+	if q.Encap.SrcPort != 1111 || q.Conga.LBTag != 3 {
+		t.Fatalf("clone lost header contents: %+v %+v", q.Encap, q.Conga)
+	}
+	q.Encap.SrcPort, q.Encap.CE, q.Conga.LBTag = 2222, true, 4
+	p.Encap.DstPort = 7471
+	if p.Encap.SrcPort != 1111 || p.Encap.CE || p.Conga.LBTag != 3 {
+		t.Errorf("mutating the clone changed its source: %+v %+v", p.Encap, p.Conga)
+	}
+	if q.Encap.DstPort != 0 {
+		t.Errorf("mutating the source changed its clone: %+v", q.Encap)
+	}
+}
+
+// Decapsulation is `pkt.Encap = nil`; the next AddEncap must not show the
+// old header through.
+func TestAddEncapAfterDecapIsZeroed(t *testing.T) {
+	p := &Packet{Kind: KindData}
+	e := p.AddEncap()
+	e.SrcHyp, e.SrcPort, e.ECT, e.CE = 4, 50000, true, true
+	e.Feedback = Feedback{Valid: true, Port: 9, HasUtil: true, Util: 0.5}
+	p.Encap = nil
+	if n := p.Size(); n != InnerHeaderLen {
+		t.Errorf("decapsulated size = %d, want %d", n, InnerHeaderLen)
+	}
+	if got := p.AddEncap(); *got != (Encap{}) || p.Encap != got {
+		t.Errorf("AddEncap after decap = %+v (attached=%v), want a zeroed attached header", *got, p.Encap == got)
+	}
+	c := p.AddConga()
+	c.FbValid = true
+	p.Conga = nil
+	if got := p.AddConga(); *got != (Conga{}) {
+		t.Errorf("AddConga after detach = %+v, want zero", *got)
+	}
+}

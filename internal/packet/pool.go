@@ -1,12 +1,12 @@
 package packet
 
-// Pool is a single-threaded free list for Packet, Encap, and Conga structs,
+// Pool is a single-threaded free list of Packet structs (a packet's overlay
+// and CONGA headers are stored inside it, so there is nothing else to pool),
 // owned by one simulation (the topology builder creates it; every element of
 // that simulation shares it, across all its event domains when the run is
 // sharded — they take turns on one goroutine). It exists because the
-// simulator's hot path — one Packet per TCP segment, one Encap per overlay
-// hop, one ACK per delivery — otherwise spends most of its time in the
-// allocator.
+// simulator's hot path — one Packet per TCP segment, one ACK per delivery —
+// otherwise spends most of its time in the allocator.
 //
 // Pool is deliberately not a sync.Pool: simulations are sequential programs
 // and a sync.Pool's per-P caches and GC-driven emptying would both cost
@@ -21,8 +21,6 @@ package packet
 // structs are indistinguishable — a requirement for run determinism.
 type Pool struct {
 	packets []*Packet
-	encaps  []*Encap
-	congas  []*Conga
 
 	// Counters for telemetry and leak tests.
 	gets, puts int64
@@ -51,7 +49,7 @@ func (p *Pool) Obs() Observer {
 	return p.obs
 }
 
-// maxPoolFree bounds each free list; surplus structs are left to the GC.
+// maxPoolFree bounds the free list; surplus structs are left to the GC.
 // Peak in-flight packets in even the paper-scale fabric is far below this.
 const maxPoolFree = 1 << 15
 
@@ -93,8 +91,8 @@ func (p *Pool) Get() *Packet {
 	return pkt
 }
 
-// Put releases a packet (and its Encap and Conga, when present) back to the
-// pool. The packet must not be referenced afterwards. Put(nil) is a no-op.
+// Put releases a packet, headers included, back to the pool. The packet must
+// not be referenced afterwards. Put(nil) is a no-op.
 func (p *Pool) Put(pkt *Packet) {
 	if p == nil || pkt == nil {
 		return
@@ -103,76 +101,8 @@ func (p *Pool) Put(pkt *Packet) {
 		p.obs.PoolPut(pkt)
 	}
 	p.puts++
-	if pkt.Encap != nil {
-		p.PutEncap(pkt.Encap)
-	}
-	if pkt.Conga != nil {
-		p.PutConga(pkt.Conga)
-	}
 	*pkt = Packet{}
 	if len(p.packets) < maxPoolFree {
 		p.packets = append(p.packets, pkt)
-	}
-}
-
-// GetEncap returns a zeroed encapsulation header, recycled when possible.
-func (p *Pool) GetEncap() *Encap {
-	if p == nil {
-		return &Encap{}
-	}
-	if n := len(p.encaps); n > 0 {
-		e := p.encaps[n-1]
-		p.encaps[n-1] = nil
-		p.encaps = p.encaps[:n-1]
-		if p.obs != nil {
-			p.obs.PoolGetEncap(e)
-		}
-		return e
-	}
-	e := &Encap{}
-	if p.obs != nil {
-		p.obs.PoolGetEncap(e)
-	}
-	return e
-}
-
-// PutEncap releases an encap header detached from its packet (the decap
-// path); Put releases an attached one automatically.
-func (p *Pool) PutEncap(e *Encap) {
-	if p == nil || e == nil {
-		return
-	}
-	if p.obs != nil {
-		p.obs.PoolPutEncap(e)
-	}
-	*e = Encap{}
-	if len(p.encaps) < maxPoolFree {
-		p.encaps = append(p.encaps, e)
-	}
-}
-
-// GetConga returns a zeroed CONGA metadata header, recycled when possible.
-func (p *Pool) GetConga() *Conga {
-	if p == nil {
-		return &Conga{}
-	}
-	if n := len(p.congas); n > 0 {
-		c := p.congas[n-1]
-		p.congas[n-1] = nil
-		p.congas = p.congas[:n-1]
-		return c
-	}
-	return &Conga{}
-}
-
-// PutConga releases a detached CONGA header; Put releases an attached one
-// automatically.
-func (p *Pool) PutConga(c *Conga) {
-	if p == nil || c == nil {
-		return
-	}
-	*c = Conga{}
-	if len(p.congas) < maxPoolFree {
-		p.congas = append(p.congas, c)
 	}
 }

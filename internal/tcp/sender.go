@@ -73,12 +73,8 @@ type Sender struct {
 	lastECNCut sim.Time
 	sendCWR    bool
 
-	// Telemetry (nil when disabled; see internal/telemetry). The counter
-	// handles are resolved once in SetTrace so the hot path never touches
-	// the registry.
-	trace      *telemetry.Tracer
-	trRetx     *telemetry.Counter
-	trTimeouts *telemetry.Counter
+	// Telemetry (nil when disabled; see internal/telemetry).
+	trace *telemetry.Tracer
 
 	stats SenderStats
 }
@@ -115,14 +111,11 @@ func (s *Sender) Ssthresh() float64 { return s.ssthresh }
 func (s *Sender) RTO() sim.Time { return s.currentRTO() }
 
 // SetTrace installs the telemetry tracer (nil keeps tracing disabled).
-// Counter handles resolve here, at wiring time.
 func (s *Sender) SetTrace(tr *telemetry.Tracer) {
 	if tr == nil {
 		return
 	}
 	s.trace = tr
-	s.trRetx = tr.Counter("tcp.retransmits")
-	s.trTimeouts = tr.Counter("tcp.timeouts")
 }
 
 // Idle reports whether the sender has nothing outstanding and nothing queued.
@@ -327,7 +320,6 @@ func (s *Sender) emit(seq int64, segLen int, isRexmit bool) {
 	s.stats.SegmentsSent++
 	if isRexmit {
 		s.stats.Retransmits++
-		s.trRetx.Inc()
 		if tr := s.trace; tr != nil {
 			tr.Retransmit(s.sim.Now(), s.flow, seq, telemetry.RetxFast)
 		}
@@ -403,7 +395,6 @@ func (s *Sender) onRTO() {
 		return // everything acked in the meantime
 	}
 	s.stats.Timeouts++
-	s.trTimeouts.Inc()
 	if tr := s.trace; tr != nil {
 		tr.Retransmit(s.sim.Now(), s.flow, s.sndUna, telemetry.RetxTimeout)
 	}

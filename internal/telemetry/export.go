@@ -5,10 +5,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"strconv"
 )
 
-// Export writes every stream and the metric registry to dir (created if
+// Export writes every stream and the run-level metrics to dir (created if
 // missing), as both JSONL (one object per record, fixed key order) and CSV
 // (header + one row per record). Numbers are formatted with strconv, records
 // appear in capture order, and no wall-clock state is written, so the
@@ -82,33 +83,29 @@ func (t *Tracer) Export(dir string) error {
 	return t.exportMetrics(dir)
 }
 
-// exportMetrics writes the registry plus the per-stream overwrite counts.
+// exportMetrics writes the AddMetric totals in name order, then the
+// per-stream overwrite counts.
 func (t *Tracer) exportMetrics(dir string) error {
 	type metric struct {
 		name  string
-		value string
+		value int64
 	}
-	var ms []metric
-	t.reg.VisitSorted(
-		func(c *Counter) { ms = append(ms, metric{c.Name(), strconv.FormatInt(c.Value(), 10)}) },
-		func(g *Gauge) { ms = append(ms, metric{g.Name(), formatFloat(g.Value())}) },
+	ms := make([]metric, 0, len(t.metrics)+7)
+	for name, read := range t.metrics {
+		ms = append(ms, metric{name, read()})
+	}
+	sort.Slice(ms, func(i, j int) bool { return ms[i].name < ms[j].name })
+	ms = append(ms,
+		metric{"telemetry.dropped.queue", t.queues.dropped},
+		metric{"telemetry.dropped.weights", t.weights.dropped},
+		metric{"telemetry.dropped.cwnd", t.cwnds.dropped},
+		metric{"telemetry.dropped.retx", t.retx.dropped},
+		metric{"telemetry.dropped.flowlet", t.flowlets.dropped},
+		metric{"telemetry.dropped.fct", t.fcts.dropped},
+		metric{"telemetry.dropped.sim", t.sims.dropped},
 	)
-	for _, d := range []struct {
-		name    string
-		dropped int64
-	}{
-		{"telemetry.dropped.queue", t.queues.dropped},
-		{"telemetry.dropped.weights", t.weights.dropped},
-		{"telemetry.dropped.cwnd", t.cwnds.dropped},
-		{"telemetry.dropped.retx", t.retx.dropped},
-		{"telemetry.dropped.flowlet", t.flowlets.dropped},
-		{"telemetry.dropped.fct", t.fcts.dropped},
-		{"telemetry.dropped.sim", t.sims.dropped},
-	} {
-		ms = append(ms, metric{d.name, strconv.FormatInt(d.dropped, 10)})
-	}
 	return exportStream(dir, "metrics", []string{"name", "value"}, ms,
-		func(f *fields, m metric) { f.str(m.name).raw(m.value) })
+		func(f *fields, m metric) { f.str(m.name).int(m.value) })
 }
 
 // fields accumulates one record's values; the same sequence renders both the
@@ -135,13 +132,6 @@ func (f *fields) float(v float64) *fields {
 func (f *fields) str(v string) *fields {
 	f.vals = append(f.vals, v)
 	f.quoted = append(f.quoted, true)
-	return f
-}
-
-// raw emits a pre-formatted numeric string (unquoted in JSONL).
-func (f *fields) raw(v string) *fields {
-	f.vals = append(f.vals, v)
-	f.quoted = append(f.quoted, false)
 	return f
 }
 

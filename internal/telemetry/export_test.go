@@ -25,8 +25,7 @@ func TestExportWritesEveryStreamInBothFormats(t *testing.T) {
 	tr.Retransmit(12, flow, 2920, RetxTimeout)
 	tr.Flowlet(13, flow, 2, 7001, 12, 17520, 150_000)
 	tr.FCT(14, 1, 2, 100_000, 1_000_000)
-	tr.Counter("netem.ecn_marks").Add(2)
-	tr.Gauge("run.load").Set(0.7)
+	tr.AddMetric("netem.ecn_marks", func() int64 { return 2 })
 
 	dir := t.TempDir()
 	if err := tr.Export(dir); err != nil {
@@ -78,7 +77,7 @@ func TestExportWritesEveryStreamInBothFormats(t *testing.T) {
 		t.Errorf("retx.jsonl missing kinds:\n%s", retx)
 	}
 	metrics, _ := os.ReadFile(filepath.Join(dir, "metrics.csv"))
-	for _, want := range []string{"netem.ecn_marks,2", "run.load,0.7", "telemetry.dropped.fct,0"} {
+	for _, want := range []string{"netem.ecn_marks,2", "telemetry.dropped.fct,0"} {
 		if !strings.Contains(string(metrics), want) {
 			t.Errorf("metrics.csv missing %q:\n%s", want, metrics)
 		}
@@ -95,8 +94,7 @@ func TestExportIsByteStableAcrossCalls(t *testing.T) {
 			tr.WeightSample(sim.Time(i), 3, 4, uint16(7000+i%4), 1.0/3.0, 0.1*float64(i%10), sim.Time(i%3)-1)
 			tr.Retransmit(sim.Time(i), flow, int64(i)*1460, RetxKind(i%2))
 		}
-		tr.Counter("a").Add(5)
-		tr.Gauge("b").Set(1.0 / 3.0)
+		tr.AddMetric("a", func() int64 { return 5 })
 		return tr
 	}
 	dirA, dirB := t.TempDir(), t.TempDir()
@@ -113,6 +111,61 @@ func TestExportIsByteStableAcrossCalls(t *testing.T) {
 			if string(a) != string(b) {
 				t.Errorf("%s%s differs between identical tracers", name, ext)
 			}
+		}
+	}
+}
+
+// TestExportMetricsReadAtExport pins the metrics file: AddMetric readers are
+// evaluated when Export runs (not when registered), listed in name order
+// whatever the registration order, and followed by the seven
+// telemetry.dropped.* rows in stream order.
+func TestExportMetricsReadAtExport(t *testing.T) {
+	s := sim.New(1)
+	tr := NewTracer(s, Config{MaxSamples: 2})
+	var retx, marks int64
+	tr.AddMetric("tcp.retransmits", func() int64 { return retx })
+	tr.AddMetric("netem.ecn_marks", func() int64 { return marks })
+	tr.AddMetric("netem.drops", func() int64 { return -1 })
+	tr.AddMetric("netem.drops", func() int64 { return 0 }) // re-registering replaces
+	retx, marks = 3, 155
+	for i := 0; i < 5; i++ {
+		tr.FCT(sim.Time(i), 1, 2, 100, 50) // overflows the 2-record ring by 3
+	}
+
+	dir := t.TempDir()
+	if err := tr.Export(dir); err != nil {
+		t.Fatal(err)
+	}
+	wantCSV := `name,value
+netem.drops,0
+netem.ecn_marks,155
+tcp.retransmits,3
+telemetry.dropped.queue,0
+telemetry.dropped.weights,0
+telemetry.dropped.cwnd,0
+telemetry.dropped.retx,0
+telemetry.dropped.flowlet,0
+telemetry.dropped.fct,3
+telemetry.dropped.sim,0
+`
+	wantJSONL := `{"name":"netem.drops","value":0}
+{"name":"netem.ecn_marks","value":155}
+{"name":"tcp.retransmits","value":3}
+{"name":"telemetry.dropped.queue","value":0}
+{"name":"telemetry.dropped.weights","value":0}
+{"name":"telemetry.dropped.cwnd","value":0}
+{"name":"telemetry.dropped.retx","value":0}
+{"name":"telemetry.dropped.flowlet","value":0}
+{"name":"telemetry.dropped.fct","value":3}
+{"name":"telemetry.dropped.sim","value":0}
+`
+	for name, want := range map[string]string{"metrics.csv": wantCSV, "metrics.jsonl": wantJSONL} {
+		got, err := os.ReadFile(filepath.Join(dir, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != want {
+			t.Errorf("%s =\n%s\nwant\n%s", name, got, want)
 		}
 	}
 }

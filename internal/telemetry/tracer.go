@@ -1,3 +1,20 @@
+// Package telemetry is the opt-in tracing subsystem: a time-series Tracer
+// recording sampled streams — link queue occupancy and ECN marks,
+// per-destination path weights and congestion ages, TCP
+// cwnd/ssthresh/RTO and retransmit events, flowlet sizes and inter-gap
+// times, per-job FCTs, and event-engine load — into bounded per-stream ring
+// buffers, exported as JSONL and CSV. Run-level totals (the metrics file)
+// are not counted here a second time: AddMetric registers a reader over the
+// counters the components already keep (netem.LinkStats, tcp.SenderStats),
+// evaluated at Export.
+//
+// A nil *Tracer is the disabled state; every call site is one predictable
+// nil check, the same disabled-cost contract as packet.Observer (see
+// internal/oracle).
+//
+// Everything is deterministic: records carry only simulated time, streams
+// are appended in event order, and export formats numbers with strconv, so
+// a trace directory is byte-identical for the same seed at any -j.
 package telemetry
 
 import (
@@ -159,7 +176,9 @@ func (r *ring[T]) snapshot() []T {
 type Tracer struct {
 	sim *sim.Simulator
 	cfg Config
-	reg Registry
+
+	// metrics are the run-level totals AddMetric registered, by name.
+	metrics map[string]func() int64
 
 	queues   ring[QueueSample]
 	weights  ring[WeightSample]
@@ -197,30 +216,18 @@ func (t *Tracer) Interval() sim.Time {
 	return t.cfg.Interval
 }
 
-// Counter resolves a typed counter handle by name at wiring time. On a nil
-// tracer it returns a nil handle, whose Add/Inc are no-ops.
-func (t *Tracer) Counter(name string) *Counter {
+// AddMetric registers a run-level total under name: read is evaluated at
+// Export, so the metrics file reports a counter its owner already keeps
+// instead of a second copy of it. Registering a name again replaces its
+// reader. No-op on a nil tracer.
+func (t *Tracer) AddMetric(name string, read func() int64) {
 	if t == nil {
-		return nil
+		return
 	}
-	return t.reg.Counter(name)
-}
-
-// Gauge resolves a typed gauge handle by name at wiring time (nil handle on
-// a nil tracer).
-func (t *Tracer) Gauge(name string) *Gauge {
-	if t == nil {
-		return nil
+	if t.metrics == nil {
+		t.metrics = map[string]func() int64{}
 	}
-	return t.reg.Gauge(name)
-}
-
-// Registry exposes the run's metric registry (export, tests).
-func (t *Tracer) Registry() *Registry {
-	if t == nil {
-		return nil
-	}
-	return &t.reg
+	t.metrics[name] = read
 }
 
 // AddSampler registers a polled stream producer, invoked every Interval in

@@ -11,10 +11,10 @@ import (
 
 // TestDisabledTelemetryForwardingZeroAllocs is the end-to-end hook-overhead
 // guard, mirroring the oracle's TestDisabledOracleZeroAllocs: with the
-// telemetry package compiled in (a tracer even exists) but no SetTrace
-// wiring, a forwarded hop through the link layer must still run
-// allocation-free — the link's counter handles stay nil and each increment
-// site costs one branch.
+// telemetry package compiled in (a tracer even exists) but nothing wired to
+// it, a forwarded hop through the link layer must still run
+// allocation-free — the link layer knows nothing of telemetry; its totals
+// are read from LinkStats when a trace is exported.
 func TestDisabledTelemetryForwardingZeroAllocs(t *testing.T) {
 	s := sim.New(1)
 	topo := netem.NewTopology(s)

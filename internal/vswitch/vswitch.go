@@ -11,11 +11,12 @@ import (
 	"clove/internal/telemetry"
 )
 
+// EncapDstPort is the fixed outer destination port of the overlay protocol
+// (STT's well-known port).
+const EncapDstPort = 7471
+
 // Config parameterizes a virtual switch.
 type Config struct {
-	// EncapDstPort is the fixed outer destination port of the overlay
-	// protocol (STT's well-known port by default).
-	EncapDstPort uint16
 	// FlowletGap is the inter-packet idle time that starts a new flowlet
 	// (paper recommendation: one to two RTTs, Fig. 6).
 	FlowletGap sim.Time
@@ -35,9 +36,6 @@ type Config struct {
 	// the path metric — the Sec. 7 "use of path latency" variant, which
 	// needs only NIC timestamping and clock sync instead of INT switches.
 	MeasureLatency bool
-	// StandaloneFeedback sends a dedicated feedback packet when congestion
-	// was observed but no reverse traffic appeared within RelayInterval.
-	StandaloneFeedback bool
 	// AdaptiveFlowletGap grows the flowlet gap with the measured spread of
 	// path delays (Sec. 7 "Flowlet optimization": adapt the gap to the RTT
 	// variance across paths so flowlets rarely arrive out of order).
@@ -49,11 +47,9 @@ type Config struct {
 // DefaultConfig returns Clove-ECN defaults scaled to the given base RTT.
 func DefaultConfig(rtt sim.Time) Config {
 	return Config{
-		EncapDstPort:       7471,
-		FlowletGap:         rtt,
-		RelayInterval:      rtt / 2,
-		MaskECN:            true,
-		StandaloneFeedback: true,
+		FlowletGap:    rtt,
+		RelayInterval: rtt / 2,
+		MaskECN:       true,
 	}
 }
 
@@ -113,6 +109,10 @@ type VSwitch struct {
 
 	policy   PathPolicy
 	flowlets *clove.FlowletTable
+	// perPacket and rxHook are policy seen through its two optional
+	// interfaces, nil when it implements neither; resolved once in New.
+	perPacket perPacketPolicy
+	rxHook    receiverHook
 
 	// trace is nil unless telemetry is enabled; the flowlet bookkeeping in
 	// FromVM sits behind a single nil check so the disabled hot path is
@@ -156,6 +156,8 @@ func New(s *sim.Simulator, host *netem.Host, cfg Config, policy PathPolicy) *VSw
 		obs:        map[packet.HostID]*peerObs{},
 		standalone: map[packet.HostID]*standaloneState{},
 	}
+	v.perPacket, _ = policy.(perPacketPolicy)
+	v.rxHook, _ = policy.(receiverHook)
 	v.deliverFn = v.deliver
 	v.flowlets = clove.NewFlowletTable(cfg.FlowletGap)
 	v.baseGap = cfg.FlowletGap
@@ -249,8 +251,8 @@ func (v *VSwitch) FromVM(pkt *packet.Packet) {
 	now := v.sim.Now()
 
 	var port uint16
-	if pp, ok := v.policy.(perPacketPolicy); ok {
-		port = pp.PickPortPacket(dstHyp, pkt.Inner, pkt.PayloadLen)
+	if v.perPacket != nil {
+		port = v.perPacket.PickPortPacket(dstHyp, pkt.Inner, pkt.PayloadLen)
 	} else {
 		e, isNew := v.flowlets.Touch(pkt.Inner, now)
 		if tr := v.trace; tr != nil {
@@ -273,13 +275,7 @@ func (v *VSwitch) FromVM(pkt *packet.Packet) {
 		}
 	}
 
-	e := v.pool.GetEncap()
-	e.SrcHyp = v.self
-	e.DstHyp = dstHyp
-	e.SrcPort = port
-	e.DstPort = v.cfg.EncapDstPort
-	e.ECT = true
-	pkt.Encap = e
+	v.encap(pkt, dstHyp, port).ECT = true
 	if v.cfg.RequestINT {
 		pkt.INT.Enabled = true
 	}
@@ -303,13 +299,19 @@ func (v *VSwitch) SendProbe(dst packet.HostID, srcPort uint16, ttl int, probeID 
 	p.ProbePort = srcPort
 	p.TTL = ttl
 	p.HopIndex = ttl
-	e := v.pool.GetEncap()
+	v.encap(p, dst, srcPort)
+	v.host.Send(p)
+}
+
+// encap attaches pkt's overlay header, addressed from this hypervisor to dst
+// with outer source port port, and returns it.
+func (v *VSwitch) encap(pkt *packet.Packet, dst packet.HostID, port uint16) *packet.Encap {
+	e := pkt.AddEncap()
 	e.SrcHyp = v.self
 	e.DstHyp = dst
-	e.SrcPort = srcPort
-	e.DstPort = v.cfg.EncapDstPort
-	p.Encap = e
-	v.host.Send(p)
+	e.SrcPort = port
+	e.DstPort = EncapDstPort
+	return e
 }
 
 // FromNetwork handles every packet arriving at the NIC.
@@ -350,9 +352,7 @@ func (v *VSwitch) FromNetwork(pkt *packet.Packet) {
 	if pkt.Encap.CE {
 		v.stats.CEObserved++
 		ob.pendingECN = true
-		if v.cfg.StandaloneFeedback {
-			v.armStandalone(remote)
-		}
+		v.armStandalone(remote)
 	}
 	if pkt.INT.Enabled {
 		ob.lastUtil = pkt.INT.MaxUtil
@@ -374,10 +374,8 @@ func (v *VSwitch) FromNetwork(pkt *packet.Packet) {
 		}
 	}
 
-	// 3. Decapsulate. The detached overlay header goes straight back to the
-	// pool; the inner packet lives on toward the VM.
+	// 3. Decapsulate; the inner packet lives on toward the VM.
 	outerCE := pkt.Encap.CE
-	v.pool.PutEncap(pkt.Encap)
 	pkt.Encap = nil
 	v.stats.Decapped++
 
@@ -400,8 +398,8 @@ func (v *VSwitch) FromNetwork(pkt *packet.Packet) {
 	}
 
 	// 4. Deliver to the VM, via the policy's receiver hook if any.
-	if hook, ok := v.policy.(receiverHook); ok {
-		hook.OnDeliver(pkt, v.deliverFn)
+	if v.rxHook != nil {
+		v.rxHook.OnDeliver(pkt, v.deliverFn)
 		return
 	}
 	v.deliver(pkt)
@@ -428,12 +426,7 @@ func (v *VSwitch) answerProbe(probe *packet.Packet) {
 	echo.EchoNode = v.host.ID()
 	echo.EchoLink = -1
 	echo.TTL = 64
-	e := v.pool.GetEncap()
-	e.SrcHyp = v.self
-	e.DstHyp = probe.Encap.SrcHyp
-	e.SrcPort = probe.ProbePort
-	e.DstPort = v.cfg.EncapDstPort
-	echo.Encap = e
+	v.encap(echo, probe.Encap.SrcHyp, probe.ProbePort)
 	// The probe terminates here; the echo replaces it on the wire.
 	v.pool.Put(probe)
 	v.host.Send(echo)
@@ -508,13 +501,8 @@ func (st *standaloneState) fire() {
 	v.stats.FeedbackStandalone++
 	p := v.pool.Get()
 	p.Kind = packet.KindFeedback
-	e := v.pool.GetEncap()
-	e.SrcHyp = v.self
-	e.DstHyp = st.peer
-	e.SrcPort = portHash(packet.FiveTuple{Src: v.self, Dst: st.peer}, uint32(v.sim.Now()))
-	e.DstPort = v.cfg.EncapDstPort
-	e.Feedback = fb
-	p.Encap = e
+	port := portHash(packet.FiveTuple{Src: v.self, Dst: st.peer}, uint32(v.sim.Now()))
+	v.encap(p, st.peer, port).Feedback = fb
 	v.host.Send(p)
 }
 

@@ -395,7 +395,7 @@ func TestFeedbackRateLimiting(t *testing.T) {
 	mk := func(int) PathPolicy {
 		return NewCloveECN(clove.DefaultWeightTableConfig(100 * sim.Microsecond))
 	}
-	r := newRig(t, 13, mk, func(c *Config) { c.StandaloneFeedback = false })
+	r := newRig(t, 13, mk, nil)
 	v := r.vsw[16]
 	// Observe CE on the same path many times within one relay interval.
 	for i := 0; i < 10; i++ {
