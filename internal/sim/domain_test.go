@@ -229,6 +229,95 @@ func TestEngineProcessedPending(t *testing.T) {
 	}
 }
 
+// checkClocks fails unless every domain clock equals the engine's.
+func checkClocks(t *testing.T, eng *Engine, where string) {
+	t.Helper()
+	for i := 0; i < eng.NumDomains(); i++ {
+		if got := eng.Domain(i).Now(); got != eng.Now() {
+			t.Fatalf("%s: domain %d clock %v, engine %v", where, i, got, eng.Now())
+		}
+	}
+}
+
+// TestEngineClocksEqualBetweenWindows pins the contract globals rely on:
+// every domain clock — busy or idle for many windows — equals Engine.Now()
+// inside every global and after every Run return.
+func TestEngineClocksEqualBetweenWindows(t *testing.T) {
+	m := buildRing(17, 6)
+	eng := m.eng
+	eng.AddDomain() // no chain of its own: only the ring's posts land here
+	m.logs = append(m.logs, nil)
+	globals := 0
+	for at := Time(0); at <= 300*Microsecond; at += 7 * Microsecond {
+		eng.GlobalAt(at, func() {
+			globals++
+			checkClocks(t, eng, fmt.Sprintf("global at %v", at))
+		})
+	}
+	for _, until := range []Time{3 * Microsecond, 50 * Microsecond, 51 * Microsecond, 400 * Microsecond, Millisecond} {
+		eng.Run(until, nil)
+		if eng.Now() != until {
+			t.Fatalf("Run(%v) returned at %v", until, eng.Now())
+		}
+		checkClocks(t, eng, fmt.Sprintf("after Run(%v)", until))
+	}
+	if globals != 43 || eng.Pending() != 0 {
+		t.Fatalf("ran %d globals (want 43), %d events left", globals, eng.Pending())
+	}
+}
+
+// TestEngineGlobalSchedulesEarlierEvent: a global may schedule a domain event
+// earlier than anything pending, on a domain idle until then. The next window
+// must be bounded by that event (tmin is recomputed after globals), so the
+// message it posts lands on time, before the far-off pending event.
+func TestEngineGlobalSchedulesEarlierEvent(t *testing.T) {
+	const us = Microsecond
+	eng := NewEngine(19, 2*us)
+	d0 := eng.AddDomain()
+	d1 := eng.AddDomain()
+	var order []string
+	d0.At(100*us, func() { order = append(order, fmt.Sprintf("d0 far @%v", d0.Now())) })
+	eng.GlobalAt(10*us, func() {
+		d1.At(12*us, func() {
+			order = append(order, fmt.Sprintf("d1 @%v", d1.Now()))
+			d1.Post(0, 14*us, func(any, any) { order = append(order, fmt.Sprintf("d0 post @%v", d0.Now())) }, nil, nil)
+		})
+	})
+	eng.Run(Millisecond, nil)
+	want := []string{"d1 @12µs", "d0 post @14µs", "d0 far @100µs"}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("order = %q, want %q", order, want)
+	}
+}
+
+// TestEnginePostIntoLongIdleDomain: a message into a domain that has had
+// nothing to do for many windows fires at its own timestamp.
+func TestEnginePostIntoLongIdleDomain(t *testing.T) {
+	const us = Microsecond
+	eng := NewEngine(23, us)
+	busy := eng.AddDomain()
+	idle := eng.AddDomain()
+	var tick func()
+	ticks := 0
+	tick = func() {
+		if ticks++; ticks == 50 {
+			busy.Post(1, busy.Now()+3*us/2, func(any, any) {
+				if idle.Now() != 51*us+us/2 {
+					t.Errorf("post fired at %v, want 51.5µs", idle.Now())
+				}
+				ticks = -1
+			}, nil, nil)
+			return
+		}
+		busy.After(us, tick)
+	}
+	busy.At(us, tick)
+	eng.Run(Millisecond, nil)
+	if ticks != -1 {
+		t.Fatalf("post into the idle domain never fired (ticks = %d)", ticks)
+	}
+}
+
 // TestEngineResumableRun: Run may be called repeatedly with increasing
 // deadlines; clocks and pending work carry over. Everything at or before a
 // deadline fires before Run returns, including a message posted one
