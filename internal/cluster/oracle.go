@@ -28,29 +28,35 @@ func (c *Cluster) oracleInstall(src, dst packet.HostID) {
 }
 
 // OraclePaths walks up to maxPorts candidate encap source ports through the
-// current routing state and returns their full paths.
+// current routing state and returns their full paths. It runs for every
+// (src, dst) pair at set-up, so it allocates per call, not per port: one
+// probe packet serves every port, and every path is a full-slice-expression
+// window (len == cap) of one link buffer.
 func (c *Cluster) OraclePaths(src, dst packet.HostID, maxPorts int) []discovery.Path {
-	var paths []discovery.Path
+	paths := make([]discovery.Path, 0, maxPorts)
+	probe := &packet.Packet{Kind: packet.KindData}
+	e := probe.AddEncap()
+	e.SrcHyp, e.DstHyp, e.DstPort = src, dst, vswitch.EncapDstPort
+	buf := make([]packet.LinkID, 0, 4*maxPorts)
 	for i := 0; i < maxPorts; i++ {
 		port := uint16(33000 + i*97)
-		p := &packet.Packet{
-			Kind:  packet.KindData,
-			Encap: &packet.Encap{SrcHyp: src, DstHyp: dst, SrcPort: port, DstPort: vswitch.EncapDstPort},
-		}
-		links, ok := c.walk(src, p)
-		if !ok {
+		e.SrcPort = port
+		start := len(buf)
+		var ok bool
+		if buf, ok = c.walk(src, probe, buf); !ok {
+			buf = buf[:start]
 			continue
 		}
+		links := buf[start:len(buf):len(buf)]
 		paths = append(paths, discovery.Path{Port: port, Links: links, Hops: len(links)})
 	}
 	return paths
 }
 
 // walk traces pkt from src's uplink to the destination host via
-// RoutePreview at each switch.
-func (c *Cluster) walk(src packet.HostID, pkt *packet.Packet) ([]packet.LinkID, bool) {
+// RoutePreview at each switch, appending each hop's link to links.
+func (c *Cluster) walk(src packet.HostID, pkt *packet.Packet, links []packet.LinkID) ([]packet.LinkID, bool) {
 	node := c.LS.Host(src).Uplink().To()
-	var links []packet.LinkID
 	for hop := 0; hop < 16; hop++ {
 		sw, ok := node.(*netem.Switch)
 		if !ok {
@@ -58,12 +64,12 @@ func (c *Cluster) walk(src packet.HostID, pkt *packet.Packet) ([]packet.LinkID, 
 		}
 		lk := sw.RoutePreview(pkt)
 		if lk == nil {
-			return nil, false
+			return links, false
 		}
 		links = append(links, lk.ID())
 		node = lk.To()
 	}
-	return nil, false // loop guard tripped
+	return links, false // loop guard tripped
 }
 
 // DiscoveredPorts reports the ports currently installed for (src,dst), for

@@ -89,7 +89,9 @@ func (s *Switch) Egress() []*Link {
 }
 
 // NextHops returns the current ECMP candidate set toward dst (nil if
-// unreachable). The returned slice must not be modified.
+// unreachable). ComputeRoutes builds one set per (switch, destination leaf)
+// and shares it, read-only, across every host behind that leaf: the returned
+// slice must not be modified (its len == cap, so an append copies).
 func (s *Switch) NextHops(dst packet.HostID) []*Link { return s.nextHops(dst) }
 
 // nextHops is the forwarding-path route lookup: dense-indexed, bounds-guarded

@@ -191,57 +191,70 @@ func (t *Topology) SetLinkPairRate(a, b string, trunk int, rateBps int64) {
 
 // ComputeRoutes rebuilds every switch's ECMP table: for each destination
 // host, the next-hops are all up egress links lying on a shortest path.
-// Hosts attach to exactly one leaf, so this is a reverse BFS per host.
+//
+// A host's only inbound link is its leaf's downlink, so the leaf forwards on
+// [downlink] and every other switch's shortest-path next-hops toward the host
+// are exactly its next-hops toward the leaf; a host whose downlink is down
+// has no route anywhere. Hosts are never transit, so this is one reverse BFS
+// per leaf over the switch graph, and each per-leaf set is built once and
+// shared, read-only, by all of the leaf's hosts — the same sets, in the same
+// egress order, as a BFS per host (TestComputeRoutesMatchesPerHostReference),
+// for a cost that does not grow with the host count. Route recomputation
+// runs in-simulation on every link flap of a failure storm.
 func (t *Topology) ComputeRoutes() {
-	// Node IDs are dense (assigned from a creation counter), so every
-	// working structure here is a flat array indexed by NodeID rather than a
-	// map: route recomputation runs in-simulation on every link flap of a
-	// failure storm, and at fat-tree scale (1024 hosts x 72 switches) the
-	// map-based BFS dominated the flap cost. The produced next-hop sets are
-	// identical — BFS visit order only affects discovery order, never the
-	// hop distances the candidate filter compares.
-	nNodes := int(t.nextNode)
 	for _, sw := range t.switches {
-		sw.routes = make([][]*Link, len(t.hosts))
+		if cap(sw.routes) >= len(t.hosts) {
+			sw.routes = sw.routes[:len(t.hosts)]
+			clear(sw.routes)
+		} else {
+			sw.routes = make([][]*Link, len(t.hosts))
+		}
 	}
-	// adjacency: for each node, its up egress links to other nodes.
+	// The switch graph, flat arrays indexed by the dense NodeIDs: each
+	// switch's up egress links toward switches in ID order (the ECMP
+	// candidate order), and their reverse edges for the BFS.
 	type edge struct {
 		link *Link
 		to   packet.NodeID
 	}
+	nNodes := int(t.nextNode)
 	adj := make([][]edge, nNodes)
+	radj := make([][]packet.NodeID, nNodes)
+	var leaves []*Switch
+	nEdges := 0
 	for _, sw := range t.switches {
 		sw.sortEgress() // finalize build-time insertions before use
+		leaf := false
 		for _, l := range sw.egress {
-			if !l.Up() {
-				continue
+			switch to := l.To().(type) {
+			case *Switch:
+				if l.Up() {
+					adj[sw.id] = append(adj[sw.id], edge{l, to.id})
+					radj[to.id] = append(radj[to.id], sw.id)
+					nEdges++
+				}
+			case *Host:
+				leaf = true
 			}
-			adj[sw.id] = append(adj[sw.id], edge{l, l.To().ID()})
 		}
-	}
-	for _, h := range t.hosts {
-		if h.uplink.Up() {
-			adj[h.id] = append(adj[h.id], edge{h.uplink, h.uplink.To().ID()})
+		if leaf {
+			leaves = append(leaves, sw)
 		}
 	}
 
-	// reverse adjacency for BFS from the destination.
-	radj := make([][]packet.NodeID, nNodes)
-	for from, edges := range adj {
-		for _, e := range edges {
-			radj[e.to] = append(radj[e.to], packet.NodeID(from))
-		}
-	}
-
-	// dist[node] = hops from node to the target host; -1 = unreached.
-	dist := make([]int32, nNodes)
-	queue := make([]packet.NodeID, 0, nNodes)
-	for _, h := range t.hosts {
+	// Every set is a full-slice-expression window (len == cap) of hops, so
+	// no holder can append into a neighbour's set. Per leaf there is at most
+	// one candidate per edge, plus one downlink per host.
+	hops := make([]*Link, 0, len(leaves)*nEdges+len(t.hosts))
+	sets := make([][]*Link, len(t.switches)) // per switch, toward the current leaf
+	dist := make([]int32, nNodes)            // hops to the leaf; -1 = unreached
+	queue := make([]packet.NodeID, 0, len(t.switches))
+	for _, leaf := range leaves {
 		for i := range dist {
 			dist[i] = -1
 		}
-		dist[h.id] = 0
-		queue = append(queue[:0], h.id)
+		dist[leaf.id] = 0
+		queue = append(queue[:0], leaf.id)
 		for head := 0; head < len(queue); head++ {
 			n := queue[head]
 			for _, prev := range radj[n] {
@@ -251,19 +264,29 @@ func (t *Topology) ComputeRoutes() {
 				}
 			}
 		}
-		for _, sw := range t.switches {
-			d := dist[sw.id]
-			if d < 0 {
+		for i, sw := range t.switches {
+			sets[i] = nil
+			if d := dist[sw.id]; d > 0 {
+				start := len(hops)
+				for _, e := range adj[sw.id] {
+					if dist[e.to] == d-1 {
+						hops = append(hops, e.link)
+					}
+				}
+				sets[i] = hops[start:len(hops):len(hops)]
+			}
+		}
+		for _, down := range leaf.egress {
+			h, ok := down.To().(*Host)
+			if !ok || !down.Up() {
 				continue
 			}
-			var nh []*Link
-			for _, e := range adj[sw.id] {
-				if dd := dist[e.to]; dd >= 0 && dd == d-1 {
-					nh = append(nh, e.link)
+			hops = append(hops, down)
+			leaf.routes[h.hostID] = hops[len(hops)-1 : len(hops) : len(hops)]
+			for i, sw := range t.switches {
+				if sets[i] != nil {
+					sw.routes[h.hostID] = sets[i]
 				}
-			}
-			if len(nh) > 0 {
-				sw.routes[h.hostID] = nh
 			}
 		}
 	}

@@ -196,7 +196,9 @@ func (e *Engine) GlobalAfter(delay Time, fn func()) {
 	e.GlobalAt(e.now+delay, fn)
 }
 
-// minNext returns the earliest pending event timestamp across domains.
+// minNext returns the earliest pending event timestamp across domains. Run
+// scans for it only on entry and after globals, which may schedule domain
+// events; otherwise window and flushPosts report it.
 func (e *Engine) minNext() Time {
 	min := timeMax
 	for _, d := range e.domains {
@@ -214,6 +216,7 @@ func (e *Engine) Run(until Time, stop func() bool) {
 	if until < e.now {
 		panic(fmt.Sprintf("sim: engine deadline %v before now %v", until, e.now))
 	}
+	tmin := e.minNext()
 	for {
 		if stop != nil && stop() {
 			return
@@ -226,28 +229,44 @@ func (e *Engine) Run(until Time, stop func() bool) {
 		// gmin fire first, then the globals. The subtraction keeps a drained
 		// tmin (timeMax) from overflowing.
 		horizon := min(until, gmin)
-		tmin := e.minNext()
 		if tmin < horizon-e.lookahead {
 			horizon = tmin + e.lookahead
 		}
-		e.window(horizon)
-		e.flushPosts()
+		// The earliest event left pending is the window's own or the flush's:
+		// nothing else schedules on a domain between windows but a global.
+		next := min(e.window(horizon), e.flushPosts())
 		e.now = horizon
 		if horizon == gmin {
 			e.runGlobals(gmin)
+			next = e.minNext()
 		} else if tmin > until {
 			// Nothing was pending at or before the deadline (drained included),
 			// so this window only advanced the clocks to it.
 			return
 		}
+		tmin = next
 	}
 }
 
-// window runs every domain, in domain order, up to and including horizon.
-func (e *Engine) window(horizon Time) {
+// window runs, in domain order, every domain with an event at or before
+// horizon up to and including it, and advances every other domain's clock to
+// horizon in the same pass — so all clocks equal horizon afterwards. It
+// returns the earliest event left pending (timeMax if none).
+func (e *Engine) window(horizon Time) Time {
+	next := timeMax
 	for _, d := range e.domains {
-		d.RunUntil(horizon)
+		at, ok := d.NextEventAt()
+		if ok && at <= horizon {
+			d.RunUntil(horizon)
+			at, ok = d.NextEventAt()
+		} else {
+			d.now = horizon
+		}
+		if ok && at < next {
+			next = at
+		}
 	}
+	return next
 }
 
 // flushPosts injects every message buffered since the last flush into its
@@ -256,8 +275,12 @@ func (e *Engine) window(horizon Time) {
 // interleave, so a stable sort on (time, source) yields exactly that total
 // order. It is a pure function of the window's contents, so the resulting
 // event sequence numbers — and hence same-timestamp tie-breaks — are too. The
-// outbox is reused; the flush allocates nothing in steady state.
-func (e *Engine) flushPosts() {
+// outbox is reused; the flush allocates nothing in steady state. It returns
+// the earliest injected time (timeMax if the outbox was empty).
+func (e *Engine) flushPosts() Time {
+	if len(e.posts) == 0 {
+		return timeMax
+	}
 	slices.SortStableFunc(e.posts, func(a, b xpost) int {
 		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.src, b.src))
 	})
@@ -266,7 +289,9 @@ func (e *Engine) flushPosts() {
 		e.domains[p.dst].AtCall(p.at, p.fn, p.a, p.b)
 		p.fn, p.a, p.b = nil, nil, nil
 	}
+	first := e.posts[0].at
 	e.posts = e.posts[:0]
+	return first
 }
 
 // runGlobals executes every queued global action with timestamp at, in
