@@ -241,8 +241,8 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		c.RunWebSearch(cluster.WebSearchParams{
 			Load: 0.5, TotalJobs: 500, SizeScale: 0.1, MaxSimTime: 300 * sim.Second,
 		})
-		events += c.Sim.Processed()
-		b.ReportMetric(float64(c.Sim.Processed()), "events/run")
+		events += c.Eng.Processed()
+		b.ReportMetric(float64(c.Eng.Processed()), "events/run")
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 }

@@ -37,15 +37,16 @@ func main() {
 	// Chains of 2MB transfers with short idle gaps between them: each job
 	// starts a fresh flowlet, so the WRR table actually steers traffic.
 	// The chains start at t=2ms, after the first discovery round lands.
+	s := c.Eng.Domain(0) // a two-leaf cluster is one event domain
 	for i := 0; i < 4; i++ {
 		conn := c.OpenConn(packet.HostID(i), packet.HostID(4+i), 0)
 		var chain func()
 		chain = func() {
 			conn.StartJob(2_000_000, func(sim.Time) {
-				c.Sim.After(200*sim.Microsecond, chain)
+				s.After(200*sim.Microsecond, chain)
 			})
 		}
-		c.Sim.At(2*sim.Millisecond, chain)
+		s.At(2*sim.Millisecond, chain)
 	}
 
 	pol := c.VSwitches[0].Policy().(*vswitch.CloveECN)
@@ -68,16 +69,16 @@ func main() {
 		fmt.Println()
 	}
 
-	c.Sim.At(5*sim.Millisecond, func() { printWeights("t=5ms (warm)") })
-	c.Sim.At(30*sim.Millisecond, func() {
+	s.At(5*sim.Millisecond, func() { printWeights("t=5ms (warm)") })
+	c.ScheduleControl(30*sim.Millisecond, func() {
 		printWeights("t=30ms (before failure)")
 		fmt.Println("** failing trunk L2-S2#0 **")
 		c.LS.FailPaperLink()
 	})
-	c.Sim.At(35*sim.Millisecond, func() { printWeights("t=35ms (+5ms after failure)") })
-	c.Sim.At(60*sim.Millisecond, func() { printWeights("t=60ms (post-rediscovery)") })
+	s.At(35*sim.Millisecond, func() { printWeights("t=35ms (+5ms after failure)") })
+	s.At(60*sim.Millisecond, func() { printWeights("t=60ms (post-rediscovery)") })
 
-	c.Sim.RunUntil(100 * sim.Millisecond)
+	c.Eng.Run(100 * sim.Millisecond)
 	printWeights("t=100ms (final)")
 
 	st := c.VSwitches[0].Stats()

@@ -133,10 +133,13 @@ type Config struct {
 // Cluster is a fully wired deployment ready to run workloads.
 type Cluster struct {
 	Cfg Config
-	// Sim is the run's one Simulator; nil in sharded mode.
-	Sim *sim.Simulator
-	// Eng is the sharded engine; nil on a single Simulator.
+	// Eng runs every cluster: one event domain on a two-leaf fabric, one per
+	// switch on a larger one (see New).
 	Eng *sim.Engine
+	// Sim is domain 0's Simulator.
+	//
+	// Deprecated: use Eng (Eng.Processed, Eng.Domain(0)) or ScheduleControl.
+	Sim *sim.Simulator
 	LS  *netem.LeafSpine
 
 	VSwitches []*vswitch.VSwitch
@@ -145,13 +148,9 @@ type Cluster struct {
 	Recorder  *stats.FCTRecorder
 	// Oracle is the installed correctness oracle, nil unless Config.Oracle.
 	Oracle *oracle.Oracle
-	// Trace is the installed tracer of a single-Simulator run, nil unless
-	// Config.Telemetry is set. Sharded runs keep one tracer per event domain
-	// instead (see ExportTraces).
-	Trace *telemetry.Tracer
 
-	// shards is the run's event domains in domain order — exactly one on a
-	// single Simulator. Everything past construction is written against it.
+	// shards is the run's event domains in domain order. Everything past
+	// construction is written against it.
 	shards []shard
 
 	rtt      sim.Time
@@ -174,16 +173,17 @@ type connKey struct {
 // (for CONGA) the in-network fabric. Link failure, if configured, is applied
 // before routing converges, as in the paper's asymmetric experiments.
 //
-// A topology with more than two leaves is built sharded: one event domain
-// per leaf (the leaf switch, its hosts, and everything stacked on them) and
-// one per spine, run by a sim.Engine in conservative windows bounded by the
-// trunk delay (DESIGN.md §4d). Either way a run is one goroutine drawing
-// packets from the topology's one pool (LS.Pool()). A sharded
-// run is a different simulation than a single-Simulator run of the same
-// seed — the engine defines its own same-timestamp order and per-domain RNG
-// streams — so determinism holds within a mode, not across modes. The mode
-// is not a knob: it is decided here, once, from the leaf count; past
-// construction everything works on c.shards.
+// Every cluster runs on a sim.Engine. A two-leaf fabric is one event domain,
+// which is exactly a Simulator seeded with Config.Seed. A fabric with more
+// than two leaves is sharded: one domain per leaf (the leaf switch, its
+// hosts, and everything stacked on them) and one per spine, run in
+// conservative windows bounded by the trunk delay (DESIGN.md §4d). Either
+// way a run is one goroutine drawing packets from the topology's one pool
+// (LS.Pool()). A sharded run is a different simulation than a one-domain run
+// of the same seed — the engine defines its own same-timestamp order and
+// per-domain RNG streams — so determinism holds per domain count, not across
+// counts. The count is not a knob: it is decided here, once, from the leaf
+// count; past construction everything works on c.shards.
 func New(cfg Config) *Cluster {
 	if cfg.Topo.Leaves == 0 {
 		cfg.Topo = netem.PaperTestbed(0.01)
@@ -198,21 +198,16 @@ func New(cfg Config) *Cluster {
 		nextPort:  10000,
 		loadScale: 1,
 	}
+	domains := 1
 	if cfg.Topo.Leaves > 2 {
-		if cfg.Scheme == SchemeCONGA {
-			panic("cluster: conga is not supported in domain (sharded) mode: its leaf-to-leaf congestion tables span event domains")
-		}
-		c.Eng = sim.NewEngine(cfg.Seed, cfg.Topo.FabricDelay())
-		c.LS = netem.BuildLeafSpineSharded(c.Eng, cfg.Topo)
-		c.shards = make([]shard, c.Eng.NumDomains())
-		for i := range c.shards {
-			c.shards[i] = newShard(c.Eng.Domain(i).Simulator, cfg.Telemetry)
-		}
-	} else {
-		c.Sim = sim.New(cfg.Seed)
-		c.LS = netem.BuildLeafSpine(c.Sim, cfg.Topo)
-		c.shards = []shard{newShard(c.Sim, cfg.Telemetry)}
-		c.Trace = c.shards[0].trace
+		domains = cfg.Topo.Leaves + cfg.Topo.Spines
+	}
+	c.Eng = sim.NewEngine(cfg.Seed, cfg.Topo.FabricDelay(), domains)
+	c.Sim = c.Eng.Domain(0).Simulator
+	c.LS = netem.BuildLeafSpineSharded(c.Eng, cfg.Topo)
+	c.shards = make([]shard, domains)
+	for i := range c.shards {
+		c.shards[i] = newShard(c.Eng.Domain(i).Simulator, cfg.Telemetry)
 	}
 	ls := c.LS
 	c.rtt = ls.BaseRTT()
@@ -311,12 +306,10 @@ func New(cfg Config) *Cluster {
 		// Hardware flowlet detection runs at a finer timescale than the
 		// software edge (the CONGA ASIC reroutes within a fraction of an
 		// RTT); a quarter of the edge gap reproduces its advantage.
-		c.Conga = conga.Attach(c.Sim, ls, conga.Config{FlowletGap: c.Cfg.FlowletGap / 4})
+		c.Conga = conga.Attach(ls, conga.Config{FlowletGap: c.Cfg.FlowletGap / 4})
 	case SchemeLetFlow:
 		attachLetFlow(ls, c.Cfg.FlowletGap)
 	case SchemeCharon, SchemeCharonRef:
-		// Load stamping reads only the local egress link's DRE, so unlike
-		// CONGA it never reaches across event domains.
 		attachCharonStamping(ls)
 	}
 	c.setupTelemetry()
@@ -383,10 +376,7 @@ func (c *Cluster) CheckOracle() error {
 	if c.Oracle == nil {
 		return nil
 	}
-	if c.Eng != nil {
-		return c.Oracle.Check(c.Eng.Pending())
-	}
-	return c.Oracle.Check(c.Sim.Pending())
+	return c.Oracle.Check(c.Eng.Pending())
 }
 
 // SetupPaths installs path sets for every (src, dst) pair that will carry

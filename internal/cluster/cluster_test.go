@@ -95,7 +95,7 @@ func TestProberDiscoveryPathsMatchOracle(t *testing.T) {
 		c := New(Config{Seed: 9, Topo: smallTopo(), Scheme: SchemeCloveECN, UseProber: useProber})
 		pairs := [][2]packet.HostID{{0, 4}}
 		c.SetupPaths(pairs)
-		c.Sim.RunUntil(sim.Second) // let the prober finish a round
+		c.Eng.Run(sim.Second) // let the prober finish a round
 		ports := c.DiscoveredPorts(0, 4)
 		if len(ports) == 0 {
 			t.Fatalf("no ports (prober=%v)", useProber)

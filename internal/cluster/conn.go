@@ -36,8 +36,7 @@ func (c *Cluster) OpenConn(client, server packet.HostID, idx int) *Conn {
 	conn := &Conn{Client: client, Server: server, Flow: flow}
 	cvs, svs := c.VSwitches[client], c.VSwitches[server]
 
-	// Each endpoint lives on its host's Simulator (the cluster's one, or the
-	// owning domain's in sharded mode).
+	// Each endpoint lives on its host's domain's Simulator.
 	csh := &c.shards[c.shardOf(client)]
 	cs, ss := csh.sim, c.simFor(server)
 

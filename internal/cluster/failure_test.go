@@ -29,6 +29,7 @@ func TestMidRunFailureWithRediscovery(t *testing.T) {
 	c.SetupPaths(pairs)
 
 	// Continuous chains of 1MB jobs with gaps, so flowlets keep forming.
+	s := c.Eng.Domain(0)
 	completed := 0
 	for i := 0; i < 4; i++ {
 		conn := c.OpenConn(packet.HostID(i), packet.HostID(4+i), 0)
@@ -36,14 +37,14 @@ func TestMidRunFailureWithRediscovery(t *testing.T) {
 		chain = func() {
 			conn.StartJob(1_000_000, func(sim.Time) {
 				completed++
-				c.Sim.After(100*sim.Microsecond, chain)
+				s.After(100*sim.Microsecond, chain)
 			})
 		}
-		c.Sim.At(2*sim.Millisecond, chain)
+		s.At(2*sim.Millisecond, chain)
 	}
 
-	c.Sim.At(40*sim.Millisecond, c.LS.FailPaperLink)
-	c.Sim.RunUntil(120 * sim.Millisecond)
+	c.ScheduleControl(40*sim.Millisecond, c.LS.FailPaperLink)
+	c.Eng.Run(120 * sim.Millisecond)
 
 	if completed < 20 {
 		t.Fatalf("only %d jobs completed through the failure", completed)
@@ -81,8 +82,8 @@ func TestFailureWithoutRediscoveryStillCompletes(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		conn.StartJob(500_000, func(sim.Time) { done++ })
 	}
-	c.Sim.At(2*sim.Millisecond, c.LS.FailPaperLink)
-	c.Sim.RunUntil(5 * sim.Second)
+	c.ScheduleControl(2*sim.Millisecond, c.LS.FailPaperLink)
+	c.Eng.Run(5 * sim.Second)
 	if done != 5 {
 		t.Errorf("completed %d/5 with stale paths after failure", done)
 	}
@@ -94,12 +95,12 @@ func TestLinkRevivalRestoresCapacity(t *testing.T) {
 	c := New(Config{Seed: 43, Topo: smallTopo(), Scheme: SchemeEdgeFlowlet})
 	conn := c.OpenConn(0, 4, 0)
 	done := false
-	c.Sim.At(0, c.LS.FailPaperLink)
-	c.Sim.At(sim.Millisecond, func() { c.LS.SetLinkPairUp("L2", "S2", 0, true) })
-	c.Sim.At(2*sim.Millisecond, func() {
+	c.ScheduleControl(0, c.LS.FailPaperLink)
+	c.ScheduleControl(sim.Millisecond, func() { c.LS.SetLinkPairUp("L2", "S2", 0, true) })
+	c.Eng.Domain(0).At(2*sim.Millisecond, func() {
 		conn.StartJob(2_000_000, func(sim.Time) { done = true })
 	})
-	c.Sim.RunUntil(5 * sim.Second)
+	c.Eng.Run(5 * sim.Second)
 	if !done {
 		t.Fatal("transfer did not complete after revival")
 	}

@@ -33,7 +33,8 @@ type IncastResult struct {
 // RunIncast drives the incast workload: host 0 is the client; each request
 // picks Fanout servers uniformly from the far leaf; all send
 // ResponseBytes/Fanout concurrently; the next request issues when every
-// shard of the previous one completes.
+// shard of the previous one completes. The request chain runs on the
+// client's shard; each response starts through startIncastShard.
 func (c *Cluster) RunIncast(p IncastParams) IncastResult {
 	if p.Fanout <= 0 || p.Requests <= 0 || p.ResponseBytes <= 0 {
 		panic("cluster: incast parameters must be positive")
@@ -41,15 +42,13 @@ func (c *Cluster) RunIncast(p IncastParams) IncastResult {
 	if p.Fanout > c.Cfg.Topo.HostsPerLeaf {
 		panic(fmt.Sprintf("cluster: incast fanout %d exceeds the %d hosts of the server leaf", p.Fanout, c.Cfg.Topo.HostsPerLeaf))
 	}
-	if c.Eng != nil {
-		panic("cluster: RunIncast is single-sim only; domain-mode clusters run workloads through RunMix (FracIncast)")
-	}
 	if p.MaxSimTime == 0 {
 		p.MaxSimTime = 600 * sim.Second
 	}
 	nHosts := c.Cfg.Topo.HostsPerLeaf
 	client := packet.HostID(0)
-	rng := c.Sim.Rand()
+	sh := &c.shards[c.shardOf(client)]
+	s, rng := sh.sim, sh.sim.Rand()
 
 	// Pre-open a persistent connection from every candidate server to the
 	// client, and install paths for both directions.
@@ -70,8 +69,8 @@ func (c *Cluster) RunIncast(p IncastParams) IncastResult {
 	var issue func(remaining int)
 	issue = func(remaining int) {
 		if remaining == 0 {
-			res.Elapsed = c.Sim.Now()
-			c.Sim.Stop()
+			res.Elapsed = s.Now()
+			s.Stop()
 			return
 		}
 		// Choose Fanout distinct servers uniformly.
@@ -79,9 +78,9 @@ func (c *Cluster) RunIncast(p IncastParams) IncastResult {
 		pending := p.Fanout
 		for _, si := range perm {
 			conn := serverConns[si]
-			conn.StartJob(shard, func(fct sim.Time) {
-				if tr := c.Trace; tr != nil {
-					tr.FCT(c.Sim.Now(), conn.Client, conn.Server, shard, fct)
+			c.startIncastShard(client, conn, shard, func(fct sim.Time) {
+				if tr := sh.trace; tr != nil {
+					tr.FCT(s.Now(), conn.Client, conn.Server, shard, fct)
 				}
 				res.Bytes += shard
 				pending--
@@ -92,12 +91,12 @@ func (c *Cluster) RunIncast(p IncastParams) IncastResult {
 			})
 		}
 	}
-	c.Sim.After(0, func() { issue(p.Requests) })
-	c.Sim.RunUntil(p.MaxSimTime)
+	s.After(0, func() { issue(p.Requests) })
+	c.Eng.Run(p.MaxSimTime)
 
 	if res.Completed < p.Requests {
 		res.TimedOut = true
-		res.Elapsed = c.Sim.Now()
+		res.Elapsed = c.Eng.Now()
 	}
 	if res.Elapsed > 0 {
 		res.GoodputBps = float64(res.Bytes) * 8 / res.Elapsed.Seconds()

@@ -69,7 +69,7 @@ const (
 // twoLeafMesh and rotatedMesh.
 //
 // Each client's arrival chain runs entirely on its own shard's Simulator and
-// RNG stream — on a single Simulator that is the run's one stream, drawn
+// RNG stream — on a two-leaf fabric that is the run's one stream, drawn
 // from in event order. Web, RPC, and ML jobs start on the client host; only
 // incast starts on other hosts (startIncastShard). FCT samples are recorded
 // per shard, then merged in shard order: the sample stream is a function of
@@ -118,7 +118,7 @@ func (c *Cluster) RunMix(p MixParams) MixResult {
 	// forward mesh carries web, RPC, and ML traffic; the reverse mesh
 	// (servers answering clients) exists only when incast is in the blend.
 	var fwd, rev [][]*Conn
-	if c.Eng == nil {
+	if c.Cfg.Topo.Leaves == 2 {
 		fwd, rev = c.twoLeafMesh(p.FracIncast > 0)
 	} else {
 		fwd, rev = c.rotatedMesh(p.FracIncast > 0)
@@ -157,12 +157,11 @@ func (c *Cluster) RunMix(p MixParams) MixResult {
 		rec := recs[si]
 		rng := s.Rand()
 
-		// Stop on target: the job that completes a single-Simulator run
-		// stops it from inside its own event; the engine instead polls the
-		// counter at its barriers (see the run call below).
+		// Stop on target: the job that completes the run stops it (on a
+		// sharded fabric, at the end of that engine window).
 		jobDone := func() {
 			completed++
-			if c.Eng == nil && completed == target {
+			if completed == target {
 				s.Stop()
 			}
 		}
@@ -259,11 +258,7 @@ func (c *Cluster) RunMix(p MixParams) MixResult {
 		s.After(p.Warmup+nextGap(), func() { issue(jobsPerClient) })
 	}
 
-	if c.Eng == nil {
-		c.Sim.RunUntil(p.MaxSimTime)
-	} else {
-		c.Eng.Run(p.MaxSimTime, func() bool { return completed >= target })
-	}
+	c.Eng.Run(p.MaxSimTime)
 
 	res := MixResult{Completed: completed, Issued: issued}
 	for _, rec := range recs {
@@ -275,7 +270,7 @@ func (c *Cluster) RunMix(p MixParams) MixResult {
 	return res
 }
 
-// twoLeafMesh opens the single-Simulator mesh and installs its paths:
+// twoLeafMesh opens the two-leaf mesh and installs its paths:
 // clients are the hosts of leaf 1, servers those of leaf 2, fully meshed.
 // All forward connections open before any reverse one; OpenConn order fixes
 // the port numbers, so it must not change.
@@ -304,12 +299,12 @@ func (c *Cluster) twoLeafMesh(incast bool) (fwd, rev [][]*Conn) {
 	return fwd, rev
 }
 
-// rotatedMesh opens the sharded mesh and installs its paths: every host is
-// a client, and its servers are Config.ServersPerClient hosts on other
-// leaves (the two-leaf full mesh would be quadratic at 1024 hosts), taken
-// in host order rotated by the client index so load spreads evenly. Forward
-// and reverse connections open interleaved; as in twoLeafMesh the order
-// fixes the port numbers.
+// rotatedMesh opens the mesh of a larger fabric and installs its paths:
+// every host is a client, and its servers are Config.ServersPerClient hosts
+// on other leaves (the two-leaf full mesh would be quadratic at 1024 hosts),
+// taken in host order rotated by the client index so load spreads evenly.
+// Forward and reverse connections open interleaved; as in twoLeafMesh the
+// order fixes the port numbers.
 func (c *Cluster) rotatedMesh(incast bool) (fwd, rev [][]*Conn) {
 	hostsPerLeaf := c.Cfg.Topo.HostsPerLeaf
 	nHosts := c.Cfg.Topo.Leaves * hostsPerLeaf
@@ -354,38 +349,41 @@ func (c *Cluster) rotatedMesh(incast bool) (fwd, rev [][]*Conn) {
 
 // startIncastShard starts one incast response of shard bytes on conn, whose
 // sender lives on the responding server, for a request issued by client;
-// finish must run back on the client's shard, where the composite job and
-// its recorder live. On a single Simulator both are direct calls. Across
-// event domains the request travels to the server's domain as a post (one
-// engine lookahead of modeled request latency) and the completion
-// notification back the same way.
+// finish must run back on the client's shard, where the request's state
+// lives. Within one domain both are direct calls. Across event domains the
+// request travels to the server's domain as a post (one engine lookahead of
+// modeled request latency) and the completion notification back the same
+// way.
 func (c *Cluster) startIncastShard(client packet.HostID, conn *Conn, shard int64, finish func(sim.Time)) {
-	if c.Eng == nil {
+	d, sd := c.domFor(client), c.domFor(conn.Client)
+	if d == sd {
 		conn.StartJob(shard, finish)
 		return
 	}
-	d := c.domFor(client)
 	req := &incastReq{c: c, conn: conn, shard: shard, clientDom: d.ID(), finish: finish}
-	d.Post(c.domFor(conn.Client).ID(), d.Now()+c.Eng.Lookahead(), incastStart, req, nil)
+	d.Post(sd.ID(), d.Now()+c.Eng.Lookahead(), incastStart, req, nil)
 }
 
 // incastReq carries one incast shard across domains: incastStart fires in
 // the responding server's domain and starts the reverse-connection job;
 // when that job completes (still in the server's domain), the notification
-// posts back and finish — a client-domain closure — runs at the client.
+// posts back and finish — a client-domain closure — runs at the client with
+// the job's completion time.
 type incastReq struct {
 	c         *Cluster
 	conn      *Conn // reverse conn: sender on the responding server host
 	shard     int64
 	clientDom int
 	finish    func(sim.Time)
+	fct       sim.Time
 }
 
 // incastStart runs in the server's domain.
 func incastStart(a, _ any) {
 	req := a.(*incastReq)
 	sd := req.c.domFor(req.conn.Client) // conn.Client is the responding server
-	req.conn.StartJob(req.shard, func(sim.Time) {
+	req.conn.StartJob(req.shard, func(fct sim.Time) {
+		req.fct = fct
 		sd.Post(req.clientDom, sd.Now()+req.c.Eng.Lookahead(), incastFinish, req, nil)
 	})
 }
@@ -393,7 +391,7 @@ func incastStart(a, _ any) {
 // incastFinish runs back in the client's domain.
 func incastFinish(a, _ any) {
 	req := a.(*incastReq)
-	req.finish(0)
+	req.finish(req.fct)
 }
 
 // AbortOpenConns tears down the transport of every open connection (see

@@ -7,6 +7,10 @@ import (
 	"clove/internal/sim"
 )
 
+// drain is a deadline far past any teardown test's last event: running to
+// it drains the queue of a quiesced cluster.
+const drain = 100 * sim.Second
+
 // TestTotalPartitionTeardownLeavesNoLeak strands in-flight transfers by
 // failing every spine mid-transfer, then tears the workload down the way
 // RunMix does (AbortOpenConns + Quiesce) and drains the event queue. The
@@ -25,21 +29,21 @@ func TestTotalPartitionTeardownLeavesNoLeak(t *testing.T) {
 	}
 	// Both spines die mid-transfer: the fabric is fully partitioned, every
 	// unacked segment and its retransmissions are lost.
-	c.Sim.At(2*sim.Millisecond, func() {
+	c.ScheduleControl(2*sim.Millisecond, func() {
 		c.LS.SetSwitchUp("S1", false)
 		c.LS.SetSwitchUp("S2", false)
 	})
 	// The workload gives up on the stranded connections.
-	c.Sim.At(50*sim.Millisecond, func() {
+	c.ScheduleControl(50*sim.Millisecond, func() {
 		c.AbortOpenConns()
 		c.Quiesce()
 	})
-	c.Sim.Run()
+	c.Eng.Run(drain)
 
 	if done != 0 {
 		t.Errorf("%d jobs completed across a total partition", done)
 	}
-	if p := c.Sim.Pending(); p != 0 {
+	if p := c.Eng.Pending(); p != 0 {
 		t.Fatalf("event queue did not drain after teardown: %d pending", p)
 	}
 	if err := c.CheckOracle(); err != nil {
@@ -57,17 +61,17 @@ func TestSpineFailureMidTransferRecovers(t *testing.T) {
 	done := 0
 	conn := c.OpenConn(0, 4, 0)
 	conn.StartJob(5_000_000, func(sim.Time) { done++ })
-	c.Sim.At(1*sim.Millisecond, func() { c.LS.SetSwitchUp("S1", false) })
-	c.Sim.At(30*sim.Millisecond, func() { c.LS.SetSwitchUp("S1", true) })
-	c.Sim.RunUntil(500 * sim.Millisecond)
+	c.ScheduleControl(1*sim.Millisecond, func() { c.LS.SetSwitchUp("S1", false) })
+	c.ScheduleControl(30*sim.Millisecond, func() { c.LS.SetSwitchUp("S1", true) })
+	c.Eng.Run(500 * sim.Millisecond)
 
 	if done != 1 {
 		t.Fatalf("transfer did not complete through single-spine failure (done=%d)", done)
 	}
 	c.AbortOpenConns()
 	c.Quiesce()
-	c.Sim.Run()
-	if p := c.Sim.Pending(); p != 0 {
+	c.Eng.Run(drain)
+	if p := c.Eng.Pending(); p != 0 {
 		t.Fatalf("event queue did not drain: %d pending", p)
 	}
 	if err := c.CheckOracle(); err != nil {
@@ -81,12 +85,12 @@ func TestAbortIsIdempotentAndFinal(t *testing.T) {
 	c := New(Config{Seed: 9, Topo: smallTopo(), Scheme: SchemeECMP, Oracle: true})
 	conn := c.OpenConn(0, 4, 0)
 	conn.StartJob(1_000_000, func(sim.Time) { t.Error("aborted job completed") })
-	c.Sim.RunUntil(200 * sim.Microsecond) // let some segments into flight
+	c.Eng.Run(200 * sim.Microsecond) // let some segments into flight
 	conn.Abort()
 	conn.Abort()
 	c.Quiesce()
-	c.Sim.Run()
-	if p := c.Sim.Pending(); p != 0 {
+	c.Eng.Run(drain)
+	if p := c.Eng.Pending(); p != 0 {
 		t.Fatalf("pending after double abort: %d", p)
 	}
 	if err := c.CheckOracle(); err != nil {

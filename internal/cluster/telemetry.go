@@ -17,9 +17,9 @@ type tableVisitor interface {
 
 // setupTelemetry wires and arms each shard's tracer when Config.Telemetry is
 // set. A tracer samples only state its own shard owns — links by source
-// node, weight tables and senders by host — so in sharded mode every sample
-// reads state at the sampling shard's own clock. All polled streams iterate
-// deterministic structures — the topology's link list, the host-indexed
+// node, weight tables and senders by host — so on a sharded fabric every
+// sample reads state at the sampling shard's own clock. All polled streams
+// iterate deterministic structures — the topology's link list, the host-indexed
 // vswitch slice, sorted destination tables, the shard's connection
 // open-order list — never Go maps, so the captured records (and the
 // exported trace bytes) are a pure function of the seed. When

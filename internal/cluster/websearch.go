@@ -38,10 +38,8 @@ type WebSearchResult struct {
 
 // RunWebSearch drives the workload to completion and records every job's
 // FCT in c.Recorder. Clients are the hosts of leaf 1, servers of leaf 2.
+// Every arrival chain runs on leaf 1's shard and draws from its RNG.
 func (c *Cluster) RunWebSearch(p WebSearchParams) WebSearchResult {
-	if c.Eng != nil {
-		panic("cluster: RunWebSearch is single-sim only; domain-mode clusters run workloads through RunMix")
-	}
 	if p.ConnsPerClient == 0 {
 		p.ConnsPerClient = 1
 	}
@@ -60,7 +58,8 @@ func (c *Cluster) RunWebSearch(p WebSearchParams) WebSearchResult {
 	c.Recorder.SetSizeScale(p.SizeScale)
 
 	nHosts := c.Cfg.Topo.HostsPerLeaf
-	rng := c.Sim.Rand()
+	sh := &c.shards[c.shardOf(0)]
+	s, rng := sh.sim, sh.sim.Rand()
 
 	// Clients on leaf 1 pick random servers on leaf 2 (persistent).
 	type cw struct {
@@ -107,12 +106,12 @@ func (c *Cluster) RunWebSearch(p WebSearchParams) WebSearchResult {
 	record := func(conn *Conn, size int64) func(sim.Time) {
 		return func(fct sim.Time) {
 			c.Recorder.Add(size, fct)
-			if tr := c.Trace; tr != nil {
-				tr.FCT(c.Sim.Now(), conn.Client, conn.Server, size, fct)
+			if tr := sh.trace; tr != nil {
+				tr.FCT(s.Now(), conn.Client, conn.Server, size, fct)
 			}
 			res.Completed++
 			if res.Completed == target {
-				c.Sim.Stop()
+				s.Stop()
 			}
 		}
 	}
@@ -130,12 +129,12 @@ func (c *Cluster) RunWebSearch(p WebSearchParams) WebSearchResult {
 			}
 			res.Issued++
 			w.conn.StartJob(size, record(w.conn, size))
-			c.Sim.After(w.arrivals.Next(), func() { issue(remaining - 1) })
+			s.After(w.arrivals.Next(), func() { issue(remaining - 1) })
 		}
-		c.Sim.After(w.arrivals.Next(), func() { issue(jobsPerConn) })
+		s.After(w.arrivals.Next(), func() { issue(jobsPerConn) })
 	}
 
-	c.Sim.RunUntil(p.MaxSimTime)
+	c.Eng.Run(p.MaxSimTime)
 	// Against target, not Issued: a run cut off between arrivals has
 	// completed everything it issued and still fell short.
 	if res.Completed < target {

@@ -54,7 +54,6 @@ type spineState struct {
 
 // Fabric wires CONGA onto a leaf-spine topology.
 type Fabric struct {
-	sim    *sim.Simulator
 	cfg    Config
 	leaves map[packet.NodeID]*leafState
 	spines map[packet.NodeID]*spineState
@@ -64,10 +63,11 @@ type Fabric struct {
 	stats Stats
 }
 
-// Attach installs CONGA on every switch of the leaf-spine fabric.
-func Attach(s *sim.Simulator, ls *netem.LeafSpine, cfg Config) *Fabric {
+// Attach installs CONGA on every switch of the leaf-spine fabric. A switch's
+// tables are touched only at that switch, on its own clock, and feedback
+// rides in packets, so CONGA runs on a fabric sharded into event domains.
+func Attach(ls *netem.LeafSpine, cfg Config) *Fabric {
 	f := &Fabric{
-		sim:    s,
 		cfg:    cfg,
 		leaves: map[packet.NodeID]*leafState{},
 		spines: map[packet.NodeID]*spineState{},
@@ -151,7 +151,7 @@ func (f *Fabric) Pick(sw *netem.Switch, pkt *packet.Packet, candidates []*netem.
 		return f.pickLeaf(sw, st, pkt, candidates)
 	}
 	if st := f.spines[sw.ID()]; st != nil {
-		return f.pickSpine(st, pkt, candidates)
+		return f.pickSpine(sw, st, pkt, candidates)
 	}
 	return nil, false
 }
@@ -164,8 +164,7 @@ func (f *Fabric) pickLeaf(sw *netem.Switch, st *leafState, pkt *packet.Packet, c
 
 	if srcLeaf == sw.ID() && dstLeaf != sw.ID() {
 		// Source leaf of a cross-leaf packet: tag and pick the uplink.
-		now := f.sim.Now()
-		_, isNew := st.flowlets.Touch(outer, now)
+		_, isNew := st.flowlets.Touch(outer, sw.Sim().Now())
 		eg := st.pinned[outer]
 		if isNew || eg == nil || !linkIn(eg, candidates) {
 			eg = f.bestUplink(st, dstLeaf, candidates)
@@ -224,12 +223,12 @@ func (f *Fabric) bestUplink(st *leafState, dstLeaf packet.NodeID, candidates []*
 }
 
 // pickSpine routes each flowlet onto the least-utilized egress trunk.
-func (f *Fabric) pickSpine(st *spineState, pkt *packet.Packet, candidates []*netem.Link) (*netem.Link, bool) {
+func (f *Fabric) pickSpine(sw *netem.Switch, st *spineState, pkt *packet.Packet, candidates []*netem.Link) (*netem.Link, bool) {
 	if len(candidates) == 1 {
 		return candidates[0], true
 	}
 	outer := pkt.OuterTuple()
-	_, isNew := st.flowlets.Touch(outer, f.sim.Now())
+	_, isNew := st.flowlets.Touch(outer, sw.Sim().Now())
 	eg := st.pinned[outer]
 	if isNew || eg == nil || !linkIn(eg, candidates) {
 		eg = candidates[0]

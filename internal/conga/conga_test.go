@@ -22,7 +22,7 @@ type congaRig struct {
 func newCongaRig(seed int64) *congaRig {
 	s := sim.New(seed)
 	ls := netem.BuildLeafSpine(s, netem.PaperTestbed(0.01))
-	f := Attach(s, ls, Config{FlowletGap: ls.BaseRTT() / 2})
+	f := Attach(ls, Config{FlowletGap: ls.BaseRTT() / 2})
 	r := &congaRig{s: s, ls: ls, f: f}
 	cfg := vswitch.DefaultConfig(ls.BaseRTT())
 	cfg.MaskECN = false

@@ -22,16 +22,14 @@ import (
 // barriers (global events) — which is where scenario actions already run.
 
 // enterDomain directs subsequent AddSwitch/AddHost calls at the engine's
-// k-th domain. No-op on a single-Simulator topology.
+// k-th domain — domain 0 on a one-domain engine. No-op on a single-Simulator
+// topology.
 func (t *Topology) enterDomain(k int) {
 	if t.eng == nil {
 		return
 	}
-	t.curDom = t.eng.Domain(k)
+	t.curDom = t.eng.Domain(k % t.eng.NumDomains())
 }
-
-// Engine returns the engine a sharded topology runs on (nil otherwise).
-func (t *Topology) Engine() *sim.Engine { return t.eng }
 
 // NodeDomain returns the event domain owning node id, or nil on a
 // single-sim topology.
@@ -59,8 +57,8 @@ func (t *Topology) recordNode() {
 }
 
 // scheduleRecompute reruns ComputeRoutes after the reconvergence delay.
-// Route tables are read by every domain, so in sharded mode the recompute
-// is a global event (it runs at a barrier, between windows).
+// Route tables are read by every domain, so on an engine the recompute is a
+// global event (on several domains it runs at a barrier, between windows).
 func (t *Topology) scheduleRecompute() {
 	if t.RouteRecomputeDelay <= 0 {
 		t.ComputeRoutes()
@@ -73,20 +71,21 @@ func (t *Topology) scheduleRecompute() {
 	t.Sim.After(t.RouteRecomputeDelay, t.ComputeRoutes)
 }
 
-// BuildLeafSpineSharded constructs the leaf–spine fabric across event
-// domains of eng, which must not have any yet: one domain per leaf (owning
-// the leaf switch and all its hosts — where nearly all events live), then
-// one per spine. The only cross-domain links
-// are the leaf<->spine trunks, whose propagation delay must be at least the
-// engine lookahead. Everything else is BuildLeafSpine's builder body.
+// BuildLeafSpineSharded constructs the leaf–spine fabric across the event
+// domains of eng: one domain per leaf (owning the leaf switch and all its
+// hosts — where nearly all events live), then one per spine, so eng must
+// have Leaves+Spines domains. The only cross-domain links are the
+// leaf<->spine trunks, whose propagation delay must be at least the engine
+// lookahead. A one-domain engine holds every node and has no cross-domain
+// link. The rest is buildLeafSpine, shared with BuildLeafSpine.
 func BuildLeafSpineSharded(eng *sim.Engine, cfg LeafSpineConfig) *LeafSpine {
+	if n := eng.NumDomains(); n != 1 && n != cfg.Leaves+cfg.Spines {
+		panic(fmt.Sprintf("netem: %d event domains for %d leaves and %d spines", n, cfg.Leaves, cfg.Spines))
+	}
 	if d := cfg.trunkDelay(); d < eng.Lookahead() {
 		panic(fmt.Sprintf("netem: trunk delay %v under engine lookahead %v", d, eng.Lookahead()))
 	}
 	t := NewTopology(nil)
 	t.eng = eng
-	for i := 0; i < cfg.Leaves+cfg.Spines; i++ {
-		eng.AddDomain()
-	}
 	return buildLeafSpine(t, cfg)
 }

@@ -31,7 +31,7 @@ func shardedCfg() LeafSpineConfig {
 func runShardedFabric(t *testing.T) ([]string, int64) {
 	t.Helper()
 	cfg := shardedCfg()
-	eng := sim.NewEngine(77, cfg.TrunkDelay)
+	eng := sim.NewEngine(77, cfg.TrunkDelay, cfg.Leaves+cfg.Spines)
 	ls := BuildLeafSpineSharded(eng, cfg)
 	n := cfg.Leaves * cfg.HostsPerLeaf
 	logs := make([][]string, n)
@@ -59,7 +59,7 @@ func runShardedFabric(t *testing.T) ([]string, int64) {
 	}
 	eng.GlobalAt(30*sim.Microsecond, func() { ls.SetLinkPairUp("L1", "S1", 0, false) })
 	eng.GlobalAt(60*sim.Microsecond, func() { ls.SetLinkPairUp("L1", "S1", 0, true) })
-	eng.Run(5*sim.Millisecond, nil)
+	eng.Run(5 * sim.Millisecond)
 	if eng.Pending() != 0 {
 		t.Fatalf("%d events still pending after run", eng.Pending())
 	}
@@ -95,35 +95,46 @@ func TestShardedFabricDeterministicAcrossRuns(t *testing.T) {
 
 // TestShardedBuilderMatchesLegacyShape: node/link naming and creation order
 // must match BuildLeafSpine so scenario link references (L1-S1#0 etc.) and
-// seeds carry over unchanged.
+// seeds carry over unchanged, on one domain as on one per switch.
 func TestShardedBuilderMatchesLegacyShape(t *testing.T) {
 	cfg := shardedCfg()
 	legacy := BuildLeafSpine(sim.New(1), cfg)
-	eng := sim.NewEngine(1, cfg.TrunkDelay)
-	sharded := BuildLeafSpineSharded(eng, cfg)
-	if got, want := len(sharded.Links()), len(legacy.Links()); got != want {
-		t.Fatalf("link count %d, want %d", got, want)
-	}
-	for i, l := range sharded.Links() {
-		if l.Name() != legacy.Links()[i].Name() {
-			t.Fatalf("link %d named %q, want %q", i, l.Name(), legacy.Links()[i].Name())
+	for _, n := range []int{1, cfg.Leaves + cfg.Spines} {
+		eng := sim.NewEngine(1, cfg.TrunkDelay, n)
+		sharded := BuildLeafSpineSharded(eng, cfg)
+		if got, want := len(sharded.Links()), len(legacy.Links()); got != want {
+			t.Fatalf("%d domains: link count %d, want %d", n, got, want)
+		}
+		for i, l := range sharded.Links() {
+			if l.Name() != legacy.Links()[i].Name() {
+				t.Fatalf("%d domains: link %d named %q, want %q", n, i, l.Name(), legacy.Links()[i].Name())
+			}
+		}
+		for _, ls := range []*LeafSpine{legacy, sharded} {
+			if got := ls.Pools(); len(got) != 1 || got[0] != ls.Pool() {
+				t.Fatalf("Pools() = %v, want the topology's one pool", got)
+			}
+		}
+		// Hosts belong to their leaf's domain; leaf domains come first.
+		for i := 0; i < cfg.Leaves*cfg.HostsPerLeaf; i++ {
+			h := sharded.Host(packet.HostID(i))
+			if want := i / cfg.HostsPerLeaf % n; h.Domain().ID() != want {
+				t.Fatalf("%d domains: host %d in domain %d, want %d", n, i, h.Domain().ID(), want)
+			}
 		}
 	}
-	if eng.NumDomains() != cfg.Leaves+cfg.Spines {
-		t.Fatalf("domains = %d, want %d", eng.NumDomains(), cfg.Leaves+cfg.Spines)
-	}
-	for _, ls := range []*LeafSpine{legacy, sharded} {
-		if got := ls.Pools(); len(got) != 1 || got[0] != ls.Pool() {
-			t.Fatalf("Pools() = %v, want the topology's one pool", got)
+}
+
+// TestShardedBuildDomainCount: an engine whose domain count is neither one
+// nor one per switch has no layout to build into.
+func TestShardedBuildDomainCount(t *testing.T) {
+	cfg := shardedCfg()
+	defer func() {
+		if recover() == nil {
+			t.Error("BuildLeafSpineSharded on a 3-domain engine did not panic")
 		}
-	}
-	// Hosts belong to their leaf's domain; leaf domains come first.
-	for i := 0; i < cfg.Leaves*cfg.HostsPerLeaf; i++ {
-		h := sharded.Host(packet.HostID(i))
-		if want := i / cfg.HostsPerLeaf; h.Domain().ID() != want {
-			t.Fatalf("host %d in domain %d, want %d", i, h.Domain().ID(), want)
-		}
-	}
+	}()
+	BuildLeafSpineSharded(sim.NewEngine(1, cfg.TrunkDelay, 3), cfg)
 }
 
 // TestShardedTrunkDelayUnderLookaheadPanics pins the build-time safety
@@ -131,7 +142,7 @@ func TestShardedBuilderMatchesLegacyShape(t *testing.T) {
 func TestShardedTrunkDelayUnderLookaheadPanics(t *testing.T) {
 	cfg := shardedCfg()
 	cfg.TrunkDelay = 2 * sim.Microsecond
-	eng := sim.NewEngine(1, 5*sim.Microsecond)
+	eng := sim.NewEngine(1, 5*sim.Microsecond, cfg.Leaves+cfg.Spines)
 	defer func() {
 		if recover() == nil {
 			t.Error("BuildLeafSpineSharded with trunk delay < lookahead did not panic")

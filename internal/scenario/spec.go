@@ -314,9 +314,6 @@ func (s *Spec) Validate() error {
 		if seen[sch] {
 			return s.errf("duplicate scheme %q", sch)
 		}
-		if s.Topology.Leaves > 2 && sch == string(cluster.SchemeCONGA) {
-			return s.errf("scheme %q requires a two-leaf topology (its congestion tables span event domains)", sch)
-		}
 		seen[sch] = true
 	}
 	if len(s.Seeds) > 16 {

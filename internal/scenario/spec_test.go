@@ -159,6 +159,12 @@ func TestValidateAcceptsBase(t *testing.T) {
 	if err := baseSpec().Validate(); err != nil {
 		t.Fatalf("base spec invalid: %v", err)
 	}
+	// CONGA runs on any fabric, sharded ones included.
+	sp := baseSpec()
+	sp.Topology.Leaves, sp.Schemes = 4, []string{"conga"}
+	if err := sp.Validate(); err != nil {
+		t.Fatalf("4-leaf conga spec invalid: %v", err)
+	}
 }
 
 // TestParseRejections covers decode-level failures before validation.

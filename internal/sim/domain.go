@@ -34,6 +34,9 @@ import (
 // Simulator. That order is why the domains exist at all: a window holds a
 // handful of events (DESIGN.md §4d, "Why serial"), far too few to pay for a
 // thread barrier, so nothing here runs concurrently.
+//
+// A one-domain engine is exactly New(seed): a lone domain has no other
+// domain to wait for, so it runs without windows, barriers or posts.
 
 // timeMax is the sentinel for "no pending event".
 const timeMax = Time(1<<63 - 1)
@@ -68,9 +71,6 @@ type Domain struct {
 // ID returns the domain's index within its engine.
 func (d *Domain) ID() int { return int(d.id) }
 
-// Engine returns the engine this domain belongs to.
-func (d *Domain) Engine() *Engine { return d.eng }
-
 // Post schedules fn(a, b) at absolute time at on the dst domain. It is the
 // only legal way to touch another domain: the message is buffered in the
 // engine's outbox and injected into dst's event queue at the next barrier.
@@ -78,14 +78,15 @@ func (d *Domain) Engine() *Engine { return d.eng }
 // at must be at least the posting domain's current time plus the engine
 // lookahead — the conservative-synchronization contract that makes barrier
 // injection safe. Posting under the lookahead panics immediately, naming
-// the violation at its source rather than corrupting the schedule.
+// the violation at its source rather than corrupting the schedule. So does
+// any post on a one-domain engine, whose Run never flushes an outbox.
 //
 // Post is allocation-free in steady state: the outbox slice is reused
 // across windows, and pointer operands box into the interface fields
 // without allocating.
 func (d *Domain) Post(dst int, at Time, fn EventFunc, a, b any) {
-	if dst < 0 || dst >= len(d.eng.domains) {
-		panic(fmt.Sprintf("sim: post to unknown domain %d", dst))
+	if n := len(d.eng.domains); n == 1 || dst < 0 || dst >= n {
+		panic(fmt.Sprintf("sim: post to domain %d of a %d-domain engine", dst, n))
 	}
 	if earliest := d.Now() + d.eng.lookahead; at < earliest {
 		panic(fmt.Sprintf("sim: cross-domain post at %v under lookahead (now %v + %v)",
@@ -95,10 +96,9 @@ func (d *Domain) Post(dst int, at Time, fn EventFunc, a, b any) {
 }
 
 // Engine coordinates a set of event domains through conservative windows.
-// Build it once per run: NewEngine, AddDomain for every shard, wire the
-// model, then Run. Engines are not reusable across topologies.
+// Build it once per run: NewEngine, wire the model onto its domains, then
+// Run. Engines are not reusable across topologies.
 type Engine struct {
-	seed      int64
 	lookahead Time
 	domains   []*Domain
 	now       Time // last barrier time; all domain clocks equal it between windows
@@ -109,35 +109,40 @@ type Engine struct {
 	posts []xpost // the cross-domain outbox, in posting order; backing array reused
 }
 
-// NewEngine creates an engine with the given base seed and lookahead. The
+// NewEngine creates an engine of n domains with the given base seed and
+// lookahead. With n > 1 each domain's seed is derived from the base seed and
+// the domain index with a fixed mix, so every domain draws an independent,
+// reproducible random stream; a lone domain is seeded with seed itself. The
 // lookahead must be positive: it is the minimum timestamp increment of any
 // cross-domain message (in the network model, the smallest propagation
 // delay of a trunk link crossing a domain boundary), and it is what bounds
 // each window's horizon.
-func NewEngine(seed int64, lookahead Time) *Engine {
+func NewEngine(seed int64, lookahead Time, n int) *Engine {
 	if lookahead <= 0 {
 		panic(fmt.Sprintf("sim: non-positive engine lookahead %v", lookahead))
 	}
-	return &Engine{seed: seed, lookahead: lookahead}
-}
-
-// AddDomain creates the next domain. Its Simulator seed is derived from the
-// engine seed and the domain index with a fixed mix, so every domain draws
-// an independent, reproducible random stream.
-func (e *Engine) AddDomain() *Domain {
-	id := len(e.domains)
-	seed := int64(uint64(e.seed) + uint64(id+1)*0x9e3779b97f4a7c15)
-	d := &Domain{Simulator: New(seed), id: int32(id), eng: e}
-	e.domains = append(e.domains, d)
-	return d
+	e := &Engine{lookahead: lookahead, domains: make([]*Domain, n)}
+	for id := range e.domains {
+		s := seed
+		if n > 1 {
+			s = int64(uint64(seed) + uint64(id+1)*0x9e3779b97f4a7c15)
+		}
+		e.domains[id] = &Domain{Simulator: New(s), id: int32(id), eng: e}
+	}
+	return e
 }
 
 // Lookahead returns the engine's cross-domain lookahead.
 func (e *Engine) Lookahead() Time { return e.lookahead }
 
-// Now returns the last barrier time. Between windows every domain clock
-// equals it.
-func (e *Engine) Now() Time { return e.now }
+// Now returns the last barrier time, which every domain clock equals between
+// windows — on a one-domain engine, the domain's own clock.
+func (e *Engine) Now() Time {
+	if len(e.domains) == 1 {
+		return e.domains[0].now
+	}
+	return e.now
+}
 
 // NumDomains returns the number of domains.
 func (e *Engine) NumDomains() int { return len(e.domains) }
@@ -170,8 +175,13 @@ func (e *Engine) Pending() int {
 // run at a barrier once every domain clock has reached exactly that time,
 // after all domain events with timestamps <= at have fired — they may
 // therefore touch state in any domain (route tables, link administrative
-// state, load knobs). Scheduling in the past panics.
+// state, load knobs). On a one-domain engine a global is an ordinary event
+// on the domain. Scheduling in the past panics.
 func (e *Engine) GlobalAt(at Time, fn func()) {
+	if len(e.domains) == 1 {
+		e.domains[0].At(at, fn)
+		return
+	}
 	if at < e.now {
 		panic(fmt.Sprintf("sim: global event at %v before engine now %v", at, e.now))
 	}
@@ -187,13 +197,12 @@ func (e *Engine) GlobalAt(at Time, fn func()) {
 	e.globals[i] = ev
 }
 
-// GlobalAfter schedules a control-plane action delay after the last
-// barrier time.
+// GlobalAfter schedules a control-plane action delay after Now.
 func (e *Engine) GlobalAfter(delay Time, fn func()) {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative global delay %v", delay))
 	}
-	e.GlobalAt(e.now+delay, fn)
+	e.GlobalAt(e.Now()+delay, fn)
 }
 
 // minNext returns the earliest pending event timestamp across domains. Run
@@ -209,18 +218,21 @@ func (e *Engine) minNext() Time {
 	return min
 }
 
-// Run executes the sharded simulation until every queue drains, until the
-// deadline is reached, or until stop (evaluated at each barrier) reports
-// true. On return every domain clock equals min(deadline, drain time).
-func (e *Engine) Run(until Time, stop func() bool) {
-	if until < e.now {
-		panic(fmt.Sprintf("sim: engine deadline %v before now %v", until, e.now))
+// Run executes the simulation until every queue drains, until the deadline
+// is reached, or until an event calls its domain's Stop. On a one-domain
+// engine Run is the domain's RunUntil, which a Stop halts at the stopping
+// event. On several domains a Stop ends Run at the stopping window's
+// barrier; every domain clock then equals Now.
+func (e *Engine) Run(until Time) {
+	if until < e.Now() {
+		panic(fmt.Sprintf("sim: engine deadline %v before now %v", until, e.Now()))
+	}
+	if len(e.domains) == 1 {
+		e.domains[0].RunUntil(until)
+		return
 	}
 	tmin := e.minNext()
 	for {
-		if stop != nil && stop() {
-			return
-		}
 		gmin := timeMax
 		if len(e.globals) > 0 {
 			gmin = e.globals[0].at
@@ -234,7 +246,8 @@ func (e *Engine) Run(until Time, stop func() bool) {
 		}
 		// The earliest event left pending is the window's own or the flush's:
 		// nothing else schedules on a domain between windows but a global.
-		next := min(e.window(horizon), e.flushPosts())
+		next, stopped := e.window(horizon)
+		next = min(next, e.flushPosts())
 		e.now = horizon
 		if horizon == gmin {
 			e.runGlobals(gmin)
@@ -244,20 +257,26 @@ func (e *Engine) Run(until Time, stop func() bool) {
 			// so this window only advanced the clocks to it.
 			return
 		}
+		if stopped {
+			return
+		}
 		tmin = next
 	}
 }
 
 // window runs, in domain order, every domain with an event at or before
 // horizon up to and including it, and advances every other domain's clock to
-// horizon in the same pass — so all clocks equal horizon afterwards. It
-// returns the earliest event left pending (timeMax if none).
-func (e *Engine) window(horizon Time) Time {
-	next := timeMax
+// horizon in the same pass — so all clocks equal horizon afterwards. A domain
+// that stops resumes to horizon. It returns the earliest event left pending
+// (timeMax if none) and whether any domain stopped.
+func (e *Engine) window(horizon Time) (next Time, stopped bool) {
+	next = timeMax
 	for _, d := range e.domains {
 		at, ok := d.NextEventAt()
 		if ok && at <= horizon {
-			d.RunUntil(horizon)
+			for d.RunUntil(horizon); d.stopped; d.RunUntil(horizon) {
+				stopped = true
+			}
 			at, ok = d.NextEventAt()
 		} else {
 			d.now = horizon
@@ -266,7 +285,7 @@ func (e *Engine) window(horizon Time) Time {
 			next = at
 		}
 	}
-	return next
+	return next, stopped
 }
 
 // flushPosts injects every message buffered since the last flush into its

@@ -18,12 +18,13 @@ type ringModel struct {
 
 const ringLookahead = 5 * Microsecond
 
-func buildRing(seed int64, nDomains int) *ringModel {
-	eng := NewEngine(seed, ringLookahead)
+// buildRing boots a chain on each of the first booted of nDomains domains;
+// the rest only receive the ring's posts.
+func buildRing(seed int64, nDomains, booted int) *ringModel {
+	eng := NewEngine(seed, ringLookahead, nDomains)
 	m := &ringModel{eng: eng, logs: make([][]string, nDomains)}
-	for i := 0; i < nDomains; i++ {
-		d := eng.AddDomain()
-		m.start(d, fmt.Sprintf("boot%d", i))
+	for i := 0; i < booted; i++ {
+		m.start(eng.Domain(i), fmt.Sprintf("boot%d", i))
 	}
 	return m
 }
@@ -51,7 +52,7 @@ func (m *ringModel) step(d *Domain, tag string, n int) {
 }
 
 func (m *ringModel) run(until Time) []string {
-	m.eng.Run(until, nil)
+	m.eng.Run(until)
 	var all []string
 	for i, lg := range m.logs {
 		for _, s := range lg {
@@ -66,11 +67,11 @@ func (m *ringModel) run(until Time) []string {
 // event log.
 func TestEngineDeterministicAcrossRuns(t *testing.T) {
 	const until = 500 * Microsecond
-	ref := buildRing(42, 6).run(until)
+	ref := buildRing(42, 6, 6).run(until)
 	if len(ref) == 0 {
 		t.Fatal("reference run produced no events")
 	}
-	if got := buildRing(42, 6).run(until); !reflect.DeepEqual(got, ref) {
+	if got := buildRing(42, 6, 6).run(until); !reflect.DeepEqual(got, ref) {
 		t.Fatalf("second run's log diverges from the first (len %d vs %d)", len(got), len(ref))
 	}
 }
@@ -79,8 +80,8 @@ func TestEngineDeterministicAcrossRuns(t *testing.T) {
 // one RNG stream: a different engine seed must change the log.
 func TestEngineSeedSensitivity(t *testing.T) {
 	const until = 500 * Microsecond
-	a := buildRing(1, 4).run(until)
-	b := buildRing(2, 4).run(until)
+	a := buildRing(1, 4, 4).run(until)
+	b := buildRing(2, 4, 4).run(until)
 	if reflect.DeepEqual(a, b) {
 		t.Fatal("different seeds produced identical logs")
 	}
@@ -90,9 +91,8 @@ func TestEngineSeedSensitivity(t *testing.T) {
 // posting a cross-domain message closer than the lookahead is a bug in the
 // model and must fail loudly at the source.
 func TestEnginePostUnderLookaheadPanics(t *testing.T) {
-	eng := NewEngine(7, 10*Microsecond)
-	d0 := eng.AddDomain()
-	eng.AddDomain()
+	eng := NewEngine(7, 10*Microsecond, 2)
+	d0 := eng.Domain(0)
 	d0.At(0, func() {
 		defer func() {
 			if recover() == nil {
@@ -101,7 +101,7 @@ func TestEnginePostUnderLookaheadPanics(t *testing.T) {
 		}()
 		d0.Post(1, d0.Now()+9*Microsecond, func(any, any) {}, nil, nil)
 	})
-	eng.Run(Microsecond, nil)
+	eng.Run(Microsecond)
 }
 
 // TestEngineZeroLookaheadPanics: a zero or negative lookahead would allow
@@ -112,7 +112,7 @@ func TestEngineZeroLookaheadPanics(t *testing.T) {
 			t.Error("NewEngine(lookahead=0) did not panic")
 		}
 	}()
-	NewEngine(1, 0)
+	NewEngine(1, 0, 2)
 }
 
 // TestEngineGlobalsRunAtBarriers pins the ordering contract for control
@@ -120,9 +120,8 @@ func TestEngineZeroLookaheadPanics(t *testing.T) {
 // and globals at the same time run in scheduling order (including ones they
 // enqueue themselves) — also when t is the deadline itself.
 func TestEngineGlobalsRunAtBarriers(t *testing.T) {
-	eng := NewEngine(3, 2*Microsecond)
-	d0 := eng.AddDomain()
-	d1 := eng.AddDomain()
+	eng := NewEngine(3, 2*Microsecond, 2)
+	d0, d1 := eng.Domain(0), eng.Domain(1)
 	var order []string
 	d0.At(10*Microsecond, func() { order = append(order, "d0@10") })
 	d1.At(10*Microsecond, func() { order = append(order, "d1@10") })
@@ -134,11 +133,11 @@ func TestEngineGlobalsRunAtBarriers(t *testing.T) {
 	eng.GlobalAt(10*Microsecond, func() { order = append(order, "g2@10") })
 	eng.GlobalAt(5*Microsecond, func() { order = append(order, "g0@5") })
 	want := []string{"g0@5", "d0@10", "d1@10", "g1@10", "g2@10", "g3@10", "d1@11"}
-	eng.Run(10*Microsecond, nil) // deadline == global time == an event's time
+	eng.Run(10 * Microsecond) // deadline == global time == an event's time
 	if !reflect.DeepEqual(order, want[:6]) || eng.Now() != 10*Microsecond || eng.Pending() != 1 {
 		t.Fatalf("at the 10µs deadline: order = %v, Now() = %v, Pending() = %d", order, eng.Now(), eng.Pending())
 	}
-	eng.Run(20*Microsecond, nil)
+	eng.Run(20 * Microsecond)
 	if !reflect.DeepEqual(order, want) {
 		t.Fatalf("order = %v, want %v", order, want)
 	}
@@ -156,10 +155,10 @@ func TestEngineGlobalsRunAtBarriers(t *testing.T) {
 // outbox.
 func TestEnginePostTieOrder(t *testing.T) {
 	const us = Microsecond
-	eng := NewEngine(5, us)
+	eng := NewEngine(5, us, 4)
 	var doms []*Domain
 	for i := 0; i < 4; i++ {
-		doms = append(doms, eng.AddDomain())
+		doms = append(doms, eng.Domain(i))
 	}
 	// A pending event at 0 bounds the first window at 1µs, before any
 	// message lands.
@@ -177,7 +176,7 @@ func TestEnginePostTieOrder(t *testing.T) {
 		nth[p.src]++
 		doms[p.src].Post(dst, p.at, func(any, any) { got[dst] = append(got[dst], label) }, nil, nil)
 	}
-	eng.Run(10*us, nil)
+	eng.Run(10 * us)
 	want := [2][]string{
 		{"s1#0", "s1#1", "s2#3", "s3#0", "s3#1", "s2#1", "s3#4"},
 		{"s2#0", "s2#2", "s3#3", "s1#2", "s3#2"},
@@ -187,32 +186,53 @@ func TestEnginePostTieOrder(t *testing.T) {
 	}
 }
 
-// TestEngineStopAtBarrier: the stop predicate is honored at a barrier and
-// leaves the engine in a resumable state.
+// TestEngineStopAtBarrier: on several domains a Stop ends Run at the
+// stopping window's barrier, not at the stopping event — the stopped domain
+// resumes to the horizon and the others run their window — and leaves the
+// engine resumable.
 func TestEngineStopAtBarrier(t *testing.T) {
-	eng := NewEngine(9, Microsecond)
-	d := eng.AddDomain()
-	var fired int
-	var tick func()
-	tick = func() {
-		fired++
-		d.After(Microsecond, tick)
+	const tick = 300 * Nanosecond
+	eng := NewEngine(9, Microsecond, 2)
+	d0, d1 := eng.Domain(0), eng.Domain(1)
+	var fired [2]int
+	for i, d := range []*Domain{d0, d1} {
+		i, d := i, d
+		var step func()
+		step = func() {
+			if fired[i]++; i == 0 && fired[i] == 10 {
+				d.Stop() // at 3µs, inside the window ending at 3.7µs
+			}
+			d.After(tick, step)
+		}
+		d.After(tick, step)
 	}
-	d.After(Microsecond, tick)
-	eng.Run(Second, func() bool { return fired >= 10 })
-	if fired < 10 || fired > 12 {
-		t.Fatalf("fired = %d, want ~10 (stop checked at barriers)", fired)
+	eng.Run(Second)
+	if want := 3700 * Nanosecond; eng.Now() != want || fired != [2]int{12, 12} {
+		t.Fatalf("stopped at %v with %v events fired, want %v and [12 12]", eng.Now(), fired, want)
 	}
-	if eng.Now() >= Second {
-		t.Fatalf("engine ran to deadline despite stop (now=%v)", eng.Now())
+	checkClocks(t, eng, "after the stop")
+	eng.Run(10 * Microsecond)
+	if fired != [2]int{33, 33} {
+		t.Fatalf("after resuming to 10µs: fired %v, want [33 33]", fired)
 	}
+}
+
+// TestOneDomainPostPanics: a one-domain engine has no outbox flush, so a
+// post would be silently lost; it panics at its source instead.
+func TestOneDomainPostPanics(t *testing.T) {
+	eng := NewEngine(1, Microsecond, 1)
+	defer func() {
+		if recover() == nil {
+			t.Error("post on a one-domain engine did not panic")
+		}
+	}()
+	eng.Domain(0).Post(0, Millisecond, func(any, any) {}, nil, nil)
 }
 
 // TestEngineProcessedPending sanity-checks the aggregate accounting.
 func TestEngineProcessedPending(t *testing.T) {
-	eng := NewEngine(11, Microsecond)
-	d0 := eng.AddDomain()
-	d1 := eng.AddDomain()
+	eng := NewEngine(11, Microsecond, 2)
+	d0, d1 := eng.Domain(0), eng.Domain(1)
 	d0.At(Microsecond, func() {})
 	d1.At(Microsecond, func() {})
 	d1.At(2*Microsecond, func() {})
@@ -220,7 +240,7 @@ func TestEngineProcessedPending(t *testing.T) {
 	if eng.Pending() != 4 {
 		t.Fatalf("Pending() = %d, want 4", eng.Pending())
 	}
-	eng.Run(Millisecond, nil)
+	eng.Run(Millisecond)
 	if eng.Pending() != 0 {
 		t.Fatalf("Pending() = %d after drain, want 0", eng.Pending())
 	}
@@ -243,10 +263,8 @@ func checkClocks(t *testing.T, eng *Engine, where string) {
 // every domain clock — busy or idle for many windows — equals Engine.Now()
 // inside every global and after every Run return.
 func TestEngineClocksEqualBetweenWindows(t *testing.T) {
-	m := buildRing(17, 6)
+	m := buildRing(17, 7, 6) // domain 6 has no chain of its own: only the ring's posts land there
 	eng := m.eng
-	eng.AddDomain() // no chain of its own: only the ring's posts land here
-	m.logs = append(m.logs, nil)
 	globals := 0
 	for at := Time(0); at <= 300*Microsecond; at += 7 * Microsecond {
 		eng.GlobalAt(at, func() {
@@ -255,7 +273,7 @@ func TestEngineClocksEqualBetweenWindows(t *testing.T) {
 		})
 	}
 	for _, until := range []Time{3 * Microsecond, 50 * Microsecond, 51 * Microsecond, 400 * Microsecond, Millisecond} {
-		eng.Run(until, nil)
+		eng.Run(until)
 		if eng.Now() != until {
 			t.Fatalf("Run(%v) returned at %v", until, eng.Now())
 		}
@@ -272,9 +290,8 @@ func TestEngineClocksEqualBetweenWindows(t *testing.T) {
 // message it posts lands on time, before the far-off pending event.
 func TestEngineGlobalSchedulesEarlierEvent(t *testing.T) {
 	const us = Microsecond
-	eng := NewEngine(19, 2*us)
-	d0 := eng.AddDomain()
-	d1 := eng.AddDomain()
+	eng := NewEngine(19, 2*us, 2)
+	d0, d1 := eng.Domain(0), eng.Domain(1)
 	var order []string
 	d0.At(100*us, func() { order = append(order, fmt.Sprintf("d0 far @%v", d0.Now())) })
 	eng.GlobalAt(10*us, func() {
@@ -283,7 +300,7 @@ func TestEngineGlobalSchedulesEarlierEvent(t *testing.T) {
 			d1.Post(0, 14*us, func(any, any) { order = append(order, fmt.Sprintf("d0 post @%v", d0.Now())) }, nil, nil)
 		})
 	})
-	eng.Run(Millisecond, nil)
+	eng.Run(Millisecond)
 	want := []string{"d1 @12µs", "d0 post @14µs", "d0 far @100µs"}
 	if !reflect.DeepEqual(order, want) {
 		t.Fatalf("order = %q, want %q", order, want)
@@ -294,9 +311,8 @@ func TestEngineGlobalSchedulesEarlierEvent(t *testing.T) {
 // nothing to do for many windows fires at its own timestamp.
 func TestEnginePostIntoLongIdleDomain(t *testing.T) {
 	const us = Microsecond
-	eng := NewEngine(23, us)
-	busy := eng.AddDomain()
-	idle := eng.AddDomain()
+	eng := NewEngine(23, us, 2)
+	busy, idle := eng.Domain(0), eng.Domain(1)
 	var tick func()
 	ticks := 0
 	tick = func() {
@@ -312,7 +328,7 @@ func TestEnginePostIntoLongIdleDomain(t *testing.T) {
 		busy.After(us, tick)
 	}
 	busy.At(us, tick)
-	eng.Run(Millisecond, nil)
+	eng.Run(Millisecond)
 	if ticks != -1 {
 		t.Fatalf("post into the idle domain never fired (ticks = %d)", ticks)
 	}
@@ -323,8 +339,8 @@ func TestEnginePostIntoLongIdleDomain(t *testing.T) {
 // deadline fires before Run returns, including a message posted one
 // lookahead earlier that lands exactly on it.
 func TestEngineResumableRun(t *testing.T) {
-	eng := NewEngine(13, Microsecond)
-	d := eng.AddDomain()
+	eng := NewEngine(13, Microsecond, 2)
+	d := eng.Domain(0)
 	var at []Time
 	for i := 1; i <= 4; i++ {
 		i := i
@@ -332,15 +348,125 @@ func TestEngineResumableRun(t *testing.T) {
 	}
 	landed := false
 	d.At(14*Microsecond, func() { d.Post(0, 15*Microsecond, func(any, any) { landed = true }, nil, nil) })
-	eng.Run(15*Microsecond, nil)
+	eng.Run(15 * Microsecond)
 	if len(at) != 1 || !landed {
 		t.Fatalf("before the first deadline: fired %d events (want 1), message on the deadline fired = %v", len(at), landed)
 	}
 	if eng.Now() != 15*Microsecond {
 		t.Fatalf("Now() = %v, want 15µs", eng.Now())
 	}
-	eng.Run(Millisecond, nil)
+	eng.Run(Millisecond)
 	if len(at) != 4 {
 		t.Fatalf("fired %d events total, want 4", len(at))
+	}
+}
+
+// program is the clock surface a randomized event program drives: a
+// Simulator's own scheduling plus the global and run forms, bound either to
+// a bare Simulator or to a one-domain engine.
+type program struct {
+	s           *Simulator
+	globalAt    func(Time, func())
+	globalAfter func(Time, func())
+	run         func(Time)
+	now         func() Time
+	processed   func() uint64
+	pending     func() int
+}
+
+// runProgram seeds a few events, then lets every fired event log its tag,
+// time and an RNG draw and use the RNG to schedule more — through At, After,
+// GlobalAt and GlobalAfter, on a coarse grid so same-timestamp ties are
+// common — or to cancel an earlier one. The 300th event calls Stop; the
+// program resumes twice, and the log records the clock and queue counts
+// after every run.
+func runProgram(p program) []string {
+	var log []string
+	var ids []EventID
+	fired, tags := 0, 0
+	var spawn func(kind int, gap Time)
+	step := func(tag string) func() {
+		return func() {
+			fired++
+			rng := p.s.Rand()
+			log = append(log, fmt.Sprintf("%s@%v r%d", tag, p.now(), rng.Intn(1000)))
+			if fired == 300 {
+				p.s.Stop()
+			}
+			if fired > 1500 {
+				return
+			}
+			for k := 1 + rng.Intn(3); k > 0; k-- {
+				spawn(rng.Intn(5), Time(rng.Intn(4))*Microsecond)
+			}
+		}
+	}
+	spawn = func(kind int, gap Time) {
+		tags++
+		tag := fmt.Sprintf("%c%d", "aAgGc"[kind], tags)
+		switch kind {
+		case 0:
+			ids = append(ids, p.s.At(p.now()+gap, step(tag)))
+		case 1:
+			ids = append(ids, p.s.After(gap, step(tag)))
+		case 2:
+			p.globalAt(p.now()+gap, step(tag))
+		case 3:
+			p.globalAfter(gap, step(tag))
+		case 4:
+			if len(ids) > 0 {
+				id := ids[p.s.Rand().Intn(len(ids))]
+				log = append(log, fmt.Sprintf("%s cancel=%v", tag, p.s.Cancel(id)))
+			}
+		}
+	}
+	for kind := 0; kind < 4; kind++ {
+		spawn(kind, Microsecond)
+	}
+	for _, until := range []Time{Microsecond, Second, Second, 2 * Second} {
+		p.run(until)
+		log = append(log, fmt.Sprintf("run(%v): now=%v processed=%d pending=%d", until, p.now(), p.processed(), p.pending()))
+	}
+	return log
+}
+
+// TestOneDomainEngineIsASimulator is the one-domain rule: NewEngine(s, la, 1)
+// behaves exactly as New(s) driven the way a single-Simulator cluster drove
+// it — a control action at t is After(t-Now), Run(until) is RunUntil(until)
+// — down to RNG draws, same-timestamp order, Cancel results, the Stop point,
+// clocks and queue counts.
+func TestOneDomainEngineIsASimulator(t *testing.T) {
+	for _, seed := range []int64{1, 2, 3} {
+		s := New(seed)
+		ref := runProgram(program{
+			s:           s,
+			globalAt:    func(at Time, fn func()) { s.After(at-s.Now(), fn) },
+			globalAfter: func(d Time, fn func()) { s.After(d, fn) },
+			run:         s.RunUntil,
+			now:         s.Now,
+			processed:   s.Processed,
+			pending:     s.Pending,
+		})
+		eng := NewEngine(seed, Microsecond, 1)
+		got := runProgram(program{
+			s:           eng.Domain(0).Simulator,
+			globalAt:    eng.GlobalAt,
+			globalAfter: eng.GlobalAfter,
+			run:         eng.Run,
+			now:         eng.Now,
+			processed:   eng.Processed,
+			pending:     eng.Pending,
+		})
+		if len(ref) < 1500 {
+			t.Fatalf("seed %d: reference program logged only %d lines", seed, len(ref))
+		}
+		if !reflect.DeepEqual(got, ref) {
+			for i := range ref {
+				if i >= len(got) || got[i] != ref[i] {
+					t.Fatalf("seed %d: line %d: engine %q, simulator %q", seed, i, got[min(i, len(got)-1)], ref[i])
+				}
+			}
+			t.Fatalf("seed %d: engine logged %d lines, simulator %d", seed, len(got), len(ref))
+		}
 	}
 }
