@@ -11,18 +11,19 @@ import (
 	"clove/internal/datapath"
 )
 
-// adminServer is the lifecycle component serving cloved's operational API:
+// adminServer serves cloved's operational API:
 //
 //	GET  /healthz  — liveness: 200 while the process runs
 //	GET  /readyz   — readiness: 200 once every tenant tunnel has a remote
 //	GET  /stats    — JSON stats, sorted weights, and RTTs per tenant
 //	POST /config   — hot-reload: flowlet gap, relay interval, remote
 //
-// It registers first so liveness is observable before (and readiness
-// reflects) tenant bring-up, and stops last so /stats stays queryable
-// through the drain. Handlers read tenant state through atomics only —
-// never through the lifecycle manager — so a probe can never deadlock
-// against a shutdown in progress.
+// app.start brings it up first so liveness is observable before (and
+// readiness reflects) tenant bring-up, and app.stop shuts it down last so
+// /stats stays queryable through the drain. Handlers read tenant state
+// through the endpoints' atomics only and take no lock app.stop holds: stop
+// waits on http.Server.Shutdown, which waits on in-flight handlers, so a
+// handler blocking on the drain would deadlock it.
 type adminServer struct {
 	app  *app
 	addr string
@@ -32,11 +33,18 @@ type adminServer struct {
 }
 
 func newAdminServer(a *app, addr string) *adminServer {
-	return &adminServer{app: a, addr: addr}
+	s := &adminServer{app: a, addr: addr}
+	mux := http.NewServeMux()
+	mux.HandleFunc("/healthz", s.handleHealthz)
+	mux.HandleFunc("/readyz", s.handleReadyz)
+	mux.HandleFunc("/stats", s.handleStats)
+	mux.HandleFunc("/config", s.handleConfig)
+	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	return s
 }
 
 // Addr returns the bound address (resolves ":0" requests); valid after
-// Start.
+// start.
 func (s *adminServer) Addr() string {
 	if s.ln == nil {
 		return s.addr
@@ -44,17 +52,7 @@ func (s *adminServer) Addr() string {
 	return s.ln.Addr().String()
 }
 
-func (s *adminServer) Init(ctx context.Context) error {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", s.handleHealthz)
-	mux.HandleFunc("/readyz", s.handleReadyz)
-	mux.HandleFunc("/stats", s.handleStats)
-	mux.HandleFunc("/config", s.handleConfig)
-	s.srv = &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
-	return nil
-}
-
-func (s *adminServer) Start(ctx context.Context) error {
+func (s *adminServer) start() error {
 	ln, err := net.Listen("tcp", s.addr)
 	if err != nil {
 		return fmt.Errorf("admin: listen %s: %w", s.addr, err)
@@ -65,10 +63,8 @@ func (s *adminServer) Start(ctx context.Context) error {
 	return nil
 }
 
-func (s *adminServer) Stop() error {
-	if s.srv == nil {
-		return nil
-	}
+// stop shuts the server down, waiting up to 5 s for in-flight requests.
+func (s *adminServer) stop() error {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	return s.srv.Shutdown(ctx)
@@ -118,8 +114,10 @@ type statsResponse struct {
 func (s *adminServer) handleStats(w http.ResponseWriter, r *http.Request) {
 	resp := statsResponse{Tenants: make([]tenantStatus, 0, len(s.app.tenants))}
 	for _, t := range s.app.tenants {
-		ts := tenantStatus{Name: t.spec.Name, Ready: t.ready.Load(), Remote: t.remoteAddr()}
+		ts := tenantStatus{Name: t.spec.Name}
 		if ep := t.endpoint(); ep != nil {
+			ts.Remote = ep.RemoteAddr()
+			ts.Ready = ts.Remote != ""
 			ts.Ports = ep.Ports()
 			ts.FlowletGap = Duration(ep.FlowletGap())
 			ts.RelayInterval = Duration(ep.RelayInterval())
@@ -183,7 +181,7 @@ func (s *adminServer) handleConfig(w http.ResponseWriter, r *http.Request) {
 	// Validated: apply. Retarget goes first so a bad remote rejects the
 	// request before any knob moved.
 	if req.Remote != nil {
-		if err := t.retarget(*req.Remote); err != nil {
+		if err := ep.Retarget(*req.Remote); err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -199,6 +197,6 @@ func (s *adminServer) handleConfig(w http.ResponseWriter, r *http.Request) {
 		"tenant":         t.spec.Name,
 		"flowlet_gap":    Duration(ep.FlowletGap()),
 		"relay_interval": Duration(ep.RelayInterval()),
-		"remote":         t.remoteAddr(),
+		"remote":         ep.RemoteAddr(),
 	})
 }

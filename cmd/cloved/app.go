@@ -2,7 +2,7 @@ package main
 
 import (
 	"bufio"
-	"context"
+	"errors"
 	"fmt"
 	"io"
 	"strings"
@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"clove/internal/datapath"
-	"clove/internal/lifecycle"
 )
 
 // appConfig is the resolved flag/file configuration for one cloved process.
@@ -34,24 +33,29 @@ type appConfig struct {
 	serveAfterEOF bool
 }
 
-// app wires tenants, the admin plane, tickers, and the stdin reader into a
-// lifecycle manager. Component order is bring-up order; teardown is the
-// reverse, so input stops first, tickers die, tenants drain, and the admin
-// plane — observable throughout the drain — goes last.
+// app is one cloved process: the optional admin plane, its tenants, the
+// keepalive and stats tickers, and the stdin reader. start brings them up
+// in that order; stop takes them down in the reverse one, so input stops
+// first, tickers die, tenants drain, and the admin plane — observable
+// throughout the drain — goes last.
 type app struct {
 	cfg     appConfig
-	mgr     *lifecycle.Manager
 	tenants []*tenant
-	admin   *adminServer
+	admin   *adminServer // nil without -admin
 
 	stdin  io.Reader
 	stdout io.Writer
 	stderr io.Writer
 
+	// tickers holds each running ticker's stop func, in start order.
+	tickers []func()
 	// inputDone receives the scanner's terminal error (nil on clean EOF)
 	// exactly once.
 	inputDone chan error
 	draining  atomic.Bool
+
+	stopOnce sync.Once
+	stopErr  error
 }
 
 func newApp(cfg appConfig, stdin io.Reader, stdout, stderr io.Writer) (*app, error) {
@@ -60,45 +64,98 @@ func newApp(cfg appConfig, stdin io.Reader, stdout, stderr io.Writer) (*app, err
 	}
 	a := &app{
 		cfg:       cfg,
-		mgr:       lifecycle.New(),
 		stdin:     stdin,
 		stdout:    stdout,
 		stderr:    stderr,
 		inputDone: make(chan error, 1),
 	}
-	a.mgr.StopTimeout = cfg.drainTimeout + 5*time.Second
-
 	if cfg.adminAddr != "" {
 		a.admin = newAdminServer(a, cfg.adminAddr)
-		a.mgr.Add("admin", a.admin)
 	}
-	for i := range cfg.tenants {
-		t := &tenant{app: a, spec: cfg.tenants[i]}
-		a.tenants = append(a.tenants, t)
-		a.mgr.Add("tenant/"+t.spec.Name, t)
+	for _, spec := range cfg.tenants {
+		a.tenants = append(a.tenants, &tenant{app: a, spec: spec})
 	}
-	if cfg.keepalive > 0 {
-		for _, t := range a.tenants {
-			t := t
-			a.mgr.Add("keepalive/"+t.spec.Name, &lifecycle.Ticker{
-				Interval: cfg.keepalive,
-				Tick: func() {
-					if ep := t.endpoint(); ep != nil && t.ready.Load() {
-						ep.Keepalive()
-						ep.ProbePaths()
-					}
-				},
-			})
+	return a, nil
+}
+
+// start brings the service up: the admin plane listens first, so liveness
+// is observable during (and readiness reflects) tenant bring-up; then each
+// tenant in order, the tickers, and the stdin reader. If a tenant fails to
+// start, stop releases what came up before it: the started tenants drain
+// in reverse order and the admin plane shuts down.
+func (a *app) start() error {
+	if a.admin != nil {
+		if err := a.admin.start(); err != nil {
+			return err
 		}
 	}
-	if cfg.statsEvery > 0 {
-		a.mgr.Add("stats", &lifecycle.Ticker{
-			Interval: cfg.statsEvery,
-			Tick:     a.printStats,
-		})
+	for _, t := range a.tenants {
+		if err := t.start(); err != nil {
+			return errors.Join(err, a.stop())
+		}
 	}
-	a.mgr.Add("stdin", &stdinReader{app: a})
-	return a, nil
+	if a.cfg.keepalive > 0 {
+		for _, t := range a.tenants {
+			ep := t.endpoint()
+			a.tickers = append(a.tickers, every(a.cfg.keepalive, func() {
+				ep.Keepalive()
+				ep.ProbePaths()
+			}))
+		}
+	}
+	if a.cfg.statsEvery > 0 {
+		a.tickers = append(a.tickers, every(a.cfg.statsEvery, a.printStats))
+	}
+	go a.readStdin()
+	return nil
+}
+
+// stop drains the service in the reverse of start's order and returns
+// every step's error joined, so one failing tenant never hides another or
+// skips the rest. Each step bounds itself: a tenant's drain by
+// -drain-timeout, the admin shutdown by its own deadline. Idempotent: later
+// calls return the first call's result.
+func (a *app) stop() error {
+	a.stopOnce.Do(func() {
+		a.draining.Store(true)
+		for i := len(a.tickers) - 1; i >= 0; i-- {
+			a.tickers[i]()
+		}
+		var errs []error
+		for i := len(a.tenants) - 1; i >= 0; i-- {
+			errs = append(errs, a.tenants[i].stop())
+		}
+		if a.admin != nil {
+			errs = append(errs, a.admin.stop())
+		}
+		a.stopErr = errors.Join(errs...)
+	})
+	return a.stopErr
+}
+
+// every runs fn every interval on its own goroutine until the returned stop
+// is called. stop waits for an in-flight fn, so a tick never races the
+// teardown of what it touches. A tick that outlasts interval delays later
+// ticks (time.Ticker semantics).
+func every(interval time.Duration, fn func()) (stop func()) {
+	quit, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		tk := time.NewTicker(interval)
+		defer tk.Stop()
+		for {
+			select {
+			case <-quit:
+				return
+			case <-tk.C:
+				fn()
+			}
+		}
+	}()
+	return func() {
+		close(quit)
+		<-done
+	}
 }
 
 // tenantNamed returns the tenant with the given name, or the first tenant
@@ -118,12 +175,8 @@ func (a *app) tenantNamed(name string) *tenant {
 // printStats emits one stats line (plus RTT detail) per tenant.
 func (a *app) printStats() {
 	for _, t := range a.tenants {
-		ep := t.endpoint()
-		if ep == nil {
-			continue
-		}
 		fmt.Fprintf(a.stdout, "-- %s%s\n", t.label(), t.statsLine())
-		for _, r := range ep.PathRTTs() {
+		for _, r := range t.endpoint().PathRTTs() {
 			if r.Samples > 0 {
 				fmt.Fprintf(a.stdout, "   path %d: rtt=%v (%d samples, %v old)\n",
 					r.Port, r.RTT, r.Samples, r.Age.Round(time.Millisecond))
@@ -132,21 +185,38 @@ func (a *app) printStats() {
 	}
 }
 
-// tenant is the lifecycle component owning one overlay's endpoint.
-// Start acquires everything (sockets, read loops); Stop drains: flush the
-// tx rings, close within the drain deadline, and emit a final stats line.
+// readStdin feeds stdin lines into the first tenant's tunnel. Its scanner
+// accepts tokens up to the datapath's 65535-byte payload bound (the 64 KiB
+// bufio default silently ended the old read loop), and the terminal scanner
+// error is reported through inputDone instead of being dropped. stop sets
+// draining so shutdown stops accepting input immediately; the blocked read
+// itself is released when the process exits or the input closes.
+func (a *app) readStdin() {
+	ep := a.tenants[0].endpoint()
+	sc := bufio.NewScanner(a.stdin)
+	sc.Buffer(make([]byte, 0, 16*1024), datapath.MaxPayload)
+	for sc.Scan() {
+		if a.draining.Load() {
+			break
+		}
+		if err := ep.Send(sc.Bytes()); err != nil {
+			fmt.Fprintln(a.stderr, "cloved: send:", err)
+		}
+	}
+	a.inputDone <- sc.Err()
+}
+
+// tenant owns one overlay's endpoint. start acquires everything (sockets,
+// read loops); stop drains: flush the tx rings, close within the drain
+// deadline, and emit a final stats line. Everything else about the tunnel —
+// its remote, whether it is ready — is read from the endpoint itself.
 type tenant struct {
 	app  *app
 	spec TenantSpec
 
-	ep    atomic.Pointer[datapath.Endpoint]
-	ready atomic.Bool
-
-	mu     sync.Mutex
-	remote string
-
-	stopOnce sync.Once
-	stopErr  error
+	// ep is nil until start succeeds; the admin plane, up before any
+	// tenant, may read it concurrently.
+	ep atomic.Pointer[datapath.Endpoint]
 }
 
 func (t *tenant) endpoint() *datapath.Endpoint { return t.ep.Load() }
@@ -160,14 +230,7 @@ func (t *tenant) label() string {
 	return "[" + t.spec.Name + "] "
 }
 
-func (t *tenant) Init(ctx context.Context) error {
-	if t.spec.Paths < 1 {
-		return fmt.Errorf("tenant %q: need at least one path", t.spec.Name)
-	}
-	return nil
-}
-
-func (t *tenant) Start(ctx context.Context) error {
+func (t *tenant) start() error {
 	cfg := datapath.DefaultConfig()
 	cfg.Paths = t.spec.Paths
 	cfg.FlowletGap = time.Duration(t.spec.FlowletGap)
@@ -193,10 +256,6 @@ func (t *tenant) Start(ctx context.Context) error {
 		return fmt.Errorf("tenant %q: %w", t.spec.Name, err)
 	}
 	t.ep.Store(ep)
-	t.setRemote(t.spec.Remote)
-	if t.spec.Remote != "" {
-		t.ready.Store(true)
-	}
 	fmt.Fprintf(out, "paths%s: %v (batched syscalls: %v)\n",
 		nameSuffix(label), ep.Ports(),
 		datapath.BatchSyscallsSupported() && !cfg.NoBatchSyscalls)
@@ -209,64 +268,37 @@ func (t *tenant) Start(ctx context.Context) error {
 // nameSuffix turns "[blue] " into "[blue]" for the paths banner.
 func nameSuffix(label string) string { return strings.TrimSuffix(label, " ") }
 
-// Stop drains the tenant: flush pending tx rings, close within the drain
+// stop drains the tenant: flush pending tx rings, close within the drain
 // deadline, then print the final stats line so the last words of a tenant
-// are its delivery counts. Idempotent.
-func (t *tenant) Stop() error {
-	t.stopOnce.Do(func() {
-		ep := t.endpoint()
-		if ep == nil {
-			return
-		}
-		t.stopErr = ep.Drain(t.app.cfg.drainTimeout)
-		fmt.Fprintf(t.app.stdout, "-- final %s%s\n", t.label(), t.statsLine())
-	})
-	return t.stopErr
+// are its delivery counts. A tenant that never started has nothing to drain.
+func (t *tenant) stop() error {
+	ep := t.endpoint()
+	if ep == nil {
+		return nil
+	}
+	err := ep.Drain(t.app.cfg.drainTimeout)
+	fmt.Fprintf(t.app.stdout, "-- final %s%s\n", t.label(), t.statsLine())
+	if err != nil {
+		return fmt.Errorf("tenant %q: %w", t.spec.Name, err)
+	}
+	return nil
 }
 
 // Ready reports whether this tenant's tunnel is serving a remote: it
-// becomes ready when Start(remote) succeeds, or — for a receive-only
+// becomes ready when start(remote) succeeds, or — for a receive-only
 // tenant — when a /config retarget installs a remote.
 func (t *tenant) Ready() error {
-	if !t.ready.Load() {
+	if ep := t.endpoint(); ep == nil || ep.RemoteAddr() == "" {
 		return fmt.Errorf("tenant %q: no remote configured", t.spec.Name)
 	}
 	return nil
 }
 
-func (t *tenant) setRemote(remote string) {
-	t.mu.Lock()
-	t.remote = remote
-	t.mu.Unlock()
-}
-
-func (t *tenant) remoteAddr() string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.remote
-}
-
-// retarget hot-reloads the tenant's remote without dropping the endpoint.
-func (t *tenant) retarget(remote string) error {
-	ep := t.endpoint()
-	if ep == nil {
-		return fmt.Errorf("tenant %q: not started", t.spec.Name)
-	}
-	if err := ep.Retarget(remote); err != nil {
-		return err
-	}
-	t.setRemote(remote)
-	t.ready.Store(true)
-	return nil
-}
-
 // statsLine renders the counters with weights sorted by port, so the line
-// is deterministic run-to-run (a map-ranged print was not).
+// is deterministic run-to-run (a map-ranged print was not). Only called on
+// a started tenant.
 func (t *tenant) statsLine() string {
 	ep := t.endpoint()
-	if ep == nil {
-		return "(not started)"
-	}
 	st := ep.Stats()
 	var b strings.Builder
 	fmt.Fprintf(&b, "sent=%d recv=%d flowlets=%d ce=%d fb(tx=%d rx=%d) errs(sock=%d decode=%d) weights=[",
@@ -281,45 +313,4 @@ func (t *tenant) statsLine() string {
 	}
 	b.WriteByte(']')
 	return b.String()
-}
-
-// stdinReader is the lifecycle component feeding stdin lines into the first
-// tenant's tunnel. Its scanner accepts tokens up to the datapath's 65535-
-// byte payload bound (the 64 KiB bufio default silently ended the old
-// read loop), and the terminal scanner error is reported through
-// app.inputDone instead of being dropped. Stop flips the draining flag so
-// shutdown stops accepting input immediately; the blocked read itself is
-// released when the process exits or the input closes.
-type stdinReader struct {
-	app *app
-}
-
-func (s *stdinReader) Init(ctx context.Context) error { return nil }
-
-func (s *stdinReader) Start(ctx context.Context) error {
-	a := s.app
-	t := a.tenants[0]
-	go func() {
-		sc := bufio.NewScanner(a.stdin)
-		sc.Buffer(make([]byte, 0, 16*1024), datapath.MaxPayload)
-		for sc.Scan() {
-			if a.draining.Load() {
-				break
-			}
-			ep := t.endpoint()
-			if ep == nil {
-				continue
-			}
-			if err := ep.Send(sc.Bytes()); err != nil {
-				fmt.Fprintln(a.stderr, "cloved: send:", err)
-			}
-		}
-		a.inputDone <- sc.Err()
-	}()
-	return nil
-}
-
-func (s *stdinReader) Stop() error {
-	s.app.draining.Store(true)
-	return nil
 }

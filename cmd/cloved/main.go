@@ -1,8 +1,8 @@
 // Command cloved runs a real userspace Clove tunnel endpoint over UDP as an
 // operated, long-running service: multiple local sockets (one per ECMP
 // path, distinguished by outer source port), flowlet switching, in-band
-// congestion feedback with adaptive path weights — plus a component
-// lifecycle with graceful drain on SIGINT/SIGTERM, an optional admin plane
+// congestion feedback with adaptive path weights — plus ordered bring-up
+// and graceful drain on SIGINT/SIGTERM, an optional admin plane
 // (-admin) serving health/readiness probes, JSON stats, and hot-reload of
 // the flowlet gap, relay interval, and remote without dropping flows, and
 // multi-tenant serving (-tenants) mapping N overlays onto N shared-nothing
@@ -21,12 +21,12 @@
 //	     curl -X POST -d '{"remote":"127.0.0.1:Q"}' http://127.0.0.1:7070/config
 //
 // On SIGINT/SIGTERM the service drains: input stops, tickers stop, every
-// tenant flushes its transmit rings and closes within -drain-timeout, a
-// final stats line is emitted per tenant, and the process exits 0.
+// tenant — last one first — flushes its transmit rings and closes within
+// -drain-timeout, a final stats line is emitted per tenant, the admin plane
+// shuts down last, and the process exits 0.
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -63,6 +63,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		drainTmo = fs.Duration("drain-timeout", 5*time.Second, "max wait for each tenant's drain on shutdown")
 	)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if *drainTmo <= 0 {
+		fmt.Fprintln(stderr, "cloved: -drain-timeout must be positive")
 		return 2
 	}
 
@@ -103,12 +107,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "cloved:", err)
 		return 1
 	}
-	ctx := context.Background()
-	if err := a.mgr.Init(ctx); err != nil {
-		fmt.Fprintln(stderr, "cloved:", err)
-		return 1
-	}
-	if err := a.mgr.Start(ctx); err != nil {
+	if err := a.start(); err != nil {
 		fmt.Fprintln(stderr, "cloved:", err)
 		return 1
 	}
@@ -133,7 +132,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stdout, "cloved: received %v, draining\n", s)
 		}
 	}
-	if err := a.mgr.Stop(); err != nil {
+	if err := a.stop(); err != nil {
 		fmt.Fprintln(stderr, "cloved: shutdown:", err)
 		if exit == 0 {
 			exit = 1

@@ -63,7 +63,6 @@ type PathProfile struct {
 	Delay    time.Duration // added one-way delay
 	ECNDepth int           // queue depth (packets) beyond which CE is set; 0 = never
 	QueueCap int           // drop-tail bound; 0 = 256
-	Drop     float64       // random loss probability (0..1) — not used by default
 }
 
 // emuPath is the runtime queue for one path.

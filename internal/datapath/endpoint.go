@@ -108,8 +108,6 @@ type Config struct {
 	FlowletGap time.Duration
 	// RelayInterval rate-limits feedback relays per path.
 	RelayInterval time.Duration
-	// Beta is the weight reduction on congestion feedback.
-	Beta float64
 	// Batch is the depth of each shard's preallocated send and receive
 	// rings: the maximum datagrams moved by one batched syscall and the
 	// coalescing bound for Enqueue. 0 means DefaultBatch.
@@ -138,7 +136,6 @@ func DefaultConfig() Config {
 		Paths:         4,
 		FlowletGap:    500 * time.Microsecond,
 		RelayInterval: 250 * time.Microsecond,
-		Beta:          1.0 / 3.0,
 		Batch:         DefaultBatch,
 		BufSize:       DefaultBufSize,
 	}
@@ -267,12 +264,9 @@ func NewEndpoint(localIP string, cfg Config) (*Endpoint, error) {
 		e.ports = append(e.ports, sh.port)
 		e.portIdx[sh.port] = int16(i + 1)
 	}
-	wcfg := clove.WeightTableConfig{
-		Beta:         cfg.Beta,
-		Floor:        0.02,
-		CongestedAge: sim.FromDuration(4 * cfg.RelayInterval),
-		UtilAge:      sim.FromDuration(8 * cfg.RelayInterval),
-	}
+	// The paper's reaction rule, with congestion memory measured in relay
+	// intervals rather than RTTs.
+	wcfg := clove.DefaultWeightTableConfig(sim.FromDuration(cfg.RelayInterval))
 	e.weights = clove.NewWeightTable(wcfg, e.ports)
 	e.flowletGapNs.Store(int64(cfg.FlowletGap))
 	e.relayNs.Store(int64(cfg.RelayInterval))
