@@ -2,6 +2,7 @@ package datapath
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -301,5 +302,12 @@ func TestProbePathsMeasuresRTT(t *testing.T) {
 	}
 	if recv.Stats().ProbesAnswered == 0 {
 		t.Error("receiver answered no probes")
+	}
+	// Probes measure; they do not steer. A 5 ms path keeps its share.
+	for _, pw := range snd.WeightsSorted() {
+		if math.Abs(pw.Weight-0.5) > 1e-9 {
+			t.Errorf("probing moved the weights: %v", snd.WeightsSorted())
+			break
+		}
 	}
 }
