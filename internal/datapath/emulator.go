@@ -21,9 +21,9 @@ type PathEmulator struct {
 	dest    *net.UDPAddr
 	destAP  netip.AddrPort
 
-	mu    sync.Mutex
-	paths map[uint16]*emuPath // keyed by sender path port
-	// pathFor assigns an emulated path index to each new sender port.
+	// paths and nextIdx are touched only by the ingress goroutine (run):
+	// each new sender port gets the next profile in order.
+	paths    map[uint16]*emuPath // keyed by sender path port
 	nextIdx  int
 	profiles []PathProfile
 
@@ -65,12 +65,10 @@ type PathProfile struct {
 	QueueCap int           // drop-tail bound; 0 = 256
 }
 
-// emuPath is the runtime queue for one path.
+// emuPath is the runtime queue for one path; len(queue) is its depth.
 type emuPath struct {
 	profile PathProfile
 	queue   chan []byte
-	depth   int
-	mu      sync.Mutex
 }
 
 // NewPathEmulator creates an emulator with one queue per profile; sender
@@ -149,7 +147,6 @@ func pathPortOf(pkt []byte) uint16 {
 
 func (e *PathEmulator) dispatch(pkt []byte) {
 	port := pathPortOf(pkt)
-	e.mu.Lock()
 	p := e.paths[port]
 	if p == nil {
 		profile := e.profiles[e.nextIdx%len(e.profiles)]
@@ -163,19 +160,12 @@ func (e *PathEmulator) dispatch(pkt []byte) {
 		e.wg.Add(1)
 		go e.drain(p)
 	}
-	e.mu.Unlock()
 
-	p.mu.Lock()
-	if p.profile.ECNDepth > 0 && p.depth >= p.profile.ECNDepth && len(pkt) > 0 {
+	if p.profile.ECNDepth > 0 && len(p.queue) >= p.profile.ECNDepth && len(pkt) > 0 {
 		pkt[0] |= fabricCE // mark like a switch whose queue exceeds K
 	}
-	p.mu.Unlock()
-
 	select {
 	case p.queue <- pkt:
-		p.mu.Lock()
-		p.depth++
-		p.mu.Unlock()
 	default:
 		// drop-tail: recycle the buffer
 		e.putBuf(pkt)
@@ -190,9 +180,6 @@ func (e *PathEmulator) drain(p *emuPath) {
 		case <-e.closed:
 			return
 		case pkt := <-p.queue:
-			p.mu.Lock()
-			p.depth--
-			p.mu.Unlock()
 			if p.profile.RateBps > 0 {
 				tx := time.Duration(int64(len(pkt)) * 8 * int64(time.Second) / p.profile.RateBps)
 				time.Sleep(tx)

@@ -18,9 +18,12 @@
 // the simulator's hot path:
 //
 //   - Each path socket is a shard: its read loop goroutine owns a
-//     preallocated receive ring, its transmit side owns a preallocated send
-//     ring, and receive-side observations live in shard-private state. No
-//     global mutex is taken per packet.
+//     preallocated receive ring and its transmit side owns a preallocated
+//     send ring behind a shard-local mutex.
+//   - The Clove state (flowlet position, weight table, peer-path
+//     observations, probe tables) sits under one endpoint mutex. A send
+//     takes it once; the receive path takes it only for a datagram that
+//     carries a CE mark, feedback or a probe, never for plain data.
 //   - On linux/amd64 and linux/arm64, datagrams move in batches via raw
 //     recvmmsg/sendmmsg syscalls (mmsg_linux.go); everywhere else — and
 //     under Config.NoBatchSyscalls — a portable one-datagram-per-syscall
@@ -184,29 +187,28 @@ type Endpoint struct {
 	onRecv atomic.Pointer[func(payload []byte)]
 	start  time.Time
 
-	// Send-path state: flowlet tracking and the feedback-relay cursor.
-	// This lock is never taken by the per-packet receive path.
-	sendMu   sync.Mutex
+	// mu guards all of the endpoint's Clove state below. It is never held
+	// across a transmit or the SetOnRecv callback (an echo's callback may
+	// call Send), and code holding a shard's txMu never takes it.
+	mu sync.Mutex
+
+	// Flowlet position and the weight table its new flowlets pick from.
 	lastSend time.Time
 	curPort  uint16
 	flowlet  uint32
-	fbShard  int // round-robin cursor over shards for feedback relay
+	weights  *clove.WeightTable
 
-	// curPortA mirrors curPort for lock-free reads from receive shards
-	// (probe answering).
-	curPortA atomic.Uint32
+	// CE observations of the peer's forward paths in first-observed order,
+	// relayed round-robin from obsCursor.
+	obs       []obsEntry
+	obsIdx    map[uint16]int
+	obsCursor int
 
-	// The weight table is read-mostly from the send path (NextPort per
-	// flowlet) and written only on feedback arrival, so it sits behind its
-	// own small mutex rather than the send-path lock.
-	wmu     sync.Mutex
-	weights *clove.WeightTable
-
-	// path-quality probing (ProbePaths).
-	probeMu  sync.Mutex
+	// Path-quality probing (ProbePaths): in-flight probes by sequence, and
+	// the latest RTT sample per path index.
 	probeSeq uint32
 	probes   map[uint32]probeState
-	rtts     map[uint16]*rttSample
+	rtts     []rttSample
 
 	// Send-side counters (the receive side counts per shard).
 	sent         atomic.Int64
@@ -243,6 +245,9 @@ func NewEndpoint(localIP string, cfg Config) (*Endpoint, error) {
 		portIdx: make([]int16, 1<<16),
 		start:   time.Now(),
 		closed:  make(chan struct{}),
+		obsIdx:  map[uint16]int{},
+		probes:  map[uint32]probeState{},
+		rtts:    make([]rttSample, cfg.Paths),
 	}
 	for i := 0; i < cfg.Paths; i++ {
 		conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.ParseIP(localIP)})
@@ -306,12 +311,12 @@ type PathWeight struct {
 // anything printed or serialized from it (the cloved stats line, the /stats
 // admin endpoint) is the same run to run.
 func (e *Endpoint) WeightsSorted() []PathWeight {
-	e.wmu.Lock()
+	e.mu.Lock()
 	out := make([]PathWeight, 0, e.weights.Len())
 	e.weights.VisitStates(func(p clove.PathState) {
 		out = append(out, PathWeight{Port: p.Port, Weight: p.Weight})
 	})
-	e.wmu.Unlock()
+	e.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Port < out[j].Port })
 	return out
 }
@@ -522,13 +527,10 @@ func (e *Endpoint) send(payload []byte, flush bool) error {
 	if len(payload) > MaxPayload {
 		return ErrPayloadTooLarge
 	}
-	e.sendMu.Lock()
+	e.mu.Lock()
 	nowT := time.Now()
 	if e.lastSend.IsZero() || nowT.Sub(e.lastSend) > time.Duration(e.flowletGapNs.Load()) {
-		e.wmu.Lock()
 		e.curPort = e.weights.NextPort()
-		e.wmu.Unlock()
-		e.curPortA.Store(uint32(e.curPort))
 		e.flowlet++
 		e.flowlets.Add(1)
 	}
@@ -536,7 +538,7 @@ func (e *Endpoint) send(payload []byte, flush bool) error {
 	port := e.curPort
 	flowlet := e.flowlet
 	fb := e.takeFeedbackLocked(nowT)
-	e.sendMu.Unlock()
+	e.mu.Unlock()
 	err := e.transmitOpt(port, flowlet, fb, payload, 0, flush)
 	if err != nil {
 		// Not counted as sent: a drain-time caller comparing Stats().Sent
@@ -662,45 +664,73 @@ func (e *Endpoint) handleFrame(sh *pathShard, b []byte, srcPort uint16) {
 	}
 
 	sh.stats.received.Add(1)
-	if fabric&fabricCE != 0 {
-		sh.stats.ceObserved.Add(1)
-		sh.noteCE(peerPort)
-	}
-	if shim.Feedback.Valid {
-		sh.stats.feedbackReceived.Add(1)
-		e.wmu.Lock()
-		if shim.Feedback.ECN {
-			e.weights.OnCongestion(shim.Feedback.Port, e.now())
+	if ce, fb := fabric&fabricCE != 0, shim.Feedback; ce || fb.Valid {
+		e.mu.Lock()
+		if ce {
+			sh.stats.ceObserved.Add(1)
+			e.noteCE(peerPort)
 		}
-		if shim.Feedback.HasUtil {
-			e.weights.OnUtilization(shim.Feedback.Port, shim.Feedback.Util, e.now())
+		if fb.Valid {
+			sh.stats.feedbackReceived.Add(1)
+			if fb.ECN {
+				e.weights.OnCongestion(fb.Port, e.now())
+			}
 		}
-		e.wmu.Unlock()
+		e.mu.Unlock()
 	}
 	if recv := e.onRecv.Load(); recv != nil && shim.Flags&shimFlagBare == 0 {
 		(*recv)(payload)
 	}
 }
 
-// takeFeedbackLocked picks one due observation for piggybacking. Selection
-// is deterministic: shards are visited round-robin from a persistent
-// cursor, and within a shard entries are round-robin in first-observed
-// order, so every congested peer path gets relayed in bounded turns (a Go
-// map iteration here would relay an arbitrary one). Caller holds sendMu.
+type obsEntry struct {
+	port       uint16
+	pendingECN bool
+	lastRelay  time.Time
+}
+
+// noteCE records a CE mark observed for the peer's forward path peerPort.
+// First observation of a port appends an entry (the only allocation on this
+// path, once per peer port); steady state only flips a bool. Caller holds
+// mu.
+func (e *Endpoint) noteCE(peerPort uint16) {
+	if i, ok := e.obsIdx[peerPort]; ok {
+		e.obs[i].pendingECN = true
+		return
+	}
+	e.obsIdx[peerPort] = len(e.obs)
+	e.obs = append(e.obs, obsEntry{
+		port:       peerPort,
+		pendingECN: true,
+		// Far in the past so the first relay is immediate.
+		lastRelay: time.Now().Add(-time.Hour),
+	})
+}
+
+// takeFeedbackLocked picks one due observation for piggybacking: entries
+// are visited round-robin in first-observed order from a persistent cursor,
+// and each is relayed at most once per relay interval. Every congested peer
+// path thus gets relayed in bounded turns, deterministically (a Go map
+// iteration here would relay an arbitrary one). Caller holds mu.
 func (e *Endpoint) takeFeedbackLocked(now time.Time) wire.Feedback {
-	ns := len(e.shards)
-	for k := 0; k < ns; k++ {
-		idx := e.fbShard + k
-		if idx >= ns {
-			idx -= ns
+	relay := time.Duration(e.relayNs.Load())
+	n := len(e.obs)
+	for k := 0; k < n; k++ {
+		i := e.obsCursor + k
+		if i >= n {
+			i -= n
 		}
-		if port, ok := e.shards[idx].takeFeedbackRR(now, time.Duration(e.relayNs.Load())); ok {
-			e.fbShard = idx + 1
-			if e.fbShard >= ns {
-				e.fbShard = 0
-			}
-			return wire.Feedback{Valid: true, Port: port, ECN: true}
+		ob := &e.obs[i]
+		if !ob.pendingECN || now.Sub(ob.lastRelay) < relay {
+			continue
 		}
+		ob.pendingECN = false
+		ob.lastRelay = now
+		e.obsCursor = i + 1
+		if e.obsCursor >= n {
+			e.obsCursor = 0
+		}
+		return wire.Feedback{Valid: true, Port: ob.port, ECN: true}
 	}
 	return wire.Feedback{}
 }
@@ -711,9 +741,9 @@ func (e *Endpoint) Keepalive() {
 	if e.remoteAP.Load() == nil {
 		return
 	}
-	e.sendMu.Lock()
+	e.mu.Lock()
 	fb := e.takeFeedbackLocked(time.Now())
-	e.sendMu.Unlock()
+	e.mu.Unlock()
 	if fb.Valid {
 		e.feedbackSent.Add(1)
 	}

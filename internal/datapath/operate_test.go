@@ -179,17 +179,16 @@ func TestSetRelayIntervalHotReload(t *testing.T) {
 	}
 	defer e.Close()
 	takeFeedback := func(now time.Time) bool {
-		e.sendMu.Lock()
-		defer e.sendMu.Unlock()
+		e.mu.Lock()
+		defer e.mu.Unlock()
 		return e.takeFeedbackLocked(now).Valid
 	}
-	sh := e.shards[0]
-	sh.noteCE(10)
+	e.noteCE(10)
 	now := time.Now() // after noteCE: its lastRelay back-dating is now a full interval ago
 	if !takeFeedback(now) {
 		t.Fatal("first relay not due")
 	}
-	sh.noteCE(10)
+	e.noteCE(10)
 	// With a 1h relay interval the second relay is rate-limited...
 	if takeFeedback(now.Add(time.Second)) {
 		t.Fatal("relay not rate-limited")

@@ -12,9 +12,8 @@ import (
 
 // pathShard is the per-path execution unit: one bound UDP socket, a read
 // loop goroutine that owns the receive ring, a transmit ring guarded by a
-// shard-local mutex, shard-private congestion observations, and padded
-// atomic counters. Shards share no per-packet state, so the packet path
-// never takes an endpoint-wide lock.
+// shard-local mutex, and padded atomic counters. The Clove state the
+// shards feed lives on the Endpoint, under its mu.
 type pathShard struct {
 	ep   *Endpoint
 	idx  int
@@ -43,21 +42,7 @@ type pathShard struct {
 	txLen  []int
 	txCnt  int
 
-	// Receive-side observations of the peer's forward paths, private to
-	// this shard. obs is append-only in first-observed order; the relay
-	// cursor makes feedback selection deterministic and fair.
-	obsMu    sync.Mutex
-	obs      []obsEntry
-	obsIdx   map[uint16]int
-	fbCursor int
-
 	stats shardStats
-}
-
-type obsEntry struct {
-	port       uint16
-	pendingECN bool
-	lastRelay  time.Time
 }
 
 // shardStats is padded so shards on different cores do not false-share.
@@ -78,16 +63,15 @@ func newPathShard(e *Endpoint, idx int, conn *net.UDPConn) (*pathShard, error) {
 		return nil, err
 	}
 	sh := &pathShard{
-		ep:     e,
-		idx:    idx,
-		port:   uint16(conn.LocalAddr().(*net.UDPAddr).Port),
-		conn:   conn,
-		rawc:   rawc,
-		rxLen:  make([]int, e.batch),
-		rxSrc:  make([]uint16, e.batch),
-		rxSeg:  make([]int, e.batch),
-		txLen:  make([]int, e.batch),
-		obsIdx: map[uint16]int{},
+		ep:    e,
+		idx:   idx,
+		port:  uint16(conn.LocalAddr().(*net.UDPAddr).Port),
+		conn:  conn,
+		rawc:  rawc,
+		rxLen: make([]int, e.batch),
+		rxSrc: make([]uint16, e.batch),
+		rxSeg: make([]int, e.batch),
+		txLen: make([]int, e.batch),
 	}
 	// One contiguous slab per ring keeps slots cache-adjacent.
 	rxSlab := make([]byte, e.batch*e.bufSize)
@@ -217,51 +201,6 @@ func (sh *pathShard) writeOne(buf []byte) error {
 		sh.stats.socketErrors.Add(1)
 	}
 	return err
-}
-
-// noteCE records a CE mark observed for the peer's forward path peerPort.
-// First observation of a port appends an entry (the only allocation on this
-// path, once per peer port); steady state only flips a bool.
-func (sh *pathShard) noteCE(peerPort uint16) {
-	sh.obsMu.Lock()
-	if i, ok := sh.obsIdx[peerPort]; ok {
-		sh.obs[i].pendingECN = true
-	} else {
-		sh.obsIdx[peerPort] = len(sh.obs)
-		sh.obs = append(sh.obs, obsEntry{
-			port:       peerPort,
-			pendingECN: true,
-			// Far in the past so the first relay is immediate.
-			lastRelay: time.Now().Add(-time.Hour),
-		})
-	}
-	sh.obsMu.Unlock()
-}
-
-// takeFeedbackRR returns the next due observation's port in round-robin
-// (first-observed) order, or false when none is due.
-func (sh *pathShard) takeFeedbackRR(now time.Time, relayInterval time.Duration) (uint16, bool) {
-	sh.obsMu.Lock()
-	defer sh.obsMu.Unlock()
-	n := len(sh.obs)
-	for k := 0; k < n; k++ {
-		i := sh.fbCursor + k
-		if i >= n {
-			i -= n
-		}
-		ob := &sh.obs[i]
-		if !ob.pendingECN || now.Sub(ob.lastRelay) < relayInterval {
-			continue
-		}
-		ob.pendingECN = false
-		ob.lastRelay = now
-		sh.fbCursor = i + 1
-		if sh.fbCursor >= n {
-			sh.fbCursor = 0
-		}
-		return ob.port, true
-	}
-	return 0, false
 }
 
 // sleepOrClosed sleeps for d unless closed fires first; it reports whether
