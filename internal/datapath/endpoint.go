@@ -425,9 +425,7 @@ func (e *Endpoint) Start(remote string) error {
 			lap := sh.conn.LocalAddr().(*net.UDPAddr).AddrPort()
 			ap = netip.AddrPortFrom(lap.Addr().Unmap(), lap.Port())
 		}
-		if err := sh.initIO(ap); err != nil {
-			return fmt.Errorf("datapath: path %d I/O setup: %w", sh.idx, err)
-		}
+		sh.initIO(ap)
 	}
 	for _, sh := range e.shards {
 		e.wg.Add(1)

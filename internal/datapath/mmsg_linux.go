@@ -80,9 +80,12 @@ type batchIO struct {
 
 	// GRO receive state: per-message control buffers (a []uint64 slab so
 	// cmsg headers are 8-aligned) that carry the kernel's UDP_GRO segment
-	// size after each recvmmsg.
+	// size after each recvmmsg, and ring, the anonymous mapping behind the
+	// 64 KiB receive slots (nil when the slots are heap-backed). The shard's
+	// readLoop unmaps ring on exit (release).
 	gro  bool
 	rctl []uint64
+	ring []byte
 
 	// GSO transmit state: a dedicated msghdr whose iovec array gathers the
 	// transmit ring and whose control message carries UDP_SEGMENT.
@@ -92,13 +95,14 @@ type batchIO struct {
 	gsoFn  func(fd uintptr) bool
 }
 
-// newBatchIO wires the shard's rings into mmsg headers aimed at remote.
+// newBatchIO allocates the shard's receive ring and wires both rings into
+// mmsg headers aimed at remote.
 func newBatchIO(sh *pathShard, remote netip.AddrPort) (*batchIO, error) {
 	raddr, err := encodeSockaddr(remote)
 	if err != nil {
 		return nil, err
 	}
-	b := len(sh.rxBufs)
+	b := sh.ep.batch
 	bio := &batchIO{
 		sh:     sh,
 		rhdrs:  make([]mmsghdr, b),
@@ -122,15 +126,24 @@ func newBatchIO(sh *pathShard, remote netip.AddrPort) (*batchIO, error) {
 			}
 		})
 	}
+	slot := sh.ep.bufSize
+	var slab []byte
 	if bio.gro {
-		// Widen receive slots: one GRO buffer may hold a full coalesced
-		// UDP datagram.
-		slab := make([]byte, b*groBufLen)
-		for i := 0; i < b; i++ {
-			sh.rxBufs[i] = slab[i*groBufLen : (i+1)*groBufLen : (i+1)*groBufLen]
+		// One GRO slot may hold a full coalesced UDP datagram. The ring is
+		// mapped rather than made: the heap would zero (and so make
+		// resident) every 64 KiB slot, while a fresh anonymous mapping
+		// costs only the pages the kernel writes. A failed mmap falls back
+		// to the heap.
+		slot = groBufLen
+		if m, err := syscall.Mmap(-1, 0, b*slot, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANONYMOUS); err == nil {
+			bio.ring, slab = m, m
 		}
 		bio.rctl = make([]uint64, b*ctlBufLen/8)
 	}
+	if slab == nil {
+		slab = make([]byte, b*slot)
+	}
+	sh.rxBufs = carveSlots(slab, b, slot)
 
 	for i := 0; i < b; i++ {
 		bio.riovs[i].Base = &sh.rxBufs[i][0]
@@ -209,6 +222,18 @@ func newBatchIO(sh *pathShard, remote netip.AddrPort) (*batchIO, error) {
 		}
 	}
 	return bio, nil
+}
+
+// release unmaps the GRO receive ring, if it is mapped. The shard's
+// readLoop calls it on exit, after its last handleFrame, so nothing reads
+// the ring afterwards; it is the only place ring memory is freed.
+func (bio *batchIO) release() {
+	if bio.ring == nil {
+		return
+	}
+	bio.sh.rxBufs = nil
+	syscall.Munmap(bio.ring)
+	bio.ring = nil
 }
 
 // retarget re-aims the baked send headers at a new remote. Callers hold the

@@ -28,3 +28,7 @@ func (sh *pathShard) flushMmsgLocked() error {
 func (bio *batchIO) retarget(remote netip.AddrPort) error {
 	panic("datapath: batched syscalls unavailable on this platform")
 }
+
+func (bio *batchIO) release() {
+	panic("datapath: batched syscalls unavailable on this platform")
+}

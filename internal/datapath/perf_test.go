@@ -357,9 +357,14 @@ func TestBatchedFallbackDifferential(t *testing.T) {
 	batched := DefaultConfig()
 	fallback := DefaultConfig()
 	fallback.NoBatchSyscalls = true
+	// Plain mmsg without GSO/GRO: the batched flavour whose receive ring
+	// is heap-backed, so -race sees its bytes.
+	mmsg := DefaultConfig()
+	mmsg.NoSegmentation = true
 
 	gotB := runTransfer(t, batched, n)
 	gotF := runTransfer(t, fallback, n)
+	gotM := runTransfer(t, mmsg, n)
 	for i := 0; i < n; i++ {
 		want := seqPayload(i, 600)
 		if string(gotB[i]) != string(want) {
@@ -367,6 +372,9 @@ func TestBatchedFallbackDifferential(t *testing.T) {
 		}
 		if string(gotB[i]) != string(gotF[i]) {
 			t.Fatalf("batched and fallback payloads differ at %d", i)
+		}
+		if string(gotB[i]) != string(gotM[i]) {
+			t.Fatalf("batched and plain-mmsg payloads differ at %d", i)
 		}
 	}
 }

@@ -21,11 +21,16 @@ type pathShard struct {
 	conn *net.UDPConn
 	rawc syscall.RawConn
 
-	// Receive ring — owned by the readLoop goroutine. rxBufs[i] is a fixed
-	// slot (BufSize, widened to 64 KB when GRO is active); after a batch of
-	// n datagrams, rxLen[:n] holds their lengths, rxSrc[:n] the datagram
-	// source ports, and rxSeg[:n] the GRO segment size (0 = the datagram is
-	// a single frame).
+	// Receive ring — owned by the readLoop goroutine and allocated at Start,
+	// once initIO knows the I/O flavour. rxBufs[i] is a fixed slot: BufSize
+	// on the portable and plain mmsg paths, 64 KiB when GRO is active. The
+	// GRO ring is an anonymous mapping (heap if mmap fails), resident only
+	// where the kernel has written, and unmapped by readLoop as it exits.
+	// The race detector tracks heap memory only, so it sees ring bytes in
+	// the heap-backed flavours alone. After a batch of n datagrams,
+	// rxLen[:n] holds their lengths, rxSrc[:n] the datagram source ports,
+	// and rxSeg[:n] the GRO segment size (0 = the datagram is a single
+	// frame).
 	rxBufs [][]byte
 	rxLen  []int
 	rxSrc  []uint16
@@ -73,42 +78,46 @@ func newPathShard(e *Endpoint, idx int, conn *net.UDPConn) (*pathShard, error) {
 		rxSeg: make([]int, e.batch),
 		txLen: make([]int, e.batch),
 	}
-	// One contiguous slab per ring keeps slots cache-adjacent.
-	rxSlab := make([]byte, e.batch*e.bufSize)
-	txSlab := make([]byte, e.batch*e.bufSize)
-	sh.rxBufs = make([][]byte, e.batch)
-	sh.txBufs = make([][]byte, e.batch)
-	for i := 0; i < e.batch; i++ {
-		sh.rxBufs[i] = rxSlab[i*e.bufSize : (i+1)*e.bufSize : (i+1)*e.bufSize]
-		sh.txBufs[i] = txSlab[i*e.bufSize : (i+1)*e.bufSize : (i+1)*e.bufSize]
-	}
+	sh.txBufs = carveSlots(make([]byte, e.batch*e.bufSize), e.batch, e.bufSize)
 	return sh, nil
 }
 
-// initIO selects the I/O implementation once the remote is known: batched
-// mmsg syscalls where the platform supports them, the portable netip path
-// otherwise (or when forced by Config.NoBatchSyscalls).
-func (sh *pathShard) initIO(remote netip.AddrPort) error {
-	if !batchSyscallsAvailable || sh.ep.cfg.NoBatchSyscalls {
-		sh.bio = nil
-		return nil
+// carveSlots cuts slab into n fixed slots of size bytes. One contiguous slab
+// per ring keeps slots cache-adjacent.
+func carveSlots(slab []byte, n, size int) [][]byte {
+	slots := make([][]byte, n)
+	for i := range slots {
+		slots[i] = slab[i*size : (i+1)*size : (i+1)*size]
 	}
-	bio, err := newBatchIO(sh, remote)
-	if err != nil {
-		// Unsupported address family etc. — fall back, don't fail.
-		sh.bio = nil
-		return nil
+	return slots
+}
+
+// initIO selects the I/O implementation once the remote is known and
+// allocates the receive ring to match: batched mmsg syscalls where the
+// platform supports them, the portable netip path otherwise (or when
+// forced by Config.NoBatchSyscalls, or when the remote's address family
+// has no raw sockaddr form).
+func (sh *pathShard) initIO(remote netip.AddrPort) {
+	if batchSyscallsAvailable && !sh.ep.cfg.NoBatchSyscalls {
+		if bio, err := newBatchIO(sh, remote); err == nil {
+			sh.bio = bio
+			return
+		}
 	}
-	sh.bio = bio
-	return nil
+	sh.rxBufs = carveSlots(make([]byte, sh.ep.batch*sh.ep.bufSize), sh.ep.batch, sh.ep.bufSize)
 }
 
 // readLoop receives datagram batches until the endpoint closes. On a
 // persistent socket error it backs off exponentially (errBackoffMin..
 // errBackoffMax) instead of hot-looping, and counts the error; a closed
-// socket ends the loop.
+// socket ends the loop. The loop owns the receive ring: it releases it on
+// exit, after its last handleFrame and before wg.Done, so neither Close nor
+// a Drain that stops waiting can free memory the loop may still touch.
 func (sh *pathShard) readLoop() {
 	defer sh.ep.wg.Done()
+	if sh.bio != nil {
+		defer sh.bio.release()
+	}
 	backoff := errBackoffMin
 	for {
 		n, err := sh.recvBatch()
