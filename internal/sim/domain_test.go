@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -10,10 +12,11 @@ import (
 // every domain runs a local event chain with RNG-jittered gaps, and every
 // few events posts a message to the next domain in the ring with an
 // RNG-jittered cross-domain delay (always >= lookahead). Each fired event
-// appends a record to its domain's log.
+// appends a record to its domain's log and to the firing-order log.
 type ringModel struct {
 	eng  *Engine
 	logs [][]string
+	all  []string // every record, in the order the engine fired them
 }
 
 const ringLookahead = 5 * Microsecond
@@ -34,8 +37,9 @@ func (m *ringModel) start(d *Domain, tag string) {
 }
 
 func (m *ringModel) step(d *Domain, tag string, n int) {
-	m.logs[d.ID()] = append(m.logs[d.ID()],
-		fmt.Sprintf("%s#%d@%d r%d", tag, n, d.Now(), d.Rand().Int63n(1000)))
+	rec := fmt.Sprintf("%s#%d@%d r%d", tag, n, d.Now(), d.Rand().Int63n(1000))
+	m.logs[d.ID()] = append(m.logs[d.ID()], rec)
+	m.all = append(m.all, fmt.Sprintf("d%d %s", d.ID(), rec))
 	if n >= 40 {
 		return
 	}
@@ -281,6 +285,53 @@ func TestEngineClocksEqualBetweenWindows(t *testing.T) {
 	}
 	if globals != 43 || eng.Pending() != 0 {
 		t.Fatalf("ran %d globals (want 43), %d events left", globals, eng.Pending())
+	}
+}
+
+// clocks renders every domain clock, in domain order.
+func clocks(eng *Engine) string {
+	var b strings.Builder
+	for i := 0; i < eng.NumDomains(); i++ {
+		fmt.Fprintf(&b, " %d", eng.Domain(i).Now())
+	}
+	return b.String()
+}
+
+// TestEngineFireOrderPinned pins the whole observable schedule of a mostly
+// idle engine: 72 domains, 4 of them booted with ring chains, so most
+// domains sit idle for long stretches until a post or a global wakes them.
+// Globals start chains on idle domains and log every domain clock; an event
+// on an otherwise idle domain calls Stop; later Run calls resume. The digest
+// covers the firing order across domains (with clocks and RNG draws), every
+// global's clock readings and the state after each Run.
+func TestEngineFireOrderPinned(t *testing.T) {
+	const (
+		us         = Microsecond
+		wantSHA    = "fb60a61720403b01e2d9c7932f8a253c0285bdbd567fc56f1863da21e897d585"
+		wantEvents = 42869
+	)
+	m := buildRing(31, 72, 4)
+	eng := m.eng
+	for i := 0; i < 24; i++ {
+		i, d := i, eng.Domain((11+7*i)%72)
+		eng.GlobalAt(Time(i)*13*us, func() {
+			m.all = append(m.all, fmt.Sprintf("g%d@%d clocks%s", i, eng.Now(), clocks(eng)))
+			m.start(d, fmt.Sprintf("g%d", i))
+		})
+	}
+	stopper := eng.Domain(50)
+	stopper.At(150*us+300, func() {
+		m.all = append(m.all, fmt.Sprintf("stop@%d", stopper.Now()))
+		stopper.Stop()
+	})
+	for _, until := range []Time{40 * us, Millisecond, Millisecond, 3 * Millisecond} {
+		eng.Run(until)
+		m.all = append(m.all, fmt.Sprintf("run(%d): now=%d processed=%d pending=%d clocks%s",
+			until, eng.Now(), eng.Processed(), eng.Pending(), clocks(eng)))
+	}
+	sum := fmt.Sprintf("%x", sha256.Sum256([]byte(strings.Join(m.all, "\n"))))
+	if eng.Processed() != wantEvents || sum != wantSHA {
+		t.Fatalf("processed %d events, log sha256 %s; want %d, %s", eng.Processed(), sum, wantEvents, wantSHA)
 	}
 }
 
