@@ -412,8 +412,9 @@ func (c *Cluster) SetupPaths(pairs [][2]packet.HostID) {
 		}
 		return
 	}
+	var w oracleWalk
 	for _, p := range pairs {
-		c.oracleInstall(p[0], p[1])
+		c.oracleInstall(&w, p[0], p[1])
 	}
 }
 

@@ -10,9 +10,11 @@ import (
 // oracleInstall enumerates port→path mappings by walking the routing tables
 // directly (no probe traffic) and installs the selected disjoint set. It
 // produces the same result the traceroute prober converges to, instantly —
-// used by benchmarks where discovery latency is not under test.
-func (c *Cluster) oracleInstall(src, dst packet.HostID) {
-	paths := c.OraclePaths(src, dst, 64)
+// used by benchmarks where discovery latency is not under test. The paths
+// live in w, which the caller reuses across pairs; only ports outlives the
+// call.
+func (c *Cluster) oracleInstall(w *oracleWalk, src, dst packet.HostID) {
+	paths := w.paths(c, src, dst, 64)
 	if len(paths) == 0 {
 		return
 	}
@@ -28,29 +30,43 @@ func (c *Cluster) oracleInstall(src, dst packet.HostID) {
 }
 
 // OraclePaths walks up to maxPorts candidate encap source ports through the
-// current routing state and returns their full paths. It runs for every
-// (src, dst) pair at set-up, so it allocates per call, not per port: one
-// probe packet serves every port, and every path is a full-slice-expression
-// window (len == cap) of one link buffer.
+// current routing state and returns their full paths, in ascending port
+// order. The result is the caller's: it shares nothing with later calls.
 func (c *Cluster) OraclePaths(src, dst packet.HostID, maxPorts int) []discovery.Path {
-	paths := make([]discovery.Path, 0, maxPorts)
-	probe := &packet.Packet{Kind: packet.KindData}
-	e := probe.AddEncap()
+	var w oracleWalk
+	return w.paths(c, src, dst, maxPorts)
+}
+
+// oracleWalk is OraclePaths' storage, reusable across pairs: one probe packet
+// serves every port, and every path is a full-slice-expression window
+// (len == cap) of one link buffer. SetupPaths keeps one for all its pairs, so
+// a pair costs no allocation here once the buffers have grown.
+type oracleWalk struct {
+	probe packet.Packet
+	cands []discovery.Path
+	links []packet.LinkID
+}
+
+// paths fills w with src→dst's candidate paths and returns them; they are
+// valid until the next call.
+func (w *oracleWalk) paths(c *Cluster, src, dst packet.HostID, maxPorts int) []discovery.Path {
+	w.probe.Kind = packet.KindData
+	e := w.probe.AddEncap()
 	e.SrcHyp, e.DstHyp, e.DstPort = src, dst, vswitch.EncapDstPort
-	buf := make([]packet.LinkID, 0, 4*maxPorts)
+	w.cands, w.links = w.cands[:0], w.links[:0]
 	for i := 0; i < maxPorts; i++ {
 		port := uint16(33000 + i*97)
 		e.SrcPort = port
-		start := len(buf)
+		start := len(w.links)
 		var ok bool
-		if buf, ok = c.walk(src, probe, buf); !ok {
-			buf = buf[:start]
+		if w.links, ok = c.walk(src, &w.probe, w.links); !ok {
+			w.links = w.links[:start]
 			continue
 		}
-		links := buf[start:len(buf):len(buf)]
-		paths = append(paths, discovery.Path{Port: port, Links: links, Hops: len(links)})
+		links := w.links[start:len(w.links):len(w.links)]
+		w.cands = append(w.cands, discovery.Path{Port: port, Links: links, Hops: len(links)})
 	}
-	return paths
+	return w.cands
 }
 
 // walk traces pkt from src's uplink to the destination host via

@@ -7,7 +7,8 @@
 package discovery
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"clove/internal/packet"
 	"clove/internal/sim"
@@ -210,81 +211,96 @@ func assemblePath(port uint16, hops map[int]packet.LinkID) (Path, bool) {
 }
 
 // SelectDisjoint greedily picks up to k paths minimizing link overlap: it
-// starts from the first candidate (candidates are scanned in stable order)
-// and repeatedly adds the path sharing the fewest links with the selection
-// so far. Duplicate paths (identical link sets) are skipped while distinct
-// candidates remain.
+// starts from the lowest-port candidate and repeatedly adds the path sharing
+// the fewest links with the selection so far, the lowest port winning ties.
+// Duplicate paths (identical link sets) are skipped while distinct
+// candidates remain. It sorts paths by port in place — unless they already
+// are, as OraclePaths emits them — and, for up to 64 candidates, allocates
+// only the result.
 func SelectDisjoint(paths []Path, k int) []Path {
 	if len(paths) == 0 || k <= 0 {
 		return nil
 	}
-	// Stable ordering for determinism.
-	sort.Slice(paths, func(i, j int) bool { return paths[i].Port < paths[j].Port })
-
-	selected := []Path{paths[0]}
-	used := map[packet.LinkID]int{}
-	for _, l := range paths[0].Links {
-		used[l]++
+	byPort := func(a, b Path) int { return cmp.Compare(a.Port, b.Port) }
+	if !slices.IsSortedFunc(paths, byPort) {
+		slices.SortFunc(paths, byPort)
 	}
-	remaining := append([]Path(nil), paths[1:]...)
 
-	for len(selected) < k && len(remaining) > 0 {
-		bestIdx, bestOverlap := -1, 1<<30
-		for i, cand := range remaining {
-			overlap := 0
-			for _, l := range cand.Links {
-				if used[l] > 0 {
-					overlap++
+	// overlap[i] counts paths[i]'s links the selection already uses, or is
+	// taken once paths[i] has been picked or skipped. A pick bumps the
+	// counts by its links new to the selection, so no set is ever rebuilt.
+	// Both buffers live on the stack up to 64 candidates and links.
+	var overlapBuf [64]int32
+	var usedBuf [64]packet.LinkID
+	overlap := slices.Grow(overlapBuf[:0], len(paths))[:len(paths)]
+	used := usedBuf[:0]
+	selected := make([]Path, 0, min(k, len(paths)))
+	pick := func(p int) {
+		selected = append(selected, paths[p])
+		fresh := len(used)
+		for _, l := range paths[p].Links {
+			if !slices.Contains(used, l) {
+				used = append(used, l)
+			}
+		}
+		added := used[fresh:]
+		// A 64-bit filter over the added links rejects most candidate
+		// links with one test.
+		var filter uint64
+		for _, l := range added {
+			filter |= 1 << (uint(l) % 64)
+		}
+		for i := range paths {
+			if overlap[i] == taken {
+				continue
+			}
+			for _, l := range paths[i].Links {
+				if filter&(1<<(uint(l)%64)) != 0 && slices.Contains(added, l) {
+					overlap[i]++
 				}
 			}
-			if overlap < bestOverlap {
-				bestIdx, bestOverlap = i, overlap
+		}
+	}
+	overlap[0] = taken
+	pick(0)
+	for left := len(paths) - 1; len(selected) < k && left > 0; left-- {
+		best, bestOverlap := -1, int32(1<<30)
+		for i, o := range overlap {
+			if o != taken && o < bestOverlap {
+				best, bestOverlap = i, o
 			}
 		}
-		if bestIdx < 0 {
-			break
-		}
-		pick := remaining[bestIdx]
-		remaining = append(remaining[:bestIdx], remaining[bestIdx+1:]...)
+		overlap[best] = taken
 		// Skip exact duplicates of already-selected paths unless nothing
 		// else remains (k distinct paths may simply not exist).
-		if bestOverlap == len(pick.Links) && isDuplicate(selected, pick) && hasNonDuplicate(remaining, selected) {
+		p := paths[best]
+		if int(bestOverlap) == len(p.Links) && isDuplicate(selected, p) && hasNonDuplicate(paths, overlap, selected) {
 			continue
 		}
-		selected = append(selected, pick)
-		for _, l := range pick.Links {
-			used[l]++
-		}
+		pick(best)
 	}
 	return selected
 }
 
+// taken marks a candidate SelectDisjoint has picked or skipped.
+const taken = -1
+
 func isDuplicate(selected []Path, cand Path) bool {
 	for _, s := range selected {
-		if sameLinks(s.Links, cand.Links) {
+		if slices.Equal(s.Links, cand.Links) {
 			return true
 		}
 	}
 	return false
 }
 
-func hasNonDuplicate(remaining, selected []Path) bool {
-	for _, r := range remaining {
-		if !isDuplicate(selected, r) {
+// hasNonDuplicate reports whether a candidate not yet taken differs from
+// every selected path.
+func hasNonDuplicate(paths []Path, overlap []int32, selected []Path) bool {
+	for i, p := range paths {
+		if overlap[i] != taken && !isDuplicate(selected, p) {
 			return true
 		}
 	}
 	return false
-}
-
-func sameLinks(a, b []packet.LinkID) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -101,7 +101,13 @@ func (d *Domain) Post(dst int, at Time, fn EventFunc, a, b any) {
 type Engine struct {
 	lookahead Time
 	domains   []*Domain
-	now       Time // last barrier time; all domain clocks equal it between windows
+	now       Time // last barrier time; every domain clock equals it outside Run
+
+	// next[i] is domain i's heap head, or timeMax when its heap is empty: the
+	// window pass reads this dense array instead of every domain's heap, and
+	// touches a Domain only when it has an event in the window. Nil on a
+	// one-domain engine.
+	next []Time
 
 	globals []globalEvent // sorted by (at, seq)
 	gseq    uint64
@@ -122,6 +128,9 @@ func NewEngine(seed int64, lookahead Time, n int) *Engine {
 		panic(fmt.Sprintf("sim: non-positive engine lookahead %v", lookahead))
 	}
 	e := &Engine{lookahead: lookahead, domains: make([]*Domain, n)}
+	if n > 1 {
+		e.next = make([]Time, n)
+	}
 	for id := range e.domains {
 		s := seed
 		if n > 1 {
@@ -135,8 +144,9 @@ func NewEngine(seed int64, lookahead Time, n int) *Engine {
 // Lookahead returns the engine's cross-domain lookahead.
 func (e *Engine) Lookahead() Time { return e.lookahead }
 
-// Now returns the last barrier time, which every domain clock equals between
-// windows — on a one-domain engine, the domain's own clock.
+// Now returns the last barrier time, which every domain clock equals inside
+// globals and between Run calls — on a one-domain engine, the domain's own
+// clock.
 func (e *Engine) Now() Time {
 	if len(e.domains) == 1 {
 		return e.domains[0].now
@@ -205,24 +215,41 @@ func (e *Engine) GlobalAfter(delay Time, fn func()) {
 	e.GlobalAt(e.Now()+delay, fn)
 }
 
-// minNext returns the earliest pending event timestamp across domains. Run
-// scans for it only on entry and after globals, which may schedule domain
-// events; otherwise window and flushPosts report it.
-func (e *Engine) minNext() Time {
-	min := timeMax
-	for _, d := range e.domains {
-		if at, ok := d.NextEventAt(); ok && at < min {
-			min = at
-		}
+// head returns d's earliest pending event time, or timeMax if it has none.
+func head(d *Domain) Time {
+	if at, ok := d.NextEventAt(); ok {
+		return at
 	}
-	return min
+	return timeMax
+}
+
+// minNext refills next from every domain's heap and returns its minimum, the
+// earliest pending event anywhere. Run scans the heaps only on entry and
+// after globals, which may schedule domain events from outside the engine;
+// otherwise window and flushPosts keep next current.
+func (e *Engine) minNext() Time {
+	tmin := timeMax
+	for i, d := range e.domains {
+		e.next[i] = head(d)
+		tmin = min(tmin, e.next[i])
+	}
+	return tmin
+}
+
+// syncClocks raises every domain clock to e.now. A window advances only the
+// clocks of the domains it runs; the rest lag until code outside any domain
+// can read them — a global, or Run's caller.
+func (e *Engine) syncClocks() {
+	for _, d := range e.domains {
+		d.now = e.now
+	}
 }
 
 // Run executes the simulation until every queue drains, until the deadline
 // is reached, or until an event calls its domain's Stop. On a one-domain
 // engine Run is the domain's RunUntil, which a Stop halts at the stopping
 // event. On several domains a Stop ends Run at the stopping window's
-// barrier; every domain clock then equals Now.
+// barrier. Every domain clock equals Now when Run returns.
 func (e *Engine) Run(until Time) {
 	if until < e.Now() {
 		panic(fmt.Sprintf("sim: engine deadline %v before now %v", until, e.Now()))
@@ -250,40 +277,40 @@ func (e *Engine) Run(until Time) {
 		next = min(next, e.flushPosts())
 		e.now = horizon
 		if horizon == gmin {
+			e.syncClocks()
 			e.runGlobals(gmin)
 			next = e.minNext()
 		} else if tmin > until {
 			// Nothing was pending at or before the deadline (drained included),
-			// so this window only advanced the clocks to it.
-			return
+			// so this window only advanced the engine clock to it.
+			break
 		}
 		if stopped {
-			return
+			break
 		}
 		tmin = next
 	}
+	e.syncClocks()
 }
 
-// window runs, in domain order, every domain with an event at or before
-// horizon up to and including it, and advances every other domain's clock to
-// horizon in the same pass — so all clocks equal horizon afterwards. A domain
-// that stops resumes to horizon. It returns the earliest event left pending
+// window runs, in domain order, every domain whose head is at or before
+// horizon up to and including it, and rewrites that domain's next entry. A
+// domain with nothing in the window costs one read of next; its clock is
+// left behind, which nothing can observe until syncClocks. A domain that
+// stops resumes to horizon. It returns the earliest event left pending
 // (timeMax if none) and whether any domain stopped.
 func (e *Engine) window(horizon Time) (next Time, stopped bool) {
 	next = timeMax
-	for _, d := range e.domains {
-		at, ok := d.NextEventAt()
-		if ok && at <= horizon {
+	for i, at := range e.next {
+		if at <= horizon {
+			d := e.domains[i]
 			for d.RunUntil(horizon); d.stopped; d.RunUntil(horizon) {
 				stopped = true
 			}
-			at, ok = d.NextEventAt()
-		} else {
-			d.now = horizon
+			at = head(d)
+			e.next[i] = at
 		}
-		if ok && at < next {
-			next = at
-		}
+		next = min(next, at)
 	}
 	return next, stopped
 }
@@ -294,8 +321,9 @@ func (e *Engine) window(horizon Time) (next Time, stopped bool) {
 // interleave, so a stable sort on (time, source) yields exactly that total
 // order. It is a pure function of the window's contents, so the resulting
 // event sequence numbers — and hence same-timestamp tie-breaks — are too. The
-// outbox is reused; the flush allocates nothing in steady state. It returns
-// the earliest injected time (timeMax if the outbox was empty).
+// outbox is reused; the flush allocates nothing in steady state. It lowers
+// each destination's next entry to what it injects there and returns the
+// earliest injected time (timeMax if the outbox was empty).
 func (e *Engine) flushPosts() Time {
 	if len(e.posts) == 0 {
 		return timeMax
@@ -306,6 +334,7 @@ func (e *Engine) flushPosts() Time {
 	for i := range e.posts {
 		p := &e.posts[i]
 		e.domains[p.dst].AtCall(p.at, p.fn, p.a, p.b)
+		e.next[p.dst] = min(e.next[p.dst], p.at)
 		p.fn, p.a, p.b = nil, nil, nil
 	}
 	first := e.posts[0].at
