@@ -2,6 +2,8 @@ package sim
 
 import (
 	"container/heap"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -184,6 +186,166 @@ func TestDifferentialSchedulerVsContainerHeap(t *testing.T) {
 						seed, round, p.payload, got, want)
 				}
 			}
+		}
+	}
+}
+
+// orderedRefHeap is refHeap under a pluggable comparator, so the wide-key
+// differential below can also run against deliberately faulty orders.
+type orderedRefHeap struct {
+	refHeap
+	less func(a, b *refEvent) bool
+}
+
+func (h *orderedRefHeap) Less(i, j int) bool { return h.less(h.refHeap[i], h.refHeap[j]) }
+
+func refKeyLess(a, b *refEvent) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// wideTime draws a schedule time from across the whole non-negative Time
+// range: near 0, around 1<<62, above it up to the largest Time, or — half
+// the time — one of a few shared values, so large groups of equal times
+// are ordered by seq alone. Times below now are raised to now.
+func wideTime(rng *rand.Rand, shared []Time, now Time) Time {
+	var at Time
+	switch r := rng.Intn(8); {
+	case r < 4:
+		at = shared[rng.Intn(len(shared))]
+	case r == 4:
+		at = Time(rng.Intn(64))
+	case r == 5:
+		at = 1<<62 - 32 + Time(rng.Intn(64))
+	case r == 6:
+		at = 1<<62 + Time(rng.Int63n(1<<62))
+	default:
+		at = math.MaxInt64 - Time(rng.Intn(64))
+	}
+	if at < now {
+		at = now
+	}
+	return at
+}
+
+// wideKeyDivergence schedules, cancels and reschedules events at wideTime
+// keys on a Simulator and on a container/heap reference ordered by less,
+// firing both in slices as it goes, and describes the first difference in
+// fire order or Cancel result ("" when they agree throughout).
+func wideKeyDivergence(seed int64, less func(a, b *refEvent) bool) string {
+	rng := rand.New(rand.NewSource(seed))
+	s := New(seed)
+	ref := &orderedRefHeap{less: less}
+	var nextID uint64
+	shared := []Time{0, 1, 1<<62 - 1, 1 << 62, 1<<62 + 1, 3 << 61, math.MaxInt64 - 1, math.MaxInt64}
+
+	type pair struct {
+		id      EventID
+		ref     *refEvent
+		payload int
+	}
+	var all []*pair
+	var fired []int
+	note := func(a, _ any) { fired = append(fired, a.(*pair).payload) }
+	schedule := func(p *pair) {
+		at := wideTime(rng, shared, s.Now())
+		p.id = s.AtCall(at, note, p, nil)
+		p.ref = &refEvent{at: at, seq: nextID, payload: p.payload}
+		nextID++
+		heap.Push(ref, p.ref)
+	}
+	cancel := func(p *pair) (bool, bool) {
+		want := p.ref.index >= 0
+		if want {
+			heap.Remove(ref, p.ref.index)
+			p.ref.index = -1
+		}
+		return s.Cancel(p.id), want
+	}
+
+	for round := 0; round < 6; round++ {
+		for op := 0; op < 2000; op++ {
+			switch r := rng.Intn(10); {
+			case r < 6 || len(all) == 0:
+				p := &pair{payload: len(all)}
+				all = append(all, p)
+				schedule(p)
+			case r < 8: // cancel a random entry, live or stale
+				p := all[rng.Intn(len(all))]
+				if got, want := cancel(p); got != want {
+					return fmt.Sprintf("seed %d round %d: Cancel(payload %d) = %v, reference %v",
+						seed, round, p.payload, got, want)
+				}
+			default: // reschedule a live entry
+				if ref.Len() == 0 {
+					continue
+				}
+				// payload indexes all, and the reference heap holds exactly
+				// the live entries.
+				p := all[ref.refHeap[rng.Intn(ref.Len())].payload]
+				if got, want := cancel(p); !got || !want {
+					return fmt.Sprintf("seed %d round %d: reschedule-cancel(payload %d) = %v, reference %v",
+						seed, round, p.payload, got, want)
+				}
+				schedule(p)
+			}
+		}
+		// Fire a slice of the pending events (all of them in the last
+		// round), so later rounds schedule on a clock that has moved.
+		n := ref.Len() / 2
+		if round == 5 {
+			n = ref.Len()
+		}
+		fired = fired[:0]
+		s.RunForEvents(uint64(n))
+		for i := 0; i < n; i++ {
+			want := heap.Pop(ref).(*refEvent).payload
+			if i >= len(fired) || fired[i] != want {
+				return fmt.Sprintf("seed %d round %d: fire order diverges at %d of %d (reference payload %d)",
+					seed, round, i, n, want)
+			}
+		}
+		if len(fired) != n || s.Pending() != ref.Len() {
+			return fmt.Sprintf("seed %d round %d: fired %d of %d, %d pending vs reference %d",
+				seed, round, len(fired), n, s.Pending(), ref.Len())
+		}
+	}
+	return ""
+}
+
+// TestDifferentialSchedulerWideKeys is TestDifferentialSchedulerVsContainerHeap
+// over keys that span the whole non-negative Time range — near 0, near
+// 1<<62 and above it — with large groups of equal times that only seq can
+// order. Small timestamps alone would not notice a comparison that
+// mishandles the high bits of at.
+func TestDifferentialSchedulerWideKeys(t *testing.T) {
+	for _, seed := range []int64{1, 7, 42, 1337} {
+		if d := wideKeyDivergence(seed, refKeyLess); d != "" {
+			t.Fatal(d)
+		}
+	}
+}
+
+// TestDifferentialSchedulerWideKeysCatchesFaults plants comparators that
+// drop one word of the (at, seq) key, or the top bit of at's range, into the
+// reference: the wide-key differential must report a divergence for each.
+func TestDifferentialSchedulerWideKeysCatchesFaults(t *testing.T) {
+	faults := map[string]func(a, b *refEvent) bool{
+		"drops at":  func(a, b *refEvent) bool { return a.seq < b.seq },
+		"drops seq": func(a, b *refEvent) bool { return a.at < b.at },
+		"at below 1<<62 only": func(a, b *refEvent) bool {
+			aa, ba := a.at&(1<<62-1), b.at&(1<<62-1)
+			if aa != ba {
+				return aa < ba
+			}
+			return a.seq < b.seq
+		},
+	}
+	for name, less := range faults {
+		if wideKeyDivergence(1, less) == "" {
+			t.Errorf("planted fault %q not detected; the wide-key harness is vacuous", name)
 		}
 	}
 }
