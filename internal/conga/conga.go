@@ -37,13 +37,61 @@ type leafState struct {
 	// toLeaf[dstLeaf][uplinkID] is the learned congestion metric of the
 	// path bundle starting at uplinkID toward dstLeaf.
 	toLeaf map[packet.NodeID]map[packet.LinkID]float64
-	// fromLeaf[srcLeaf][lbTag] is measured from arriving packets and fed
-	// back to srcLeaf; lbTag indexes the source leaf's uplinks.
-	fromLeaf map[packet.NodeID]map[uint8]float64
-	// fbCursor rotates which metric is piggybacked next, per peer leaf.
-	fbCursor map[packet.NodeID]uint8
+	// fromLeaf[srcLeaf] holds the metrics measured from packets arriving
+	// from srcLeaf, indexed by lbTag, and rotates which one is fed back
+	// next; lbTag indexes the source leaf's uplinks.
+	fromLeaf map[packet.NodeID]*fbTable
 	// uplinks in stable order; LBTag is the index in this slice.
 	uplinks []*netem.Link
+}
+
+// fbTable is a dense table of the metrics learned from one source leaf,
+// indexed by lbTag. It grows to the highest tag written, so no tag at or
+// beyond its length is present; entries are never removed.
+type fbTable struct {
+	ent []fbEntry
+	// cursor is the tag the next feedback search starts at: the last
+	// piggybacked tag + 1, wrapping as a uint8. It never exceeds len(ent).
+	cursor uint8
+}
+
+type fbEntry struct {
+	metric  float64
+	present bool
+}
+
+// set records metric for tag, growing the table on first write.
+func (t *fbTable) set(tag uint8, metric float64) {
+	if n := int(tag) + 1; n > len(t.ent) {
+		t.ent = append(t.ent, make([]fbEntry, n-len(t.ent))...)
+	}
+	t.ent[tag] = fbEntry{metric: metric, present: true}
+}
+
+// next returns the first present tag at or after the cursor, wrapping to
+// tag 0, and moves the cursor past it. Scanning from the cursor to the end
+// and then from 0 up to the cursor visits present tags in the order of a
+// 256-step modular scan from the cursor, because no tag at or beyond the
+// table's length is present.
+func (t *fbTable) next() (tag uint8, metric float64, ok bool) {
+	c := int(t.cursor)
+	for i := c; i < len(t.ent); i++ {
+		if t.ent[i].present {
+			return t.take(i)
+		}
+	}
+	for i := 0; i < c; i++ {
+		if t.ent[i].present {
+			return t.take(i)
+		}
+	}
+	return 0, 0, false
+}
+
+func (t *fbTable) take(i int) (uint8, float64, bool) {
+	tag := uint8(i)
+	t.cursor = tag + 1
+	return tag, t.ent[i].metric, true
 }
 
 // spineState keeps per-spine flowlet pinning for trunk choice.
@@ -82,8 +130,7 @@ func Attach(ls *netem.LeafSpine, cfg Config) *Fabric {
 			flowlets: clove.NewFlowletTable(cfg.FlowletGap),
 			pinned:   map[packet.FiveTuple]*netem.Link{},
 			toLeaf:   map[packet.NodeID]map[packet.LinkID]float64{},
-			fromLeaf: map[packet.NodeID]map[uint8]float64{},
-			fbCursor: map[packet.NodeID]uint8{},
+			fromLeaf: map[packet.NodeID]*fbTable{},
 		}
 		for _, eg := range lf.Egress() {
 			if !hostIDs[eg.To().ID()] {
@@ -124,12 +171,12 @@ func (f *Fabric) Observe(sw *netem.Switch, pkt *packet.Packet, _ *netem.Link) {
 		return // not the destination leaf of a cross-leaf packet
 	}
 	// Record the forward metric keyed by the source leaf's LBTag.
-	m := st.fromLeaf[srcLeaf]
-	if m == nil {
-		m = map[uint8]float64{}
-		st.fromLeaf[srcLeaf] = m
+	fb := st.fromLeaf[srcLeaf]
+	if fb == nil {
+		fb = &fbTable{}
+		st.fromLeaf[srcLeaf] = fb
 	}
-	m[pkt.Conga.LBTag] = pkt.Conga.CEMetric
+	fb.set(pkt.Conga.LBTag, pkt.Conga.CEMetric)
 	f.stats.MetricsLearned++
 
 	// Consume feedback about our own uplinks toward srcLeaf.
@@ -180,19 +227,13 @@ func (f *Fabric) pickLeaf(sw *netem.Switch, st *leafState, pkt *packet.Packet, c
 		}
 		pkt.AddConga().LBTag = tag
 		// Piggyback one feedback metric about paths from dstLeaf to us.
-		if m := st.fromLeaf[dstLeaf]; len(m) > 0 {
-			cursor := st.fbCursor[dstLeaf]
-			// Rotate deterministically over tags 0..len(uplinks).
-			for i := 0; i < 256; i++ {
-				tag := uint8((int(cursor) + i) % 256)
-				if v, ok := m[tag]; ok {
-					pkt.Conga.FbValid = true
-					pkt.Conga.FbLBTag = tag
-					pkt.Conga.FbMetric = v
-					st.fbCursor[dstLeaf] = tag + 1
-					f.stats.FeedbackSent++
-					break
-				}
+		// Rotate deterministically over the learned tags.
+		if fb := st.fromLeaf[dstLeaf]; fb != nil {
+			if tag, v, ok := fb.next(); ok {
+				pkt.Conga.FbValid = true
+				pkt.Conga.FbLBTag = tag
+				pkt.Conga.FbMetric = v
+				f.stats.FeedbackSent++
 			}
 		}
 		return eg, true

@@ -28,12 +28,7 @@ type refHeap []*refEvent
 
 func (h refHeap) Len() int { return len(h) }
 
-func (h refHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
+func (h refHeap) Less(i, j int) bool { return refKeyLess(h[i], h[j]) }
 
 func (h refHeap) Swap(i, j int) {
 	h[i], h[j] = h[j], h[i]

@@ -67,6 +67,54 @@ func BenchmarkHotPathEventChain(b *testing.B) {
 	b.ReportMetric(float64(b.N*100)/b.Elapsed().Seconds(), "events/sec")
 }
 
+// steadyOffsets is BenchmarkHeapSteady64's fixed pseudo-random table of
+// reschedule offsets, 1 ns to 1 µs.
+var steadyOffsets = func() (t [256]Time) {
+	rng := rand.New(rand.NewSource(1))
+	for i := range t {
+		t[i] = 1 + Time(rng.Intn(int(Microsecond)))
+	}
+	return t
+}()
+
+// steadyState is shared by every event of BenchmarkHeapSteady64; next walks
+// steadyOffsets.
+type steadyState struct {
+	s    *Simulator
+	next uint8
+}
+
+func steadyStep(a, _ any) {
+	st := a.(*steadyState)
+	st.next++
+	st.s.AfterCall(steadyOffsets[st.next], steadyStep, st, nil)
+}
+
+// BenchmarkHeapSteady64 measures ns/event at a realistic queue depth: 64
+// events stay pending, and each fired event reschedules itself at an offset
+// from a fixed pseudo-random table, so every pop sifts through a three-level
+// 4-ary heap. (BenchmarkHotPathEventChain keeps one event pending and never
+// sifts.) It fails on any allocation.
+func BenchmarkHeapSteady64(b *testing.B) {
+	s := New(1)
+	st := &steadyState{s: s}
+	for i := 0; i < 64; i++ {
+		s.AtCall(steadyOffsets[i], steadyStep, st, nil)
+	}
+	s.RunForEvents(10_000) // warm the slab and the heap
+	if allocs := testing.AllocsPerRun(20, func() { s.RunForEvents(1000) }); allocs != 0 {
+		b.Fatalf("allocs per 1000 events = %v, want 0", allocs)
+	}
+	if s.Pending() != 64 {
+		b.Fatalf("Pending() = %d, want 64", s.Pending())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.RunForEvents(uint64(b.N))
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+}
+
 // TestMillionOneShotEventsRecycle runs one million chained one-shot events
 // and checks that (a) nothing stays pending, (b) the free list stays at the
 // peak-pending size — a couple of structs, not a million — and (c) recycled

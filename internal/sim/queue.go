@@ -1,5 +1,7 @@
 package sim
 
+import "math/bits"
+
 // EventFunc is the closure-free callback form used on the simulator's hot
 // path. The two operands are supplied at scheduling time (AtCall/AfterCall)
 // and handed back verbatim when the event fires, so callers can bind a
@@ -56,6 +58,15 @@ type EventID struct {
 // Ordering is the strict total order (at, seq), identical to the binary
 // container/heap this replaced, so pop order — and therefore every golden
 // figure — is byte-identical by construction.
+//
+// siftDown picks the smallest of the four children without a branch. On
+// the two-leaf web-search runs the heap holds 64–122 pending events, most
+// of them link propagations with near-random times, so which child is
+// smallest is a coin toss the branch predictor loses: with an entLess
+// branch in the child scan, siftDown was 35 % of a run's CPU samples.
+// Folding the comparison's borrow into the index through a mask makes
+// BenchmarkHeapSteady64 (64 pending events) about 1.3× faster; EXPERIMENTS.md
+// "Performance" has the numbers.
 
 // heapEnt is one pending-queue entry: the event's sort key plus its slab
 // slot. 24 bytes, so a 4-child comparison spans at most two cache lines.
@@ -154,11 +165,16 @@ func (s *Simulator) siftDown(i int) bool {
 		if end > n {
 			end = n
 		}
+		// Branch-free child pick: h[j] orders before h[m] exactly when the
+		// 128-bit subtraction (at, seq) − (at, seq) borrows out of its high
+		// word, and the borrow folds into m through a mask. Comparing at as
+		// unsigned is valid because every scheduled time is ≥ 0: schedule
+		// panics on a time before now, and now starts at 0.
 		m := c
 		for j := c + 1; j < end; j++ {
-			if entLess(h[j], h[m]) {
-				m = j
-			}
+			_, borrow := bits.Sub64(h[j].seq, h[m].seq, 0)
+			_, borrow = bits.Sub64(uint64(h[j].at), uint64(h[m].at), borrow)
+			m += (j - m) & -int(borrow)
 		}
 		if entLess(ent, h[m]) {
 			break

@@ -53,6 +53,9 @@ type prestoReorderQ struct {
 	buf      []*packet.Packet // sorted by Seq
 	timerSet bool
 	deadline sim.Time
+	// deliver is the callback the armed timer flushes to, stored at arm
+	// time (it is VSwitch.deliverFn, bound once per vswitch).
+	deliver func(*packet.Packet)
 }
 
 // NewPresto creates the policy bound to the simulation clock.
@@ -171,18 +174,24 @@ func (p *Presto) OnDeliver(pkt *packet.Packet, deliver func(*packet.Packet)) {
 	}
 }
 
+// armTimer schedules q's reorder timeout through the static
+// prestoTimerFire trampoline, so arming allocates nothing.
 func (p *Presto) armTimer(q *prestoReorderQ, deliver func(*packet.Packet)) {
-	p.sim.At(q.deadline, func() {
-		if !q.timerSet {
-			return
-		}
-		if len(q.buf) == 0 {
-			q.timerSet = false
-			return
-		}
-		p.TimeoutFlushes++
-		p.flush(q, deliver)
-	})
+	q.deliver = deliver
+	p.sim.AtCall(q.deadline, prestoTimerFire, p, q)
+}
+
+func prestoTimerFire(a, b any) {
+	p, q := a.(*Presto), b.(*prestoReorderQ)
+	if !q.timerSet {
+		return
+	}
+	if len(q.buf) == 0 {
+		q.timerSet = false
+		return
+	}
+	p.TimeoutFlushes++
+	p.flush(q, q.deliver)
 }
 
 // drain releases buffered packets that became in-order.

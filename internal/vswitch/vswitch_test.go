@@ -335,6 +335,29 @@ func TestPrestoReorderBufferFlushOnTimeout(t *testing.T) {
 	}
 }
 
+// TestPrestoReorderTimerZeroAllocs pins that re-arming a warm reorder
+// queue's timeout, and firing it, allocates nothing: each round buffers one
+// packet past a hole, which arms the timer, and the timeout flushes it.
+func TestPrestoReorderTimerZeroAllocs(t *testing.T) {
+	s := sim.New(9)
+	pol := NewPresto(s)
+	delivered := 0
+	deliver := func(*packet.Packet) { delivered++ }
+	pkt := &packet.Packet{Inner: packet.FiveTuple{Src: 1, Dst: 2}, PayloadLen: 100}
+	round := func() {
+		pkt.Seq += 1000 // past a hole, so the packet is buffered
+		pol.OnDeliver(pkt, deliver)
+		s.Run()
+	}
+	round() // create the queue and warm the slab
+	if allocs := testing.AllocsPerRun(50, round); allocs != 0 {
+		t.Fatalf("allocs per re-arm = %v, want 0", allocs)
+	}
+	if want := int64(52); pol.TimeoutFlushes != want || delivered != int(want) {
+		t.Fatalf("TimeoutFlushes = %d, delivered %d; want %d each", pol.TimeoutFlushes, delivered, want)
+	}
+}
+
 func TestPrestoStaticWeights(t *testing.T) {
 	s := sim.New(10)
 	pol := NewPresto(s)
