@@ -58,7 +58,9 @@ func DefaultWeightTableConfig(rtt sim.Time) WeightTableConfig {
 type WeightTable struct {
 	cfg   WeightTableConfig
 	paths []PathState
-	wrr   *WRR
+	// wrr mirrors paths' ports and weights. syncWRR rewrites its slices in
+	// place, so after the table is built only a larger port set allocates.
+	wrr WRR
 	// floored is normalize's scratch marker slice, retained so the
 	// per-feedback water-filling pass does not allocate.
 	floored []bool
@@ -70,7 +72,7 @@ type WeightTable struct {
 // NewWeightTable creates a table over the discovered ports with equal
 // weights.
 func NewWeightTable(cfg WeightTableConfig, ports []uint16) *WeightTable {
-	t := &WeightTable{cfg: cfg, wrr: NewWRR(nil)}
+	t := &WeightTable{cfg: cfg}
 	t.SetPorts(ports)
 	return t
 }
@@ -80,17 +82,17 @@ func NewWeightTable(cfg WeightTableConfig, ports []uint16) *WeightTable {
 // new ports start at the mean weight of the retained ones. Weights are then
 // renormalized.
 func (t *WeightTable) SetPorts(ports []uint16) {
-	old := map[uint16]PathState{}
-	for _, p := range t.paths {
-		old[p.Port] = p
-	}
+	// The previous state is searched in a copy, since paths is rewritten in
+	// place; the copy lives on the stack for up to len(buf) paths.
+	var buf [16]PathState
+	old := append(buf[:0], t.paths...)
 	mean := 1.0
-	if len(t.paths) > 0 {
+	if len(old) > 0 {
 		var sum float64
 		kept := 0
 		for _, port := range ports {
-			if p, ok := old[port]; ok {
-				sum += p.Weight
+			if i := lastIndex(old, port); i >= 0 {
+				sum += old[i].Weight
 				kept++
 			}
 		}
@@ -98,16 +100,30 @@ func (t *WeightTable) SetPorts(ports []uint16) {
 			mean = sum / float64(kept)
 		}
 	}
-	t.paths = t.paths[:0]
-	for _, port := range ports {
-		if p, ok := old[port]; ok {
-			t.paths = append(t.paths, p)
+	if cap(t.paths) < len(ports) {
+		t.paths = make([]PathState, len(ports))
+	}
+	t.paths = t.paths[:len(ports)]
+	for j, port := range ports {
+		if i := lastIndex(old, port); i >= 0 {
+			t.paths[j] = old[i]
 		} else {
-			t.paths = append(t.paths, PathState{Port: port, Weight: mean})
+			t.paths[j] = PathState{Port: port, Weight: mean}
 		}
 	}
 	t.normalize()
 	t.syncWRR()
+}
+
+// lastIndex returns the index of the last state for port in paths, or -1.
+// The last one wins, as it would when a duplicated port is keyed in a map.
+func lastIndex(paths []PathState, port uint16) int {
+	for i := len(paths) - 1; i >= 0; i-- {
+		if paths[i].Port == port {
+			return i
+		}
+	}
+	return -1
 }
 
 // Ports returns the current port set in table order.
@@ -358,12 +374,25 @@ func (t *WeightTable) normalize() {
 	}
 }
 
+// syncWRR copies the table's ports and weights into the WRR and restarts its
+// smoothing state, as WRR.Reset would, without allocating unless the path
+// count outgrew the WRR's arrays. One []float64 of 2n backs weights and
+// current.
 func (t *WeightTable) syncWRR() {
-	ports := make([]uint16, len(t.paths))
-	weights := make([]float64, len(t.paths))
-	for i, p := range t.paths {
-		ports[i] = p.Port
-		weights[i] = p.Weight
+	n := len(t.paths)
+	w := &t.wrr
+	if cap(w.ports) < n {
+		w.ports = make([]uint16, n)
+		buf := make([]float64, 2*n)
+		w.weights, w.current = buf[:n:n], buf[n:]
 	}
-	t.wrr.Reset(ports, weights)
+	w.ports, w.weights, w.current = w.ports[:n], w.weights[:n], w.current[:n]
+	for i, p := range t.paths {
+		if p.Weight < 0 {
+			panic("clove: negative WRR weight")
+		}
+		w.ports[i] = p.Port
+		w.weights[i] = p.Weight
+		w.current[i] = 0
+	}
 }

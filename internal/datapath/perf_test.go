@@ -494,4 +494,16 @@ func TestSteadyStateReceiveZeroAlloc(t *testing.T) {
 	if n := testing.AllocsPerRun(1000, func() { a.handleFrame(sh, ce, 40001) }); n != 0 {
 		t.Errorf("CE receive allocates %v/op after first observation, contract is 0", n)
 	}
+
+	// ECN feedback for an installed port: the weight table's reaction
+	// (OnCongestion, then the WRR resync) reuses the table's arrays.
+	fb := make([]byte, headerLen+512)
+	encodeFrame(fb, 40001, 7, wire.Feedback{Valid: true, Port: a.Ports()[0], ECN: true}, make([]byte, 512), 0)
+	a.handleFrame(sh, fb, 40001)
+	if n := testing.AllocsPerRun(1000, func() { a.handleFrame(sh, fb, 40001) }); n != 0 {
+		t.Errorf("ECN-feedback receive allocates %v/op, contract is 0", n)
+	}
+	if w := a.weights.Weights()[a.Ports()[0]]; w >= 1.0/float64(cfg.Paths) {
+		t.Errorf("reported port keeps weight %v after ECN feedback; the frame is miswired", w)
+	}
 }

@@ -10,14 +10,17 @@ import (
 // hotPathFabric builds the smallest forwarding path that exercises every
 // per-hop stage — host uplink (link), ECMP switch, host downlink (link),
 // NIC delivery — with the destination host acting as a terminal sink that
-// releases packets back to the topology pool (Deliver == nil).
+// releases packets back to the topology pool (Deliver == nil). Host
+// uplinks are HostQdiscCap deep, as in the topology builders.
 func hotPathFabric() (*sim.Simulator, *Topology, *Host, *Host) {
 	s := sim.New(1)
 	t := NewTopology(s)
 	sw := t.AddSwitch("S")
-	cfg := LinkConfig{RateBps: 40e9, Delay: 2 * sim.Microsecond}
-	src := t.AddHost("h0", sw, cfg, cfg)
-	dst := t.AddHost("h1", sw, cfg, cfg)
+	down := LinkConfig{RateBps: 40e9, Delay: 2 * sim.Microsecond}
+	up := down
+	up.QueueCap = HostQdiscCap
+	src := t.AddHost("h0", sw, up, down)
+	dst := t.AddHost("h1", sw, up, down)
 	t.ComputeRoutes()
 	return s, t, src, dst
 }

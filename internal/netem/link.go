@@ -45,11 +45,17 @@ type Link struct {
 	queueCap int // packets
 	ecnK     int // mark when queued packets >= ecnK at enqueue; 0 disables
 
-	// queue is a fixed-capacity ring buffer (len(queue) == queueCap): qhead
-	// is the oldest packet, qlen the occupancy, and slots wrap modulo the
-	// capacity. A ring makes dequeue O(1) — the previous slice-shift form
-	// paid an O(occupancy) copy() per transmitted packet, which dominated
-	// link cost on deep host qdiscs (HostQdiscCap = 1024).
+	// queue is a ring buffer: qhead is the oldest packet, qlen the
+	// occupancy, and slots wrap modulo len(queue). A ring makes dequeue O(1)
+	// — the previous slice-shift form paid an O(occupancy) copy() per
+	// transmitted packet, which dominated link cost on deep host qdiscs
+	// (HostQdiscCap = 1024). The ring starts at initialRing slots (at most
+	// queueCap) and an Enqueue that finds it full doubles it, up to
+	// queueCap; it never shrinks. Admission still tests qlen against
+	// queueCap, so growth is invisible to the simulation, and a link that
+	// has reached its peak occupancy enqueues without allocating. Most
+	// links never hold more than a few packets, so a fabric's queue memory
+	// follows its traffic, not its configured buffer depth.
 	queue   []*packet.Packet
 	qhead   int
 	qlen    int
@@ -80,6 +86,9 @@ type LinkConfig struct {
 // DefaultQueueCap is the per-port buffer used when LinkConfig.QueueCap is 0.
 const DefaultQueueCap = 256
 
+// initialRing is a link ring's starting size in slots, a power of two.
+const initialRing = 8
+
 func newLink(s *sim.Simulator, pool *packet.Pool, id packet.LinkID, name string, from packet.NodeID, to Node, cfg LinkConfig) *Link {
 	if cfg.QueueCap == 0 {
 		cfg.QueueCap = DefaultQueueCap
@@ -96,8 +105,7 @@ func newLink(s *sim.Simulator, pool *packet.Pool, id packet.LinkID, name string,
 		queueCap: cfg.QueueCap,
 		ecnK:     cfg.ECNK,
 		up:       true,
-		// The ring is allocated at full capacity up front; it never grows.
-		queue: make([]*packet.Packet, cfg.QueueCap),
+		queue:    make([]*packet.Packet, min(initialRing, cfg.QueueCap)),
 	}
 	l.dre = NewDRE(s, cfg.RateBps)
 	return l
@@ -166,8 +174,8 @@ func (l *Link) SetUp(up bool) {
 		l.stats.DownDrops += int64(n)
 		for i := 0; i < n; i++ {
 			idx := l.qhead + i
-			if idx >= l.queueCap {
-				idx -= l.queueCap
+			if idx >= len(l.queue) {
+				idx -= len(l.queue)
 			}
 			pkt := l.queue[idx]
 			l.queue[idx] = nil
@@ -217,15 +225,27 @@ func (l *Link) Enqueue(pkt *packet.Packet) {
 	if o := l.pool.Obs(); o != nil {
 		o.LinkEnqueue(l.id, pkt, l.qlen, l.queueCap, l.ecnK, marked)
 	}
+	if l.qlen == len(l.queue) {
+		l.grow()
+	}
 	idx := l.qhead + l.qlen
-	if idx >= l.queueCap {
-		idx -= l.queueCap
+	if idx >= len(l.queue) {
+		idx -= len(l.queue)
 	}
 	l.queue[idx] = pkt
 	l.qlen++
 	if !l.busy {
 		l.transmitNext()
 	}
+}
+
+// grow doubles the full ring, capped at queueCap, and copies it unwrapped so
+// the oldest packet lands in slot 0.
+func (l *Link) grow() {
+	q := make([]*packet.Packet, min(2*len(l.queue), l.queueCap))
+	n := copy(q, l.queue[l.qhead:])
+	copy(q[n:], l.queue[:l.qhead])
+	l.queue, l.qhead = q, 0
 }
 
 // linkTxDone and linkPropagate are the static trampolines for the two
@@ -260,7 +280,7 @@ func (l *Link) transmitNext() {
 	pkt := l.queue[l.qhead]
 	l.queue[l.qhead] = nil
 	l.qhead++
-	if l.qhead == l.queueCap {
+	if l.qhead == len(l.queue) {
 		l.qhead = 0
 	}
 	l.qlen--
