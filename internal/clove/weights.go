@@ -6,9 +6,10 @@ import (
 	"clove/internal/sim"
 )
 
-// PathState is the per-(destination, encap source port) state kept by the
-// source hypervisor: the current WRR weight and the latest congestion /
-// utilization observations reflected by the destination hypervisor.
+// PathState is a snapshot of one path of a WeightTable, the per-(destination,
+// encap source port) state kept by the source hypervisor: the current WRR
+// weight and the latest congestion / utilization observations reflected by
+// the destination hypervisor.
 type PathState struct {
 	Port          uint16
 	Weight        float64
@@ -56,17 +57,22 @@ func DefaultWeightTableConfig(rtt sim.Time) WeightTableConfig {
 // utilization for Clove-INT, and survives topology transitions by carrying
 // state over to re-discovered port sets.
 type WeightTable struct {
-	cfg   WeightTableConfig
-	paths []PathState
-	// wrr mirrors paths' ports and weights. syncWRR rewrites its slices in
-	// place, so after the table is built only a larger port set allocates.
+	cfg WeightTableConfig
+	// wrr holds every path's port and weight in table order; the table
+	// reweights it in place and restarts its smoothing.
 	wrr WRR
-	// floored is normalize's scratch marker slice, retained so the
-	// per-feedback water-filling pass does not allocate.
-	floored []bool
-	// recipients is OnCongestion's scratch index slice, retained so the
-	// real datapath's feedback path stays allocation-free.
-	recipients []int
+	// obs holds what the table knows of each path beyond its WRR entry,
+	// index for index with wrr's paths.
+	obs []pathObs
+}
+
+// pathObs is one path's feedback record: the latest congestion and
+// utilization reports, and normalize's floor marker.
+type pathObs struct {
+	lastCongested sim.Time // most recent ECN feedback; 0 = never
+	util          float64  // latest INT-reported max path utilization
+	utilAt        sim.Time // when util was reported; 0 = never
+	floored       bool
 }
 
 // NewWeightTable creates a table over the discovered ports with equal
@@ -82,17 +88,19 @@ func NewWeightTable(cfg WeightTableConfig, ports []uint16) *WeightTable {
 // new ports start at the mean weight of the retained ones. Weights are then
 // renormalized.
 func (t *WeightTable) SetPorts(ports []uint16) {
-	// The previous state is searched in a copy, since paths is rewritten in
-	// place; the copy lives on the stack for up to len(buf) paths.
-	var buf [16]PathState
-	old := append(buf[:0], t.paths...)
+	// The previous state is searched in copies, since both slices are
+	// rewritten in place; the copies live on the stack for up to 16 paths.
+	var pathBuf [16]wrrPath
+	var obsBuf [16]pathObs
+	oldPaths := append(pathBuf[:0], t.wrr.paths...)
+	oldObs := append(obsBuf[:0], t.obs...)
 	mean := 1.0
-	if len(old) > 0 {
+	if len(oldPaths) > 0 {
 		var sum float64
 		kept := 0
 		for _, port := range ports {
-			if i := lastIndex(old, port); i >= 0 {
-				sum += old[i].Weight
+			if i := lastIndex(oldPaths, port); i >= 0 {
+				sum += oldPaths[i].weight
 				kept++
 			}
 		}
@@ -100,26 +108,27 @@ func (t *WeightTable) SetPorts(ports []uint16) {
 			mean = sum / float64(kept)
 		}
 	}
-	if cap(t.paths) < len(ports) {
-		t.paths = make([]PathState, len(ports))
+	n := len(ports)
+	if cap(t.obs) < n {
+		t.wrr.paths, t.obs = make([]wrrPath, n), make([]pathObs, n)
 	}
-	t.paths = t.paths[:len(ports)]
+	t.wrr.paths, t.obs = t.wrr.paths[:n], t.obs[:n]
 	for j, port := range ports {
-		if i := lastIndex(old, port); i >= 0 {
-			t.paths[j] = old[i]
+		if i := lastIndex(oldPaths, port); i >= 0 {
+			t.wrr.paths[j], t.obs[j] = oldPaths[i], oldObs[i]
 		} else {
-			t.paths[j] = PathState{Port: port, Weight: mean}
+			t.wrr.paths[j], t.obs[j] = wrrPath{port: port, weight: mean}, pathObs{}
 		}
 	}
 	t.normalize()
-	t.syncWRR()
+	t.wrr.restart()
 }
 
-// lastIndex returns the index of the last state for port in paths, or -1.
-// The last one wins, as it would when a duplicated port is keyed in a map.
-func lastIndex(paths []PathState, port uint16) int {
+// lastIndex returns the index of the last path with port, or -1. The last
+// one wins, as it would when a duplicated port is keyed in a map.
+func lastIndex(paths []wrrPath, port uint16) int {
 	for i := len(paths) - 1; i >= 0; i-- {
-		if paths[i].Port == port {
+		if paths[i].port == port {
 			return i
 		}
 	}
@@ -127,34 +136,33 @@ func lastIndex(paths []PathState, port uint16) int {
 }
 
 // Ports returns the current port set in table order.
-func (t *WeightTable) Ports() []uint16 {
-	out := make([]uint16, len(t.paths))
-	for i, p := range t.paths {
-		out[i] = p.Port
-	}
-	return out
-}
+func (t *WeightTable) Ports() []uint16 { return t.wrr.Ports() }
 
 // Len reports the number of paths.
-func (t *WeightTable) Len() int { return len(t.paths) }
+func (t *WeightTable) Len() int { return len(t.obs) }
 
 // Weights returns a snapshot map port -> weight.
 func (t *WeightTable) Weights() map[uint16]float64 {
-	m := make(map[uint16]float64, len(t.paths))
-	for _, p := range t.paths {
-		m[p.Port] = p.Weight
+	m := make(map[uint16]float64, len(t.obs))
+	for _, p := range t.wrr.paths {
+		m[p.port] = p.weight
 	}
 	return m
 }
 
 // States returns a copy of the per-path state (tests, telemetry).
-func (t *WeightTable) States() []PathState { return append([]PathState(nil), t.paths...) }
+func (t *WeightTable) States() []PathState {
+	var out []PathState
+	t.VisitStates(func(p PathState) { out = append(out, p) })
+	return out
+}
 
 // VisitStates calls fn for every path's state in table order without
-// copying the slice (the telemetry sampler walks tables every interval).
+// building a slice (the telemetry sampler walks tables every interval).
 func (t *WeightTable) VisitStates(fn func(PathState)) {
-	for i := range t.paths {
-		fn(t.paths[i])
+	for i, p := range t.wrr.paths {
+		o := &t.obs[i]
+		fn(PathState{Port: p.port, Weight: p.weight, LastCongested: o.lastCongested, Util: o.util, UtilAt: o.utilAt})
 	}
 }
 
@@ -173,36 +181,36 @@ func (t *WeightTable) OnCongestion(port uint16, now sim.Time) {
 	if idx < 0 {
 		return
 	}
-	t.paths[idx].LastCongested = now
+	t.obs[idx].lastCongested = now
 
-	removed := t.paths[idx].Weight * t.cfg.Beta
-	t.paths[idx].Weight -= removed
+	paths := t.wrr.paths
+	removed := paths[idx].weight * t.cfg.Beta
+	paths[idx].weight -= removed
 
-	recipients := t.recipients[:0]
-	for i := range t.paths {
+	// Count the recipients, then pay each its share in table order.
+	uncongested := 0
+	for i := range paths {
 		if i != idx && !t.congested(i, now) {
-			recipients = append(recipients, i)
+			uncongested++
 		}
 	}
-	if len(recipients) == 0 {
-		for i := range t.paths {
-			if i != idx {
-				recipients = append(recipients, i)
-			}
-		}
+	recipients := uncongested
+	if recipients == 0 {
+		recipients = len(paths) - 1
 	}
-	if len(recipients) == 0 {
+	if recipients == 0 {
 		// Single path: nothing to shift to; restore.
-		t.paths[idx].Weight += removed
+		paths[idx].weight += removed
 		return
 	}
-	share := removed / float64(len(recipients))
-	for _, i := range recipients {
-		t.paths[i].Weight += share
+	share := removed / float64(recipients)
+	for i := range paths {
+		if i != idx && (uncongested == 0 || !t.congested(i, now)) {
+			paths[i].weight += share
+		}
 	}
-	t.recipients = recipients[:0]
 	t.normalize()
-	t.syncWRR()
+	t.wrr.restart()
 }
 
 // OnUtilization records an INT utilization report for port.
@@ -211,8 +219,8 @@ func (t *WeightTable) OnUtilization(port uint16, util float64, now sim.Time) {
 		return
 	}
 	if idx := t.index(port); idx >= 0 {
-		t.paths[idx].Util = util
-		t.paths[idx].UtilAt = now
+		t.obs[idx].util = util
+		t.obs[idx].utilAt = now
 	}
 }
 
@@ -226,12 +234,12 @@ func (t *WeightTable) OnUtilization(port uint16, util float64, now sim.Time) {
 // back to the table's weighted round-robin, which spreads flowlets across
 // all paths until INT feedback arrives.
 func (t *WeightTable) LeastUtilizedPort(now sim.Time) uint16 {
-	if len(t.paths) == 0 {
+	if len(t.obs) == 0 {
 		panic("clove: LeastUtilizedPort on empty table")
 	}
 	best, bestUtil := 0, math.Inf(1)
 	anyFresh := false
-	for i := range t.paths {
+	for i := range t.obs {
 		if t.fresh(i, now) {
 			anyFresh = true
 		}
@@ -243,16 +251,16 @@ func (t *WeightTable) LeastUtilizedPort(now sim.Time) uint16 {
 	if !anyFresh {
 		return t.wrr.Next()
 	}
-	return t.paths[best].Port
+	return t.wrr.paths[best].port
 }
 
 // AllCongested reports whether every path has fresh congestion feedback —
 // the condition under which Clove stops masking ECN from the sending VM.
 func (t *WeightTable) AllCongested(now sim.Time) bool {
-	if len(t.paths) == 0 {
+	if len(t.obs) == 0 {
 		return false
 	}
-	for i := range t.paths {
+	for i := range t.obs {
 		if !t.congested(i, now) {
 			return false
 		}
@@ -261,25 +269,25 @@ func (t *WeightTable) AllCongested(now sim.Time) bool {
 }
 
 func (t *WeightTable) congested(i int, now sim.Time) bool {
-	lc := t.paths[i].LastCongested
+	lc := t.obs[i].lastCongested
 	return lc > 0 && now-lc < t.cfg.CongestedAge
 }
 
 // fresh reports whether path i has a utilization sample within UtilAge.
 func (t *WeightTable) fresh(i int, now sim.Time) bool {
-	return t.paths[i].UtilAt != 0 && now-t.paths[i].UtilAt <= t.cfg.UtilAge
+	return t.obs[i].utilAt != 0 && now-t.obs[i].utilAt <= t.cfg.UtilAge
 }
 
 func (t *WeightTable) effectiveUtil(i int, now sim.Time) float64 {
 	if !t.fresh(i, now) {
 		return 0
 	}
-	return t.paths[i].Util
+	return t.obs[i].util
 }
 
 func (t *WeightTable) index(port uint16) int {
-	for i := range t.paths {
-		if t.paths[i].Port == port {
+	for i := range t.wrr.paths {
+		if t.wrr.paths[i].port == port {
 			return i
 		}
 	}
@@ -303,38 +311,35 @@ func (t *WeightTable) index(port uint16) int {
 // paths at the default 0.02) no distribution can satisfy it; the table
 // falls back to uniform weights, the closest floor-respecting shape.
 func (t *WeightTable) normalize() {
-	n := len(t.paths)
+	paths, obs := t.wrr.paths, t.obs
+	n := len(paths)
 	if n == 0 {
 		return
 	}
 	floor := t.cfg.Floor
 	if floor*float64(n) >= 1 {
 		eq := 1.0 / float64(n)
-		for i := range t.paths {
-			t.paths[i].Weight = eq
+		for i := range paths {
+			paths[i].weight = eq
 		}
 		return
 	}
 	var sum float64
-	for i := range t.paths {
-		if t.paths[i].Weight < floor {
-			t.paths[i].Weight = floor
+	for i := range paths {
+		if paths[i].weight < floor {
+			paths[i].weight = floor
 		}
-		sum += t.paths[i].Weight
+		sum += paths[i].weight
 	}
 	if sum <= 0 {
 		eq := 1.0 / float64(n)
-		for i := range t.paths {
-			t.paths[i].Weight = eq
+		for i := range paths {
+			paths[i].weight = eq
 		}
 		return
 	}
-	if cap(t.floored) < n {
-		t.floored = make([]bool, n)
-	}
-	floored := t.floored[:n]
-	for i := range floored {
-		floored[i] = false
+	for i := range obs {
+		obs[i].floored = false
 	}
 	// Each iteration either converges or pins at least one more path, so the
 	// loop runs at most n times. Feasibility (floor*n < 1) guarantees the
@@ -344,11 +349,11 @@ func (t *WeightTable) normalize() {
 	for iter := 0; iter < n; iter++ {
 		nFloored := 0
 		sumFree := 0.0
-		for i := range t.paths {
-			if floored[i] {
+		for i := range paths {
+			if obs[i].floored {
 				nFloored++
 			} else {
-				sumFree += t.paths[i].Weight
+				sumFree += paths[i].weight
 			}
 		}
 		target := 1 - floor*float64(nFloored)
@@ -356,43 +361,20 @@ func (t *WeightTable) normalize() {
 			break
 		}
 		changed := false
-		for i := range t.paths {
-			if floored[i] {
+		for i := range paths {
+			if obs[i].floored {
 				continue
 			}
-			w := t.paths[i].Weight * target / sumFree
+			w := paths[i].weight * target / sumFree
 			if w < floor {
 				w = floor
-				floored[i] = true
+				obs[i].floored = true
 				changed = true
 			}
-			t.paths[i].Weight = w
+			paths[i].weight = w
 		}
 		if !changed {
 			return
 		}
-	}
-}
-
-// syncWRR copies the table's ports and weights into the WRR and restarts its
-// smoothing state, as WRR.Reset would, without allocating unless the path
-// count outgrew the WRR's arrays. One []float64 of 2n backs weights and
-// current.
-func (t *WeightTable) syncWRR() {
-	n := len(t.paths)
-	w := &t.wrr
-	if cap(w.ports) < n {
-		w.ports = make([]uint16, n)
-		buf := make([]float64, 2*n)
-		w.weights, w.current = buf[:n:n], buf[n:]
-	}
-	w.ports, w.weights, w.current = w.ports[:n], w.weights[:n], w.current[:n]
-	for i, p := range t.paths {
-		if p.Weight < 0 {
-			panic("clove: negative WRR weight")
-		}
-		w.ports[i] = p.Port
-		w.weights[i] = p.Weight
-		w.current[i] = 0
 	}
 }

@@ -254,6 +254,20 @@ func TestWeightTableZeroAllocs(t *testing.T) {
 	}
 }
 
+// tableSink keeps built tables reachable, so the allocation count below
+// includes the table itself.
+var tableSink *WeightTable
+
+// TestWeightTableBuildAllocs pins a built table to three objects: the table,
+// its WRR entries and its feedback records.
+func TestWeightTableBuildAllocs(t *testing.T) {
+	cfg := DefaultWeightTableConfig(100 * sim.Microsecond)
+	ports := []uint16{10, 20, 30, 40}
+	if n := testing.AllocsPerRun(100, func() { tableSink = NewWeightTable(cfg, ports) }); n > 3 {
+		t.Errorf("NewWeightTable over 4 ports allocates %v objects, want <= 3", n)
+	}
+}
+
 // BenchmarkHotPathWeightTableFeedback prices one ECN feedback (OnCongestion
 // and its WRR resync) plus one pick on a four-path table, and fails on any
 // allocation; the CI bench-smoke job runs it.
@@ -310,6 +324,16 @@ func refSetPorts(prev []PathState, ports []uint16) []PathState {
 	return out
 }
 
+// tableOf builds a table holding exactly states, without normalizing.
+func tableOf(cfg WeightTableConfig, states []PathState) *WeightTable {
+	t := &WeightTable{cfg: cfg}
+	for _, p := range states {
+		t.wrr.paths = append(t.wrr.paths, wrrPath{port: p.Port, weight: p.Weight})
+		t.obs = append(t.obs, pathObs{lastCongested: p.LastCongested, util: p.Util, utilAt: p.UtilAt})
+	}
+	return t
+}
+
 // TestSetPortsMatchesMapReference checks the in-place SetPorts and WRR
 // resync bit for bit against refSetPorts and a freshly Reset WRR, over
 // random rediscoveries — with duplicated ports, and longer than SetPorts'
@@ -333,9 +357,8 @@ func TestSetPortsMatchesMapReference(t *testing.T) {
 			ports[i], weights[i] = p.Port, p.Weight
 		}
 		want.Reset(ports, weights)
-		got := []any{tab.wrr.ports, tab.wrr.weights, tab.wrr.current}
-		if exp := []any{want.ports, want.weights, want.current}; !reflect.DeepEqual(got, exp) {
-			t.Fatalf("step %d: WRR ports, weights, current %v, want %v", step, got, exp)
+		if !reflect.DeepEqual(tab.wrr.paths, want.paths) {
+			t.Fatalf("step %d: WRR ports, weights, current %+v, want %+v", step, tab.wrr.paths, want.paths)
 		}
 	}
 	tab := NewWeightTable(cfg, randPorts())
@@ -346,11 +369,11 @@ func TestSetPortsMatchesMapReference(t *testing.T) {
 		switch rng.Intn(3) {
 		case 0:
 			ports := randPorts()
-			want := &WeightTable{cfg: cfg, paths: refSetPorts(states, ports)}
+			want := tableOf(cfg, refSetPorts(states, ports))
 			want.normalize()
 			tab.SetPorts(ports)
-			if !reflect.DeepEqual(tab.States(), want.paths) {
-				t.Fatalf("step %d: SetPorts(%v) from %+v\ngot  %+v\nwant %+v", step, ports, states, tab.States(), want.paths)
+			if !reflect.DeepEqual(tab.States(), want.States()) {
+				t.Fatalf("step %d: SetPorts(%v) from %+v\ngot  %+v\nwant %+v", step, ports, states, tab.States(), want.States())
 			}
 			checkWRR(step, tab)
 		case 1:

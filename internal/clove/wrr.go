@@ -9,9 +9,14 @@ package clove
 // Weights are arbitrary non-negative floats; they are treated as relative.
 // The scheduler is deterministic.
 type WRR struct {
-	ports   []uint16
-	weights []float64
-	current []float64
+	paths []wrrPath
+}
+
+// wrrPath is one scheduled port: its weight and its smoothing accumulator.
+type wrrPath struct {
+	port    uint16
+	weight  float64
+	current float64
 }
 
 // NewWRR creates a scheduler over ports with equal weights.
@@ -31,53 +36,67 @@ func (w *WRR) Reset(ports []uint16, weights []float64) {
 	if len(ports) != len(weights) {
 		panic("clove: ports/weights length mismatch")
 	}
-	for _, wt := range weights {
-		if wt < 0 {
+	w.paths = w.paths[:0]
+	for i, port := range ports {
+		w.paths = append(w.paths, wrrPath{port: port, weight: weights[i]})
+	}
+	w.restart()
+}
+
+// restart zeroes every accumulator, so picks start afresh from the current
+// weights. It panics on a negative weight, a caller bug.
+func (w *WRR) restart() {
+	for i := range w.paths {
+		if w.paths[i].weight < 0 {
 			panic("clove: negative WRR weight")
 		}
+		w.paths[i].current = 0
 	}
-	w.ports = append(w.ports[:0], ports...)
-	w.weights = append(w.weights[:0], weights...)
-	w.current = make([]float64, len(ports))
 }
 
 // Len returns the number of ports.
-func (w *WRR) Len() int { return len(w.ports) }
+func (w *WRR) Len() int { return len(w.paths) }
 
-// Ports returns the scheduled port set (do not modify).
-func (w *WRR) Ports() []uint16 { return w.ports }
+// Ports returns a copy of the scheduled port set.
+func (w *WRR) Ports() []uint16 {
+	out := make([]uint16, len(w.paths))
+	for i, p := range w.paths {
+		out[i] = p.port
+	}
+	return out
+}
 
 // Next returns the next port per smooth WRR: each pick adds every weight to
 // its accumulator, selects the largest accumulator, and subtracts the total
 // weight from it. With all-zero weights it degrades to plain round-robin.
 // It panics on an empty scheduler.
 func (w *WRR) Next() uint16 {
-	if len(w.ports) == 0 {
+	if len(w.paths) == 0 {
 		panic("clove: Next on empty WRR")
 	}
 	var total float64
-	for _, wt := range w.weights {
-		total += wt
+	for _, p := range w.paths {
+		total += p.weight
 	}
 	if total == 0 {
 		// Plain round-robin via the accumulators.
 		best := 0
-		for i := range w.current {
-			w.current[i]++
-			if w.current[i] > w.current[best] {
+		for i := range w.paths {
+			w.paths[i].current++
+			if w.paths[i].current > w.paths[best].current {
 				best = i
 			}
 		}
-		w.current[best] -= float64(len(w.current))
-		return w.ports[best]
+		w.paths[best].current -= float64(len(w.paths))
+		return w.paths[best].port
 	}
 	best := 0
-	for i := range w.current {
-		w.current[i] += w.weights[i]
-		if w.current[i] > w.current[best] {
+	for i := range w.paths {
+		w.paths[i].current += w.paths[i].weight
+		if w.paths[i].current > w.paths[best].current {
 			best = i
 		}
 	}
-	w.current[best] -= total
-	return w.ports[best]
+	w.paths[best].current -= total
+	return w.paths[best].port
 }

@@ -308,7 +308,7 @@ func New(cfg Config) *Cluster {
 		// RTT); a quarter of the edge gap reproduces its advantage.
 		c.Conga = conga.Attach(ls, conga.Config{FlowletGap: c.Cfg.FlowletGap / 4})
 	case SchemeLetFlow:
-		attachLetFlow(ls, c.Cfg.FlowletGap)
+		conga.AttachLetFlow(ls, c.Cfg.FlowletGap)
 	case SchemeCharon, SchemeCharonRef:
 		attachCharonStamping(ls)
 	}

@@ -10,6 +10,8 @@
 package conga
 
 import (
+	"slices"
+
 	"clove/internal/clove"
 	"clove/internal/netem"
 	"clove/internal/packet"
@@ -29,11 +31,13 @@ type Stats struct {
 	FeedbackSent   int64
 }
 
-// leafState is the per-leaf CONGA table set.
-type leafState struct {
-	flowlets *clove.FlowletTable
-	// pinned maps a flow's current flowlet to its chosen uplink.
-	pinned map[packet.FiveTuple]*netem.Link
+// leafLB is one leaf's CONGA tables, installed as that leaf's SwitchLB.
+type leafLB struct {
+	id packet.NodeID
+	// leafOf maps a HostID to its leaf's ID; every leaf shares one slice.
+	leafOf []packet.NodeID
+	stats  *Stats
+	pins   pins
 	// toLeaf[dstLeaf][uplinkID] is the learned congestion metric of the
 	// path bundle starting at uplinkID toward dstLeaf.
 	toLeaf map[packet.NodeID]map[packet.LinkID]float64
@@ -94,63 +98,72 @@ func (t *fbTable) take(i int) (uint8, float64, bool) {
 	return tag, t.ent[i].metric, true
 }
 
-// spineState keeps per-spine flowlet pinning for trunk choice.
-type spineState struct {
+// spineLB is one spine's flowlet pinning for trunk choice.
+type spineLB struct{ pins pins }
+
+// pins keeps one switch's flowlet pinning: every packet of a flowlet leaves
+// on the egress link its first packet was given.
+type pins struct {
 	flowlets *clove.FlowletTable
-	pinned   map[packet.FiveTuple]*netem.Link
+	links    map[packet.FiveTuple]*netem.Link
 }
 
-// Fabric wires CONGA onto a leaf-spine topology.
-type Fabric struct {
-	cfg    Config
-	leaves map[packet.NodeID]*leafState
-	spines map[packet.NodeID]*spineState
-	// leafOf maps a host to its leaf switch ID.
-	leafOf map[packet.HostID]packet.NodeID
+func newPins(gap sim.Time) pins {
+	return pins{flowlets: clove.NewFlowletTable(gap), links: map[packet.FiveTuple]*netem.Link{}}
+}
 
-	stats Stats
+// get records a packet of flow at now and returns the link its flowlet is
+// pinned to, or nil when the packet starts a new flowlet or the pinned link
+// is no longer a candidate; the caller then picks a link and pins it.
+func (p *pins) get(flow packet.FiveTuple, now sim.Time, candidates []*netem.Link) *netem.Link {
+	if _, isNew := p.flowlets.Touch(flow, now); isNew {
+		return nil
+	}
+	if eg := p.links[flow]; eg != nil && slices.Contains(candidates, eg) {
+		return eg
+	}
+	return nil
+}
+
+// Fabric is CONGA on a leaf-spine topology: one SwitchLB per switch, and
+// the decision counters they share.
+type Fabric struct {
+	leaves []*leafLB // in LeafSpine.Leaves order
+	stats  Stats
 }
 
 // Attach installs CONGA on every switch of the leaf-spine fabric. A switch's
 // tables are touched only at that switch, on its own clock, and feedback
 // rides in packets, so CONGA runs on a fabric sharded into event domains.
 func Attach(ls *netem.LeafSpine, cfg Config) *Fabric {
-	f := &Fabric{
-		cfg:    cfg,
-		leaves: map[packet.NodeID]*leafState{},
-		spines: map[packet.NodeID]*spineState{},
-		leafOf: map[packet.HostID]packet.NodeID{},
-	}
+	f := &Fabric{}
 	hostIDs := map[packet.NodeID]bool{}
 	for _, h := range ls.Hosts() {
 		hostIDs[h.ID()] = true
 	}
+	leafOf := make([]packet.NodeID, len(ls.Leaves)*ls.Cfg.HostsPerLeaf)
+	for i := range leafOf {
+		leafOf[i] = ls.Leaves[i/ls.Cfg.HostsPerLeaf].ID()
+	}
 	for _, lf := range ls.Leaves {
-		st := &leafState{
-			flowlets: clove.NewFlowletTable(cfg.FlowletGap),
-			pinned:   map[packet.FiveTuple]*netem.Link{},
+		l := &leafLB{
+			id:       lf.ID(),
+			leafOf:   leafOf,
+			stats:    &f.stats,
+			pins:     newPins(cfg.FlowletGap),
 			toLeaf:   map[packet.NodeID]map[packet.LinkID]float64{},
 			fromLeaf: map[packet.NodeID]*fbTable{},
 		}
 		for _, eg := range lf.Egress() {
 			if !hostIDs[eg.To().ID()] {
-				st.uplinks = append(st.uplinks, eg)
+				l.uplinks = append(l.uplinks, eg)
 			}
 		}
-		f.leaves[lf.ID()] = st
-		lf.SetLB(f)
+		f.leaves = append(f.leaves, l)
+		lf.SetLB(l)
 	}
 	for _, sp := range ls.Spines {
-		f.spines[sp.ID()] = &spineState{
-			flowlets: clove.NewFlowletTable(cfg.FlowletGap),
-			pinned:   map[packet.FiveTuple]*netem.Link{},
-		}
-		sp.SetLB(f)
-	}
-	for li, lf := range ls.Leaves {
-		for j := 0; j < ls.Cfg.HostsPerLeaf; j++ {
-			f.leafOf[packet.HostID(li*ls.Cfg.HostsPerLeaf+j)] = lf.ID()
-		}
+		sp.SetLB(&spineLB{pins: newPins(cfg.FlowletGap)})
 	}
 	return f
 }
@@ -160,93 +173,78 @@ func (f *Fabric) Stats() Stats { return f.stats }
 
 // Observe implements netem.SwitchLB. At a destination leaf it harvests the
 // accumulated path metric and the piggybacked feedback.
-func (f *Fabric) Observe(sw *netem.Switch, pkt *packet.Packet, _ *netem.Link) {
-	st := f.leaves[sw.ID()]
-	if st == nil || pkt.Conga == nil {
+func (l *leafLB) Observe(_ *netem.Switch, pkt *packet.Packet, _ *netem.Link) {
+	if pkt.Conga == nil {
 		return
 	}
-	srcLeaf := f.leafOf[pkt.OuterTuple().Src]
-	dstLeaf := f.leafOf[pkt.OuterDst()]
-	if dstLeaf != sw.ID() || srcLeaf == sw.ID() {
+	srcLeaf := l.leafOf[pkt.OuterTuple().Src]
+	dstLeaf := l.leafOf[pkt.OuterDst()]
+	if dstLeaf != l.id || srcLeaf == l.id {
 		return // not the destination leaf of a cross-leaf packet
 	}
 	// Record the forward metric keyed by the source leaf's LBTag.
-	fb := st.fromLeaf[srcLeaf]
+	fb := l.fromLeaf[srcLeaf]
 	if fb == nil {
 		fb = &fbTable{}
-		st.fromLeaf[srcLeaf] = fb
+		l.fromLeaf[srcLeaf] = fb
 	}
 	fb.set(pkt.Conga.LBTag, pkt.Conga.CEMetric)
-	f.stats.MetricsLearned++
+	l.stats.MetricsLearned++
 
 	// Consume feedback about our own uplinks toward srcLeaf.
 	if pkt.Conga.FbValid {
-		tl := st.toLeaf[srcLeaf]
+		tl := l.toLeaf[srcLeaf]
 		if tl == nil {
 			tl = map[packet.LinkID]float64{}
-			st.toLeaf[srcLeaf] = tl
+			l.toLeaf[srcLeaf] = tl
 		}
-		if int(pkt.Conga.FbLBTag) < len(st.uplinks) {
-			tl[st.uplinks[pkt.Conga.FbLBTag].ID()] = pkt.Conga.FbMetric
+		if int(pkt.Conga.FbLBTag) < len(l.uplinks) {
+			tl[l.uplinks[pkt.Conga.FbLBTag].ID()] = pkt.Conga.FbMetric
 		}
 	}
 }
 
-// Pick implements netem.SwitchLB.
-func (f *Fabric) Pick(sw *netem.Switch, pkt *packet.Packet, candidates []*netem.Link) (*netem.Link, bool) {
-	if st := f.leaves[sw.ID()]; st != nil {
-		return f.pickLeaf(sw, st, pkt, candidates)
-	}
-	if st := f.spines[sw.ID()]; st != nil {
-		return f.pickSpine(sw, st, pkt, candidates)
-	}
-	return nil, false
-}
-
-// pickLeaf handles both roles a leaf plays.
-func (f *Fabric) pickLeaf(sw *netem.Switch, st *leafState, pkt *packet.Packet, candidates []*netem.Link) (*netem.Link, bool) {
+// Pick implements netem.SwitchLB. At the source leaf of a cross-leaf packet
+// it tags the packet and picks the uplink; a destination leaf (or same-leaf
+// traffic) falls back to default forwarding.
+func (l *leafLB) Pick(sw *netem.Switch, pkt *packet.Packet, candidates []*netem.Link) (*netem.Link, bool) {
 	outer := pkt.OuterTuple()
-	srcLeaf := f.leafOf[outer.Src]
-	dstLeaf := f.leafOf[pkt.OuterDst()]
-
-	if srcLeaf == sw.ID() && dstLeaf != sw.ID() {
-		// Source leaf of a cross-leaf packet: tag and pick the uplink.
-		_, isNew := st.flowlets.Touch(outer, sw.Sim().Now())
-		eg := st.pinned[outer]
-		if isNew || eg == nil || !linkIn(eg, candidates) {
-			eg = f.bestUplink(st, dstLeaf, candidates)
-			st.pinned[outer] = eg
-			f.stats.FlowletsRouted++
-		}
-		tag := uint8(0)
-		for i, u := range st.uplinks {
-			if u == eg {
-				tag = uint8(i)
-				break
-			}
-		}
-		pkt.AddConga().LBTag = tag
-		// Piggyback one feedback metric about paths from dstLeaf to us.
-		// Rotate deterministically over the learned tags.
-		if fb := st.fromLeaf[dstLeaf]; fb != nil {
-			if tag, v, ok := fb.next(); ok {
-				pkt.Conga.FbValid = true
-				pkt.Conga.FbLBTag = tag
-				pkt.Conga.FbMetric = v
-				f.stats.FeedbackSent++
-			}
-		}
-		return eg, true
+	dstLeaf := l.leafOf[pkt.OuterDst()]
+	if l.leafOf[outer.Src] != l.id || dstLeaf == l.id {
+		return nil, false
 	}
-	// Destination leaf (or same-leaf traffic): default forwarding.
-	return nil, false
+	eg := l.pins.get(outer, sw.Sim().Now(), candidates)
+	if eg == nil {
+		eg = l.bestUplink(dstLeaf, candidates)
+		l.pins.links[outer] = eg
+		l.stats.FlowletsRouted++
+	}
+	tag := uint8(0)
+	for i, u := range l.uplinks {
+		if u == eg {
+			tag = uint8(i)
+			break
+		}
+	}
+	pkt.AddConga().LBTag = tag
+	// Piggyback one feedback metric about paths from dstLeaf to us.
+	// Rotate deterministically over the learned tags.
+	if fb := l.fromLeaf[dstLeaf]; fb != nil {
+		if tag, v, ok := fb.next(); ok {
+			pkt.Conga.FbValid = true
+			pkt.Conga.FbLBTag = tag
+			pkt.Conga.FbMetric = v
+			l.stats.FeedbackSent++
+		}
+	}
+	return eg, true
 }
 
 // bestUplink applies the CONGA rule: minimize max(local DRE of the uplink,
 // remembered congestion-to-leaf via that uplink). Unknown remote metrics
 // count as zero, which makes unprobed paths attractive.
-func (f *Fabric) bestUplink(st *leafState, dstLeaf packet.NodeID, candidates []*netem.Link) *netem.Link {
-	tl := st.toLeaf[dstLeaf]
+func (l *leafLB) bestUplink(dstLeaf packet.NodeID, candidates []*netem.Link) *netem.Link {
+	tl := l.toLeaf[dstLeaf]
 	var best *netem.Link
 	bestMetric := 2.0e9
 	for _, c := range candidates {
@@ -263,31 +261,60 @@ func (f *Fabric) bestUplink(st *leafState, dstLeaf packet.NodeID, candidates []*
 	return best
 }
 
-// pickSpine routes each flowlet onto the least-utilized egress trunk.
-func (f *Fabric) pickSpine(sw *netem.Switch, st *spineState, pkt *packet.Packet, candidates []*netem.Link) (*netem.Link, bool) {
+// Observe implements netem.SwitchLB (a spine learns nothing).
+func (*spineLB) Observe(*netem.Switch, *packet.Packet, *netem.Link) {}
+
+// Pick implements netem.SwitchLB: each flowlet goes to the least-utilized
+// egress trunk.
+func (s *spineLB) Pick(sw *netem.Switch, pkt *packet.Packet, candidates []*netem.Link) (*netem.Link, bool) {
 	if len(candidates) == 1 {
 		return candidates[0], true
 	}
 	outer := pkt.OuterTuple()
-	_, isNew := st.flowlets.Touch(outer, sw.Sim().Now())
-	eg := st.pinned[outer]
-	if isNew || eg == nil || !linkIn(eg, candidates) {
+	eg := s.pins.get(outer, sw.Sim().Now(), candidates)
+	if eg == nil {
 		eg = candidates[0]
 		for _, c := range candidates[1:] {
 			if c.Utilization() < eg.Utilization() {
 				eg = c
 			}
 		}
-		st.pinned[outer] = eg
+		s.pins.links[outer] = eg
 	}
 	return eg, true
 }
 
-func linkIn(l *netem.Link, set []*netem.Link) bool {
-	for _, c := range set {
-		if c == l {
-			return true
-		}
+// letFlowLB is the LetFlow baseline (Sec. 8) at one switch: it splits flows
+// into flowlets and sends each flowlet to a random next hop, with no
+// congestion awareness at all. LetFlow's insight — which the paper's
+// Edge-Flowlet transplants to the hypervisor — is that flowlet boundaries
+// themselves adapt to congestion, because congested paths stall ACK
+// clocking and spawn new flowlets.
+type letFlowLB struct{ pins pins }
+
+// AttachLetFlow installs LetFlow on every switch in the fabric: one instance
+// per switch, drawing from the switch's own Simulator (clock and RNG), so
+// its state stays confined to the switch's event domain.
+func AttachLetFlow(ls *netem.LeafSpine, gap sim.Time) {
+	for _, sw := range ls.Switches() {
+		sw.SetLB(&letFlowLB{pins: newPins(gap)})
 	}
-	return false
+}
+
+// Observe implements netem.SwitchLB (LetFlow keeps no global state).
+func (*letFlowLB) Observe(*netem.Switch, *packet.Packet, *netem.Link) {}
+
+// Pick implements netem.SwitchLB: random next hop per flowlet. It draws from
+// the RNG only for a new flowlet or a pin that is no longer a candidate.
+func (l *letFlowLB) Pick(sw *netem.Switch, pkt *packet.Packet, candidates []*netem.Link) (*netem.Link, bool) {
+	if len(candidates) == 1 {
+		return candidates[0], true
+	}
+	outer := pkt.OuterTuple()
+	eg := l.pins.get(outer, sw.Sim().Now(), candidates)
+	if eg == nil {
+		eg = candidates[sw.Sim().Rand().Intn(len(candidates))]
+		l.pins.links[outer] = eg
+	}
+	return eg, true
 }

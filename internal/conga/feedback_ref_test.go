@@ -82,9 +82,9 @@ func TestCongaFeedbackRotationMatchesReference(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 
 			ref := map[packet.NodeID]*refFeedback{}
-			for _, lf := range ls.Leaves {
+			for i, lf := range ls.Leaves {
 				ref[lf.ID()] = newRefFeedback()
-				if got, want := len(f.leaves[lf.ID()].uplinks), fc.spines*fc.trunks; got != want {
+				if got, want := len(f.leaves[i].uplinks), fc.spines*fc.trunks; got != want {
 					t.Fatalf("leaf %v has %d uplinks, want %d", lf.ID(), got, want)
 				}
 			}
@@ -128,7 +128,7 @@ func TestCongaFeedbackRotationMatchesReference(t *testing.T) {
 					if rng.Intn(2) == 0 {
 						c.FbValid, c.FbLBTag, c.FbMetric = true, uint8(rng.Intn(fc.maxTag+1)), rng.Float64()
 					}
-					f.Observe(lfA, p, nil)
+					f.leaves[a].Observe(lfA, p, nil)
 					ref[lfA.ID()].observe(lfB.ID(), tag, metric)
 					continue
 				}
@@ -136,7 +136,7 @@ func TestCongaFeedbackRotationMatchesReference(t *testing.T) {
 				// feedback about the paths from b.
 				dst := host(b)
 				p := mk(host(a), dst)
-				eg, ok := f.Pick(lfA, p, lfA.NextHops(dst))
+				eg, ok := f.leaves[a].Pick(lfA, p, lfA.NextHops(dst))
 				if !ok || eg == nil || p.Conga == nil {
 					t.Fatalf("step %d: no CONGA pick at source leaf %v", step, lfA.ID())
 				}

@@ -2,6 +2,8 @@ package vswitch
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"clove/internal/clove"
@@ -67,33 +69,40 @@ type Stats struct {
 	NoHandler          int64
 }
 
+// peer is the receiver-side record of one remote hypervisor. It lives for
+// the whole run, so arming its standalone-feedback timer allocates nothing:
+// the record rides in the event's operand slot.
+type peer struct {
+	id packet.HostID
+	// armed is set while a standalone-feedback timer is pending.
+	armed bool
+	// paths holds the observed forward paths sorted by port, so the relay
+	// scan is deterministic without per-packet sorting.
+	paths []pathObs
+	// delayLo and delayHi are EWMAs of the fastest and slowest reflected
+	// path delay (seconds) for the adaptive flowlet gap; they start at +Inf
+	// and -Inf, so the first sample sets both.
+	delayLo, delayHi float64
+}
+
 // pathObs is the receiver-side record of one forward path (identified by
 // the encap source port the remote sender used).
 type pathObs struct {
 	port       uint16
 	pendingECN bool
-	lastUtil   float64
 	hasUtil    bool
+	lastUtil   float64
 	lastRelay  sim.Time
 }
 
-// peerObs keeps one remote hypervisor's path observations sorted by port,
-// so the relay scan is deterministic without per-packet sorting. Peers use
-// a handful of ports, so linear search wins over a map here.
-type peerObs struct {
-	paths []*pathObs // sorted by port
-}
-
-func (po *peerObs) get(port uint16) *pathObs {
-	i := sort.Search(len(po.paths), func(i int) bool { return po.paths[i].port >= port })
-	if i < len(po.paths) && po.paths[i].port == port {
-		return po.paths[i]
+// observe returns the record of the path on port, inserting it in port
+// order on first sight. The pointer is valid until the next insert.
+func (p *peer) observe(port uint16) *pathObs {
+	i := sort.Search(len(p.paths), func(i int) bool { return p.paths[i].port >= port })
+	if i == len(p.paths) || p.paths[i].port != port {
+		p.paths = slices.Insert(p.paths, i, pathObs{port: port, lastRelay: sim.Time(-1 << 60)})
 	}
-	ob := &pathObs{port: port, lastRelay: sim.Time(-1 << 60)}
-	po.paths = append(po.paths, nil)
-	copy(po.paths[i+1:], po.paths[i:])
-	po.paths[i] = ob
-	return ob
+	return &p.paths[i]
 }
 
 // VSwitch is one hypervisor's virtual switch. It encapsulates tenant
@@ -126,18 +135,15 @@ type VSwitch struct {
 	// endpoints maps an arriving inner 5-tuple to its VM-side handler.
 	endpoints map[packet.FiveTuple]func(*packet.Packet)
 
-	// obs is receiver-side path state per remote hypervisor.
-	obs map[packet.HostID]*peerObs
-	// standalone tracks the standalone-feedback timer state per peer.
-	standalone map[packet.HostID]*standaloneState
+	// peers is the receiver-side state of every remote hypervisor heard
+	// from.
+	peers map[packet.HostID]*peer
 
 	// OnProbeEcho, when set, receives discovery echoes (the prober).
 	OnProbeEcho func(*packet.Packet)
 
-	// Adaptive-gap state: EWMA of the fastest and slowest reflected path
-	// delay per peer (seconds).
-	delayLo, delayHi map[packet.HostID]float64
-	baseGap          sim.Time
+	// baseGap is the configured flowlet gap the adaptive gap widens.
+	baseGap sim.Time
 
 	stats Stats
 }
@@ -146,25 +152,20 @@ type VSwitch struct {
 // the host's delivery handler.
 func New(s *sim.Simulator, host *netem.Host, cfg Config, policy PathPolicy) *VSwitch {
 	v := &VSwitch{
-		sim:        s,
-		host:       host,
-		cfg:        cfg,
-		self:       host.HostID(),
-		pool:       host.Pool(),
-		policy:     policy,
-		endpoints:  map[packet.FiveTuple]func(*packet.Packet){},
-		obs:        map[packet.HostID]*peerObs{},
-		standalone: map[packet.HostID]*standaloneState{},
+		sim:       s,
+		host:      host,
+		cfg:       cfg,
+		self:      host.HostID(),
+		pool:      host.Pool(),
+		policy:    policy,
+		endpoints: map[packet.FiveTuple]func(*packet.Packet){},
+		peers:     map[packet.HostID]*peer{},
 	}
 	v.perPacket, _ = policy.(perPacketPolicy)
 	v.rxHook, _ = policy.(receiverHook)
 	v.deliverFn = v.deliver
 	v.flowlets = clove.NewFlowletTable(cfg.FlowletGap)
 	v.baseGap = cfg.FlowletGap
-	if cfg.AdaptiveFlowletGap {
-		v.delayLo = map[packet.HostID]float64{}
-		v.delayHi = map[packet.HostID]float64{}
-	}
 	host.Deliver = v.FromNetwork
 	return v
 }
@@ -185,25 +186,23 @@ func (v *VSwitch) SetTrace(tr *telemetry.Tracer) {
 // adaptGap updates the per-peer delay envelope from a reflected delay
 // sample and widens the flowlet gap to cover the largest observed spread,
 // so that switching paths after a gap almost never reorders.
-func (v *VSwitch) adaptGap(peer packet.HostID, delaySec float64) {
+func (v *VSwitch) adaptGap(p *peer, delaySec float64) {
 	const alpha = 0.125 // EWMA smoothing
-	lo, okLo := v.delayLo[peer]
-	hi, okHi := v.delayHi[peer]
-	if !okLo || delaySec < lo {
-		lo = delaySec
+	if delaySec < p.delayLo {
+		p.delayLo = delaySec
 	} else {
-		lo += alpha * (delaySec - lo) * 0.1 // slow upward drift of the floor
+		p.delayLo += alpha * (delaySec - p.delayLo) * 0.1 // slow upward drift of the floor
 	}
-	if !okHi || delaySec > hi {
-		hi = delaySec
+	if delaySec > p.delayHi {
+		p.delayHi = delaySec
 	} else {
-		hi -= alpha * (hi - delaySec) * 0.1 // slow decay of the ceiling
+		p.delayHi -= alpha * (p.delayHi - delaySec) * 0.1 // slow decay of the ceiling
 	}
-	v.delayLo[peer], v.delayHi[peer] = lo, hi
 
+	// A peer without samples spreads -Inf and never wins.
 	var maxSpread float64
-	for p, h := range v.delayHi {
-		if s := h - v.delayLo[p]; s > maxSpread {
+	for _, q := range v.peers {
+		if s := q.delayHi - q.delayLo; s > maxSpread {
 			maxSpread = s
 		}
 	}
@@ -348,11 +347,16 @@ func (v *VSwitch) FromNetwork(pkt *packet.Packet) {
 	remote := pkt.Encap.SrcHyp
 
 	// 1. Intercept congestion state about the forward path remote->self.
-	ob := v.observe(remote, pkt.Encap.SrcPort)
+	p := v.peers[remote]
+	if p == nil {
+		p = &peer{id: remote, delayLo: math.Inf(1), delayHi: math.Inf(-1)}
+		v.peers[remote] = p
+	}
+	ob := p.observe(pkt.Encap.SrcPort)
 	if pkt.Encap.CE {
 		v.stats.CEObserved++
 		ob.pendingECN = true
-		v.armStandalone(remote)
+		v.armStandalone(p)
 	}
 	if pkt.INT.Enabled {
 		ob.lastUtil = pkt.INT.MaxUtil
@@ -370,7 +374,7 @@ func (v *VSwitch) FromNetwork(pkt *packet.Packet) {
 		v.stats.FeedbackReceived++
 		v.policy.OnFeedback(remote, pkt.Encap.Feedback, now)
 		if v.cfg.AdaptiveFlowletGap && v.cfg.MeasureLatency && pkt.Encap.Feedback.HasUtil {
-			v.adaptGap(remote, pkt.Encap.Feedback.Util)
+			v.adaptGap(p, pkt.Encap.Feedback.Util)
 		}
 	}
 
@@ -432,28 +436,20 @@ func (v *VSwitch) answerProbe(probe *packet.Packet) {
 	v.host.Send(echo)
 }
 
-func (v *VSwitch) observe(remote packet.HostID, port uint16) *pathObs {
-	po := v.obs[remote]
-	if po == nil {
-		po = &peerObs{}
-		v.obs[remote] = po
-	}
-	return po.get(port)
-}
-
 // takeFeedback selects at most one pending observation about paths from
-// peer to us that is due for relay (rate-limited per path), clears its
+// remote to us that is due for relay (rate-limited per path), clears its
 // pending state, and returns it for piggybacking.
-func (v *VSwitch) takeFeedback(peer packet.HostID, now sim.Time) (packet.Feedback, bool) {
-	po := v.obs[peer]
-	if po == nil {
+func (v *VSwitch) takeFeedback(remote packet.HostID, now sim.Time) (packet.Feedback, bool) {
+	p := v.peers[remote]
+	if p == nil {
 		return packet.Feedback{}, false
 	}
 	// Prefer ECN-pending paths; fall back to the stalest utilization
 	// report. The slice is port-sorted, keeping the scan deterministic so
 	// runs are reproducible.
 	var best *pathObs
-	for _, ob := range po.paths {
+	for i := range p.paths {
+		ob := &p.paths[i]
 		if now-ob.lastRelay < v.cfg.RelayInterval {
 			continue
 		}
@@ -480,45 +476,32 @@ func (v *VSwitch) takeFeedback(peer packet.HostID, now sim.Time) (packet.Feedbac
 	return fb, true
 }
 
-// standaloneState is the per-peer timer record for standalone feedback. One
-// struct per peer lives for the whole run, so arming a timer allocates
-// nothing: the state pointer rides in the event's operand slot.
-type standaloneState struct {
-	v     *VSwitch
-	peer  packet.HostID
-	armed bool
-}
+func standaloneFire(v, p any) { v.(*VSwitch).fireStandalone(p.(*peer)) }
 
-func standaloneFire(a, _ any) { a.(*standaloneState).fire() }
-
-func (st *standaloneState) fire() {
-	st.armed = false
-	v := st.v
-	fb, ok := v.takeFeedback(st.peer, v.sim.Now())
+// fireStandalone relays p's pending congestion in a feedback packet of its
+// own. A due utilization-only report it takes instead is dropped.
+func (v *VSwitch) fireStandalone(p *peer) {
+	p.armed = false
+	fb, ok := v.takeFeedback(p.id, v.sim.Now())
 	if !ok || !fb.ECN {
 		return
 	}
 	v.stats.FeedbackStandalone++
-	p := v.pool.Get()
-	p.Kind = packet.KindFeedback
-	port := portHash(packet.FiveTuple{Src: v.self, Dst: st.peer}, uint32(v.sim.Now()))
-	v.encap(p, st.peer, port).Feedback = fb
-	v.host.Send(p)
+	pkt := v.pool.Get()
+	pkt.Kind = packet.KindFeedback
+	port := portHash(packet.FiveTuple{Src: v.self, Dst: p.id}, uint32(v.sim.Now()))
+	v.encap(pkt, p.id, port).Feedback = fb
+	v.host.Send(pkt)
 }
 
-// armStandalone schedules a standalone feedback packet to peer if pending
+// armStandalone schedules a standalone feedback packet to p if pending
 // congestion state is not piggybacked within RelayInterval.
-func (v *VSwitch) armStandalone(peer packet.HostID) {
-	st := v.standalone[peer]
-	if st == nil {
-		st = &standaloneState{v: v, peer: peer}
-		v.standalone[peer] = st
-	}
-	if st.armed {
+func (v *VSwitch) armStandalone(p *peer) {
+	if p.armed {
 		return
 	}
-	st.armed = true
-	v.sim.AfterCall(v.cfg.RelayInterval, standaloneFire, st, nil)
+	p.armed = true
+	v.sim.AfterCall(v.cfg.RelayInterval, standaloneFire, v, p)
 }
 
 // String implements fmt.Stringer.
