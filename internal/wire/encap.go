@@ -13,6 +13,8 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
+
+	"clove/internal/packet"
 )
 
 // ErrTruncated reports input shorter than the header being parsed.
@@ -34,15 +36,9 @@ const (
 )
 
 // Feedback is the Clove metadata reflected between hypervisors inside the
-// shim context bits.
-type Feedback struct {
-	Valid bool
-	Port  uint16 // forward-direction encap source port being reported
-	ECN   bool   // the reported path saw a CE mark
-	// Util is the max path utilization in [0,1]; quantized to 1/255 steps.
-	HasUtil bool
-	Util    float64
-}
+// shim context bits: the simulator's packet.Feedback, whose Util (the max
+// path utilization in [0,1]) the codec quantizes to 1/255 steps.
+type Feedback = packet.Feedback
 
 // SttShim is the overlay shim between the outer transport header and the
 // encapsulated tenant frame.
