@@ -90,15 +90,30 @@ func (c *Cluster) setupTelemetry() {
 			}
 		})
 
-		// Stream: sender cwnd/ssthresh/RTO/outstanding for every open
-		// connection whose client lives here (MPTCP samples each subflow).
-		// sh.conns is in open order; the conns map iterates in randomized
-		// order and must not drive sampling.
+		// Stream: sender cwnd/ssthresh/RTO/outstanding for every connection
+		// whose client lives here (MPTCP samples each subflow). sh.conns is
+		// in open order; the conns map iterates in randomized order and must
+		// not drive sampling. A connection that has not carried a job yet has
+		// no sender: it reports what a never-started one does, read from one
+		// such sender per shard under the connection's own flows.
+		fresh := tcp.NewSender(sh.sim, c.tcpCfg, packet.FiveTuple{}, nil)
+		subflows := 1
+		if c.Cfg.Scheme == SchemeMPTCP {
+			subflows = tcp.DefaultSubflows
+		}
 		tr.AddSampler(func(now sim.Time) {
 			for _, conn := range sh.conns {
-				conn.eachSender(func(s *tcp.Sender) {
-					tr.CwndSample(now, s.Flow(), s.Cwnd(), s.Ssthresh(), s.RTO(), s.Outstanding())
-				})
+				if conn.opened() {
+					conn.eachSender(func(s *tcp.Sender) {
+						tr.CwndSample(now, s.Flow(), s.Cwnd(), s.Ssthresh(), s.RTO(), s.Outstanding())
+					})
+					continue
+				}
+				for i := 0; i < subflows; i++ {
+					f := conn.Flow
+					f.SrcPort += uint16(i)
+					tr.CwndSample(now, f, fresh.Cwnd(), fresh.Ssthresh(), fresh.RTO(), fresh.Outstanding())
+				}
 			}
 		})
 

@@ -178,7 +178,7 @@ func (m *MPSender) checkDone() {
 		if !reached {
 			break
 		}
-		m.jobs = m.jobs[1:]
+		popJob(&m.jobs)
 		if j.done != nil {
 			j.done(m.sim.Now() - j.arrival)
 		}

@@ -1,7 +1,7 @@
 package tcp
 
 import (
-	"sort"
+	"slices"
 
 	"clove/internal/packet"
 	"clove/internal/sim"
@@ -41,7 +41,12 @@ type Receiver struct {
 // NewReceiver creates a receiver for data flowing along flow; ACKs are
 // emitted on the reverse tuple via output.
 func NewReceiver(s *sim.Simulator, cfg Config, flow packet.FiveTuple, output func(*packet.Packet)) *Receiver {
-	return &Receiver{sim: s, cfg: cfg.withDefaults(), flow: flow, Output: output}
+	r := makeReceiver(s, cfg, flow, output)
+	return &r
+}
+
+func makeReceiver(s *sim.Simulator, cfg Config, flow packet.FiveTuple, output func(*packet.Packet)) Receiver {
+	return Receiver{sim: s, cfg: cfg.withDefaults(), flow: flow, Output: output}
 }
 
 // Stats returns a snapshot of the receiver counters.
@@ -87,32 +92,35 @@ func (r *Receiver) HandleData(pkt *packet.Packet) {
 	r.sendAck(ce)
 }
 
+// insertOOO adds [start, end) to the out-of-order buffer in place: the
+// range absorbs every buffered range it overlaps or touches, and the buffer
+// stays sorted and disjoint. Once the buffer has its capacity this
+// allocates nothing.
 func (r *Receiver) insertOOO(start, end int64) {
-	r.ooo = append(r.ooo, interval{start, end})
-	sort.Slice(r.ooo, func(i, j int) bool { return r.ooo[i].start < r.ooo[j].start })
-	// Merge overlaps.
-	merged := r.ooo[:1]
-	for _, iv := range r.ooo[1:] {
-		last := &merged[len(merged)-1]
-		if iv.start <= last.end {
-			if iv.end > last.end {
-				last.end = iv.end
-			}
-		} else {
-			merged = append(merged, iv)
-		}
+	i := 0
+	for i < len(r.ooo) && r.ooo[i].end < start {
+		i++
 	}
-	r.ooo = merged
+	j := i
+	for j < len(r.ooo) && r.ooo[j].start <= end {
+		start, end = min(start, r.ooo[j].start), max(end, r.ooo[j].end)
+		j++
+	}
+	r.ooo = slices.Replace(r.ooo, i, j, interval{start, end})
 }
 
+// drainOOO delivers the buffered ranges the in-order point has reached and
+// copies the rest down, keeping the buffer's array.
 func (r *Receiver) drainOOO() {
-	for len(r.ooo) > 0 && r.ooo[0].start <= r.rcvNxt {
-		if r.ooo[0].end > r.rcvNxt {
-			r.stats.BytesDelivered += r.ooo[0].end - r.rcvNxt
-			r.rcvNxt = r.ooo[0].end
+	n := 0
+	for n < len(r.ooo) && r.ooo[n].start <= r.rcvNxt {
+		if r.ooo[n].end > r.rcvNxt {
+			r.stats.BytesDelivered += r.ooo[n].end - r.rcvNxt
+			r.rcvNxt = r.ooo[n].end
 		}
-		r.ooo = r.ooo[1:]
+		n++
 	}
+	r.ooo = slices.Delete(r.ooo, 0, n)
 }
 
 func (r *Receiver) sendAck(ce bool) {

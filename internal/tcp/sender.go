@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"fmt"
+	"slices"
 
 	"clove/internal/packet"
 	"clove/internal/sim"
@@ -81,8 +82,13 @@ type Sender struct {
 
 // NewSender creates a sender for flow, transmitting via output.
 func NewSender(s *sim.Simulator, cfg Config, flow packet.FiveTuple, output func(*packet.Packet)) *Sender {
+	snd := makeSender(s, cfg, flow, output)
+	return &snd
+}
+
+func makeSender(s *sim.Simulator, cfg Config, flow packet.FiveTuple, output func(*packet.Packet)) Sender {
 	cfg = cfg.withDefaults()
-	return &Sender{
+	return Sender{
 		sim:      s,
 		cfg:      cfg,
 		flow:     flow,
@@ -271,12 +277,21 @@ func (s *Sender) onECE() {
 
 func (s *Sender) completeJobs() {
 	for len(s.jobs) > 0 && s.sndUna >= s.jobs[0].endSeq {
-		j := s.jobs[0]
-		s.jobs = s.jobs[1:]
+		j := popJob(&s.jobs)
 		if j.done != nil {
 			j.done(s.sim.Now() - j.arrival)
 		}
 	}
+}
+
+// popJob removes and returns the head of q, copying the rest down so the
+// queue keeps its array: a job on an idle connection appends without
+// reallocating. The queue is updated before the caller runs the job's
+// callback, which may queue another job.
+func popJob(q *[]job) job {
+	j := (*q)[0]
+	*q = slices.Delete(*q, 0, 1)
+	return j
 }
 
 func (s *Sender) flightSegments() float64 {
