@@ -80,7 +80,7 @@ func (c *Cluster) RunIncast(p IncastParams) IncastResult {
 			conn := serverConns[si]
 			c.startIncastShard(client, conn, shard, func(fct sim.Time) {
 				if tr := sh.trace; tr != nil {
-					tr.FCT(s.Now(), conn.Client, conn.Server, shard, fct)
+					tr.FCT(s.Now(), conn.Flow.Src, conn.Flow.Dst, shard, fct)
 				}
 				res.Bytes += shard
 				pending--

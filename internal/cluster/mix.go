@@ -170,7 +170,7 @@ func (c *Cluster) RunMix(p MixParams) MixResult {
 			return func(fct sim.Time) {
 				rec.Add(size, fct)
 				if tr != nil {
-					tr.FCT(s.Now(), conn.Client, conn.Server, size, fct)
+					tr.FCT(s.Now(), conn.Flow.Src, conn.Flow.Dst, size, fct)
 				}
 				jobDone()
 			}
@@ -187,7 +187,7 @@ func (c *Cluster) RunMix(p MixParams) MixResult {
 		recordShard := func(conn *Conn, comp *composite, shard int64) func(sim.Time) {
 			return func(sim.Time) {
 				if tr != nil {
-					tr.FCT(s.Now(), conn.Client, conn.Server, shard, s.Now()-comp.start)
+					tr.FCT(s.Now(), conn.Flow.Src, conn.Flow.Dst, shard, s.Now()-comp.start)
 				}
 				comp.pending--
 				if comp.pending == 0 {
@@ -355,7 +355,7 @@ func (c *Cluster) rotatedMesh(incast bool) (fwd, rev [][]*Conn) {
 // modeled request latency) and the completion notification back the same
 // way.
 func (c *Cluster) startIncastShard(client packet.HostID, conn *Conn, shard int64, finish func(sim.Time)) {
-	d, sd := c.domFor(client), c.domFor(conn.Client)
+	d, sd := c.domFor(client), c.domFor(conn.Flow.Src)
 	if d == sd {
 		conn.StartJob(shard, finish)
 		return
@@ -381,7 +381,7 @@ type incastReq struct {
 // incastStart runs in the server's domain.
 func incastStart(a, _ any) {
 	req := a.(*incastReq)
-	sd := req.c.domFor(req.conn.Client) // conn.Client is the responding server
+	sd := req.c.domFor(req.conn.Flow.Src) // the responding server
 	req.conn.StartJob(req.shard, func(fct sim.Time) {
 		req.fct = fct
 		sd.Post(req.clientDom, sd.Now()+req.c.Eng.Lookahead(), incastFinish, req, nil)

@@ -107,7 +107,7 @@ func (c *Cluster) RunWebSearch(p WebSearchParams) WebSearchResult {
 		return func(fct sim.Time) {
 			c.Recorder.Add(size, fct)
 			if tr := sh.trace; tr != nil {
-				tr.FCT(s.Now(), conn.Client, conn.Server, size, fct)
+				tr.FCT(s.Now(), conn.Flow.Src, conn.Flow.Dst, size, fct)
 			}
 			res.Completed++
 			if res.Completed == target {
