@@ -1,9 +1,10 @@
 // Package clove implements the scheme-independent building blocks of the
 // Clove load balancer (Sec. 3): software flowlet detection, smooth weighted
-// round-robin path rotation, and the congestion-adaptive path-weight table
-// driven by ECN or INT feedback. The hypervisor virtual switch in
-// internal/vswitch composes these into the full Edge-Flowlet, Clove-ECN and
-// Clove-INT schemes.
+// round-robin path rotation, the congestion-adaptive path-weight table
+// driven by ECN or INT feedback, and the destination's record of what to
+// reflect back (PeerPaths). The hypervisor virtual switch in internal/vswitch
+// composes these into the full Edge-Flowlet, Clove-ECN and Clove-INT
+// schemes, and internal/datapath runs the same feedback loop over sockets.
 package clove
 
 import (

@@ -3,6 +3,7 @@ package clove
 import (
 	"math"
 
+	"clove/internal/packet"
 	"clove/internal/sim"
 )
 
@@ -211,6 +212,22 @@ func (t *WeightTable) OnCongestion(port uint16, now sim.Time) {
 	}
 	t.normalize()
 	t.wrr.restart()
+}
+
+// OnFeedback applies one reflected observation at time now: an ECN mark
+// through OnCongestion and a path metric through OnUtilization. The two
+// touch disjoint state, so their order does not matter. An invalid feedback
+// is ignored.
+func (t *WeightTable) OnFeedback(fb packet.Feedback, now sim.Time) {
+	if !fb.Valid {
+		return
+	}
+	if fb.ECN {
+		t.OnCongestion(fb.Port, now)
+	}
+	if fb.HasUtil {
+		t.OnUtilization(fb.Port, fb.Util, now)
+	}
 }
 
 // OnUtilization records an INT utilization report for port.

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"clove/internal/packet"
 	"clove/internal/sim"
 )
 
@@ -385,6 +386,46 @@ func TestSetPortsMatchesMapReference(t *testing.T) {
 			for i := rng.Intn(8); i > 0; i-- {
 				tab.NextPort()
 			}
+		}
+	}
+}
+
+// TestOnFeedbackEitherOrder: OnFeedback is the one rule for reflected
+// feedback, and it must match applying the ECN mark and the metric in
+// either order, as Clove-ECN (mark first) and Clove-INT (metric first) once
+// did. Random feedback, invalid and unknown-port reports included, drives
+// three tables in lockstep; their states must stay identical.
+func TestOnFeedbackEitherOrder(t *testing.T) {
+	cfg := DefaultWeightTableConfig(100 * sim.Microsecond)
+	ports := []uint16{10, 20, 30, 40}
+	rule, ecnFirst, utilFirst := NewWeightTable(cfg, ports), NewWeightTable(cfg, ports), NewWeightTable(cfg, ports)
+	rng := rand.New(rand.NewSource(36))
+	now := sim.Time(0)
+	for i := 0; i < 5000; i++ {
+		now += sim.Time(1+rng.Intn(50)) * sim.Microsecond
+		fb := packet.Feedback{
+			Valid:   rng.Intn(8) != 0,
+			Port:    uint16(10 * rng.Intn(5)),
+			ECN:     rng.Intn(2) == 0,
+			HasUtil: rng.Intn(2) == 0,
+			Util:    rng.Float64(),
+		}
+		rule.OnFeedback(fb, now)
+		if !fb.Valid {
+			continue
+		}
+		if fb.ECN {
+			ecnFirst.OnCongestion(fb.Port, now)
+		}
+		if fb.HasUtil {
+			ecnFirst.OnUtilization(fb.Port, fb.Util, now)
+			utilFirst.OnUtilization(fb.Port, fb.Util, now)
+		}
+		if fb.ECN {
+			utilFirst.OnCongestion(fb.Port, now)
+		}
+		if !reflect.DeepEqual(rule.States(), ecnFirst.States()) || !reflect.DeepEqual(rule.States(), utilFirst.States()) {
+			t.Fatalf("step %d, %+v: OnFeedback %+v\nmark first %+v\nmetric first %+v", i, fb, rule.States(), ecnFirst.States(), utilFirst.States())
 		}
 	}
 }

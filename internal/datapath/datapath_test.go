@@ -97,39 +97,30 @@ func TestEndpointRejectsZeroPaths(t *testing.T) {
 	}
 }
 
-func TestFeedbackShiftsWeightsThroughEmulator(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Paths = 2
-	cfg.FlowletGap = 200 * time.Microsecond
-	cfg.RelayInterval = 100 * time.Microsecond
-
+// throughEmulator connects a sender, whose forward traffic crosses a
+// PathEmulator shaped by profiles, to a receiver, whose reverse keepalives
+// carry the feedback straight back. The emulator gives the sender's ports
+// profiles in order of first use, and before any feedback the sender's
+// round-robin uses them in port-table order, so profile i shapes
+// snd.Ports()[i]. Both sides send until stop is called.
+func throughEmulator(t *testing.T, cfg Config, profiles []PathProfile) (snd, recv *Endpoint, stop func()) {
+	t.Helper()
 	// Receiver first (emulator needs its address).
 	recv, err := NewEndpoint("127.0.0.1", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer recv.Close()
-
-	// One clean path and one that marks CE aggressively.
-	emu, err := NewPathEmulator("127.0.0.1",
-		fmt.Sprintf("127.0.0.1:%d", recv.Ports()[0]),
-		[]PathProfile{
-			{},                                // path for the first-seen sender port: clean
-			{ECNDepth: 1, RateBps: 5_000_000}, // second port: slow and marking
-		})
+	t.Cleanup(func() { recv.Close() })
+	emu, err := NewPathEmulator("127.0.0.1", fmt.Sprintf("127.0.0.1:%d", recv.Ports()[0]), profiles)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer emu.Close()
-
-	snd, err := NewEndpoint("127.0.0.1", cfg)
+	t.Cleanup(func() { emu.Close() })
+	snd, err = NewEndpoint("127.0.0.1", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer snd.Close()
-
-	// Sender's forward traffic goes through the emulator; receiver's
-	// reverse traffic (feedback carrier) goes directly back to the sender.
+	t.Cleanup(func() { snd.Close() })
 	if err := snd.Start(emu.Addr()); err != nil {
 		t.Fatal(err)
 	}
@@ -140,33 +131,39 @@ func TestFeedbackShiftsWeightsThroughEmulator(t *testing.T) {
 	snd.SetOnRecv(func([]byte) {})
 
 	payload := make([]byte, 1200)
-	stop := make(chan struct{})
+	done := make(chan struct{})
 	var wg sync.WaitGroup
+	loop := func(step func(), pause time.Duration) {
+		defer wg.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+				step()
+				time.Sleep(pause)
+			}
+		}
+	}
 	wg.Add(2)
-	go func() { // forward traffic
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				snd.Send(payload)
-				time.Sleep(50 * time.Microsecond)
-			}
-		}
-	}()
-	go func() { // reverse keepalives carry the feedback
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				recv.Keepalive()
-				time.Sleep(100 * time.Microsecond)
-			}
-		}
-	}()
+	go loop(func() { snd.Send(payload) }, 50*time.Microsecond) // forward traffic
+	go loop(recv.Keepalive, 100*time.Microsecond)              // reverse keepalives carry the feedback
+	var once sync.Once
+	stop = func() { once.Do(func() { close(done); wg.Wait() }) }
+	t.Cleanup(stop)
+	return snd, recv, stop
+}
+
+func TestFeedbackShiftsWeightsThroughEmulator(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Paths = 2
+	cfg.FlowletGap = 200 * time.Microsecond
+	cfg.RelayInterval = 100 * time.Microsecond
+	// One clean path and one that marks CE aggressively.
+	snd, recv, stop := throughEmulator(t, cfg, []PathProfile{
+		{},                                // path for the first-seen sender port: clean
+		{ECNDepth: 1, RateBps: 5_000_000}, // second port: slow and marking
+	})
 
 	// Wait for the first relay only: each feedback shifts weight off the
 	// marked path, and on a slow machine the reduced share can stop
@@ -176,8 +173,7 @@ func TestFeedbackShiftsWeightsThroughEmulator(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool {
 		return snd.Stats().FeedbackReceived >= 1
 	}, "feedback arrival at sender")
-	close(stop)
-	wg.Wait()
+	stop()
 
 	if recv.Stats().CEObserved == 0 {
 		t.Fatal("receiver observed no CE marks")
@@ -190,6 +186,42 @@ func TestFeedbackShiftsWeightsThroughEmulator(t *testing.T) {
 	}
 	if maxW-minW < 0.05 {
 		t.Errorf("weights did not shift away from the marked path: %v", w)
+	}
+}
+
+// TestFeedbackFromTwoMarkingPaths: with two of three emulated paths
+// marking, the receiver's relay record must carry both paths' marks back,
+// so the sender moves weight off each of them onto the clean path.
+func TestFeedbackFromTwoMarkingPaths(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Paths = 3
+	cfg.FlowletGap = 20 * time.Microsecond // below the send pause: one flowlet per datagram
+	cfg.RelayInterval = 100 * time.Microsecond
+	// 19 ms to serialize one datagram: even a slow, loaded sender queues
+	// and gets marked on both paths.
+	marking := PathProfile{ECNDepth: 1, RateBps: 500_000}
+	snd, recv, stop := throughEmulator(t, cfg, []PathProfile{{}, marking, marking})
+	ports := snd.Ports()
+	weight := func(port uint16) float64 {
+		for _, pw := range snd.WeightsSorted() {
+			if pw.Port == port {
+				return pw.Weight
+			}
+		}
+		t.Fatalf("port %d not in the weight table", port)
+		return 0
+	}
+	waitFor(t, 5*time.Second, func() bool {
+		clean := weight(ports[0])
+		return weight(ports[1]) < clean && weight(ports[2]) < clean
+	}, "both marked paths below the clean path's weight")
+	stop()
+
+	if got := snd.Stats().FeedbackReceived; got < 2 {
+		t.Errorf("FeedbackReceived = %d, want >= 2", got)
+	}
+	if a, b := snd.Stats().DecodeErrors, recv.Stats().DecodeErrors; a != 0 || b != 0 {
+		t.Errorf("DecodeErrors = %d at the sender, %d at the receiver; want 0", a, b)
 	}
 }
 

@@ -3,8 +3,11 @@
 // varying the outer source port (one bound socket per discovered path),
 // split the stream into flowlets, reflect congestion feedback in the shim
 // header of reverse traffic, and adapt per-path weights exactly as the
-// simulator's Clove-ECN does (the weight logic is shared code from
-// internal/clove).
+// simulator's Clove-ECN does. Both halves of the feedback loop are the
+// simulator's own code from internal/clove: the receiver's relay record
+// (clove.PeerPaths: port order, CE first, at most one relay per path per
+// relay interval) and the sender's rule for applying what comes back
+// (clove.WeightTable.OnFeedback).
 //
 // What the paper's OVS datapath gets from the fabric — outer-header ECN
 // marks — a userspace process cannot portably observe on a UDP socket, so
@@ -20,8 +23,8 @@
 //   - Each path socket is a shard: its read loop goroutine owns a
 //     preallocated receive ring and its transmit side owns a preallocated
 //     send ring behind a shard-local mutex.
-//   - The Clove state (flowlet position, weight table, peer-path
-//     observations, probe tables) sits under one endpoint mutex. A send
+//   - The Clove state (flowlet position, weight table, the peer's relay
+//     record, probe tables) sits under one endpoint mutex. A send
 //     takes it once; the receive path takes it only for a datagram that
 //     carries a CE mark, feedback or a probe, never for plain data.
 //   - On linux/amd64 and linux/arm64, datagrams move in batches via raw
@@ -198,11 +201,9 @@ type Endpoint struct {
 	flowlet  uint32
 	weights  *clove.WeightTable
 
-	// CE observations of the peer's forward paths in first-observed order,
-	// relayed round-robin from obsCursor.
-	obs       []obsEntry
-	obsIdx    map[uint16]int
-	obsCursor int
+	// peer holds the CE marks and path metrics observed on the peer's
+	// forward paths until they are relayed, on the now() clock.
+	peer clove.PeerPaths
 
 	// Path-quality probing (ProbePaths): in-flight probes by sequence, and
 	// the latest RTT sample per path index.
@@ -245,7 +246,6 @@ func NewEndpoint(localIP string, cfg Config) (*Endpoint, error) {
 		portIdx: make([]int16, 1<<16),
 		start:   time.Now(),
 		closed:  make(chan struct{}),
-		obsIdx:  map[uint16]int{},
 		probes:  map[uint32]probeState{},
 		rtts:    make([]rttSample, cfg.Paths),
 	}
@@ -337,9 +337,9 @@ func (e *Endpoint) FlowletGap() time.Duration {
 
 // SetRelayInterval hot-reloads the feedback relay rate limit. Safe
 // concurrently with traffic. Zero means "relay as fast as feedback is
-// observed"; negative values are ignored. The weight table's staleness
-// windows (CongestedAge/UtilAge) are fixed at construction from the initial
-// Config.RelayInterval.
+// observed", the lowest pending port first; negative values are ignored.
+// The weight table's staleness windows (CongestedAge/UtilAge) are fixed at
+// construction from the initial Config.RelayInterval.
 func (e *Endpoint) SetRelayInterval(d time.Duration) {
 	if d >= 0 {
 		e.relayNs.Store(int64(d))
@@ -666,13 +666,11 @@ func (e *Endpoint) handleFrame(sh *pathShard, b []byte, srcPort uint16) {
 		e.mu.Lock()
 		if ce {
 			sh.stats.ceObserved.Add(1)
-			e.noteCE(peerPort)
+			e.peer.NoteCE(peerPort)
 		}
 		if fb.Valid {
 			sh.stats.feedbackReceived.Add(1)
-			if fb.ECN {
-				e.weights.OnCongestion(fb.Port, e.now())
-			}
+			e.weights.OnFeedback(fb, e.now())
 		}
 		e.mu.Unlock()
 	}
@@ -681,56 +679,16 @@ func (e *Endpoint) handleFrame(sh *pathShard, b []byte, srcPort uint16) {
 	}
 }
 
-type obsEntry struct {
-	port       uint16
-	pendingECN bool
-	lastRelay  time.Time
-}
-
-// noteCE records a CE mark observed for the peer's forward path peerPort.
-// First observation of a port appends an entry (the only allocation on this
-// path, once per peer port); steady state only flips a bool. Caller holds
-// mu.
-func (e *Endpoint) noteCE(peerPort uint16) {
-	if i, ok := e.obsIdx[peerPort]; ok {
-		e.obs[i].pendingECN = true
-		return
+// takeFeedbackLocked takes the observation due for relay at t, if any, by
+// the rule the simulator's vswitch uses (clove.PeerPaths.Take). Send calls it
+// for every datagram, so an empty record returns before the clock is
+// converted. Caller holds mu.
+func (e *Endpoint) takeFeedbackLocked(t time.Time) wire.Feedback {
+	if e.peer.Len() == 0 {
+		return wire.Feedback{}
 	}
-	e.obsIdx[peerPort] = len(e.obs)
-	e.obs = append(e.obs, obsEntry{
-		port:       peerPort,
-		pendingECN: true,
-		// Far in the past so the first relay is immediate.
-		lastRelay: time.Now().Add(-time.Hour),
-	})
-}
-
-// takeFeedbackLocked picks one due observation for piggybacking: entries
-// are visited round-robin in first-observed order from a persistent cursor,
-// and each is relayed at most once per relay interval. Every congested peer
-// path thus gets relayed in bounded turns, deterministically (a Go map
-// iteration here would relay an arbitrary one). Caller holds mu.
-func (e *Endpoint) takeFeedbackLocked(now time.Time) wire.Feedback {
-	relay := time.Duration(e.relayNs.Load())
-	n := len(e.obs)
-	for k := 0; k < n; k++ {
-		i := e.obsCursor + k
-		if i >= n {
-			i -= n
-		}
-		ob := &e.obs[i]
-		if !ob.pendingECN || now.Sub(ob.lastRelay) < relay {
-			continue
-		}
-		ob.pendingECN = false
-		ob.lastRelay = now
-		e.obsCursor = i + 1
-		if e.obsCursor >= n {
-			e.obsCursor = 0
-		}
-		return wire.Feedback{Valid: true, Port: ob.port, ECN: true}
-	}
-	return wire.Feedback{}
+	fb, _ := e.peer.Take(sim.FromDuration(t.Sub(e.start)), sim.FromDuration(time.Duration(e.relayNs.Load())))
+	return fb
 }
 
 // Keepalive sends a payload-less datagram (feedback carrier / BFD-style
@@ -742,11 +700,11 @@ func (e *Endpoint) Keepalive() {
 	e.mu.Lock()
 	fb := e.takeFeedbackLocked(time.Now())
 	e.mu.Unlock()
-	if fb.Valid {
-		e.feedbackSent.Add(1)
-	}
 	for _, port := range e.ports {
-		e.transmit(port, 0, fb, nil, shimFlagBare)
+		// The feedback rides the first path and counts only if written.
+		if e.transmit(port, 0, fb, nil, shimFlagBare) == nil && fb.Valid {
+			e.feedbackSent.Add(1)
+		}
 		fb = wire.Feedback{}
 	}
 }

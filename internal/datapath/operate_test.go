@@ -183,12 +183,12 @@ func TestSetRelayIntervalHotReload(t *testing.T) {
 		defer e.mu.Unlock()
 		return e.takeFeedbackLocked(now).Valid
 	}
-	e.noteCE(10)
-	now := time.Now() // after noteCE: its lastRelay back-dating is now a full interval ago
+	markCE(e, 10)
+	now := time.Now()
 	if !takeFeedback(now) {
 		t.Fatal("first relay not due")
 	}
-	e.noteCE(10)
+	markCE(e, 10)
 	// With a 1h relay interval the second relay is rate-limited...
 	if takeFeedback(now.Add(time.Second)) {
 		t.Fatal("relay not rate-limited")
@@ -288,4 +288,24 @@ func TestWeightsSortedByPort(t *testing.T) {
 	if sum < 0.99 || sum > 1.01 {
 		t.Errorf("weights sum to %v, want ~1", sum)
 	}
+}
+
+// TestKeepaliveCountsOnlyWrittenFeedback: Keepalive counts a relay in
+// FeedbackSent only once the datagram carrying it is on the wire, so after
+// Close, when every write fails, nothing is counted.
+func TestKeepaliveCountsOnlyWrittenFeedback(t *testing.T) {
+	eachIOMode(t, func(t *testing.T, cfg Config) {
+		a, _ := pairCfg(t, cfg)
+		markCE(a, 10)
+		a.Keepalive()
+		if got := a.Stats().FeedbackSent; got != 1 {
+			t.Fatalf("FeedbackSent = %d after a live keepalive, want 1", got)
+		}
+		markCE(a, 11)
+		a.Close()
+		a.Keepalive()
+		if st := a.Stats(); st.FeedbackSent != 1 || st.SocketErrors == 0 {
+			t.Errorf("after Close: FeedbackSent = %d, SocketErrors = %d; want 1 and > 0", st.FeedbackSent, st.SocketErrors)
+		}
+	})
 }

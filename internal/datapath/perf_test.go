@@ -57,46 +57,83 @@ func TestSendPayloadSizeBoundary(t *testing.T) {
 	}
 }
 
-// --- deterministic feedback relay (map-iteration fix) ---
+// --- deterministic feedback relay (the simulator's rule) ---
 
-func TestTakeFeedbackRoundRobinDeterministic(t *testing.T) {
+// takeAt takes the relay due d after e's start, on that explicit clock.
+func takeAt(e *Endpoint, d time.Duration) wire.Feedback {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.takeFeedbackLocked(e.start.Add(d))
+}
+
+// relayRound takes relays at d until none is due and returns their ports.
+func relayRound(e *Endpoint, d time.Duration) string {
+	var got []uint16
+	for fb := takeAt(e, d); fb.Valid; fb = takeAt(e, d) {
+		got = append(got, fb.Port)
+	}
+	return fmt.Sprint(got)
+}
+
+// markCE records a CE mark from the peer's path port, as handleFrame does.
+func markCE(e *Endpoint, port uint16) {
+	e.mu.Lock()
+	e.peer.NoteCE(port)
+	e.mu.Unlock()
+}
+
+func TestTakeFeedbackPortOrderDeterministic(t *testing.T) {
+	const interval = time.Millisecond
 	cfg := DefaultConfig()
 	cfg.Paths = 1
-	cfg.RelayInterval = 0
+	cfg.RelayInterval = interval
 	e, err := NewEndpoint("127.0.0.1", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	for _, p := range []uint16{10, 20, 30} {
-		e.noteCE(p)
+	if got := relayRound(e, 0); got != "[]" {
+		t.Fatalf("relays %s from an empty record", got)
 	}
-	now := time.Now()
-	take := func() uint16 {
-		fb := e.takeFeedbackLocked(now)
-		if !fb.Valid {
-			t.Fatal("no feedback due")
+	// Port order, not the order the marks arrived in.
+	for _, p := range []uint16{30, 10, 20} {
+		markCE(e, p)
+	}
+	if got := relayRound(e, 0); got != "[10 20 30]" {
+		t.Fatalf("relay order = %s, want [10 20 30]", got)
+	}
+	// At most one relay per path per interval: marks taken again half an
+	// interval later wait until the interval has passed.
+	for _, p := range []uint16{30, 10, 20} {
+		markCE(e, p)
+	}
+	if got := relayRound(e, interval/2); got != "[]" {
+		t.Fatalf("relays %s within one interval of the last", got)
+	}
+	if got := relayRound(e, interval); got != "[10 20 30]" {
+		t.Fatalf("relay order after the interval = %s, want [10 20 30]", got)
+	}
+
+	// A lower port re-marked before every take cannot starve the higher
+	// ones: it is relayed once per interval, and every other pending path
+	// within one interval of its mark.
+	const start = 10 * interval
+	markCE(e, 20)
+	markCE(e, 30)
+	relayed := map[uint16][]time.Duration{}
+	for d := start; d < start+3*interval; d += interval / 4 {
+		markCE(e, 10)
+		if fb := takeAt(e, d); fb.Valid {
+			relayed[fb.Port] = append(relayed[fb.Port], d-start)
 		}
-		return fb.Port
 	}
-	// First-observed order, not map order.
-	if got := []uint16{take(), take(), take()}; got[0] != 10 || got[1] != 20 || got[2] != 30 {
-		t.Fatalf("relay order = %v, want [10 20 30]", got)
+	want := map[uint16][]time.Duration{
+		10: {0, interval, 2 * interval},
+		20: {interval / 4},
+		30: {interval / 2},
 	}
-	// Round-robin continuation: a re-pending early port must not starve
-	// later ports — after relaying 10 again the cursor resumes at 20.
-	for _, p := range []uint16{10, 20, 30} {
-		e.noteCE(p)
-	}
-	if got := take(); got != 10 {
-		t.Fatalf("second round starts at %d, want 10", got)
-	}
-	e.noteCE(10)
-	if got := []uint16{take(), take(), take()}; got[0] != 20 || got[1] != 30 || got[2] != 10 {
-		t.Fatalf("round-robin order = %v, want [20 30 10]", got)
-	}
-	if fb := e.takeFeedbackLocked(now); fb.Valid {
-		t.Fatalf("spurious feedback %+v", fb)
+	if fmt.Sprint(relayed) != fmt.Sprint(want) {
+		t.Fatalf("relay times = %v, want %v", relayed, want)
 	}
 }
 
@@ -110,29 +147,31 @@ func ceKeepalive(peerPort uint16, fb wire.Feedback) []byte {
 }
 
 func TestTakeFeedbackAcrossShards(t *testing.T) {
+	const interval = time.Millisecond
 	cfg := DefaultConfig()
 	cfg.Paths = 2
-	cfg.RelayInterval = 0
+	cfg.RelayInterval = interval
 	e, err := NewEndpoint("127.0.0.1", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer e.Close()
 	// A peer aiming at two of our ports: CE arrives on shards 0, 1, 0.
-	e.handleFrame(e.shards[0], ceKeepalive(10, wire.Feedback{}), 10)
-	e.handleFrame(e.shards[1], ceKeepalive(99, wire.Feedback{}), 99)
-	e.handleFrame(e.shards[0], ceKeepalive(11, wire.Feedback{}), 11)
-	now := time.Now()
-	var got []uint16
-	for i := 0; i < 3; i++ {
-		fb := e.takeFeedbackLocked(now)
-		if !fb.Valid {
-			t.Fatalf("feedback %d not due", i)
-		}
-		got = append(got, fb.Port)
+	mark := func() {
+		e.handleFrame(e.shards[0], ceKeepalive(10, wire.Feedback{}), 10)
+		e.handleFrame(e.shards[1], ceKeepalive(99, wire.Feedback{}), 99)
+		e.handleFrame(e.shards[0], ceKeepalive(11, wire.Feedback{}), 11)
 	}
-	if got[0] != 10 || got[1] != 99 || got[2] != 11 {
-		t.Fatalf("cross-shard relay order = %v, want [10 99 11]", got)
+	mark()
+	if got := relayRound(e, 0); got != "[10 11 99]" {
+		t.Fatalf("cross-shard relay order = %s, want [10 11 99]", got)
+	}
+	mark()
+	if got := relayRound(e, interval-1); got != "[]" {
+		t.Fatalf("relayed %s within one interval of the last round", got)
+	}
+	if got := relayRound(e, interval); got != "[10 11 99]" {
+		t.Fatalf("relay order one interval later = %s, want [10 11 99]", got)
 	}
 }
 
@@ -455,6 +494,22 @@ func TestSteadyStateSendZeroAlloc(t *testing.T) {
 			}
 			if n := testing.AllocsPerRun(500, func() { a.Send(payload) }); n != 0 {
 				t.Errorf("steady-state Send allocates %v/op, contract is 0", n)
+			}
+			// A Send that piggybacks a pending relay: the mark is noted on
+			// a path already in the record, and a zero relay interval makes
+			// it due on every send.
+			a.SetRelayInterval(0)
+			markCE(a, 40001)
+			a.Send(payload)
+			sentFb := a.Stats().FeedbackSent
+			if n := testing.AllocsPerRun(500, func() {
+				markCE(a, 40001)
+				a.Send(payload)
+			}); n != 0 {
+				t.Errorf("Send piggybacking a relay allocates %v/op, contract is 0", n)
+			}
+			if got := a.Stats().FeedbackSent - sentFb; got != 501 {
+				t.Errorf("%d of 501 sends piggybacked the pending relay", got)
 			}
 			if n := testing.AllocsPerRun(500, func() { a.Enqueue(payload) }); n != 0 {
 				t.Errorf("steady-state Enqueue allocates %v/op, contract is 0", n)

@@ -47,6 +47,14 @@ func (w *weightTables) SetPaths(dst packet.HostID, ports []uint16) {
 	w.dsts[i] = dst
 }
 
+// OnFeedback implements PathPolicy: the destination's table applies the
+// reflected ECN mark and path metric.
+func (w *weightTables) OnFeedback(dst packet.HostID, fb packet.Feedback, now sim.Time) {
+	if t := w.tables[dst]; t != nil {
+		t.OnFeedback(fb, now)
+	}
+}
+
 // AllCongested implements PathPolicy.
 func (w *weightTables) AllCongested(dst packet.HostID, now sim.Time) bool {
 	t := w.tables[dst]
@@ -79,20 +87,6 @@ func (c *CloveECN) PickPort(dst packet.HostID, flow packet.FiveTuple, flowletID 
 	return t.NextPort()
 }
 
-// OnFeedback implements PathPolicy: ECN feedback reduces the path's weight.
-func (c *CloveECN) OnFeedback(dst packet.HostID, fb packet.Feedback, now sim.Time) {
-	t := c.tables[dst]
-	if t == nil || !fb.Valid {
-		return
-	}
-	if fb.ECN {
-		t.OnCongestion(fb.Port, now)
-	}
-	if fb.HasUtil {
-		t.OnUtilization(fb.Port, fb.Util, now)
-	}
-}
-
 // CloveINT is the forward-looking variant (Sec. 3.2): the destination
 // reflects INT-measured maximum path utilization, and new flowlets go to
 // the least-utilized path.
@@ -117,18 +111,4 @@ func (c *CloveINT) PickPort(dst packet.HostID, flow packet.FiveTuple, flowletID 
 		return portHash(flow, flowletID+1)
 	}
 	return t.LeastUtilizedPort(c.now())
-}
-
-// OnFeedback implements PathPolicy: records reflected path utilization.
-func (c *CloveINT) OnFeedback(dst packet.HostID, fb packet.Feedback, now sim.Time) {
-	t := c.tables[dst]
-	if t == nil || !fb.Valid {
-		return
-	}
-	if fb.HasUtil {
-		t.OnUtilization(fb.Port, fb.Util, now)
-	}
-	if fb.ECN {
-		t.OnCongestion(fb.Port, now)
-	}
 }

@@ -3,8 +3,6 @@ package vswitch
 import (
 	"fmt"
 	"math"
-	"slices"
-	"sort"
 
 	"clove/internal/clove"
 	"clove/internal/netem"
@@ -69,40 +67,21 @@ type Stats struct {
 	NoHandler          int64
 }
 
-// peer is the receiver-side record of one remote hypervisor. It lives for
-// the whole run, so arming its standalone-feedback timer allocates nothing:
-// the record rides in the event's operand slot.
+// peer is the receiver-side record of one remote hypervisor, made on its
+// first observation that can be relayed. It lives for the whole run, so
+// arming its standalone-feedback timer allocates nothing: the record rides
+// in the event's operand slot.
 type peer struct {
 	id packet.HostID
 	// armed is set while a standalone-feedback timer is pending.
 	armed bool
-	// paths holds the observed forward paths sorted by port, so the relay
-	// scan is deterministic without per-packet sorting.
-	paths []pathObs
+	// paths holds what is waiting to be relayed about the remote's forward
+	// paths.
+	paths clove.PeerPaths
 	// delayLo and delayHi are EWMAs of the fastest and slowest reflected
 	// path delay (seconds) for the adaptive flowlet gap; they start at +Inf
 	// and -Inf, so the first sample sets both.
 	delayLo, delayHi float64
-}
-
-// pathObs is the receiver-side record of one forward path (identified by
-// the encap source port the remote sender used).
-type pathObs struct {
-	port       uint16
-	pendingECN bool
-	hasUtil    bool
-	lastUtil   float64
-	lastRelay  sim.Time
-}
-
-// observe returns the record of the path on port, inserting it in port
-// order on first sight. The pointer is valid until the next insert.
-func (p *peer) observe(port uint16) *pathObs {
-	i := sort.Search(len(p.paths), func(i int) bool { return p.paths[i].port >= port })
-	if i == len(p.paths) || p.paths[i].port != port {
-		p.paths = slices.Insert(p.paths, i, pathObs{port: port, lastRelay: sim.Time(-1 << 60)})
-	}
-	return &p.paths[i]
 }
 
 // VSwitch is one hypervisor's virtual switch. It encapsulates tenant
@@ -136,8 +115,8 @@ type VSwitch struct {
 	// endpoints maps an arriving inner 5-tuple to its VM-side handler.
 	endpoints map[packet.FiveTuple]endpoint
 
-	// peers is the receiver-side state of every remote hypervisor heard
-	// from.
+	// peers is the receiver-side state of every remote hypervisor that sent
+	// something to relay or a delay sample to adapt the gap to.
 	peers map[packet.HostID]*peer
 
 	// OnProbeEcho, when set, receives discovery echoes (the prober).
@@ -372,26 +351,20 @@ func (v *VSwitch) FromNetwork(pkt *packet.Packet) {
 	remote := pkt.Encap.SrcHyp
 
 	// 1. Intercept congestion state about the forward path remote->self.
-	p := v.peers[remote]
-	if p == nil {
-		p = &peer{id: remote, delayLo: math.Inf(1), delayHi: math.Inf(-1)}
-		v.peers[remote] = p
-	}
-	ob := p.observe(pkt.Encap.SrcPort)
+	port := pkt.Encap.SrcPort
 	if pkt.Encap.CE {
 		v.stats.CEObserved++
-		ob.pendingECN = true
+		p := v.peer(remote)
+		p.paths.NoteCE(port)
 		v.armStandalone(p)
 	}
 	if pkt.INT.Enabled {
-		ob.lastUtil = pkt.INT.MaxUtil
-		ob.hasUtil = true
+		v.peer(remote).paths.NoteMetric(port, pkt.INT.MaxUtil)
 	}
 	if v.cfg.MeasureLatency && pkt.SentAtNs > 0 {
 		// One-way path delay as the reflected metric; the table's
 		// least-metric selection then prefers the currently-fastest path.
-		ob.lastUtil = (now - sim.Time(pkt.SentAtNs)).Seconds()
-		ob.hasUtil = true
+		v.peer(remote).paths.NoteMetric(port, (now - sim.Time(pkt.SentAtNs)).Seconds())
 	}
 
 	// 2. Consume feedback the remote reflected about our paths to it.
@@ -399,7 +372,7 @@ func (v *VSwitch) FromNetwork(pkt *packet.Packet) {
 		v.stats.FeedbackReceived++
 		v.policy.OnFeedback(remote, pkt.Encap.Feedback, now)
 		if v.cfg.AdaptiveFlowletGap && v.cfg.MeasureLatency && pkt.Encap.Feedback.HasUtil {
-			v.adaptGap(p, pkt.Encap.Feedback.Util)
+			v.adaptGap(v.peer(remote), pkt.Encap.Feedback.Util)
 		}
 	}
 
@@ -461,44 +434,24 @@ func (v *VSwitch) answerProbe(probe *packet.Packet) {
 	v.host.Send(echo)
 }
 
-// takeFeedback selects at most one pending observation about paths from
-// remote to us that is due for relay (rate-limited per path), clears its
-// pending state, and returns it for piggybacking.
+// peer returns remote's receiver-side record, making it on first use.
+func (v *VSwitch) peer(remote packet.HostID) *peer {
+	p := v.peers[remote]
+	if p == nil {
+		p = &peer{id: remote, delayLo: math.Inf(1), delayHi: math.Inf(-1)}
+		v.peers[remote] = p
+	}
+	return p
+}
+
+// takeFeedback takes the observation about paths from remote to us that is
+// due for relay, if any (clove.PeerPaths.Take, rate-limited per path).
 func (v *VSwitch) takeFeedback(remote packet.HostID, now sim.Time) (packet.Feedback, bool) {
 	p := v.peers[remote]
 	if p == nil {
 		return packet.Feedback{}, false
 	}
-	// Prefer ECN-pending paths; fall back to the stalest utilization
-	// report. The slice is port-sorted, keeping the scan deterministic so
-	// runs are reproducible.
-	var best *pathObs
-	for i := range p.paths {
-		ob := &p.paths[i]
-		if now-ob.lastRelay < v.cfg.RelayInterval {
-			continue
-		}
-		if ob.pendingECN {
-			best = ob
-			break
-		}
-		if ob.hasUtil && (best == nil || ob.lastRelay < best.lastRelay) {
-			best = ob
-		}
-	}
-	if best == nil {
-		return packet.Feedback{}, false
-	}
-	fb := packet.Feedback{
-		Valid:   true,
-		Port:    best.port,
-		ECN:     best.pendingECN,
-		HasUtil: best.hasUtil,
-		Util:    best.lastUtil,
-	}
-	best.pendingECN = false
-	best.lastRelay = now
-	return fb, true
+	return p.paths.Take(now, v.cfg.RelayInterval)
 }
 
 func standaloneFire(v, p any) { v.(*VSwitch).fireStandalone(p.(*peer)) }

@@ -96,29 +96,61 @@ func TestECMPTransferAcrossFabric(t *testing.T) {
 	}
 }
 
+// pickRecorder wraps a per-flowlet policy and records every port it picks.
+type pickRecorder struct {
+	PathPolicy
+	ports map[uint16]bool
+}
+
+func newPickRecorder(p PathPolicy) *pickRecorder {
+	return &pickRecorder{PathPolicy: p, ports: map[uint16]bool{}}
+}
+
+func (r *pickRecorder) PickPort(dst packet.HostID, flow packet.FiveTuple, flowletID uint32) uint16 {
+	port := r.PathPolicy.PickPort(dst, flow, flowletID)
+	r.ports[port] = true
+	return port
+}
+
+// prestoRecorder is pickRecorder for Presto's per-packet pick; it embeds
+// the concrete policy so its receiver hook stays visible to the vswitch.
+type prestoRecorder struct {
+	*Presto
+	ports map[uint16]bool
+}
+
+func (r *prestoRecorder) PickPortPacket(dst packet.HostID, flow packet.FiveTuple, payloadLen int) uint16 {
+	port := r.Presto.PickPortPacket(dst, flow, payloadLen)
+	r.ports[port] = true
+	return port
+}
+
 func TestECMPPinsFlowToOnePath(t *testing.T) {
-	r := newRig(t, 1, func(int) PathPolicy { return NewECMP() }, nil)
-	// Observe encap ports chosen for many packets of one flow.
-	ports := map[uint16]bool{}
-	h := r.ls.Host(0)
-	orig := h.Uplink()
-	_ = orig
+	// ECMP maps every flowlet of a flow to the same port, so the source
+	// must pick exactly one distinct encap port.
+	rec := newPickRecorder(NewECMP())
+	r := newRig(t, 1, func(i int) PathPolicy {
+		if i == 0 {
+			return rec
+		}
+		return NewECMP()
+	}, nil)
 	snd, _ := r.conn(0, 16, 1000, 2000)
-	// Wrap FromVM? Easier: inspect flowlet count — ECMP maps every flowlet
-	// to the same port, so distinct encap ports must be 1. Tap via the
-	// destination vswitch obs table after the run.
 	snd.StartJob(300_000, nil)
 	r.s.RunUntil(5 * sim.Second)
-	for _, ob := range r.vsw[16].peers[0].paths {
-		ports[ob.port] = true
-	}
-	if len(ports) != 1 {
-		t.Errorf("ECMP used %d ports for one flow, want 1", len(ports))
+	if len(rec.ports) != 1 {
+		t.Errorf("ECMP used %d ports for one flow, want 1", len(rec.ports))
 	}
 }
 
 func TestEdgeFlowletUsesMultiplePorts(t *testing.T) {
-	r := newRig(t, 1, func(int) PathPolicy { return NewEdgeFlowlet() }, nil)
+	rec := newPickRecorder(NewEdgeFlowlet())
+	r := newRig(t, 1, func(i int) PathPolicy {
+		if i == 0 {
+			return rec
+		}
+		return NewEdgeFlowlet()
+	}, nil)
 	snd, _ := r.conn(0, 16, 1000, 2000)
 	// Many sequential small jobs with idle gaps create many flowlets.
 	var start func(n int)
@@ -135,7 +167,7 @@ func TestEdgeFlowletUsesMultiplePorts(t *testing.T) {
 	if got := r.vsw[0].Flowlets(); got < 10 {
 		t.Errorf("flowlets = %d, want many", got)
 	}
-	if got := len(r.vsw[16].peers[0].paths); got < 3 {
+	if got := len(rec.ports); got < 3 {
 		t.Errorf("edge-flowlet used %d distinct ports", got)
 	}
 }
@@ -274,19 +306,22 @@ func TestCloveINTPrefersIdlePath(t *testing.T) {
 }
 
 func TestPrestoFlowcellRotationAndReassembly(t *testing.T) {
-	var s *sim.Simulator
-	mk := func(int) PathPolicy { return NewPresto(s) }
 	// Need the simulator before newRig constructs policies: construct in
 	// two steps.
-	s = sim.New(8)
+	s := sim.New(8)
 	ls := netem.BuildLeafSpine(s, netem.PaperTestbed(0.01))
 	r := &rig{s: s, ls: ls, rtt: ls.BaseRTT(), tcpC: tcp.DefaultConfig()}
 	cfg := DefaultConfig(r.rtt)
 	cfg.MaskECN = false
+	rec := &prestoRecorder{Presto: NewPresto(s), ports: map[uint16]bool{}}
 	for i := range ls.Hosts() {
-		r.vsw = append(r.vsw, New(s, ls.Hosts()[i], cfg, mk(i)))
+		var pol PathPolicy = NewPresto(s)
+		if i == 0 {
+			pol = rec
+		}
+		r.vsw = append(r.vsw, New(s, ls.Hosts()[i], cfg, pol))
 	}
-	pol := r.vsw[0].Policy().(*Presto)
+	pol := rec.Presto
 	pol.SetPaths(16, r.fourPorts(t, 0, 16))
 
 	snd, rcv := r.conn(0, 16, 1000, 2000)
@@ -304,7 +339,7 @@ func TestPrestoFlowcellRotationAndReassembly(t *testing.T) {
 		t.Errorf("VM saw %d out-of-order segments despite reassembly", ooo)
 	}
 	// And multiple paths were actually used.
-	if got := len(r.vsw[16].peers[0].paths); got < 3 {
+	if got := len(rec.ports); got < 3 {
 		t.Errorf("presto used %d distinct ports", got)
 	}
 }
@@ -448,8 +483,8 @@ func TestFeedbackRateLimiting(t *testing.T) {
 	}
 }
 
-// TestPeerRecordAllocs pins the receive side's per-peer cost: a first
-// packet from a new peer builds its record and path array (two objects),
+// TestPeerRecordAllocs pins the receive side's per-peer cost: a first INT
+// sample from a new peer builds its record and path array (two objects),
 // and a new port of a known peer extends the array in place, so it
 // allocates only on the array's amortized growth.
 func TestPeerRecordAllocs(t *testing.T) {
@@ -459,6 +494,7 @@ func TestPeerRecordAllocs(t *testing.T) {
 		p := v.pool.Get()
 		p.Kind = packet.KindData
 		p.Inner = packet.FiveTuple{Src: remote, Dst: 0, SrcPort: 9, DstPort: 9, Proto: packet.ProtoTCP}
+		p.INT.Enabled, p.INT.MaxUtil = true, 0.5
 		e := p.AddEncap()
 		e.SrcHyp, e.DstHyp, e.SrcPort, e.DstPort = remote, 0, port, EncapDstPort
 		v.FromNetwork(p)
@@ -471,6 +507,35 @@ func TestPeerRecordAllocs(t *testing.T) {
 	port := uint16(50000)
 	if n := testing.AllocsPerRun(200, func() { port++; recv(remote, port) }); n != 0 {
 		t.Errorf("a new port of a known peer allocates %v objects, want 0 amortized", n)
+	}
+}
+
+// TestPlainPacketsMakeNoPeerRecord: a receiver keeps a record only for a
+// peer with something to relay, so plain, unmarked packets from unseen
+// peers, each on its own path, create no record and allocate nothing.
+func TestPlainPacketsMakeNoPeerRecord(t *testing.T) {
+	r := newRig(t, 14, func(int) PathPolicy { return NewECMP() }, nil)
+	v := r.vsw[0]
+	remote, port := packet.HostID(1000), uint16(50000)
+	recv := func() {
+		remote++
+		port++
+		p := v.pool.Get()
+		p.Kind = packet.KindData
+		p.Inner = packet.FiveTuple{Src: remote, Dst: 0, SrcPort: 9, DstPort: 9, Proto: packet.ProtoTCP}
+		e := p.AddEncap()
+		e.SrcHyp, e.DstHyp, e.SrcPort, e.DstPort, e.ECT = remote, 0, port, EncapDstPort, true
+		v.FromNetwork(p)
+	}
+	recv() // warm the pool
+	if n := testing.AllocsPerRun(64, recv); n != 0 {
+		t.Errorf("a plain packet from an unseen peer allocates %v objects, want 0", n)
+	}
+	if n := len(v.peers); n != 0 {
+		t.Errorf("%d peer records after plain packets from 66 peers, want 0", n)
+	}
+	if got := v.Stats().Decapped; got != 66 {
+		t.Errorf("Decapped = %d, want 66", got)
 	}
 }
 
