@@ -63,87 +63,26 @@ func TestFlowletIndependentFlows(t *testing.T) {
 	}
 }
 
-func TestFlowletEviction(t *testing.T) {
-	ft := NewFlowletTable(100)
-	ft.SetMaxEntries(10)
-	for i := 0; i < 10; i++ {
-		ft.Touch(flow(i), sim.Time(i))
+// An idle flow keeps its entry however many flows the table holds: its next
+// packet starts the flow's next flowlet, not a fresh flow at ID 0.
+func TestFlowletIdleFlowKeepsEntryAtAnySize(t *testing.T) {
+	const gap, n = 100, 70_000 // more flows than a uint16 can count
+	key := func(i int) packet.FiveTuple {
+		return packet.FiveTuple{Src: packet.HostID(1 + i>>16), Dst: 2, SrcPort: uint16(i), DstPort: 80, Proto: packet.ProtoTCP}
 	}
-	// All old entries idle > 10 gaps at t=100000. Eviction is amortized: the
-	// at-capacity insert reclaims at most evictScanBudget entries (the old
-	// implementation swept the whole table inline on one packet).
-	ft.Touch(flow(99), 100000)
-	if got, want := ft.Len(), 10-evictScanBudget+1; got != want {
-		t.Errorf("after at-capacity insert Len = %d, want %d", got, want)
+	ft := NewFlowletTable(gap)
+	for i := 0; i < n; i++ {
+		ft.Touch(key(i), sim.Time(i))
 	}
-}
-
-func TestFlowletEvictionBoundedWorkPerInsert(t *testing.T) {
-	ft := NewFlowletTable(100)
-	ft.SetMaxEntries(3 * evictScanBudget)
-	for i := 0; i < 3*evictScanBudget; i++ {
-		ft.Touch(flow(i), sim.Time(i))
+	if ft.Len() != n {
+		t.Fatalf("Len = %d after %d distinct flows, want %d", ft.Len(), n, n)
 	}
-	// Everything expired. Refilling takes several inserts, each evicting at
-	// most the budget; the occupancy never exceeds the bound while evictable
-	// entries remain (2*budget inserts leave budget expired entries spare).
-	now := sim.Time(1_000_000)
-	for i := 0; i < 2*evictScanBudget; i++ {
-		ft.Touch(flow(1000+i), now+sim.Time(i))
-		if ft.Len() > 3*evictScanBudget {
-			t.Fatalf("insert %d: Len = %d exceeds capacity %d with expired entries present",
-				i, ft.Len(), 3*evictScanBudget)
-		}
+	e, isNew := ft.Touch(key(0), sim.Time(n)+11*gap)
+	if !isNew || e.ID != 1 {
+		t.Errorf("idle flow 0: isNew=%v ID=%d, want a new flowlet with ID 1", isNew, e.ID)
 	}
-}
-
-func TestFlowletEvictionSparesLiveEntries(t *testing.T) {
-	ft := NewFlowletTable(100)
-	ft.SetMaxEntries(4)
-	for i := 0; i < 4; i++ {
-		ft.Touch(flow(i), sim.Time(i))
-	}
-	// A 5th flow arrives while every tracked flow is recent: nothing in the
-	// scan budget qualifies, so the table grows past the bound rather than
-	// evicting a live flowlet (correctness over the memory bound).
-	ft.Touch(flow(4), 50)
-	if ft.Len() != 5 {
-		t.Fatalf("Len = %d, want 5 (live entries must survive)", ft.Len())
-	}
-	for i := 0; i < 4; i++ {
-		if _, isNew := ft.Touch(flow(i), sim.Time(60+i)); isNew {
-			t.Errorf("live flow %d lost its entry to eviction", i)
-		}
-	}
-}
-
-func TestFlowletCounterAcrossEvictions(t *testing.T) {
-	ft := NewFlowletTable(100)
-	ft.SetMaxEntries(8)
-	for i := 0; i < 8; i++ {
-		ft.Touch(flow(i), sim.Time(i))
-	}
-	if ft.Flowlets() != 8 {
-		t.Fatalf("Flowlets = %d, want 8", ft.Flowlets())
-	}
-	// Expire all 8 and insert a 9th: the scan (budget 8) reclaims them all.
-	ft.Touch(flow(8), 100_000)
-	if ft.Flowlets() != 9 {
-		t.Errorf("Flowlets = %d, want 9", ft.Flowlets())
-	}
-	if ft.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", ft.Len())
-	}
-	// The evicted flows return: each restarts as a fresh entry (ID 0) and the
-	// cumulative flowlet counter keeps counting monotonically.
-	for i := 0; i < 8; i++ {
-		e, isNew := ft.Touch(flow(i), 100_001+sim.Time(i))
-		if !isNew || e.ID != 0 {
-			t.Errorf("returning flow %d: isNew=%v id=%d, want new with id 0", i, isNew, e.ID)
-		}
-	}
-	if ft.Flowlets() != 17 {
-		t.Errorf("Flowlets = %d, want 17", ft.Flowlets())
+	if ft.Len() != n || ft.Flowlets() != n+1 {
+		t.Errorf("Len = %d, Flowlets = %d; want %d and %d", ft.Len(), ft.Flowlets(), n, n+1)
 	}
 }
 

@@ -1,10 +1,11 @@
 // Package clove implements the scheme-independent building blocks of the
-// Clove load balancer (Sec. 3): software flowlet detection, smooth weighted
-// round-robin path rotation, the congestion-adaptive path-weight table
-// driven by ECN or INT feedback, and the destination's record of what to
-// reflect back (PeerPaths). The hypervisor virtual switch in internal/vswitch
-// composes these into the full Edge-Flowlet, Clove-ECN and Clove-INT
-// schemes, and internal/datapath runs the same feedback loop over sockets.
+// Clove load balancer (Sec. 3): software flowlet detection (one entry per
+// flow, never evicted), smooth weighted round-robin path rotation, the
+// congestion-adaptive path-weight table driven by ECN or INT feedback, and
+// the destination's record of what to reflect back (PeerPaths). The
+// hypervisor virtual switch in internal/vswitch composes these into the full
+// Edge-Flowlet, Clove-ECN and Clove-INT schemes, and internal/datapath runs
+// the same feedback loop over sockets.
 package clove
 
 import (
@@ -34,53 +35,20 @@ type FlowletEntry struct {
 
 // FlowletTable detects flowlet boundaries: a new flowlet starts when a
 // flow's inter-packet gap exceeds the configured gap (Sec. 3.2 recommends
-// about twice the network RTT, Fig. 6 explores the sensitivity). The table
-// is size-bounded with amortized eviction of idle entries.
+// about twice the network RTT, Fig. 6 explores the sensitivity). It keeps
+// one entry per flow its owner (a vswitch, or a CONGA or LetFlow switch)
+// has forwarded and evicts none, so its size follows the connections that
+// cross the owner. An idle flow's next packet starts a new flowlet on its
+// own entry, with the next ID.
 type FlowletTable struct {
-	gap     sim.Time
-	entries map[packet.FiveTuple]*FlowletEntry
-
-	// maxEntries bounds memory; once reached, each insert scans a bounded
-	// number of eviction candidates (see evictScan).
-	maxEntries int
-
-	// scanQueue holds every live flow's key exactly once, in FIFO order
-	// (insertion order, with surviving candidates recycled to the back).
-	// scanHead indexes the front; the prefix before it is dead space that
-	// compaction reclaims. A deterministic queue — rather than sampling the
-	// map, whose iteration order is randomized per process — is what keeps
-	// eviction, and therefore flowlet IDs and the whole simulation,
-	// reproducible.
-	scanQueue []packet.FiveTuple
-	scanHead  int
-
+	gap      sim.Time
+	entries  map[packet.FiveTuple]*FlowletEntry
 	flowlets int64 // total new flowlets observed
 }
 
-// DefaultMaxFlowletEntries bounds the table (paper: order of the number of
-// destination hypervisors actively talked to, i.e. small).
-const DefaultMaxFlowletEntries = 65536
-
-// evictScanBudget is how many candidate entries one insert examines when the
-// table is at capacity. The previous implementation swept the whole map
-// inline — an O(maxEntries) stall on a single packet's forwarding path; the
-// budget amortizes the same reclamation over inserts while keeping each
-// Touch O(1).
-const evictScanBudget = 8
-
-// evictIdleGaps is how many flowlet gaps an entry must sit idle before it is
-// evictable. Any such entry's next packet starts a new flowlet regardless,
-// so eviction never changes path pinning — only the (deterministic) ID
-// restart.
-const evictIdleGaps = 10
-
 // NewFlowletTable creates a table with the given flowlet inter-packet gap.
 func NewFlowletTable(gap sim.Time) *FlowletTable {
-	return &FlowletTable{
-		gap:        gap,
-		entries:    map[packet.FiveTuple]*FlowletEntry{},
-		maxEntries: DefaultMaxFlowletEntries,
-	}
+	return &FlowletTable{gap: gap, entries: map[packet.FiveTuple]*FlowletEntry{}}
 }
 
 // Gap returns the configured flowlet time gap.
@@ -88,9 +56,6 @@ func (t *FlowletTable) Gap() sim.Time { return t.gap }
 
 // SetGap changes the flowlet gap (used by the adaptive-gap extension).
 func (t *FlowletTable) SetGap(gap sim.Time) { t.gap = gap }
-
-// SetMaxEntries overrides the capacity bound (tests).
-func (t *FlowletTable) SetMaxEntries(n int) { t.maxEntries = n }
 
 // Flowlets reports the total number of flowlet starts observed.
 func (t *FlowletTable) Flowlets() int64 { return t.flowlets }
@@ -106,12 +71,8 @@ func (t *FlowletTable) Len() int { return len(t.entries) }
 func (t *FlowletTable) Touch(flow packet.FiveTuple, now sim.Time) (e *FlowletEntry, isNew bool) {
 	e, ok := t.entries[flow]
 	if !ok {
-		if len(t.entries) >= t.maxEntries {
-			t.evictScan(now)
-		}
 		e = &FlowletEntry{lastSeen: now}
 		t.entries[flow] = e
-		t.scanQueue = append(t.scanQueue, flow)
 		t.flowlets++
 		return e, true
 	}
@@ -124,33 +85,4 @@ func (t *FlowletTable) Touch(flow packet.FiveTuple, now sim.Time) (e *FlowletEnt
 		return e, true
 	}
 	return e, false
-}
-
-// evictScan examines up to evictScanBudget candidates from the front of the
-// FIFO queue, deleting entries idle for more than evictIdleGaps gaps and
-// giving live ones a second chance at the back. If nothing in the budget
-// qualifies, the table is allowed to grow (correctness over the bound); the
-// next inserts keep scanning from where this one stopped.
-func (t *FlowletTable) evictScan(now sim.Time) {
-	cutoff := now - evictIdleGaps*t.gap
-	for i := 0; i < evictScanBudget && t.scanHead < len(t.scanQueue); i++ {
-		key := t.scanQueue[t.scanHead]
-		t.scanHead++
-		e, ok := t.entries[key]
-		if !ok {
-			continue // already evicted; stale queue slot
-		}
-		if e.lastSeen < cutoff {
-			delete(t.entries, key)
-		} else {
-			t.scanQueue = append(t.scanQueue, key)
-		}
-	}
-	// Compact the consumed prefix once it dominates the queue, keeping the
-	// amortized cost per insert O(1) and the slack memory bounded.
-	if t.scanHead > len(t.scanQueue)/2 && t.scanHead > 16 {
-		n := copy(t.scanQueue, t.scanQueue[t.scanHead:])
-		t.scanQueue = t.scanQueue[:n]
-		t.scanHead = 0
-	}
 }

@@ -309,3 +309,48 @@ func TestKeepaliveCountsOnlyWrittenFeedback(t *testing.T) {
 		}
 	})
 }
+
+// TestProbeCountersCountOnlyWritten: a probe counts in ProbesSent, and an
+// echo in ProbesAnswered, only once the datagram is written. A probe that
+// never left keeps no in-flight entry, since no echo can resolve it.
+func TestProbeCountersCountOnlyWritten(t *testing.T) {
+	eachIOMode(t, func(t *testing.T, cfg Config) {
+		// A receive-only endpoint has nowhere to write an echo.
+		recv, got := newCounting(t, cfg)
+		snd, err := NewEndpoint("127.0.0.1", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer snd.Close()
+		snd.SetOnRecv(func([]byte) {})
+		if err := snd.Start(fmt.Sprintf("127.0.0.1:%d", recv.Ports()[0])); err != nil {
+			t.Fatal(err)
+		}
+		snd.ProbePaths()
+		// Everything arrives on one socket in order, so once the datagram
+		// behind the probes is delivered, the probes have been handled.
+		if err := snd.Send([]byte("x")); err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, 2*time.Second, func() bool { return got.Load() == 1 }, "datagram behind the probes")
+		if st := recv.Stats(); st.ProbesAnswered != 0 {
+			t.Errorf("receive-only endpoint: ProbesAnswered = %d, want 0", st.ProbesAnswered)
+		}
+		if st := snd.Stats(); st.ProbesSent != 2 || st.ProbeEchoes != 0 {
+			t.Errorf("prober: ProbesSent = %d, ProbeEchoes = %d; want 2 and 0", st.ProbesSent, st.ProbeEchoes)
+		}
+
+		// After Close every write fails: nothing counts, nothing stays in flight.
+		a, _ := pairCfg(t, cfg)
+		a.Close()
+		a.ProbePaths()
+		st := a.Stats()
+		a.mu.Lock()
+		inFlight := len(a.probes)
+		a.mu.Unlock()
+		if st.ProbesSent != 0 || st.SocketErrors == 0 || inFlight != 0 {
+			t.Errorf("after Close: ProbesSent = %d, SocketErrors = %d, in flight = %d; want 0, > 0, 0",
+				st.ProbesSent, st.SocketErrors, inFlight)
+		}
+	})
+}

@@ -54,17 +54,25 @@ func (e *Endpoint) ProbePaths() {
 		e.probes[e.probeSeq] = probeState{path: i, sentAt: now}
 	}
 	e.mu.Unlock()
-	e.probesSent.Add(int64(len(e.ports)))
+	// A probe counts only once it is written; one that never left can get
+	// no echo, so its in-flight entry goes too.
 	for i, port := range e.ports {
-		e.transmit(port, first+uint32(i), wire.Feedback{}, nil, shimFlagProbe)
+		seq := first + uint32(i)
+		if e.transmit(port, seq, wire.Feedback{}, nil, shimFlagProbe) == nil {
+			e.probesSent.Add(1)
+			continue
+		}
+		e.mu.Lock()
+		delete(e.probes, seq)
+		e.mu.Unlock()
 	}
 }
 
 // handleProbe answers an incoming probe: echo its sequence and the path
 // port it arrived on, so the prober can attribute the RTT. Runs on the
-// receiving shard's goroutine.
+// receiving shard's goroutine. A probe counts as answered only once its
+// echo is written.
 func (e *Endpoint) handleProbe(sh *pathShard, shim *wire.SttShim) {
-	sh.stats.probesAnswered.Add(1)
 	e.mu.Lock()
 	port := e.curPort
 	e.mu.Unlock()
@@ -74,7 +82,9 @@ func (e *Endpoint) handleProbe(sh *pathShard, shim *wire.SttShim) {
 	// The echo carries the original probe's path port in the feedback
 	// field (attribution) and the sequence in FlowletID.
 	fb := wire.Feedback{Valid: true, Port: shim.PathPort}
-	e.transmit(port, shim.FlowletID, fb, nil, shimFlagProbeEcho)
+	if e.transmit(port, shim.FlowletID, fb, nil, shimFlagProbeEcho) == nil {
+		sh.stats.probesAnswered.Add(1)
+	}
 }
 
 // handleProbeEcho resolves an in-flight probe and records the RTT sample.

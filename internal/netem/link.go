@@ -65,7 +65,6 @@ type Link struct {
 	dre     *DRE
 	pool    *packet.Pool
 	stats   LinkStats
-	onDrop  func(*packet.Packet)
 
 	// Cross-domain channel state (sharded topologies; see domains.go).
 	// srcDom is non-nil iff the endpoints live in different event domains:
@@ -155,9 +154,6 @@ func (l *Link) Stats() LinkStats { return l.stats }
 // Utilization returns the DRE-estimated egress utilization in [0, ~1.1].
 func (l *Link) Utilization() float64 { return l.dre.Utilization() }
 
-// SetOnDrop installs a hook invoked on every dropped packet (tests, tracing).
-func (l *Link) SetOnDrop(fn func(*packet.Packet)) { l.onDrop = fn }
-
 // SetUp changes the administrative state. Taking a link down drops the
 // queue contents and everything sent while down; bringing it back up starts
 // clean.
@@ -198,9 +194,6 @@ func (l *Link) Enqueue(pkt *packet.Packet) {
 		if o := l.pool.Obs(); o != nil {
 			o.LinkDrop(l.id, pkt, packet.DropLinkDown, l.qlen, l.queueCap)
 		}
-		if l.onDrop != nil {
-			l.onDrop(pkt)
-		}
 		l.pool.Put(pkt)
 		return
 	}
@@ -208,9 +201,6 @@ func (l *Link) Enqueue(pkt *packet.Packet) {
 		l.stats.Drops++
 		if o := l.pool.Obs(); o != nil {
 			o.LinkDrop(l.id, pkt, packet.DropQueueFull, l.qlen, l.queueCap)
-		}
-		if l.onDrop != nil {
-			l.onDrop(pkt)
 		}
 		l.pool.Put(pkt)
 		return

@@ -71,12 +71,31 @@ func TestLinkSerializesBackToBack(t *testing.T) {
 	}
 }
 
+// dropRecorder counts the drop-tail discards a link reports to its pool's
+// observer. It implements only the hooks a link and a pool call; the
+// embedded nil Observer makes any other hook panic.
+type dropRecorder struct {
+	packet.Observer
+	queueFull int
+}
+
+func (r *dropRecorder) PoolGet(*packet.Packet)                                         {}
+func (r *dropRecorder) PoolPut(*packet.Packet)                                         {}
+func (r *dropRecorder) LinkEnqueue(packet.LinkID, *packet.Packet, int, int, int, bool) {}
+func (r *dropRecorder) LinkDeliver(packet.LinkID, *packet.Packet)                      {}
+func (r *dropRecorder) LinkDrop(_ packet.LinkID, _ *packet.Packet, reason packet.DropReason, _, _ int) {
+	if reason == packet.DropQueueFull {
+		r.queueFull++
+	}
+}
+
 func TestLinkDropTail(t *testing.T) {
 	s := sim.New(1)
 	c := &collector{id: 99}
-	l := newLink(s, nil, 0, "t", 1, c, LinkConfig{RateBps: 1e9, Delay: 0, QueueCap: 4})
-	var dropped int
-	l.SetOnDrop(func(*packet.Packet) { dropped++ })
+	pool := &packet.Pool{}
+	rec := &dropRecorder{}
+	pool.SetObserver(rec)
+	l := newLink(s, pool, 0, "t", 1, c, LinkConfig{RateBps: 1e9, Delay: 0, QueueCap: 4})
 	// One packet starts serializing immediately, 4 fill the queue, rest drop.
 	for i := 0; i < 10; i++ {
 		l.Enqueue(dataPacket(0, 1, 100))
@@ -85,8 +104,8 @@ func TestLinkDropTail(t *testing.T) {
 	if len(c.got) != 5 {
 		t.Errorf("delivered %d, want 5", len(c.got))
 	}
-	if dropped != 5 || l.Stats().Drops != 5 {
-		t.Errorf("dropped %d (stats %d), want 5", dropped, l.Stats().Drops)
+	if rec.queueFull != 5 || l.Stats().Drops != 5 {
+		t.Errorf("dropped %d (stats %d), want 5", rec.queueFull, l.Stats().Drops)
 	}
 }
 

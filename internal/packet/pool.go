@@ -19,6 +19,9 @@ package packet
 // See the package comment for the ownership rule governing who must call
 // Put. Put zeroes the struct before recycling, so recycled and fresh
 // structs are indistinguishable — a requirement for run determinism.
+//
+// The free list has no cap: every struct on it was live at once, so it
+// never holds more than the run's peak number of in-flight packets.
 type Pool struct {
 	packets []*Packet
 
@@ -48,10 +51,6 @@ func (p *Pool) Obs() Observer {
 	}
 	return p.obs
 }
-
-// maxPoolFree bounds the free list; surplus structs are left to the GC.
-// Peak in-flight packets in even the paper-scale fabric is far below this.
-const maxPoolFree = 1 << 15
 
 // Gets reports how many packets this pool has issued (fresh or recycled).
 func (p *Pool) Gets() int64 {
@@ -102,7 +101,5 @@ func (p *Pool) Put(pkt *Packet) {
 	}
 	p.puts++
 	*pkt = Packet{}
-	if len(p.packets) < maxPoolFree {
-		p.packets = append(p.packets, pkt)
-	}
+	p.packets = append(p.packets, pkt)
 }

@@ -102,7 +102,7 @@ func TestDifferentialSchedulerVsContainerHeap(t *testing.T) {
 
 		// Several rounds: schedule/cancel/reschedule churn, then drain both
 		// schedulers and compare the complete fire orders. Later rounds
-		// schedule on a warm (recycled, previously shrunk/grown) slab.
+		// schedule on a warm (recycled, previously grown) slab.
 		for round := 0; round < 4; round++ {
 			var fired []int
 			note := func(a, _ any) { fired = append(fired, a.(*pair).payload) }

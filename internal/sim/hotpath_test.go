@@ -33,9 +33,10 @@ func runChain(s *Simulator, st *chainState, n int) {
 	s.Run()
 }
 
-// TestHotPathChainZeroAllocs is the core tentpole assertion: once the free
+// TestHotPathChainZeroAllocs is the core hot-path assertion: once the free
 // list is warm, scheduling and firing events through AtCall/AfterCall
-// allocates nothing.
+// allocates nothing, and neither does At with a prebuilt closure (a func
+// value boxes into the callFunc operand without allocating).
 func TestHotPathChainZeroAllocs(t *testing.T) {
 	s := New(1)
 	st := &chainState{s: s}
@@ -46,6 +47,26 @@ func TestHotPathChainZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("allocs per 100-event chain = %v, want 0", allocs)
+	}
+
+	left := 0
+	var step func()
+	step = func() {
+		if left--; left > 0 {
+			s.At(s.Now()+Microsecond, step)
+		}
+	}
+	runClosures := func() {
+		left = 100
+		s.At(s.Now(), step)
+		s.Run()
+	}
+	runClosures()
+	if allocs := testing.AllocsPerRun(50, runClosures); allocs != 0 {
+		t.Fatalf("allocs per 100-event At chain = %v, want 0", allocs)
+	}
+	if left != 0 {
+		t.Fatalf("At chain stopped with %d events left", left)
 	}
 }
 
@@ -140,47 +161,13 @@ func TestMillionOneShotEventsRecycle(t *testing.T) {
 	}
 	for i, slot := range s.free {
 		ev := &s.slab[slot]
-		if ev.fn != nil || ev.call != nil || ev.a != nil || ev.b != nil {
-			t.Fatalf("free[%d] (slot %d) not cleared: fn-set=%t call-set=%t a=%v b=%v",
-				i, slot, ev.fn != nil, ev.call != nil, ev.a, ev.b)
+		if ev.call != nil || ev.a != nil || ev.b != nil {
+			t.Fatalf("free[%d] (slot %d) not cleared: call-set=%t a=%v b=%v",
+				i, slot, ev.call != nil, ev.a, ev.b)
 		}
 		if ev.heapIdx >= 0 {
 			t.Fatalf("free[%d] (slot %d) still claims heap position %d", i, slot, ev.heapIdx)
 		}
-	}
-}
-
-// TestBurstFreeListBounded schedules a large burst up front (peak pending =
-// burst size) and checks the drained simulator sheds the surplus slab
-// memory instead of pinning it for the rest of the run — and that stale IDs
-// into the discarded region, and fresh scheduling afterwards, stay correct.
-func TestBurstFreeListBounded(t *testing.T) {
-	s := New(1)
-	const burst = maxEventFree * 2
-	var lastID EventID
-	for i := 0; i < burst; i++ {
-		lastID = s.AtCall(Time(i), noopCall, nil, nil)
-	}
-	s.Run()
-	if got := s.Pending(); got != 0 {
-		t.Errorf("Pending() = %d, want 0", got)
-	}
-	if free := s.FreeEvents(); free > maxEventFree {
-		t.Errorf("FreeEvents() = %d, exceeds cap %d", free, maxEventFree)
-	}
-	if got := len(s.slab); got > maxEventFree {
-		t.Errorf("slab holds %d slots after drain, exceeds cap %d", got, maxEventFree)
-	}
-	// A stale ID referring to a slot beyond the shrunk slab is a no-op.
-	if s.Cancel(lastID) {
-		t.Error("stale ID into the discarded slab region cancelled something")
-	}
-	// The shrunk simulator schedules and fires normally.
-	ran := 0
-	s.AtCall(s.Now()+1, func(a, _ any) { *(a.(*int))++ }, &ran, nil)
-	s.Run()
-	if ran != 1 {
-		t.Errorf("post-shrink event ran %d times, want 1", ran)
 	}
 }
 

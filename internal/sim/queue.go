@@ -2,10 +2,10 @@ package sim
 
 import "math/bits"
 
-// EventFunc is the closure-free callback form used on the simulator's hot
-// path. The two operands are supplied at scheduling time (AtCall/AfterCall)
-// and handed back verbatim when the event fires, so callers can bind a
-// receiver and a payload without allocating a closure per event. Pass
+// EventFunc is the simulator's one callback form. The two operands are
+// supplied at scheduling time (AtCall/AfterCall) and handed back verbatim
+// when the event fires, so callers can bind a receiver and a payload without
+// allocating a closure per event. Pass
 // pointers (or nil): boxing a pointer into an interface does not allocate,
 // while boxing most scalar values does.
 type EventFunc func(a, b any)
@@ -19,10 +19,9 @@ type event struct {
 	at  Time
 	seq uint64 // tie-breaker: FIFO among equal timestamps; doubles as the
 	// incarnation stamp (globally unique per schedule, never reused)
-	fn func() // cold path: closure form (At/After)
 
-	// Hot path: closure-free form (AtCall/AfterCall). When call is non-nil
-	// it takes precedence over fn.
+	// call(a, b) runs when the event fires (At/After pass callFunc and the
+	// closure).
 	call EventFunc
 	a, b any
 
@@ -37,8 +36,7 @@ type event struct {
 // schedule sequence number as an incarnation stamp: once the event has fired
 // or been cancelled, the ID goes stale and Cancel on it is a no-op, even if
 // the underlying slab slot has been recycled for a new event — seq values
-// are never reused, so a stale ID cannot collide with a later tenant even
-// across slab shrinks.
+// are never reused, so a stale ID cannot collide with a later tenant.
 type EventID struct {
 	slot int32  // slab index + 1; 0 marks the zero (never-issued) ID
 	seq  uint64 // incarnation stamp of the identified event

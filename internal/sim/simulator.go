@@ -5,23 +5,16 @@ import (
 	"math/rand"
 )
 
-// maxEventFree bounds how much event-slab memory a drained Simulator keeps.
-// Recycling beyond the peak number of concurrently pending events buys
-// nothing, and the cap keeps a burst from pinning memory for the rest of the
-// run: when the queue fully drains and the slab has grown past the cap, the
-// slab and free list are reallocated at the cap and the surplus is left to
-// the garbage collector.
-const maxEventFree = 1 << 15
-
 // Simulator is a single-threaded discrete-event scheduler. It owns the
 // virtual clock: time only advances when a run loop pops the next event.
 //
 // Simulator is not safe for concurrent use; the simulated network is a
 // sequential program by design so that runs are reproducible.
 //
-// Scheduling comes in two forms. At/After take a plain closure and are fine
-// for cold paths (setup, workload arrival chains, tickers). AtCall/AfterCall
-// take a static EventFunc plus two operands and do not allocate per event.
+// Every event is a static EventFunc plus two operands (AtCall/AfterCall),
+// which does not allocate per event. At/After are the closure adapter over
+// that one form: they schedule the callFunc trampoline with the closure as
+// its operand.
 //
 // Events live in one contiguous slab ([]event) and the pending queue is a
 // 4-ary implicit min-heap of slot indices (see queue.go) — no per-event
@@ -75,7 +68,8 @@ func (s *Simulator) NextEventAt() (Time, bool) {
 }
 
 // FreeEvents reports the current size of the event free list (telemetry and
-// leak tests; slab memory is bounded by maxEventFree once the queue drains).
+// leak tests). The slab never shrinks, so the free list is bounded by the
+// peak number of pending events.
 func (s *Simulator) FreeEvents() int { return len(s.free) }
 
 // getSlot takes a recycled slab slot or extends the slab by one. The
@@ -93,11 +87,10 @@ func (s *Simulator) getSlot() int32 {
 // putSlot recycles a fired or cancelled event's slot. The slot's seq stays
 // — it is the stamp that invalidates every outstanding EventID for this
 // incarnation (the next tenant overwrites it with a fresh, never-reused
-// value) — and clearing fn/call/a/b is what keeps the slab from pinning
+// value) — and clearing call/a/b is what keeps the slab from pinning
 // dead closures or packets across the (arbitrarily long) wait until reuse.
 func (s *Simulator) putSlot(slot int32) {
 	ev := &s.slab[slot]
-	ev.fn = nil
 	ev.call = nil
 	ev.a, ev.b = nil, nil
 	ev.heapIdx = -1
@@ -117,14 +110,16 @@ func (s *Simulator) schedule(at Time) (int32, uint64) {
 	return slot, ev.seq
 }
 
+// callFunc is the trampoline that runs an At/After closure.
+func callFunc(a, _ any) { a.(func())() }
+
 // At schedules fn to run at absolute time at. Scheduling in the past (before
 // Now) panics: it would violate causality and always indicates a bug.
 //
-// The closure form allocates; use AtCall on per-packet paths.
+// Scheduling a prebuilt closure does not allocate, but building a closure
+// per event does, so per-packet paths use AtCall with a static EventFunc.
 func (s *Simulator) At(at Time, fn func()) EventID {
-	slot, seq := s.schedule(at)
-	s.slab[slot].fn = fn
-	return EventID{slot: slot + 1, seq: seq}
+	return s.AtCall(at, callFunc, fn, nil)
 }
 
 // After schedules fn to run delay after the current time.
@@ -183,23 +178,9 @@ func (s *Simulator) fire() {
 	ev := &s.slab[slot]
 	s.now = ev.at
 	s.processed++
-	fn, call, a, b := ev.fn, ev.call, ev.a, ev.b
+	call, a, b := ev.call, ev.a, ev.b
 	s.putSlot(slot)
-	if len(s.heap) == 0 && len(s.slab) > maxEventFree {
-		// The queue drained with an oversized slab (a scheduling burst has
-		// passed its peak): every slot is free, so drop the surplus rather
-		// than pinning burst-sized memory for the rest of the run. Stale
-		// EventIDs into the discarded region fail Cancel's bounds check, and
-		// seq stamps stay valid across the reallocation because they are
-		// never reused.
-		s.slab = make([]event, 0, maxEventFree)
-		s.free = make([]int32, 0, maxEventFree)
-	}
-	if call != nil {
-		call(a, b)
-	} else {
-		fn()
-	}
+	call(a, b)
 	if s.onEvent != nil {
 		s.onEvent()
 	}
