@@ -39,8 +39,9 @@ type Link struct {
 	sim   *sim.Simulator
 	from  packet.NodeID
 	to    Node
-	rate  int64    // bits per second
-	delay sim.Time // propagation delay
+	rate  int64     // bits per second
+	delay sim.Time  // propagation delay
+	lane  *sim.Lane // sim's lane for delay, which carries propagation unless srcDom is set
 
 	queueCap int // packets
 	ecnK     int // mark when queued packets >= ecnK at enqueue; 0 disables
@@ -103,6 +104,7 @@ func newLink(s *sim.Simulator, pool *packet.Pool, id packet.LinkID, name string,
 		delay:    cfg.Delay,
 		queueCap: cfg.QueueCap,
 		ecnK:     cfg.ECNK,
+		lane:     s.Lane(cfg.Delay),
 		up:       true,
 		queue:    make([]*packet.Packet, min(initialRing, cfg.QueueCap)),
 	}
@@ -295,7 +297,9 @@ func (l *Link) transmitNext() {
 // txDone fires when the serializer finishes: hand the packet to the
 // propagation stage and start on the next queued packet. The propagation
 // event is scheduled before transmitNext so the event-sequence order is
-// identical to the nested-closure formulation this replaced.
+// identical to the nested-closure formulation this replaced. A wire is a
+// FIFO with one delay, so a same-domain propagation waits in the
+// simulator's lane for that delay rather than in the event heap.
 func (l *Link) txDone() {
 	pkt := l.sending
 	l.sending = nil
@@ -303,7 +307,7 @@ func (l *Link) txDone() {
 		if l.srcDom != nil {
 			l.srcDom.Post(l.dstDomID, l.sim.Now()+l.delay, linkPropagate, l, pkt)
 		} else {
-			l.sim.AfterCall(l.delay, linkPropagate, l, pkt)
+			l.lane.Call(linkPropagate, l, pkt)
 		}
 	} else {
 		l.stats.DownDrops++

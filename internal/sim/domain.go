@@ -7,7 +7,7 @@ import (
 )
 
 // This file is the sharded engine: one simulation split into event domains,
-// each a full Simulator (own slab heap, clock, RNG), coupled only through
+// each a full Simulator (own event queue, clock, RNG), coupled only through
 // cross-domain messages that must respect a positive lookahead. Execution
 // proceeds in conservative windows: every domain, in domain order on the
 // calling goroutine, runs its events up to a horizon no later than (earliest
@@ -103,10 +103,10 @@ type Engine struct {
 	domains   []*Domain
 	now       Time // last barrier time; every domain clock equals it outside Run
 
-	// next[i] is domain i's heap head, or timeMax when its heap is empty: the
-	// window pass reads this dense array instead of every domain's heap, and
-	// touches a Domain only when it has an event in the window. Nil on a
-	// one-domain engine.
+	// next[i] is the time of domain i's earliest pending event (heap root or
+	// lane head), or timeMax when it has none: the window pass reads this
+	// dense array instead of every domain's queue, and touches a Domain only
+	// when it has an event in the window. Nil on a one-domain engine.
 	next []Time
 
 	globals []globalEvent // sorted by (at, seq)
@@ -215,7 +215,8 @@ func (e *Engine) GlobalAfter(delay Time, fn func()) {
 	e.GlobalAt(e.Now()+delay, fn)
 }
 
-// head returns d's earliest pending event time, or timeMax if it has none.
+// head returns the time of d's earliest pending event, heap or lane, or
+// timeMax if it has none.
 func head(d *Domain) Time {
 	if at, ok := d.NextEventAt(); ok {
 		return at
@@ -223,8 +224,8 @@ func head(d *Domain) Time {
 	return timeMax
 }
 
-// minNext refills next from every domain's heap and returns its minimum, the
-// earliest pending event anywhere. Run scans the heaps only on entry and
+// minNext refills next from every domain's queue and returns its minimum, the
+// earliest pending event anywhere. Run scans the queues only on entry and
 // after globals, which may schedule domain events from outside the engine;
 // otherwise window and flushPosts keep next current.
 func (e *Engine) minNext() Time {
@@ -293,11 +294,11 @@ func (e *Engine) Run(until Time) {
 	e.syncClocks()
 }
 
-// window runs, in domain order, every domain whose head is at or before
-// horizon up to and including it, and rewrites that domain's next entry. A
-// domain with nothing in the window costs one read of next; its clock is
-// left behind, which nothing can observe until syncClocks. A domain that
-// stops resumes to horizon. It returns the earliest event left pending
+// window runs, in domain order, every domain whose earliest pending event is
+// at or before horizon up to and including it, and rewrites that domain's
+// next entry. A domain with nothing in the window costs one read of next; its
+// clock is left behind, which nothing can observe until syncClocks. A domain
+// that stops resumes to horizon. It returns the earliest event left pending
 // (timeMax if none) and whether any domain stopped.
 func (e *Engine) window(horizon Time) (next Time, stopped bool) {
 	next = timeMax

@@ -358,6 +358,48 @@ func TestEngineGlobalSchedulesEarlierEvent(t *testing.T) {
 	}
 }
 
+// TestEngineRunsDomainWithOnlyLaneEvents: a domain whose heap is empty and
+// whose next event waits in a lane must still be run, and at the right
+// horizon. Domain 1's only pending work is a lane chain (3, 6, 9 µs), each
+// link of which posts to domain 0 one lookahead later; domain 0 holds only a
+// far heap event. A window computed from heap roots alone would skip domain
+// 1 (or run it late) and the posts would land late or never.
+func TestEngineRunsDomainWithOnlyLaneEvents(t *testing.T) {
+	const us = Microsecond
+	eng := NewEngine(29, us, 2)
+	d0, d1 := eng.Domain(0), eng.Domain(1)
+	lane := d1.Lane(3 * us)
+	var order []string
+	left := 3
+	var hop EventFunc
+	hop = func(any, any) {
+		order = append(order, fmt.Sprintf("d1 lane @%v", d1.Now()))
+		d1.Post(0, d1.Now()+us, func(any, any) { order = append(order, fmt.Sprintf("d0 post @%v", d0.Now())) }, nil, nil)
+		if left--; left > 0 {
+			lane.Call(hop, nil, nil)
+		}
+	}
+	lane.Call(hop, nil, nil)
+	d0.At(100*us, func() { order = append(order, fmt.Sprintf("d0 far @%v", d0.Now())) })
+	if at, ok := d1.NextEventAt(); !ok || at != 3*us {
+		t.Fatalf("d1.NextEventAt() = %v, %v, want 3µs, true", at, ok)
+	}
+	if got := eng.Pending(); got != 2 {
+		t.Fatalf("Pending() = %d, want 2 (one lane event, one heap event)", got)
+	}
+	eng.Run(Millisecond)
+	want := []string{
+		"d1 lane @3µs", "d0 post @4µs", "d1 lane @6µs", "d0 post @7µs",
+		"d1 lane @9µs", "d0 post @10µs", "d0 far @100µs",
+	}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("order = %q, want %q", order, want)
+	}
+	if got := eng.Pending(); got != 0 {
+		t.Fatalf("Pending() = %d after the run, want 0", got)
+	}
+}
+
 // TestEnginePostIntoLongIdleDomain: a message into a domain that has had
 // nothing to do for many windows fires at its own timestamp.
 func TestEnginePostIntoLongIdleDomain(t *testing.T) {

@@ -22,6 +22,7 @@ type refEvent struct {
 	seq     uint64
 	payload int
 	index   int // heap position; -1 once fired or cancelled
+	lane    int // 1 + the index of the lane it was scheduled on; 0 for a heap event
 }
 
 type refHeap []*refEvent
@@ -225,16 +226,36 @@ func wideTime(rng *rand.Rand, shared []Time, now Time) Time {
 	return at
 }
 
+// wideLanes are the lane delays the wide-key differential schedules on: a
+// zero delay, whose events tie with heap events at now, one nanosecond, and a
+// delay far beyond any heap offset near now.
+var wideLanes = [...]Time{0, 1, 1 << 40}
+
 // wideKeyDivergence schedules, cancels and reschedules events at wideTime
 // keys on a Simulator and on a container/heap reference ordered by less,
-// firing both in slices as it goes, and describes the first difference in
-// fire order or Cancel result ("" when they agree throughout).
-func wideKeyDivergence(seed int64, less func(a, b *refEvent) bool) string {
+// interleaved with Lane.Call on one lane per wideLanes delay and with heap
+// events placed on a lane's next key, firing both in slices as it goes, and
+// describes the first difference in fire order, Cancel result or Pending
+// ("" when they agree throughout).
+//
+// The reference keeps no lanes: a lane event enters its heap with the key
+// AfterCall would have given it. With lateLaneSeq it instead plants the fault
+// of a per-lane ring that feeds only its head to the heap and draws the next
+// event's seq when the head fires, not when the event was scheduled.
+func wideKeyDivergence(seed int64, less func(a, b *refEvent) bool, lateLaneSeq bool) string {
 	rng := rand.New(rand.NewSource(seed))
 	s := New(seed)
 	ref := &orderedRefHeap{less: less}
 	var nextID uint64
 	shared := []Time{0, 1, 1<<62 - 1, 1 << 62, 1<<62 + 1, 3 << 61, math.MaxInt64 - 1, math.MaxInt64}
+	var lanes [len(wideLanes)]*Lane
+	for i, d := range wideLanes {
+		lanes[i] = s.Lane(d)
+	}
+	// waiting[i] holds lane i's events that the faulty reference has not yet
+	// given a seq; the head of a non-empty waiting list is in the heap.
+	var waiting [len(wideLanes)][]*refEvent
+	var inLane [len(wideLanes)]int // per lane: events in the reference heap or waiting
 
 	type pair struct {
 		id      EventID
@@ -244,12 +265,43 @@ func wideKeyDivergence(seed int64, less func(a, b *refEvent) bool) string {
 	var all []*pair
 	var fired []int
 	note := func(a, _ any) { fired = append(fired, a.(*pair).payload) }
-	schedule := func(p *pair) {
-		at := wideTime(rng, shared, s.Now())
-		p.id = s.AtCall(at, note, p, nil)
-		p.ref = &refEvent{at: at, seq: nextID, payload: p.payload}
+	pushRef := func(ev *refEvent) {
+		ev.seq = nextID
 		nextID++
-		heap.Push(ref, p.ref)
+		heap.Push(ref, ev)
+	}
+	scheduleAt := func(p *pair, at Time) {
+		p.id = s.AtCall(at, note, p, nil)
+		p.ref = &refEvent{at: at, payload: p.payload}
+		pushRef(p.ref)
+	}
+	laneCall := func(p *pair, i int) {
+		lanes[i].Call(note, p, nil)
+		p.ref = &refEvent{at: s.Now() + wideLanes[i], payload: p.payload, lane: i + 1}
+		if lateLaneSeq && inLane[i] > 0 {
+			waiting[i] = append(waiting[i], p.ref)
+		} else {
+			pushRef(p.ref)
+		}
+		inLane[i]++
+	}
+	popRef := func() int {
+		ev := heap.Pop(ref).(*refEvent)
+		if i := ev.lane - 1; i >= 0 {
+			inLane[i]--
+			if len(waiting[i]) > 0 {
+				pushRef(waiting[i][0])
+				waiting[i] = waiting[i][1:]
+			}
+		}
+		return ev.payload
+	}
+	refPending := func() int {
+		n := ref.Len()
+		for _, w := range waiting {
+			n += len(w)
+		}
+		return n
 	}
 	cancel := func(p *pair) (bool, bool) {
 		want := p.ref.index >= 0
@@ -259,52 +311,76 @@ func wideKeyDivergence(seed int64, less func(a, b *refEvent) bool) string {
 		}
 		return s.Cancel(p.id), want
 	}
+	// laneFits reports whether lane i's next key stays within Time.
+	laneFits := func(i int) bool { return s.Now() <= math.MaxInt64-wideLanes[i] }
 
 	for round := 0; round < 6; round++ {
 		for op := 0; op < 2000; op++ {
-			switch r := rng.Intn(10); {
-			case r < 6 || len(all) == 0:
+			switch r := rng.Intn(12); {
+			case r < 5 || len(all) == 0:
 				p := &pair{payload: len(all)}
 				all = append(all, p)
-				schedule(p)
-			case r < 8: // cancel a random entry, live or stale
+				scheduleAt(p, wideTime(rng, shared, s.Now()))
+			case r < 7: // a lane event
+				if i := rng.Intn(len(lanes)); laneFits(i) {
+					p := &pair{payload: len(all)}
+					all = append(all, p)
+					laneCall(p, i)
+				}
+			case r == 7: // a heap event on a lane's next key: an at tie
+				if i := rng.Intn(len(lanes)); laneFits(i) {
+					p := &pair{payload: len(all)}
+					all = append(all, p)
+					scheduleAt(p, s.Now()+wideLanes[i])
+				}
+			case r < 10: // cancel a random heap entry, live or stale
 				p := all[rng.Intn(len(all))]
+				if p.ref.lane != 0 {
+					continue // lane events cannot be cancelled
+				}
 				if got, want := cancel(p); got != want {
 					return fmt.Sprintf("seed %d round %d: Cancel(payload %d) = %v, reference %v",
 						seed, round, p.payload, got, want)
 				}
-			default: // reschedule a live entry
+			default: // reschedule a live heap entry
 				if ref.Len() == 0 {
 					continue
 				}
-				// payload indexes all, and the reference heap holds exactly
-				// the live entries.
+				// payload indexes all, and the reference heap holds only
+				// live entries.
 				p := all[ref.refHeap[rng.Intn(ref.Len())].payload]
+				if p.ref.lane != 0 {
+					continue
+				}
 				if got, want := cancel(p); !got || !want {
 					return fmt.Sprintf("seed %d round %d: reschedule-cancel(payload %d) = %v, reference %v",
 						seed, round, p.payload, got, want)
 				}
-				schedule(p)
+				scheduleAt(p, wideTime(rng, shared, s.Now()))
 			}
+		}
+		if s.Pending() != refPending() {
+			return fmt.Sprintf("seed %d round %d: %d pending vs reference %d",
+				seed, round, s.Pending(), refPending())
 		}
 		// Fire a slice of the pending events (all of them in the last
 		// round), so later rounds schedule on a clock that has moved.
-		n := ref.Len() / 2
+		n := refPending() / 2
 		if round == 5 {
-			n = ref.Len()
+			n = refPending()
 		}
 		fired = fired[:0]
 		s.RunForEvents(uint64(n))
 		for i := 0; i < n; i++ {
-			want := heap.Pop(ref).(*refEvent).payload
+			want := popRef()
 			if i >= len(fired) || fired[i] != want {
 				return fmt.Sprintf("seed %d round %d: fire order diverges at %d of %d (reference payload %d)",
 					seed, round, i, n, want)
 			}
 		}
-		if len(fired) != n || s.Pending() != ref.Len() {
+		if len(fired) != n || s.Pending() != refPending() {
 			return fmt.Sprintf("seed %d round %d: fired %d of %d, %d pending vs reference %d",
-				seed, round, len(fired), n, s.Pending(), ref.Len())
+				seed, round, len(fired), n, s.Pending(), refPending())
 		}
 	}
 	return ""
@@ -313,19 +389,20 @@ func wideKeyDivergence(seed int64, less func(a, b *refEvent) bool) string {
 // TestDifferentialSchedulerWideKeys is TestDifferentialSchedulerVsContainerHeap
 // over keys that span the whole non-negative Time range — near 0, near
 // 1<<62 and above it — with large groups of equal times that only seq can
-// order. Small timestamps alone would not notice a comparison that
-// mishandles the high bits of at.
+// order, and with lane events mixed in. Small timestamps alone would not
+// notice a comparison that mishandles the high bits of at.
 func TestDifferentialSchedulerWideKeys(t *testing.T) {
 	for _, seed := range []int64{1, 7, 42, 1337} {
-		if d := wideKeyDivergence(seed, refKeyLess); d != "" {
+		if d := wideKeyDivergence(seed, refKeyLess, false); d != "" {
 			t.Fatal(d)
 		}
 	}
 }
 
 // TestDifferentialSchedulerWideKeysCatchesFaults plants comparators that
-// drop one word of the (at, seq) key, or the top bit of at's range, into the
-// reference: the wide-key differential must report a divergence for each.
+// drop one word of the (at, seq) key, drop the top bit of at's range, or let
+// lane events win an at tie, and a reference that draws a lane event's seq
+// late: the wide-key differential must report a divergence for each.
 func TestDifferentialSchedulerWideKeysCatchesFaults(t *testing.T) {
 	faults := map[string]func(a, b *refEvent) bool{
 		"drops at":  func(a, b *refEvent) bool { return a.seq < b.seq },
@@ -337,11 +414,23 @@ func TestDifferentialSchedulerWideKeysCatchesFaults(t *testing.T) {
 			}
 			return a.seq < b.seq
 		},
+		"lane first on an at tie": func(a, b *refEvent) bool {
+			if a.at != b.at {
+				return a.at < b.at
+			}
+			if (a.lane != 0) != (b.lane != 0) {
+				return a.lane != 0
+			}
+			return a.seq < b.seq
+		},
 	}
 	for name, less := range faults {
-		if wideKeyDivergence(1, less) == "" {
+		if wideKeyDivergence(1, less, false) == "" {
 			t.Errorf("planted fault %q not detected; the wide-key harness is vacuous", name)
 		}
+	}
+	if wideKeyDivergence(1, refKeyLess, true) == "" {
+		t.Error("planted fault \"lane seq drawn at its predecessor's fire\" not detected; the wide-key harness is vacuous")
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"unsafe"
 )
 
 // chainState drives a self-rescheduling event chain through the static
@@ -134,6 +135,53 @@ func BenchmarkHeapSteady64(b *testing.B) {
 	s.RunForEvents(uint64(b.N))
 	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+}
+
+// laneSteady is BenchmarkHotPathLaneSteady's lane: each of its events
+// reschedules itself on the lane, so the lane always holds as many events as
+// were started on it.
+type laneSteady struct {
+	lane *Lane
+}
+
+func laneStep(a, _ any) {
+	ls := a.(*laneSteady)
+	ls.lane.Call(laneStep, ls, nil)
+}
+
+// BenchmarkHotPathLaneSteady is BenchmarkHeapSteady64 with a lane beside the
+// heap, the shape of a web-search run's queue: 64 heap events reschedule at
+// pseudo-random offsets while 64 events, started at staggered times,
+// circulate through a 500 ns lane, so about half the fires come from each.
+// It reports ns/event and fails on any allocation.
+func BenchmarkHotPathLaneSteady(b *testing.B) {
+	s := New(1)
+	st := &steadyState{s: s}
+	ls := &laneSteady{lane: s.Lane(500 * Nanosecond)}
+	for i := 0; i < 64; i++ {
+		s.AtCall(steadyOffsets[i], steadyStep, st, nil)
+		s.AtCall(steadyOffsets[64+i], laneStep, ls, nil)
+	}
+	s.RunForEvents(10_000) // warm the slab, the heap and the lane's ring
+	if allocs := testing.AllocsPerRun(20, func() { s.RunForEvents(1000) }); allocs != 0 {
+		b.Fatalf("allocs per 1000 events = %v, want 0", allocs)
+	}
+	if s.Pending() != 128 || s.laned != 64 {
+		b.Fatalf("Pending() = %d with %d in the lane, want 128 and 64", s.Pending(), s.laned)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.RunForEvents(uint64(b.N))
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+}
+
+// TestEventIs64Bytes pins the slab entry at one cache line: a lane keeps its
+// events' keys in its own ring, so lanes add no field to event.
+func TestEventIs64Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(event{}); n != 64 {
+		t.Fatalf("unsafe.Sizeof(event{}) = %d, want 64", n)
+	}
 }
 
 // TestMillionOneShotEventsRecycle runs one million chained one-shot events

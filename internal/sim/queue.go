@@ -57,14 +57,19 @@ type EventID struct {
 // container/heap this replaced, so pop order — and therefore every golden
 // figure — is byte-identical by construction.
 //
-// siftDown picks the smallest of the four children without a branch. On
-// the two-leaf web-search runs the heap holds 64–122 pending events, most
-// of them link propagations with near-random times, so which child is
-// smallest is a coin toss the branch predictor loses: with an entLess
-// branch in the child scan, siftDown was 35 % of a run's CPU samples.
-// Folding the comparison's borrow into the index through a mask makes
-// BenchmarkHeapSteady64 (64 pending events) about 1.3× faster; EXPERIMENTS.md
-// "Performance" has the numbers.
+// The heap holds only the events that need one. Link propagations, three
+// quarters of a web-search run's pending events, wait in fixed-delay lanes
+// (lane.go) instead, so on a Clove-ECN web-search run the heap holds about
+// 21 events at a pop (serializer completions and timers) beside about 71 in
+// the link lane, where it held about 93 before lanes.
+//
+// siftDown picks the smallest of the four children without a branch. The
+// heap's events have near-random times, so which child is smallest is a
+// coin toss the branch predictor loses: with an entLess branch in the child
+// scan, siftDown was 35 % of a run's CPU samples (measured before lanes, at
+// 64–122 pending events). Folding the comparison's borrow into the index
+// through a mask makes BenchmarkHeapSteady64 (64 pending events) about 1.3×
+// faster; EXPERIMENTS.md "Performance" has the numbers.
 
 // heapEnt is one pending-queue entry: the event's sort key plus its slab
 // slot. 24 bytes, so a 4-child comparison spans at most two cache lines.

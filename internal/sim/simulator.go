@@ -18,13 +18,16 @@ import (
 //
 // Events live in one contiguous slab ([]event) and the pending queue is a
 // 4-ary implicit min-heap of slot indices (see queue.go) — no per-event
-// allocation, no pointer chasing on sift, no heap.Interface dispatch. Fired
-// and cancelled slots are recycled through a free list of indices, so the
-// per-packet event path of the network model runs allocation-free.
+// allocation, no pointer chasing on sift, no heap.Interface dispatch — plus
+// one FIFO lane per fixed delay (see lane.go) for events that need no heap.
+// Fired and cancelled slots are recycled through a free list of indices, so
+// the per-packet event path of the network model runs allocation-free.
 type Simulator struct {
 	now    Time
 	slab   []event   // all event structs, addressed by slot index
 	heap   []heapEnt // pending events: 4-ary min-heap keyed by (at, seq)
+	lanes  []*Lane   // fixed-delay FIFOs, in creation order
+	laned  int       // events pending in lanes
 	free   []int32   // recycled slot indices
 	nextID uint64
 	rng    *rand.Rand
@@ -55,16 +58,14 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 func (s *Simulator) Processed() uint64 { return s.processed }
 
 // Pending reports how many events are scheduled but not yet fired.
-func (s *Simulator) Pending() int { return len(s.heap) }
+func (s *Simulator) Pending() int { return len(s.heap) + s.laned }
 
-// NextEventAt returns the timestamp of the earliest pending event, or
-// ok=false when the queue is empty. The sharded engine uses it to compute
-// each window's horizon.
+// NextEventAt returns the timestamp of the earliest pending event, heap or
+// lane, or ok=false when nothing is pending. The sharded engine uses it to
+// compute each window's horizon.
 func (s *Simulator) NextEventAt() (Time, bool) {
-	if len(s.heap) == 0 {
-		return 0, false
-	}
-	return s.heap[0].at, true
+	_, at, ok := s.peek()
+	return at, ok
 }
 
 // FreeEvents reports the current size of the event free list (telemetry and
@@ -169,12 +170,18 @@ func (s *Simulator) Cancel(id EventID) bool {
 	return true
 }
 
-// fire pops the next event, advances the clock, and runs the callback. The
-// slot is recycled before the callback executes, so a callback that
+// fire pops the earliest pending event — lane's head, or the heap root when
+// lane is nil, as peek picked it — advances the clock, and runs the callback.
+// The slot is recycled before the callback executes, so a callback that
 // immediately reschedules reuses the slot it just vacated and the free list
 // stays at the size of the peak pending set.
-func (s *Simulator) fire() {
-	slot := s.heapPopRoot()
+func (s *Simulator) fire(lane *Lane) {
+	var slot int32
+	if lane != nil {
+		slot = lane.pop()
+	} else {
+		slot = s.heapPopRoot()
+	}
 	ev := &s.slab[slot]
 	s.now = ev.at
 	s.processed++
@@ -194,7 +201,7 @@ func (s *Simulator) SetEventHook(fn func()) { s.onEvent = fn }
 // The three run loops are written out directly rather than sharing a
 // continue-predicate closure: the predicate was an indirect call per fired
 // event, measurable on the hot path (the dispatch loop is otherwise just a
-// compare and a call to fire).
+// peek at the earliest event and a call to fire).
 
 // beginRun guards against reentrant dispatch; endRun is deferred by every
 // run loop so a panicking callback leaves the Simulator restartable.
@@ -212,8 +219,12 @@ func (s *Simulator) endRun() { s.running = false }
 func (s *Simulator) Run() {
 	s.beginRun()
 	defer s.endRun()
-	for len(s.heap) > 0 && !s.stopped {
-		s.fire()
+	for !s.stopped {
+		lane, _, ok := s.peek()
+		if !ok {
+			break
+		}
+		s.fire(lane)
 	}
 }
 
@@ -222,8 +233,12 @@ func (s *Simulator) Run() {
 func (s *Simulator) RunUntil(deadline Time) {
 	s.beginRun()
 	defer s.endRun()
-	for len(s.heap) > 0 && !s.stopped && s.heap[0].at <= deadline {
-		s.fire()
+	for !s.stopped {
+		lane, at, ok := s.peek()
+		if !ok || at > deadline {
+			break
+		}
+		s.fire(lane)
 	}
 	if !s.stopped && s.now < deadline {
 		s.now = deadline
@@ -234,8 +249,12 @@ func (s *Simulator) RunUntil(deadline Time) {
 func (s *Simulator) RunForEvents(n uint64) {
 	s.beginRun()
 	defer s.endRun()
-	for fired := uint64(0); len(s.heap) > 0 && !s.stopped && fired < n; fired++ {
-		s.fire()
+	for fired := uint64(0); !s.stopped && fired < n; fired++ {
+		lane, _, ok := s.peek()
+		if !ok {
+			break
+		}
+		s.fire(lane)
 	}
 }
 

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -81,6 +82,28 @@ func TestSchedulingInPastPanics(t *testing.T) {
 		s.At(5, func() {})
 	})
 	s.Run()
+}
+
+// TestLanePanics: a lane with a negative delay, and a lane event whose time
+// would overflow Time, are bugs and panic, as AfterCall does.
+func TestLanePanics(t *testing.T) {
+	mustPanic := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s did not panic", what)
+			}
+		}()
+		f()
+	}
+	s := New(1)
+	mustPanic("Lane(-1)", func() { s.Lane(-1) })
+	far := s.Lane(math.MaxInt64)
+	s.At(1, func() { mustPanic("Call past the largest Time", func() { far.Call(noopCall, nil, nil) }) })
+	s.Run()
+	if s.Pending() != 0 {
+		t.Fatalf("Pending() = %d after a refused lane event, want 0", s.Pending())
+	}
 }
 
 func TestAfterAndNestedScheduling(t *testing.T) {
