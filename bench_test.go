@@ -147,7 +147,7 @@ func BenchmarkAblationBeta(b *testing.B) {
 // paper's RTT/2 recommendation.
 func BenchmarkAblationRelayFreq(b *testing.B) {
 	b.ReportAllocs()
-	rtt := netem.BuildLeafSpine(sim.New(0), netem.ScaledTestbed(1.0, 4)).BaseRTT()
+	rtt := netem.ScaledTestbed(1.0, 4).BaseRTT()
 	for i := 0; i < b.N; i++ {
 		for _, mult := range []float64{0.25, 0.5, 2, 4} {
 			mult := mult
@@ -176,7 +176,7 @@ func BenchmarkAblationPathCount(b *testing.B) {
 // than Fig. 6.
 func BenchmarkAblationFlowletGap(b *testing.B) {
 	b.ReportAllocs()
-	rtt := netem.BuildLeafSpine(sim.New(0), netem.ScaledTestbed(1.0, 4)).BaseRTT()
+	rtt := netem.ScaledTestbed(1.0, 4).BaseRTT()
 	for i := 0; i < b.N; i++ {
 		for _, mult := range []float64{0.5, 1, 2, 4} {
 			mult := mult
@@ -241,8 +241,8 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 		c.RunWebSearch(cluster.WebSearchParams{
 			Load: 0.5, TotalJobs: 500, SizeScale: 0.1, MaxSimTime: 300 * sim.Second,
 		})
-		events += c.Eng.Processed()
-		b.ReportMetric(float64(c.Eng.Processed()), "events/run")
+		events += c.Sim.Processed()
+		b.ReportMetric(float64(c.Sim.Processed()), "events/run")
 	}
 	b.ReportMetric(float64(events)/b.Elapsed().Seconds(), "events/sec")
 }

@@ -49,7 +49,7 @@ func main() {
 	// A rough base-RTT estimate is fine for prober timing.
 	rtt := 100 * sim.Microsecond
 	if ls != nil {
-		rtt = ls.BaseRTT()
+		rtt = ls.Cfg.BaseRTT()
 	}
 	fmt.Printf("fabric: %d hosts, %d candidate ports, k=%d\n\n",
 		len(topo.Hosts()), *candidates, *k)

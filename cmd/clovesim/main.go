@@ -13,8 +13,8 @@
 //	clovesim -scenario ./my-spec.json
 //
 // A scenario spec fixes its own topology, workload and seeds, so -scenario
-// rejects -hosts, -jobs, -size-scale, -seeds and -load. Every run, sharded
-// (more than two leaves) or not, is one goroutine; -j is the only
+// rejects -hosts, -jobs, -size-scale, -seeds and -load. Every run, whatever
+// its leaf count, is one Simulator on one goroutine; -j is the only
 // parallelism.
 //
 // The requested figures are expanded into one plan of (scheme, load, seed)

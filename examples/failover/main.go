@@ -37,7 +37,7 @@ func main() {
 	// Chains of 2MB transfers with short idle gaps between them: each job
 	// starts a fresh flowlet, so the WRR table actually steers traffic.
 	// The chains start at t=2ms, after the first discovery round lands.
-	s := c.Eng.Domain(0) // a two-leaf cluster is one event domain
+	s := c.Sim
 	for i := 0; i < 4; i++ {
 		conn := c.OpenConn(packet.HostID(i), packet.HostID(4+i), 0)
 		var chain func()
@@ -78,7 +78,7 @@ func main() {
 	s.At(35*sim.Millisecond, func() { printWeights("t=35ms (+5ms after failure)") })
 	s.At(60*sim.Millisecond, func() { printWeights("t=60ms (post-rediscovery)") })
 
-	c.Eng.Run(100 * sim.Millisecond)
+	c.Sim.RunUntil(100 * sim.Millisecond)
 	printWeights("t=100ms (final)")
 
 	st := c.VSwitches[0].Stats()

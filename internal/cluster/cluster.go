@@ -125,7 +125,7 @@ type Config struct {
 	// .Frozen) — differential tests only.
 	FreezeWeights bool
 	// ServersPerClient caps each client's persistent-connection fan-out in
-	// RunMix's sharded mesh (0 = min(32, hosts on other leaves)); the
+	// RunMix's rotated mesh (0 = min(32, hosts on other leaves)); the
 	// two-leaf full mesh would be quadratic at 1024 hosts.
 	ServersPerClient int
 }
@@ -133,13 +133,13 @@ type Config struct {
 // Cluster is a fully wired deployment ready to run workloads.
 type Cluster struct {
 	Cfg Config
-	// Eng runs every cluster: one event domain on a two-leaf fabric, one per
-	// switch on a larger one (see New).
-	Eng *sim.Engine
-	// Sim is domain 0's Simulator.
-	//
-	// Deprecated: use Eng (Eng.Processed, Eng.Domain(0)) or ScheduleControl.
+	// Sim runs the whole cluster: every host, switch and workload schedules
+	// on it.
 	Sim *sim.Simulator
+	// Eng is Sim.
+	//
+	// Deprecated: use Sim.
+	Eng *sim.Simulator
 	LS  *netem.LeafSpine
 
 	VSwitches []*vswitch.VSwitch
@@ -149,14 +149,13 @@ type Cluster struct {
 	// Oracle is the installed correctness oracle, nil unless Config.Oracle.
 	Oracle *oracle.Oracle
 
-	// shards is the run's event domains in domain order. Everything past
-	// construction is written against it.
-	shards []shard
+	// trace is the run's tracer, nil unless Config.Telemetry.
+	trace *telemetry.Tracer
 
 	rtt      sim.Time
 	tcpCfg   tcp.Config
 	conns    map[connKey]*Conn
-	connList []*Conn // open order
+	connList []*Conn // open order: what the tracer's cwnd stream samples
 	nextPort uint16
 
 	// loadScale multiplies every mix-workload arrival rate; scenario
@@ -173,17 +172,8 @@ type connKey struct {
 // (for CONGA) the in-network fabric. Link failure, if configured, is applied
 // before routing converges, as in the paper's asymmetric experiments.
 //
-// Every cluster runs on a sim.Engine. A two-leaf fabric is one event domain,
-// which is exactly a Simulator seeded with Config.Seed. A fabric with more
-// than two leaves is sharded: one domain per leaf (the leaf switch, its
-// hosts, and everything stacked on them) and one per spine, run in
-// conservative windows bounded by the trunk delay (DESIGN.md §4d). Either
-// way a run is one goroutine drawing packets from the topology's one pool
-// (LS.Pool()). A sharded run is a different simulation than a one-domain run
-// of the same seed — the engine defines its own same-timestamp order and
-// per-domain RNG streams — so determinism holds per domain count, not across
-// counts. The count is not a knob: it is decided here, once, from the leaf
-// count; past construction everything works on c.shards.
+// Every cluster, whatever its leaf count, runs on one Simulator seeded with
+// Config.Seed, drawing packets from the topology's one pool (LS.Pool()).
 func New(cfg Config) *Cluster {
 	if cfg.Topo.Leaves == 0 {
 		cfg.Topo = netem.PaperTestbed(0.01)
@@ -198,29 +188,21 @@ func New(cfg Config) *Cluster {
 		nextPort:  10000,
 		loadScale: 1,
 	}
-	domains := 1
-	if cfg.Topo.Leaves > 2 {
-		domains = cfg.Topo.Leaves + cfg.Topo.Spines
-	}
-	c.Eng = sim.NewEngine(cfg.Seed, cfg.Topo.FabricDelay(), domains)
-	c.Sim = c.Eng.Domain(0).Simulator
-	c.LS = netem.BuildLeafSpineSharded(c.Eng, cfg.Topo)
-	c.shards = make([]shard, domains)
-	for i := range c.shards {
-		c.shards[i] = newShard(c.Eng.Domain(i).Simulator, cfg.Telemetry)
+	c.Sim = sim.New(cfg.Seed)
+	c.Eng = c.Sim
+	c.LS = netem.BuildLeafSpine(c.Sim, cfg.Topo)
+	if cfg.Telemetry != nil {
+		c.trace = telemetry.NewTracer(c.Sim, *cfg.Telemetry)
 	}
 	ls := c.LS
-	c.rtt = ls.BaseRTT()
+	c.rtt = cfg.Topo.BaseRTT()
 	// The oracle attaches before anything else happens (in particular before
 	// FailPaperLink) so its link-state tracking observes every transition:
-	// the observer on the topology's pool, one event hook on every shard's
-	// Simulator.
+	// the observer on the topology's pool, the event hook on the Simulator.
 	if cfg.Oracle {
 		c.Oracle = oracle.New()
 		ls.Pool().SetObserver(c.Oracle)
-		for i := range c.shards {
-			c.shards[i].sim.SetEventHook(c.Oracle.AfterEvent)
-		}
+		c.Sim.SetEventHook(c.Oracle.AfterEvent)
 		if connConsistent(cfg.Scheme) {
 			c.Oracle.RequireConnConsistency()
 		}
@@ -268,9 +250,9 @@ func New(cfg Config) *Cluster {
 	wtCfg.Beta = c.Cfg.Beta
 	wtCfg.Frozen = cfg.FreezeWeights
 
+	s := c.Sim
 	c.VSwitches = make([]*vswitch.VSwitch, 0, len(ls.Hosts()))
 	for _, h := range ls.Hosts() {
-		s := c.simFor(h.HostID())
 		var pol vswitch.PathPolicy
 		switch cfg.Scheme {
 		case SchemeECMP, SchemeMPTCP, SchemeCONGA, SchemeLetFlow:
@@ -336,6 +318,15 @@ func connConsistent(s Scheme) bool {
 // RTT returns the unloaded base round-trip time of the fabric.
 func (c *Cluster) RTT() sim.Time { return c.rtt }
 
+// ScheduleControl schedules a control-plane action (scenario link flaps,
+// load ramps) at absolute time at: after the events already scheduled there
+// and before those scheduled later.
+func (c *Cluster) ScheduleControl(at sim.Time, fn func()) { c.Sim.At(at, fn) }
+
+// ExportTraces writes the run's trace files under dir. No-op when telemetry
+// is disabled.
+func (c *Cluster) ExportTraces(dir string) error { return c.trace.Export(dir) }
+
 // SetLoadScale multiplies the arrival rate of every mix-workload client from
 // now on (scenario load-ramp events; 1 restores the configured load). It
 // only affects inter-arrival gaps drawn after the call.
@@ -355,9 +346,7 @@ func (c *Cluster) Quiesce() {
 	for _, pr := range c.Probers {
 		pr.Stop()
 	}
-	for i := range c.shards {
-		c.shards[i].trace.Stop()
-	}
+	c.trace.Stop()
 }
 
 // needsPaths reports whether the scheme consumes discovered path sets.
@@ -376,7 +365,7 @@ func (c *Cluster) CheckOracle() error {
 	if c.Oracle == nil {
 		return nil
 	}
-	return c.Oracle.Check(c.Eng.Pending())
+	return c.Oracle.Check(c.Sim.Pending())
 }
 
 // SetupPaths installs path sets for every (src, dst) pair that will carry
@@ -401,7 +390,7 @@ func (c *Cluster) SetupPaths(pairs [][2]packet.HostID) {
 		}
 		for _, src := range srcs {
 			dsts := bySrc[src]
-			pr := discovery.NewProber(c.simFor(src), c.VSwitches[src], dcfg)
+			pr := discovery.NewProber(c.Sim, c.VSwitches[src], dcfg)
 			if c.Cfg.Scheme == SchemePresto && c.Cfg.PrestoIdealWeights {
 				pr.OnPaths = func(dst packet.HostID, ports []uint16, paths []discovery.Path) {
 					c.installPrestoWeights(src, dst, ports, paths)

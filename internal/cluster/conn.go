@@ -44,15 +44,11 @@ func (c *Cluster) OpenConn(client, server packet.HostID, idx int) *Conn {
 		Proto: packet.ProtoTCP,
 	}
 	conn := &Conn{Flow: flow, c: c}
-	csh := &c.shards[c.shardOf(client)]
-	if tr := csh.trace; tr != nil {
-		if len(csh.conns) == 0 {
-			// The shard's first traced connection: from here on its metrics
-			// file carries the transport totals (a spine shard lists none).
-			tr.AddMetric("tcp.retransmits", func() int64 { return transportStats(csh.conns).Retransmits })
-			tr.AddMetric("tcp.timeouts", func() int64 { return transportStats(csh.conns).Timeouts })
-		}
-		csh.conns = append(csh.conns, conn)
+	if tr := c.trace; tr != nil && len(c.connList) == 0 {
+		// The first connection: from here on the metrics file carries the
+		// transport totals.
+		tr.AddMetric("tcp.retransmits", func() int64 { return c.TransportStats().Retransmits })
+		tr.AddMetric("tcp.timeouts", func() int64 { return c.TransportStats().Timeouts })
 	}
 	c.conns[key] = conn
 	c.connList = append(c.connList, conn)
@@ -65,33 +61,27 @@ func senderAck(a any, pkt *packet.Packet)    { a.(*tcp.Sender).HandleAck(pkt) }
 func receiverData(a any, pkt *packet.Packet) { a.(*tcp.Receiver).HandleData(pkt) }
 func mpSenderAck(a any, pkt *packet.Packet)  { a.(*tcp.MPSender).HandleAck(pkt) }
 
-// open builds the connection's transport, each endpoint on its host's
-// Simulator, and registers it at both vswitches. It runs in the sender's
-// (the client's) event domain, and the server-side registration writes
-// another domain's vswitch; that is safe because domains run one at a time
-// and no segment can reach the server before this first job sends one
-// (DESIGN.md §4d).
+// open builds the connection's transport and registers it at both
+// vswitches.
 func (conn *Conn) open() {
 	c := conn.c
 	client, server := conn.Flow.Src, conn.Flow.Dst
 	cvs, svs := c.VSwitches[client], c.VSwitches[server]
-	csh := &c.shards[c.shardOf(client)]
-	cs, ss := csh.sim, c.simFor(server)
 	if c.Cfg.Scheme == SchemeMPTCP {
-		mp := tcp.NewMPSender(cs, c.tcpCfg, conn.Flow, tcp.DefaultSubflows, cvs.FromVMFunc())
+		mp := tcp.NewMPSender(c.Sim, c.tcpCfg, conn.Flow, tcp.DefaultSubflows, cvs.FromVMFunc())
 		for _, sub := range mp.Subflows() {
 			sf := sub.Flow()
-			svs.RegisterCall(sf, receiverData, tcp.NewReceiver(ss, c.tcpCfg, sf, svs.FromVMFunc()))
+			svs.RegisterCall(sf, receiverData, tcp.NewReceiver(c.Sim, c.tcpCfg, sf, svs.FromVMFunc()))
 			cvs.RegisterCall(sf.Reverse(), mpSenderAck, mp)
 		}
 		conn.mp = mp
 	} else {
-		tp := tcp.NewPair(cs, ss, c.tcpCfg, conn.Flow, cvs.FromVMFunc(), svs.FromVMFunc())
+		tp := tcp.NewPair(c.Sim, c.tcpCfg, conn.Flow, cvs.FromVMFunc(), svs.FromVMFunc())
 		svs.RegisterCall(conn.Flow, receiverData, &tp.Rcv)
 		cvs.RegisterCall(conn.Flow.Reverse(), senderAck, &tp.Snd)
 		conn.tp = tp
 	}
-	if tr := csh.trace; tr != nil {
+	if tr := c.trace; tr != nil {
 		conn.eachSender(func(s *tcp.Sender) { s.SetTrace(tr) })
 	}
 }
@@ -135,8 +125,7 @@ func (conn *Conn) eachSender(fn func(*tcp.Sender)) {
 
 // StartJob sends size bytes on the connection; done fires with the job
 // completion time (measured from now, queueing included). The first job
-// opens the transport; it must run in the client's event domain, as every
-// job does.
+// opens the transport.
 func (conn *Conn) StartJob(size int64, done func(fct sim.Time)) {
 	if !conn.opened() {
 		if conn.aborted {

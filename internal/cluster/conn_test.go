@@ -68,9 +68,9 @@ func TestFirstJobOpensTransportOnce(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				conn.StartJob(200_000, func(sim.Time) { done++ })
 			}
-			c.Eng.Run(sim.Second)
+			c.Sim.RunUntil(sim.Second)
 			conn.StartJob(200_000, func(sim.Time) { done++ })
-			c.Eng.Run(2 * sim.Second)
+			c.Sim.RunUntil(2 * sim.Second)
 			if done != 4 {
 				t.Fatalf("%d of 4 jobs completed", done)
 			}
@@ -96,7 +96,7 @@ func TestAbortBeforeFirstJobDropsLaterJobs(t *testing.T) {
 			conn.Abort()
 			conn.StartJob(100_000, func(sim.Time) { t.Error("job on an aborted connection completed") })
 			c.Quiesce()
-			c.Eng.Run(drain)
+			c.Sim.RunUntil(drain)
 			if st := c.TransportStats(); st.SegmentsSent != 0 {
 				t.Fatalf("aborted connection sent %d segments", st.SegmentsSent)
 			}
@@ -108,7 +108,7 @@ func TestAbortBeforeFirstJobDropsLaterJobs(t *testing.T) {
 }
 
 // TestTracedCwndOfUnusedConnIsFresh: the cwnd stream samples every
-// connection whose client is on the shard, used or not, and a connection
+// connection, used or not, and a connection
 // that never carried a job reports exactly what a never-started sender
 // does, for each of its subflows.
 func TestTracedCwndOfUnusedConnIsFresh(t *testing.T) {
@@ -121,7 +121,7 @@ func TestTracedCwndOfUnusedConnIsFresh(t *testing.T) {
 			c.SetupPaths([][2]packet.HostID{{0, 4}, {4, 0}, {1, 5}, {5, 1}})
 			used, unused := c.OpenConn(0, 4, 0), c.OpenConn(1, 5, 0)
 			used.StartJob(500_000, nil)
-			c.Eng.Run(5 * sim.Millisecond)
+			c.Sim.RunUntil(5 * sim.Millisecond)
 
 			fresh := tcp.NewSender(c.Sim, tcp.DefaultConfig(), unused.Flow, nil)
 			want := map[packet.FiveTuple]bool{}
@@ -135,7 +135,7 @@ func TestTracedCwndOfUnusedConnIsFresh(t *testing.T) {
 				want[f] = true
 			}
 			seen, busy := map[packet.FiveTuple]int{}, false
-			for _, s := range c.shards[0].trace.Cwnds() {
+			for _, s := range c.trace.Cwnds() {
 				if s.Flow.Src == used.Flow.Src && s.Outstanding > 0 {
 					busy = true
 				}

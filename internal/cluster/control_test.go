@@ -17,7 +17,7 @@ func TestScheduleControlTieOrder(t *testing.T) {
 	const at = 3 * sim.Millisecond
 	t.Run("same-timestamp order", func(t *testing.T) {
 		c := New(Config{Seed: 1, Topo: smallTopo(), Scheme: SchemeECMP})
-		s := c.Eng.Domain(0)
+		s := c.Sim
 		var order []string
 		s.At(at, func() { order = append(order, "before") })
 		c.ScheduleControl(at, func() {
@@ -25,7 +25,7 @@ func TestScheduleControlTieOrder(t *testing.T) {
 			s.At(at, func() { order = append(order, "scheduled by control") })
 		})
 		s.At(at, func() { order = append(order, "after") })
-		c.Eng.Run(2 * at)
+		c.Sim.RunUntil(2 * at)
 		want := []string{"before", "control", "after", "scheduled by control"}
 		if !reflect.DeepEqual(order, want) {
 			t.Fatalf("order = %q, want %q", order, want)
@@ -35,7 +35,7 @@ func TestScheduleControlTieOrder(t *testing.T) {
 		const delay = 500 * sim.Microsecond
 		c := New(Config{Seed: 1, Topo: smallTopo(), Scheme: SchemeECMP})
 		c.LS.RouteRecomputeDelay = delay
-		s := c.Eng.Domain(0)
+		s := c.Sim
 		s2 := c.LS.Spines[1]
 		hops := map[string]int{}
 		probe := func(name string) func() {
@@ -48,7 +48,7 @@ func TestScheduleControlTieOrder(t *testing.T) {
 			probe("in the action")()
 			s.At(at+delay, probe("at, scheduled after the failure"))
 		})
-		c.Eng.Run(2 * at)
+		c.Sim.RunUntil(2 * at)
 		want := map[string]int{
 			"in the action":                   2,
 			"just before":                     2,

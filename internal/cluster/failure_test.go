@@ -29,7 +29,7 @@ func TestMidRunFailureWithRediscovery(t *testing.T) {
 	c.SetupPaths(pairs)
 
 	// Continuous chains of 1MB jobs with gaps, so flowlets keep forming.
-	s := c.Eng.Domain(0)
+	s := c.Sim
 	completed := 0
 	for i := 0; i < 4; i++ {
 		conn := c.OpenConn(packet.HostID(i), packet.HostID(4+i), 0)
@@ -44,7 +44,7 @@ func TestMidRunFailureWithRediscovery(t *testing.T) {
 	}
 
 	c.ScheduleControl(40*sim.Millisecond, c.LS.FailPaperLink)
-	c.Eng.Run(120 * sim.Millisecond)
+	c.Sim.RunUntil(120 * sim.Millisecond)
 
 	if completed < 20 {
 		t.Fatalf("only %d jobs completed through the failure", completed)
@@ -83,7 +83,7 @@ func TestFailureWithoutRediscoveryStillCompletes(t *testing.T) {
 		conn.StartJob(500_000, func(sim.Time) { done++ })
 	}
 	c.ScheduleControl(2*sim.Millisecond, c.LS.FailPaperLink)
-	c.Eng.Run(5 * sim.Second)
+	c.Sim.RunUntil(5 * sim.Second)
 	if done != 5 {
 		t.Errorf("completed %d/5 with stale paths after failure", done)
 	}
@@ -97,10 +97,10 @@ func TestLinkRevivalRestoresCapacity(t *testing.T) {
 	done := false
 	c.ScheduleControl(0, c.LS.FailPaperLink)
 	c.ScheduleControl(sim.Millisecond, func() { c.LS.SetLinkPairUp("L2", "S2", 0, true) })
-	c.Eng.Domain(0).At(2*sim.Millisecond, func() {
+	c.Sim.At(2*sim.Millisecond, func() {
 		conn.StartJob(2_000_000, func(sim.Time) { done = true })
 	})
-	c.Eng.Run(5 * sim.Second)
+	c.Sim.RunUntil(5 * sim.Second)
 	if !done {
 		t.Fatal("transfer did not complete after revival")
 	}

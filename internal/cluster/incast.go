@@ -33,8 +33,7 @@ type IncastResult struct {
 // RunIncast drives the incast workload: host 0 is the client; each request
 // picks Fanout servers uniformly from the far leaf; all send
 // ResponseBytes/Fanout concurrently; the next request issues when every
-// shard of the previous one completes. The request chain runs on the
-// client's shard; each response starts through startIncastShard.
+// shard of the previous one completes.
 func (c *Cluster) RunIncast(p IncastParams) IncastResult {
 	if p.Fanout <= 0 || p.Requests <= 0 || p.ResponseBytes <= 0 {
 		panic("cluster: incast parameters must be positive")
@@ -47,8 +46,7 @@ func (c *Cluster) RunIncast(p IncastParams) IncastResult {
 	}
 	nHosts := c.Cfg.Topo.HostsPerLeaf
 	client := packet.HostID(0)
-	sh := &c.shards[c.shardOf(client)]
-	s, rng := sh.sim, sh.sim.Rand()
+	s, rng := c.Sim, c.Sim.Rand()
 
 	// Pre-open a persistent connection from every candidate server to the
 	// client, and install paths for both directions.
@@ -78,8 +76,8 @@ func (c *Cluster) RunIncast(p IncastParams) IncastResult {
 		pending := p.Fanout
 		for _, si := range perm {
 			conn := serverConns[si]
-			c.startIncastShard(client, conn, shard, func(fct sim.Time) {
-				if tr := sh.trace; tr != nil {
+			conn.StartJob(shard, func(fct sim.Time) {
+				if tr := c.trace; tr != nil {
 					tr.FCT(s.Now(), conn.Flow.Src, conn.Flow.Dst, shard, fct)
 				}
 				res.Bytes += shard
@@ -92,11 +90,11 @@ func (c *Cluster) RunIncast(p IncastParams) IncastResult {
 		}
 	}
 	s.After(0, func() { issue(p.Requests) })
-	c.Eng.Run(p.MaxSimTime)
+	s.RunUntil(p.MaxSimTime)
 
 	if res.Completed < p.Requests {
 		res.TimedOut = true
-		res.Elapsed = c.Eng.Now()
+		res.Elapsed = s.Now()
 	}
 	if res.Elapsed > 0 {
 		res.GoodputBps = float64(res.Bytes) * 8 / res.Elapsed.Seconds()

@@ -5,7 +5,6 @@ import (
 
 	"clove/internal/packet"
 	"clove/internal/sim"
-	"clove/internal/stats"
 	"clove/internal/workload"
 )
 
@@ -68,13 +67,9 @@ const (
 // flows. Who the clients and servers are depends on the fabric: see
 // twoLeafMesh and rotatedMesh.
 //
-// Each client's arrival chain runs entirely on its own shard's Simulator and
-// RNG stream — on a two-leaf fabric that is the run's one stream, drawn
-// from in event order. Web, RPC, and ML jobs start on the client host; only
-// incast starts on other hosts (startIncastShard). FCT samples are recorded
-// per shard, then merged in shard order: the sample stream is a function of
-// the decomposition, not of how the engine interleaves domains inside a
-// window.
+// Every client's arrival chain draws from the run's one RNG stream, in event
+// order. Web, RPC, and ML jobs start on the client host; an incast request
+// starts one response on each chosen server's reverse connection.
 //
 // Scenario event scripts schedule their link flaps, switch failures, and
 // load ramps through ScheduleControl before calling RunMix; SetLoadScale
@@ -131,7 +126,7 @@ func (c *Cluster) RunMix(p MixParams) MixResult {
 	// Arrival rate per client, from the blend's mean job footprint.
 	meanJob := p.FracWebSearch*webDist.Mean() + p.FracRPC*rpcDist.Mean() +
 		p.FracML*float64(mlBytes) + p.FracIncast*float64(incastBytes)
-	rate := workload.ArrivalRateForLoad(p.Load, c.LS.BisectionBps(), nClients, meanJob)
+	rate := workload.ArrivalRateForLoad(p.Load, c.Cfg.Topo.BisectionBps(), nClients, meanJob)
 
 	jobsPerClient := p.TotalJobs / nClients
 	if jobsPerClient == 0 {
@@ -139,26 +134,15 @@ func (c *Cluster) RunMix(p MixParams) MixResult {
 	}
 	target := jobsPerClient * nClients
 
-	// One recorder per shard, merged in shard order after the run: that
-	// order is the run's sample stream.
 	var completed, issued int
-	recs := make([]*stats.FCTRecorder, len(c.shards))
-	for i := range recs {
-		recs[i] = &stats.FCTRecorder{}
-		recs[i].SetSizeScale(p.SizeScale)
-	}
+	s, tr, rec := c.Sim, c.trace, c.Recorder
+	rng := s.Rand()
 
-	// One arrival chain per client, entirely on the client's shard.
+	// One arrival chain per client.
 	for ci := 0; ci < nClients; ci++ {
 		ci := ci
-		client := packet.HostID(ci)
-		si := c.shardOf(client)
-		s, tr := c.shards[si].sim, c.shards[si].trace
-		rec := recs[si]
-		rng := s.Rand()
 
-		// Stop on target: the job that completes the run stops it (on a
-		// sharded fabric, at the end of that engine window).
+		// Stop on target: the job that completes the run stops it.
 		jobDone := func() {
 			completed++
 			if completed == target {
@@ -238,7 +222,7 @@ func (c *Cluster) RunMix(p MixParams) MixResult {
 				comp := &composite{pending: p.IncastFanout, total: shard * int64(p.IncastFanout), start: s.Now()}
 				for _, k := range perm {
 					conn := rev[ci][k]
-					c.startIncastShard(client, conn, shard, recordShard(conn, comp, shard))
+					conn.StartJob(shard, recordShard(conn, comp, shard))
 				}
 			}
 		}
@@ -258,12 +242,9 @@ func (c *Cluster) RunMix(p MixParams) MixResult {
 		s.After(p.Warmup+nextGap(), func() { issue(jobsPerClient) })
 	}
 
-	c.Eng.Run(p.MaxSimTime)
+	s.RunUntil(p.MaxSimTime)
 
 	res := MixResult{Completed: completed, Issued: issued}
-	for _, rec := range recs {
-		c.Recorder.Merge(rec)
-	}
 	if res.Completed < target {
 		res.TimedOut = true
 	}
@@ -345,53 +326,6 @@ func (c *Cluster) rotatedMesh(incast bool) (fwd, rev [][]*Conn) {
 	}
 	c.SetupPaths(pairs)
 	return fwd, rev
-}
-
-// startIncastShard starts one incast response of shard bytes on conn, whose
-// sender lives on the responding server, for a request issued by client;
-// finish must run back on the client's shard, where the request's state
-// lives. Within one domain both are direct calls. Across event domains the
-// request travels to the server's domain as a post (one engine lookahead of
-// modeled request latency) and the completion notification back the same
-// way.
-func (c *Cluster) startIncastShard(client packet.HostID, conn *Conn, shard int64, finish func(sim.Time)) {
-	d, sd := c.domFor(client), c.domFor(conn.Flow.Src)
-	if d == sd {
-		conn.StartJob(shard, finish)
-		return
-	}
-	req := &incastReq{c: c, conn: conn, shard: shard, clientDom: d.ID(), finish: finish}
-	d.Post(sd.ID(), d.Now()+c.Eng.Lookahead(), incastStart, req, nil)
-}
-
-// incastReq carries one incast shard across domains: incastStart fires in
-// the responding server's domain and starts the reverse-connection job;
-// when that job completes (still in the server's domain), the notification
-// posts back and finish — a client-domain closure — runs at the client with
-// the job's completion time.
-type incastReq struct {
-	c         *Cluster
-	conn      *Conn // reverse conn: sender on the responding server host
-	shard     int64
-	clientDom int
-	finish    func(sim.Time)
-	fct       sim.Time
-}
-
-// incastStart runs in the server's domain.
-func incastStart(a, _ any) {
-	req := a.(*incastReq)
-	sd := req.c.domFor(req.conn.Flow.Src) // the responding server
-	req.conn.StartJob(req.shard, func(fct sim.Time) {
-		req.fct = fct
-		sd.Post(req.clientDom, sd.Now()+req.c.Eng.Lookahead(), incastFinish, req, nil)
-	})
-}
-
-// incastFinish runs back in the client's domain.
-func incastFinish(a, _ any) {
-	req := a.(*incastReq)
-	req.finish(req.fct)
 }
 
 // AbortOpenConns tears down the transport of every open connection (see

@@ -29,18 +29,10 @@ func (c *Cluster) oracleInstall(w *oracleWalk, src, dst packet.HostID) {
 	}
 }
 
-// OraclePaths walks up to maxPorts candidate encap source ports through the
-// current routing state and returns their full paths, in ascending port
-// order. The result is the caller's: it shares nothing with later calls.
-func (c *Cluster) OraclePaths(src, dst packet.HostID, maxPorts int) []discovery.Path {
-	var w oracleWalk
-	return w.paths(c, src, dst, maxPorts)
-}
-
-// oracleWalk is OraclePaths' storage, reusable across pairs: one probe packet
-// serves every port, and every path is a full-slice-expression window
-// (len == cap) of one link buffer. SetupPaths keeps one for all its pairs, so
-// a pair costs no allocation here once the buffers have grown.
+// oracleWalk is oracleInstall's path storage, reusable across pairs: one
+// probe packet serves every port, and every path is a full-slice-expression
+// window (len == cap) of one link buffer. SetupPaths keeps one for all its
+// pairs, so a pair costs no allocation here once the buffers have grown.
 type oracleWalk struct {
 	probe packet.Packet
 	cands []discovery.Path

@@ -4,7 +4,7 @@ import "testing"
 
 // TestNewSchemesOracleClean runs the stateless (concury) and in-network
 // (charon) contrast schemes — and their hidden differential references —
-// under the full oracle in both execution modes. Concury additionally arms
+// under the full oracle on the two-leaf and the 4-leaf fabric. Concury additionally arms
 // the per-connection-consistency invariant (see connConsistent), so a clean
 // CheckOracle here proves no connection moved ports while its pick remained
 // installed.
@@ -15,20 +15,20 @@ func TestNewSchemesOracleClean(t *testing.T) {
 			c := New(Config{Seed: 7, Topo: smallTopo(), Scheme: scheme, Oracle: true})
 			res := c.RunWebSearch(smallWS(0.5))
 			if res.Completed == 0 || res.TimedOut {
-				t.Fatalf("legacy: bad run %+v", res)
+				t.Fatalf("2 leaves: bad run %+v", res)
 			}
 			if err := c.CheckOracle(); err != nil {
-				t.Errorf("legacy: oracle: %v", err)
+				t.Errorf("2 leaves: oracle: %v", err)
 			}
 
-			c2 := New(Config{Seed: 7, Topo: shardedTopo(), Scheme: scheme,
+			c2 := New(Config{Seed: 7, Topo: fourLeafTopo(), Scheme: scheme,
 				Oracle: true, ServersPerClient: 4})
-			res2 := c2.RunMix(shardedMix())
+			res2 := c2.RunMix(fourLeafMix())
 			if res2.Completed == 0 || res2.TimedOut {
-				t.Fatalf("sharded: bad run %+v", res2)
+				t.Fatalf("4 leaves: bad run %+v", res2)
 			}
 			if err := c2.CheckOracle(); err != nil {
-				t.Errorf("sharded: oracle: %v", err)
+				t.Errorf("4 leaves: oracle: %v", err)
 			}
 		})
 	}

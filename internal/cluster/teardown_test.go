@@ -38,12 +38,12 @@ func TestTotalPartitionTeardownLeavesNoLeak(t *testing.T) {
 		c.AbortOpenConns()
 		c.Quiesce()
 	})
-	c.Eng.Run(drain)
+	c.Sim.RunUntil(drain)
 
 	if done != 0 {
 		t.Errorf("%d jobs completed across a total partition", done)
 	}
-	if p := c.Eng.Pending(); p != 0 {
+	if p := c.Sim.Pending(); p != 0 {
 		t.Fatalf("event queue did not drain after teardown: %d pending", p)
 	}
 	if err := c.CheckOracle(); err != nil {
@@ -63,15 +63,15 @@ func TestSpineFailureMidTransferRecovers(t *testing.T) {
 	conn.StartJob(5_000_000, func(sim.Time) { done++ })
 	c.ScheduleControl(1*sim.Millisecond, func() { c.LS.SetSwitchUp("S1", false) })
 	c.ScheduleControl(30*sim.Millisecond, func() { c.LS.SetSwitchUp("S1", true) })
-	c.Eng.Run(500 * sim.Millisecond)
+	c.Sim.RunUntil(500 * sim.Millisecond)
 
 	if done != 1 {
 		t.Fatalf("transfer did not complete through single-spine failure (done=%d)", done)
 	}
 	c.AbortOpenConns()
 	c.Quiesce()
-	c.Eng.Run(drain)
-	if p := c.Eng.Pending(); p != 0 {
+	c.Sim.RunUntil(drain)
+	if p := c.Sim.Pending(); p != 0 {
 		t.Fatalf("event queue did not drain: %d pending", p)
 	}
 	if err := c.CheckOracle(); err != nil {
@@ -85,12 +85,12 @@ func TestAbortIsIdempotentAndFinal(t *testing.T) {
 	c := New(Config{Seed: 9, Topo: smallTopo(), Scheme: SchemeECMP, Oracle: true})
 	conn := c.OpenConn(0, 4, 0)
 	conn.StartJob(1_000_000, func(sim.Time) { t.Error("aborted job completed") })
-	c.Eng.Run(200 * sim.Microsecond) // let some segments into flight
+	c.Sim.RunUntil(200 * sim.Microsecond) // let some segments into flight
 	conn.Abort()
 	conn.Abort()
 	c.Quiesce()
-	c.Eng.Run(drain)
-	if p := c.Eng.Pending(); p != 0 {
+	c.Sim.RunUntil(drain)
+	if p := c.Sim.Pending(); p != 0 {
 		t.Fatalf("pending after double abort: %d", p)
 	}
 	if err := c.CheckOracle(); err != nil {

@@ -51,7 +51,7 @@ func TestTelemetryEmitsAllStreams(t *testing.T) {
 	if res.Completed == 0 || res.TimedOut {
 		t.Fatalf("run failed: %+v", res)
 	}
-	tr := c.shards[0].trace
+	tr := c.trace
 	if tr == nil {
 		t.Fatal("cluster did not build a tracer")
 	}

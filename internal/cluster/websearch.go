@@ -38,7 +38,7 @@ type WebSearchResult struct {
 
 // RunWebSearch drives the workload to completion and records every job's
 // FCT in c.Recorder. Clients are the hosts of leaf 1, servers of leaf 2.
-// Every arrival chain runs on leaf 1's shard and draws from its RNG.
+// Every arrival chain draws from the run's one RNG stream.
 func (c *Cluster) RunWebSearch(p WebSearchParams) WebSearchResult {
 	if p.ConnsPerClient == 0 {
 		p.ConnsPerClient = 1
@@ -58,8 +58,7 @@ func (c *Cluster) RunWebSearch(p WebSearchParams) WebSearchResult {
 	c.Recorder.SetSizeScale(p.SizeScale)
 
 	nHosts := c.Cfg.Topo.HostsPerLeaf
-	sh := &c.shards[c.shardOf(0)]
-	s, rng := sh.sim, sh.sim.Rand()
+	s, rng := c.Sim, c.Sim.Rand()
 
 	// Clients on leaf 1 pick random servers on leaf 2 (persistent).
 	type cw struct {
@@ -70,7 +69,7 @@ func (c *Cluster) RunWebSearch(p WebSearchParams) WebSearchResult {
 	var pairs [][2]packet.HostID
 	nConns := nHosts * p.ConnsPerClient
 	meanFlow := dist.Mean()
-	rate := workload.ArrivalRateForLoad(p.Load, c.LS.BisectionBps(), nConns, meanFlow)
+	rate := workload.ArrivalRateForLoad(p.Load, c.Cfg.Topo.BisectionBps(), nConns, meanFlow)
 
 	// Clients pair with servers by random permutation, one permutation per
 	// connection round: every server terminates exactly ConnsPerClient
@@ -106,7 +105,7 @@ func (c *Cluster) RunWebSearch(p WebSearchParams) WebSearchResult {
 	record := func(conn *Conn, size int64) func(sim.Time) {
 		return func(fct sim.Time) {
 			c.Recorder.Add(size, fct)
-			if tr := sh.trace; tr != nil {
+			if tr := c.trace; tr != nil {
 				tr.FCT(s.Now(), conn.Flow.Src, conn.Flow.Dst, size, fct)
 			}
 			res.Completed++
@@ -134,7 +133,7 @@ func (c *Cluster) RunWebSearch(p WebSearchParams) WebSearchResult {
 		s.After(w.arrivals.Next(), func() { issue(jobsPerConn) })
 	}
 
-	c.Eng.Run(p.MaxSimTime)
+	s.RunUntil(p.MaxSimTime)
 	// Against target, not Issued: a run cut off between arrivals has
 	// completed everything it issued and still fell short.
 	if res.Completed < target {

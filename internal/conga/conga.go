@@ -133,8 +133,7 @@ type Fabric struct {
 }
 
 // Attach installs CONGA on every switch of the leaf-spine fabric. A switch's
-// tables are touched only at that switch, on its own clock, and feedback
-// rides in packets, so CONGA runs on a fabric sharded into event domains.
+// tables are touched only at that switch, and feedback rides in packets.
 func Attach(ls *netem.LeafSpine, cfg Config) *Fabric {
 	f := &Fabric{}
 	hostIDs := map[packet.NodeID]bool{}
@@ -293,8 +292,7 @@ func (s *spineLB) Pick(sw *netem.Switch, pkt *packet.Packet, candidates []*netem
 type letFlowLB struct{ pins pins }
 
 // AttachLetFlow installs LetFlow on every switch in the fabric: one instance
-// per switch, drawing from the switch's own Simulator (clock and RNG), so
-// its state stays confined to the switch's event domain.
+// per switch, drawing from the switch's Simulator (clock and RNG).
 func AttachLetFlow(ls *netem.LeafSpine, gap sim.Time) {
 	for _, sw := range ls.Switches() {
 		sw.SetLB(&letFlowLB{pins: newPins(gap)})

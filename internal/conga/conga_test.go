@@ -22,9 +22,9 @@ type congaRig struct {
 func newCongaRig(seed int64) *congaRig {
 	s := sim.New(seed)
 	ls := netem.BuildLeafSpine(s, netem.PaperTestbed(0.01))
-	f := Attach(ls, Config{FlowletGap: ls.BaseRTT() / 2})
+	f := Attach(ls, Config{FlowletGap: ls.Cfg.BaseRTT() / 2})
 	r := &congaRig{s: s, ls: ls, f: f}
-	cfg := vswitch.DefaultConfig(ls.BaseRTT())
+	cfg := vswitch.DefaultConfig(ls.Cfg.BaseRTT())
 	cfg.MaskECN = false
 	for _, h := range ls.Hosts() {
 		r.vsw = append(r.vsw, vswitch.New(s, h, cfg, vswitch.NewECMP()))
@@ -153,7 +153,7 @@ func TestCongaSameLeafTrafficUntouched(t *testing.T) {
 func BenchmarkHotPathCongaPinnedHop(b *testing.B) {
 	r := newCongaRig(6)
 	leaf, l := r.ls.Leaves[0], r.f.leaves[0]
-	spine := &spineLB{pins: newPins(r.ls.BaseRTT() / 2)} // as Attach installs it
+	spine := &spineLB{pins: newPins(r.ls.Cfg.BaseRTT() / 2)} // as Attach installs it
 	pkt := &packet.Packet{Kind: packet.KindData, PayloadLen: 1000,
 		Inner: packet.FiveTuple{Src: 0, Dst: 16, SrcPort: 1, DstPort: 2, Proto: packet.ProtoTCP},
 		Encap: &packet.Encap{SrcHyp: 0, DstHyp: 16, SrcPort: 50000, DstPort: 7471}}

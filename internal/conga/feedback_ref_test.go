@@ -78,7 +78,7 @@ func TestCongaFeedbackRotationMatchesReference(t *testing.T) {
 			cfg.Leaves, cfg.Spines, cfg.TrunksPerPair = fc.leaves, fc.spines, fc.trunks
 			cfg.HostsPerLeaf = hostsPerLeaf
 			ls := netem.BuildLeafSpine(s, cfg)
-			f := Attach(ls, Config{FlowletGap: ls.BaseRTT() / 2})
+			f := Attach(ls, Config{FlowletGap: ls.Cfg.BaseRTT() / 2})
 			rng := rand.New(rand.NewSource(seed))
 
 			ref := map[packet.NodeID]*refFeedback{}

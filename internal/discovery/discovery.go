@@ -215,8 +215,8 @@ func assemblePath(port uint16, hops map[int]packet.LinkID) (Path, bool) {
 // the fewest links with the selection so far, the lowest port winning ties.
 // Duplicate paths (identical link sets) are skipped while distinct
 // candidates remain. It sorts paths by port in place — unless they already
-// are, as OraclePaths emits them — and, for up to 64 candidates, allocates
-// only the result.
+// are, as the cluster's routing-table walk emits them — and, for up to 64
+// candidates, allocates only the result.
 func SelectDisjoint(paths []Path, k int) []Path {
 	if len(paths) == 0 || k <= 0 {
 		return nil

@@ -18,7 +18,7 @@ import (
 func testFabric(seed int64) (*sim.Simulator, *netem.LeafSpine, []*vswitch.VSwitch) {
 	s := sim.New(seed)
 	ls := netem.BuildLeafSpine(s, netem.PaperTestbed(0.01))
-	rtt := ls.BaseRTT()
+	rtt := ls.Cfg.BaseRTT()
 	var vsws []*vswitch.VSwitch
 	for _, h := range ls.Hosts() {
 		pol := vswitch.NewCloveECN(clove.DefaultWeightTableConfig(rtt))
@@ -29,7 +29,7 @@ func testFabric(seed int64) (*sim.Simulator, *netem.LeafSpine, []*vswitch.VSwitc
 
 func TestDiscoverFindsFourDisjointPaths(t *testing.T) {
 	s, ls, vsws := testFabric(1)
-	cfg := DefaultConfig(ls.BaseRTT())
+	cfg := DefaultConfig(ls.Cfg.BaseRTT())
 	p := NewProber(s, vsws[0], cfg)
 	var gotPorts []uint16
 	var gotPaths []Path
@@ -76,7 +76,7 @@ func TestDiscoverFindsFourDisjointPaths(t *testing.T) {
 
 func TestDiscoverAfterFailureFindsMergedPaths(t *testing.T) {
 	s, ls, vsws := testFabric(2)
-	cfg := DefaultConfig(ls.BaseRTT())
+	cfg := DefaultConfig(ls.Cfg.BaseRTT())
 	p := NewProber(s, vsws[0], cfg)
 	var lastPaths []Path
 	p.OnPaths = func(_ packet.HostID, _ []uint16, paths []Path) { lastPaths = paths }
@@ -104,7 +104,7 @@ func TestDiscoverAfterFailureFindsMergedPaths(t *testing.T) {
 
 func TestPeriodicRediscoveryAdaptsToTopologyChange(t *testing.T) {
 	s, ls, vsws := testFabric(3)
-	cfg := DefaultConfig(ls.BaseRTT())
+	cfg := DefaultConfig(ls.Cfg.BaseRTT())
 	cfg.Interval = 50 * sim.Millisecond
 	p := NewProber(s, vsws[0], cfg)
 	updates := 0
@@ -261,8 +261,8 @@ func hasNonDuplicateRef(remaining, selected []Path) bool {
 
 // randomCandidates draws n candidates with unique ports, each 1–6 links from
 // an alphabet of 8, so shared links, full overlaps and exact duplicates are
-// all common. Half the sets come sorted by port, as OraclePaths emits them;
-// the rest are shuffled.
+// all common. Half the sets come sorted by port, as the cluster's
+// routing-table walk emits them; the rest are shuffled.
 func randomCandidates(rng *rand.Rand, n int) []Path {
 	paths := make([]Path, n)
 	for i, bucket := range rng.Perm(256)[:n] {
@@ -296,10 +296,10 @@ func TestSelectDisjointMatchesReference(t *testing.T) {
 	}
 }
 
-// fatTreeCandidates is what OraclePaths hands SelectDisjoint for one pair on
-// a k=16 fat-tree: 64 port-sorted candidates of five switch egress links
-// out of a fabric of ≈12k, the first and last hop fixed, each middle hop one
-// of eight links.
+// fatTreeCandidates is what the cluster's routing-table walk hands
+// SelectDisjoint for one pair on a k=16 fat-tree: 64 port-sorted candidates
+// of five switch egress links out of a fabric of ≈12k, the first and last
+// hop fixed, each middle hop one of eight links.
 func fatTreeCandidates() []Path {
 	rng := rand.New(rand.NewSource(1))
 	var hops [5][8]packet.LinkID

@@ -5,7 +5,6 @@ import (
 	"strings"
 
 	"clove/internal/cluster"
-	"clove/internal/netem"
 	"clove/internal/scenario"
 	"clove/internal/sim"
 )
@@ -65,7 +64,7 @@ var simSchemes = []cluster.Scheme{
 // RTT; the cluster default is 1x.
 func flowletGapRTTs(mult float64) func(*cluster.Config) {
 	return func(cfg *cluster.Config) {
-		rtt := netem.BuildLeafSpine(sim.New(0), cfg.Topo).BaseRTT()
+		rtt := cfg.Topo.BaseRTT()
 		cfg.FlowletGap = sim.Time(float64(rtt) * mult)
 	}
 }

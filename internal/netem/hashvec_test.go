@@ -34,17 +34,17 @@ func TestHashTupleVectors(t *testing.T) {
 	}
 }
 
-// TestHashTupleMatchesByteLoop cross-checks the unrolled fnvMix against a
+// TestHashTupleMatchesByteLoop cross-checks the unrolled packet.FNVMix against a
 // straightforward byte-loop reimplementation of the original closure over
 // randomized-ish structured inputs, so the table above is not the only line
 // of defense.
 func TestHashTupleMatchesByteLoop(t *testing.T) {
 	ref := func(seed uint64, t5 packet.FiveTuple) uint64 {
-		h := uint64(fnvOffset) ^ seed
+		h := uint64(packet.FNVOffset) ^ seed
 		mix := func(v uint64) {
 			for i := 0; i < 8; i++ {
 				h ^= (v >> (8 * i)) & 0xff
-				h *= fnvPrime
+				h *= packet.FNVPrime
 			}
 		}
 		mix(uint64(uint32(t5.Src)))

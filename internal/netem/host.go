@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"clove/internal/packet"
-	"clove/internal/sim"
 )
 
 // Host is a physical server's NIC attachment: one uplink to its leaf switch
@@ -16,7 +15,6 @@ type Host struct {
 	name   string
 	uplink *Link // host -> leaf
 	pool   *packet.Pool
-	dom    *sim.Domain // owning event domain; nil on single-sim topologies
 
 	// Deliver is invoked for every packet arriving at the NIC. The vswitch
 	// installs itself here. Packets arriving before installation are counted
@@ -42,11 +40,6 @@ func (h *Host) Uplink() *Link { return h.uplink }
 // Pool returns the packet free list everything on this host draws from: the
 // topology's one pool (Topology.Pool).
 func (h *Host) Pool() *packet.Pool { return h.pool }
-
-// Domain returns the event domain owning this host, or nil on a single-sim
-// topology. Everything stacked on the host (vswitch, TCP endpoints) must
-// schedule on its Simulator.
-func (h *Host) Domain() *sim.Domain { return h.dom }
 
 // RxPackets reports packets delivered to this host.
 func (h *Host) RxPackets() int64 { return h.rxPackets }

@@ -66,13 +66,6 @@ type Link struct {
 	dre     *DRE
 	pool    *packet.Pool
 	stats   LinkStats
-
-	// Cross-domain channel state (sharded topologies; see domains.go).
-	// srcDom is non-nil iff the endpoints live in different event domains:
-	// the propagation stage then crosses via Domain.Post and runs in the
-	// receiving domain.
-	srcDom   *sim.Domain
-	dstDomID int
 }
 
 // LinkConfig parameterizes a link.
@@ -246,7 +239,8 @@ func (l *Link) grow() {
 // what makes a forwarded hop schedule zero allocations.
 func linkTxDone(a, _ any) { a.(*Link).txDone() }
 
-// linkPropagate runs in the RECEIVING node's domain on a cross-domain link.
+// linkPropagate delivers a packet at the far end once its propagation delay
+// has elapsed.
 func linkPropagate(a, b any) {
 	l := a.(*Link)
 	pkt := b.(*packet.Packet)
@@ -298,17 +292,13 @@ func (l *Link) transmitNext() {
 // propagation stage and start on the next queued packet. The propagation
 // event is scheduled before transmitNext so the event-sequence order is
 // identical to the nested-closure formulation this replaced. A wire is a
-// FIFO with one delay, so a same-domain propagation waits in the
-// simulator's lane for that delay rather than in the event heap.
+// FIFO with one delay, so a propagation waits in the simulator's
+// lane for that delay rather than in the event heap.
 func (l *Link) txDone() {
 	pkt := l.sending
 	l.sending = nil
 	if l.up {
-		if l.srcDom != nil {
-			l.srcDom.Post(l.dstDomID, l.sim.Now()+l.delay, linkPropagate, l, pkt)
-		} else {
-			l.lane.Call(linkPropagate, l, pkt)
-		}
+		l.lane.Call(linkPropagate, l, pkt)
 	} else {
 		l.stats.DownDrops++
 		if o := l.pool.Obs(); o != nil {

@@ -239,8 +239,8 @@ func TestLeafSpineConstruction(t *testing.T) {
 			t.Errorf("%s egress = %d, want 4", sp.Name(), got)
 		}
 	}
-	if ls.BisectionBps() != int64(4*400e6) {
-		t.Errorf("bisection = %d", ls.BisectionBps())
+	if ls.Cfg.BisectionBps() != int64(4*400e6) {
+		t.Errorf("bisection = %d", ls.Cfg.BisectionBps())
 	}
 }
 
@@ -470,7 +470,7 @@ func TestSetLinkPairUpPanicsOnUnknown(t *testing.T) {
 
 func TestBaseRTTPositive(t *testing.T) {
 	ls := paperScaleTopo(t)
-	if ls.BaseRTT() <= 0 {
+	if ls.Cfg.BaseRTT() <= 0 {
 		t.Error("BaseRTT not positive")
 	}
 }

@@ -63,8 +63,7 @@ func (s *Switch) ID() packet.NodeID { return s.id }
 // Name returns the builder-assigned name (e.g. "L1", "S2").
 func (s *Switch) Name() string { return s.name }
 
-// Sim returns the Simulator this switch schedules on (its owning domain's
-// on sharded topologies).
+// Sim returns the Simulator this switch schedules on.
 func (s *Switch) Sim() *sim.Simulator { return s.sim }
 
 // SetLB installs an in-network load balancer hook (CONGA).
@@ -75,8 +74,8 @@ func (s *Switch) SetLB(lb SwitchLB) { s.lb = lb }
 // the sending hypervisor requesting telemetry (the switch-assisted Charon
 // scheme). Once enabled here, the ordinary INT stamping records this and
 // every downstream hop's egress utilization. Stamping is a purely local
-// read of the chosen egress link's DRE, so it is safe in sharded
-// (domain-mode) topologies where CONGA's cross-switch tables are not.
+// read of the chosen egress link's DRE; unlike CONGA it keeps no per-switch
+// tables.
 func (s *Switch) SetLoadStamp(on bool) { s.stampLoad = on }
 
 // Stats returns a snapshot of switch counters.
@@ -103,40 +102,11 @@ func (s *Switch) nextHops(dst packet.HostID) []*Link {
 	return s.routes[dst]
 }
 
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-// fnvMix folds the 8 bytes of v into h, least-significant byte first — the
-// FNV-1a byte loop, unrolled. This must stay bit-identical to
-//
-//	for i := 0; i < 8; i++ { h ^= (v >> (8 * i)) & 0xff; h *= prime }
-//
-// (the closure body it replaced): every discovered path set and therefore
-// every golden figure depends on these exact hash values.
-// TestHashTupleVectors pins recorded outputs against drift.
-func fnvMix(h, v uint64) uint64 {
-	h = (h ^ (v & 0xff)) * fnvPrime
-	h = (h ^ (v >> 8 & 0xff)) * fnvPrime
-	h = (h ^ (v >> 16 & 0xff)) * fnvPrime
-	h = (h ^ (v >> 24 & 0xff)) * fnvPrime
-	h = (h ^ (v >> 32 & 0xff)) * fnvPrime
-	h = (h ^ (v >> 40 & 0xff)) * fnvPrime
-	h = (h ^ (v >> 48 & 0xff)) * fnvPrime
-	h = (h ^ (v >> 56)) * fnvPrime
-	return h
-}
-
 // hashTuple implements the ECMP hash: FNV-1a over the 5-tuple, salted.
 // The unrolled, closure-free body keeps the per-packet routing decision
 // free of the capture-and-loop overhead the original closure paid.
 func hashTuple(seed uint64, t packet.FiveTuple) uint64 {
-	h := fnvOffset ^ seed
-	h = fnvMix(h, uint64(uint32(t.Src)))
-	h = fnvMix(h, uint64(uint32(t.Dst)))
-	h = fnvMix(h, uint64(t.SrcPort)<<16|uint64(t.DstPort))
-	h = fnvMix(h, uint64(t.Proto))
+	h := t.FoldFNV(packet.FNVOffset ^ seed)
 	// Avalanche finalizer (Murmur3-style). Without it, the per-switch seed
 	// only offsets the FNV state, and the offset propagates almost
 	// additively — two switches' hashes then differ by a near-constant, so

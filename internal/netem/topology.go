@@ -29,12 +29,6 @@ type Topology struct {
 	// topology change: route tables update this long after SetLinkPairUp.
 	// Zero means instantaneous.
 	RouteRecomputeDelay sim.Time
-
-	// Sharded-construction state (see domains.go); all nil/empty when the
-	// topology lives on a single Simulator.
-	eng     *sim.Engine
-	curDom  *sim.Domain
-	nodeDom []*sim.Domain // owning domain per NodeID
 }
 
 // NewTopology creates an empty fabric bound to s, with a fresh packet pool.
@@ -84,13 +78,12 @@ func (t *Topology) AddSwitch(name string) *Switch {
 	sw := &Switch{
 		id:   t.nextNode,
 		name: name,
-		sim:  t.buildSim(),
+		sim:  t.Sim,
 		pool: t.pool,
 		seed: 0x9e3779b97f4a7c15 * uint64(t.nextNode+1),
 		topo: t,
 	}
 	t.nextNode++
-	t.recordNode()
 	t.switches = append(t.switches, sw)
 	return sw
 }
@@ -100,9 +93,8 @@ func (t *Topology) AddSwitch(name string) *Switch {
 // marking — a local stack backpressures rather than marks); downCfg shapes
 // the leaf's switch port toward the host.
 func (t *Topology) AddHost(name string, leaf *Switch, upCfg, downCfg LinkConfig) *Host {
-	h := &Host{id: t.nextNode, hostID: packet.HostID(len(t.hosts)), name: name, pool: t.pool, dom: t.curDom}
+	h := &Host{id: t.nextNode, hostID: packet.HostID(len(t.hosts)), name: name, pool: t.pool}
 	t.nextNode++
-	t.recordNode()
 	up := t.addLink(fmt.Sprintf("%s->%s#0", name, leaf.name), h.id, leaf, upCfg)
 	down := t.addLink(fmt.Sprintf("%s->%s#0", leaf.name, name), leaf.id, h, downCfg)
 	h.uplink = up
@@ -124,17 +116,7 @@ func (t *Topology) Connect(a, b *Switch, trunk int, cfg LinkConfig) {
 }
 
 func (t *Topology) addLink(name string, from packet.NodeID, to Node, cfg LinkConfig) *Link {
-	s := t.Sim
-	if t.eng != nil {
-		s = t.nodeDom[from].Simulator
-	}
-	l := newLink(s, t.pool, t.nextLink, name, from, to, cfg)
-	if t.eng != nil {
-		if src, dst := t.nodeDom[from], t.nodeDom[to.ID()]; src != dst {
-			l.srcDom = src
-			l.dstDomID = dst.ID()
-		}
-	}
+	l := newLink(t.Sim, t.pool, t.nextLink, name, from, to, cfg)
 	t.nextLink++
 	t.links = append(t.links, l)
 	t.byName[name] = l
@@ -187,6 +169,15 @@ func (t *Topology) SetLinkPairRate(a, b string, trunk int, rateBps int64) {
 	}
 	l1.SetRateBps(rateBps)
 	l2.SetRateBps(rateBps)
+}
+
+// scheduleRecompute reruns ComputeRoutes after the reconvergence delay.
+func (t *Topology) scheduleRecompute() {
+	if t.RouteRecomputeDelay <= 0 {
+		t.ComputeRoutes()
+		return
+	}
+	t.Sim.After(t.RouteRecomputeDelay, t.ComputeRoutes)
 }
 
 // ComputeRoutes rebuilds every switch's ECMP table: for each destination
@@ -319,10 +310,23 @@ func (cfg LeafSpineConfig) trunkDelay() sim.Time {
 	return cfg.LinkDelay
 }
 
-// FabricDelay returns the effective leaf<->spine propagation delay (the
-// TrunkDelay default resolved). It is the natural engine lookahead for a
-// sharded build: every cross-domain link has at least this delay.
-func (cfg LeafSpineConfig) FabricDelay() sim.Time { return cfg.trunkDelay() }
+// BaseRTT estimates the unloaded round-trip time between hosts on different
+// leaves: 4 hops each way plus negligible serialization.
+func (cfg LeafSpineConfig) BaseRTT() sim.Time {
+	// host->leaf->spine->leaf->host and back: 4 edge + 4 fabric propagation
+	// delays, plus 8 serializations of an MTU packet (dominated by host
+	// links).
+	prop := 4*cfg.LinkDelay + 4*cfg.trunkDelay()
+	ser := 4*sim.TransmissionTime(packet.MTU+packet.EncapHeaderLen, cfg.HostRateBps) +
+		4*sim.TransmissionTime(packet.MTU+packet.EncapHeaderLen, cfg.TrunkRateBps)
+	return prop + ser
+}
+
+// BisectionBps returns the full inter-leaf bisection bandwidth with all
+// links up (paper: 160 Gbps).
+func (cfg LeafSpineConfig) BisectionBps() int64 {
+	return int64(cfg.Spines*cfg.TrunksPerPair) * cfg.TrunkRateBps
+}
 
 // PaperTestbed returns the evaluation topology of Sec. 5 at the given rate
 // scale: scale=1.0 is the paper's 10G/40G testbed. Smaller scales keep the
@@ -364,29 +368,18 @@ type LeafSpine struct {
 	Spines []*Switch
 }
 
-// BuildLeafSpine constructs the topology on a single Simulator and computes
-// initial routes.
+// BuildLeafSpine constructs the topology on s and computes initial routes.
+// Node creation order fixes IDs, names and ECMP hash seeds: leaves, spines,
+// then each leaf's hosts.
 func BuildLeafSpine(s *sim.Simulator, cfg LeafSpineConfig) *LeafSpine {
-	return buildLeafSpine(NewTopology(s), cfg)
-}
-
-// buildLeafSpine is the one builder body behind BuildLeafSpine and
-// BuildLeafSpineSharded, so node creation order (and therefore IDs, names,
-// and ECMP hash seeds) cannot differ between them. Leaf i and its hosts
-// enter domain i, spine i enters domain Leaves+i; on a single-Simulator
-// topology enterDomain has nothing to direct.
-func buildLeafSpine(t *Topology, cfg LeafSpineConfig) *LeafSpine {
+	t := NewTopology(s)
 	ls := &LeafSpine{Topology: t, Cfg: cfg}
 	for i := 0; i < cfg.Leaves; i++ {
-		t.enterDomain(i)
 		ls.Leaves = append(ls.Leaves, t.AddSwitch(fmt.Sprintf("L%d", i+1)))
 	}
 	for i := 0; i < cfg.Spines; i++ {
-		t.enterDomain(cfg.Leaves + i)
 		ls.Spines = append(ls.Spines, t.AddSwitch(fmt.Sprintf("S%d", i+1)))
 	}
-	// Trunks: addLink derives each direction's owning domain from its source
-	// node, so no enterDomain is needed here.
 	trunkCfg := LinkConfig{RateBps: cfg.TrunkRateBps, Delay: cfg.trunkDelay(), QueueCap: cfg.QueueCap, ECNK: cfg.ECNK}
 	for _, lf := range ls.Leaves {
 		for _, sp := range ls.Spines {
@@ -398,7 +391,6 @@ func buildLeafSpine(t *Topology, cfg LeafSpineConfig) *LeafSpine {
 	upCfg := LinkConfig{RateBps: cfg.HostRateBps, Delay: cfg.LinkDelay, QueueCap: HostQdiscCap}
 	downCfg := LinkConfig{RateBps: cfg.HostRateBps, Delay: cfg.LinkDelay, QueueCap: cfg.QueueCap, ECNK: cfg.ECNK}
 	for li, lf := range ls.Leaves {
-		t.enterDomain(li)
 		for j := 0; j < cfg.HostsPerLeaf; j++ {
 			t.AddHost(fmt.Sprintf("h%d", li*cfg.HostsPerLeaf+j), lf, upCfg, downCfg)
 		}
@@ -411,22 +403,4 @@ func buildLeafSpine(t *Topology, cfg LeafSpineConfig) *LeafSpine {
 // in Sec. 5.2 and 6.2 (drops cross-leaf bandwidth by 25%).
 func (ls *LeafSpine) FailPaperLink() {
 	ls.SetLinkPairUp("L2", "S2", 0, false)
-}
-
-// BaseRTT estimates the unloaded round-trip time between hosts on different
-// leaves: 4 hops each way plus negligible serialization.
-func (ls *LeafSpine) BaseRTT() sim.Time {
-	// host->leaf->spine->leaf->host and back: 4 edge + 4 fabric propagation
-	// delays, plus 8 serializations of an MTU packet (dominated by host
-	// links).
-	prop := 4*ls.Cfg.LinkDelay + 4*ls.Cfg.trunkDelay()
-	ser := 4*sim.TransmissionTime(packet.MTU+packet.EncapHeaderLen, ls.Cfg.HostRateBps) +
-		4*sim.TransmissionTime(packet.MTU+packet.EncapHeaderLen, ls.Cfg.TrunkRateBps)
-	return prop + ser
-}
-
-// BisectionBps returns the full inter-leaf bisection bandwidth with all
-// links up (paper: 160 Gbps).
-func (ls *LeafSpine) BisectionBps() int64 {
-	return int64(ls.Cfg.Spines*ls.Cfg.TrunksPerPair) * ls.Cfg.TrunkRateBps
 }

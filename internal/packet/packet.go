@@ -59,6 +59,42 @@ type FiveTuple struct {
 	Proto            Proto
 }
 
+// 64-bit FNV-1a parameters.
+const (
+	FNVOffset = 14695981039346656037
+	FNVPrime  = 1099511628211
+)
+
+// FNVMix folds the 8 bytes of v into h, least-significant byte first — the
+// FNV-1a byte loop, unrolled. This must stay bit-identical to
+//
+//	for i := 0; i < 8; i++ { h ^= (v >> (8 * i)) & 0xff; h *= FNVPrime }
+//
+// every ECMP choice, every edge source port, and therefore every golden
+// figure depends on these exact hash values (netem's TestHashTupleVectors
+// and vswitch's TestPortHashPinnedVectors pin them).
+func FNVMix(h, v uint64) uint64 {
+	h = (h ^ (v & 0xff)) * FNVPrime
+	h = (h ^ (v >> 8 & 0xff)) * FNVPrime
+	h = (h ^ (v >> 16 & 0xff)) * FNVPrime
+	h = (h ^ (v >> 24 & 0xff)) * FNVPrime
+	h = (h ^ (v >> 32 & 0xff)) * FNVPrime
+	h = (h ^ (v >> 40 & 0xff)) * FNVPrime
+	h = (h ^ (v >> 48 & 0xff)) * FNVPrime
+	h = (h ^ (v >> 56)) * FNVPrime
+	return h
+}
+
+// FoldFNV folds the tuple into h with FNVMix, one 8-byte word each for the
+// source, the destination, the two ports, and the protocol: the fold both
+// the switches' ECMP hash and the edge's port hash start from.
+func (t FiveTuple) FoldFNV(h uint64) uint64 {
+	h = FNVMix(h, uint64(uint32(t.Src)))
+	h = FNVMix(h, uint64(uint32(t.Dst)))
+	h = FNVMix(h, uint64(t.SrcPort)<<16|uint64(t.DstPort))
+	return FNVMix(h, uint64(t.Proto))
+}
+
 // Reverse returns the tuple of the opposite direction.
 func (t FiveTuple) Reverse() FiveTuple {
 	return FiveTuple{Src: t.Dst, Dst: t.Src, SrcPort: t.DstPort, DstPort: t.SrcPort, Proto: t.Proto}

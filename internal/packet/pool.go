@@ -3,8 +3,7 @@ package packet
 // Pool is a single-threaded free list of Packet structs (a packet's overlay
 // and CONGA headers are stored inside it, so there is nothing else to pool),
 // owned by one simulation (the topology builder creates it; every element of
-// that simulation shares it, across all its event domains when the run is
-// sharded — they take turns on one goroutine). It exists because the
+// that simulation shares it). It exists because the
 // simulator's hot path — one Packet per TCP segment, one ACK per delivery —
 // otherwise spends most of its time in the allocator.
 //

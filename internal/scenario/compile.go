@@ -13,7 +13,6 @@ import (
 // TopoConfig lowers the fat-tree slice onto the simulator's leaf-spine
 // Clos: K/2 spines, per-tier delays, and trunks thinned by the
 // oversubscription ratio so hosts×hostRate = spines×trunks×trunkRate×ratio.
-// Specs with more than 2 leaves build the sharded (event-domain) fabric.
 func (s *Spec) TopoConfig() netem.LeafSpineConfig {
 	t := s.Topology
 	return netem.LeafSpineConfig{
@@ -160,9 +159,7 @@ func expandStorm(at sim.Time, st *StormSpec) []Action {
 
 // InstallEvents schedules the expanded timeline on the cluster; call before
 // the workload driver runs (sim time 0). Each action becomes an ordinary
-// deterministic simulator event — a global barrier event on sharded
-// clusters, where control actions touch many domains at once — so scripted
-// runs keep the oracle, telemetry, and parallel-run byte-identity
+// deterministic simulator event, so scripted runs keep the oracle, telemetry, and parallel-run byte-identity
 // guarantees of unscripted ones.
 func (s *Spec) InstallEvents(c *cluster.Cluster) {
 	for _, a := range s.Actions() {
@@ -194,9 +191,9 @@ func (a Action) Apply(c *cluster.Cluster) {
 // Quick shrinks the scenario to CI scale: at most 4 leaves and 4 hosts per
 // leaf, 240 jobs, and one seed. Arrival rates track the bisection, so
 // per-client load — and with it the event-script timeline — stays
-// meaningful. Sharded specs stay sharded (the leaf floor is 4 when leaves
-// exceed 2), so the quick run exercises the same domain-mode machinery;
-// events referencing leaves the shrink removed are dropped.
+// meaningful. A spec with more than 2 leaves keeps 4 (the leaf floor is 4
+// when leaves exceed 2), so the quick run still exercises RunMix's rotated
+// mesh; events referencing leaves the shrink removed are dropped.
 func (s *Spec) Quick() *Spec {
 	q := s.Clone()
 	if q.Topology.Leaves > 4 {

@@ -46,8 +46,7 @@ type TopologySpec struct {
 	// K is the fat-tree arity: K/2 spine switches (even, >= 2).
 	K int `json:"k"`
 	// Leaves is the number of leaf switches (default 2, the paper's pod
-	// pair). More than 2 leaves compiles to the sharded (event-domain)
-	// cluster: one domain per switch, run in conservative parallel windows.
+	// pair). More than 2 leaves switches RunMix to its rotated mesh.
 	Leaves int `json:"leaves,omitempty"`
 	// HostsPerLeaf defaults to K/2.
 	HostsPerLeaf int `json:"hosts_per_leaf,omitempty"`

@@ -159,7 +159,7 @@ func TestValidateAcceptsBase(t *testing.T) {
 	if err := baseSpec().Validate(); err != nil {
 		t.Fatalf("base spec invalid: %v", err)
 	}
-	// CONGA runs on any fabric, sharded ones included.
+	// CONGA runs on any fabric, more than two leaves included.
 	sp := baseSpec()
 	sp.Topology.Leaves, sp.Schemes = 4, []string{"conga"}
 	if err := sp.Validate(); err != nil {

@@ -425,51 +425,3 @@ func TestStressMixedScheduleCancel(t *testing.T) {
 		t.Errorf("Pending() = %d, want 0", got)
 	}
 }
-
-// windowTicker is one busy domain of BenchmarkEngineWindow72: it fires once
-// per period and, on its turn among the busy domains, posts one message to
-// an idle domain.
-type windowTicker struct {
-	d           *Domain
-	turn, ticks int
-}
-
-const (
-	windowBusy   = 4
-	windowPeriod = Microsecond + 1 // one lookahead and a nanosecond: one tick per window
-)
-
-func windowTick(a, _ any) {
-	tk := a.(*windowTicker)
-	tk.ticks++
-	if tk.ticks%windowBusy == tk.turn {
-		dst := tk.d.ID() + 1 + tk.ticks%17 // an idle domain between this busy one and the next
-		tk.d.Post(dst, tk.d.Now()+windowPeriod, noopCall, nil, nil)
-	}
-	tk.d.AfterCall(windowPeriod, windowTick, tk, nil)
-}
-
-// BenchmarkEngineWindow72 measures the sharded engine's per-window cost on
-// the k16 shape: 72 domains, 4 of them busy, about one cross-domain post per
-// window. Busy domains tick in phase once per lookahead plus 1 ns, so every
-// window holds one tick per busy domain and the message posted in the one
-// before. It reports ns per window and fails on any allocation.
-func BenchmarkEngineWindow72(b *testing.B) {
-	eng := NewEngine(1, Microsecond, 72)
-	var busy [windowBusy]*windowTicker
-	for i := range busy {
-		busy[i] = &windowTicker{d: eng.Domain(18 * i), turn: i}
-		busy[i].d.AtCall(0, windowTick, busy[i], nil)
-	}
-	eng.Run(100 * windowPeriod) // warm the slabs and the outbox
-	if allocs := testing.AllocsPerRun(20, func() { eng.Run(eng.Now() + 100*windowPeriod) }); allocs != 0 {
-		b.Fatalf("allocs per 100 windows = %v, want 0", allocs)
-	}
-	b.ReportAllocs()
-	windows := busy[0].ticks
-	b.ResetTimer()
-	eng.Run(eng.Now() + Time(b.N)*windowPeriod)
-	b.StopTimer()
-	windows = busy[0].ticks - windows
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(windows), "ns/window")
-}

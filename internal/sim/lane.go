@@ -13,9 +13,9 @@ import (
 // append and a ring advance, with no sift — and fires in exactly the (at, seq)
 // order the heap would have given it.
 //
-// The network model puts every same-domain link propagation in its
-// simulator's lane for the link's delay: three quarters of a web-search run's
-// pending events, all with the fabric's one or two delays.
+// The network model puts every link propagation in its simulator's lane for
+// the link's delay: three quarters of a web-search run's pending events, all
+// with the fabric's one or two delays.
 type Lane struct {
 	s     *Simulator
 	delay Time

@@ -26,7 +26,7 @@ func BenchmarkPendingMixWebSearch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c := cluster.New(cluster.Config{Seed: 1, Topo: netem.ScaledTestbed(1.0, 4),
 			Scheme: cluster.SchemeCloveECN, AsymmetricFailure: true})
-		s := c.Eng.Domain(0).Simulator
+		s := c.Sim
 		s.SetEventHook(func() {
 			fn, inLane, ok := sim.NextEvent(s)
 			if !ok {

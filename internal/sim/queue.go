@@ -49,7 +49,7 @@ type EventID struct {
 // slab slot index: sift comparisons then read only the contiguous heap
 // array (a parent's four children share one or two cache lines) instead of
 // chasing four random 64-byte slab entries per level, which at
-// fabric-scale queue depths (hundreds of pending events per spine domain)
+// fabric-scale queue depths (hundreds of pending events)
 // is the difference between arithmetic and memory stalls. The key copy
 // cannot go stale: a pending event's (at, seq) never changes — reschedule
 // is cancel + schedule, and recycled slots get a fresh, never-reused seq.

@@ -60,14 +60,6 @@ func (s *Simulator) Processed() uint64 { return s.processed }
 // Pending reports how many events are scheduled but not yet fired.
 func (s *Simulator) Pending() int { return len(s.heap) + s.laned }
 
-// NextEventAt returns the timestamp of the earliest pending event, heap or
-// lane, or ok=false when nothing is pending. The sharded engine uses it to
-// compute each window's horizon.
-func (s *Simulator) NextEventAt() (Time, bool) {
-	_, at, ok := s.peek()
-	return at, ok
-}
-
 // FreeEvents reports the current size of the event free list (telemetry and
 // leak tests). The slab never shrinks, so the free list is bounded by the
 // peak number of pending events.

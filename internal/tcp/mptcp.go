@@ -114,7 +114,7 @@ func (m *MPSender) pump() {
 		if best < 0 || bestSpace < 1 {
 			return
 		}
-		n := min64(m.chunk, m.totalSize-m.pendingBytes)
+		n := min(m.chunk, m.totalSize-m.pendingBytes)
 		m.pendingBytes += n
 		m.subflows[best].StartJob(n, nil)
 	}

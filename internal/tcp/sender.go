@@ -213,14 +213,14 @@ func (s *Sender) onNewAck(ack int64) {
 		} else {
 			// Partial ACK: retransmit the next hole, deflate partially.
 			s.retransmitFirst()
-			s.cwnd = minf(maxf(s.ssthresh, s.cwnd-float64(acked)/float64(s.cfg.MSS)+1), s.cfg.MaxCwnd)
+			s.cwnd = min(max(s.ssthresh, s.cwnd-float64(acked)/float64(s.cfg.MSS)+1), s.cfg.MaxCwnd)
 		}
 	} else if s.cwnd < s.ssthresh {
 		// Slow start: one segment per segment acked.
-		s.cwnd = minf(s.cwnd+float64(acked)/float64(s.cfg.MSS), s.cfg.MaxCwnd)
+		s.cwnd = min(s.cwnd+float64(acked)/float64(s.cfg.MSS), s.cfg.MaxCwnd)
 	} else {
 		// Congestion avoidance: 1/cwnd per segment acked.
-		s.cwnd = minf(s.cwnd+float64(acked)/float64(s.cfg.MSS)/s.cwnd, s.cfg.MaxCwnd)
+		s.cwnd = min(s.cwnd+float64(acked)/float64(s.cfg.MSS)/s.cwnd, s.cfg.MaxCwnd)
 	}
 
 	s.completeJobs()
@@ -237,7 +237,7 @@ func (s *Sender) onDupAck() {
 	if s.inRecovery {
 		// Window inflation during recovery lets new data flow, bounded by
 		// the receive-window stand-in.
-		s.cwnd = minf(s.cwnd+1, s.cfg.MaxCwnd)
+		s.cwnd = min(s.cwnd+1, s.cfg.MaxCwnd)
 		return
 	}
 	if s.dupAcks >= s.cfg.DupAckThreshold {
@@ -250,7 +250,7 @@ func (s *Sender) onDupAck() {
 		}
 		// Fast retransmit + fast recovery.
 		s.stats.FastRetransmits++
-		s.ssthresh = maxf(s.flightSegments()/2, 2)
+		s.ssthresh = max(s.flightSegments()/2, 2)
 		s.cwnd = s.ssthresh + float64(s.cfg.DupAckThreshold)
 		s.inRecovery = true
 		s.recover = s.sndNxt
@@ -270,7 +270,7 @@ func (s *Sender) onECE() {
 	}
 	s.lastECNCut = s.sim.Now()
 	s.stats.ECNReductions++
-	s.ssthresh = maxf(s.cwnd/2, 2)
+	s.ssthresh = max(s.cwnd/2, 2)
 	s.cwnd = s.ssthresh
 	s.sendCWR = true
 }
@@ -307,7 +307,7 @@ func (s *Sender) trySend() {
 		if s.flightSegments() >= s.cwnd {
 			return
 		}
-		segLen := int(min64(int64(s.cfg.MSS), s.sndLimit-s.sndNxt))
+		segLen := int(min(int64(s.cfg.MSS), s.sndLimit-s.sndNxt))
 		s.emit(s.sndNxt, segLen, false)
 		s.sndNxt += int64(segLen)
 		if !s.rtoActive {
@@ -356,7 +356,7 @@ func (s *Sender) emit(seq int64, segLen int, isRexmit bool) {
 }
 
 func (s *Sender) retransmitFirst() {
-	segLen := int(min64(int64(s.cfg.MSS), s.sndLimit-s.sndUna))
+	segLen := int(min(int64(s.cfg.MSS), s.sndLimit-s.sndUna))
 	if segLen <= 0 {
 		return
 	}
@@ -413,7 +413,7 @@ func (s *Sender) onRTO() {
 	if tr := s.trace; tr != nil {
 		tr.Retransmit(s.sim.Now(), s.flow, s.sndUna, telemetry.RetxTimeout)
 	}
-	s.ssthresh = maxf(s.flightSegments()/2, 2)
+	s.ssthresh = max(s.flightSegments()/2, 2)
 	s.cwnd = 1
 	s.dupAcks = 0
 	s.inRecovery = false
@@ -444,24 +444,3 @@ func (s *Sender) updateRTT(sample sim.Time) {
 
 // SRTT returns the smoothed RTT estimate (0 before the first sample).
 func (s *Sender) SRTT() sim.Time { return s.srtt }
-
-func minf(a, b float64) float64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}

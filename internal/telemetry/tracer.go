@@ -129,7 +129,7 @@ type FCTSample struct {
 	FCT      sim.Time
 }
 
-// SimSample is one polled observation of the event engine.
+// SimSample is one polled observation of the simulator.
 type SimSample struct {
 	T         sim.Time
 	Processed uint64

@@ -61,22 +61,7 @@ type receiverHook interface {
 // ephemeral port range. It reuses FNV-1a so that, like a real
 // implementation, the mapping is stable and spreads well.
 func portHash(flow packet.FiveTuple, salt uint32) uint16 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= prime
-		}
-	}
-	mix(uint64(uint32(flow.Src)))
-	mix(uint64(uint32(flow.Dst)))
-	mix(uint64(flow.SrcPort)<<16 | uint64(flow.DstPort))
-	mix(uint64(flow.Proto))
-	mix(uint64(salt))
+	h := packet.FNVMix(flow.FoldFNV(packet.FNVOffset), uint64(salt))
 	// Ephemeral range 32768..65535.
 	return uint16(32768 + h%32768)
 }

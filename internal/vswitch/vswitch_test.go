@@ -24,7 +24,7 @@ func newRig(t testing.TB, seed int64, mkPolicy func(i int) PathPolicy, mutate fu
 	t.Helper()
 	s := sim.New(seed)
 	ls := netem.BuildLeafSpine(s, netem.PaperTestbed(0.01)) // 100M host links
-	r := &rig{s: s, ls: ls, rtt: ls.BaseRTT()}
+	r := &rig{s: s, ls: ls, rtt: ls.Cfg.BaseRTT()}
 	cfg := DefaultConfig(r.rtt)
 	if mutate != nil {
 		mutate(&cfg)
@@ -310,7 +310,7 @@ func TestPrestoFlowcellRotationAndReassembly(t *testing.T) {
 	// two steps.
 	s := sim.New(8)
 	ls := netem.BuildLeafSpine(s, netem.PaperTestbed(0.01))
-	r := &rig{s: s, ls: ls, rtt: ls.BaseRTT(), tcpC: tcp.DefaultConfig()}
+	r := &rig{s: s, ls: ls, rtt: ls.Cfg.BaseRTT(), tcpC: tcp.DefaultConfig()}
 	cfg := DefaultConfig(r.rtt)
 	cfg.MaskECN = false
 	rec := &prestoRecorder{Presto: NewPresto(s), ports: map[uint16]bool{}}
