@@ -1,8 +1,10 @@
 // Package cluster composes the full simulated deployment: the leaf–spine
 // fabric, one virtual switch per hypervisor running the selected
 // load-balancing scheme, path discovery, tenant TCP/MPTCP endpoints, and
-// the workload drivers (web-search load sweeps and incast) used by every
-// experiment in the paper.
+// the workload drivers (web-search load sweeps, incast, and the scenario
+// blends of both) used by every experiment in the paper. The drivers share
+// one job record (jobs.go) for arrivals, completion bookkeeping and the
+// run's stop rule.
 package cluster
 
 import (
@@ -158,8 +160,8 @@ type Cluster struct {
 	connList []*Conn // open order: what the tracer's cwnd stream samples
 	nextPort uint16
 
-	// loadScale multiplies every mix-workload arrival rate; scenario
-	// load-ramp events change it mid-run (see RunMix and SetLoadScale).
+	// loadScale multiplies the rate of every open-loop arrival chain;
+	// scenario load-ramp events change it mid-run (see SetLoadScale).
 	loadScale float64
 }
 
@@ -327,9 +329,11 @@ func (c *Cluster) ScheduleControl(at sim.Time, fn func()) { c.Sim.At(at, fn) }
 // is disabled.
 func (c *Cluster) ExportTraces(dir string) error { return c.trace.Export(dir) }
 
-// SetLoadScale multiplies the arrival rate of every mix-workload client from
-// now on (scenario load-ramp events; 1 restores the configured load). It
-// only affects inter-arrival gaps drawn after the call.
+// SetLoadScale multiplies the arrival rate of every open-loop arrival chain
+// (RunWebSearch's and RunMix's) from now on; 1 restores the configured
+// load. It only affects inter-arrival gaps drawn after the call. Scenario
+// load-ramp events call it on RunMix runs; nothing calls it on web-search
+// runs.
 func (c *Cluster) SetLoadScale(f float64) {
 	if !(f > 0) {
 		panic(fmt.Sprintf("cluster: load scale %v", f))

@@ -174,9 +174,9 @@ func TestDeterministicRuns(t *testing.T) {
 }
 
 // TestCutOffBeforeTargetIsTimedOut pins that a run MaxSimTime cuts off
-// between arrivals — everything issued so far has completed, the target has
-// not been reached — reports TimedOut from both drivers. RunWebSearch used
-// to compare against Issued and report success.
+// before its target — everything issued so far may have completed, the
+// target has not been reached — reports TimedOut from every driver.
+// RunWebSearch used to compare against Issued and report success.
 func TestCutOffBeforeTargetIsTimedOut(t *testing.T) {
 	drivers := []struct {
 		name string
@@ -194,6 +194,12 @@ func TestCutOffBeforeTargetIsTimedOut(t *testing.T) {
 			res := c.RunMix(p)
 			return res.Completed, res.Issued, res.TimedOut
 		}},
+		// IncastResult has no Issued: the closed loop issues its first
+		// request at time 0, and that request is cut off.
+		{"RunIncast", func(c *Cluster) (int, int, bool) {
+			res := c.RunIncast(IncastParams{Fanout: 2, ResponseBytes: 1e5, Requests: 1, MaxSimTime: 1})
+			return res.Completed, 0, res.TimedOut
+		}},
 	}
 	for _, d := range drivers {
 		c := New(Config{Seed: 1, Topo: smallTopo(), Scheme: SchemeECMP})
@@ -204,6 +210,32 @@ func TestCutOffBeforeTargetIsTimedOut(t *testing.T) {
 		if !timedOut {
 			t.Errorf("%s: cut off before the first arrival but TimedOut = false", d.name)
 		}
+	}
+}
+
+// TestCutOffIncastCountsDeliveredShards pins that IncastResult.Bytes counts
+// every delivered shard, also those of a request the cut-off left
+// unfinished: cut 1 ns before the last shard lands, the others are in.
+func TestCutOffIncastCountsDeliveredShards(t *testing.T) {
+	p := IncastParams{Fanout: 4, ResponseBytes: 4e5, Requests: 1}
+	run := func(p IncastParams) IncastResult {
+		return New(Config{Seed: 1, Topo: smallTopo(), Scheme: SchemeECMP}).RunIncast(p)
+	}
+	full := run(p)
+	if full.TimedOut || full.Bytes != p.ResponseBytes {
+		t.Fatalf("uncut run: %+v", full)
+	}
+	p.MaxSimTime = full.Elapsed - 1
+	cut := run(p)
+	shard := p.ResponseBytes / int64(p.Fanout)
+	if !cut.TimedOut || cut.Completed != 0 {
+		t.Fatalf("cut 1 ns early: %+v, want a timed-out run with 0 completed", cut)
+	}
+	if cut.Bytes == 0 || cut.Bytes >= p.ResponseBytes || cut.Bytes%shard != 0 {
+		t.Errorf("cut 1 ns early: Bytes = %d, want the delivered %d-byte shards (1 to %d of them)", cut.Bytes, shard, p.Fanout-1)
+	}
+	if cut.Elapsed != p.MaxSimTime {
+		t.Errorf("cut run Elapsed = %v, want MaxSimTime %v", cut.Elapsed, p.MaxSimTime)
 	}
 }
 

@@ -17,7 +17,7 @@ type IncastParams struct {
 	ResponseBytes int64
 	// Requests is how many sequential requests to issue.
 	Requests int
-	// MaxSimTime guards non-converging runs.
+	// MaxSimTime guards non-converging runs (default 10 min sim time).
 	MaxSimTime sim.Time
 }
 
@@ -33,7 +33,8 @@ type IncastResult struct {
 // RunIncast drives the incast workload: host 0 is the client; each request
 // picks Fanout servers uniformly from the far leaf; all send
 // ResponseBytes/Fanout concurrently; the next request issues when every
-// shard of the previous one completes.
+// shard of the previous one completes. Each request is one sample in
+// c.Recorder, from issue to its slowest shard.
 func (c *Cluster) RunIncast(p IncastParams) IncastResult {
 	if p.Fanout <= 0 || p.Requests <= 0 || p.ResponseBytes <= 0 {
 		panic("cluster: incast parameters must be positive")
@@ -41,12 +42,9 @@ func (c *Cluster) RunIncast(p IncastParams) IncastResult {
 	if p.Fanout > c.Cfg.Topo.HostsPerLeaf {
 		panic(fmt.Sprintf("cluster: incast fanout %d exceeds the %d hosts of the server leaf", p.Fanout, c.Cfg.Topo.HostsPerLeaf))
 	}
-	if p.MaxSimTime == 0 {
-		p.MaxSimTime = 600 * sim.Second
-	}
 	nHosts := c.Cfg.Topo.HostsPerLeaf
 	client := packet.HostID(0)
-	s, rng := c.Sim, c.Sim.Rand()
+	rng := c.Sim.Rand()
 
 	// Pre-open a persistent connection from every candidate server to the
 	// client, and install paths for both directions.
@@ -59,43 +57,19 @@ func (c *Cluster) RunIncast(p IncastParams) IncastResult {
 	}
 	c.SetupPaths(pairs)
 
-	res := IncastResult{}
-	shard := p.ResponseBytes / int64(p.Fanout)
-	if shard <= 0 {
-		shard = 1
-	}
-	var issue func(remaining int)
-	issue = func(remaining int) {
-		if remaining == 0 {
-			res.Elapsed = s.Now()
-			s.Stop()
-			return
-		}
-		// Choose Fanout distinct servers uniformly.
-		perm := rng.Perm(nHosts)[:p.Fanout]
-		pending := p.Fanout
-		for _, si := range perm {
-			conn := serverConns[si]
-			conn.StartJob(shard, func(fct sim.Time) {
-				if tr := c.trace; tr != nil {
-					tr.FCT(s.Now(), conn.Flow.Src, conn.Flow.Dst, shard, fct)
-				}
-				res.Bytes += shard
-				pending--
-				if pending == 0 {
-					res.Completed++
-					issue(remaining - 1)
-				}
-			})
+	// A closed loop: each request issues when the previous one completes.
+	j := &jobs{c: c, target: p.Requests}
+	shard := max(p.ResponseBytes/int64(p.Fanout), 1)
+	var next func()
+	next = func() {
+		if j.issued < p.Requests {
+			j.fanIn(serverConns, rng.Perm(nHosts)[:p.Fanout], shard, next)
 		}
 	}
-	s.After(0, func() { issue(p.Requests) })
-	s.RunUntil(p.MaxSimTime)
+	c.Sim.After(0, next)
+	r := j.run(p.MaxSimTime)
 
-	if res.Completed < p.Requests {
-		res.TimedOut = true
-		res.Elapsed = s.Now()
-	}
+	res := IncastResult{Completed: r.Completed, Bytes: j.bytes, Elapsed: c.Sim.Now(), TimedOut: r.TimedOut}
 	if res.Elapsed > 0 {
 		res.GoodputBps = float64(res.Bytes) * 8 / res.Elapsed.Seconds()
 	}

@@ -43,23 +43,6 @@ type MixParams struct {
 	Warmup sim.Time
 }
 
-// MixResult is the outcome of one blended run.
-type MixResult struct {
-	Completed int
-	Issued    int
-	// TimedOut reports that MaxSimTime elapsed before all jobs finished
-	// (expected under unrecovered failures, which strand in-flight jobs).
-	TimedOut bool
-}
-
-// job component indices, in cumulative-probability order.
-const (
-	mixWeb = iota
-	mixRPC
-	mixML
-	mixIncast
-)
-
 // RunMix drives the blended workload to completion and records every job in
 // c.Recorder. Each client keeps a persistent connection to every one of its
 // servers (and, when incast is in the mix, each server one back), so ML
@@ -77,9 +60,6 @@ const (
 func (c *Cluster) RunMix(p MixParams) MixResult {
 	if p.SizeScale == 0 {
 		p.SizeScale = 1
-	}
-	if p.MaxSimTime == 0 {
-		p.MaxSimTime = 600 * sim.Second
 	}
 	fracSum := p.FracWebSearch + p.FracRPC + p.FracML + p.FracIncast
 	if p.FracWebSearch < 0 || p.FracRPC < 0 || p.FracML < 0 || p.FracIncast < 0 ||
@@ -99,14 +79,8 @@ func (c *Cluster) RunMix(p MixParams) MixResult {
 		webDist = webDist.Scaled(p.SizeScale)
 		rpcDist = rpcDist.Scaled(p.SizeScale)
 	}
-	mlBytes := int64(float64(p.MLBytes) * p.SizeScale)
-	incastBytes := int64(float64(p.IncastBytes) * p.SizeScale)
-	if mlBytes <= 0 {
-		mlBytes = 1
-	}
-	if incastBytes <= 0 {
-		incastBytes = 1
-	}
+	mlBytes := max(int64(float64(p.MLBytes)*p.SizeScale), 1)
+	incastBytes := max(int64(float64(p.IncastBytes)*p.SizeScale), 1)
 	c.Recorder.SetSizeScale(p.SizeScale)
 
 	// Persistent connection meshes, fwd[client][k] and rev[client][k]. The
@@ -123,132 +97,33 @@ func (c *Cluster) RunMix(p MixParams) MixResult {
 		p.IncastFanout = nServers
 	}
 
-	// Arrival rate per client, from the blend's mean job footprint.
+	// One arrival chain per client, at a rate from the blend's mean job
+	// footprint.
 	meanJob := p.FracWebSearch*webDist.Mean() + p.FracRPC*rpcDist.Mean() +
 		p.FracML*float64(mlBytes) + p.FracIncast*float64(incastBytes)
 	rate := workload.ArrivalRateForLoad(p.Load, c.Cfg.Topo.BisectionBps(), nClients, meanJob)
-
-	jobsPerClient := p.TotalJobs / nClients
-	if jobsPerClient == 0 {
-		jobsPerClient = 1
-	}
-	target := jobsPerClient * nClients
-
-	var completed, issued int
-	s, tr, rec := c.Sim, c.trace, c.Recorder
-	rng := s.Rand()
-
-	// One arrival chain per client.
+	mlShard := max(mlBytes/int64(nServers), 1)
+	incastShard := max(incastBytes/int64(p.IncastFanout), 1)
+	rng := c.Sim.Rand()
+	j := &jobs{c: c}
 	for ci := 0; ci < nClients; ci++ {
-		ci := ci
-
-		// Stop on target: the job that completes the run stops it.
-		jobDone := func() {
-			completed++
-			if completed == target {
-				s.Stop()
-			}
-		}
-		// recordFlow finishes a singleton (web/RPC) job.
-		recordFlow := func(conn *Conn, size int64) func(sim.Time) {
-			return func(fct sim.Time) {
-				rec.Add(size, fct)
-				if tr != nil {
-					tr.FCT(s.Now(), conn.Flow.Src, conn.Flow.Dst, size, fct)
-				}
-				jobDone()
-			}
-		}
-		// recordShard traces one shard of a composite job and completes the
-		// job when the last shard lands: the recorder sees one sample whose
-		// FCT spans issue → slowest shard, the paper's partition–aggregate
-		// metric.
-		type composite struct {
-			pending int
-			total   int64
-			start   sim.Time
-		}
-		recordShard := func(conn *Conn, comp *composite, shard int64) func(sim.Time) {
-			return func(sim.Time) {
-				if tr != nil {
-					tr.FCT(s.Now(), conn.Flow.Src, conn.Flow.Dst, shard, s.Now()-comp.start)
-				}
-				comp.pending--
-				if comp.pending == 0 {
-					rec.Add(comp.total, s.Now()-comp.start)
-					jobDone()
-				}
-			}
-		}
-		pick := func() int {
+		j.poisson(rate, max(p.TotalJobs/nClients, 1), p.Warmup, func() {
 			u := rng.Float64()
 			switch {
 			case u < p.FracWebSearch:
-				return mixWeb
+				k := rng.Intn(nServers)
+				j.flow(fwd[ci][k], webDist.Sample(rng))
 			case u < p.FracWebSearch+p.FracRPC:
-				return mixRPC
+				k := rng.Intn(nServers)
+				j.flow(fwd[ci][k], rpcDist.Sample(rng))
 			case u < p.FracWebSearch+p.FracRPC+p.FracML:
-				return mixML
+				j.fanIn(fwd[ci], nil, mlShard, nil)
 			default:
-				return mixIncast
+				j.fanIn(rev[ci], rng.Perm(nServers)[:p.IncastFanout], incastShard, nil)
 			}
-		}
-		issueJob := func() {
-			issued++
-			switch pick() {
-			case mixWeb:
-				k := rng.Intn(nServers)
-				size := webDist.Sample(rng)
-				fwd[ci][k].StartJob(size, recordFlow(fwd[ci][k], size))
-			case mixRPC:
-				k := rng.Intn(nServers)
-				size := rpcDist.Sample(rng)
-				fwd[ci][k].StartJob(size, recordFlow(fwd[ci][k], size))
-			case mixML:
-				shard := mlBytes / int64(nServers)
-				if shard <= 0 {
-					shard = 1
-				}
-				comp := &composite{pending: nServers, total: shard * int64(nServers), start: s.Now()}
-				for k := 0; k < nServers; k++ {
-					fwd[ci][k].StartJob(shard, recordShard(fwd[ci][k], comp, shard))
-				}
-			case mixIncast:
-				shard := incastBytes / int64(p.IncastFanout)
-				if shard <= 0 {
-					shard = 1
-				}
-				perm := rng.Perm(nServers)[:p.IncastFanout]
-				comp := &composite{pending: p.IncastFanout, total: shard * int64(p.IncastFanout), start: s.Now()}
-				for _, k := range perm {
-					conn := rev[ci][k]
-					conn.StartJob(shard, recordShard(conn, comp, shard))
-				}
-			}
-		}
-		// The inter-arrival gap is drawn at schedule time so a mid-run
-		// SetLoadScale bends the process immediately.
-		nextGap := func() sim.Time {
-			return sim.FromSeconds(rng.ExpFloat64() / (rate * c.loadScale))
-		}
-		var issue func(remaining int)
-		issue = func(remaining int) {
-			if remaining == 0 {
-				return
-			}
-			issueJob()
-			s.After(nextGap(), func() { issue(remaining - 1) })
-		}
-		s.After(p.Warmup+nextGap(), func() { issue(jobsPerClient) })
+		})
 	}
-
-	s.RunUntil(p.MaxSimTime)
-
-	res := MixResult{Completed: completed, Issued: issued}
-	if res.Completed < target {
-		res.TimedOut = true
-	}
-	return res
+	return j.run(p.MaxSimTime)
 }
 
 // twoLeafMesh opens the two-leaf mesh and installs its paths:

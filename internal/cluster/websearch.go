@@ -28,14 +28,6 @@ type WebSearchParams struct {
 	MaxSimTime sim.Time
 }
 
-// WebSearchResult is the outcome of one run.
-type WebSearchResult struct {
-	Completed int
-	Issued    int
-	// TimedOut reports that MaxSimTime elapsed before all jobs finished.
-	TimedOut bool
-}
-
 // RunWebSearch drives the workload to completion and records every job's
 // FCT in c.Recorder. Clients are the hosts of leaf 1, servers of leaf 2.
 // Every arrival chain draws from the run's one RNG stream.
@@ -46,9 +38,6 @@ func (c *Cluster) RunWebSearch(p WebSearchParams) WebSearchResult {
 	if p.SizeScale == 0 {
 		p.SizeScale = 1
 	}
-	if p.MaxSimTime == 0 {
-		p.MaxSimTime = 600 * sim.Second
-	}
 	dist := workload.WebSearch()
 	if p.SizeScale != 1 {
 		dist = dist.Scaled(p.SizeScale)
@@ -58,18 +47,7 @@ func (c *Cluster) RunWebSearch(p WebSearchParams) WebSearchResult {
 	c.Recorder.SetSizeScale(p.SizeScale)
 
 	nHosts := c.Cfg.Topo.HostsPerLeaf
-	s, rng := c.Sim, c.Sim.Rand()
-
-	// Clients on leaf 1 pick random servers on leaf 2 (persistent).
-	type cw struct {
-		conn     *Conn
-		arrivals *workload.PoissonArrivals
-	}
-	var conns []*cw
-	var pairs [][2]packet.HostID
-	nConns := nHosts * p.ConnsPerClient
-	meanFlow := dist.Mean()
-	rate := workload.ArrivalRateForLoad(p.Load, c.Cfg.Topo.BisectionBps(), nConns, meanFlow)
+	rng := c.Sim.Rand()
 
 	// Clients pair with servers by random permutation, one permutation per
 	// connection round: every server terminates exactly ConnsPerClient
@@ -80,64 +58,24 @@ func (c *Cluster) RunWebSearch(p WebSearchParams) WebSearchResult {
 	for k := range perms {
 		perms[k] = rng.Perm(nHosts)
 	}
+	var conns []*Conn
+	var pairs [][2]packet.HostID
 	for ci := 0; ci < nHosts; ci++ {
 		client := packet.HostID(ci)
 		for k := 0; k < p.ConnsPerClient; k++ {
 			server := packet.HostID(nHosts + perms[k][ci])
-			conn := c.OpenConn(client, server, k)
-			conns = append(conns, &cw{
-				conn:     conn,
-				arrivals: workload.NewPoissonArrivals(rng, rate),
-			})
-			pairs = append(pairs, [2]packet.HostID{client, server})
+			conns = append(conns, c.OpenConn(client, server, k))
 			// The server's ACK stream also benefits from discovered paths.
-			pairs = append(pairs, [2]packet.HostID{server, client})
+			pairs = append(pairs, [2]packet.HostID{client, server}, [2]packet.HostID{server, client})
 		}
 	}
 	c.SetupPaths(pairs)
 
-	res := WebSearchResult{}
-	jobsPerConn := p.TotalJobs / len(conns)
-	if jobsPerConn == 0 {
-		jobsPerConn = 1
+	// One arrival chain per connection.
+	rate := workload.ArrivalRateForLoad(p.Load, c.Cfg.Topo.BisectionBps(), len(conns), dist.Mean())
+	j := &jobs{c: c}
+	for _, conn := range conns {
+		j.poisson(rate, max(p.TotalJobs/len(conns), 1), 0, func() { j.flow(conn, dist.Sample(rng)) })
 	}
-	target := jobsPerConn * len(conns)
-	record := func(conn *Conn, size int64) func(sim.Time) {
-		return func(fct sim.Time) {
-			c.Recorder.Add(size, fct)
-			if tr := c.trace; tr != nil {
-				tr.FCT(s.Now(), conn.Flow.Src, conn.Flow.Dst, size, fct)
-			}
-			res.Completed++
-			if res.Completed == target {
-				s.Stop()
-			}
-		}
-	}
-	// Schedule each connection's arrival chain.
-	for _, w := range conns {
-		w := w
-		var issue func(remaining int)
-		issue = func(remaining int) {
-			if remaining == 0 {
-				return
-			}
-			size := dist.Sample(rng)
-			if size <= 0 {
-				size = 1
-			}
-			res.Issued++
-			w.conn.StartJob(size, record(w.conn, size))
-			s.After(w.arrivals.Next(), func() { issue(remaining - 1) })
-		}
-		s.After(w.arrivals.Next(), func() { issue(jobsPerConn) })
-	}
-
-	s.RunUntil(p.MaxSimTime)
-	// Against target, not Issued: a run cut off between arrivals has
-	// completed everything it issued and still fell short.
-	if res.Completed < target {
-		res.TimedOut = true
-	}
-	return res
+	return j.run(p.MaxSimTime)
 }

@@ -15,10 +15,14 @@ import (
 // destination through a per-path token-bucket queue with its own rate,
 // delay, and ECN-marking threshold. A congested emulated path marks the
 // datagram's fabric byte the way a switch would mark the outer IP header.
+//
+// A path is two FIFO stages, as a link is: the pacer serializes the queue
+// at the path's rate, and the wire holds each datagram for the path's delay
+// from when it leaves the pacer. Many datagrams can be on the wire at once,
+// so the delay adds latency without limiting throughput.
 type PathEmulator struct {
 	ingress *net.UDPConn
 	out     *net.UDPConn
-	dest    *net.UDPAddr
 	destAP  netip.AddrPort
 
 	// paths and nextIdx are touched only by the ingress goroutine (run):
@@ -28,7 +32,7 @@ type PathEmulator struct {
 	profiles []PathProfile
 
 	// freeBufs recycles packet buffers between the ingress reader and the
-	// per-path drains so the steady-state forwarding path does not allocate
+	// per-path writers so the steady-state forwarding path does not allocate
 	// (a datagram is read straight into a pooled buffer, queued, written
 	// out, and the buffer returned).
 	freeBufs chan []byte
@@ -65,11 +69,23 @@ type PathProfile struct {
 	QueueCap int           // drop-tail bound; 0 = 256
 }
 
-// emuPath is the runtime queue for one path; len(queue) is its depth.
+// emuPath is the runtime state of one path: queue feeds the pacer and its
+// length is the path's depth; wire holds paced datagrams until release.
 type emuPath struct {
 	profile PathProfile
 	queue   chan []byte
+	wire    chan onWire
 }
+
+// onWire is a paced datagram and the time it leaves the path.
+type onWire struct {
+	pkt     []byte
+	release time.Time
+}
+
+// emuWireCap bounds the datagrams one path holds in flight; a full wire
+// stalls the pacer, so the queue behind it fills and drops.
+const emuWireCap = emuPoolSize
 
 // NewPathEmulator creates an emulator with one queue per profile; sender
 // ports are assigned to profiles round-robin in order of first appearance
@@ -99,7 +115,6 @@ func NewPathEmulator(localIP string, dest string, profiles []PathProfile) (*Path
 	e := &PathEmulator{
 		ingress:  ingress,
 		out:      out,
-		dest:     destAddr,
 		destAP:   netip.AddrPortFrom(destAP.Addr().Unmap(), destAP.Port()),
 		paths:    map[uint16]*emuPath{},
 		profiles: profiles,
@@ -155,10 +170,11 @@ func (e *PathEmulator) dispatch(pkt []byte) {
 		if cap == 0 {
 			cap = 256
 		}
-		p = &emuPath{profile: profile, queue: make(chan []byte, cap)}
+		p = &emuPath{profile: profile, queue: make(chan []byte, cap), wire: make(chan onWire, emuWireCap)}
 		e.paths[port] = p
-		e.wg.Add(1)
-		go e.drain(p)
+		e.wg.Add(2)
+		go e.pace(p)
+		go e.deliver(p)
 	}
 
 	if p.profile.ECNDepth > 0 && len(p.queue) >= p.profile.ECNDepth && len(pkt) > 0 {
@@ -172,8 +188,9 @@ func (e *PathEmulator) dispatch(pkt []byte) {
 	}
 }
 
-// drain serializes one path's queue at its configured rate and delay.
-func (e *PathEmulator) drain(p *emuPath) {
+// pace serializes one path's queue at its configured rate and puts each
+// datagram on the wire, stamped with its release time.
+func (e *PathEmulator) pace(p *emuPath) {
 	defer e.wg.Done()
 	for {
 		select {
@@ -184,11 +201,30 @@ func (e *PathEmulator) drain(p *emuPath) {
 				tx := time.Duration(int64(len(pkt)) * 8 * int64(time.Second) / p.profile.RateBps)
 				time.Sleep(tx)
 			}
-			if p.profile.Delay > 0 {
-				time.Sleep(p.profile.Delay)
+			select {
+			case <-e.closed:
+				e.putBuf(pkt)
+				return
+			case p.wire <- onWire{pkt: pkt, release: time.Now().Add(p.profile.Delay)}:
 			}
-			e.out.WriteToUDPAddrPort(pkt, e.destAP)
-			e.putBuf(pkt)
+		}
+	}
+}
+
+// deliver writes one path's datagrams out in wire order, each at its
+// release time, and recycles their buffers.
+func (e *PathEmulator) deliver(p *emuPath) {
+	defer e.wg.Done()
+	for {
+		select {
+		case <-e.closed:
+			return
+		case w := <-p.wire:
+			if d := time.Until(w.release); d > 0 {
+				time.Sleep(d)
+			}
+			e.out.WriteToUDPAddrPort(w.pkt, e.destAP)
+			e.putBuf(w.pkt)
 		}
 	}
 }

@@ -41,7 +41,7 @@ type Link struct {
 	to    Node
 	rate  int64     // bits per second
 	delay sim.Time  // propagation delay
-	lane  *sim.Lane // sim's lane for delay, which carries propagation unless srcDom is set
+	lane  *sim.Lane // sim's lane for delay: every propagation waits in it
 
 	queueCap int // packets
 	ecnK     int // mark when queued packets >= ecnK at enqueue; 0 disables
@@ -277,10 +277,6 @@ func (l *Link) transmitNext() {
 	l.stats.TxPackets++
 	l.stats.TxBytes += int64(size)
 	l.dre.Add(size)
-
-	if pkt.PathTrace != nil {
-		pkt.PathTrace = append(pkt.PathTrace, l.id)
-	}
 
 	// Serializer occupies the link for txTime; the packet lands after
 	// txTime + propagation delay.

@@ -216,6 +216,26 @@ func TestDREDecaysWhenIdle(t *testing.T) {
 	}
 }
 
+// previewPath names the links pkt would take from src to its destination
+// host, following RoutePreview at each switch.
+func previewPath(t *testing.T, src *Host, pkt *packet.Packet) string {
+	t.Helper()
+	lk := src.Uplink()
+	key := lk.Name()
+	for hop := 0; hop < 16; hop++ {
+		sw, ok := lk.To().(*Switch)
+		if !ok {
+			return key
+		}
+		if lk = sw.RoutePreview(pkt); lk == nil {
+			t.Fatalf("no route for %v after %s", pkt, key)
+		}
+		key += "," + lk.Name()
+	}
+	t.Fatalf("routing loop: %s", key)
+	return ""
+}
+
 func paperScaleTopo(t *testing.T) *LeafSpine {
 	t.Helper()
 	s := sim.New(42)
@@ -302,20 +322,11 @@ func TestEndToEndDeliveryAcrossFabric(t *testing.T) {
 
 func TestECMPSpreadsAcrossPaths(t *testing.T) {
 	ls := paperScaleTopo(t)
-	src, dst := ls.Host(0), ls.Host(16)
-	dst.Deliver = func(p *packet.Packet) {}
 	paths := map[string]bool{}
 	for i := 0; i < 256; i++ {
 		p := dataPacket(0, 16, 100)
 		p.Encap = &packet.Encap{SrcHyp: 0, DstHyp: 16, SrcPort: uint16(40000 + i), DstPort: 7471}
-		p.PathTrace = []packet.LinkID{}
-		src.Send(p)
-		ls.Sim.Run()
-		key := ""
-		for _, lid := range p.PathTrace {
-			key += ls.LinkByID(lid).Name() + ","
-		}
-		paths[key] = true
+		paths[previewPath(t, ls.Host(0), p)] = true
 	}
 	// 4 first-hop choices x 2 spine trunk choices... spine has 2 trunks to
 	// L2, so up to 8 distinct paths; require at least 4 distinct.
@@ -326,19 +337,10 @@ func TestECMPSpreadsAcrossPaths(t *testing.T) {
 
 func TestECMPDeterministicPerTuple(t *testing.T) {
 	ls := paperScaleTopo(t)
-	dst := ls.Host(16)
-	dst.Deliver = func(p *packet.Packet) {}
 	trace := func() string {
 		p := dataPacket(0, 16, 100)
 		p.Encap = &packet.Encap{SrcHyp: 0, DstHyp: 16, SrcPort: 51234, DstPort: 7471}
-		p.PathTrace = []packet.LinkID{}
-		ls.Host(0).Send(p)
-		ls.Sim.Run()
-		key := ""
-		for _, lid := range p.PathTrace {
-			key += ls.LinkByID(lid).Name() + ","
-		}
-		return key
+		return previewPath(t, ls.Host(0), p)
 	}
 	a, b := trace(), trace()
 	if a != b {

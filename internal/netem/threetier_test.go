@@ -65,21 +65,13 @@ func TestThreeTierPathDiversity(t *testing.T) {
 	s := sim.New(3)
 	tt := BuildThreeTier(s, DefaultThreeTier())
 	src, dst := tt.CrossPodPair()
-	tt.Host(dst).Deliver = func(*packet.Packet) {}
 	paths := map[string]bool{}
 	for i := 0; i < 200; i++ {
 		p := &packet.Packet{
 			Kind:  packet.KindData,
 			Encap: &packet.Encap{SrcHyp: src, DstHyp: dst, SrcPort: uint16(33000 + i*7), DstPort: 7471},
 		}
-		p.PathTrace = []packet.LinkID{}
-		tt.Host(src).Send(p)
-		s.Run()
-		key := ""
-		for _, l := range p.PathTrace {
-			key += tt.LinkByID(l).Name() + ","
-		}
-		paths[key] = true
+		paths[previewPath(t, tt.Host(src), p)] = true
 	}
 	// 2 aggs x 2 spines x 2 remote aggs... remote agg determined by spine
 	// choice? Each spine connects to both aggs of the far pod: 2x2x2 = 8

@@ -236,10 +236,6 @@ type Packet struct {
 	// not stamped.
 	SentAtNs int64
 
-	// PathTrace, when enabled on the packet, records every link traversed.
-	// Used by tests and by path discovery verification; nil in normal runs.
-	PathTrace []LinkID
-
 	// Header storage behind Encap and Conga (see AddEncap, AddConga).
 	encap Encap
 	conga Conga
@@ -326,7 +322,7 @@ func (p *Packet) CEMarked() bool {
 }
 
 // Clone returns a deep copy of the packet: the clone's Encap and Conga aim
-// at its own storage, and PathTrace is copied too, so the two can diverge.
+// at its own storage, so the two can diverge.
 func (p *Packet) Clone() *Packet {
 	q := *p
 	if p.Encap != nil {
@@ -334,9 +330,6 @@ func (p *Packet) Clone() *Packet {
 	}
 	if p.Conga != nil {
 		*q.AddConga() = *p.Conga
-	}
-	if p.PathTrace != nil {
-		q.PathTrace = append([]LinkID(nil), p.PathTrace...)
 	}
 	return &q
 }

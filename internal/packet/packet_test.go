@@ -97,17 +97,15 @@ func TestMarkCE(t *testing.T) {
 
 func TestCloneIsDeep(t *testing.T) {
 	p := &Packet{
-		Kind:      KindData,
-		Inner:     FiveTuple{Src: 1, Dst: 2},
-		Encap:     &Encap{SrcPort: 1111, Feedback: Feedback{Valid: true, Port: 9}},
-		Conga:     &Conga{LBTag: 3, CEMetric: 0.5},
-		PathTrace: []LinkID{1, 2, 3},
+		Kind:  KindData,
+		Inner: FiveTuple{Src: 1, Dst: 2},
+		Encap: &Encap{SrcPort: 1111, Feedback: Feedback{Valid: true, Port: 9}},
+		Conga: &Conga{LBTag: 3, CEMetric: 0.5},
 	}
 	q := p.Clone()
 	q.Encap.SrcPort = 2222
 	q.Conga.CEMetric = 0.9
-	q.PathTrace[0] = 99
-	if p.Encap.SrcPort != 1111 || p.Conga.CEMetric != 0.5 || p.PathTrace[0] != 1 {
+	if p.Encap.SrcPort != 1111 || p.Conga.CEMetric != 0.5 {
 		t.Error("Clone shares state with original")
 	}
 	if q.Encap.Feedback.Port != 9 {
@@ -118,7 +116,7 @@ func TestCloneIsDeep(t *testing.T) {
 func TestCloneNilOptionals(t *testing.T) {
 	p := &Packet{Kind: KindData}
 	q := p.Clone()
-	if q.Encap != nil || q.Conga != nil || q.PathTrace != nil {
+	if q.Encap != nil || q.Conga != nil {
 		t.Error("Clone invented optional fields")
 	}
 }

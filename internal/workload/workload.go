@@ -1,16 +1,15 @@
-// Package workload generates the traffic the paper evaluates with: flow
+// Package workload describes the traffic the paper evaluates with: flow
 // sizes drawn from an empirical web-search distribution (heavy-tailed, most
-// flows small, most bytes in a few large flows), Poisson flow arrivals
-// tuned to a target network load, and the incast partition–aggregate
-// pattern of Sec. 5.3.
+// flows small, most bytes in a few large flows) and the Poisson arrival
+// rate that offers a target network load. The arrival chains themselves,
+// and the incast partition–aggregate pattern of Sec. 5.3, are driven by
+// internal/cluster.
 package workload
 
 import (
 	"fmt"
 	"math"
 	"math/rand"
-
-	"clove/internal/sim"
 )
 
 // CDFPoint anchors an empirical flow-size CDF: P(size <= Bytes) = Prob.
@@ -192,26 +191,6 @@ func (c *EmpiricalCDF) Scaled(factor float64) *EmpiricalCDF {
 		pts[i] = CDFPoint{Bytes: math.Max(1, p.Bytes*factor), Prob: p.Prob}
 	}
 	return mustCDF(fmt.Sprintf("%s(x%g)", c.name, factor), pts)
-}
-
-// PoissonArrivals yields exponential inter-arrival times with the given
-// mean rate (flows per second).
-type PoissonArrivals struct {
-	rng  *rand.Rand
-	rate float64
-}
-
-// NewPoissonArrivals creates an arrival process; rate must be positive.
-func NewPoissonArrivals(rng *rand.Rand, ratePerSec float64) *PoissonArrivals {
-	if ratePerSec <= 0 {
-		panic(fmt.Sprintf("workload: arrival rate %v", ratePerSec))
-	}
-	return &PoissonArrivals{rng: rng, rate: ratePerSec}
-}
-
-// Next draws the time to the next arrival.
-func (p *PoissonArrivals) Next() sim.Time {
-	return sim.FromSeconds(p.rng.ExpFloat64() / p.rate)
 }
 
 // ArrivalRateForLoad converts a target network load into a per-connection

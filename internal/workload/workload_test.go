@@ -98,29 +98,6 @@ func TestScaled(t *testing.T) {
 	}
 }
 
-func TestPoissonArrivals(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	p := NewPoissonArrivals(rng, 1000) // 1000 flows/s -> mean 1ms
-	var total float64
-	const n = 20000
-	for i := 0; i < n; i++ {
-		total += p.Next().Seconds()
-	}
-	mean := total / n
-	if mean < 0.0009 || mean > 0.0011 {
-		t.Errorf("mean inter-arrival = %v, want ~1ms", mean)
-	}
-}
-
-func TestPoissonPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("no panic on zero rate")
-		}
-	}()
-	NewPoissonArrivals(rand.New(rand.NewSource(1)), 0)
-}
-
 func TestArrivalRateForLoad(t *testing.T) {
 	// 50% of 160Gbps = 10GB/s; 16 conns of 1MB mean flows
 	// -> 10e9 / (16 * 1e6) = 625 flows/s/conn.
