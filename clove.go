@@ -6,9 +6,10 @@
 //
 //   - A deterministic packet-level datacenter simulator (leaf–spine ECMP
 //     fabric, NewReno/MPTCP tenant transports, hypervisor virtual switches)
-//     with all eight load-balancing schemes from the paper's evaluation:
-//     ECMP, Edge-Flowlet, Clove-ECN, Clove-INT, Presto, MPTCP, CONGA, and
-//     LetFlow. Build one with NewCluster and drive it with RunWebSearch /
+//     with eleven load-balancing schemes (Schemes): the eight from the
+//     paper's evaluation — ECMP, Edge-Flowlet, Clove-ECN, Clove-INT,
+//     Presto, MPTCP, CONGA, and LetFlow — plus Clove-Latency (the Sec. 7
+//     path-latency extension), Concury, and Charon. Build one with NewCluster and drive it with RunWebSearch /
 //     RunIncast, or regenerate any of the paper's figures with RunFigure.
 //
 //   - The Clove algorithm itself as reusable pieces (flowlet detection,

@@ -178,20 +178,19 @@ func (c *Cluster) rotatedMesh(incast bool) (fwd, rev [][]*Conn) {
 	}
 	var pairs [][2]packet.HostID
 	for ci := 0; ci < nHosts; ci++ {
-		leaf := ci / hostsPerLeaf
-		cand := make([]packet.HostID, 0, maxSpc)
-		for h := 0; h < nHosts; h++ {
-			if h/hostsPerLeaf != leaf {
-				cand = append(cand, packet.HostID(h))
-			}
-		}
+		// Candidate j is the j-th host off the client's leaf: hosts below
+		// the leaf's block keep their index, the rest skip the block.
+		leafLo := ci / hostsPerLeaf * hostsPerLeaf
 		fwd[ci] = make([]*Conn, spc)
 		if rev != nil {
 			rev[ci] = make([]*Conn, spc)
 		}
 		client := packet.HostID(ci)
 		for k := 0; k < spc; k++ {
-			server := cand[(ci+k)%len(cand)]
+			server := packet.HostID((ci + k) % maxSpc)
+			if int(server) >= leafLo {
+				server += packet.HostID(hostsPerLeaf)
+			}
 			fwd[ci][k] = c.OpenConn(client, server, 0)
 			pairs = append(pairs, [2]packet.HostID{client, server}, [2]packet.HostID{server, client})
 			if rev != nil {

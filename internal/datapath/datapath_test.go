@@ -266,7 +266,7 @@ func TestEmulatorPreservesPayload(t *testing.T) {
 
 func TestEndpointDecodeErrorCounted(t *testing.T) {
 	a, _ := pair(t, DefaultConfig())
-	a.handleFrame(a.shards[0], []byte{1, 2, 3}, 0)
+	a.handleFrame(a.shards[0], []byte{1, 2, 3})
 	if a.Stats().DecodeErrors != 1 {
 		t.Error("decode error not counted")
 	}

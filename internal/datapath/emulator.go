@@ -73,14 +73,15 @@ type PathProfile struct {
 // length is the path's depth; wire holds paced datagrams until release.
 type emuPath struct {
 	profile PathProfile
-	queue   chan []byte
-	wire    chan onWire
+	queue   chan stamped // stamped with arrival
+	wire    chan stamped // stamped with release
 }
 
-// onWire is a paced datagram and the time it leaves the path.
-type onWire struct {
-	pkt     []byte
-	release time.Time
+// stamped is a datagram and the time it arrived at the path (in queue) or
+// leaves it (on the wire).
+type stamped struct {
+	pkt []byte
+	at  time.Time
 }
 
 // emuWireCap bounds the datagrams one path holds in flight; a full wire
@@ -170,7 +171,7 @@ func (e *PathEmulator) dispatch(pkt []byte) {
 		if cap == 0 {
 			cap = 256
 		}
-		p = &emuPath{profile: profile, queue: make(chan []byte, cap), wire: make(chan onWire, emuWireCap)}
+		p = &emuPath{profile: profile, queue: make(chan stamped, cap), wire: make(chan stamped, emuWireCap)}
 		e.paths[port] = p
 		e.wg.Add(2)
 		go e.pace(p)
@@ -181,7 +182,7 @@ func (e *PathEmulator) dispatch(pkt []byte) {
 		pkt[0] |= fabricCE // mark like a switch whose queue exceeds K
 	}
 	select {
-	case p.queue <- pkt:
+	case p.queue <- stamped{pkt, time.Now()}:
 	default:
 		// drop-tail: recycle the buffer
 		e.putBuf(pkt)
@@ -189,23 +190,31 @@ func (e *PathEmulator) dispatch(pkt []byte) {
 }
 
 // pace serializes one path's queue at its configured rate and puts each
-// datagram on the wire, stamped with its release time.
+// datagram on the wire, stamped with its release time. Transmissions run on
+// a departure clock, done = max(arrival, done) + tx, so a late wake-up
+// delays the datagrams behind it without lowering the path's rate.
 func (e *PathEmulator) pace(p *emuPath) {
 	defer e.wg.Done()
+	var done time.Time
 	for {
 		select {
 		case <-e.closed:
 			return
-		case pkt := <-p.queue:
+		case q := <-p.queue:
+			if done.Before(q.at) {
+				done = q.at
+			}
 			if p.profile.RateBps > 0 {
-				tx := time.Duration(int64(len(pkt)) * 8 * int64(time.Second) / p.profile.RateBps)
-				time.Sleep(tx)
+				done = done.Add(time.Duration(int64(len(q.pkt)) * 8 * int64(time.Second) / p.profile.RateBps))
+				if d := time.Until(done); d > 0 {
+					time.Sleep(d)
+				}
 			}
 			select {
 			case <-e.closed:
-				e.putBuf(pkt)
+				e.putBuf(q.pkt)
 				return
-			case p.wire <- onWire{pkt: pkt, release: time.Now().Add(p.profile.Delay)}:
+			case p.wire <- stamped{q.pkt, done.Add(p.profile.Delay)}:
 			}
 		}
 	}
@@ -220,7 +229,7 @@ func (e *PathEmulator) deliver(p *emuPath) {
 		case <-e.closed:
 			return
 		case w := <-p.wire:
-			if d := time.Until(w.release); d > 0 {
+			if d := time.Until(w.at); d > 0 {
 				time.Sleep(d)
 			}
 			e.out.WriteToUDPAddrPort(w.pkt, e.destAP)

@@ -24,7 +24,7 @@
 //     preallocated receive ring and its transmit side owns a preallocated
 //     send ring behind a shard-local mutex.
 //   - The Clove state (flowlet position, weight table, the peer's relay
-//     record, probe tables) sits under one endpoint mutex. A send
+//     record, one probe slot per path) sits under one endpoint mutex. A send
 //     takes it once; the receive path takes it only for a datagram that
 //     carries a CE mark, feedback or a probe, never for plain data.
 //   - On linux/amd64 and linux/arm64, datagrams move in batches via raw
@@ -92,11 +92,6 @@ var errNoRemote = errors.New("datapath: no remote configured (call Start or Reta
 
 // errNotStarted is returned by Retarget before Start.
 var errNotStarted = errors.New("datapath: not started (call Start first)")
-
-// probeExpiry bounds how long an unanswered probe stays in the in-flight
-// table before ProbePaths prunes it (a lost probe would otherwise leak its
-// entry forever).
-const probeExpiry = 30 * time.Second
 
 // Read-loop error backoff bounds: a persistent socket error must not
 // busy-spin the shard goroutine, so consecutive failures sleep with
@@ -205,10 +200,9 @@ type Endpoint struct {
 	// forward paths until they are relayed, on the now() clock.
 	peer clove.PeerPaths
 
-	// Path-quality probing (ProbePaths): in-flight probes by sequence, and
-	// the latest RTT sample per path index.
+	// Path-quality probing (ProbePaths): one slot per path index holding
+	// its in-flight probe and its latest RTT sample.
 	probeSeq uint32
-	probes   map[uint32]probeState
 	rtts     []rttSample
 
 	// Send-side counters (the receive side counts per shard).
@@ -246,7 +240,6 @@ func NewEndpoint(localIP string, cfg Config) (*Endpoint, error) {
 		portIdx: make([]int16, 1<<16),
 		start:   time.Now(),
 		closed:  make(chan struct{}),
-		probes:  map[uint32]probeState{},
 		rtts:    make([]rttSample, cfg.Paths),
 	}
 	for i := 0; i < cfg.Paths; i++ {
@@ -537,7 +530,7 @@ func (e *Endpoint) send(payload []byte, flush bool) error {
 	flowlet := e.flowlet
 	fb := e.takeFeedbackLocked(nowT)
 	e.mu.Unlock()
-	err := e.transmitOpt(port, flowlet, fb, payload, 0, flush)
+	err := e.transmit(port, flowlet, fb, payload, 0, flush)
 	if err != nil {
 		// Not counted as sent: a drain-time caller comparing Stats().Sent
 		// against the receiver's delivery count must not see frames that
@@ -565,15 +558,10 @@ func (e *Endpoint) Flush() error {
 	return first
 }
 
-// transmit builds and immediately sends a datagram out the socket bound to
-// port (control traffic: keepalives, probes, probe echoes).
-func (e *Endpoint) transmit(port uint16, flowlet uint32, fb wire.Feedback, payload []byte, extraFlags uint8) error {
-	return e.transmitOpt(port, flowlet, fb, payload, extraFlags, true)
-}
-
-// transmitOpt encodes one datagram into the port's send ring and flushes it
-// if requested (or if the ring filled).
-func (e *Endpoint) transmitOpt(port uint16, flowlet uint32, fb wire.Feedback, payload []byte, extraFlags uint8, flush bool) error {
+// transmit encodes one datagram into the send ring of the socket bound to
+// port and flushes it if flush is set (control traffic — keepalives, probes,
+// probe echoes — always is) or if the ring filled.
+func (e *Endpoint) transmit(port uint16, flowlet uint32, fb wire.Feedback, payload []byte, extraFlags uint8, flush bool) error {
 	if e.remoteAP.Load() == nil {
 		return errNoRemote
 	}
@@ -626,7 +614,7 @@ func encodeFrame(dst []byte, port uint16, flowlet uint32, fb wire.Feedback, payl
 // handleFrame processes one received datagram on sh's goroutine. b aliases
 // the shard's receive ring (or the portable read buffer); everything that
 // escapes this call must be copied.
-func (e *Endpoint) handleFrame(sh *pathShard, b []byte, srcPort uint16) {
+func (e *Endpoint) handleFrame(sh *pathShard, b []byte) {
 	if len(b) < headerLen {
 		sh.stats.decodeErrors.Add(1)
 		return
@@ -652,21 +640,15 @@ func (e *Endpoint) handleFrame(sh *pathShard, b []byte, srcPort uint16) {
 		return
 	}
 
-	// The shim restates the sender's outer source port so path attribution
-	// survives middle hops that rewrite the outer header (the emulator, a
-	// NAT). Direct tunnels could use the datagram source; the shim is
-	// authoritative.
-	peerPort := shim.PathPort
-	if peerPort == 0 {
-		peerPort = srcPort
-	}
-
+	// The shim restates the sender's outer source port, the path's name
+	// (Sec. 3.2), so path attribution survives middle hops that rewrite the
+	// outer header (the emulator, a NAT).
 	sh.stats.received.Add(1)
 	if ce, fb := fabric&fabricCE != 0, shim.Feedback; ce || fb.Valid {
 		e.mu.Lock()
 		if ce {
 			sh.stats.ceObserved.Add(1)
-			e.peer.NoteCE(peerPort)
+			e.peer.NoteCE(shim.PathPort)
 		}
 		if fb.Valid {
 			sh.stats.feedbackReceived.Add(1)
@@ -702,7 +684,7 @@ func (e *Endpoint) Keepalive() {
 	e.mu.Unlock()
 	for _, port := range e.ports {
 		// The feedback rides the first path and counts only if written.
-		if e.transmit(port, 0, fb, nil, shimFlagBare) == nil && fb.Valid {
+		if e.transmit(port, 0, fb, nil, shimFlagBare, true) == nil && fb.Valid {
 			e.feedbackSent.Add(1)
 		}
 		fb = wire.Feedback{}

@@ -1,7 +1,6 @@
 package datapath
 
 import (
-	"encoding/binary"
 	"testing"
 	"time"
 
@@ -10,12 +9,11 @@ import (
 )
 
 // fuzzDatagrams packs frames into FuzzHandleFrame's input: each datagram is
-// a length byte, the big-endian source port it arrived from, and the frame.
-func fuzzDatagrams(srcPort uint16, frames ...[]byte) []byte {
+// a length byte and the frame.
+func fuzzDatagrams(frames ...[]byte) []byte {
 	var out []byte
 	for _, f := range frames {
 		out = append(out, byte(len(f)))
-		out = binary.BigEndian.AppendUint16(out, srcPort)
 		out = append(out, f...)
 	}
 	return out
@@ -38,15 +36,15 @@ func fuzzFrame(port uint16, payload []byte, flags uint8, fb wire.Feedback, ce bo
 // well-formed, non-probe, CE-marked datagram carried, and nothing else.
 func FuzzHandleFrame(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(fuzzDatagrams(40001, fuzzFrame(40001, []byte("data"), 0, wire.Feedback{}, false)))
-	f.Add(fuzzDatagrams(40001,
+	f.Add(fuzzDatagrams(fuzzFrame(40001, []byte("data"), 0, wire.Feedback{}, false)))
+	f.Add(fuzzDatagrams(
 		fuzzFrame(40001, nil, shimFlagBare, wire.Feedback{}, true),
 		fuzzFrame(0, []byte("x"), 0, wire.Feedback{Valid: true, Port: 40002, ECN: true, HasUtil: true, Util: 0.5}, true),
 		fuzzFrame(40003, nil, shimFlagProbe, wire.Feedback{}, true),
 		fuzzFrame(40004, nil, shimFlagProbeEcho, wire.Feedback{Valid: true, Port: 1}, true),
 		fuzzFrame(40005, []byte("short"), 0, wire.Feedback{}, true)[:headerLen+2],
 	))
-	f.Add([]byte{3, 0, 1, 0xff, 0xff, 0xff, 200, 9, 9})
+	f.Add([]byte{3, 0xff, 0xff, 0xff, 200, 9, 9})
 
 	cfg := DefaultConfig()
 	cfg.Paths = 2
@@ -61,15 +59,14 @@ func FuzzHandleFrame(f *testing.F) {
 		e.peer = clove.PeerPaths{}
 		e.mu.Unlock()
 		marked := map[uint16]bool{}
-		for i := 0; len(data) >= 3; i++ {
-			n := min(int(data[0]), len(data)-3)
-			srcPort := binary.BigEndian.Uint16(data[1:])
-			frame := data[3 : 3+n]
-			data = data[3+n:]
-			if port, ok := markedPort(frame, srcPort); ok {
+		for i := 0; len(data) >= 1; i++ {
+			n := min(int(data[0]), len(data)-1)
+			frame := data[1 : 1+n]
+			data = data[1+n:]
+			if port, ok := markedPort(frame); ok {
 				marked[port] = true
 			}
-			e.handleFrame(e.shards[i%len(e.shards)], frame, srcPort)
+			e.handleFrame(e.shards[i%len(e.shards)], frame)
 		}
 		// Far past any relay: every marked path is due once.
 		at := time.Since(e.start) + time.Hour
@@ -87,9 +84,9 @@ func FuzzHandleFrame(f *testing.F) {
 }
 
 // markedPort is the reference parse: it reports the peer path port a
-// datagram attributes a CE mark to, if the datagram is well formed, not a
-// probe or probe echo, and CE-marked.
-func markedPort(b []byte, srcPort uint16) (uint16, bool) {
+// datagram attributes a CE mark to (the shim's PathPort, 0 included), if the
+// datagram is well formed, not a probe or probe echo, and CE-marked.
+func markedPort(b []byte) (uint16, bool) {
 	if len(b) < headerLen || b[0]&fabricCE == 0 {
 		return 0, false
 	}
@@ -97,9 +94,6 @@ func markedPort(b []byte, srcPort uint16) (uint16, bool) {
 	if _, err := shim.Unmarshal(b[1:]); err != nil || shim.Version != shimVersion ||
 		int(shim.PayloadLen) != len(b)-headerLen || shim.Flags&(shimFlagProbe|shimFlagProbeEcho) != 0 {
 		return 0, false
-	}
-	if shim.PathPort == 0 {
-		return srcPort, true
 	}
 	return shim.PathPort, true
 }

@@ -2,9 +2,9 @@
 
 // Batched socket I/O via raw recvmmsg/sendmmsg syscalls. This is the
 // high-throughput half of the platform seam: one syscall moves up to
-// Config.Batch datagrams in either direction, with every msghdr, iovec,
-// sockaddr buffer, and data buffer preallocated at Start so the steady
-// state performs zero heap allocations. The portable fallback (used on
+// Config.Batch datagrams in either direction, with every msghdr, iovec and
+// data buffer, and the send side's one sockaddr, preallocated at Start so
+// the steady state performs zero heap allocations. The portable fallback (used on
 // other platforms and under Config.NoBatchSyscalls) lives in shard.go; the
 // two are differential-tested byte-identical on the wire.
 //
@@ -29,9 +29,6 @@ type mmsghdr struct {
 	msgLen uint32
 	_      uint32
 }
-
-// sockaddrBufLen fits any AF_INET/AF_INET6 source address.
-const sockaddrBufLen = syscall.SizeofSockaddrInet6
 
 // UDP segmentation-offload plumbing. With GSO the whole transmit ring is
 // handed to the kernel as ONE datagram plus a UDP_SEGMENT cmsg giving the
@@ -64,7 +61,6 @@ type batchIO struct {
 
 	rhdrs  []mmsghdr
 	riovs  []syscall.Iovec
-	rnames [][sockaddrBufLen]byte
 	recvN  int
 	recvE  syscall.Errno
 	recvFn func(fd uintptr) bool
@@ -104,13 +100,12 @@ func newBatchIO(sh *pathShard, remote netip.AddrPort) (*batchIO, error) {
 	}
 	b := sh.ep.batch
 	bio := &batchIO{
-		sh:     sh,
-		rhdrs:  make([]mmsghdr, b),
-		riovs:  make([]syscall.Iovec, b),
-		rnames: make([][sockaddrBufLen]byte, b),
-		shdrs:  make([]mmsghdr, b),
-		siovs:  make([]syscall.Iovec, b),
-		raddr:  raddr,
+		sh:    sh,
+		rhdrs: make([]mmsghdr, b),
+		riovs: make([]syscall.Iovec, b),
+		shdrs: make([]mmsghdr, b),
+		siovs: make([]syscall.Iovec, b),
+		raddr: raddr,
 	}
 
 	// Probe segmentation-offload support on this socket. GSO support is
@@ -148,8 +143,6 @@ func newBatchIO(sh *pathShard, remote netip.AddrPort) (*batchIO, error) {
 	for i := 0; i < b; i++ {
 		bio.riovs[i].Base = &sh.rxBufs[i][0]
 		bio.riovs[i].SetLen(len(sh.rxBufs[i]))
-		bio.rhdrs[i].hdr.Name = &bio.rnames[i][0]
-		bio.rhdrs[i].hdr.Namelen = sockaddrBufLen
 		bio.rhdrs[i].hdr.Iov = &bio.riovs[i]
 		bio.rhdrs[i].hdr.Iovlen = 1
 		if bio.gro {
@@ -263,11 +256,9 @@ func (bio *batchIO) retarget(remote netip.AddrPort) error {
 // blocking via the runtime poller when the socket is empty.
 func (sh *pathShard) recvBatchMmsg() (int, error) {
 	bio := sh.bio
-	// The kernel rewrites msg_namelen (and msg_controllen) per message;
-	// restore before reuse.
-	for i := range bio.rhdrs {
-		bio.rhdrs[i].hdr.Namelen = sockaddrBufLen
-		if bio.gro {
+	// The kernel rewrites msg_controllen per message; restore before reuse.
+	if bio.gro {
+		for i := range bio.rhdrs {
 			bio.rhdrs[i].hdr.SetControllen(ctlBufLen)
 		}
 	}
@@ -281,9 +272,6 @@ func (sh *pathShard) recvBatchMmsg() (int, error) {
 	n := bio.recvN
 	for i := 0; i < n; i++ {
 		sh.rxLen[i] = int(bio.rhdrs[i].msgLen)
-		// sockaddr_in and sockaddr_in6 both carry the port big-endian at
-		// bytes [2:4].
-		sh.rxSrc[i] = uint16(bio.rnames[i][2])<<8 | uint16(bio.rnames[i][3])
 		sh.rxSeg[i] = 0
 		if bio.gro && bio.rhdrs[i].hdr.Controllen >= 20 {
 			// The only cmsg enabled on this socket is UDP_GRO:

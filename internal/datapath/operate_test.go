@@ -11,6 +11,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"clove/internal/wire"
 )
 
 // newCounting returns a receive-only endpoint counting deliveries.
@@ -312,7 +314,7 @@ func TestKeepaliveCountsOnlyWrittenFeedback(t *testing.T) {
 
 // TestProbeCountersCountOnlyWritten: a probe counts in ProbesSent, and an
 // echo in ProbesAnswered, only once the datagram is written. A probe that
-// never left keeps no in-flight entry, since no echo can resolve it.
+// never left keeps no in-flight slot, since no echo can resolve it.
 func TestProbeCountersCountOnlyWritten(t *testing.T) {
 	eachIOMode(t, func(t *testing.T, cfg Config) {
 		// A receive-only endpoint has nowhere to write an echo.
@@ -345,12 +347,92 @@ func TestProbeCountersCountOnlyWritten(t *testing.T) {
 		a.Close()
 		a.ProbePaths()
 		st := a.Stats()
-		a.mu.Lock()
-		inFlight := len(a.probes)
-		a.mu.Unlock()
+		inFlight := probesInFlight(a)
 		if st.ProbesSent != 0 || st.SocketErrors == 0 || inFlight != 0 {
 			t.Errorf("after Close: ProbesSent = %d, SocketErrors = %d, in flight = %d; want 0, > 0, 0",
 				st.ProbesSent, st.SocketErrors, inFlight)
 		}
 	})
+}
+
+// probesInFlight counts the paths whose probe slot awaits an echo.
+func probesInFlight(e *Endpoint) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	n := 0
+	for _, s := range e.rtts {
+		if !s.sentAt.IsZero() {
+			n++
+		}
+	}
+	return n
+}
+
+// TestProbeStateBoundedByPaths: probing a peer that never echoes keeps at
+// most one probe per path in flight, however many rounds go unanswered.
+func TestProbeStateBoundedByPaths(t *testing.T) {
+	eachIOMode(t, func(t *testing.T, cfg Config) {
+		recv, _ := newCounting(t, cfg) // receive-only: it cannot echo
+		snd, err := NewEndpoint("127.0.0.1", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer snd.Close()
+		if err := snd.Start(fmt.Sprintf("127.0.0.1:%d", recv.Ports()[0])); err != nil {
+			t.Fatal(err)
+		}
+		const rounds = 50
+		for i := 0; i < rounds; i++ {
+			snd.ProbePaths()
+		}
+		if got, want := snd.Stats().ProbesSent, int64(rounds*cfg.Paths); got != want {
+			t.Fatalf("ProbesSent = %d, want %d", got, want)
+		}
+		if n := probesInFlight(snd); n > cfg.Paths {
+			t.Errorf("%d probes in flight after %d unanswered rounds, want at most %d", n, rounds, cfg.Paths)
+		}
+	})
+}
+
+// TestProbeEchoOfReplacedSeqIgnored: a later ProbePaths round replaces a
+// path's unanswered probe, so an echo of the old seq no longer resolves it;
+// the current seq resolves it once.
+func TestProbeEchoOfReplacedSeqIgnored(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Paths = 2
+	recv, _ := newCounting(t, cfg) // receive-only: no real echo arrives
+	a, err := NewEndpoint("127.0.0.1", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	if err := a.Start(fmt.Sprintf("127.0.0.1:%d", recv.Ports()[0])); err != nil {
+		t.Fatal(err)
+	}
+	a.ProbePaths()
+	a.mu.Lock()
+	old := a.rtts[0].seq
+	a.mu.Unlock()
+	a.ProbePaths()
+	a.mu.Lock()
+	cur := a.rtts[0].seq
+	a.mu.Unlock()
+
+	echo := func(seq uint32) {
+		b := make([]byte, headerLen)
+		encodeFrame(b, recv.Ports()[0], seq, wire.Feedback{Valid: true, Port: a.ports[0]}, nil, shimFlagProbeEcho)
+		a.handleFrame(a.shards[0], b)
+	}
+	echo(old)
+	if got := a.Stats().ProbeEchoes; got != 0 {
+		t.Fatalf("echo of replaced seq %d counted: ProbeEchoes = %d, want 0", old, got)
+	}
+	echo(cur)
+	echo(cur)
+	if got := a.Stats().ProbeEchoes; got != 1 {
+		t.Errorf("ProbeEchoes = %d after two echoes of current seq %d, want 1", got, cur)
+	}
+	if r := a.PathRTTs(); r[0].Samples != 1 || r[1].Samples != 0 {
+		t.Errorf("PathRTTs = %+v, want one sample on path 0 only", r)
+	}
 }

@@ -158,9 +158,9 @@ func TestTakeFeedbackAcrossShards(t *testing.T) {
 	defer e.Close()
 	// A peer aiming at two of our ports: CE arrives on shards 0, 1, 0.
 	mark := func() {
-		e.handleFrame(e.shards[0], ceKeepalive(10, wire.Feedback{}), 10)
-		e.handleFrame(e.shards[1], ceKeepalive(99, wire.Feedback{}), 99)
-		e.handleFrame(e.shards[0], ceKeepalive(11, wire.Feedback{}), 11)
+		e.handleFrame(e.shards[0], ceKeepalive(10, wire.Feedback{}))
+		e.handleFrame(e.shards[1], ceKeepalive(99, wire.Feedback{}))
+		e.handleFrame(e.shards[0], ceKeepalive(11, wire.Feedback{}))
 	}
 	mark()
 	if got := relayRound(e, 0); got != "[10 11 99]" {
@@ -217,7 +217,7 @@ func TestConcurrentSendReceiveControl(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < n; i++ {
-			a.handleFrame(a.shards[i%2], frames[i%2], b.ports[i%2])
+			a.handleFrame(a.shards[i%2], frames[i%2])
 		}
 	}()
 	stop := make(chan struct{})
@@ -312,7 +312,7 @@ func TestReadLoopNoBusySpinOnSocketError(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		// Path 0 is b's ingress; a's dead socket only breaks a's own
 		// receive on path 1.
-		if err := a.transmit(a.ports[0], 1, wire.Feedback{}, []byte("x"), 0); err != nil {
+		if err := a.transmit(a.ports[0], 1, wire.Feedback{}, []byte("x"), 0, true); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -535,8 +535,8 @@ func TestSteadyStateReceiveZeroAlloc(t *testing.T) {
 	encodeFrame(frame, 40001, 7, wire.Feedback{}, make([]byte, 512), 0)
 
 	// Steady-state data datagram (no CE, no feedback): the dominant path.
-	a.handleFrame(sh, frame, 40001)
-	if n := testing.AllocsPerRun(1000, func() { a.handleFrame(sh, frame, 40001) }); n != 0 {
+	a.handleFrame(sh, frame)
+	if n := testing.AllocsPerRun(1000, func() { a.handleFrame(sh, frame) }); n != 0 {
 		t.Errorf("steady-state receive allocates %v/op, contract is 0", n)
 	}
 
@@ -545,8 +545,8 @@ func TestSteadyStateReceiveZeroAlloc(t *testing.T) {
 	ce := make([]byte, headerLen+512)
 	encodeFrame(ce, 40001, 7, wire.Feedback{}, make([]byte, 512), 0)
 	ce[0] |= fabricCE
-	a.handleFrame(sh, ce, 40001)
-	if n := testing.AllocsPerRun(1000, func() { a.handleFrame(sh, ce, 40001) }); n != 0 {
+	a.handleFrame(sh, ce)
+	if n := testing.AllocsPerRun(1000, func() { a.handleFrame(sh, ce) }); n != 0 {
 		t.Errorf("CE receive allocates %v/op after first observation, contract is 0", n)
 	}
 
@@ -554,8 +554,8 @@ func TestSteadyStateReceiveZeroAlloc(t *testing.T) {
 	// (OnCongestion, then the WRR resync) reuses the table's arrays.
 	fb := make([]byte, headerLen+512)
 	encodeFrame(fb, 40001, 7, wire.Feedback{Valid: true, Port: a.Ports()[0], ECN: true}, make([]byte, 512), 0)
-	a.handleFrame(sh, fb, 40001)
-	if n := testing.AllocsPerRun(1000, func() { a.handleFrame(sh, fb, 40001) }); n != 0 {
+	a.handleFrame(sh, fb)
+	if n := testing.AllocsPerRun(1000, func() { a.handleFrame(sh, fb) }); n != 0 {
 		t.Errorf("ECN-feedback receive allocates %v/op, contract is 0", n)
 	}
 	if w := a.weights.Weights()[a.Ports()[0]]; w >= 1.0/float64(cfg.Paths) {

@@ -20,16 +20,16 @@ type PathRTT struct {
 	Samples int64
 }
 
-// probeState tracks one in-flight probe.
-type probeState struct {
-	path   int // index into Endpoint.ports
-	sentAt time.Time
-}
-
+// rttSample is one path's probe slot: the in-flight probe, if any (seq,
+// sent at sentAt; zero sentAt when none), and the latest RTT sample. A new
+// ProbePaths round replaces an unanswered probe, so probe state is fixed at
+// one slot per path whatever the peer does.
 type rttSample struct {
-	rtt   time.Duration
-	at    time.Time
-	count int64
+	seq    uint32
+	sentAt time.Time
+	rtt    time.Duration
+	at     time.Time
+	count  int64
 }
 
 // ProbePaths sends one RTT probe on every path. Echoes record each path's
@@ -37,33 +37,28 @@ type rttSample struct {
 // feedback alone, so a slow but unmarked path keeps its share.
 func (e *Endpoint) ProbePaths() {
 	if e.remoteAP.Load() == nil {
-		return // receive-only: registering in-flight probes would leak them
+		return // receive-only: nothing to probe
 	}
 	now := time.Now()
 	e.mu.Lock()
-	// Prune probes that were lost on the wire; their entries would otherwise
-	// accumulate forever.
-	for seq, st := range e.probes {
-		if now.Sub(st.sentAt) > probeExpiry {
-			delete(e.probes, seq)
-		}
-	}
 	first := e.probeSeq + 1
-	for i := range e.ports {
+	for i := range e.rtts {
 		e.probeSeq++
-		e.probes[e.probeSeq] = probeState{path: i, sentAt: now}
+		e.rtts[i].seq, e.rtts[i].sentAt = e.probeSeq, now
 	}
 	e.mu.Unlock()
 	// A probe counts only once it is written; one that never left can get
-	// no echo, so its in-flight entry goes too.
+	// no echo, so its slot is cleared unless a later round took it.
 	for i, port := range e.ports {
 		seq := first + uint32(i)
-		if e.transmit(port, seq, wire.Feedback{}, nil, shimFlagProbe) == nil {
+		if e.transmit(port, seq, wire.Feedback{}, nil, shimFlagProbe, true) == nil {
 			e.probesSent.Add(1)
 			continue
 		}
 		e.mu.Lock()
-		delete(e.probes, seq)
+		if s := &e.rtts[i]; s.seq == seq {
+			s.sentAt = time.Time{}
+		}
 		e.mu.Unlock()
 	}
 }
@@ -82,25 +77,30 @@ func (e *Endpoint) handleProbe(sh *pathShard, shim *wire.SttShim) {
 	// The echo carries the original probe's path port in the feedback
 	// field (attribution) and the sequence in FlowletID.
 	fb := wire.Feedback{Valid: true, Port: shim.PathPort}
-	if e.transmit(port, shim.FlowletID, fb, nil, shimFlagProbeEcho) == nil {
+	if e.transmit(port, shim.FlowletID, fb, nil, shimFlagProbeEcho, true) == nil {
 		sh.stats.probesAnswered.Add(1)
 	}
 }
 
-// handleProbeEcho resolves an in-flight probe and records the RTT sample.
+// handleProbeEcho resolves the in-flight probe of the echoed path port and
+// records the RTT sample. An echo whose seq is not the slot's current probe
+// (answered already, or replaced by a later round) is ignored.
 func (e *Endpoint) handleProbeEcho(sh *pathShard, shim *wire.SttShim) {
+	i := int(e.portIdx[shim.Feedback.Port]) - 1
+	if i < 0 {
+		return
+	}
 	now := time.Now()
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	st, ok := e.probes[shim.FlowletID]
-	if !ok {
+	s := &e.rtts[i]
+	if s.sentAt.IsZero() || s.seq != shim.FlowletID {
 		return
 	}
-	delete(e.probes, shim.FlowletID)
 	sh.stats.probeEchoes.Add(1)
-	s := &e.rtts[st.path]
-	s.rtt = now.Sub(st.sentAt)
+	s.rtt = now.Sub(s.sentAt)
 	s.at = now
+	s.sentAt = time.Time{}
 	s.count++
 }
 

@@ -28,12 +28,10 @@ type pathShard struct {
 	// where the kernel has written, and unmapped by readLoop as it exits.
 	// The race detector tracks heap memory only, so it sees ring bytes in
 	// the heap-backed flavours alone. After a batch of n datagrams,
-	// rxLen[:n] holds their lengths, rxSrc[:n] the datagram source ports,
-	// and rxSeg[:n] the GRO segment size (0 = the datagram is a single
-	// frame).
+	// rxLen[:n] holds their lengths and rxSeg[:n] the GRO segment size
+	// (0 = the datagram is a single frame).
 	rxBufs [][]byte
 	rxLen  []int
-	rxSrc  []uint16
 	rxSeg  []int
 
 	// bio is the linux mmsghdr machinery (mmsg_linux.go); nil when the
@@ -74,7 +72,6 @@ func newPathShard(e *Endpoint, idx int, conn *net.UDPConn) (*pathShard, error) {
 		conn:  conn,
 		rawc:  rawc,
 		rxLen: make([]int, e.batch),
-		rxSrc: make([]uint16, e.batch),
 		rxSeg: make([]int, e.batch),
 		txLen: make([]int, e.batch),
 	}
@@ -148,10 +145,10 @@ func (sh *pathShard) readLoop() {
 					if end > len(b) {
 						end = len(b)
 					}
-					sh.ep.handleFrame(sh, b[off:end], sh.rxSrc[i])
+					sh.ep.handleFrame(sh, b[off:end])
 				}
 			} else {
-				sh.ep.handleFrame(sh, b, sh.rxSrc[i])
+				sh.ep.handleFrame(sh, b)
 			}
 		}
 	}
@@ -163,12 +160,11 @@ func (sh *pathShard) recvBatch() (int, error) {
 	if sh.bio != nil {
 		return sh.recvBatchMmsg()
 	}
-	n, ap, err := sh.conn.ReadFromUDPAddrPort(sh.rxBufs[0])
+	n, err := sh.conn.Read(sh.rxBufs[0])
 	if err != nil {
 		return 0, err
 	}
 	sh.rxLen[0] = n
-	sh.rxSrc[0] = ap.Port()
 	sh.rxSeg[0] = 0
 	return 1, nil
 }

@@ -1,8 +1,10 @@
 // Package vswitch implements the hypervisor virtual switch: overlay
 // encapsulation and decapsulation, software flowlet switching, ECN/INT
 // feedback reflection between hypervisors, ECN masking from tenant VMs, and
-// the pluggable path-selection policies (ECMP, Edge-Flowlet, Clove-ECN,
-// Clove-INT, Presto) evaluated in the paper.
+// the pluggable path-selection policies: ECMP, Edge-Flowlet, Clove-ECN,
+// Clove-INT (which also serves Clove-Latency) and Presto from the paper,
+// Concury and Charon beyond it, and the reference twins that differential
+// tests run against them (CloveUniform, ConcuryRef, CharonRef).
 package vswitch
 
 import (
