@@ -21,12 +21,6 @@ type appConfig struct {
 	statsEvery   time.Duration
 	drainTimeout time.Duration
 
-	// Datapath I/O tuning, shared by every tenant endpoint.
-	batch   int
-	bufSize int
-	noBatch bool
-	noSeg   bool
-
 	// serveAfterEOF keeps the process serving (receive + admin) after stdin
 	// closes instead of exiting — set when an admin plane or a tenants file
 	// makes this an operated service rather than a pipe filter.
@@ -235,14 +229,6 @@ func (t *tenant) start() error {
 	cfg.Paths = t.spec.Paths
 	cfg.FlowletGap = time.Duration(t.spec.FlowletGap)
 	cfg.RelayInterval = time.Duration(t.spec.RelayInterval)
-	if t.app.cfg.batch > 0 {
-		cfg.Batch = t.app.cfg.batch
-	}
-	if t.app.cfg.bufSize > 0 {
-		cfg.BufSize = t.app.cfg.bufSize
-	}
-	cfg.NoBatchSyscalls = t.app.cfg.noBatch
-	cfg.NoSegmentation = t.app.cfg.noSeg
 
 	ep, err := datapath.NewEndpoint(t.spec.Listen, cfg)
 	if err != nil {
@@ -258,7 +244,7 @@ func (t *tenant) start() error {
 	t.ep.Store(ep)
 	fmt.Fprintf(out, "paths%s: %v (batched syscalls: %v)\n",
 		nameSuffix(label), ep.Ports(),
-		datapath.BatchSyscallsSupported() && !cfg.NoBatchSyscalls)
+		datapath.BatchSyscallsSupported())
 	if t.spec.Remote == "" {
 		fmt.Fprintf(out, "%sno remote; receive-only until a /config retarget\n", label)
 	}

@@ -35,6 +35,8 @@ import (
 	"sync"
 	"syscall"
 	"time"
+
+	"clove/internal/datapath"
 )
 
 func main() {
@@ -46,18 +48,15 @@ func main() {
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("cloved", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	def := datapath.DefaultConfig()
 	var (
 		listen   = fs.String("listen", "127.0.0.1", "local IP to bind path sockets on")
 		remote   = fs.String("remote", "", "remote endpoint addr (host:port); empty = receive-only until a /config retarget")
-		paths    = fs.Int("paths", 4, "number of path sockets (outer source ports)")
-		gap      = fs.Duration("flowlet-gap", 500*time.Microsecond, "flowlet inter-packet gap")
-		relay    = fs.Duration("relay", 250*time.Microsecond, "feedback relay interval")
+		paths    = fs.Int("paths", def.Paths, "number of path sockets (outer source ports)")
+		gap      = fs.Duration("flowlet-gap", def.FlowletGap, "flowlet inter-packet gap")
+		relay    = fs.Duration("relay", def.RelayInterval, "feedback relay interval")
 		stats    = fs.Duration("stats", 2*time.Second, "stats print interval (0 disables)")
 		keepint  = fs.Duration("keepalive", 100*time.Millisecond, "keepalive/feedback-carrier interval (0 disables)")
-		batch    = fs.Int("batch", 0, "datagrams per batched syscall / ring depth (0 = default)")
-		bufsize  = fs.Int("bufsize", 0, "transmit ring slot size in bytes (0 = default)")
-		noBatch  = fs.Bool("no-batch", false, "force one-datagram-per-syscall I/O (portable path)")
-		noSeg    = fs.Bool("no-gso", false, "disable UDP GSO/GRO segmentation offload")
 		admin    = fs.String("admin", "", "admin HTTP addr (host:port) serving /healthz /readyz /stats /config; empty disables")
 		tenants  = fs.String("tenants", "", "JSON tenants spec file; overrides -listen/-remote/-paths/-flowlet-gap/-relay")
 		drainTmo = fs.Duration("drain-timeout", 5*time.Second, "max wait for each tenant's drain on shutdown")
@@ -78,10 +77,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		keepalive:     *keepint,
 		statsEvery:    *stats,
 		drainTimeout:  *drainTmo,
-		batch:         *batch,
-		bufSize:       *bufsize,
-		noBatch:       *noBatch,
-		noSeg:         *noSeg,
 		serveAfterEOF: *admin != "" || *tenants != "",
 	}
 	if *tenants != "" {

@@ -61,13 +61,20 @@ func (e *PathEmulator) putBuf(b []byte) {
 	}
 }
 
-// PathProfile shapes one emulated path.
+// PathProfile shapes one emulated path. Every path's queue holds 256
+// datagrams (emuQueueCap), drop-tail.
 type PathProfile struct {
-	RateBps  int64         // token rate; 0 = unlimited
-	Delay    time.Duration // added one-way delay
-	ECNDepth int           // queue depth (packets) beyond which CE is set; 0 = never
-	QueueCap int           // drop-tail bound; 0 = 256
+	RateBps int64 // token rate; 0 = unlimited
+	// Delay is the added one-way delay, waited out with time.Sleep. A
+	// sub-millisecond sleep can take about 1 ms (it did on a 2-vCPU VM:
+	// 20 datagrams through a 100 µs path averaged 0.97 ms), so a Delay
+	// under about 1 ms may be served as about 1 ms.
+	Delay    time.Duration
+	ECNDepth int // queue depth (packets) beyond which CE is set; 0 = never
 }
+
+// emuQueueCap is the drop-tail bound of every emulated path's queue.
+const emuQueueCap = 256
 
 // emuPath is the runtime state of one path: queue feeds the pacer and its
 // length is the path's depth; wire holds paced datagrams until release.
@@ -167,11 +174,7 @@ func (e *PathEmulator) dispatch(pkt []byte) {
 	if p == nil {
 		profile := e.profiles[e.nextIdx%len(e.profiles)]
 		e.nextIdx++
-		cap := profile.QueueCap
-		if cap == 0 {
-			cap = 256
-		}
-		p = &emuPath{profile: profile, queue: make(chan stamped, cap), wire: make(chan stamped, emuWireCap)}
+		p = &emuPath{profile: profile, queue: make(chan stamped, emuQueueCap), wire: make(chan stamped, emuWireCap)}
 		e.paths[port] = p
 		e.wg.Add(2)
 		go e.pace(p)

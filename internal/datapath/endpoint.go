@@ -33,8 +33,8 @@
 //     path using the allocation-free netip socket API is used instead. The
 //     two paths are differential-tested byte-identical.
 //   - The steady-state Send and receive paths perform zero heap
-//     allocations (asserted by tests); payloads larger than a ring slot
-//     take a documented allocating slow path.
+//     allocations (asserted by tests); payloads larger than a transmit
+//     slot take a documented allocating slow path.
 //
 // Ownership contract: the payload slice passed to the SetOnRecv callback
 // aliases a shard-owned receive buffer and is valid only for the duration
@@ -76,10 +76,17 @@ const shimFlagBare = 1 << 5
 // being silently truncated to len mod 65536 and garbled at the peer.
 const MaxPayload = 65535
 
-// Ring and buffer defaults (see Config.Batch / Config.BufSize).
+// Ring geometry, the same for every endpoint. ringDepth is the depth of
+// each shard's send ring and of its batched receive ring: the most
+// datagrams one batched syscall moves, and the coalescing bound for
+// Enqueue. slotSize is one transmit slot (fabric byte + shim + payload); a
+// larger frame takes an allocating slow path. rxSlotSize is one receive
+// slot: a whole UDP datagram, so every frame Send accepts arrives intact on
+// every I/O path, and a GRO-coalesced super-datagram fits too.
 const (
-	DefaultBatch   = 32
-	DefaultBufSize = 2048
+	ringDepth  = 32
+	slotSize   = 2048
+	rxSlotSize = 1 << 16
 )
 
 // ErrPayloadTooLarge is returned by Send/Enqueue for payloads over
@@ -101,7 +108,9 @@ const (
 	errBackoffMax = 100 * time.Millisecond
 )
 
-// Config parameterizes an endpoint.
+// Config parameterizes an endpoint. The ring geometry is not a setting:
+// every shard has ringDepth transmit slots of slotSize bytes, and every
+// receive slot holds a whole UDP datagram, whichever I/O path is in use.
 type Config struct {
 	// Paths is the number of distinct outer source ports (= sockets) used.
 	Paths int
@@ -109,16 +118,6 @@ type Config struct {
 	FlowletGap time.Duration
 	// RelayInterval rate-limits feedback relays per path.
 	RelayInterval time.Duration
-	// Batch is the depth of each shard's preallocated send and receive
-	// rings: the maximum datagrams moved by one batched syscall and the
-	// coalescing bound for Enqueue. 0 means DefaultBatch.
-	Batch int
-	// BufSize is the capacity of one ring slot (fabric byte + shim +
-	// payload). Payloads that do not fit a slot are sent through an
-	// allocating slow path; received datagrams larger than a slot are
-	// truncated by the kernel and counted as decode errors. 0 means
-	// DefaultBufSize.
-	BufSize int
 	// NoBatchSyscalls forces the portable one-datagram-per-syscall I/O
 	// path even on platforms where recvmmsg/sendmmsg batching is
 	// available. Used by differential tests and apples-to-apples
@@ -137,8 +136,6 @@ func DefaultConfig() Config {
 		Paths:         4,
 		FlowletGap:    500 * time.Microsecond,
 		RelayInterval: 250 * time.Microsecond,
-		Batch:         DefaultBatch,
-		BufSize:       DefaultBufSize,
 	}
 }
 
@@ -161,9 +158,7 @@ type Stats struct {
 
 // Endpoint is one side of a Clove tunnel.
 type Endpoint struct {
-	cfg     Config
-	batch   int
-	bufSize int
+	cfg Config
 
 	shards  []*pathShard
 	ports   []uint16 // local source ports, one per path
@@ -222,21 +217,8 @@ func NewEndpoint(localIP string, cfg Config) (*Endpoint, error) {
 	if cfg.Paths <= 0 {
 		return nil, fmt.Errorf("datapath: need at least one path, got %d", cfg.Paths)
 	}
-	batch := cfg.Batch
-	if batch <= 0 {
-		batch = DefaultBatch
-	}
-	bufSize := cfg.BufSize
-	if bufSize <= 0 {
-		bufSize = DefaultBufSize
-	}
-	if bufSize < headerLen+1 {
-		bufSize = headerLen + 1
-	}
 	e := &Endpoint{
 		cfg:     cfg,
-		batch:   batch,
-		bufSize: bufSize,
 		portIdx: make([]int16, 1<<16),
 		start:   time.Now(),
 		closed:  make(chan struct{}),
@@ -509,7 +491,7 @@ func (e *Endpoint) Send(payload []byte) error { return e.send(payload, true) }
 
 // Enqueue is Send's batching variant: the datagram is placed in its path's
 // preallocated send ring and the ring is flushed with one batched syscall
-// when it fills (Config.Batch datagrams) or when Send/Flush is called.
+// when it fills (ringDepth datagrams) or when Send/Flush is called.
 // High-throughput callers use Enqueue in their inner loop and Flush at
 // natural boundaries.
 func (e *Endpoint) Enqueue(payload []byte) error { return e.send(payload, false) }
@@ -573,10 +555,10 @@ func (e *Endpoint) transmit(port uint16, flowlet uint32, fb wire.Feedback, paylo
 
 	sh.txMu.Lock()
 	defer sh.txMu.Unlock()
-	if frameLen > e.bufSize {
-		// Slow path for oversize payloads: flush what is queued so order
-		// holds, then send from a one-off buffer. This allocates; size
-		// BufSize for the workload to stay on the zero-alloc path.
+	if frameLen > slotSize {
+		// Slow path for payloads over a transmit slot: flush what is
+		// queued so order holds, then send from a one-off buffer. This
+		// allocates.
 		if err := sh.flushLocked(); err != nil {
 			return err
 		}

@@ -2,7 +2,7 @@
 
 // Batched socket I/O via raw recvmmsg/sendmmsg syscalls. This is the
 // high-throughput half of the platform seam: one syscall moves up to
-// Config.Batch datagrams in either direction, with every msghdr, iovec and
+// ringDepth datagrams in either direction, with every msghdr, iovec and
 // data buffer, and the send side's one sockaddr, preallocated at Start so
 // the steady state performs zero heap allocations. The portable fallback (used on
 // other platforms and under Config.NoBatchSyscalls) lives in shard.go; the
@@ -45,9 +45,6 @@ const (
 	udpMaxSegments = 64
 	// gsoMaxBytes bounds one super-datagram (max IPv4 UDP payload).
 	gsoMaxBytes = 65000
-	// groBufLen is the receive-slot size once GRO may coalesce up to a full
-	// UDP datagram into one buffer.
-	groBufLen = 1 << 16
 	// ctlBufLen is the per-message control-buffer size (one UDP_GRO cmsg
 	// needs CMSG_SPACE(4) = 24 bytes; 64 keeps slots 8-aligned with room).
 	ctlBufLen = 64
@@ -59,14 +56,14 @@ const (
 type batchIO struct {
 	sh *pathShard
 
-	rhdrs  []mmsghdr
-	riovs  []syscall.Iovec
+	rhdrs  [ringDepth]mmsghdr
+	riovs  [ringDepth]syscall.Iovec
 	recvN  int
 	recvE  syscall.Errno
 	recvFn func(fd uintptr) bool
 
-	shdrs  []mmsghdr
-	siovs  []syscall.Iovec
+	shdrs  [ringDepth]mmsghdr
+	siovs  [ringDepth]syscall.Iovec
 	raddr  []byte
 	sendAt int // offset of the first unsent frame in the current flush
 	sendHi int // one past the last frame in the current flush
@@ -74,13 +71,13 @@ type batchIO struct {
 	sendE  syscall.Errno
 	sendFn func(fd uintptr) bool
 
-	// GRO receive state: per-message control buffers (a []uint64 slab so
-	// cmsg headers are 8-aligned) that carry the kernel's UDP_GRO segment
-	// size after each recvmmsg, and ring, the anonymous mapping behind the
-	// 64 KiB receive slots (nil when the slots are heap-backed). The shard's
-	// readLoop unmaps ring on exit (release).
+	// Receive state: gro records whether the probe turned UDP_GRO on; the
+	// per-message control buffers (uint64s so cmsg headers are 8-aligned)
+	// then carry the kernel's segment size after each recvmmsg. ring is the
+	// anonymous mapping behind the receive slots (nil when they are
+	// heap-backed); the shard's readLoop unmaps it on exit (release).
 	gro  bool
-	rctl []uint64
+	rctl [ringDepth * ctlBufLen / 8]uint64
 	ring []byte
 
 	// GSO transmit state: a dedicated msghdr whose iovec array gathers the
@@ -98,15 +95,7 @@ func newBatchIO(sh *pathShard, remote netip.AddrPort) (*batchIO, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := sh.ep.batch
-	bio := &batchIO{
-		sh:    sh,
-		rhdrs: make([]mmsghdr, b),
-		riovs: make([]syscall.Iovec, b),
-		shdrs: make([]mmsghdr, b),
-		siovs: make([]syscall.Iovec, b),
-		raddr: raddr,
-	}
+	bio := &batchIO{sh: sh, raddr: raddr}
 
 	// Probe segmentation-offload support on this socket. GSO support is
 	// detected by clearing the socket-wide segment size (we send the real
@@ -121,34 +110,24 @@ func newBatchIO(sh *pathShard, remote netip.AddrPort) (*batchIO, error) {
 			}
 		})
 	}
-	slot := sh.ep.bufSize
-	var slab []byte
-	if bio.gro {
-		// One GRO slot may hold a full coalesced UDP datagram. The ring is
-		// mapped rather than made: the heap would zero (and so make
-		// resident) every 64 KiB slot, while a fresh anonymous mapping
-		// costs only the pages the kernel writes. A failed mmap falls back
-		// to the heap.
-		slot = groBufLen
-		if m, err := syscall.Mmap(-1, 0, b*slot, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANONYMOUS); err == nil {
-			bio.ring, slab = m, m
-		}
-		bio.rctl = make([]uint64, b*ctlBufLen/8)
+	// The ring is mapped rather than made: the heap would zero (and so
+	// make resident) every 64 KiB slot, while a fresh anonymous mapping
+	// costs only the pages the kernel writes. A failed mmap falls back to
+	// the heap.
+	slab, err := syscall.Mmap(-1, 0, ringDepth*rxSlotSize, syscall.PROT_READ|syscall.PROT_WRITE, syscall.MAP_PRIVATE|syscall.MAP_ANONYMOUS)
+	if err == nil {
+		bio.ring = slab
+	} else {
+		slab = make([]byte, ringDepth*rxSlotSize)
 	}
-	if slab == nil {
-		slab = make([]byte, b*slot)
-	}
-	sh.rxBufs = carveSlots(slab, b, slot)
+	sh.rxBufs = carveSlots(slab, rxSlotSize)
 
-	for i := 0; i < b; i++ {
+	for i := range bio.rhdrs {
 		bio.riovs[i].Base = &sh.rxBufs[i][0]
-		bio.riovs[i].SetLen(len(sh.rxBufs[i]))
+		bio.riovs[i].SetLen(rxSlotSize)
 		bio.rhdrs[i].hdr.Iov = &bio.riovs[i]
 		bio.rhdrs[i].hdr.Iovlen = 1
-		if bio.gro {
-			bio.rhdrs[i].hdr.Control = (*byte)(unsafe.Pointer(&bio.rctl[i*ctlBufLen/8]))
-			bio.rhdrs[i].hdr.SetControllen(ctlBufLen)
-		}
+		bio.rhdrs[i].hdr.Control = (*byte)(unsafe.Pointer(&bio.rctl[i*ctlBufLen/8]))
 
 		bio.siovs[i].Base = &sh.txBufs[i][0]
 		bio.shdrs[i].hdr.Name = &bio.raddr[0]
@@ -217,7 +196,7 @@ func newBatchIO(sh *pathShard, remote netip.AddrPort) (*batchIO, error) {
 	return bio, nil
 }
 
-// release unmaps the GRO receive ring, if it is mapped. The shard's
+// release unmaps the receive ring, if it is mapped. The shard's
 // readLoop calls it on exit, after its last handleFrame, so nothing reads
 // the ring afterwards; it is the only place ring memory is freed.
 func (bio *batchIO) release() {
@@ -256,11 +235,10 @@ func (bio *batchIO) retarget(remote netip.AddrPort) error {
 // blocking via the runtime poller when the socket is empty.
 func (sh *pathShard) recvBatchMmsg() (int, error) {
 	bio := sh.bio
-	// The kernel rewrites msg_controllen per message; restore before reuse.
-	if bio.gro {
-		for i := range bio.rhdrs {
-			bio.rhdrs[i].hdr.SetControllen(ctlBufLen)
-		}
+	// The kernel rewrites msg_controllen per message (0 when it wrote no
+	// cmsg); restore before reuse.
+	for i := range bio.rhdrs {
+		bio.rhdrs[i].hdr.SetControllen(ctlBufLen)
 	}
 	bio.recvN, bio.recvE = 0, 0
 	if err := sh.rawc.Read(bio.recvFn); err != nil {
@@ -273,7 +251,7 @@ func (sh *pathShard) recvBatchMmsg() (int, error) {
 	for i := 0; i < n; i++ {
 		sh.rxLen[i] = int(bio.rhdrs[i].msgLen)
 		sh.rxSeg[i] = 0
-		if bio.gro && bio.rhdrs[i].hdr.Controllen >= 20 {
+		if bio.rhdrs[i].hdr.Controllen >= 20 {
 			// The only cmsg enabled on this socket is UDP_GRO:
 			// cmsghdr{Len>=CMSG_LEN(4)=20, SOL_UDP, UDP_GRO} + int segsize.
 			ctl := (*[ctlBufLen]byte)(unsafe.Pointer(&bio.rctl[i*ctlBufLen/8]))

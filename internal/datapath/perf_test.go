@@ -359,6 +359,14 @@ func seqPayload(seq, size int) []byte {
 	return p
 }
 
+// seqOf reads the sequence number seqPayload wrote, for messages.
+func seqOf(p []byte) string {
+	if len(p) < 4 {
+		return "?"
+	}
+	return fmt.Sprint(int(p[0])<<24 | int(p[1])<<16 | int(p[2])<<8 | int(p[3]))
+}
+
 // runTransfer pushes n payloads a->b using Enqueue/Flush and returns the
 // receiver's indexed copies.
 func runTransfer(t *testing.T, cfg Config, n int) map[int][]byte {
@@ -396,8 +404,9 @@ func TestBatchedFallbackDifferential(t *testing.T) {
 	batched := DefaultConfig()
 	fallback := DefaultConfig()
 	fallback.NoBatchSyscalls = true
-	// Plain mmsg without GSO/GRO: the batched flavour whose receive ring
-	// is heap-backed, so -race sees its bytes.
+	// Plain mmsg without GSO/GRO. Its receive ring is mapped, like the
+	// GSO/GRO flavour's, so -race sees ring bytes on the portable path
+	// alone, which this test drives too.
 	mmsg := DefaultConfig()
 	mmsg.NoSegmentation = true
 
@@ -415,6 +424,67 @@ func TestBatchedFallbackDifferential(t *testing.T) {
 		if string(gotB[i]) != string(gotM[i]) {
 			t.Fatalf("batched and plain-mmsg payloads differ at %d", i)
 		}
+	}
+}
+
+// TestLargePayloadsOnEveryIOPath sends, on each I/O path, three small
+// queued frames and then payloads around and past a transmit slot: the
+// largest that fits one, one byte more (the first on the allocating slow
+// path), 4,000 B and 65,000 B. Every receive slot holds a whole UDP
+// datagram, so all seven must arrive in order and byte-identical, with no
+// decode error. Where batched syscalls are unavailable, every row runs the
+// portable path.
+func TestLargePayloadsOnEveryIOPath(t *testing.T) {
+	for _, io := range []struct {
+		name           string
+		noBatch, noSeg bool
+	}{
+		{"gso-gro", false, false},
+		{"mmsg", false, true},
+		{"portable", true, false},
+	} {
+		t.Run(io.name, func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.FlowletGap = time.Hour // one flowlet: every frame rides one path
+			cfg.NoBatchSyscalls = io.noBatch
+			cfg.NoSegmentation = io.noSeg
+			a, b := pairCfg(t, cfg)
+			var mu sync.Mutex
+			var got [][]byte
+			b.SetOnRecv(func(p []byte) {
+				mu.Lock()
+				got = append(got, append([]byte(nil), p...))
+				mu.Unlock()
+			})
+			var want [][]byte
+			for _, n := range []int{16, 64, 200} {
+				want = append(want, seqPayload(len(want), n))
+				if err := a.Enqueue(want[len(want)-1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, n := range []int{slotSize - headerLen, slotSize - headerLen + 1, 4000, 65000} {
+				want = append(want, seqPayload(len(want), n))
+				if err := a.Send(want[len(want)-1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitFor(t, 5*time.Second, func() bool {
+				mu.Lock()
+				defer mu.Unlock()
+				return len(got) == len(want) || b.Stats().DecodeErrors > 0
+			}, "every frame")
+			mu.Lock()
+			defer mu.Unlock()
+			if s := b.Stats(); s.DecodeErrors != 0 || len(got) != len(want) {
+				t.Fatalf("received %d of %d frames, DecodeErrors = %d", len(got), len(want), s.DecodeErrors)
+			}
+			for i := range want {
+				if string(got[i]) != string(want[i]) {
+					t.Errorf("frame %d: got %d bytes (seq %s), want %d bytes (seq %d)", i, len(got[i]), seqOf(got[i]), len(want[i]), i)
+				}
+			}
+		})
 	}
 }
 

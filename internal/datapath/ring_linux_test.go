@@ -4,7 +4,7 @@ package datapath
 
 // Receive-ring battery for the batched linux path: a whole 64 KiB GSO
 // super-datagram landing in one GRO slot, set-up heap cost independent of
-// the mapped GRO ring, and every ring unmapped once its read loop exits.
+// the mapped receive ring, and every ring unmapped once its read loop exits.
 
 import (
 	"bufio"
@@ -24,15 +24,14 @@ import (
 // slot holds it whole: every payload arrives byte-identical and in order.
 func TestFullGSOFlushThroughGRO(t *testing.T) {
 	const (
-		batch   = 32
-		frame   = 2040 // fits DefaultBufSize
+		batch   = ringDepth
+		frame   = 2040 // fits slotSize
 		lastLen = 1700
 	)
 	if total := (batch-1)*frame + lastLen; total > gsoMaxBytes || total < gsoMaxBytes-100 {
 		t.Fatalf("flush is %d bytes, want just under %d", total, gsoMaxBytes)
 	}
 	cfg := DefaultConfig()
-	cfg.Batch = batch
 	cfg.FlowletGap = time.Hour // one flowlet: every frame rides one path
 	a, b := pairCfg(t, cfg)
 	if !a.shards[0].bio.gsoTx || !b.shards[0].bio.gro {
@@ -74,17 +73,10 @@ func TestFullGSOFlushThroughGRO(t *testing.T) {
 	}
 }
 
-func seqOf(p []byte) string {
-	if len(p) < 4 {
-		return "?"
-	}
-	return fmt.Sprint(int(p[0])<<24 | int(p[1])<<16 | int(p[2])<<8 | int(p[3]))
-}
-
-// TestStartHeapBytesIndependentOfGRORing pins the point of mapping the GRO
-// ring: NewEndpoint + Start allocate only the headers, the transmit ring and
-// the port index on the heap, not Paths × Batch × 64 KiB of receive slots
-// (≈8 MiB per endpoint at DefaultConfig when the ring was a heap slab).
+// TestStartHeapBytesIndependentOfGRORing pins the point of mapping the
+// receive ring: NewEndpoint + Start allocate only the headers, the transmit
+// ring and the port index on the heap, not Paths × ringDepth × 64 KiB of
+// receive slots (≈8 MiB per endpoint at DefaultConfig as a heap slab).
 func TestStartHeapBytesIndependentOfGRORing(t *testing.T) {
 	if !BatchSyscallsSupported() {
 		t.Skip("batched syscalls unavailable")
@@ -112,11 +104,11 @@ func TestStartHeapBytesIndependentOfGRORing(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	for _, e := range eps {
 		for _, sh := range e.shards {
-			if sh.bio == nil || !sh.bio.gro {
-				t.Skip("UDP GRO not available on this kernel")
+			if sh.bio == nil || sh.bio.ring == nil {
+				t.Fatalf("path %d: receive ring is not mapped", sh.idx)
 			}
-			if len(sh.rxBufs) != cfg.Batch || len(sh.rxBufs[0]) != groBufLen {
-				t.Fatalf("GRO ring has %d slots of %d bytes, want %d of %d", len(sh.rxBufs), len(sh.rxBufs[0]), cfg.Batch, groBufLen)
+			if len(sh.rxBufs) != ringDepth || len(sh.rxBufs[0]) != rxSlotSize {
+				t.Fatalf("receive ring has %d slots of %d bytes, want %d of %d", len(sh.rxBufs), len(sh.rxBufs[0]), ringDepth, rxSlotSize)
 			}
 		}
 	}
@@ -129,7 +121,7 @@ func TestStartHeapBytesIndependentOfGRORing(t *testing.T) {
 // TestRingUnmappedOnExit cycles endpoints through Start and Close (and Drain
 // with a timeout too short to wait out the read loops) and checks the
 // process's mappings return to their baseline: each read loop unmaps its
-// GRO ring. A leaked 2 MiB ring per path would add 512 MiB of address
+// receive ring. A leaked 2 MiB ring per path would add 512 MiB of address
 // space; the line count alone would miss it, since the kernel merges
 // adjacent anonymous mappings.
 func TestRingUnmappedOnExit(t *testing.T) {
@@ -149,8 +141,8 @@ func TestRingUnmappedOnExit(t *testing.T) {
 		}
 		e.Close()
 		for _, sh := range e.shards {
-			if sh.bio.ring != nil || (sh.bio.gro && sh.rxBufs != nil) {
-				t.Fatalf("path %d: GRO ring still held after Close", sh.idx)
+			if sh.bio.ring != nil || sh.rxBufs != nil {
+				t.Fatalf("path %d: receive ring still held after Close", sh.idx)
 			}
 		}
 	}

@@ -22,17 +22,18 @@ type pathShard struct {
 	rawc syscall.RawConn
 
 	// Receive ring — owned by the readLoop goroutine and allocated at Start,
-	// once initIO knows the I/O flavour. rxBufs[i] is a fixed slot: BufSize
-	// on the portable and plain mmsg paths, 64 KiB when GRO is active. The
-	// GRO ring is an anonymous mapping (heap if mmap fails), resident only
-	// where the kernel has written, and unmapped by readLoop as it exits.
-	// The race detector tracks heap memory only, so it sees ring bytes in
-	// the heap-backed flavours alone. After a batch of n datagrams,
-	// rxLen[:n] holds their lengths and rxSeg[:n] the GRO segment size
-	// (0 = the datagram is a single frame).
+	// once initIO knows the I/O flavour. Every slot is rxSlotSize, a whole
+	// UDP datagram, on every path. The batched path has ringDepth slots in
+	// one anonymous mapping (heap if mmap fails), resident only where the
+	// kernel has written and unmapped by readLoop as it exits. The portable
+	// path reads one datagram at a time into a single heap slot. The race
+	// detector tracks heap memory only, so it sees ring bytes on the
+	// portable path alone. After a batch of n datagrams, rxLen[:n] holds
+	// their lengths and rxSeg[:n] the GRO segment size (0 = the datagram is
+	// a single frame).
 	rxBufs [][]byte
-	rxLen  []int
-	rxSeg  []int
+	rxLen  [ringDepth]int
+	rxSeg  [ringDepth]int
 
 	// bio is the linux mmsghdr machinery (mmsg_linux.go); nil when the
 	// portable one-at-a-time path is in use.
@@ -42,7 +43,7 @@ type pathShard struct {
 	// batched syscall (or a portable write loop).
 	txMu   sync.Mutex
 	txBufs [][]byte
-	txLen  []int
+	txLen  [ringDepth]int
 	txCnt  int
 
 	stats shardStats
@@ -65,24 +66,20 @@ func newPathShard(e *Endpoint, idx int, conn *net.UDPConn) (*pathShard, error) {
 	if err != nil {
 		return nil, err
 	}
-	sh := &pathShard{
-		ep:    e,
-		idx:   idx,
-		port:  uint16(conn.LocalAddr().(*net.UDPAddr).Port),
-		conn:  conn,
-		rawc:  rawc,
-		rxLen: make([]int, e.batch),
-		rxSeg: make([]int, e.batch),
-		txLen: make([]int, e.batch),
-	}
-	sh.txBufs = carveSlots(make([]byte, e.batch*e.bufSize), e.batch, e.bufSize)
-	return sh, nil
+	return &pathShard{
+		ep:     e,
+		idx:    idx,
+		port:   uint16(conn.LocalAddr().(*net.UDPAddr).Port),
+		conn:   conn,
+		rawc:   rawc,
+		txBufs: carveSlots(make([]byte, ringDepth*slotSize), slotSize),
+	}, nil
 }
 
-// carveSlots cuts slab into n fixed slots of size bytes. One contiguous slab
+// carveSlots cuts slab into fixed slots of size bytes. One contiguous slab
 // per ring keeps slots cache-adjacent.
-func carveSlots(slab []byte, n, size int) [][]byte {
-	slots := make([][]byte, n)
+func carveSlots(slab []byte, size int) [][]byte {
+	slots := make([][]byte, len(slab)/size)
 	for i := range slots {
 		slots[i] = slab[i*size : (i+1)*size : (i+1)*size]
 	}
@@ -101,7 +98,7 @@ func (sh *pathShard) initIO(remote netip.AddrPort) {
 			return
 		}
 	}
-	sh.rxBufs = carveSlots(make([]byte, sh.ep.batch*sh.ep.bufSize), sh.ep.batch, sh.ep.bufSize)
+	sh.rxBufs = [][]byte{make([]byte, rxSlotSize)}
 }
 
 // readLoop receives datagram batches until the endpoint closes. On a
