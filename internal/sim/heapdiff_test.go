@@ -227,35 +227,56 @@ func wideTime(rng *rand.Rand, shared []Time, now Time) Time {
 }
 
 // wideLanes are the lane delays the wide-key differential schedules on: a
-// zero delay, whose events tie with heap events at now, one nanosecond, and a
-// delay far beyond any heap offset near now.
-var wideLanes = [...]Time{0, 1, 1 << 40}
+// zero delay, whose events tie with heap events at now; delays of a few
+// nanoseconds, whose heads tie on at with one another once the clock has
+// moved by their difference; and delays far beyond any heap offset near now.
+// Round r schedules only on the first wideLanesIn(r), so the later lanes are
+// created, and first hold events, mid-run.
+var wideLanes = [...]Time{0, 1, 2, 3, 64, 1 << 20, 1 << 40, 1 << 61}
+
+// wideIdleLanes are lanes the wide-key differential creates first and never
+// schedules on.
+var wideIdleLanes = [...]Time{5, 1 << 50}
+
+// wideLanesIn is how many of wideLanes round may schedule on.
+func wideLanesIn(round int) int { return min(len(wideLanes), 4+2*round) }
 
 // wideKeyDivergence schedules, cancels and reschedules events at wideTime
 // keys on a Simulator and on a container/heap reference ordered by less,
-// interleaved with Lane.Call on one lane per wideLanes delay and with heap
-// events placed on a lane's next key, firing both in slices as it goes, and
-// describes the first difference in fire order, Cancel result or Pending
-// ("" when they agree throughout).
+// interleaved with Lane.Call on the wideLanes and with heap events placed on
+// a lane's next key, firing both in slices as it goes (a few events
+// mid-round, so the clock moves by small steps and lane heads tie on at, and
+// half the pending events at the end of each round), and describes the first
+// difference in fire order, Cancel result or Pending ("" when they agree
+// throughout). A panic is a difference too. It also counts the lane heads it
+// saw tie on at: after every operation, the pairs of non-empty lanes whose
+// heads share an at.
 //
 // The reference keeps no lanes: a lane event enters its heap with the key
 // AfterCall would have given it. With lateLaneSeq it instead plants the fault
 // of a per-lane ring that feeds only its head to the heap and draws the next
-// event's seq when the head fires, not when the event was scheduled.
-func wideKeyDivergence(seed int64, less func(a, b *refEvent) bool, lateLaneSeq bool) string {
+// event's seq when the head fires, not when the event was scheduled. fault
+// plants a fault in the Simulator's own head pick.
+func wideKeyDivergence(seed int64, less func(a, b *refEvent) bool, lateLaneSeq bool, fault pickFault) (d string, headTies int) {
 	rng := rand.New(rand.NewSource(seed))
 	s := New(seed)
 	ref := &orderedRefHeap{less: less}
 	var nextID uint64
 	shared := []Time{0, 1, 1<<62 - 1, 1 << 62, 1<<62 + 1, 3 << 61, math.MaxInt64 - 1, math.MaxInt64}
-	var lanes [len(wideLanes)]*Lane
-	for i, d := range wideLanes {
-		lanes[i] = s.Lane(d)
+	for _, d := range wideIdleLanes {
+		s.Lane(d)
 	}
+	var lanes [len(wideLanes)]*Lane // each created on its first Call
 	// waiting[i] holds lane i's events that the faulty reference has not yet
 	// given a seq; the head of a non-empty waiting list is in the heap.
 	var waiting [len(wideLanes)][]*refEvent
 	var inLane [len(wideLanes)]int // per lane: events in the reference heap or waiting
+	round := 0
+	defer func() {
+		if r := recover(); r != nil {
+			d = fmt.Sprintf("seed %d round %d: panic: %v", seed, round, r)
+		}
+	}()
 
 	type pair struct {
 		id      EventID
@@ -276,7 +297,10 @@ func wideKeyDivergence(seed int64, less func(a, b *refEvent) bool, lateLaneSeq b
 		pushRef(p.ref)
 	}
 	laneCall := func(p *pair, i int) {
-		lanes[i].Call(note, p, nil)
+		if lanes[i] == nil {
+			lanes[i] = s.Lane(wideLanes[i])
+		}
+		laneCallUnder(fault, lanes[i], note, p, nil)
 		p.ref = &refEvent{at: s.Now() + wideLanes[i], payload: p.payload, lane: i + 1}
 		if lateLaneSeq && inLane[i] > 0 {
 			waiting[i] = append(waiting[i], p.ref)
@@ -311,66 +335,10 @@ func wideKeyDivergence(seed int64, less func(a, b *refEvent) bool, lateLaneSeq b
 		}
 		return s.Cancel(p.id), want
 	}
-	// laneFits reports whether lane i's next key stays within Time.
-	laneFits := func(i int) bool { return s.Now() <= math.MaxInt64-wideLanes[i] }
-
-	for round := 0; round < 6; round++ {
-		for op := 0; op < 2000; op++ {
-			switch r := rng.Intn(12); {
-			case r < 5 || len(all) == 0:
-				p := &pair{payload: len(all)}
-				all = append(all, p)
-				scheduleAt(p, wideTime(rng, shared, s.Now()))
-			case r < 7: // a lane event
-				if i := rng.Intn(len(lanes)); laneFits(i) {
-					p := &pair{payload: len(all)}
-					all = append(all, p)
-					laneCall(p, i)
-				}
-			case r == 7: // a heap event on a lane's next key: an at tie
-				if i := rng.Intn(len(lanes)); laneFits(i) {
-					p := &pair{payload: len(all)}
-					all = append(all, p)
-					scheduleAt(p, s.Now()+wideLanes[i])
-				}
-			case r < 10: // cancel a random heap entry, live or stale
-				p := all[rng.Intn(len(all))]
-				if p.ref.lane != 0 {
-					continue // lane events cannot be cancelled
-				}
-				if got, want := cancel(p); got != want {
-					return fmt.Sprintf("seed %d round %d: Cancel(payload %d) = %v, reference %v",
-						seed, round, p.payload, got, want)
-				}
-			default: // reschedule a live heap entry
-				if ref.Len() == 0 {
-					continue
-				}
-				// payload indexes all, and the reference heap holds only
-				// live entries.
-				p := all[ref.refHeap[rng.Intn(ref.Len())].payload]
-				if p.ref.lane != 0 {
-					continue
-				}
-				if got, want := cancel(p); !got || !want {
-					return fmt.Sprintf("seed %d round %d: reschedule-cancel(payload %d) = %v, reference %v",
-						seed, round, p.payload, got, want)
-				}
-				scheduleAt(p, wideTime(rng, shared, s.Now()))
-			}
-		}
-		if s.Pending() != refPending() {
-			return fmt.Sprintf("seed %d round %d: %d pending vs reference %d",
-				seed, round, s.Pending(), refPending())
-		}
-		// Fire a slice of the pending events (all of them in the last
-		// round), so later rounds schedule on a clock that has moved.
-		n := refPending() / 2
-		if round == 5 {
-			n = refPending()
-		}
+	// fire fires n events on both sides and compares them.
+	fire := func(n int) string {
 		fired = fired[:0]
-		s.RunForEvents(uint64(n))
+		runForEventsUnder(fault, s, uint64(n))
 		for i := 0; i < n; i++ {
 			want := popRef()
 			if i >= len(fired) || fired[i] != want {
@@ -382,20 +350,100 @@ func wideKeyDivergence(seed int64, less func(a, b *refEvent) bool, lateLaneSeq b
 			return fmt.Sprintf("seed %d round %d: fired %d of %d, %d pending vs reference %d",
 				seed, round, len(fired), n, s.Pending(), refPending())
 		}
+		return ""
 	}
-	return ""
+	// laneFits reports whether lane i's next key stays within Time.
+	laneFits := func(i int) bool { return s.Now() <= math.MaxInt64-wideLanes[i] }
+
+	for ; round < 6; round++ {
+		for op := 0; op < 2000; op++ {
+			switch r := rng.Intn(13); {
+			case r < 5 || len(all) == 0:
+				p := &pair{payload: len(all)}
+				all = append(all, p)
+				scheduleAt(p, wideTime(rng, shared, s.Now()))
+			case r < 7: // a lane event
+				if i := rng.Intn(wideLanesIn(round)); laneFits(i) {
+					p := &pair{payload: len(all)}
+					all = append(all, p)
+					laneCall(p, i)
+				}
+			case r == 7: // a heap event on a lane's next key: an at tie
+				if i := rng.Intn(wideLanesIn(round)); laneFits(i) {
+					p := &pair{payload: len(all)}
+					all = append(all, p)
+					scheduleAt(p, s.Now()+wideLanes[i])
+				}
+			case r < 10: // cancel a random heap entry, live or stale
+				p := all[rng.Intn(len(all))]
+				if p.ref.lane != 0 {
+					continue // lane events cannot be cancelled
+				}
+				if got, want := cancel(p); got != want {
+					return fmt.Sprintf("seed %d round %d: Cancel(payload %d) = %v, reference %v",
+						seed, round, p.payload, got, want), headTies
+				}
+			case r < 12: // reschedule a live heap entry
+				if ref.Len() == 0 {
+					continue
+				}
+				// payload indexes all, and the reference heap holds only
+				// live entries.
+				p := all[ref.refHeap[rng.Intn(ref.Len())].payload]
+				if p.ref.lane != 0 {
+					continue
+				}
+				if got, want := cancel(p); !got || !want {
+					return fmt.Sprintf("seed %d round %d: reschedule-cancel(payload %d) = %v, reference %v",
+						seed, round, p.payload, got, want), headTies
+				}
+				scheduleAt(p, wideTime(rng, shared, s.Now()))
+			default: // fire a few events, moving the clock by a small step
+				if d := fire(min(1+rng.Intn(3), refPending())); d != "" {
+					return d, headTies
+				}
+			}
+			for k := 1; k < len(s.order); k++ {
+				if s.order[k-1].at == s.order[k].at {
+					headTies++
+				}
+			}
+		}
+		if s.Pending() != refPending() {
+			return fmt.Sprintf("seed %d round %d: %d pending vs reference %d",
+				seed, round, s.Pending(), refPending()), headTies
+		}
+		// Fire a slice of the pending events (all of them in the last
+		// round), so later rounds schedule on a clock that has moved.
+		n := refPending() / 2
+		if round == 5 {
+			n = refPending()
+		}
+		if d := fire(n); d != "" {
+			return d, headTies
+		}
+	}
+	return "", headTies
 }
 
 // TestDifferentialSchedulerWideKeys is TestDifferentialSchedulerVsContainerHeap
 // over keys that span the whole non-negative Time range — near 0, near
 // 1<<62 and above it — with large groups of equal times that only seq can
-// order, and with lane events mixed in. Small timestamps alone would not
-// notice a comparison that mishandles the high bits of at.
+// order, and with lane events on eight lanes mixed in, beside two lanes that
+// stay empty. Small timestamps alone would not notice a comparison that
+// mishandles the high bits of at. The seeds must also have lane heads tie on
+// at, or the head pick's seq tiebreak would go untested.
 func TestDifferentialSchedulerWideKeys(t *testing.T) {
+	ties := 0
 	for _, seed := range []int64{1, 7, 42, 1337} {
-		if d := wideKeyDivergence(seed, refKeyLess, false); d != "" {
+		d, n := wideKeyDivergence(seed, refKeyLess, false, pickSound)
+		if d != "" {
 			t.Fatal(d)
 		}
+		ties += n
+	}
+	if ties == 0 {
+		t.Fatal("no two lane heads ever tied on at")
 	}
 }
 
@@ -425,12 +473,29 @@ func TestDifferentialSchedulerWideKeysCatchesFaults(t *testing.T) {
 		},
 	}
 	for name, less := range faults {
-		if wideKeyDivergence(1, less, false) == "" {
+		if d, _ := wideKeyDivergence(1, less, false, pickSound); d == "" {
 			t.Errorf("planted fault %q not detected; the wide-key harness is vacuous", name)
 		}
 	}
-	if wideKeyDivergence(1, refKeyLess, true) == "" {
+	if d, _ := wideKeyDivergence(1, refKeyLess, true, pickSound); d == "" {
 		t.Error("planted fault \"lane seq drawn at its predecessor's fire\" not detected; the wide-key harness is vacuous")
+	}
+}
+
+// TestDifferentialSchedulerWideKeysCatchesPickFaults plants faults in the
+// Simulator's own head pick rather than in the reference: the head order not
+// updated after a lane pops, or when an event enters an empty lane. The
+// wide-key differential must report a divergence for each.
+func TestDifferentialSchedulerWideKeysCatchesPickFaults(t *testing.T) {
+	for name, f := range map[string]pickFault{
+		"not updated after a lane pops":                 pickStaleAfterPop,
+		"not updated when an empty lane takes an event": pickStaleAfterPush,
+	} {
+		if d, _ := wideKeyDivergence(1, refKeyLess, false, f); d == "" {
+			t.Errorf("planted head-pick fault %q not detected; the wide-key harness is vacuous", name)
+		} else {
+			t.Logf("%s: %s", name, d)
+		}
 	}
 }
 

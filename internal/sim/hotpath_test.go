@@ -176,6 +176,42 @@ func BenchmarkHotPathLaneSteady(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
 }
 
+// lanes8Delays are BenchmarkHotPathLanes8's lane delays. Events circulate
+// through the first five; the last three stay empty.
+var lanes8Delays = [8]Time{300, 400, 500, 600, 700, 800, 900, 1000}
+
+// BenchmarkHotPathLanes8 is BenchmarkHotPathLaneSteady with eight lanes, the
+// shape of a fabric with two link rates: 64 heap events reschedule at
+// pseudo-random offsets while 64 events, started at staggered times,
+// circulate through five of the lanes, each on its own, and three lanes stay
+// empty. It prices the head pick against the lane count: a scan of the lanes
+// pays for every lane on every pop. It reports ns/event and fails on any
+// allocation.
+func BenchmarkHotPathLanes8(b *testing.B) {
+	s := New(1)
+	st := &steadyState{s: s}
+	var ls [len(lanes8Delays)]laneSteady
+	for i, d := range lanes8Delays {
+		ls[i].lane = s.Lane(d)
+	}
+	for i := 0; i < 64; i++ {
+		s.AtCall(steadyOffsets[i], steadyStep, st, nil)
+		s.AtCall(steadyOffsets[64+i], laneStep, &ls[i%5], nil)
+	}
+	s.RunForEvents(10_000) // warm the slab, the heap and the lanes' rings
+	if allocs := testing.AllocsPerRun(20, func() { s.RunForEvents(1000) }); allocs != 0 {
+		b.Fatalf("allocs per 1000 events = %v, want 0", allocs)
+	}
+	if s.Pending() != 128 || s.laned != 64 {
+		b.Fatalf("Pending() = %d with %d in lanes, want 128 and 64", s.Pending(), s.laned)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	s.RunForEvents(uint64(b.N))
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+}
+
 // TestEventIs64Bytes pins the slab entry at one cache line: a lane keeps its
 // events' keys in its own ring, so lanes add no field to event.
 func TestEventIs64Bytes(t *testing.T) {

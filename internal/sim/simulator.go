@@ -19,7 +19,8 @@ import (
 // Events live in one contiguous slab ([]event) and the pending queue is a
 // 4-ary implicit min-heap of slot indices (see queue.go) — no per-event
 // allocation, no pointer chasing on sift, no heap.Interface dispatch — plus
-// one FIFO lane per fixed delay (see lane.go) for events that need no heap.
+// one FIFO lane per fixed delay (see lane.go) for events that need no heap,
+// with the non-empty lanes kept sorted by their heads.
 // Fired and cancelled slots are recycled through a free list of indices, so
 // the per-packet event path of the network model runs allocation-free.
 type Simulator struct {
@@ -27,6 +28,7 @@ type Simulator struct {
 	slab   []event   // all event structs, addressed by slot index
 	heap   []heapEnt // pending events: 4-ary min-heap keyed by (at, seq)
 	lanes  []*Lane   // fixed-delay FIFOs, in creation order
+	order  []heapEnt // non-empty lanes' heads, latest first (lane.go)
 	laned  int       // events pending in lanes
 	free   []int32   // recycled slot indices
 	nextID uint64
