@@ -14,12 +14,15 @@ import (
 )
 
 // FlowletEntry is the per-flow state the virtual switch keeps to pin all
-// packets of a flowlet to one path (encap source port).
+// packets of a flowlet to one path (encap source port). The zero value is a
+// flow not yet seen.
 type FlowletEntry struct {
 	lastSeen sim.Time
 	// Port is the encap source port this flowlet is pinned to. The caller
 	// sets it when Touch reports a new flowlet.
 	Port uint16
+	// seen is set by the flow's first touch.
+	seen bool
 	// ID increments on every new flowlet of the flow.
 	ID uint32
 	// LastGap is the idle gap that started the current flowlet (0 for the
@@ -35,15 +38,23 @@ type FlowletEntry struct {
 
 // FlowletTable detects flowlet boundaries: a new flowlet starts when a
 // flow's inter-packet gap exceeds the configured gap (Sec. 3.2 recommends
-// about twice the network RTT, Fig. 6 explores the sensitivity). It keeps
-// one entry per flow its owner (a vswitch, or a CONGA or LetFlow switch)
-// has forwarded and evicts none, so its size follows the connections that
-// cross the owner. An idle flow's next packet starts a new flowlet on its
-// own entry, with the next ID.
+// about twice the network RTT, Fig. 6 explores the sensitivity). No entry
+// is evicted, so the entries follow the connections that cross the owner.
+// An idle flow's next packet starts a new flowlet on its own entry, with
+// the next ID.
+//
+// An entry is found one of two ways. TouchEntry takes an entry the caller
+// stores by value: the virtual switch keeps each connection's entry in the
+// fabric's flow table (vswitch.Flows), reached through the packet's flow
+// handle, and a CONGA or LetFlow switch keeps its pins beside their links,
+// so neither hashes a tuple twice. Touch finds the entry by five-tuple in
+// the table's own map, one heap object per flow; its callers are a vswitch
+// packet without a flow handle (tests that drive bare TCP endpoints), the
+// package's tests and the benchmark's flowlet micro-measurement.
 type FlowletTable struct {
 	gap      sim.Time
-	entries  map[packet.FiveTuple]*FlowletEntry
-	flowlets int64 // total new flowlets observed
+	entries  map[packet.FiveTuple]*FlowletEntry // Touch's entries
+	flowlets int64                              // total new flowlets observed
 }
 
 // NewFlowletTable creates a table with the given flowlet inter-packet gap.
@@ -57,10 +68,11 @@ func (t *FlowletTable) Gap() sim.Time { return t.gap }
 // SetGap changes the flowlet gap (used by the adaptive-gap extension).
 func (t *FlowletTable) SetGap(gap sim.Time) { t.gap = gap }
 
-// Flowlets reports the total number of flowlet starts observed.
+// Flowlets reports the total number of flowlet starts observed, through
+// Touch and TouchEntry alike.
 func (t *FlowletTable) Flowlets() int64 { return t.flowlets }
 
-// Len reports the number of tracked flows.
+// Len reports the number of flows Touch has seen.
 func (t *FlowletTable) Len() int { return len(t.entries) }
 
 // Touch records a packet of flow at time now. It returns the flow's entry
@@ -69,20 +81,28 @@ func (t *FlowletTable) Len() int { return len(t.entries) }
 // entry's Port; on a continuing flowlet the stored Port must be reused —
 // that invariant is what keeps flowlets in order on a single path.
 func (t *FlowletTable) Touch(flow packet.FiveTuple, now sim.Time) (e *FlowletEntry, isNew bool) {
-	e, ok := t.entries[flow]
-	if !ok {
-		e = &FlowletEntry{lastSeen: now}
+	e = t.entries[flow]
+	if e == nil {
+		e = &FlowletEntry{}
 		t.entries[flow] = e
-		t.flowlets++
-		return e, true
 	}
+	return e, t.TouchEntry(e, now)
+}
+
+// TouchEntry is Touch for an entry the caller stores (a zero entry is a
+// flow not yet seen): it records a packet at now, under this table's gap,
+// and reports whether the packet starts a new flowlet.
+func (t *FlowletTable) TouchEntry(e *FlowletEntry, now sim.Time) (isNew bool) {
 	idle := now - e.lastSeen
 	e.lastSeen = now
-	if idle > t.gap {
+	if e.seen && idle <= t.gap {
+		return false
+	}
+	if e.seen {
 		e.ID++
 		e.LastGap = idle
-		t.flowlets++
-		return e, true
 	}
-	return e, false
+	e.seen = true
+	t.flowlets++
+	return true
 }

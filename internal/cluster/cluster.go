@@ -154,8 +154,11 @@ type Cluster struct {
 	// trace is the run's tracer, nil unless Config.Telemetry.
 	trace *telemetry.Tracer
 
-	rtt      sim.Time
-	tcpCfg   tcp.Config
+	rtt    sim.Time
+	tcpCfg tcp.Config
+	// flows is the flow table every vswitch shares (vswitch.Config.Flows);
+	// a connection's handles are opened with its transport.
+	flows    vswitch.Flows
 	conns    map[connKey]*Conn
 	connList []*Conn // open order: what the tracer's cwnd stream samples
 	nextPort uint16
@@ -232,6 +235,7 @@ func New(cfg Config) *Cluster {
 	vcfg := vswitch.Config{
 		FlowletGap:    c.Cfg.FlowletGap,
 		RelayInterval: c.Cfg.RelayInterval,
+		Flows:         &c.flows,
 	}
 	switch cfg.Scheme {
 	case SchemeCloveECN, SchemeCloveINT, SchemeCloveUniform:

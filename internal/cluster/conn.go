@@ -55,14 +55,15 @@ func (c *Cluster) OpenConn(client, server packet.HostID, idx int) *Conn {
 	return conn
 }
 
-// Static endpoint handlers (vswitch.RegisterCall): a method value per
+// Static endpoint handlers (vswitch.Flows.Open): a method value per
 // registration would allocate.
 func senderAck(a any, pkt *packet.Packet)    { a.(*tcp.Sender).HandleAck(pkt) }
 func receiverData(a any, pkt *packet.Packet) { a.(*tcp.Receiver).HandleData(pkt) }
 func mpSenderAck(a any, pkt *packet.Packet)  { a.(*tcp.MPSender).HandleAck(pkt) }
 
-// open builds the connection's transport and registers it at both
-// vswitches.
+// open builds the connection's transport and opens its flow handles: one
+// pair (data, ACK) per TCP connection or MPTCP subflow, stamped by the
+// endpoints on every segment they send.
 func (conn *Conn) open() {
 	c := conn.c
 	client, server := conn.Flow.Src, conn.Flow.Dst
@@ -70,15 +71,17 @@ func (conn *Conn) open() {
 	if c.Cfg.Scheme == SchemeMPTCP {
 		mp := tcp.NewMPSender(c.Sim, c.tcpCfg, conn.Flow, tcp.DefaultSubflows, cvs.FromVMFunc())
 		for _, sub := range mp.Subflows() {
-			sf := sub.Flow()
-			svs.RegisterCall(sf, receiverData, tcp.NewReceiver(c.Sim, c.tcpCfg, sf, svs.FromVMFunc()))
-			cvs.RegisterCall(sf.Reverse(), mpSenderAck, mp)
+			rcv := tcp.NewReceiver(c.Sim, c.tcpCfg, sub.Flow(), svs.FromVMFunc())
+			data, ack := c.flows.Open(receiverData, rcv, mpSenderAck, mp)
+			sub.SetFlowHandle(data)
+			rcv.SetFlowHandle(ack)
 		}
 		conn.mp = mp
 	} else {
 		tp := tcp.NewPair(c.Sim, c.tcpCfg, conn.Flow, cvs.FromVMFunc(), svs.FromVMFunc())
-		svs.RegisterCall(conn.Flow, receiverData, &tp.Rcv)
-		cvs.RegisterCall(conn.Flow.Reverse(), senderAck, &tp.Snd)
+		data, ack := c.flows.Open(receiverData, &tp.Rcv, senderAck, &tp.Snd)
+		tp.Snd.SetFlowHandle(data)
+		tp.Rcv.SetFlowHandle(ack)
 		conn.tp = tp
 	}
 	if tr := c.trace; tr != nil {
@@ -127,6 +130,19 @@ func (conn *Conn) eachSender(fn func(*tcp.Sender)) {
 // completion time (measured from now, queueing included). The first job
 // opens the transport.
 func (conn *Conn) StartJob(size int64, done func(fct sim.Time)) {
+	if done == nil {
+		conn.startJobCall(size, nil, nil, nil)
+		return
+	}
+	conn.startJobCall(size, callDone, done, nil)
+}
+
+func callDone(a, _ any, _ int64, fct sim.Time) { a.(func(sim.Time))(fct) }
+
+// startJobCall is StartJob with the callback in static form
+// (tcp.Sender.StartJobCall), which the workload drivers use so that a job
+// allocates no closure.
+func (conn *Conn) startJobCall(size int64, done tcp.JobFunc, a, b any) {
 	if !conn.opened() {
 		if conn.aborted {
 			return
@@ -134,10 +150,10 @@ func (conn *Conn) StartJob(size int64, done func(fct sim.Time)) {
 		conn.open()
 	}
 	if conn.mp != nil {
-		conn.mp.StartJob(size, done)
+		conn.mp.StartJobCall(size, done, a, b)
 		return
 	}
-	conn.tp.Snd.StartJob(size, done)
+	conn.tp.Snd.StartJobCall(size, done, a, b)
 }
 
 // Abort tears down the connection's transport mid-transfer: retransmission

@@ -9,14 +9,16 @@ import (
 	"clove/internal/telemetry"
 )
 
-// handled reports whether v has an endpoint for tuple: it hands v a bare
-// data segment of that tuple and checks it was not dropped as unhandled.
-func handled(c *Cluster, host packet.HostID, tuple packet.FiveTuple) bool {
+// handled reports whether host's vswitch has an endpoint for tuple under
+// handle h (0: by tuple alone): it hands the vswitch a bare data segment of
+// that tuple and handle and checks it was not dropped as unhandled.
+func handled(c *Cluster, host packet.HostID, tuple packet.FiveTuple, h packet.FlowHandle) bool {
 	v := c.VSwitches[host]
 	before := v.Stats().NoHandler
 	p := c.LS.Pool().Get()
 	p.Kind = packet.KindData
 	p.Inner = tuple
+	p.Flow = h
 	p.Seq = 1 << 40 // far past anything sent: a receiver only buffers it
 	p.PayloadLen = 1
 	v.FromNetwork(p)
@@ -41,12 +43,15 @@ func TestMeshWithoutJobsOpensNoTransport(t *testing.T) {
 						for i := 0; i < subflows; i++ {
 							f := conn.Flow
 							f.SrcPort += uint16(i)
-							if handled(c, conn.Flow.Dst, f) || handled(c, conn.Flow.Src, f.Reverse()) {
+							if handled(c, conn.Flow.Dst, f, 0) || handled(c, conn.Flow.Src, f.Reverse(), 0) {
 								t.Fatalf("unused connection %v has an endpoint", f)
 							}
 						}
 					}
 				}
+			}
+			if n := c.flows.Len(); n != 0 {
+				t.Fatalf("an unused mesh opened %d flow handles", n)
 			}
 			if st := c.TransportStats(); st != (tcp.SenderStats{}) {
 				t.Fatalf("transport stats of an unused mesh: %+v", st)
@@ -77,9 +82,12 @@ func TestFirstJobOpensTransportOnce(t *testing.T) {
 			if got := c.TransportStats().BytesAcked; got != 800_000 {
 				t.Fatalf("bytes acked %d, want 800000", got)
 			}
-			if !handled(c, conn.Flow.Dst, conn.Flow) || !handled(c, conn.Flow.Src, conn.Flow.Reverse()) {
-				t.Fatal("a connection that carried jobs has no endpoints")
-			}
+			conn.eachSender(func(s *tcp.Sender) {
+				h := s.FlowHandle()
+				if h == 0 || !handled(c, conn.Flow.Dst, s.Flow(), h) || !handled(c, conn.Flow.Src, s.Flow().Reverse(), h^1) {
+					t.Fatalf("a connection that carried jobs has no endpoint for %v (handle %d)", s.Flow(), h)
+				}
+			})
 		})
 	}
 }

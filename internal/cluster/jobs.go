@@ -32,14 +32,19 @@ type jobs struct {
 // flow starts a single-flow job of size bytes on conn.
 func (j *jobs) flow(conn *Conn, size int64) {
 	j.issued++
-	conn.StartJob(size, func(fct sim.Time) {
-		j.c.Recorder.Add(size, fct)
-		if tr := j.c.trace; tr != nil {
-			tr.FCT(j.c.Sim.Now(), conn.Flow.Src, conn.Flow.Dst, size, fct)
-		}
-		j.bytes += size
-		j.done()
-	})
+	conn.startJobCall(size, flowDone, j, conn)
+}
+
+// flowDone finishes a single-flow job (a static tcp.JobFunc, so a job
+// allocates no callback).
+func flowDone(a, b any, size int64, fct sim.Time) {
+	j, conn := a.(*jobs), b.(*Conn)
+	j.c.Recorder.Add(size, fct)
+	if tr := j.c.trace; tr != nil {
+		tr.FCT(j.c.Sim.Now(), conn.Flow.Src, conn.Flow.Dst, size, fct)
+	}
+	j.bytes += size
+	j.done()
 }
 
 // fanIn starts a fan-in job: shard bytes on conns[i] for each i in idx, or
@@ -59,9 +64,12 @@ func (j *jobs) fanIn(conns []*Conn, idx []int, shard int64, then func()) {
 		if idx != nil {
 			conn = conns[idx[i]]
 		}
-		conn.StartJob(shard, func(sim.Time) { f.land(conn) })
+		conn.startJobCall(shard, shardLanded, f, conn)
 	}
 }
+
+// shardLanded finishes one shard of a fan-in job (a static tcp.JobFunc).
+func shardLanded(a, b any, _ int64, _ sim.Time) { a.(*fanInJob).land(b.(*Conn)) }
 
 // fanInJob is one fan-in job in flight.
 type fanInJob struct {

@@ -102,27 +102,45 @@ func (t *fbTable) take(i int) (uint8, float64, bool) {
 type spineLB struct{ pins pins }
 
 // pins keeps one switch's flowlet pinning: every packet of a flowlet leaves
-// on the egress link its first packet was given.
+// on the egress link its first packet was given. A switch sees five-tuples,
+// not the edge's flow handles, and a table indexed by handle at every
+// switch would grow with flows × switches, so pins are found by the outer
+// tuple: one map probe per packet, into entries stored by value.
 type pins struct {
-	flowlets *clove.FlowletTable
-	links    map[packet.FiveTuple]*netem.Link
+	flowlets *clove.FlowletTable // the gap, and the flowlet count
+	index    map[packet.FiveTuple]int32
+	pinned   []pin
+}
+
+// pin is one flow's flowlet state and the link its flowlet is pinned to.
+type pin struct {
+	flowlet clove.FlowletEntry
+	link    *netem.Link
 }
 
 func newPins(gap sim.Time) pins {
-	return pins{flowlets: clove.NewFlowletTable(gap), links: map[packet.FiveTuple]*netem.Link{}}
+	return pins{flowlets: clove.NewFlowletTable(gap), index: map[packet.FiveTuple]int32{}}
 }
 
 // get records a packet of flow at now and returns the link its flowlet is
 // pinned to, or nil when the packet starts a new flowlet or the pinned link
-// is no longer a candidate; the caller then picks a link and pins it.
-func (p *pins) get(flow packet.FiveTuple, now sim.Time, candidates []*netem.Link) *netem.Link {
-	if _, isNew := p.flowlets.Touch(flow, now); isNew {
-		return nil
+// is no longer a candidate; the caller then picks a link and stores it in
+// the returned pin, which is valid until the next get.
+func (p *pins) get(flow packet.FiveTuple, now sim.Time, candidates []*netem.Link) (*netem.Link, *pin) {
+	i, ok := p.index[flow]
+	if !ok {
+		i = int32(len(p.pinned))
+		p.index[flow] = i
+		p.pinned = append(p.pinned, pin{})
 	}
-	if eg := p.links[flow]; eg != nil && slices.Contains(candidates, eg) {
-		return eg
+	pn := &p.pinned[i]
+	if p.flowlets.TouchEntry(&pn.flowlet, now) {
+		return nil, pn
 	}
-	return nil
+	if eg := pn.link; eg != nil && slices.Contains(candidates, eg) {
+		return eg, pn
+	}
+	return nil, pn
 }
 
 // Fabric is CONGA on a leaf-spine topology: one SwitchLB per switch, and
@@ -212,10 +230,10 @@ func (l *leafLB) Pick(sw *netem.Switch, pkt *packet.Packet, candidates []*netem.
 	if l.leafOf[outer.Src] != l.id || dstLeaf == l.id {
 		return nil, false
 	}
-	eg := l.pins.get(outer, sw.Sim().Now(), candidates)
+	eg, pn := l.pins.get(outer, sw.Sim().Now(), candidates)
 	if eg == nil {
 		eg = l.bestUplink(dstLeaf, candidates)
-		l.pins.links[outer] = eg
+		pn.link = eg
 		l.stats.FlowletsRouted++
 	}
 	tag := uint8(0)
@@ -270,7 +288,7 @@ func (s *spineLB) Pick(sw *netem.Switch, pkt *packet.Packet, candidates []*netem
 		return candidates[0], true
 	}
 	outer := pkt.OuterTuple()
-	eg := s.pins.get(outer, sw.Sim().Now(), candidates)
+	eg, pn := s.pins.get(outer, sw.Sim().Now(), candidates)
 	if eg == nil {
 		eg = candidates[0]
 		for _, c := range candidates[1:] {
@@ -278,7 +296,7 @@ func (s *spineLB) Pick(sw *netem.Switch, pkt *packet.Packet, candidates []*netem
 				eg = c
 			}
 		}
-		s.pins.links[outer] = eg
+		pn.link = eg
 	}
 	return eg, true
 }
@@ -309,10 +327,10 @@ func (l *letFlowLB) Pick(sw *netem.Switch, pkt *packet.Packet, candidates []*net
 		return candidates[0], true
 	}
 	outer := pkt.OuterTuple()
-	eg := l.pins.get(outer, sw.Sim().Now(), candidates)
+	eg, pn := l.pins.get(outer, sw.Sim().Now(), candidates)
 	if eg == nil {
 		eg = candidates[sw.Sim().Rand().Intn(len(candidates))]
-		l.pins.links[outer] = eg
+		pn.link = eg
 	}
 	return eg, true
 }

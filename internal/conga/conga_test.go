@@ -127,7 +127,8 @@ func TestCongaFlowletPinning(t *testing.T) {
 			t.Fatal("flowlet changed uplink mid-burst")
 		}
 	}
-	if st.pins.links[packet.FiveTuple{Src: 0, Dst: 16, SrcPort: 50000, DstPort: 7471, Proto: packet.ProtoTCP}] == nil {
+	outer := packet.FiveTuple{Src: 0, Dst: 16, SrcPort: 50000, DstPort: 7471, Proto: packet.ProtoTCP}
+	if i, ok := st.pins.index[outer]; !ok || st.pins.pinned[i].link == nil {
 		t.Error("no pinned entry for the outer tuple")
 	}
 }

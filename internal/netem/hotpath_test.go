@@ -70,3 +70,51 @@ func BenchmarkHotPathLinkSwitchLink(b *testing.B) {
 		sendOne(s, topo, src)
 	}
 }
+
+// TestECMPIndexMatchesModulo checks the power-of-two mask in ecmpIndex
+// against h % n for every candidate count 1..64 over hashes that set every
+// bit position.
+func TestECMPIndexMatchesModulo(t *testing.T) {
+	for n := 1; n <= 64; n++ {
+		h := uint64(0x9e3779b97f4a7c15)
+		for i := 0; i < 4096; i++ {
+			h = h*6364136223846793005 + 1442695040888963407
+			for _, x := range []uint64{h, h >> (i & 63), ^h, uint64(i)} {
+				if got, want := ecmpIndex(x, n), int(x%uint64(n)); got != want {
+					t.Fatalf("ecmpIndex(%#x, %d) = %d, want %d", x, n, got, want)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkHotPathECMPPick prices one ECMP choice at a paper-testbed leaf:
+// the outer tuple's fold, the avalanche finalizer and the reduction onto the
+// leaf's four uplinks, for a packet whose outer source port changes every
+// call. It fails on any allocation; the CI bench-smoke job runs it.
+func BenchmarkHotPathECMPPick(b *testing.B) {
+	ls := BuildLeafSpine(sim.New(1), PaperTestbed(0.01))
+	leaf := ls.Leaves[0]
+	dst := ls.Cfg.HostsPerLeaf // first host behind the other leaf
+	cands := leaf.NextHops(packet.HostID(dst))
+	if len(cands) != 4 {
+		b.Fatalf("leaf has %d candidates toward host %d, want 4", len(cands), dst)
+	}
+	pkt := &packet.Packet{Kind: packet.KindData}
+	e := pkt.AddEncap()
+	e.SrcHyp, e.DstHyp, e.DstPort = 0, packet.HostID(dst), 7471
+	var sink packet.LinkID
+	pick := func(port uint16) {
+		e.SrcPort = port
+		sink += leaf.ecmpPick(pkt, cands).ID()
+	}
+	if allocs := testing.AllocsPerRun(100, func() { pick(40000) }); allocs != 0 {
+		b.Fatalf("allocs per ECMP pick = %v, want 0", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pick(uint16(32768 + i&32767))
+	}
+	_ = sink
+}

@@ -39,7 +39,12 @@
 //   - routing: no packet is forwarded over an administratively-down link,
 //     and every packet a host NIC receives is addressed to that host.
 //   - flowlet: all packets of one (flow, flowlet) keep one outer source
-//     port — the property that makes a flowlet atomic on one path.
+//     port — the property that makes a flowlet atomic on one path — and a
+//     flow's flowlet IDs never go back.
+//   - handle: a flow handle (packet.FlowHandle) names one five-tuple for
+//     the whole run, so per-flow state found by handle is the state the
+//     tuple would find, and a packet carrying a wrong handle cannot pass as
+//     another flow's. A mismatched call is judged on its tuple's record.
 //   - conn-consistency (opt-in, RequireConnConsistency): a connection's
 //     outer source port changes only if the port it was using left the
 //     installed path set (PolicyPaths) at some point since it was picked —
@@ -61,7 +66,7 @@ import (
 // Violation is one detected invariant breach.
 type Violation struct {
 	// Class is the invariant class: "conservation", "pool", "tcp-stream",
-	// "queue-ecn", "routing", "flowlet", or "conn-consistency".
+	// "queue-ecn", "routing", "flowlet", "handle", or "conn-consistency".
 	Class string
 	// Msg describes the specific breach.
 	Msg string
@@ -83,14 +88,28 @@ const (
 	stLive                 // issued and owned by some component
 )
 
-type streamState struct {
-	maxSent   int64 // contiguous sent coverage is [0, maxSent)
-	delivered int64 // receiver's in-order point
-}
+// flowRec is the oracle's record of one flow direction: its TCP stream,
+// its current flowlet, and its conn-consistency pick. Handled flows keep it
+// by value in a slice indexed by handle, the rest in a map by five-tuple.
+type flowRec struct {
+	// flow is the tuple a handle was first seen with (handle records).
+	flow  packet.FiveTuple
+	named bool
 
-type flowletKey struct {
-	flow packet.FiveTuple
-	id   uint32
+	// TCP stream: contiguous sent coverage is [0, maxSent), the receiver's
+	// in-order point is delivered; sent marks the first StreamSent.
+	sent      bool
+	maxSent   int64
+	delivered int64
+
+	// The current flowlet and its port; picked marks the first pick.
+	picked  bool
+	flowlet uint32
+	port    uint16
+
+	// conn is the conn-consistency record, valid once hasConn.
+	hasConn bool
+	conn    connPick
 }
 
 // pairKey identifies a (source hypervisor, destination hypervisor) path
@@ -128,15 +147,17 @@ type Oracle struct {
 
 	linkDown map[packet.LinkID]bool // unknown links are up
 
-	streams  map[packet.FiveTuple]*streamState
-	flowlets map[flowletKey]uint16
+	// Per-flow records: by handle, and by tuple for calls without one.
+	byHandle []flowRec
+	byTuple  map[packet.FiveTuple]*flowRec
+	streams  int // records with a StreamSent
+	flowlets int // flowlets picked
 
 	// Conn-consistency state: installed path sets per pair (always
-	// tracked; installs are control-plane-rare) and, when connCheck is
-	// enabled, each connection's current (port, pick-version).
+	// tracked; installs are control-plane-rare). When connCheck is
+	// enabled, each flow's current (port, pick-version) is in its record.
 	connCheck bool
 	pathSets  map[pairKey]*pathSetState
-	conns     map[packet.FiveTuple]connPick
 
 	events     uint64
 	violations []Violation
@@ -148,10 +169,8 @@ func New() *Oracle {
 	return &Oracle{
 		pkts:     map[*packet.Packet]pktState{},
 		linkDown: map[packet.LinkID]bool{},
-		streams:  map[packet.FiveTuple]*streamState{},
-		flowlets: map[flowletKey]uint16{},
+		byTuple:  map[packet.FiveTuple]*flowRec{},
 		pathSets: map[pairKey]*pathSetState{},
-		conns:    map[packet.FiveTuple]connPick{},
 	}
 }
 
@@ -329,14 +348,42 @@ func (o *Oracle) HostDeliver(host packet.HostID, pkt *packet.Packet) {
 	}
 }
 
+// --- flow records ---
+
+// rec returns flow's record. With a handle it is the handle's record, after
+// the cheap check that the handle names flow (a comparison of two tuples);
+// on a mismatch, or without a handle, it is the record of the tuple.
+func (o *Oracle) rec(flow packet.FiveTuple, h packet.FlowHandle, where string) *flowRec {
+	if h > 0 {
+		for int(h) >= len(o.byHandle) {
+			o.byHandle = append(o.byHandle, flowRec{})
+		}
+		r := &o.byHandle[h]
+		if !r.named {
+			r.flow, r.named = flow, true
+			return r
+		}
+		if r.flow == flow {
+			return r
+		}
+		o.violationf("handle", "%s of %s carries handle %d, which names %s", where, flow, h, r.flow)
+	}
+	r := o.byTuple[flow]
+	if r == nil {
+		r = &flowRec{}
+		o.byTuple[flow] = r
+	}
+	return r
+}
+
 // --- packet.Observer: TCP streams ---
 
 // StreamSent implements packet.Observer.
-func (o *Oracle) StreamSent(flow packet.FiveTuple, seq, end int64, _ bool) {
-	s := o.streams[flow]
-	if s == nil {
-		s = &streamState{}
-		o.streams[flow] = s
+func (o *Oracle) StreamSent(flow packet.FiveTuple, h packet.FlowHandle, seq, end int64, _ bool) {
+	s := o.rec(flow, h, "stream send")
+	if !s.sent {
+		s.sent = true
+		o.streams++
 	}
 	if seq < 0 || end <= seq {
 		o.violationf("tcp-stream", "%s sent empty or negative range [%d,%d)", flow, seq, end)
@@ -354,9 +401,9 @@ func (o *Oracle) StreamSent(flow packet.FiveTuple, seq, end int64, _ bool) {
 }
 
 // StreamDeliver implements packet.Observer.
-func (o *Oracle) StreamDeliver(flow packet.FiveTuple, from, to int64) {
-	s := o.streams[flow]
-	if s == nil {
+func (o *Oracle) StreamDeliver(flow packet.FiveTuple, h packet.FlowHandle, from, to int64) {
+	s := o.rec(flow, h, "stream delivery")
+	if !s.sent {
 		o.violationf("tcp-stream", "%s delivered [%d,%d) with no bytes ever sent", flow, from, to)
 		return
 	}
@@ -377,18 +424,28 @@ func (o *Oracle) StreamDeliver(flow packet.FiveTuple, from, to int64) {
 
 // --- packet.Observer: flowlets ---
 
-// FlowletPick implements packet.Observer.
-func (o *Oracle) FlowletPick(flow packet.FiveTuple, flowletID uint32, port uint16) {
-	k := flowletKey{flow: flow, id: flowletID}
-	if prev, ok := o.flowlets[k]; ok {
-		if prev != port {
-			o.violationf("flowlet", "%s flowlet %d switched outer port %d -> %d mid-flowlet", flow, flowletID, prev, port)
+// FlowletPick implements packet.Observer. A flow's flowlet IDs only grow
+// (clove.FlowletTable), so the record keeps the current flowlet alone: the
+// same ID must keep its port, a higher one starts a new flowlet, and a
+// lower one is a table that went back.
+func (o *Oracle) FlowletPick(flow packet.FiveTuple, h packet.FlowHandle, flowletID uint32, port uint16) {
+	r := o.rec(flow, h, "flowlet pick")
+	if r.picked {
+		switch {
+		case flowletID == r.flowlet:
+			if port != r.port {
+				o.violationf("flowlet", "%s flowlet %d switched outer port %d -> %d mid-flowlet", flow, flowletID, r.port, port)
+			}
+			return
+		case flowletID < r.flowlet:
+			o.violationf("flowlet", "%s flowlet %d picked after flowlet %d", flow, flowletID, r.flowlet)
+			return
 		}
-		return
 	}
-	o.flowlets[k] = port
+	r.picked, r.flowlet, r.port = true, flowletID, port
+	o.flowlets++
 	if o.connCheck {
-		o.checkConnConsistency(flow, port)
+		o.checkConnConsistency(flow, r, port)
 	}
 }
 
@@ -398,7 +455,7 @@ func (o *Oracle) FlowletPick(flow packet.FiveTuple, flowletID uint32, port uint1
 // (including "absent right now" and "picked before any install"). The
 // record is updated only when the port actually changes, so mid-run
 // installs cannot launder a pinned port's age.
-func (o *Oracle) checkConnConsistency(flow packet.FiveTuple, port uint16) {
+func (o *Oracle) checkConnConsistency(flow packet.FiveTuple, r *flowRec, port uint16) {
 	pk := pairKey{src: flow.Src, dst: flow.Dst}
 	ps := o.pathSets[pk]
 	version := 0
@@ -411,9 +468,9 @@ func (o *Oracle) checkConnConsistency(flow packet.FiveTuple, port uint16) {
 			ps.lastAbsent[port] = version
 		}
 	}
-	prev, ok := o.conns[flow]
-	if !ok {
-		o.conns[flow] = connPick{port: port, version: version}
+	prev := r.conn
+	if !r.hasConn {
+		r.hasConn, r.conn = true, connPick{port: port, version: version}
 		return
 	}
 	if prev.port == port {
@@ -424,7 +481,7 @@ func (o *Oracle) checkConnConsistency(flow packet.FiveTuple, port uint16) {
 			"%s moved outer port %d -> %d while %d stayed installed since its pick (pick v%d, now v%d)",
 			flow, prev.port, port, prev.port, prev.version, version)
 	}
-	o.conns[flow] = connPick{port: port, version: version}
+	r.conn = connPick{port: port, version: version}
 }
 
 // PolicyPaths implements packet.Observer: record the pair's new installed
@@ -465,8 +522,8 @@ func (o *Oracle) Stats() Stats {
 		PacketsCreated:  o.created,
 		PacketsReleased: o.released,
 		PacketsLive:     o.live,
-		Streams:         len(o.streams),
-		Flowlets:        len(o.flowlets),
+		Streams:         o.streams,
+		Flowlets:        o.flowlets,
 		Events:          o.events,
 	}
 }

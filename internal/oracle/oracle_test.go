@@ -240,9 +240,9 @@ func TestMutationForgedStreamDelivery(t *testing.T) {
 func TestMutationStreamGapAndOverDelivery(t *testing.T) {
 	o := oracle.New()
 	flow := packet.FiveTuple{Src: 1, Dst: 2, SrcPort: 9, DstPort: 10, Proto: packet.ProtoTCP}
-	o.StreamSent(flow, 0, 1000, false)
-	o.StreamSent(flow, 2000, 3000, false) // gap [1000,2000) never sent
-	o.StreamDeliver(flow, 0, 5000)        // beyond even the gapped coverage
+	o.StreamSent(flow, 0, 0, 1000, false)
+	o.StreamSent(flow, 0, 2000, 3000, false) // gap [1000,2000) never sent
+	o.StreamDeliver(flow, 0, 0, 5000)        // beyond even the gapped coverage
 	wantViolation(t, o, 1, "tcp-stream")
 	if o.Count() < 2 {
 		t.Fatalf("want both gap and over-delivery flagged, got %v", o.Violations())
@@ -305,13 +305,84 @@ func TestMutationDownLinkDelivery(t *testing.T) {
 func TestMutationFlowletPortChange(t *testing.T) {
 	o := oracle.New()
 	flow := packet.FiveTuple{Src: 1, Dst: 2, SrcPort: 100, DstPort: 200, Proto: packet.ProtoTCP}
-	o.FlowletPick(flow, 7, 40000)
-	o.FlowletPick(flow, 7, 40000) // same port: fine
-	o.FlowletPick(flow, 8, 40001) // new flowlet may move: fine
+	o.FlowletPick(flow, 0, 7, 40000)
+	o.FlowletPick(flow, 0, 7, 40000) // same port: fine
+	o.FlowletPick(flow, 0, 8, 40001) // new flowlet may move: fine
 	if err := o.Check(1); err != nil {
 		t.Fatalf("consistent flowlets flagged: %v", err)
 	}
-	o.FlowletPick(flow, 8, 40002) // the bug: mid-flowlet port change
+	o.FlowletPick(flow, 0, 8, 40002) // the bug: mid-flowlet port change
+	wantViolation(t, o, 1, "flowlet")
+}
+
+// TestMutationForgedStreamDeliveryWithHandle forges a segment of one flow
+// that carries another flow's handle, whose sender has sent the bytes: the
+// handle must not launder it. The oracle flags the handle and judges the
+// delivery on the forged flow's own stream, which sent nothing.
+func TestMutationForgedStreamDeliveryWithHandle(t *testing.T) {
+	s := sim.New(1)
+	pool := &packet.Pool{}
+	o := oracle.New()
+	pool.SetObserver(o)
+
+	cfg := tcp.DefaultConfig()
+	cfg.Pool = pool
+	real := packet.FiveTuple{Src: 1, Dst: 2, SrcPort: 100, DstPort: 200, Proto: packet.ProtoTCP}
+	forgedFlow := packet.FiveTuple{Src: 3, Dst: 2, SrcPort: 101, DstPort: 200, Proto: packet.ProtoTCP}
+	const h packet.FlowHandle = 2
+	o.StreamSent(real, h, 0, 1000, false) // the real sender's bytes, under h
+	rcv := tcp.NewReceiver(s, cfg, forgedFlow, func(pkt *packet.Packet) { pool.Put(pkt) })
+
+	forged := pool.Get()
+	forged.Kind = packet.KindData
+	forged.Inner = forgedFlow
+	forged.Flow = h
+	forged.PayloadLen = 1000
+	rcv.HandleData(forged)
+	wantViolation(t, o, 1, "handle")
+	wantViolation(t, o, 1, "tcp-stream")
+}
+
+// TestHandledFlowletsAndStreamsClean runs a stream and its flowlets through
+// handles, beside a tuple-only flow: nothing is flagged.
+func TestHandledFlowletsAndStreamsClean(t *testing.T) {
+	o := oracle.New()
+	flow := packet.FiveTuple{Src: 1, Dst: 2, SrcPort: 100, DstPort: 200, Proto: packet.ProtoTCP}
+	other := packet.FiveTuple{Src: 2, Dst: 1, SrcPort: 200, DstPort: 100, Proto: packet.ProtoTCP}
+	o.StreamSent(flow, 2, 0, 1000, false)
+	o.StreamSent(flow, 2, 1000, 2000, false)
+	o.StreamDeliver(flow, 2, 0, 2000)
+	o.FlowletPick(flow, 2, 0, 40000)
+	o.FlowletPick(flow, 2, 0, 40000)
+	o.FlowletPick(flow, 2, 1, 40001)
+	o.FlowletPick(other, 0, 0, 40002)
+	o.FlowletPick(other, 0, 0, 40002)
+	if err := o.Check(1); err != nil {
+		t.Fatalf("clean handled flow flagged: %v", err)
+	}
+	if st := o.Stats(); st.Streams != 1 || st.Flowlets != 3 {
+		t.Fatalf("stats %+v, want 1 stream and 3 flowlets", st)
+	}
+}
+
+// TestMutationHandleFlowletPortChange seeds the flowlet bug through a
+// handle, then a handle reused for a second tuple, then a flowlet ID going
+// back: each is flagged.
+func TestMutationHandleFlowletPortChange(t *testing.T) {
+	flow := packet.FiveTuple{Src: 1, Dst: 2, SrcPort: 100, DstPort: 200, Proto: packet.ProtoTCP}
+	o := oracle.New()
+	o.FlowletPick(flow, 4, 7, 40000)
+	o.FlowletPick(flow, 4, 7, 40001) // mid-flowlet port change
+	wantViolation(t, o, 1, "flowlet")
+
+	o = oracle.New()
+	o.FlowletPick(flow, 4, 7, 40000)
+	o.FlowletPick(flow.Reverse(), 4, 7, 40000) // h names flow, not its reverse
+	wantViolation(t, o, 1, "handle")
+
+	o = oracle.New()
+	o.FlowletPick(flow, 4, 7, 40000)
+	o.FlowletPick(flow, 4, 6, 40000) // flowlet IDs never go back
 	wantViolation(t, o, 1, "flowlet")
 }
 
@@ -369,27 +440,27 @@ func TestConnConsistencyClean(t *testing.T) {
 	flow := packet.FiveTuple{Src: 1, Dst: 2, SrcPort: 100, DstPort: 200, Proto: packet.ProtoTCP}
 
 	// Pre-discovery fallback pick, then install containing a different port.
-	o.FlowletPick(flow, 1, 33000)
+	o.FlowletPick(flow, 0, 1, 33000)
 	o.PolicyPaths(1, 2, []uint16{40000, 40001})
 	// Moving off the fallback port is legal: it was never installed.
-	o.FlowletPick(flow, 2, 40000)
+	o.FlowletPick(flow, 0, 2, 40000)
 	// Staying on the pick across an install refresh is always legal.
 	o.PolicyPaths(1, 2, []uint16{40000, 40001})
-	o.FlowletPick(flow, 3, 40000)
+	o.FlowletPick(flow, 0, 3, 40000)
 	// Remove the pinned port: moving is now legal.
 	o.PolicyPaths(1, 2, []uint16{40001, 40002})
-	o.FlowletPick(flow, 4, 40001)
+	o.FlowletPick(flow, 0, 4, 40001)
 	// Remove-then-readd the pinned port: a later move is still legal,
 	// because 40001 was absent after the pick was made.
 	o.PolicyPaths(1, 2, []uint16{40002})
 	o.PolicyPaths(1, 2, []uint16{40001, 40002})
-	o.FlowletPick(flow, 5, 40002)
+	o.FlowletPick(flow, 0, 5, 40002)
 	// Full withdrawal: a fallback pick outside the (empty) set, then
 	// re-install and return to an installed port.
 	o.PolicyPaths(1, 2, nil)
-	o.FlowletPick(flow, 6, 33017)
+	o.FlowletPick(flow, 0, 6, 33017)
 	o.PolicyPaths(1, 2, []uint16{40000, 40001})
-	o.FlowletPick(flow, 7, 40000)
+	o.FlowletPick(flow, 0, 7, 40000)
 
 	if err := o.Check(1); err != nil {
 		t.Fatalf("clean conn-consistency sequence flagged: %v", err)
@@ -404,8 +475,8 @@ func TestMutationConnConsistency(t *testing.T) {
 	o.RequireConnConsistency()
 	flow := packet.FiveTuple{Src: 1, Dst: 2, SrcPort: 100, DstPort: 200, Proto: packet.ProtoTCP}
 	o.PolicyPaths(1, 2, []uint16{40000, 40001})
-	o.FlowletPick(flow, 1, 40000)
-	o.FlowletPick(flow, 2, 40001) // the bug: 40000 is still installed
+	o.FlowletPick(flow, 0, 1, 40000)
+	o.FlowletPick(flow, 0, 2, 40001) // the bug: 40000 is still installed
 	wantViolation(t, o, 1, "conn-consistency")
 }
 
@@ -416,8 +487,8 @@ func TestConnConsistencyOffByDefault(t *testing.T) {
 	o := oracle.New()
 	flow := packet.FiveTuple{Src: 1, Dst: 2, SrcPort: 100, DstPort: 200, Proto: packet.ProtoTCP}
 	o.PolicyPaths(1, 2, []uint16{40000, 40001})
-	o.FlowletPick(flow, 1, 40000)
-	o.FlowletPick(flow, 2, 40001)
+	o.FlowletPick(flow, 0, 1, 40000)
+	o.FlowletPick(flow, 0, 2, 40001)
 	if err := o.Check(1); err != nil {
 		t.Fatalf("unarmed oracle flagged a flowlet-level rebalance: %v", err)
 	}
@@ -431,10 +502,10 @@ func TestMutationConnConsistencyReaddLaundering(t *testing.T) {
 	o.RequireConnConsistency()
 	flow := packet.FiveTuple{Src: 1, Dst: 2, SrcPort: 100, DstPort: 200, Proto: packet.ProtoTCP}
 	o.PolicyPaths(1, 2, []uint16{40000, 40001})
-	o.FlowletPick(flow, 1, 40000)
+	o.FlowletPick(flow, 0, 1, 40000)
 	// Install refreshes that keep 40000 present do not reset its age.
 	o.PolicyPaths(1, 2, []uint16{40000, 40002})
 	o.PolicyPaths(1, 2, []uint16{40000, 40003})
-	o.FlowletPick(flow, 2, 40003)
+	o.FlowletPick(flow, 0, 2, 40003)
 	wantViolation(t, o, 1, "conn-consistency")
 }

@@ -61,16 +61,18 @@ type Observer interface {
 	HostDeliver(host HostID, pkt *Packet)
 
 	// StreamSent fires when a TCP sender emits the inner byte range
-	// [seq, end) of flow; rexmit marks retransmissions.
-	StreamSent(flow FiveTuple, seq, end int64, rexmit bool)
-	// StreamDeliver fires when a TCP receiver advances its in-order
-	// delivery point for flow from `from` to `to` (half-open byte range).
-	StreamDeliver(flow FiveTuple, from, to int64)
+	// [seq, end) of flow; rexmit marks retransmissions. h is the handle the
+	// sender stamps on the segment (0 if none).
+	StreamSent(flow FiveTuple, h FlowHandle, seq, end int64, rexmit bool)
+	// StreamDeliver fires when a TCP receiver of flow advances its in-order
+	// delivery point from `from` to `to` (half-open byte range); h is the
+	// handle of the segment that advanced it.
+	StreamDeliver(flow FiveTuple, h FlowHandle, from, to int64)
 
 	// FlowletPick fires when a source vswitch assigns an outer source port
-	// to a packet of (flow, flowletID). Per-packet policies (Presto
-	// flowcells) do not report here.
-	FlowletPick(flow FiveTuple, flowletID uint32, port uint16)
+	// to a packet of (flow, flowletID); h is the packet's handle. Per-packet
+	// policies (Presto flowcells) do not report here.
+	FlowletPick(flow FiveTuple, h FlowHandle, flowletID uint32, port uint16)
 
 	// PolicyPaths fires when a path set is installed into (or withdrawn
 	// from, ports empty) the source hypervisor src's policy for

@@ -65,34 +65,48 @@ const (
 	FNVPrime  = 1099511628211
 )
 
-// FNVMix folds the 8 bytes of v into h, least-significant byte first — the
-// FNV-1a byte loop, unrolled. This must stay bit-identical to
+// Powers of FNVPrime mod 2^64. Folding a zero byte is h *= FNVPrime, so a
+// run of k zero bytes folds as one multiply by FNVPrime^k.
+const (
+	fnvPrime2 = FNVPrime * FNVPrime % (1 << 64)
+	fnvPrime4 = fnvPrime2 * fnvPrime2 % (1 << 64)
+	fnvPrime6 = fnvPrime4 * fnvPrime2 % (1 << 64)
+	fnvPrime8 = fnvPrime4 * fnvPrime4 % (1 << 64)
+)
+
+// FNVWord folds v, widened to 8 bytes, into h, least-significant byte
+// first. It is bit-identical to the FNV-1a byte loop
 //
-//	for i := 0; i < 8; i++ { h ^= (v >> (8 * i)) & 0xff; h *= FNVPrime }
+//	for i := 0; i < 8; i++ { h ^= (uint64(v) >> (8 * i)) & 0xff; h *= FNVPrime }
 //
-// every ECMP choice, every edge source port, and therefore every golden
-// figure depends on these exact hash values (netem's TestHashTupleVectors
-// and vswitch's TestPortHashPinnedVectors pin them).
-func FNVMix(h, v uint64) uint64 {
-	h = (h ^ (v & 0xff)) * FNVPrime
-	h = (h ^ (v >> 8 & 0xff)) * FNVPrime
-	h = (h ^ (v >> 16 & 0xff)) * FNVPrime
-	h = (h ^ (v >> 24 & 0xff)) * FNVPrime
-	h = (h ^ (v >> 32 & 0xff)) * FNVPrime
-	h = (h ^ (v >> 40 & 0xff)) * FNVPrime
-	h = (h ^ (v >> 48 & 0xff)) * FNVPrime
-	h = (h ^ (v >> 56)) * FNVPrime
-	return h
+// but the four upper bytes, which are zero, fold as one multiply by
+// FNVPrime^4, and the two above a value under 2^16 fold into FNVPrime^6:
+// 5 dependent multiplies, or 3, instead of 8. Every ECMP choice, every
+// edge source port, and therefore every golden figure depends on these
+// exact values (netem's TestHashTupleVectors, vswitch's
+// TestPortHashPinnedVectors and FuzzFoldFNV here pin them).
+func FNVWord(h uint64, v uint32) uint64 {
+	h = (h ^ uint64(v&0xff)) * FNVPrime
+	h = (h ^ uint64(v>>8&0xff)) * FNVPrime
+	if v < 1<<16 {
+		return h * fnvPrime6
+	}
+	h = (h ^ uint64(v>>16&0xff)) * FNVPrime
+	h = (h ^ uint64(v>>24)) * FNVPrime
+	return h * fnvPrime4
 }
 
-// FoldFNV folds the tuple into h with FNVMix, one 8-byte word each for the
-// source, the destination, the two ports, and the protocol: the fold both
-// the switches' ECMP hash and the edge's port hash start from.
+// FoldFNV folds the tuple into h as FNV-1a over one 8-byte word each for
+// the source, the destination, the two ports (SrcPort<<16 | DstPort) and
+// the protocol: the fold both the switches' ECMP hash and the edge's port
+// hash start from. The protocol word is one byte and seven zeros, so it
+// folds as (h ^ proto) * FNVPrime^8; the whole tuple costs 12 dependent
+// multiplies for host IDs under 2^16 and a non-zero source port, not 32.
 func (t FiveTuple) FoldFNV(h uint64) uint64 {
-	h = FNVMix(h, uint64(uint32(t.Src)))
-	h = FNVMix(h, uint64(uint32(t.Dst)))
-	h = FNVMix(h, uint64(t.SrcPort)<<16|uint64(t.DstPort))
-	return FNVMix(h, uint64(t.Proto))
+	h = FNVWord(h, uint32(t.Src))
+	h = FNVWord(h, uint32(t.Dst))
+	h = FNVWord(h, uint32(t.SrcPort)<<16|uint32(t.DstPort))
+	return (h ^ uint64(t.Proto)) * fnvPrime8
 }
 
 // Reverse returns the tuple of the opposite direction.
@@ -118,6 +132,16 @@ func (t FiveTuple) String() string {
 	b = strconv.AppendUint(b, uint64(t.Proto), 10)
 	return string(b)
 }
+
+// FlowHandle names one direction of a simulated connection, or one MPTCP
+// subflow's direction, by a dense index the cluster assigns when the
+// connection's transport is built (vswitch.Flows.Open). The TCP endpoint
+// that sends the direction stamps it into Packet.Flow, and the virtual
+// switches and the oracle find their per-flow state by it instead of by
+// hashing the five-tuple. It never goes on the wire. 0 means no handle:
+// probes, echoes, standalone feedback and raw test packets carry none and
+// take the five-tuple path.
+type FlowHandle int32
 
 // TCPFlags is the inner TCP flag set (only the bits the model needs).
 type TCPFlags uint8
@@ -206,8 +230,9 @@ type Packet struct {
 
 	// Inner tenant headers (valid for KindData).
 	Inner      FiveTuple
-	Seq        int64 // first payload byte offset, TCP-style
-	Ack        int64 // cumulative ACK offset
+	Flow       FlowHandle // sender's handle for Inner's direction, 0 if none; not a header
+	Seq        int64      // first payload byte offset, TCP-style
+	Ack        int64      // cumulative ACK offset
 	Flags      TCPFlags
 	PayloadLen int
 	InnerECT   bool // tenant stack is ECN-capable

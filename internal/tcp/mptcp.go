@@ -92,8 +92,14 @@ func (m *MPSender) Abort() {
 
 // StartJob appends an application transfer of size bytes.
 func (m *MPSender) StartJob(size int64, done func(fct sim.Time)) {
+	fn, a := closureJob(done)
+	m.StartJobCall(size, fn, a, nil)
+}
+
+// StartJobCall is StartJob with the callback in static form (Sender.StartJobCall).
+func (m *MPSender) StartJobCall(size int64, done JobFunc, a, b any) {
 	m.totalSize += size
-	m.jobs = append(m.jobs, job{endSeq: m.totalSize, arrival: m.sim.Now(), done: done})
+	m.jobs = append(m.jobs, job{endSeq: m.totalSize, arrival: m.sim.Now(), size: size, done: done, a: a, b: b})
 	m.pump()
 }
 
@@ -116,7 +122,7 @@ func (m *MPSender) pump() {
 		}
 		n := min(m.chunk, m.totalSize-m.pendingBytes)
 		m.pendingBytes += n
-		m.subflows[best].StartJob(n, nil)
+		m.subflows[best].StartJobCall(n, nil, nil, nil)
 	}
 }
 
@@ -179,9 +185,7 @@ func (m *MPSender) checkDone() {
 			break
 		}
 		popJob(&m.jobs)
-		if j.done != nil {
-			j.done(m.sim.Now() - j.arrival)
-		}
+		j.finish(m.sim.Now())
 	}
 }
 

@@ -28,6 +28,8 @@ type Receiver struct {
 	sim  *sim.Simulator
 	cfg  Config
 	flow packet.FiveTuple // direction of the *data* (ACKs go the other way)
+	// handle is stamped on every ACK (SetFlowHandle); 0 for none.
+	handle packet.FlowHandle
 
 	// Output transmits ACK segments toward the network.
 	Output func(*packet.Packet)
@@ -49,6 +51,10 @@ func makeReceiver(s *sim.Simulator, cfg Config, flow packet.FiveTuple, output fu
 	return Receiver{sim: s, cfg: cfg.withDefaults(), flow: flow, Output: output}
 }
 
+// SetFlowHandle makes the receiver stamp h, the handle of the ACK
+// direction, into every ACK it emits (packet.Packet.Flow).
+func (r *Receiver) SetFlowHandle(h packet.FlowHandle) { r.handle = h }
+
 // Stats returns a snapshot of the receiver counters.
 func (r *Receiver) Stats() ReceiverStats { return r.stats }
 
@@ -68,7 +74,7 @@ func (r *Receiver) HandleData(pkt *packet.Packet) {
 	if ce {
 		r.stats.CESeen++
 	}
-	start, end := pkt.Seq, pkt.Seq+int64(pkt.PayloadLen)
+	start, end, h := pkt.Seq, pkt.Seq+int64(pkt.PayloadLen), pkt.Flow
 	r.cfg.Pool.Put(pkt)
 
 	oldNxt := r.rcvNxt
@@ -86,7 +92,7 @@ func (r *Receiver) HandleData(pkt *packet.Packet) {
 	}
 	if r.rcvNxt > oldNxt {
 		if o := r.cfg.Pool.Obs(); o != nil {
-			o.StreamDeliver(r.flow, oldNxt, r.rcvNxt)
+			o.StreamDeliver(r.flow, h, oldNxt, r.rcvNxt)
 		}
 	}
 	r.sendAck(ce)
@@ -131,6 +137,7 @@ func (r *Receiver) sendAck(ce bool) {
 	ack := r.cfg.Pool.Get()
 	ack.Kind = packet.KindData
 	ack.Inner = r.flow.Reverse()
+	ack.Flow = r.handle
 	ack.Ack = r.rcvNxt
 	ack.Flags = flags
 	ack.InnerECT = r.cfg.ECN

@@ -9,12 +9,38 @@ import (
 	"clove/internal/telemetry"
 )
 
+// JobFunc is a job-completion callback in static form, the sim.AtCall
+// idiom: it receives the operands given with the job, the job's size and
+// its completion time. A static function with pointer operands allocates
+// nothing per job, where a closure passed to StartJob costs one.
+type JobFunc func(a, b any, size int64, fct sim.Time)
+
 // job is one application-level transfer queued on a persistent connection.
 type job struct {
 	endSeq  int64 // stream offset after which the job is complete
 	arrival sim.Time
-	done    func(fct sim.Time)
+	size    int64
+	done    JobFunc // nil: no callback
+	a, b    any
 }
+
+// finish runs the job's callback, if any, at now.
+func (j *job) finish(now sim.Time) {
+	if j.done != nil {
+		j.done(j.a, j.b, j.size, now-j.arrival)
+	}
+}
+
+// closureJob is a StartJob callback in JobFunc form: callClosure with the
+// closure as its operand, or no callback for a nil closure.
+func closureJob(done func(fct sim.Time)) (JobFunc, any) {
+	if done == nil {
+		return nil, nil
+	}
+	return callClosure, done
+}
+
+func callClosure(a, _ any, _ int64, fct sim.Time) { a.(func(sim.Time))(fct) }
 
 // SenderStats counts transport events for diagnostics and tests.
 type SenderStats struct {
@@ -33,6 +59,8 @@ type Sender struct {
 	sim  *sim.Simulator
 	cfg  Config
 	flow packet.FiveTuple
+	// handle is stamped on every segment (SetFlowHandle); 0 for none.
+	handle packet.FlowHandle
 
 	// Output transmits a segment toward the network (the hypervisor
 	// vswitch installs itself here).
@@ -101,6 +129,14 @@ func makeSender(s *sim.Simulator, cfg Config, flow packet.FiveTuple, output func
 // Flow returns the sender's inner 5-tuple.
 func (s *Sender) Flow() packet.FiveTuple { return s.flow }
 
+// SetFlowHandle makes the sender stamp h into every segment it emits
+// (packet.Packet.Flow), so the virtual switches find the flow's state by
+// index.
+func (s *Sender) SetFlowHandle(h packet.FlowHandle) { s.handle = h }
+
+// FlowHandle returns the handle the sender stamps, 0 if none.
+func (s *Sender) FlowHandle() packet.FlowHandle { return s.handle }
+
 // Stats returns a snapshot of the sender's counters.
 func (s *Sender) Stats() SenderStats { return s.stats }
 
@@ -145,6 +181,13 @@ func (s *Sender) Abort() {
 // this call. Jobs queued behind earlier jobs include the queueing delay in
 // their FCT, matching the paper's job-completion-time metric.
 func (s *Sender) StartJob(size int64, done func(fct sim.Time)) {
+	fn, a := closureJob(done)
+	s.StartJobCall(size, fn, a, nil)
+}
+
+// StartJobCall is StartJob with the callback in static form: done (nil for
+// none) fires as done(a, b, size, fct).
+func (s *Sender) StartJobCall(size int64, done JobFunc, a, b any) {
 	if size <= 0 {
 		panic(fmt.Sprintf("tcp: job size %d", size))
 	}
@@ -163,7 +206,7 @@ func (s *Sender) StartJob(size int64, done func(fct sim.Time)) {
 		}
 	}
 	s.sndLimit += size
-	s.jobs = append(s.jobs, job{endSeq: s.sndLimit, arrival: s.sim.Now(), done: done})
+	s.jobs = append(s.jobs, job{endSeq: s.sndLimit, arrival: s.sim.Now(), size: size, done: done, a: a, b: b})
 	s.trySend()
 }
 
@@ -278,9 +321,7 @@ func (s *Sender) onECE() {
 func (s *Sender) completeJobs() {
 	for len(s.jobs) > 0 && s.sndUna >= s.jobs[0].endSeq {
 		j := popJob(&s.jobs)
-		if j.done != nil {
-			j.done(s.sim.Now() - j.arrival)
-		}
+		j.finish(s.sim.Now())
 	}
 }
 
@@ -328,6 +369,7 @@ func (s *Sender) emit(seq int64, segLen int, isRexmit bool) {
 	p := s.cfg.Pool.Get()
 	p.Kind = packet.KindData
 	p.Inner = s.flow
+	p.Flow = s.handle
 	p.Seq = seq
 	p.Flags = flags
 	p.PayloadLen = segLen
@@ -350,7 +392,7 @@ func (s *Sender) emit(seq int64, segLen int, isRexmit bool) {
 	s.lastSendTime = s.sim.Now()
 	s.hasSent = true
 	if o := s.cfg.Pool.Obs(); o != nil {
-		o.StreamSent(s.flow, seq, seq+int64(segLen), isRexmit)
+		o.StreamSent(s.flow, s.handle, seq, seq+int64(segLen), isRexmit)
 	}
 	s.Output(p)
 }

@@ -63,7 +63,7 @@ type receiverHook interface {
 // ephemeral port range. It reuses FNV-1a so that, like a real
 // implementation, the mapping is stable and spreads well.
 func portHash(flow packet.FiveTuple, salt uint32) uint16 {
-	h := packet.FNVMix(flow.FoldFNV(packet.FNVOffset), uint64(salt))
+	h := packet.FNVWord(flow.FoldFNV(packet.FNVOffset), salt)
 	// Ephemeral range 32768..65535.
 	return uint16(32768 + h%32768)
 }

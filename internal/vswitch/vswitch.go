@@ -42,6 +42,11 @@ type Config struct {
 	// Effective only together with MeasureLatency, which produces the
 	// delay samples.
 	AdaptiveFlowletGap bool
+	// Flows is the fabric's flow table, shared by all its vswitches: a
+	// packet that carries a flow handle finds its flowlet entry, endpoint
+	// and peer record there. Nil for a vswitch that sees only packets
+	// without handles.
+	Flows *Flows
 }
 
 // DefaultConfig returns Clove-ECN defaults scaled to the given base RTT.
@@ -95,8 +100,11 @@ type VSwitch struct {
 	self packet.HostID
 	pool *packet.Pool
 
-	policy   PathPolicy
+	policy PathPolicy
+	// flowlets applies the flowlet gap and counts flowlets; it stores the
+	// entries of packets without a handle, whose are in flows.
 	flowlets *clove.FlowletTable
+	flows    *Flows
 	// perPacket and rxHook are policy seen through its two optional
 	// interfaces, nil when it implements neither; resolved once in New.
 	perPacket perPacketPolicy
@@ -112,12 +120,15 @@ type VSwitch struct {
 	// endpoint that transmits through FromVM, would allocate.
 	deliverFn, fromVMFn func(*packet.Packet)
 
-	// endpoints maps an arriving inner 5-tuple to its VM-side handler.
+	// endpoints maps an arriving inner 5-tuple to its VM-side handler, for
+	// packets without a flow handle (Register); made on first use.
 	endpoints map[packet.FiveTuple]endpoint
 
 	// peers is the receiver-side state of every remote hypervisor that sent
-	// something to relay or a delay sample to adapt the gap to.
-	peers map[packet.HostID]*peer
+	// something to relay or a delay sample to adapt the gap to, in the
+	// order made. Flow slots cache their entry (cachedPeer); a search runs
+	// only on a cache miss or for a packet without a handle.
+	peers []*peer
 
 	// OnProbeEcho, when set, receives discovery echoes (the prober).
 	OnProbeEcho func(*packet.Packet)
@@ -132,14 +143,13 @@ type VSwitch struct {
 // the host's delivery handler.
 func New(s *sim.Simulator, host *netem.Host, cfg Config, policy PathPolicy) *VSwitch {
 	v := &VSwitch{
-		sim:       s,
-		host:      host,
-		cfg:       cfg,
-		self:      host.HostID(),
-		pool:      host.Pool(),
-		policy:    policy,
-		endpoints: map[packet.FiveTuple]endpoint{},
-		peers:     map[packet.HostID]*peer{},
+		sim:    s,
+		host:   host,
+		cfg:    cfg,
+		self:   host.HostID(),
+		pool:   host.Pool(),
+		policy: policy,
+		flows:  cfg.Flows,
 	}
 	v.perPacket, _ = policy.(perPacketPolicy)
 	v.rxHook, _ = policy.(receiverHook)
@@ -229,22 +239,19 @@ type endpoint struct {
 	a  any
 }
 
-// Register installs the VM-side handler for packets whose inner 5-tuple
-// equals match (use flow for a receiver, flow.Reverse() for a sender's ACK
-// stream).
+// Register installs the VM-side handler for packets without a flow handle
+// whose inner 5-tuple equals match (use flow for a receiver, flow.Reverse()
+// for a sender's ACK stream). The cluster registers its connections by
+// handle instead (Flows.Open); Register is for tests that drive bare TCP
+// endpoints through a vswitch.
 func (v *VSwitch) Register(match packet.FiveTuple, handler func(*packet.Packet)) {
-	v.RegisterCall(match, callHandler, handler)
+	if v.endpoints == nil {
+		v.endpoints = map[packet.FiveTuple]endpoint{}
+	}
+	v.endpoints[match] = endpoint{callHandler, handler}
 }
 
 func callHandler(h any, pkt *packet.Packet) { h.(func(*packet.Packet))(pkt) }
-
-// RegisterCall installs fn(a, pkt) as the handler for packets whose inner
-// 5-tuple equals match. With fn a static function and a a pointer to the
-// endpoint (the sim.AtCall idiom) this allocates nothing per endpoint,
-// where a method value passed to Register costs a closure.
-func (v *VSwitch) RegisterCall(match packet.FiveTuple, fn EndpointFunc, a any) {
-	v.endpoints[match] = endpoint{fn, a}
-}
 
 // FromVM accepts a packet from the tenant VM, encapsulates it, picks the
 // path, piggybacks any pending feedback for the destination hypervisor, and
@@ -257,7 +264,14 @@ func (v *VSwitch) FromVM(pkt *packet.Packet) {
 	if v.perPacket != nil {
 		port = v.perPacket.PickPortPacket(dstHyp, pkt.Inner, pkt.PayloadLen)
 	} else {
-		e, isNew := v.flowlets.Touch(pkt.Inner, now)
+		var e *clove.FlowletEntry
+		var isNew bool
+		if pkt.Flow != 0 {
+			e = &v.flows.slots[pkt.Flow].flowlet
+			isNew = v.flowlets.TouchEntry(e, now)
+		} else {
+			e, isNew = v.flowlets.Touch(pkt.Inner, now)
+		}
 		if tr := v.trace; tr != nil {
 			if isNew && e.Packets > 0 {
 				// The previous flowlet of this flow just closed: record it
@@ -274,7 +288,7 @@ func (v *VSwitch) FromVM(pkt *packet.Packet) {
 		}
 		port = e.Port
 		if o := v.pool.Obs(); o != nil {
-			o.FlowletPick(pkt.Inner, e.ID, port)
+			o.FlowletPick(pkt.Inner, pkt.Flow, e.ID, port)
 		}
 	}
 
@@ -285,9 +299,19 @@ func (v *VSwitch) FromVM(pkt *packet.Packet) {
 	if v.cfg.MeasureLatency {
 		pkt.SentAtNs = int64(now)
 	}
-	if fb, ok := v.takeFeedback(dstHyp, now); ok {
-		pkt.Encap.Feedback = fb
-		v.stats.FeedbackPiggy++
+	// The record of dstHyp is cached in the slot of the reverse direction,
+	// whose packets this vswitch receives.
+	var p *peer
+	if pkt.Flow != 0 {
+		p = v.cachedPeer(&v.flows.slots[pkt.Flow^1], dstHyp)
+	} else {
+		p = v.findPeer(dstHyp)
+	}
+	if p != nil {
+		if fb, ok := p.paths.Take(now, v.cfg.RelayInterval); ok {
+			pkt.Encap.Feedback = fb
+			v.stats.FeedbackPiggy++
+		}
 	}
 	v.stats.Encapped++
 	v.host.Send(pkt)
@@ -351,20 +375,28 @@ func (v *VSwitch) FromNetwork(pkt *packet.Packet) {
 	remote := pkt.Encap.SrcHyp
 
 	// 1. Intercept congestion state about the forward path remote->self.
+	// p, remote's record, is looked up (or made) by the first use.
+	var p *peer
 	port := pkt.Encap.SrcPort
 	if pkt.Encap.CE {
 		v.stats.CEObserved++
-		p := v.peer(remote)
+		p = v.peer(pkt, remote)
 		p.paths.NoteCE(port)
 		v.armStandalone(p)
 	}
 	if pkt.INT.Enabled {
-		v.peer(remote).paths.NoteMetric(port, pkt.INT.MaxUtil)
+		if p == nil {
+			p = v.peer(pkt, remote)
+		}
+		p.paths.NoteMetric(port, pkt.INT.MaxUtil)
 	}
 	if v.cfg.MeasureLatency && pkt.SentAtNs > 0 {
 		// One-way path delay as the reflected metric; the table's
 		// least-metric selection then prefers the currently-fastest path.
-		v.peer(remote).paths.NoteMetric(port, (now - sim.Time(pkt.SentAtNs)).Seconds())
+		if p == nil {
+			p = v.peer(pkt, remote)
+		}
+		p.paths.NoteMetric(port, (now - sim.Time(pkt.SentAtNs)).Seconds())
 	}
 
 	// 2. Consume feedback the remote reflected about our paths to it.
@@ -372,7 +404,10 @@ func (v *VSwitch) FromNetwork(pkt *packet.Packet) {
 		v.stats.FeedbackReceived++
 		v.policy.OnFeedback(remote, pkt.Encap.Feedback, now)
 		if v.cfg.AdaptiveFlowletGap && v.cfg.MeasureLatency && pkt.Encap.Feedback.HasUtil {
-			v.adaptGap(v.peer(remote), pkt.Encap.Feedback.Util)
+			if p == nil {
+				p = v.peer(pkt, remote)
+			}
+			v.adaptGap(p, pkt.Encap.Feedback.Util)
 		}
 	}
 
@@ -407,10 +442,16 @@ func (v *VSwitch) FromNetwork(pkt *packet.Packet) {
 	v.deliver(pkt)
 }
 
-// deliver hands the packet to the registered VM-side endpoint, which takes
-// ownership (the TCP endpoints release consumed packets themselves).
+// deliver hands the packet to its VM-side endpoint, named by its flow
+// handle or else registered for its inner 5-tuple, which takes ownership
+// (the TCP endpoints release consumed packets themselves).
 func (v *VSwitch) deliver(pkt *packet.Packet) {
-	ep := v.endpoints[pkt.Inner]
+	var ep endpoint
+	if pkt.Flow != 0 {
+		ep = v.flows.slots[pkt.Flow].ep
+	} else {
+		ep = v.endpoints[pkt.Inner]
+	}
 	if ep.fn == nil {
 		v.stats.NoHandler++
 		v.pool.Put(pkt)
@@ -434,24 +475,45 @@ func (v *VSwitch) answerProbe(probe *packet.Packet) {
 	v.host.Send(echo)
 }
 
-// peer returns remote's receiver-side record, making it on first use.
-func (v *VSwitch) peer(remote packet.HostID) *peer {
-	p := v.peers[remote]
-	if p == nil {
-		p = &peer{id: remote, delayLo: math.Inf(1), delayHi: math.Inf(-1)}
-		v.peers[remote] = p
+// peer returns the record of remote, the sender of pkt, making it on first
+// use; a packet with a flow handle caches it in its slot.
+func (v *VSwitch) peer(pkt *packet.Packet, remote packet.HostID) *peer {
+	var s *flowSlot
+	if pkt.Flow != 0 {
+		s = &v.flows.slots[pkt.Flow]
+		if p := v.cachedPeer(s, remote); p != nil {
+			return p
+		}
+	} else if p := v.findPeer(remote); p != nil {
+		return p
+	}
+	p := &peer{id: remote, delayLo: math.Inf(1), delayHi: math.Inf(-1)}
+	v.peers = append(v.peers, p)
+	if s != nil {
+		s.peer = p
 	}
 	return p
 }
 
-// takeFeedback takes the observation about paths from remote to us that is
-// due for relay, if any (clove.PeerPaths.Take, rate-limited per path).
-func (v *VSwitch) takeFeedback(remote packet.HostID, now sim.Time) (packet.Feedback, bool) {
-	p := v.peers[remote]
-	if p == nil {
-		return packet.Feedback{}, false
+// cachedPeer returns the record of remote cached in s, a slot whose packets
+// this vswitch receives from remote, or nil if there is none. A cached nil
+// is rechecked once after every record made since it was cached, so the
+// search runs at most once per record per slot.
+func (v *VSwitch) cachedPeer(s *flowSlot, remote packet.HostID) *peer {
+	if s.peer == nil && s.peerGen != int32(len(v.peers)) {
+		s.peer, s.peerGen = v.findPeer(remote), int32(len(v.peers))
 	}
-	return p.paths.Take(now, v.cfg.RelayInterval)
+	return s.peer
+}
+
+// findPeer searches the records for remote's; nil if there is none.
+func (v *VSwitch) findPeer(remote packet.HostID) *peer {
+	for _, p := range v.peers {
+		if p.id == remote {
+			return p
+		}
+	}
+	return nil
 }
 
 func standaloneFire(v, p any) { v.(*VSwitch).fireStandalone(p.(*peer)) }
@@ -460,7 +522,7 @@ func standaloneFire(v, p any) { v.(*VSwitch).fireStandalone(p.(*peer)) }
 // own. A due utilization-only report it takes instead is dropped.
 func (v *VSwitch) fireStandalone(p *peer) {
 	p.armed = false
-	fb, ok := v.takeFeedback(p.id, v.sim.Now())
+	fb, ok := p.paths.Take(v.sim.Now(), v.cfg.RelayInterval)
 	if !ok || !fb.ECN {
 		return
 	}

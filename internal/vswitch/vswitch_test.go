@@ -466,9 +466,12 @@ func TestFeedbackRateLimiting(t *testing.T) {
 		v.FromNetwork(p)
 	}
 	// First outgoing packet toward host 0 carries feedback...
-	fb1, ok1 := v.takeFeedback(0, v.sim.Now())
+	take := func(now sim.Time) (packet.Feedback, bool) {
+		return v.findPeer(0).paths.Take(now, v.cfg.RelayInterval)
+	}
+	fb1, ok1 := take(v.sim.Now())
 	// ...the second within the same interval must not.
-	_, ok2 := v.takeFeedback(0, v.sim.Now())
+	_, ok2 := take(v.sim.Now())
 	if !ok1 || !fb1.ECN || fb1.Port != 50000 {
 		t.Fatalf("first relay: %v %v", fb1, ok1)
 	}
@@ -477,7 +480,7 @@ func TestFeedbackRateLimiting(t *testing.T) {
 	}
 	// After the interval elapses with no new CE, nothing pending (ECN was
 	// consumed) unless util is known — there is none here.
-	_, ok3 := v.takeFeedback(0, v.sim.Now()+10*v.cfg.RelayInterval)
+	_, ok3 := take(v.sim.Now() + 10*v.cfg.RelayInterval)
 	if ok3 {
 		t.Error("stale relay without pending state")
 	}
