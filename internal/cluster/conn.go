@@ -130,14 +130,9 @@ func (conn *Conn) eachSender(fn func(*tcp.Sender)) {
 // completion time (measured from now, queueing included). The first job
 // opens the transport.
 func (conn *Conn) StartJob(size int64, done func(fct sim.Time)) {
-	if done == nil {
-		conn.startJobCall(size, nil, nil, nil)
-		return
-	}
-	conn.startJobCall(size, callDone, done, nil)
+	fn, a := tcp.ClosureJob(done)
+	conn.startJobCall(size, fn, a, nil)
 }
-
-func callDone(a, _ any, _ int64, fct sim.Time) { a.(func(sim.Time))(fct) }
 
 // startJobCall is StartJob with the callback in static form
 // (tcp.Sender.StartJobCall), which the workload drivers use so that a job

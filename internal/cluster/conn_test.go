@@ -7,6 +7,7 @@ import (
 	"clove/internal/sim"
 	"clove/internal/tcp"
 	"clove/internal/telemetry"
+	"clove/internal/vswitch"
 )
 
 // handled reports whether host's vswitch has an endpoint for tuple under
@@ -199,8 +200,12 @@ func firstJobRig() func() {
 		i++
 		if conn.opened() {
 			// Out of unused connections (a long benchmark): forget the
-			// transport and open it again.
+			// transport and open it again, in an emptied flow table, which
+			// would otherwise grow by a pair of handles per open.
 			conn.tp = nil
+			if i%len(c.connList) == 1 {
+				c.flows = vswitch.Flows{}
+			}
 		}
 		conn.open()
 	}

@@ -92,7 +92,7 @@ func (m *MPSender) Abort() {
 
 // StartJob appends an application transfer of size bytes.
 func (m *MPSender) StartJob(size int64, done func(fct sim.Time)) {
-	fn, a := closureJob(done)
+	fn, a := ClosureJob(done)
 	m.StartJobCall(size, fn, a, nil)
 }
 

@@ -31,9 +31,9 @@ func (j *job) finish(now sim.Time) {
 	}
 }
 
-// closureJob is a StartJob callback in JobFunc form: callClosure with the
+// ClosureJob is a StartJob callback in JobFunc form: callClosure with the
 // closure as its operand, or no callback for a nil closure.
-func closureJob(done func(fct sim.Time)) (JobFunc, any) {
+func ClosureJob(done func(fct sim.Time)) (JobFunc, any) {
 	if done == nil {
 		return nil, nil
 	}
@@ -181,7 +181,7 @@ func (s *Sender) Abort() {
 // this call. Jobs queued behind earlier jobs include the queueing delay in
 // their FCT, matching the paper's job-completion-time metric.
 func (s *Sender) StartJob(size int64, done func(fct sim.Time)) {
-	fn, a := closureJob(done)
+	fn, a := ClosureJob(done)
 	s.StartJobCall(size, fn, a, nil)
 }
 

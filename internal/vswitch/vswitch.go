@@ -101,8 +101,9 @@ type VSwitch struct {
 	pool *packet.Pool
 
 	policy PathPolicy
-	// flowlets applies the flowlet gap and counts flowlets; it stores the
-	// entries of packets without a handle, whose are in flows.
+	// flowlets applies the flowlet gap and counts flowlets. It keeps the
+	// entries of packets without a flow handle; a handled flow's entry is
+	// in its slot in flows (Config.Flows).
 	flowlets *clove.FlowletTable
 	flows    *Flows
 	// perPacket and rxHook are policy seen through its two optional
@@ -375,28 +376,20 @@ func (v *VSwitch) FromNetwork(pkt *packet.Packet) {
 	remote := pkt.Encap.SrcHyp
 
 	// 1. Intercept congestion state about the forward path remote->self.
-	// p, remote's record, is looked up (or made) by the first use.
-	var p *peer
 	port := pkt.Encap.SrcPort
 	if pkt.Encap.CE {
 		v.stats.CEObserved++
-		p = v.peer(pkt, remote)
+		p := v.peer(pkt, remote)
 		p.paths.NoteCE(port)
 		v.armStandalone(p)
 	}
 	if pkt.INT.Enabled {
-		if p == nil {
-			p = v.peer(pkt, remote)
-		}
-		p.paths.NoteMetric(port, pkt.INT.MaxUtil)
+		v.peer(pkt, remote).paths.NoteMetric(port, pkt.INT.MaxUtil)
 	}
 	if v.cfg.MeasureLatency && pkt.SentAtNs > 0 {
 		// One-way path delay as the reflected metric; the table's
 		// least-metric selection then prefers the currently-fastest path.
-		if p == nil {
-			p = v.peer(pkt, remote)
-		}
-		p.paths.NoteMetric(port, (now - sim.Time(pkt.SentAtNs)).Seconds())
+		v.peer(pkt, remote).paths.NoteMetric(port, (now - sim.Time(pkt.SentAtNs)).Seconds())
 	}
 
 	// 2. Consume feedback the remote reflected about our paths to it.
@@ -404,10 +397,7 @@ func (v *VSwitch) FromNetwork(pkt *packet.Packet) {
 		v.stats.FeedbackReceived++
 		v.policy.OnFeedback(remote, pkt.Encap.Feedback, now)
 		if v.cfg.AdaptiveFlowletGap && v.cfg.MeasureLatency && pkt.Encap.Feedback.HasUtil {
-			if p == nil {
-				p = v.peer(pkt, remote)
-			}
-			v.adaptGap(p, pkt.Encap.Feedback.Util)
+			v.adaptGap(v.peer(pkt, remote), pkt.Encap.Feedback.Util)
 		}
 	}
 

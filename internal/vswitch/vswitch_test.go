@@ -581,3 +581,42 @@ func BenchmarkHotPathVSwitchReceiveCE(b *testing.B) {
 		step()
 	}
 }
+
+// BenchmarkHotPathVSwitchDeliver prices the receive side of a data packet
+// that carries a flow handle: decapsulation, then the endpoint found by
+// indexing the fabric's flow table, with no tuple hashed. It fails on any
+// allocation or a packet the endpoint did not get; the CI bench-smoke job
+// runs it.
+func BenchmarkHotPathVSwitchDeliver(b *testing.B) {
+	var flows Flows
+	r := newRig(b, 16, func(int) PathPolicy { return NewECMP() }, func(c *Config) { c.Flows = &flows })
+	v := r.vsw[16]
+	got := 0
+	sink := func(a any, pkt *packet.Packet) {
+		got++
+		a.(*packet.Pool).Put(pkt)
+	}
+	data, _ := flows.Open(sink, v.pool, sink, v.pool)
+	flow := packet.FiveTuple{Src: 0, Dst: 16, SrcPort: 9, DstPort: 9, Proto: packet.ProtoTCP}
+	step := func() {
+		p := v.pool.Get()
+		p.Kind = packet.KindData
+		p.Inner, p.Flow = flow, data
+		p.PayloadLen = 1000
+		e := p.AddEncap()
+		e.SrcHyp, e.DstHyp, e.SrcPort, e.DstPort, e.ECT = 0, 16, 50000, EncapDstPort, true
+		v.FromNetwork(p)
+	}
+	step()
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		b.Fatalf("allocs per handled delivery = %v, want 0", allocs)
+	}
+	if got != 102 || v.Stats().NoHandler != 0 { // AllocsPerRun warms up with one more call
+		b.Fatalf("endpoint got %d of 102 packets, %d unhandled", got, v.Stats().NoHandler)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
+	}
+}
