@@ -10,19 +10,26 @@ import (
 // fabric (Config.Flows). A packet's handle is stamped by the TCP endpoint
 // that sends it, so the source vswitch finds the flow's flowlet entry, and
 // the destination vswitch its endpoint and its record of the sender, with
-// one bounds check and no hashing.
+// two indexed loads and no hashing.
 //
 // Ownership: each direction's slot has exactly one writer per field. The
 // vswitch that sends the direction owns the flowlet entry; the one that
 // receives it owns the endpoint (set by Open) and the peer cache. A slot is
-// never freed, so a handle stays valid for the fabric's lifetime; it names
-// the same direction for the whole run. The table grows only in Open, by
-// one pair of slots per connection (per MPTCP subflow), so its size follows
-// the connections whose transport was built and not the host count. A slot
-// pointer must not be held across Open, which may move the table.
+// never freed or moved, so a handle, and a pointer to its slot, stays valid
+// for the fabric's lifetime and names the same direction for the whole run.
+// The table grows only in Open, one pair of slots per connection (per MPTCP
+// subflow), in pages that are never copied, so its size follows the
+// connections whose transport was built and not the host count.
 type Flows struct {
-	slots []flowSlot
+	pages []*[flowPageLen]flowSlot
+	n     int // slots issued, the two reserved ones included
 }
+
+// A page holds 512 slots: 45,056 bytes, exactly eleven 4 KiB pages.
+const (
+	flowPageBits = 9
+	flowPageLen  = 1 << flowPageBits
+)
 
 // flowSlot is one direction of one connection.
 type flowSlot struct {
@@ -38,6 +45,11 @@ type flowSlot struct {
 	peerGen int32
 }
 
+// slot returns h's slot; h must have been issued by Open.
+func (f *Flows) slot(h packet.FlowHandle) *flowSlot {
+	return &f.pages[h>>flowPageBits][h&(flowPageLen-1)]
+}
+
 // Open adds a connection's two directions and returns their handles. fwd's
 // packets are handed to fwdFn(fwdA, pkt) at fwd's destination, and rev's to
 // revFn(revA, pkt) at rev's; rev must be fwd reversed (a TCP connection's
@@ -45,13 +57,18 @@ type flowSlot struct {
 // reads its record of the peer through the other's slot. Handles come in
 // pairs, rev = fwd^1, and 0 and 1 are never issued: 0 means no handle.
 func (f *Flows) Open(fwdFn EndpointFunc, fwdA any, revFn EndpointFunc, revA any) (fwd, rev packet.FlowHandle) {
-	if len(f.slots) == 0 {
-		f.slots = make([]flowSlot, 2, 64)
+	if f.n == 0 {
+		f.n = 2
 	}
-	fwd = packet.FlowHandle(len(f.slots))
-	f.slots = append(f.slots, flowSlot{ep: endpoint{fwdFn, fwdA}}, flowSlot{ep: endpoint{revFn, revA}})
-	return fwd, fwd ^ 1
+	if f.n >= len(f.pages)*flowPageLen {
+		f.pages = append(f.pages, new([flowPageLen]flowSlot))
+	}
+	fwd, rev = packet.FlowHandle(f.n), packet.FlowHandle(f.n+1)
+	f.n += 2
+	*f.slot(fwd) = flowSlot{ep: endpoint{fwdFn, fwdA}}
+	*f.slot(rev) = flowSlot{ep: endpoint{revFn, revA}}
+	return fwd, rev
 }
 
 // Len reports how many directions are open.
-func (f *Flows) Len() int { return max(len(f.slots)-2, 0) }
+func (f *Flows) Len() int { return max(f.n-2, 0) }

@@ -268,7 +268,7 @@ func (v *VSwitch) FromVM(pkt *packet.Packet) {
 		var e *clove.FlowletEntry
 		var isNew bool
 		if pkt.Flow != 0 {
-			e = &v.flows.slots[pkt.Flow].flowlet
+			e = &v.flows.slot(pkt.Flow).flowlet
 			isNew = v.flowlets.TouchEntry(e, now)
 		} else {
 			e, isNew = v.flowlets.Touch(pkt.Inner, now)
@@ -304,7 +304,7 @@ func (v *VSwitch) FromVM(pkt *packet.Packet) {
 	// whose packets this vswitch receives.
 	var p *peer
 	if pkt.Flow != 0 {
-		p = v.cachedPeer(&v.flows.slots[pkt.Flow^1], dstHyp)
+		p = v.cachedPeer(v.flows.slot(pkt.Flow^1), dstHyp)
 	} else {
 		p = v.findPeer(dstHyp)
 	}
@@ -438,7 +438,7 @@ func (v *VSwitch) FromNetwork(pkt *packet.Packet) {
 func (v *VSwitch) deliver(pkt *packet.Packet) {
 	var ep endpoint
 	if pkt.Flow != 0 {
-		ep = v.flows.slots[pkt.Flow].ep
+		ep = v.flows.slot(pkt.Flow).ep
 	} else {
 		ep = v.endpoints[pkt.Inner]
 	}
@@ -470,7 +470,7 @@ func (v *VSwitch) answerProbe(probe *packet.Packet) {
 func (v *VSwitch) peer(pkt *packet.Packet, remote packet.HostID) *peer {
 	var s *flowSlot
 	if pkt.Flow != 0 {
-		s = &v.flows.slots[pkt.Flow]
+		s = v.flows.slot(pkt.Flow)
 		if p := v.cachedPeer(s, remote); p != nil {
 			return p
 		}
