@@ -34,7 +34,7 @@ func TestHashTupleVectors(t *testing.T) {
 	}
 }
 
-// TestHashTupleMatchesByteLoop cross-checks the unrolled packet.FNVMix against a
+// TestHashTupleMatchesByteLoop cross-checks the compressed packet.FoldFNV against a
 // straightforward byte-loop reimplementation of the original closure over
 // randomized-ish structured inputs, so the table above is not the only line
 // of defense.

@@ -21,12 +21,15 @@ func foldRef(h uint64, t FiveTuple) uint64 {
 
 // FuzzFoldFNV checks the compressed fold (zero bytes folded as powers of the
 // prime) against the byte loop for arbitrary tuples, seeds and salt words,
-// on both sides of FNVWord's 2^16 branch and for negative host IDs.
+// on both sides of FNVWord's 2^16 branch and for negative host IDs. The
+// seed corpus walks every byte position of a word, so a plain `go test`
+// covers both branches.
 func FuzzFoldFNV(f *testing.F) {
-	f.Add(uint64(0), int32(0), int32(0), uint16(0), uint16(0), uint8(0), uint32(0))
-	f.Add(uint64(FNVOffset), int32(1), int32(2), uint16(40000), uint16(80), uint8(6), uint32(1))
-	f.Add(uint64(0x9e3779b97f4a7c15), int32(-1), int32(1<<16), uint16(0), uint16(65535), uint8(255), uint32(0xffff))
-	f.Add(^uint64(0), int32(65535), int32(-65536), uint16(1), uint16(0), uint8(17), uint32(1<<16))
+	words := []uint32{0, 1, 0xff, 0x100, 0xffff, 0x10000, 0x10001, 0xffffff, 0x1000000, 0x7fffffff, 0x80000000, 0xffffffff}
+	for i, v := range words {
+		h := []uint64{0, 1, FNVOffset, 0x9e3779b97f4a7c15, ^uint64(0)}[i%5]
+		f.Add(h, int32(v), int32(words[len(words)-1-i]), uint16(v>>16), uint16(v), uint8(v), v)
+	}
 	f.Fuzz(func(t *testing.T, h uint64, src, dst int32, sport, dport uint16, proto uint8, salt uint32) {
 		tu := FiveTuple{Src: HostID(src), Dst: HostID(dst), SrcPort: sport, DstPort: dport, Proto: Proto(proto)}
 		if got, want := tu.FoldFNV(h), foldRef(h, tu); got != want {
@@ -36,17 +39,4 @@ func FuzzFoldFNV(f *testing.F) {
 			t.Fatalf("FNVWord(%#x, %#x) = %#x, byte loop %#x", h, salt, got, want)
 		}
 	})
-}
-
-// TestFNVWordBoundaries walks every byte position of the word, both sides of
-// the 2^16 branch, so a plain `go test` covers what the fuzzer would.
-func TestFNVWordBoundaries(t *testing.T) {
-	words := []uint32{0, 1, 0xff, 0x100, 0xffff, 0x10000, 0x10001, 0xffffff, 0x1000000, 0x7fffffff, 0x80000000, 0xffffffff}
-	for _, h := range []uint64{0, 1, FNVOffset, 0x9e3779b97f4a7c15, ^uint64(0)} {
-		for _, v := range words {
-			if got, want := FNVWord(h, v), fnvBytes(h, uint64(v)); got != want {
-				t.Errorf("FNVWord(%#x, %#x) = %#x, byte loop %#x", h, v, got, want)
-			}
-		}
-	}
 }
