@@ -241,6 +241,9 @@ func New(cfg Config) *Cluster {
 	case SchemeCloveECN, SchemeCloveINT, SchemeCloveUniform:
 		vcfg.MaskECN = true
 		vcfg.RequestINT = cfg.Scheme == SchemeCloveINT
+		if vcfg.RequestINT {
+			ls.TrackUtilization() // INT stamps read every hop's DRE
+		}
 	case SchemeCloveLatency:
 		vcfg.MaskECN = true
 		vcfg.MeasureLatency = true

@@ -150,9 +150,11 @@ type Fabric struct {
 	stats  Stats
 }
 
-// Attach installs CONGA on every switch of the leaf-spine fabric. A switch's
-// tables are touched only at that switch, and feedback rides in packets.
+// Attach installs CONGA on every switch of the leaf-spine fabric, and makes
+// the fabric track the link utilization its metrics read. A switch's tables
+// are touched only at that switch, and feedback rides in packets.
 func Attach(ls *netem.LeafSpine, cfg Config) *Fabric {
+	ls.TrackUtilization()
 	f := &Fabric{}
 	hostIDs := map[packet.NodeID]bool{}
 	for _, h := range ls.Hosts() {

@@ -7,8 +7,10 @@ import "clove/internal/sim"
 // and decays multiplicatively every Tdre, so that X/(C·Tdre/α) approximates
 // the recent utilization with a time constant of Tdre/α.
 //
-// The same estimator feeds Clove-INT's per-hop utilization stamps and the
-// CONGA baseline's congestion metrics.
+// The same estimator feeds Clove-INT's and Charon's per-hop utilization
+// stamps and CONGA's congestion metrics; a link keeps one only where those
+// run (Topology.TrackUtilization, turned on at build time by conga.Attach,
+// Switch.SetLoadStamp and the Clove-INT cluster).
 type DRE struct {
 	sim       *sim.Simulator
 	x         float64 // discounted byte counter
@@ -26,20 +28,18 @@ const (
 )
 
 // NewDRE creates an estimator for a link of the given rate. Decay is applied
-// lazily on read/write rather than with a ticker, so idle links cost nothing.
+// lazily on read/write rather than with a ticker, so idle links cost nothing,
+// and a read or write less than one Tdre after the last decay skips it.
 func NewDRE(s *sim.Simulator, rateBps int64) *DRE {
 	return &DRE{sim: s, alpha: DefaultDREAlpha, tdre: DefaultDREInterval, rateBps: rateBps}
 }
 
 // decayTo applies the multiplicative decay for every whole Tdre elapsed.
 func (d *DRE) decayTo(now sim.Time) {
-	if now <= d.lastDecay {
+	if now-d.lastDecay < d.tdre {
 		return
 	}
 	steps := int64(now-d.lastDecay) / int64(d.tdre)
-	if steps <= 0 {
-		return
-	}
 	if steps > 64 {
 		// Long idle: the register has fully decayed.
 		d.x = 0

@@ -118,3 +118,43 @@ func BenchmarkHotPathECMPPick(b *testing.B) {
 	}
 	_ = sink
 }
+
+// poolSink is a Node that returns every packet it receives to its pool.
+type poolSink struct{ pool *packet.Pool }
+
+func (k poolSink) ID() packet.NodeID                   { return 99 }
+func (k poolSink) Receive(pkt *packet.Packet, _ *Link) { k.pool.Put(pkt) }
+
+// BenchmarkHotPathLinkNoReader prices one transmission of an encapsulated
+// full segment on a link of a topology that tracks no utilization, so the
+// link keeps no DRE: enqueue, serialization in its lane, propagation in its
+// lane, and delivery to a sink that recycles the packet. It fails on any
+// allocation; the CI bench-smoke job runs it.
+func BenchmarkHotPathLinkNoReader(b *testing.B) {
+	s := sim.New(1)
+	pool := &packet.Pool{}
+	l := newLink(s, pool, 0, "t", 1, poolSink{pool}, LinkConfig{RateBps: 40e9, Delay: 2 * sim.Microsecond})
+	if l.dre != nil {
+		b.Fatal("a link outside a tracking topology has a DRE")
+	}
+	send := func() {
+		pkt := pool.Get()
+		pkt.Kind = packet.KindData
+		pkt.AddEncap()
+		pkt.PayloadLen = packet.MaxSegment
+		l.Enqueue(pkt)
+		s.Run()
+	}
+	send()
+	if l.txLane(encapFull) == nil || l.Stats().TxBytes != encapFull {
+		b.Fatalf("the packet was %d bytes, not a full segment in its lane", l.Stats().TxBytes)
+	}
+	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+		b.Fatalf("allocs per transmission = %v, want 0", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		send()
+	}
+}

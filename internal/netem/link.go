@@ -39,12 +39,12 @@ type Link struct {
 	sim   *sim.Simulator
 	from  packet.NodeID
 	to    Node
-	rate  int64     // bits per second
-	delay sim.Time  // propagation delay
-	lane  *sim.Lane // sim's lane for delay, where propagations wait; nil past sim.MaxLanes
-	// txLanes[i] is sim's lane for serializing a txSizes[i]-byte packet at
-	// rate, where that packet's txDone waits; nil past sim.MaxLanes.
-	txLanes [len(txSizes)]*sim.Lane
+	rate  int64    // bits per second
+	delay sim.Time // propagation delay
+	// lane and txLanes[i] are sim's lanes for (delay, linkPropagate) and for
+	// (a txSizes[i]-byte serialization at rate, linkTxDone); nil past MaxLanes.
+	lane    *sim.Lane[Link, packet.Packet]
+	txLanes [len(txSizes)]*sim.Lane[Link, packet.Packet]
 
 	queueCap int // packets
 	ecnK     int // mark when queued packets >= ecnK at enqueue; 0 disables
@@ -66,7 +66,7 @@ type Link struct {
 	sending *packet.Packet // the packet occupying the serializer, if any
 	busy    bool
 	up      bool
-	dre     *DRE
+	dre     *DRE // nil unless the topology tracks utilization
 	pool    *packet.Pool
 	stats   LinkStats
 }
@@ -100,12 +100,11 @@ func newLink(s *sim.Simulator, pool *packet.Pool, id packet.LinkID, name string,
 		delay:    cfg.Delay,
 		queueCap: cfg.QueueCap,
 		ecnK:     cfg.ECNK,
-		lane:     s.Lane(cfg.Delay),
+		lane:     sim.LaneFor(s, cfg.Delay, linkPropagate),
 		up:       true,
 		queue:    make([]*packet.Packet, min(initialRing, cfg.QueueCap)),
 	}
 	l.setTxLanes()
-	l.dre = NewDRE(s, cfg.RateBps)
 	return l
 }
 
@@ -127,13 +126,13 @@ var txSizes = [...]int{fullFrame + packet.EncapHeaderLen, ackFrame + packet.Enca
 // link's current rate.
 func (l *Link) setTxLanes() {
 	for i, size := range txSizes {
-		l.txLanes[i] = l.sim.Lane(sim.TransmissionTime(size, l.rate))
+		l.txLanes[i] = sim.LaneFor(l.sim, sim.TransmissionTime(size, l.rate), linkTxDone)
 	}
 }
 
 // txLane returns the lane a size-byte packet's serialization waits in at the
 // link's current rate, or nil when it is scheduled on the heap.
-func (l *Link) txLane(size int) *sim.Lane {
+func (l *Link) txLane(size int) *sim.Lane[Link, packet.Packet] {
 	for i, sz := range txSizes {
 		if sz == size {
 			return l.txLanes[i]
@@ -174,7 +173,9 @@ func (l *Link) SetRateBps(rate int64) {
 	}
 	l.rate = rate
 	l.setTxLanes()
-	l.dre.SetRate(rate)
+	if l.dre != nil {
+		l.dre.SetRate(rate)
+	}
 }
 
 // QueueLen returns the instantaneous number of queued packets (not counting
@@ -184,8 +185,14 @@ func (l *Link) QueueLen() int { return l.qlen }
 // Stats returns a snapshot of the link counters.
 func (l *Link) Stats() LinkStats { return l.stats }
 
-// Utilization returns the DRE-estimated egress utilization in [0, ~1.1].
-func (l *Link) Utilization() float64 { return l.dre.Utilization() }
+// Utilization returns the DRE-estimated egress utilization in [0, ~1.1]. It
+// panics on a link whose topology does not track utilization.
+func (l *Link) Utilization() float64 {
+	if l.dre == nil {
+		panic(fmt.Sprintf("netem: %s: utilization read, but the topology does not track it", l))
+	}
+	return l.dre.Utilization()
+}
 
 // SetUp changes the administrative state. Taking a link down drops the
 // queue contents and everything sent while down; bringing it back up starts
@@ -271,17 +278,19 @@ func (l *Link) grow() {
 	l.queue, l.qhead = q, 0
 }
 
-// linkTxDone and linkPropagate are the static trampolines for the two
-// per-packet-hop events. Using package-level EventFuncs (rather than
-// closures or method values) with the link and packet passed as operands is
-// what makes a forwarded hop schedule zero allocations.
-func linkTxDone(a, _ any) { a.(*Link).txDone() }
+// linkTxDone and linkPropagate are the callbacks of the two per-packet-hop
+// events, with the link and packet passed as operands: the lanes' callbacks,
+// so a forwarded hop schedules zero allocations. txDoneEvent and
+// propagateEvent are their EventFunc forms, for a completion on the heap.
+func linkTxDone(l *Link, _ *packet.Packet) { l.txDone() }
+
+func txDoneEvent(a, _ any) { a.(*Link).txDone() }
+
+func propagateEvent(a, b any) { linkPropagate(a.(*Link), b.(*packet.Packet)) }
 
 // linkPropagate delivers a packet at the far end once its propagation delay
 // has elapsed.
-func linkPropagate(a, b any) {
-	l := a.(*Link)
-	pkt := b.(*packet.Packet)
+func linkPropagate(l *Link, pkt *packet.Packet) {
 	if l.up {
 		if o := l.pool.Obs(); o != nil {
 			o.LinkDeliver(l.id, pkt)
@@ -313,7 +322,9 @@ func (l *Link) transmitNext() {
 	size := pkt.Size()
 	l.stats.TxPackets++
 	l.stats.TxBytes += int64(size)
-	l.dre.Add(size)
+	if l.dre != nil {
+		l.dre.Add(size)
+	}
 
 	// Serializer occupies the link for the packet's transmission time; the
 	// packet lands after that plus the propagation delay. A txDone is never
@@ -321,10 +332,10 @@ func (l *Link) transmitNext() {
 	// transmission time; any other size is scheduled on the heap.
 	l.sending = pkt
 	if ln := l.txLane(size); ln != nil {
-		ln.Call(linkTxDone, l, nil)
+		ln.Call(l, nil)
 		return
 	}
-	l.sim.AfterCall(sim.TransmissionTime(size, l.rate), linkTxDone, l, nil)
+	l.sim.AfterCall(sim.TransmissionTime(size, l.rate), txDoneEvent, l, nil)
 }
 
 // txDone fires when the serializer finishes: hand the packet to the
@@ -338,9 +349,9 @@ func (l *Link) txDone() {
 	pkt := l.sending
 	l.sending = nil
 	if l.up && l.lane != nil {
-		l.lane.Call(linkPropagate, l, pkt)
+		l.lane.Call(l, pkt)
 	} else if l.up {
-		l.sim.AfterCall(l.delay, linkPropagate, l, pkt)
+		l.sim.AfterCall(l.delay, propagateEvent, l, pkt)
 	} else {
 		l.stats.DownDrops++
 		if o := l.pool.Obs(); o != nil {

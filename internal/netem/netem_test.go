@@ -424,6 +424,7 @@ func TestProbeEchoMechanism(t *testing.T) {
 
 func TestINTStamping(t *testing.T) {
 	ls := paperScaleTopo(t)
+	ls.TrackUtilization()
 	dst := ls.Host(16)
 	var got *packet.Packet
 	dst.Deliver = func(p *packet.Packet) { got = p }

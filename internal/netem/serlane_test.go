@@ -48,7 +48,7 @@ func TestLinkCommonSizesSerializeInLanes(t *testing.T) {
 		l := newLink(s, nil, 0, "t", 1, c, LinkConfig{RateBps: rate, Delay: sim.Microsecond})
 		size := tc.pkt.Size()
 		tx := sim.TransmissionTime(size, rate)
-		if got := l.txLane(size); (got != nil) != tc.inLane || (got != nil && got != s.Lane(tx)) {
+		if got := l.txLane(size); (got != nil) != tc.inLane || (got != nil && got != sim.LaneFor(s, tx, linkTxDone)) {
 			t.Errorf("%s (%d B): serialization lane %p, want one (%v) for %v", tc.name, size, got, tc.inLane, tx)
 		}
 		l.Enqueue(tc.pkt)
@@ -101,7 +101,7 @@ func TestLinkSetRateMovesSerializationLanes(t *testing.T) {
 	l.Enqueue(sizedPacket(encapFull, true))
 	l.SetRateBps(10e9)
 	for _, size := range txSizes {
-		if want := s.Lane(sim.TransmissionTime(size, 10e9)); l.txLane(size) != want {
+		if want := sim.LaneFor(s, sim.TransmissionTime(size, 10e9), linkTxDone); l.txLane(size) != want {
 			t.Errorf("%d B: serialization lane is not the 10 Gb/s one", size)
 		}
 	}
@@ -120,7 +120,7 @@ func TestLinkRateSweepStopsAtLaneCap(t *testing.T) {
 	s := sim.New(1)
 	c := &collector{id: 99, s: s}
 	l := newLink(s, nil, 0, "t", 1, c, LinkConfig{RateBps: 10e9, Delay: sim.Microsecond})
-	lanes := map[*sim.Lane]bool{l.lane: true}
+	lanes := map[*sim.Lane[Link, packet.Packet]]bool{l.lane: true}
 	for i := 0; i <= 100; i++ {
 		for _, ln := range l.txLanes {
 			if ln != nil {
@@ -132,7 +132,7 @@ func TestLinkRateSweepStopsAtLaneCap(t *testing.T) {
 	if len(lanes) != sim.MaxLanes {
 		t.Errorf("links use %d lanes, want sim.MaxLanes = %d", len(lanes), sim.MaxLanes)
 	}
-	if s.Lane(12345) != nil {
+	if sim.LaneFor(s, 12345, linkTxDone) != nil {
 		t.Error("a new delay got a lane past the cap")
 	}
 	rate := l.RateBps()

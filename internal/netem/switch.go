@@ -75,8 +75,12 @@ func (s *Switch) SetLB(lb SwitchLB) { s.lb = lb }
 // scheme). Once enabled here, the ordinary INT stamping records this and
 // every downstream hop's egress utilization. Stamping is a purely local
 // read of the chosen egress link's DRE; unlike CONGA it keeps no per-switch
-// tables.
-func (s *Switch) SetLoadStamp(on bool) { s.stampLoad = on }
+// tables. Turning it on makes the topology track utilization.
+func (s *Switch) SetLoadStamp(on bool) {
+	if s.stampLoad = on; on {
+		s.topo.TrackUtilization()
+	}
+}
 
 // Stats returns a snapshot of switch counters.
 func (s *Switch) Stats() SwitchStats { return s.stats }

@@ -123,6 +123,21 @@ func (t *Topology) addLink(name string, from packet.NodeID, to Node, cfg LinkCon
 	return l
 }
 
+// TrackUtilization gives every link of t a DRE, so that Link.Utilization can
+// be read. The code that makes packets carry INT or CONGA state calls it once
+// the fabric is built. A DRE that missed a transmission would read low, so a
+// link that has already transmitted panics.
+func (t *Topology) TrackUtilization() {
+	for _, l := range t.links {
+		if l.dre == nil {
+			if l.stats.TxPackets > 0 {
+				panic(fmt.Sprintf("netem: %s: utilization tracking turned on after its first transmission", l))
+			}
+			l.dre = NewDRE(t.Sim, l.rate)
+		}
+	}
+}
+
 // SetLinkPairUp changes the state of both directions of the trunk-th link
 // pair between switches named a and b, then recomputes routing (after
 // RouteRecomputeDelay if configured). It panics if the pair does not exist:

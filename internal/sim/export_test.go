@@ -9,15 +9,16 @@ func HeapLen(s *Simulator) int { return len(s.heap) }
 // LaneLen returns the number of events pending in s's lanes.
 func LaneLen(s *Simulator) int { return s.laned }
 
-// NextEvent returns the EventFunc of s's earliest pending event and whether
-// that event waits in a lane; ok is false when nothing is pending.
-func NextEvent(s *Simulator) (fn EventFunc, inLane, ok bool) {
-	lane, _, ok := s.peek()
+// NextEvent returns the callback of s's earliest pending event — its
+// EventFunc, or its lane's callback — and whether that event waits in a lane;
+// ok is false when nothing is pending.
+func NextEvent(s *Simulator) (fn any, inLane, ok bool) {
+	l, _, ok := s.peek()
 	if !ok {
 		return nil, false, false
 	}
-	if lane != nil {
-		return s.slab[lane.ring[lane.head].slot].call, true, true
+	if l != nil {
+		return l.call, true, true
 	}
 	return s.slab[s.heap[0].slot].call, false, true
 }
@@ -39,12 +40,12 @@ func keepOrder(s *Simulator) (restore func()) {
 	return func() { s.order = append(s.order[:0], saved...) }
 }
 
-// laneCallUnder is l.Call(fn, a, b) under fault f.
-func laneCallUnder(f pickFault, l *Lane, fn EventFunc, a, b any) {
+// laneCallUnder is l.Call(a, b) under fault f.
+func laneCallUnder[A, B any](f pickFault, l *Lane[A, B], a *A, b *B) {
 	if f == pickStaleAfterPush && l.n == 0 {
 		defer keepOrder(l.s)()
 	}
-	l.Call(fn, a, b)
+	l.Call(a, b)
 }
 
 // runForEventsUnder is s.RunForEvents(n) under fault f. The events it fires

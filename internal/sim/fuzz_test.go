@@ -30,19 +30,20 @@ func FuzzScheduler(f *testing.F) {
 	f.Add([]byte{2, 1, 0, 1, 4, 1, 2, 4, 2, 0, 2, 7, 4, 2, 2, 6, 2, 5, 0, 3, 4, 7, 2, 2, 4, 7})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		s := New(1)
+		var fired []int
+		note := func(a, _ any) { fired = append(fired, a.(int)) }
+		noteLane := func(p *int, _ *struct{}) { fired = append(fired, *p) }
 		for _, d := range fuzzIdleLanes {
-			s.Lane(d)
+			LaneFor(s, d, noteLane)
 		}
-		var lanes [len(fuzzLanes)]*Lane
+		var lanes [len(fuzzLanes)]*Lane[int, struct{}]
 		ref := &refSched{}
 		type entry struct {
 			id  EventID
 			ref *refEvent
 		}
 		var issued []entry // heap events, live or stale, in schedule order
-		var fired []int
-		note := func(a, _ any) { fired = append(fired, a.(int)) }
-		payload := 0 // the next event's payload: schedule order
+		payload := 0       // the next event's payload: schedule order
 
 		for i := 0; i+1 < len(prog); i += 2 {
 			op, arg := prog[i]%5, prog[i+1]
@@ -54,9 +55,10 @@ func FuzzScheduler(f *testing.F) {
 			case 2: // Lane.Call
 				l := int(arg) % len(lanes)
 				if lanes[l] == nil {
-					lanes[l] = s.Lane(fuzzLanes[l])
+					lanes[l] = LaneFor(s, fuzzLanes[l], noteLane)
 				}
-				lanes[l].Call(note, payload, nil)
+				p := payload
+				lanes[l].Call(&p, nil)
 				ref.schedule(s.Now()+fuzzLanes[l], payload)
 				payload++
 			case 3: // Cancel an issued heap event, live or stale

@@ -247,7 +247,8 @@ func wideLanesIn(round int) int { return min(len(wideLanes), 4+2*round) }
 // a lane's next key, firing both in slices as it goes (a few events
 // mid-round, so the clock moves by small steps and lane heads tie on at, and
 // half the pending events at the end of each round), and describes the first
-// difference in fire order, Cancel result or Pending ("" when they agree
+// difference in fire order, Cancel result, Pending or FreeEvents (the most
+// events ever pending less those pending now; "" when they agree
 // throughout). A panic is a difference too. It also counts the lane heads it
 // saw tie on at: after every operation, the pairs of non-empty lanes whose
 // heads share an at.
@@ -263,10 +264,19 @@ func wideKeyDivergence(seed int64, less func(a, b *refEvent) bool, lateLaneSeq b
 	ref := &orderedRefHeap{less: less}
 	var nextID uint64
 	shared := []Time{0, 1, 1<<62 - 1, 1 << 62, 1<<62 + 1, 3 << 61, math.MaxInt64 - 1, math.MaxInt64}
-	for _, d := range wideIdleLanes {
-		s.Lane(d)
+	type pair struct {
+		id      EventID
+		ref     *refEvent
+		payload int
 	}
-	var lanes [len(wideLanes)]*Lane // each created on its first Call
+	var all []*pair
+	var fired []int
+	note := func(a, _ any) { fired = append(fired, a.(*pair).payload) }
+	noteLane := func(p *pair, _ *struct{}) { fired = append(fired, p.payload) }
+	for _, d := range wideIdleLanes {
+		LaneFor(s, d, noteLane)
+	}
+	var lanes [len(wideLanes)]*Lane[pair, struct{}] // each created on its first Call
 	// waiting[i] holds lane i's events that the faulty reference has not yet
 	// given a seq; the head of a non-empty waiting list is in the heap.
 	var waiting [len(wideLanes)][]*refEvent
@@ -278,14 +288,6 @@ func wideKeyDivergence(seed int64, less func(a, b *refEvent) bool, lateLaneSeq b
 		}
 	}()
 
-	type pair struct {
-		id      EventID
-		ref     *refEvent
-		payload int
-	}
-	var all []*pair
-	var fired []int
-	note := func(a, _ any) { fired = append(fired, a.(*pair).payload) }
 	pushRef := func(ev *refEvent) {
 		ev.seq = nextID
 		nextID++
@@ -298,9 +300,9 @@ func wideKeyDivergence(seed int64, less func(a, b *refEvent) bool, lateLaneSeq b
 	}
 	laneCall := func(p *pair, i int) {
 		if lanes[i] == nil {
-			lanes[i] = s.Lane(wideLanes[i])
+			lanes[i] = LaneFor(s, wideLanes[i], noteLane)
 		}
-		laneCallUnder(fault, lanes[i], note, p, nil)
+		laneCallUnder(fault, lanes[i], p, nil)
 		p.ref = &refEvent{at: s.Now() + wideLanes[i], payload: p.payload, lane: i + 1}
 		if lateLaneSeq && inLane[i] > 0 {
 			waiting[i] = append(waiting[i], p.ref)
@@ -327,6 +329,7 @@ func wideKeyDivergence(seed int64, less func(a, b *refEvent) bool, lateLaneSeq b
 		}
 		return n
 	}
+	refPeak := 0 // the most events the reference ever held pending
 	cancel := func(p *pair) (bool, bool) {
 		want := p.ref.index >= 0
 		if want {
@@ -407,6 +410,13 @@ func wideKeyDivergence(seed int64, less func(a, b *refEvent) bool, lateLaneSeq b
 				if s.order[k-1].at == s.order[k].at {
 					headTies++
 				}
+			}
+			// An operation schedules at most one event or fires some, so
+			// the peak is seen at an operation's end.
+			refPeak = max(refPeak, refPending())
+			if got, want := s.FreeEvents(), refPeak-refPending(); got != want {
+				return fmt.Sprintf("seed %d round %d: FreeEvents() = %d, reference peak %d less %d pending",
+					seed, round, got, refPeak, refPending()), headTies
 			}
 		}
 		if s.Pending() != refPending() {

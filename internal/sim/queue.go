@@ -62,8 +62,7 @@ type EventID struct {
 // lanes (lane.go) instead, so on a Clove-ECN web-search run the heap holds
 // about 10 events at a pop (timers, and the completions of probes, feedback
 // and short segments) beside about 83 in lanes, and fires 0.7 % of the
-// events. It held about 93 before lanes, and 21 when only propagations had
-// lanes.
+// events (it held about 93 before lanes).
 //
 // siftDown picks the smallest of the four children without a branch. The
 // heap's events have near-random times, so which child is smallest is a

@@ -16,20 +16,20 @@ import (
 // that one form: they schedule the callFunc trampoline with the closure as
 // its operand.
 //
-// Events live in one contiguous slab ([]event) and the pending queue is a
-// 4-ary implicit min-heap of slot indices (see queue.go) — no per-event
-// allocation, no pointer chasing on sift, no heap.Interface dispatch — plus
-// one FIFO lane per fixed delay (see lane.go) for events that need no heap,
-// with the non-empty lanes kept sorted by their heads.
-// Fired and cancelled slots are recycled through a free list of indices, so
-// the per-packet event path of the network model runs allocation-free.
+// Heap events live in one contiguous slab ([]event), recycled through a free
+// list of indices, and the heap is a 4-ary implicit min-heap of slot indices
+// (see queue.go) — no per-event allocation, no pointer chasing on sift, no
+// heap.Interface dispatch. Events that need no heap wait as records in the
+// ring of their FIFO lane, one per (delay, callback) (see lane.go), with the
+// non-empty lanes kept sorted by their heads.
 type Simulator struct {
 	now    Time
 	slab   []event   // all event structs, addressed by slot index
 	heap   []heapEnt // pending events: 4-ary min-heap keyed by (at, seq)
-	lanes  []*Lane   // fixed-delay FIFOs, in creation order
-	order  []heapEnt // non-empty lanes' heads, latest first (lane.go)
+	lanes  []*lane   // fixed-delay FIFOs, in creation order
+	order  []heapEnt // non-empty lanes' heads, latest first (lane.go); never grows
 	laned  int       // events pending in lanes
+	peak   int       // the most events ever pending at once
 	free   []int32   // recycled slot indices
 	nextID uint64
 	rng    *rand.Rand
@@ -46,7 +46,7 @@ type Simulator struct {
 
 // New returns a Simulator whose random source is seeded with seed.
 func New(seed int64) *Simulator {
-	return &Simulator{rng: rand.New(rand.NewSource(seed))}
+	return &Simulator{rng: rand.New(rand.NewSource(seed)), order: make([]heapEnt, 0, MaxLanes)}
 }
 
 // Now returns the current simulated time.
@@ -62,10 +62,10 @@ func (s *Simulator) Processed() uint64 { return s.processed }
 // Pending reports how many events are scheduled but not yet fired.
 func (s *Simulator) Pending() int { return len(s.heap) + s.laned }
 
-// FreeEvents reports the current size of the event free list (telemetry and
-// leak tests). The slab never shrinks, so the free list is bounded by the
-// peak number of pending events.
-func (s *Simulator) FreeEvents() int { return len(s.free) }
+// FreeEvents reports the most events ever pending at once minus Pending()
+// (telemetry and leak tests): the free list one slab for every event would
+// have, since it grew only when every slot held a pending event.
+func (s *Simulator) FreeEvents() int { return s.peak - s.Pending() }
 
 // getSlot takes a recycled slab slot or extends the slab by one. The
 // returned slot's payload fields are already cleared (putSlot clears them).
@@ -102,6 +102,7 @@ func (s *Simulator) schedule(at Time) (int32, uint64) {
 	ev.seq = s.nextID
 	s.nextID++
 	s.heapPush(slot)
+	s.peak = max(s.peak, len(s.heap)+s.laned)
 	return slot, ev.seq
 }
 
@@ -164,24 +165,25 @@ func (s *Simulator) Cancel(id EventID) bool {
 	return true
 }
 
-// fire pops the earliest pending event — lane's head, or the heap root when
-// lane is nil, as peek picked it — advances the clock, and runs the callback.
-// The slot is recycled before the callback executes, so a callback that
-// immediately reschedules reuses the slot it just vacated and the free list
-// stays at the size of the peak pending set.
-func (s *Simulator) fire(lane *Lane) {
-	var slot int32
-	if lane != nil {
-		slot = lane.pop()
-	} else {
-		slot = s.heapPopRoot()
-	}
-	ev := &s.slab[slot]
-	s.now = ev.at
+// fire pops the earliest pending event — l's head record, or the heap root
+// when l is nil, as peek picked it — advances the clock, and runs the
+// callback. A heap event's slot is recycled before the callback executes, so
+// a callback that immediately reschedules reuses the slot it just vacated and
+// the free list stays at the size of the peak pending heap.
+func (s *Simulator) fire(l *lane) {
 	s.processed++
-	call, a, b := ev.call, ev.a, ev.b
-	s.putSlot(slot)
-	call(a, b)
+	if l != nil {
+		e := l.pop()
+		s.now = e.at
+		l.call(e.a, e.b)
+	} else {
+		slot := s.heapPopRoot()
+		ev := &s.slab[slot]
+		s.now = ev.at
+		call, a, b := ev.call, ev.a, ev.b
+		s.putSlot(slot)
+		call(a, b)
+	}
 	if s.onEvent != nil {
 		s.onEvent()
 	}

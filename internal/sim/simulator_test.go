@@ -84,8 +84,10 @@ func TestSchedulingInPastPanics(t *testing.T) {
 	s.Run()
 }
 
-// TestLanePanics: a lane with a negative delay, and a lane event whose time
-// would overflow Time, are bugs and panic, as AfterCall does.
+// TestLanePanics: a lane with a negative delay or no callback, and a lane
+// event whose time would overflow Time, are bugs and panic, as AfterCall does.
+func noopLane(_, _ *struct{}) {}
+
 func TestLanePanics(t *testing.T) {
 	mustPanic := func(what string, f func()) {
 		t.Helper()
@@ -97,9 +99,10 @@ func TestLanePanics(t *testing.T) {
 		f()
 	}
 	s := New(1)
-	mustPanic("Lane(-1)", func() { s.Lane(-1) })
-	far := s.Lane(math.MaxInt64)
-	s.At(1, func() { mustPanic("Call past the largest Time", func() { far.Call(noopCall, nil, nil) }) })
+	mustPanic("LaneFor(-1)", func() { LaneFor(s, -1, noopLane) })
+	mustPanic("LaneFor(nil)", func() { LaneFor[int, int](s, 1, nil) })
+	far := LaneFor(s, math.MaxInt64, noopLane)
+	s.At(1, func() { mustPanic("Call past the largest Time", func() { far.Call(nil, nil) }) })
 	s.Run()
 	if s.Pending() != 0 {
 		t.Fatalf("Pending() = %d after a refused lane event, want 0", s.Pending())

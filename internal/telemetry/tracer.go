@@ -134,7 +134,7 @@ type SimSample struct {
 	T         sim.Time
 	Processed uint64
 	Pending   int
-	FreeList  int
+	FreeList  int // Simulator.FreeEvents: the peak pending count less Pending
 }
 
 // ring is a bounded append-only buffer: it grows like a slice up to cap

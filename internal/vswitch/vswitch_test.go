@@ -285,6 +285,7 @@ func TestCloveINTPrefersIdlePath(t *testing.T) {
 		})
 	}
 	r := newRig(t, 7, mk, func(c *Config) { c.RequestINT = true })
+	r.ls.TrackUtilization()
 	vsws = r.vsw
 	pol := r.vsw[0].Policy().(*CloveINT)
 	ports := r.fourPorts(t, 0, 16)
