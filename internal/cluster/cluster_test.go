@@ -115,6 +115,21 @@ func TestProberDiscoveryPathsMatchOracle(t *testing.T) {
 	}
 }
 
+// TestOracleWalkEndsAtDst: the oracle's trace counts only when it reaches
+// the destination over that host's downlink; one that reaches another host
+// does not count.
+func TestOracleWalkEndsAtDst(t *testing.T) {
+	c := New(Config{Seed: 9, Topo: smallTopo(), Scheme: SchemeCloveECN})
+	p := &packet.Packet{Kind: packet.KindData, Encap: &packet.Encap{SrcHyp: 0, DstHyp: 4, SrcPort: 33000, DstPort: 7471}}
+	links, ok := c.walk(0, 4, p, nil)
+	if !ok || links[len(links)-1] != c.LS.Host(4).Downlink().ID() {
+		t.Fatalf("trace to host 4: ok=%v links %v, want it to end on the host's downlink", ok, links)
+	}
+	if links, ok := c.walk(0, 5, p, nil); ok {
+		t.Errorf("a trace that reaches host 4 (links %v) counted as reaching host 5", links)
+	}
+}
+
 func TestIncastRuns(t *testing.T) {
 	for _, scheme := range []Scheme{SchemeCloveECN, SchemeEdgeFlowlet, SchemeMPTCP} {
 		scheme := scheme

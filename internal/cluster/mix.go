@@ -156,12 +156,39 @@ func (c *Cluster) twoLeafMesh(incast bool) (fwd, rev [][]*Conn) {
 }
 
 // rotatedMesh opens the mesh of a larger fabric and installs its paths:
-// every host is a client, and its servers are Config.ServersPerClient hosts
-// on other leaves (the two-leaf full mesh would be quadratic at 1024 hosts),
-// taken in host order rotated by the client index so load spreads evenly.
-// Forward and reverse connections open interleaved; as in twoLeafMesh the
-// order fixes the port numbers.
+// every host is a client of its rotatedServers. Forward and reverse
+// connections open interleaved; as in twoLeafMesh the order fixes the port
+// numbers.
 func (c *Cluster) rotatedMesh(incast bool) (fwd, rev [][]*Conn) {
+	servers := c.rotatedServers()
+	fwd = make([][]*Conn, len(servers))
+	if incast {
+		rev = make([][]*Conn, len(servers))
+	}
+	var pairs [][2]packet.HostID
+	for ci, ss := range servers {
+		fwd[ci] = make([]*Conn, len(ss))
+		if rev != nil {
+			rev[ci] = make([]*Conn, len(ss))
+		}
+		client := packet.HostID(ci)
+		for k, server := range ss {
+			fwd[ci][k] = c.OpenConn(client, server, 0)
+			pairs = append(pairs, [2]packet.HostID{client, server}, [2]packet.HostID{server, client})
+			if rev != nil {
+				rev[ci][k] = c.OpenConn(server, client, 0)
+			}
+		}
+	}
+	c.SetupPaths(pairs)
+	return fwd, rev
+}
+
+// rotatedServers lists every host's servers in rotatedMesh:
+// Config.ServersPerClient hosts on other leaves (the two-leaf full mesh
+// would be quadratic at 1024 hosts), taken in host order rotated by the
+// client index so load spreads evenly.
+func (c *Cluster) rotatedServers() [][]packet.HostID {
 	hostsPerLeaf := c.Cfg.Topo.HostsPerLeaf
 	nHosts := c.Cfg.Topo.Leaves * hostsPerLeaf
 	spc := c.Cfg.ServersPerClient
@@ -172,34 +199,22 @@ func (c *Cluster) rotatedMesh(incast bool) (fwd, rev [][]*Conn) {
 	if spc > maxSpc {
 		spc = maxSpc
 	}
-	fwd = make([][]*Conn, nHosts)
-	if incast {
-		rev = make([][]*Conn, nHosts)
-	}
-	var pairs [][2]packet.HostID
-	for ci := 0; ci < nHosts; ci++ {
-		// Candidate j is the j-th host off the client's leaf: hosts below
+	servers := make([][]packet.HostID, nHosts)
+	flat := make([]packet.HostID, nHosts*spc)
+	for ci := range servers {
+		// Candidate k is the k-th host off the client's leaf: hosts below
 		// the leaf's block keep their index, the rest skip the block.
 		leafLo := ci / hostsPerLeaf * hostsPerLeaf
-		fwd[ci] = make([]*Conn, spc)
-		if rev != nil {
-			rev[ci] = make([]*Conn, spc)
-		}
-		client := packet.HostID(ci)
-		for k := 0; k < spc; k++ {
-			server := packet.HostID((ci + k) % maxSpc)
-			if int(server) >= leafLo {
-				server += packet.HostID(hostsPerLeaf)
-			}
-			fwd[ci][k] = c.OpenConn(client, server, 0)
-			pairs = append(pairs, [2]packet.HostID{client, server}, [2]packet.HostID{server, client})
-			if rev != nil {
-				rev[ci][k] = c.OpenConn(server, client, 0)
+		ss := flat[ci*spc : (ci+1)*spc : (ci+1)*spc]
+		for k := range ss {
+			ss[k] = packet.HostID((ci + k) % maxSpc)
+			if int(ss[k]) >= leafLo {
+				ss[k] += packet.HostID(hostsPerLeaf)
 			}
 		}
+		servers[ci] = ss
 	}
-	c.SetupPaths(pairs)
-	return fwd, rev
+	return servers
 }
 
 // AbortOpenConns tears down the transport of every open connection (see

@@ -10,15 +10,14 @@ import (
 // oracleInstall enumerates port→path mappings by walking the routing tables
 // directly (no probe traffic) and installs the selected disjoint set. It
 // produces the same result the traceroute prober converges to, instantly —
-// used by benchmarks where discovery latency is not under test. The paths
-// live in w, which the caller reuses across pairs; only ports outlives the
-// call.
+// used by benchmarks where discovery latency is not under test. The walk
+// state lives in w, which the caller reuses across pairs; only ports
+// outlives the call.
 func (c *Cluster) oracleInstall(w *oracleWalk, src, dst packet.HostID) {
-	paths := w.paths(c, src, dst, 64)
-	if len(paths) == 0 {
+	selected := w.selectPaths(c, src, dst, 64)
+	if len(selected) == 0 {
 		return
 	}
-	selected := discovery.SelectDisjoint(paths, c.Cfg.PathsK)
 	ports := make([]uint16, len(selected))
 	for i, p := range selected {
 		ports[i] = p.Port
@@ -29,53 +28,69 @@ func (c *Cluster) oracleInstall(w *oracleWalk, src, dst packet.HostID) {
 	}
 }
 
-// oracleWalk is oracleInstall's path storage, reusable across pairs: one
-// probe packet serves every port, and every path is a full-slice-expression
-// window (len == cap) of one link buffer. SetupPaths keeps one for all its
-// pairs, so a pair costs no allocation here once the buffers have grown.
+// oracleWalk is oracleInstall's walk state, reusable across pairs: one probe
+// packet serves every port, every path is a full-slice-expression window
+// (len == cap) of one link buffer, and one discovery.Selector picks among
+// them. SetupPaths keeps one for all its pairs, so a pair costs no
+// allocation here once the buffers have grown. walked counts the ports
+// traced over all pairs.
 type oracleWalk struct {
-	probe packet.Packet
-	cands []discovery.Path
-	links []packet.LinkID
+	probe  packet.Packet
+	sel    discovery.Selector
+	links  []packet.LinkID
+	walked int
 }
 
-// paths fills w with src→dst's candidate paths and returns them; they are
-// valid until the next call.
-func (w *oracleWalk) paths(c *Cluster, src, dst packet.HostID, maxPorts int) []discovery.Path {
+// selectPaths walks src→dst's candidate ports in order, offering each
+// complete path to the selector, and stops as soon as the selection is
+// decided: every path ends in dst's downlink (walk checks it), so the first
+// path whose only link in common with the selection is that one settles a
+// step. It returns the selection, valid until the next call.
+func (w *oracleWalk) selectPaths(c *Cluster, src, dst packet.HostID, maxPorts int) []discovery.Path {
 	w.probe.Kind = packet.KindData
 	e := w.probe.AddEncap()
 	e.SrcHyp, e.DstHyp, e.DstPort = src, dst, vswitch.EncapDstPort
-	w.cands, w.links = w.cands[:0], w.links[:0]
+	w.sel.Reset(c.Cfg.PathsK)
+	w.links = w.links[:0]
 	for i := 0; i < maxPorts; i++ {
-		port := uint16(33000 + i*97)
+		port := oraclePort(i)
 		e.SrcPort = port
+		w.walked++
 		start := len(w.links)
 		var ok bool
-		if w.links, ok = c.walk(src, &w.probe, w.links); !ok {
+		if w.links, ok = c.walk(src, dst, &w.probe, w.links); !ok {
 			w.links = w.links[:start]
 			continue
 		}
 		links := w.links[start:len(w.links):len(w.links)]
-		w.cands = append(w.cands, discovery.Path{Port: port, Links: links, Hops: len(links)})
+		if w.sel.Add(discovery.Path{Port: port, Links: links, Hops: len(links)}) {
+			break
+		}
 	}
-	return w.cands
+	return w.sel.Finish()
 }
 
-// walk traces pkt from src's uplink to the destination host via
-// RoutePreview at each switch, appending each hop's link to links.
-func (c *Cluster) walk(src packet.HostID, pkt *packet.Packet, links []packet.LinkID) ([]packet.LinkID, bool) {
+// oraclePort is the i-th encapsulation source port the oracle walks.
+func oraclePort(i int) uint16 { return uint16(33000 + i*97) }
+
+// walk traces pkt from src's uplink via RoutePreview at each switch,
+// appending each hop's link to links. It reports success only when the
+// trace ends at dst, over dst's downlink.
+func (c *Cluster) walk(src, dst packet.HostID, pkt *packet.Packet, links []packet.LinkID) ([]packet.LinkID, bool) {
 	node := c.LS.Host(src).Uplink().To()
+	var last *netem.Link
 	for hop := 0; hop < 16; hop++ {
 		sw, ok := node.(*netem.Switch)
 		if !ok {
-			return links, true // reached a host
+			// A host: dst only if the last hop was dst's one inbound link.
+			return links, last == c.LS.Host(dst).Downlink()
 		}
-		lk := sw.RoutePreview(pkt)
-		if lk == nil {
+		last = sw.RoutePreview(pkt)
+		if last == nil {
 			return links, false
 		}
-		links = append(links, lk.ID())
-		node = lk.To()
+		links = append(links, last.ID())
+		node = last.To()
 	}
 	return links, false // loop guard tripped
 }

@@ -8,6 +8,7 @@ package discovery
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"clove/internal/packet"
@@ -215,8 +216,8 @@ func assemblePath(port uint16, hops map[int]packet.LinkID) (Path, bool) {
 // the fewest links with the selection so far, the lowest port winning ties.
 // Duplicate paths (identical link sets) are skipped while distinct
 // candidates remain. It sorts paths by port in place — unless they already
-// are, as the cluster's routing-table walk emits them — and, for up to 64
-// candidates, allocates only the result.
+// are — and, for up to 64 candidates, allocates only the result. It is
+// Selector's greedy with every candidate offered at once.
 func SelectDisjoint(paths []Path, k int) []Path {
 	if len(paths) == 0 || k <= 0 {
 		return nil
@@ -225,80 +226,177 @@ func SelectDisjoint(paths []Path, k int) []Path {
 	if !slices.IsSortedFunc(paths, byPort) {
 		slices.SortFunc(paths, byPort)
 	}
-
-	// overlap[i] counts paths[i]'s links the selection already uses, or is
-	// taken once paths[i] has been picked or skipped. A pick bumps the
-	// counts by its links new to the selection, so no set is ever rebuilt.
-	// Both buffers live on the stack up to 64 candidates and links.
+	// The buffers live on the stack up to 64 candidates, links and picks;
+	// with nothing selected yet, every overlap is zero. The result is a
+	// copy, so that no buffer escapes with it.
 	var overlapBuf [64]int32
 	var usedBuf [64]packet.LinkID
-	overlap := slices.Grow(overlapBuf[:0], len(paths))[:len(paths)]
-	used := usedBuf[:0]
-	selected := make([]Path, 0, min(k, len(paths)))
-	pick := func(p int) {
-		selected = append(selected, paths[p])
-		fresh := len(used)
-		for _, l := range paths[p].Links {
-			if !slices.Contains(used, l) {
-				used = append(used, l)
-			}
+	var selectedBuf [64]Path
+	g := greedy{
+		k:        k,
+		paths:    paths,
+		overlap:  slices.Grow(overlapBuf[:0], len(paths))[:len(paths)],
+		used:     usedBuf[:0],
+		selected: selectedBuf[:0],
+	}
+	selected := g.advance(true).selected
+	return append(make([]Path, 0, len(selected)), selected...)
+}
+
+// Selector is SelectDisjoint's greedy fed one candidate at a time, in
+// ascending port order, so that a caller enumerating candidates can stop
+// once the k picks are decided. Every candidate must end in the same final
+// link — the destination host's one inbound link, as every path toward a
+// host does — so once the first pick is made no candidate shares fewer than
+// sharedFinal links with the selection. A step is therefore decided as soon
+// as a candidate already offered shares only that one: a later candidate
+// cannot share fewer, and ties go to the lower port. A step that meets the
+// duplicate rule while no distinct candidate has been offered waits for one,
+// or for Finish. The zero Selector is ready for Reset; its buffers are
+// reused across selections.
+type Selector struct {
+	g greedy
+}
+
+// sharedFinal is the least overlap any candidate has with a non-empty
+// selection: all of them end in the same final link.
+const sharedFinal = 1
+
+// Reset starts a selection of up to k paths.
+func (s *Selector) Reset(k int) {
+	g := &s.g
+	g.k = k
+	g.paths, g.overlap = g.paths[:0], g.overlap[:0]
+	g.used, g.selected = g.used[:0], g.selected[:0]
+}
+
+// Add offers the next candidate, whose port must exceed every earlier one's
+// and whose last link must be the first candidate's; it panics otherwise.
+// It reports whether the selection is decided, so that no later candidate
+// can change it.
+func (s *Selector) Add(p Path) bool {
+	g := &s.g
+	if len(p.Links) == 0 {
+		panic("discovery: Selector.Add: candidate has no links")
+	}
+	if n := len(g.paths); n > 0 {
+		first := g.paths[0].Links
+		if p.Port <= g.paths[n-1].Port {
+			panic("discovery: Selector.Add: ports out of order")
 		}
-		added := used[fresh:]
-		// A 64-bit filter over the added links rejects most candidate
-		// links with one test.
-		var filter uint64
-		for _, l := range added {
-			filter |= 1 << (uint(l) % 64)
-		}
-		for i := range paths {
-			if overlap[i] == taken {
-				continue
-			}
-			for _, l := range paths[i].Links {
-				if filter&(1<<(uint(l)%64)) != 0 && slices.Contains(added, l) {
-					overlap[i]++
-				}
-			}
+		if p.Links[len(p.Links)-1] != first[len(first)-1] {
+			panic("discovery: Selector.Add: candidate does not end in the shared final link")
 		}
 	}
-	overlap[0] = taken
-	pick(0)
-	for left := len(paths) - 1; len(selected) < k && left > 0; left-- {
-		best, bestOverlap := -1, int32(1<<30)
-		for i, o := range overlap {
+	var o int32
+	for _, l := range p.Links {
+		if slices.Contains(g.used, l) {
+			o++
+		}
+	}
+	g.paths, g.overlap = append(g.paths, p), append(g.overlap, o)
+	s.g = g.advance(false)
+	return len(s.g.selected) >= s.g.k
+}
+
+// Finish completes the selection over the candidates offered, none being
+// still to come, and returns it. The result is valid until the next Reset.
+func (s *Selector) Finish() []Path {
+	s.g = s.g.advance(true)
+	return s.g.selected
+}
+
+// greedy is the selection state. overlap[i] counts paths[i]'s links the
+// selection already uses, or is taken once paths[i] has been picked or
+// skipped. A pick bumps the counts by its links new to the selection, so no
+// set is ever rebuilt. Its methods take and return it by value, which keeps
+// SelectDisjoint's stack buffers on the stack.
+type greedy struct {
+	k        int
+	paths    []Path
+	overlap  []int32
+	used     []packet.LinkID
+	selected []Path
+}
+
+// taken marks a candidate the greedy has picked or skipped.
+const taken = -1
+
+// advance takes greedy steps while the candidates offered decide them; with
+// complete set, no more candidates will come.
+func (g greedy) advance(complete bool) greedy {
+	for len(g.selected) < g.k {
+		best, bestOverlap := -1, int32(math.MaxInt32)
+		for i, o := range g.overlap {
 			if o != taken && o < bestOverlap {
 				best, bestOverlap = i, o
 			}
 		}
-		overlap[best] = taken
+		if best < 0 || !complete && bestOverlap > sharedFinal {
+			break
+		}
+		g.overlap[best] = taken
 		// Skip exact duplicates of already-selected paths unless nothing
 		// else remains (k distinct paths may simply not exist).
-		p := paths[best]
-		if int(bestOverlap) == len(p.Links) && isDuplicate(selected, p) && hasNonDuplicate(paths, overlap, selected) {
-			continue
+		p := g.paths[best]
+		if int(bestOverlap) == len(p.Links) && isDuplicate(g.selected, p) {
+			if g.hasNonDuplicate() {
+				continue
+			}
+			if !complete {
+				g.overlap[best] = bestOverlap // a later candidate may differ
+				break
+			}
 		}
-		pick(best)
+		g = g.pick(best)
 	}
-	return selected
+	return g
 }
 
-// taken marks a candidate SelectDisjoint has picked or skipped.
-const taken = -1
+// pick appends paths[p] to the selection and bumps every other candidate's
+// overlap by the links it adds.
+func (g greedy) pick(p int) greedy {
+	g.selected = append(g.selected, g.paths[p])
+	fresh := len(g.used)
+	for _, l := range g.paths[p].Links {
+		if !slices.Contains(g.used, l) {
+			g.used = append(g.used, l)
+		}
+	}
+	added := g.used[fresh:]
+	// A 64-bit filter over the added links rejects most candidate links
+	// with one test.
+	var filter uint64
+	for _, l := range added {
+		filter |= 1 << (uint(l) % 64)
+	}
+	for i, o := range g.overlap {
+		if o == taken {
+			continue
+		}
+		for _, l := range g.paths[i].Links {
+			if filter&(1<<(uint(l)%64)) != 0 && slices.Contains(added, l) {
+				g.overlap[i]++
+			}
+		}
+	}
+	return g
+}
 
-func isDuplicate(selected []Path, cand Path) bool {
-	for _, s := range selected {
-		if slices.Equal(s.Links, cand.Links) {
+// hasNonDuplicate reports whether a candidate not yet taken differs from
+// every selected path.
+func (g greedy) hasNonDuplicate() bool {
+	for i, p := range g.paths {
+		if g.overlap[i] != taken && !isDuplicate(g.selected, p) {
 			return true
 		}
 	}
 	return false
 }
 
-// hasNonDuplicate reports whether a candidate not yet taken differs from
-// every selected path.
-func hasNonDuplicate(paths []Path, overlap []int32, selected []Path) bool {
-	for i, p := range paths {
-		if overlap[i] != taken && !isDuplicate(selected, p) {
+func isDuplicate(selected []Path, cand Path) bool {
+	for _, s := range selected {
+		if slices.Equal(s.Links, cand.Links) {
 			return true
 		}
 	}

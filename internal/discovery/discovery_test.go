@@ -336,3 +336,92 @@ func BenchmarkSelectDisjoint64(b *testing.B) {
 		selectSink = SelectDisjoint(paths, 4)
 	}
 }
+
+// fuzzCandidates decodes data into a port-ordered candidate set that ends,
+// every path, in one shared final link (100), as every path toward a host
+// does: byte 0 is k (0–7); then per candidate one byte whose value mod 4 is
+// its count of earlier links, followed by those links, each one of six.
+func fuzzCandidates(data []byte) (k int, paths []Path) {
+	if len(data) == 0 {
+		return 0, nil
+	}
+	k, data = int(data[0]%8), data[1:]
+	for len(data) > 0 && len(paths) < 64 {
+		n := int(data[0] % 4)
+		data = data[1:]
+		links := make([]packet.LinkID, 0, n+1)
+		for ; n > 0 && len(data) > 0; n-- {
+			links = append(links, packet.LinkID(data[0]%6))
+			data = data[1:]
+		}
+		links = append(links, 100)
+		paths = append(paths, Path{Port: uint16(1000 + 7*len(paths)), Links: links, Hops: len(links)})
+	}
+	return k, paths
+}
+
+// selectorPorts offers paths to s in order, stopping once the selection is
+// decided, and returns the selected ports.
+func selectorPorts(s *Selector, paths []Path, k int) []uint16 {
+	s.Reset(k)
+	for _, p := range paths {
+		if s.Add(p) {
+			break
+		}
+	}
+	var ports []uint16
+	for _, p := range s.Finish() {
+		ports = append(ports, p.Port)
+	}
+	return ports
+}
+
+// FuzzSelectorMatchesReference: a Selector fed candidates that share their
+// final link, stopping as soon as it reports the selection decided, picks
+// what selectDisjointRef picks from the whole set. One Selector selects
+// from the first half of the candidates, then (after Reset) from all.
+func FuzzSelectorMatchesReference(f *testing.F) {
+	f.Add([]byte{4, 1, 0, 1, 1, 1, 2, 1, 3, 1, 4, 1, 5}) // disjoint but for the final link
+	f.Add([]byte{3, 0, 0, 0, 0})                         // duplicates only
+	f.Add([]byte{7, 1, 0, 1, 1, 0, 1, 0, 0, 1, 1})       // k exceeds the distinct paths
+	f.Add([]byte{2, 1, 1, 2, 1, 2, 1, 3})                // a later candidate shares one link, an earlier two
+	f.Add([]byte{2, 0, 0, 1, 5})                         // a duplicate waits for a distinct candidate
+	f.Add([]byte{0, 1, 2})                               // k = 0
+	f.Fuzz(func(t *testing.T, data []byte) {
+		k, paths := fuzzCandidates(data)
+		var s Selector
+		for _, n := range []int{len(paths) / 2, len(paths)} {
+			var want []uint16
+			for _, p := range selectDisjointRef(slices.Clone(paths[:n]), k) {
+				want = append(want, p.Port)
+			}
+			if got := selectorPorts(&s, paths[:n], k); !slices.Equal(got, want) {
+				t.Fatalf("k=%d, %d candidates %v: selector picked %v, reference %v", k, n, paths[:n], got, want)
+			}
+		}
+	})
+}
+
+// TestSelectorAddPanics: a candidate out of port order, without links, or
+// not ending in the first candidate's final link breaks the bound the early
+// stop rests on, and panics.
+func TestSelectorAddPanics(t *testing.T) {
+	first := Path{Port: 10, Links: []packet.LinkID{1, 9}}
+	for name, p := range map[string]Path{
+		"port order": {Port: 10, Links: []packet.LinkID{2, 9}},
+		"no links":   {Port: 11},
+		"final link": {Port: 11, Links: []packet.LinkID{9, 2}},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Add did not panic", name)
+				}
+			}()
+			var s Selector
+			s.Reset(4)
+			s.Add(first)
+			s.Add(p)
+		}()
+	}
+}

@@ -10,11 +10,12 @@ import (
 // and a delivery callback into the hypervisor virtual switch. The tenant VM
 // and the vswitch live above this in internal/vswitch.
 type Host struct {
-	id     packet.NodeID
-	hostID packet.HostID
-	name   string
-	uplink *Link // host -> leaf
-	pool   *packet.Pool
+	id       packet.NodeID
+	hostID   packet.HostID
+	name     string
+	uplink   *Link // host -> leaf
+	downlink *Link // leaf -> host, the host's one inbound link
+	pool     *packet.Pool
 
 	// Deliver is invoked for every packet arriving at the NIC. The vswitch
 	// installs itself here. Packets arriving before installation are counted
@@ -36,6 +37,10 @@ func (h *Host) Name() string { return h.name }
 
 // Uplink returns the host->leaf link (the NIC egress).
 func (h *Host) Uplink() *Link { return h.uplink }
+
+// Downlink returns the leaf's link toward the host: the last hop of every
+// path that reaches it.
+func (h *Host) Downlink() *Link { return h.downlink }
 
 // Pool returns the packet free list everything on this host draws from: the
 // topology's one pool (Topology.Pool).

@@ -97,7 +97,7 @@ func (t *Topology) AddHost(name string, leaf *Switch, upCfg, downCfg LinkConfig)
 	t.nextNode++
 	up := t.addLink(fmt.Sprintf("%s->%s#0", name, leaf.name), h.id, leaf, upCfg)
 	down := t.addLink(fmt.Sprintf("%s->%s#0", leaf.name, name), leaf.id, h, downCfg)
-	h.uplink = up
+	h.uplink, h.downlink = up, down
 	leaf.addEgress(down)
 	t.hosts = append(t.hosts, h)
 	return h
