@@ -43,14 +43,13 @@ type FlowletEntry struct {
 // An idle flow's next packet starts a new flowlet on its own entry, with
 // the next ID.
 //
-// An entry is found one of two ways. TouchEntry takes an entry the caller
-// stores by value: the virtual switch keeps each connection's entry in the
-// fabric's flow table (vswitch.Flows), reached through the packet's flow
-// handle, and a CONGA or LetFlow switch keeps its pins beside their links,
-// so neither hashes a tuple twice. Touch finds the entry by five-tuple in
-// the table's own map, one heap object per flow; its callers are a vswitch
-// packet without a flow handle (tests that drive bare TCP endpoints), the
-// package's tests and the benchmark's flowlet micro-measurement.
+// TouchEntry takes an entry the caller stores by value: the virtual switch
+// keeps each connection's entry in the fabric's flow table (vswitch.Flows),
+// reached through the packet's flow handle, and a CONGA or LetFlow switch
+// keeps its pins beside their links, so neither hashes a tuple. Touch finds
+// the entry by five-tuple in the table's own map, one heap object per flow;
+// only the package's tests and the benchmark's flowlet micro-measurement
+// call it.
 type FlowletTable struct {
 	gap      sim.Time
 	entries  map[packet.FiveTuple]*FlowletEntry // Touch's entries

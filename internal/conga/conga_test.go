@@ -13,10 +13,11 @@ import (
 // congaRig builds the paper fabric with CONGA attached and plain ECMP
 // vswitches (CONGA does the balancing in-network).
 type congaRig struct {
-	s   *sim.Simulator
-	ls  *netem.LeafSpine
-	f   *Fabric
-	vsw []*vswitch.VSwitch
+	s     *sim.Simulator
+	ls    *netem.LeafSpine
+	f     *Fabric
+	vsw   []*vswitch.VSwitch
+	flows vswitch.Flows
 }
 
 func newCongaRig(seed int64) *congaRig {
@@ -26,6 +27,7 @@ func newCongaRig(seed int64) *congaRig {
 	r := &congaRig{s: s, ls: ls, f: f}
 	cfg := vswitch.DefaultConfig(ls.Cfg.BaseRTT())
 	cfg.MaskECN = false
+	cfg.Flows = &r.flows
 	for _, h := range ls.Hosts() {
 		r.vsw = append(r.vsw, vswitch.New(s, h, cfg, vswitch.NewECMP()))
 	}
@@ -37,10 +39,15 @@ func (r *congaRig) conn(a, b packet.HostID, sp, dp uint16) (*tcp.Sender, *tcp.Re
 	cfg := tcp.DefaultConfig()
 	snd := tcp.NewSender(r.s, cfg, flow, r.vsw[a].FromVM)
 	rcv := tcp.NewReceiver(r.s, cfg, flow, r.vsw[b].FromVM)
-	r.vsw[b].Register(flow, rcv.HandleData)
-	r.vsw[a].Register(flow.Reverse(), snd.HandleAck)
+	data, ack := r.flows.Open(receiverData, rcv, senderAck, snd)
+	snd.SetFlowHandle(data)
+	rcv.SetFlowHandle(ack)
 	return snd, rcv
 }
+
+// Static endpoints for vswitch.Flows.Open.
+func receiverData(a any, pkt *packet.Packet) { a.(*tcp.Receiver).HandleData(pkt) }
+func senderAck(a any, pkt *packet.Packet)    { a.(*tcp.Sender).HandleAck(pkt) }
 
 func TestCongaTransfersComplete(t *testing.T) {
 	r := newCongaRig(1)

@@ -100,7 +100,6 @@ func (p *Prober) Stats() Stats { return p.stats }
 // runs at once. Stop cancels the periodic rounds.
 func (p *Prober) Start(dsts []packet.HostID) {
 	for _, dst := range dsts {
-		dst := dst
 		p.Discover(dst)
 		cancel := p.sim.Ticker(p.cfg.Interval, func() { p.Discover(dst) })
 		p.cancels = append(p.cancels, cancel)
@@ -124,14 +123,10 @@ func (p *Prober) Discover(dst packet.HostID) {
 	p.nextProbeID++
 	r := &round{dst: dst, echoes: map[uint16]map[int]packet.LinkID{}}
 	rng := p.sim.Rand()
-	seen := map[uint16]bool{}
 	for len(r.ports) < p.cfg.CandidatePorts {
-		port := uint16(32768 + rng.Intn(32768))
-		if seen[port] {
-			continue
+		if port := uint16(32768 + rng.Intn(32768)); !slices.Contains(r.ports, port) {
+			r.ports = append(r.ports, port)
 		}
-		seen[port] = true
-		r.ports = append(r.ports, port)
 	}
 	p.rounds[id] = r
 	for _, port := range r.ports {
@@ -226,9 +221,9 @@ func SelectDisjoint(paths []Path, k int) []Path {
 	if !slices.IsSortedFunc(paths, byPort) {
 		slices.SortFunc(paths, byPort)
 	}
-	// The buffers live on the stack up to 64 candidates, links and picks;
-	// with nothing selected yet, every overlap is zero. The result is a
-	// copy, so that no buffer escapes with it.
+	// The buffers, sized for every pick, live on the stack up to 64
+	// candidates, links and picks; with nothing selected yet, every overlap
+	// is zero. The result is a copy, so that no buffer escapes with it.
 	var overlapBuf [64]int32
 	var usedBuf [64]packet.LinkID
 	var selectedBuf [64]Path
@@ -237,10 +232,13 @@ func SelectDisjoint(paths []Path, k int) []Path {
 		paths:    paths,
 		overlap:  slices.Grow(overlapBuf[:0], len(paths))[:len(paths)],
 		used:     usedBuf[:0],
-		selected: selectedBuf[:0],
+		selected: slices.Grow(selectedBuf[:0], min(k, len(paths))),
 	}
-	selected := g.advance(true).selected
-	return append(make([]Path, 0, len(selected)), selected...)
+	for _, p := range paths {
+		g.used = slices.Grow(g.used, min(k, len(paths))*len(p.Links))
+	}
+	g.advance(true)
+	return append(make([]Path, 0, len(g.selected)), g.selected...)
 }
 
 // Selector is SelectDisjoint's greedy fed one candidate at a time, in
@@ -266,8 +264,7 @@ const sharedFinal = 1
 func (s *Selector) Reset(k int) {
 	g := &s.g
 	g.k = k
-	g.paths, g.overlap = g.paths[:0], g.overlap[:0]
-	g.used, g.selected = g.used[:0], g.selected[:0]
+	g.paths, g.overlap, g.used, g.selected = g.paths[:0], g.overlap[:0], g.used[:0], g.selected[:0]
 }
 
 // Add offers the next candidate, whose port must exceed every earlier one's
@@ -295,22 +292,25 @@ func (s *Selector) Add(p Path) bool {
 		}
 	}
 	g.paths, g.overlap = append(g.paths, p), append(g.overlap, o)
-	s.g = g.advance(false)
-	return len(s.g.selected) >= s.g.k
+	g.selected = slices.Grow(g.selected, min(g.k, len(g.paths))-len(g.selected))
+	g.used = slices.Grow(g.used, (g.k-len(g.selected))*len(p.Links))
+	g.advance(false)
+	return len(g.selected) >= g.k
 }
 
 // Finish completes the selection over the candidates offered, none being
 // still to come, and returns it. The result is valid until the next Reset.
 func (s *Selector) Finish() []Path {
-	s.g = s.g.advance(true)
+	s.g.advance(true)
 	return s.g.selected
 }
 
 // greedy is the selection state. overlap[i] counts paths[i]'s links the
 // selection already uses, or is taken once paths[i] has been picked or
 // skipped. A pick bumps the counts by its links new to the selection, so no
-// set is ever rebuilt. Its methods take and return it by value, which keeps
-// SelectDisjoint's stack buffers on the stack.
+// set is ever rebuilt. Its owner makes room in selected and used for every
+// pick to come, so pick only reslices them: an append through the pointer
+// would move SelectDisjoint's stack buffers to the heap.
 type greedy struct {
 	k        int
 	paths    []Path
@@ -324,7 +324,7 @@ const taken = -1
 
 // advance takes greedy steps while the candidates offered decide them; with
 // complete set, no more candidates will come.
-func (g greedy) advance(complete bool) greedy {
+func (g *greedy) advance(complete bool) {
 	for len(g.selected) < g.k {
 		best, bestOverlap := -1, int32(math.MaxInt32)
 		for i, o := range g.overlap {
@@ -348,19 +348,20 @@ func (g greedy) advance(complete bool) greedy {
 				break
 			}
 		}
-		g = g.pick(best)
+		g.pick(best)
 	}
-	return g
 }
 
-// pick appends paths[p] to the selection and bumps every other candidate's
-// overlap by the links it adds.
-func (g greedy) pick(p int) greedy {
-	g.selected = append(g.selected, g.paths[p])
+// pick appends paths[p] to the selection, within the room its owner made,
+// and bumps every other candidate's overlap by the links it adds.
+func (g *greedy) pick(p int) {
+	g.selected = g.selected[:len(g.selected)+1]
+	g.selected[len(g.selected)-1] = g.paths[p]
 	fresh := len(g.used)
 	for _, l := range g.paths[p].Links {
 		if !slices.Contains(g.used, l) {
-			g.used = append(g.used, l)
+			g.used = g.used[:len(g.used)+1]
+			g.used[len(g.used)-1] = l
 		}
 	}
 	added := g.used[fresh:]
@@ -380,12 +381,11 @@ func (g greedy) pick(p int) greedy {
 			}
 		}
 	}
-	return g
 }
 
 // hasNonDuplicate reports whether a candidate not yet taken differs from
 // every selected path.
-func (g greedy) hasNonDuplicate() bool {
+func (g *greedy) hasNonDuplicate() bool {
 	for i, p := range g.paths {
 		if g.overlap[i] != taken && !isDuplicate(g.selected, p) {
 			return true

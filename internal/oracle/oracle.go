@@ -41,10 +41,12 @@
 //   - flowlet: all packets of one (flow, flowlet) keep one outer source
 //     port — the property that makes a flowlet atomic on one path — and a
 //     flow's flowlet IDs never go back.
-//   - handle: a flow handle (packet.FlowHandle) names one five-tuple for
-//     the whole run, so per-flow state found by handle is the state the
-//     tuple would find, and a packet carrying a wrong handle cannot pass as
-//     another flow's. A mismatched call is judged on its tuple's record.
+//   - handle: every stream and flowlet call carries a flow handle
+//     (packet.FlowHandle), and a handle names one five-tuple for the whole
+//     run, so per-flow state found by handle is the state the tuple would
+//     find, and a packet carrying a wrong handle cannot pass as another
+//     flow's. A call without a handle, or with a mismatched one, is judged
+//     on a fresh record of its own.
 //   - conn-consistency (opt-in, RequireConnConsistency): a connection's
 //     outer source port changes only if the port it was using left the
 //     installed path set (PolicyPaths) at some point since it was picked —
@@ -89,10 +91,10 @@ const (
 )
 
 // flowRec is the oracle's record of one flow direction: its TCP stream,
-// its current flowlet, and its conn-consistency pick. Handled flows keep it
-// by value in a slice indexed by handle, the rest in a map by five-tuple.
+// its current flowlet, and its conn-consistency pick. It is kept by value
+// in a slice indexed by the direction's handle.
 type flowRec struct {
-	// flow is the tuple a handle was first seen with (handle records).
+	// flow is the tuple the handle was first seen with.
 	flow  packet.FiveTuple
 	named bool
 
@@ -147,9 +149,8 @@ type Oracle struct {
 
 	linkDown map[packet.LinkID]bool // unknown links are up
 
-	// Per-flow records: by handle, and by tuple for calls without one.
+	// Per-flow records, by handle.
 	byHandle []flowRec
-	byTuple  map[packet.FiveTuple]*flowRec
 	streams  int // records with a StreamSent
 	flowlets int // flowlets picked
 
@@ -169,7 +170,6 @@ func New() *Oracle {
 	return &Oracle{
 		pkts:     map[*packet.Packet]pktState{},
 		linkDown: map[packet.LinkID]bool{},
-		byTuple:  map[packet.FiveTuple]*flowRec{},
 		pathSets: map[pairKey]*pathSetState{},
 	}
 }
@@ -350,28 +350,24 @@ func (o *Oracle) HostDeliver(host packet.HostID, pkt *packet.Packet) {
 
 // --- flow records ---
 
-// rec returns flow's record. With a handle it is the handle's record, after
-// the cheap check that the handle names flow (a comparison of two tuples);
-// on a mismatch, or without a handle, it is the record of the tuple.
+// rec returns the record of h, after the cheap check that h names flow (a
+// comparison of two tuples). Without a handle, or on a mismatch, it flags
+// the call and returns a fresh record, so the call cannot pass as another
+// flow's: a delivery is then judged against a stream that sent nothing.
 func (o *Oracle) rec(flow packet.FiveTuple, h packet.FlowHandle, where string) *flowRec {
-	if h > 0 {
-		for int(h) >= len(o.byHandle) {
-			o.byHandle = append(o.byHandle, flowRec{})
-		}
-		r := &o.byHandle[h]
-		if !r.named {
-			r.flow, r.named = flow, true
-			return r
-		}
-		if r.flow == flow {
-			return r
-		}
-		o.violationf("handle", "%s of %s carries handle %d, which names %s", where, flow, h, r.flow)
+	if h == 0 {
+		o.violationf("handle", "%s of %s carries no handle", where, flow)
+		return &flowRec{}
 	}
-	r := o.byTuple[flow]
-	if r == nil {
-		r = &flowRec{}
-		o.byTuple[flow] = r
+	for int(h) >= len(o.byHandle) {
+		o.byHandle = append(o.byHandle, flowRec{})
+	}
+	r := &o.byHandle[h]
+	if !r.named {
+		r.flow, r.named = flow, true
+	} else if r.flow != flow {
+		o.violationf("handle", "%s of %s carries handle %d, which names %s", where, flow, h, r.flow)
+		return &flowRec{}
 	}
 	return r
 }

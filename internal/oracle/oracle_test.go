@@ -118,9 +118,9 @@ func TestLinkFailureClean(t *testing.T) {
 
 // --- TCP stream oracle over a lossy pipe ---
 
-// tcpLoop wires a pooled sender and receiver over delayed pipes; dropEvery
-// discards (and correctly releases) every n-th forward data segment to force
-// retransmissions.
+// tcpLoop wires a pooled sender and receiver, under flow handles 2 (data)
+// and 3 (ACKs), over delayed pipes; dropEvery discards (and correctly
+// releases) every n-th forward data segment to force retransmissions.
 func tcpLoop(s *sim.Simulator, pool *packet.Pool, dropEvery int) (*tcp.Sender, *tcp.Receiver) {
 	cfg := tcp.DefaultConfig()
 	cfg.Pool = pool
@@ -139,6 +139,8 @@ func tcpLoop(s *sim.Simulator, pool *packet.Pool, dropEvery int) (*tcp.Sender, *
 	rcv = tcp.NewReceiver(s, cfg, flow, func(pkt *packet.Packet) {
 		s.After(20*sim.Microsecond, func() { snd.HandleAck(pkt) })
 	})
+	snd.SetFlowHandle(2)
+	rcv.SetFlowHandle(3)
 	return snd, rcv
 }
 
@@ -225,7 +227,7 @@ func TestMutationForgedStreamDelivery(t *testing.T) {
 
 	forged := pool.Get()
 	forged.Kind = packet.KindData
-	forged.Inner = flow
+	forged.Inner, forged.Flow = flow, 2
 	forged.Seq = 0
 	forged.PayloadLen = 1000
 	rcv.HandleData(forged)
@@ -240,9 +242,9 @@ func TestMutationForgedStreamDelivery(t *testing.T) {
 func TestMutationStreamGapAndOverDelivery(t *testing.T) {
 	o := oracle.New()
 	flow := packet.FiveTuple{Src: 1, Dst: 2, SrcPort: 9, DstPort: 10, Proto: packet.ProtoTCP}
-	o.StreamSent(flow, 0, 0, 1000, false)
-	o.StreamSent(flow, 0, 2000, 3000, false) // gap [1000,2000) never sent
-	o.StreamDeliver(flow, 0, 0, 5000)        // beyond even the gapped coverage
+	o.StreamSent(flow, 2, 0, 1000, false)
+	o.StreamSent(flow, 2, 2000, 3000, false) // gap [1000,2000) never sent
+	o.StreamDeliver(flow, 2, 0, 5000)        // beyond even the gapped coverage
 	wantViolation(t, o, 1, "tcp-stream")
 	if o.Count() < 2 {
 		t.Fatalf("want both gap and over-delivery flagged, got %v", o.Violations())
@@ -305,13 +307,13 @@ func TestMutationDownLinkDelivery(t *testing.T) {
 func TestMutationFlowletPortChange(t *testing.T) {
 	o := oracle.New()
 	flow := packet.FiveTuple{Src: 1, Dst: 2, SrcPort: 100, DstPort: 200, Proto: packet.ProtoTCP}
-	o.FlowletPick(flow, 0, 7, 40000)
-	o.FlowletPick(flow, 0, 7, 40000) // same port: fine
-	o.FlowletPick(flow, 0, 8, 40001) // new flowlet may move: fine
+	o.FlowletPick(flow, 2, 7, 40000)
+	o.FlowletPick(flow, 2, 7, 40000) // same port: fine
+	o.FlowletPick(flow, 2, 8, 40001) // new flowlet may move: fine
 	if err := o.Check(1); err != nil {
 		t.Fatalf("consistent flowlets flagged: %v", err)
 	}
-	o.FlowletPick(flow, 0, 8, 40002) // the bug: mid-flowlet port change
+	o.FlowletPick(flow, 2, 8, 40002) // the bug: mid-flowlet port change
 	wantViolation(t, o, 1, "flowlet")
 }
 
@@ -344,24 +346,38 @@ func TestMutationForgedStreamDeliveryWithHandle(t *testing.T) {
 }
 
 // TestHandledFlowletsAndStreamsClean runs a stream and its flowlets through
-// handles, beside a tuple-only flow: nothing is flagged.
+// handles: nothing is flagged.
 func TestHandledFlowletsAndStreamsClean(t *testing.T) {
 	o := oracle.New()
 	flow := packet.FiveTuple{Src: 1, Dst: 2, SrcPort: 100, DstPort: 200, Proto: packet.ProtoTCP}
-	other := packet.FiveTuple{Src: 2, Dst: 1, SrcPort: 200, DstPort: 100, Proto: packet.ProtoTCP}
 	o.StreamSent(flow, 2, 0, 1000, false)
 	o.StreamSent(flow, 2, 1000, 2000, false)
 	o.StreamDeliver(flow, 2, 0, 2000)
 	o.FlowletPick(flow, 2, 0, 40000)
 	o.FlowletPick(flow, 2, 0, 40000)
 	o.FlowletPick(flow, 2, 1, 40001)
-	o.FlowletPick(other, 0, 0, 40002)
-	o.FlowletPick(other, 0, 0, 40002)
 	if err := o.Check(1); err != nil {
 		t.Fatalf("clean handled flow flagged: %v", err)
 	}
-	if st := o.Stats(); st.Streams != 1 || st.Flowlets != 3 {
-		t.Fatalf("stats %+v, want 1 stream and 3 flowlets", st)
+	if st := o.Stats(); st.Streams != 1 || st.Flowlets != 2 {
+		t.Fatalf("stats %+v, want 1 stream and 2 flowlets", st)
+	}
+}
+
+// TestUnhandledCallsFlagged: a stream and a flowlet observed without a
+// handle are each a handle violation.
+func TestUnhandledCallsFlagged(t *testing.T) {
+	flow := packet.FiveTuple{Src: 1, Dst: 2, SrcPort: 100, DstPort: 200, Proto: packet.ProtoTCP}
+	for name, call := range map[string]func(*oracle.Oracle){
+		"stream send":  func(o *oracle.Oracle) { o.StreamSent(flow, 0, 0, 1000, false) },
+		"flowlet pick": func(o *oracle.Oracle) { o.FlowletPick(flow, 0, 0, 40000) },
+	} {
+		o := oracle.New()
+		call(o)
+		wantViolation(t, o, 1, "handle")
+		if v := o.Violations(); o.Count() != 1 || !strings.Contains(v[0].Msg, name) {
+			t.Errorf("%s without a handle: violations %v, want one naming it", name, v)
+		}
 	}
 }
 
@@ -440,27 +456,27 @@ func TestConnConsistencyClean(t *testing.T) {
 	flow := packet.FiveTuple{Src: 1, Dst: 2, SrcPort: 100, DstPort: 200, Proto: packet.ProtoTCP}
 
 	// Pre-discovery fallback pick, then install containing a different port.
-	o.FlowletPick(flow, 0, 1, 33000)
+	o.FlowletPick(flow, 2, 1, 33000)
 	o.PolicyPaths(1, 2, []uint16{40000, 40001})
 	// Moving off the fallback port is legal: it was never installed.
-	o.FlowletPick(flow, 0, 2, 40000)
+	o.FlowletPick(flow, 2, 2, 40000)
 	// Staying on the pick across an install refresh is always legal.
 	o.PolicyPaths(1, 2, []uint16{40000, 40001})
-	o.FlowletPick(flow, 0, 3, 40000)
+	o.FlowletPick(flow, 2, 3, 40000)
 	// Remove the pinned port: moving is now legal.
 	o.PolicyPaths(1, 2, []uint16{40001, 40002})
-	o.FlowletPick(flow, 0, 4, 40001)
+	o.FlowletPick(flow, 2, 4, 40001)
 	// Remove-then-readd the pinned port: a later move is still legal,
 	// because 40001 was absent after the pick was made.
 	o.PolicyPaths(1, 2, []uint16{40002})
 	o.PolicyPaths(1, 2, []uint16{40001, 40002})
-	o.FlowletPick(flow, 0, 5, 40002)
+	o.FlowletPick(flow, 2, 5, 40002)
 	// Full withdrawal: a fallback pick outside the (empty) set, then
 	// re-install and return to an installed port.
 	o.PolicyPaths(1, 2, nil)
-	o.FlowletPick(flow, 0, 6, 33017)
+	o.FlowletPick(flow, 2, 6, 33017)
 	o.PolicyPaths(1, 2, []uint16{40000, 40001})
-	o.FlowletPick(flow, 0, 7, 40000)
+	o.FlowletPick(flow, 2, 7, 40000)
 
 	if err := o.Check(1); err != nil {
 		t.Fatalf("clean conn-consistency sequence flagged: %v", err)
@@ -475,8 +491,8 @@ func TestMutationConnConsistency(t *testing.T) {
 	o.RequireConnConsistency()
 	flow := packet.FiveTuple{Src: 1, Dst: 2, SrcPort: 100, DstPort: 200, Proto: packet.ProtoTCP}
 	o.PolicyPaths(1, 2, []uint16{40000, 40001})
-	o.FlowletPick(flow, 0, 1, 40000)
-	o.FlowletPick(flow, 0, 2, 40001) // the bug: 40000 is still installed
+	o.FlowletPick(flow, 2, 1, 40000)
+	o.FlowletPick(flow, 2, 2, 40001) // the bug: 40000 is still installed
 	wantViolation(t, o, 1, "conn-consistency")
 }
 
@@ -487,8 +503,8 @@ func TestConnConsistencyOffByDefault(t *testing.T) {
 	o := oracle.New()
 	flow := packet.FiveTuple{Src: 1, Dst: 2, SrcPort: 100, DstPort: 200, Proto: packet.ProtoTCP}
 	o.PolicyPaths(1, 2, []uint16{40000, 40001})
-	o.FlowletPick(flow, 0, 1, 40000)
-	o.FlowletPick(flow, 0, 2, 40001)
+	o.FlowletPick(flow, 2, 1, 40000)
+	o.FlowletPick(flow, 2, 2, 40001)
 	if err := o.Check(1); err != nil {
 		t.Fatalf("unarmed oracle flagged a flowlet-level rebalance: %v", err)
 	}
@@ -502,10 +518,10 @@ func TestMutationConnConsistencyReaddLaundering(t *testing.T) {
 	o.RequireConnConsistency()
 	flow := packet.FiveTuple{Src: 1, Dst: 2, SrcPort: 100, DstPort: 200, Proto: packet.ProtoTCP}
 	o.PolicyPaths(1, 2, []uint16{40000, 40001})
-	o.FlowletPick(flow, 0, 1, 40000)
+	o.FlowletPick(flow, 2, 1, 40000)
 	// Install refreshes that keep 40000 present do not reset its age.
 	o.PolicyPaths(1, 2, []uint16{40000, 40002})
 	o.PolicyPaths(1, 2, []uint16{40000, 40003})
-	o.FlowletPick(flow, 0, 2, 40003)
+	o.FlowletPick(flow, 2, 2, 40003)
 	wantViolation(t, o, 1, "conn-consistency")
 }

@@ -139,8 +139,8 @@ func (t FiveTuple) String() string {
 // that sends the direction stamps it into Packet.Flow, and the virtual
 // switches and the oracle find their per-flow state by it instead of by
 // hashing the five-tuple. It never goes on the wire. 0 means no handle:
-// probes, echoes, standalone feedback and raw test packets carry none and
-// take the five-tuple path.
+// probes, echoes and standalone feedback carry none and need no per-flow
+// state; a tenant packet without one is a fault (vswitch.VSwitch.FromVM).
 type FlowHandle int32
 
 // TCPFlags is the inner TCP flag set (only the bits the model needs).

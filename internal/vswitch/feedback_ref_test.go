@@ -158,6 +158,7 @@ func TestPeerFeedbackMatchesReference(t *testing.T) {
 			p := v.Host().Pool().Get()
 			p.Kind = packet.KindData
 			p.Inner = packet.FiveTuple{Src: 0, Dst: peer, SrcPort: uint16(1 + rng.Intn(4)), DstPort: 80, Proto: packet.ProtoTCP}
+			p.Flow = r.handle(p.Inner)
 			p.PayloadLen = 100
 			v.FromVM(p)
 			if fb, ok := ref.take(peer, now); ok {
@@ -168,9 +169,11 @@ func TestPeerFeedbackMatchesReference(t *testing.T) {
 		}
 		// A packet from peer arrives on one of its paths.
 		port := uint16(50000 + rng.Intn(8))
+		inner := packet.FiveTuple{Src: peer, Dst: 0, SrcPort: 9, DstPort: 9, Proto: packet.ProtoTCP}
 		p := &packet.Packet{
 			Kind:       packet.KindData,
-			Inner:      packet.FiveTuple{Src: peer, Dst: 0, SrcPort: 9, DstPort: 9, Proto: packet.ProtoTCP},
+			Inner:      inner,
+			Flow:       r.handle(inner),
 			PayloadLen: 100,
 			Encap:      &packet.Encap{SrcHyp: peer, DstHyp: 0, SrcPort: port, DstPort: EncapDstPort, ECT: true, CE: rng.Intn(4) == 0},
 		}

@@ -6,13 +6,12 @@
 // Concury and Charon beyond it, and the reference twins that differential
 // tests run against them (CloveUniform, ConcuryRef, CharonRef).
 //
-// A data packet carries its flow handle (packet.Packet.Flow), and a vswitch
-// finds the flow's endpoint, flowlet entry and peer record through it in
-// the fabric's shared flow table (Flows), hashing no tuple. The tuple and
-// host lookups remain for packets without a handle: probes, echoes and
-// standalone feedback (which need no per-flow state), and tests that drive
-// bare TCP endpoints through a vswitch registered with Register. Presto's
-// flowcell and reassembly state is still keyed by tuple inside the policy.
+// Every tenant packet carries its flow handle (packet.Packet.Flow), and a
+// vswitch finds the flow's endpoint, flowlet entry and peer record through
+// it in the fabric's shared flow table (Flows), hashing no tuple; per-flow
+// state has that one key. Probes, echoes and standalone feedback carry no
+// handle and need no per-flow state. Presto's flowcell and reassembly state
+// is still keyed by tuple inside the policy.
 package vswitch
 
 import (

@@ -37,10 +37,11 @@ func TestECNRelayedToVMWhenAllPathsCongested(t *testing.T) {
 	// Deliver an inner ACK from host 16; the vswitch must stamp ECE.
 	var got *packet.Packet
 	ackTuple := packet.FiveTuple{Src: 16, Dst: 0, SrcPort: 2000, DstPort: 1000, Proto: packet.ProtoTCP}
-	v.Register(ackTuple, func(p *packet.Packet) { got = p })
+	h, _ := r.flows.Open(func(_ any, p *packet.Packet) { got = p }, nil, release, r.ls.Pool())
 	ack := &packet.Packet{
 		Kind:  packet.KindData,
 		Inner: ackTuple,
+		Flow:  h,
 		Flags: packet.FlagACK,
 		Encap: &packet.Encap{SrcHyp: 16, DstHyp: 0, SrcPort: 60000, DstPort: 7471},
 	}
@@ -61,6 +62,7 @@ func TestECNRelayedToVMWhenAllPathsCongested(t *testing.T) {
 	ack2 := &packet.Packet{
 		Kind:  packet.KindData,
 		Inner: ackTuple,
+		Flow:  h,
 		Flags: packet.FlagACK,
 		Encap: &packet.Encap{SrcHyp: 16, DstHyp: 0, SrcPort: 60000, DstPort: 7471},
 	}
@@ -84,9 +86,9 @@ func TestDataPacketsNeverGetECEStamp(t *testing.T) {
 
 	var got *packet.Packet
 	dataTuple := packet.FiveTuple{Src: 16, Dst: 0, SrcPort: 7, DstPort: 8, Proto: packet.ProtoTCP}
-	v.Register(dataTuple, func(p *packet.Packet) { got = p })
+	h, _ := r.flows.Open(func(_ any, p *packet.Packet) { got = p }, nil, release, r.ls.Pool())
 	v.FromNetwork(&packet.Packet{
-		Kind: packet.KindData, Inner: dataTuple, Flags: packet.FlagACK, PayloadLen: 100,
+		Kind: packet.KindData, Inner: dataTuple, Flow: h, Flags: packet.FlagACK, PayloadLen: 100,
 		Encap: &packet.Encap{SrcHyp: 16, DstHyp: 0, SrcPort: 60000, DstPort: 7471},
 	})
 	if got == nil {

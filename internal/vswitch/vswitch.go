@@ -42,10 +42,9 @@ type Config struct {
 	// Effective only together with MeasureLatency, which produces the
 	// delay samples.
 	AdaptiveFlowletGap bool
-	// Flows is the fabric's flow table, shared by all its vswitches: a
-	// packet that carries a flow handle finds its flowlet entry, endpoint
-	// and peer record there. Nil for a vswitch that sees only packets
-	// without handles.
+	// Flows is the fabric's flow table, shared by all its vswitches: every
+	// tenant packet carries a flow handle and finds its flowlet entry,
+	// endpoint and peer record there. Nil for a vswitch that only probes.
 	Flows *Flows
 }
 
@@ -69,7 +68,7 @@ type Stats struct {
 	ECNMasked          int64 // CE marks hidden from the tenant VM
 	ECNRelayedToVM     int64 // ECE set on inner ACKs (all paths congested)
 	ProbeEchoes        int64
-	NoHandler          int64
+	NoHandler          int64 // data packets that arrived without a flow handle, released
 }
 
 // peer is the receiver-side record of one remote hypervisor, made on its
@@ -101,9 +100,8 @@ type VSwitch struct {
 	pool *packet.Pool
 
 	policy PathPolicy
-	// flowlets applies the flowlet gap and counts flowlets. It keeps the
-	// entries of packets without a flow handle; a handled flow's entry is
-	// in its slot in flows (Config.Flows).
+	// flowlets applies the flowlet gap and counts flowlets; each flow's
+	// entry is in its slot in flows (Config.Flows).
 	flowlets *clove.FlowletTable
 	flows    *Flows
 	// perPacket and rxHook are policy seen through its two optional
@@ -121,14 +119,10 @@ type VSwitch struct {
 	// endpoint that transmits through FromVM, would allocate.
 	deliverFn, fromVMFn func(*packet.Packet)
 
-	// endpoints maps an arriving inner 5-tuple to its VM-side handler, for
-	// packets without a flow handle (Register); made on first use.
-	endpoints map[packet.FiveTuple]endpoint
-
 	// peers is the receiver-side state of every remote hypervisor that sent
 	// something to relay or a delay sample to adapt the gap to, in the
 	// order made. Flow slots cache their entry (cachedPeer); a search runs
-	// only on a cache miss or for a packet without a handle.
+	// only on a cache miss.
 	peers []*peer
 
 	// OnProbeEcho, when set, receives discovery echoes (the prober).
@@ -231,33 +225,23 @@ func (v *VSwitch) Flowlets() int64 { return v.flowlets.Flowlets() }
 func (v *VSwitch) FromVMFunc() func(*packet.Packet) { return v.fromVMFn }
 
 // EndpointFunc is a VM-side handler in static form: it receives the operand
-// registered with it and a packet it takes ownership of.
+// opened with it (Flows.Open) and a packet it takes ownership of.
 type EndpointFunc func(a any, pkt *packet.Packet)
 
-// endpoint is one registered VM-side handler: fn(a, pkt).
+// endpoint is one VM-side handler: fn(a, pkt).
 type endpoint struct {
 	fn EndpointFunc
 	a  any
 }
 
-// Register installs the VM-side handler for packets without a flow handle
-// whose inner 5-tuple equals match (use flow for a receiver, flow.Reverse()
-// for a sender's ACK stream). The cluster registers its connections by
-// handle instead (Flows.Open); Register is for tests that drive bare TCP
-// endpoints through a vswitch.
-func (v *VSwitch) Register(match packet.FiveTuple, handler func(*packet.Packet)) {
-	if v.endpoints == nil {
-		v.endpoints = map[packet.FiveTuple]endpoint{}
-	}
-	v.endpoints[match] = endpoint{callHandler, handler}
-}
-
-func callHandler(h any, pkt *packet.Packet) { h.(func(*packet.Packet))(pkt) }
-
 // FromVM accepts a packet from the tenant VM, encapsulates it, picks the
 // path, piggybacks any pending feedback for the destination hypervisor, and
-// transmits it.
+// transmits it. The packet must carry its flow's handle (Flows.Open); one
+// without is a sender that was never opened, and FromVM panics.
 func (v *VSwitch) FromVM(pkt *packet.Packet) {
+	if pkt.Flow == 0 {
+		panic(fmt.Sprintf("vswitch: %s: packet of %s has no flow handle", v.host.Name(), pkt.Inner))
+	}
 	dstHyp := packet.HostID(pkt.Inner.Dst) // one VM per host: identity mapping
 	now := v.sim.Now()
 
@@ -265,14 +249,8 @@ func (v *VSwitch) FromVM(pkt *packet.Packet) {
 	if v.perPacket != nil {
 		port = v.perPacket.PickPortPacket(dstHyp, pkt.Inner, pkt.PayloadLen)
 	} else {
-		var e *clove.FlowletEntry
-		var isNew bool
-		if pkt.Flow != 0 {
-			e = &v.flows.slot(pkt.Flow).flowlet
-			isNew = v.flowlets.TouchEntry(e, now)
-		} else {
-			e, isNew = v.flowlets.Touch(pkt.Inner, now)
-		}
+		e := &v.flows.slot(pkt.Flow).flowlet
+		isNew := v.flowlets.TouchEntry(e, now)
 		if tr := v.trace; tr != nil {
 			if isNew && e.Packets > 0 {
 				// The previous flowlet of this flow just closed: record it
@@ -302,13 +280,7 @@ func (v *VSwitch) FromVM(pkt *packet.Packet) {
 	}
 	// The record of dstHyp is cached in the slot of the reverse direction,
 	// whose packets this vswitch receives.
-	var p *peer
-	if pkt.Flow != 0 {
-		p = v.cachedPeer(v.flows.slot(pkt.Flow^1), dstHyp)
-	} else {
-		p = v.findPeer(dstHyp)
-	}
-	if p != nil {
+	if p := v.cachedPeer(v.flows.slot(pkt.Flow^1), dstHyp); p != nil {
 		if fb, ok := p.paths.Take(now, v.cfg.RelayInterval); ok {
 			pkt.Encap.Feedback = fb
 			v.stats.FeedbackPiggy++
@@ -369,6 +341,13 @@ func (v *VSwitch) FromNetwork(pkt *packet.Packet) {
 		return
 	}
 
+	if pkt.Flow == 0 {
+		// Every tenant packet carries its flow's handle, so this one belongs
+		// to no flow: it touches no per-flow or per-peer state.
+		v.stats.NoHandler++
+		v.pool.Put(pkt)
+		return
+	}
 	if pkt.Encap == nil {
 		v.deliver(pkt) // non-overlay packet: deliver directly
 		return
@@ -432,21 +411,11 @@ func (v *VSwitch) FromNetwork(pkt *packet.Packet) {
 	v.deliver(pkt)
 }
 
-// deliver hands the packet to its VM-side endpoint, named by its flow
-// handle or else registered for its inner 5-tuple, which takes ownership
-// (the TCP endpoints release consumed packets themselves).
+// deliver hands the packet to the VM-side endpoint its flow handle names,
+// which takes ownership (the TCP endpoints release consumed packets
+// themselves).
 func (v *VSwitch) deliver(pkt *packet.Packet) {
-	var ep endpoint
-	if pkt.Flow != 0 {
-		ep = v.flows.slot(pkt.Flow).ep
-	} else {
-		ep = v.endpoints[pkt.Inner]
-	}
-	if ep.fn == nil {
-		v.stats.NoHandler++
-		v.pool.Put(pkt)
-		return
-	}
+	ep := v.flows.slot(pkt.Flow).ep
 	ep.fn(ep.a, pkt)
 }
 
@@ -466,22 +435,15 @@ func (v *VSwitch) answerProbe(probe *packet.Packet) {
 }
 
 // peer returns the record of remote, the sender of pkt, making it on first
-// use; a packet with a flow handle caches it in its slot.
+// use, and caches it in pkt's slot.
 func (v *VSwitch) peer(pkt *packet.Packet, remote packet.HostID) *peer {
-	var s *flowSlot
-	if pkt.Flow != 0 {
-		s = v.flows.slot(pkt.Flow)
-		if p := v.cachedPeer(s, remote); p != nil {
-			return p
-		}
-	} else if p := v.findPeer(remote); p != nil {
+	s := v.flows.slot(pkt.Flow)
+	if p := v.cachedPeer(s, remote); p != nil {
 		return p
 	}
 	p := &peer{id: remote, delayLo: math.Inf(1), delayHi: math.Inf(-1)}
 	v.peers = append(v.peers, p)
-	if s != nil {
-		s.peer = p
-	}
+	s.peer = p
 	return p
 }
 

@@ -1,6 +1,7 @@
 package vswitch
 
 import (
+	"strings"
 	"testing"
 
 	"clove/internal/clove"
@@ -10,13 +11,17 @@ import (
 	"clove/internal/tcp"
 )
 
-// rig is a test fabric: leaf-spine topology with a vswitch per host.
+// rig is a test fabric: leaf-spine topology with a vswitch per host, all
+// sharing one flow table.
 type rig struct {
-	s    *sim.Simulator
-	ls   *netem.LeafSpine
-	vsw  []*VSwitch
-	rtt  sim.Time
-	tcpC tcp.Config
+	s     *sim.Simulator
+	ls    *netem.LeafSpine
+	vsw   []*VSwitch
+	rtt   sim.Time
+	tcpC  tcp.Config
+	flows Flows
+	// handles holds the handle of each tuple rig.handle opened, both ways.
+	handles map[packet.FiveTuple]packet.FlowHandle
 }
 
 // newRig builds a scaled-down paper testbed with the given policy factory.
@@ -26,6 +31,7 @@ func newRig(t testing.TB, seed int64, mkPolicy func(i int) PathPolicy, mutate fu
 	ls := netem.BuildLeafSpine(s, netem.PaperTestbed(0.01)) // 100M host links
 	r := &rig{s: s, ls: ls, rtt: ls.Cfg.BaseRTT()}
 	cfg := DefaultConfig(r.rtt)
+	cfg.Flows = &r.flows
 	if mutate != nil {
 		mutate(&cfg)
 	}
@@ -36,15 +42,37 @@ func newRig(t testing.TB, seed int64, mkPolicy func(i int) PathPolicy, mutate fu
 	return r
 }
 
-// conn wires a one-direction TCP transfer from host a to host b and returns
-// the sender and receiver.
+// Static endpoints for Flows.Open.
+func receiverData(a any, pkt *packet.Packet) { a.(*tcp.Receiver).HandleData(pkt) }
+func senderAck(a any, pkt *packet.Packet)    { a.(*tcp.Sender).HandleAck(pkt) }
+func release(a any, pkt *packet.Packet)      { a.(*packet.Pool).Put(pkt) }
+
+// conn wires a one-direction TCP transfer from host a to host b, opening
+// its flow handles, and returns the sender and receiver.
 func (r *rig) conn(a, b packet.HostID, srcPort, dstPort uint16) (*tcp.Sender, *tcp.Receiver) {
 	flow := packet.FiveTuple{Src: a, Dst: b, SrcPort: srcPort, DstPort: dstPort, Proto: packet.ProtoTCP}
 	snd := tcp.NewSender(r.s, r.tcpC, flow, r.vsw[a].FromVM)
 	rcv := tcp.NewReceiver(r.s, r.tcpC, flow, r.vsw[b].FromVM)
-	r.vsw[b].Register(flow, rcv.HandleData)
-	r.vsw[a].Register(flow.Reverse(), snd.HandleAck)
+	data, ack := r.flows.Open(receiverData, rcv, senderAck, snd)
+	snd.SetFlowHandle(data)
+	rcv.SetFlowHandle(ack)
 	return snd, rcv
+}
+
+// handle returns flow's handle for a packet a test hands to a vswitch
+// itself, opening flow and its reverse on first use with endpoints that
+// release what they get.
+func (r *rig) handle(flow packet.FiveTuple) packet.FlowHandle {
+	if h, ok := r.handles[flow]; ok {
+		return h
+	}
+	if r.handles == nil {
+		r.handles = map[packet.FiveTuple]packet.FlowHandle{}
+	}
+	pool := r.ls.Pool()
+	fwd, rev := r.flows.Open(release, pool, release, pool)
+	r.handles[flow], r.handles[flow.Reverse()] = fwd, rev
+	return fwd
 }
 
 // fourPorts finds, by brute force over the rig's actual switch hashing,
@@ -261,9 +289,11 @@ func TestStandaloneFeedbackWhenNoReverseTraffic(t *testing.T) {
 	// Hand-deliver a CE-marked packet to host 16's vswitch from host 0,
 	// with no TCP connection (so no reverse data to piggyback on; the ACK
 	// stream doesn't exist).
+	inner := packet.FiveTuple{Src: 0, Dst: 16, SrcPort: 9, DstPort: 9, Proto: packet.ProtoTCP}
 	p := &packet.Packet{
 		Kind:       packet.KindData,
-		Inner:      packet.FiveTuple{Src: 0, Dst: 16, SrcPort: 9, DstPort: 9, Proto: packet.ProtoTCP},
+		Inner:      inner,
+		Flow:       r.handle(inner),
 		PayloadLen: 100,
 		Encap:      &packet.Encap{SrcHyp: 0, DstHyp: 16, SrcPort: 50000, DstPort: 7471, ECT: true, CE: true},
 	}
@@ -314,6 +344,7 @@ func TestPrestoFlowcellRotationAndReassembly(t *testing.T) {
 	r := &rig{s: s, ls: ls, rtt: ls.Cfg.BaseRTT(), tcpC: tcp.DefaultConfig()}
 	cfg := DefaultConfig(r.rtt)
 	cfg.MaskECN = false
+	cfg.Flows = &r.flows
 	rec := &prestoRecorder{Presto: NewPresto(s), ports: map[uint16]bool{}}
 	for i := range ls.Hosts() {
 		var pol PathPolicy = NewPresto(s)
@@ -436,18 +467,44 @@ func TestProbeEchoReachesProber(t *testing.T) {
 	}
 }
 
+// TestUnregisteredFlowCounted: a tenant packet that arrives without a flow
+// handle belongs to no flow, so the vswitch counts and releases it, and its
+// CE mark and INT sample reach no peer record.
 func TestUnregisteredFlowCounted(t *testing.T) {
 	r := newRig(t, 12, func(int) PathPolicy { return NewECMP() }, nil)
-	p := &packet.Packet{
-		Kind:       packet.KindData,
-		Inner:      packet.FiveTuple{Src: 0, Dst: 16, SrcPort: 7, DstPort: 7, Proto: packet.ProtoTCP},
-		PayloadLen: 10,
-		Encap:      &packet.Encap{SrcHyp: 0, DstHyp: 16, SrcPort: 50000, DstPort: 7471},
+	v, pool := r.vsw[16], r.ls.Pool()
+	p := pool.Get()
+	p.Kind = packet.KindData
+	p.Inner = packet.FiveTuple{Src: 0, Dst: 16, SrcPort: 7, DstPort: 7, Proto: packet.ProtoTCP}
+	p.PayloadLen = 10
+	p.INT.Enabled, p.INT.MaxUtil = true, 0.5
+	e := p.AddEncap()
+	e.SrcHyp, e.DstHyp, e.SrcPort, e.DstPort, e.ECT, e.CE = 0, 16, 50000, EncapDstPort, true, true
+	puts := pool.Puts()
+	v.FromNetwork(p)
+	if got := pool.Puts() - puts; got != 1 {
+		t.Errorf("%d packets released, want 1", got)
 	}
-	r.vsw[16].FromNetwork(p)
-	if r.vsw[16].Stats().NoHandler != 1 {
-		t.Error("NoHandler not counted")
+	if st := v.Stats(); st.NoHandler != 1 || st.Decapped != 0 || st.CEObserved != 0 {
+		t.Errorf("stats %+v, want only NoHandler = 1", st)
 	}
+	if n := len(v.peers); n != 0 {
+		t.Errorf("%d peer records, want 0", n)
+	}
+}
+
+// TestFromVMRequiresHandle: every tenant packet carries its flow's handle,
+// so FromVM refuses one without, naming its tuple.
+func TestFromVMRequiresHandle(t *testing.T) {
+	r := newRig(t, 12, func(int) PathPolicy { return NewECMP() }, nil)
+	flow := packet.FiveTuple{Src: 0, Dst: 16, SrcPort: 1000, DstPort: 2000, Proto: packet.ProtoTCP}
+	defer func() {
+		rec := recover()
+		if msg, _ := rec.(string); !strings.Contains(msg, flow.String()) {
+			t.Errorf("panic %v, want one naming %s", rec, flow)
+		}
+	}()
+	r.vsw[0].FromVM(&packet.Packet{Kind: packet.KindData, Inner: flow, PayloadLen: 10})
 }
 
 func TestFeedbackRateLimiting(t *testing.T) {
@@ -457,10 +514,12 @@ func TestFeedbackRateLimiting(t *testing.T) {
 	r := newRig(t, 13, mk, nil)
 	v := r.vsw[16]
 	// Observe CE on the same path many times within one relay interval.
+	inner := packet.FiveTuple{Src: 0, Dst: 16, SrcPort: 9, DstPort: 9, Proto: packet.ProtoTCP}
 	for i := 0; i < 10; i++ {
 		p := &packet.Packet{
 			Kind:       packet.KindData,
-			Inner:      packet.FiveTuple{Src: 0, Dst: 16, SrcPort: 9, DstPort: 9, Proto: packet.ProtoTCP},
+			Inner:      inner,
+			Flow:       r.handle(inner),
 			PayloadLen: 10,
 			Encap:      &packet.Encap{SrcHyp: 0, DstHyp: 16, SrcPort: 50000, DstPort: 7471, ECT: true, CE: true},
 		}
@@ -494,10 +553,17 @@ func TestFeedbackRateLimiting(t *testing.T) {
 func TestPeerRecordAllocs(t *testing.T) {
 	r := newRig(t, 14, func(int) PathPolicy { return NewECMP() }, nil)
 	v := r.vsw[0]
+	inner := func(remote packet.HostID) packet.FiveTuple {
+		return packet.FiveTuple{Src: remote, Dst: 0, SrcPort: 9, DstPort: 9, Proto: packet.ProtoTCP}
+	}
+	for remote := packet.HostID(1000); remote <= 1201; remote++ {
+		r.handle(inner(remote)) // open every flow before counting
+	}
 	recv := func(remote packet.HostID, port uint16) {
 		p := v.pool.Get()
 		p.Kind = packet.KindData
-		p.Inner = packet.FiveTuple{Src: remote, Dst: 0, SrcPort: 9, DstPort: 9, Proto: packet.ProtoTCP}
+		p.Inner = inner(remote)
+		p.Flow = r.handle(p.Inner)
 		p.INT.Enabled, p.INT.MaxUtil = true, 0.5
 		e := p.AddEncap()
 		e.SrcHyp, e.DstHyp, e.SrcPort, e.DstPort = remote, 0, port, EncapDstPort
@@ -520,13 +586,20 @@ func TestPeerRecordAllocs(t *testing.T) {
 func TestPlainPacketsMakeNoPeerRecord(t *testing.T) {
 	r := newRig(t, 14, func(int) PathPolicy { return NewECMP() }, nil)
 	v := r.vsw[0]
+	inner := func(remote packet.HostID) packet.FiveTuple {
+		return packet.FiveTuple{Src: remote, Dst: 0, SrcPort: 9, DstPort: 9, Proto: packet.ProtoTCP}
+	}
+	for remote := packet.HostID(1001); remote <= 1066; remote++ {
+		r.handle(inner(remote)) // open every flow before counting
+	}
 	remote, port := packet.HostID(1000), uint16(50000)
 	recv := func() {
 		remote++
 		port++
 		p := v.pool.Get()
 		p.Kind = packet.KindData
-		p.Inner = packet.FiveTuple{Src: remote, Dst: 0, SrcPort: 9, DstPort: 9, Proto: packet.ProtoTCP}
+		p.Inner = inner(remote)
+		p.Flow = r.handle(p.Inner)
 		e := p.AddEncap()
 		e.SrcHyp, e.DstHyp, e.SrcPort, e.DstPort, e.ECT = remote, 0, port, EncapDstPort, true
 		v.FromNetwork(p)
@@ -551,20 +624,22 @@ func TestPlainPacketsMakeNoPeerRecord(t *testing.T) {
 func BenchmarkHotPathVSwitchReceiveCE(b *testing.B) {
 	r := newRig(b, 15, func(int) PathPolicy { return NewECMP() }, nil)
 	v := r.vsw[16]
+	flow := packet.FiveTuple{Src: 0, Dst: 16, SrcPort: 9, DstPort: 9, Proto: packet.ProtoTCP}
+	data := r.handle(flow)
 	now := r.s.Now()
 	step := func() {
 		now += v.cfg.RelayInterval
 		r.s.RunUntil(now)
 		p := v.pool.Get()
 		p.Kind = packet.KindData
-		p.Inner = packet.FiveTuple{Src: 0, Dst: 16, SrcPort: 9, DstPort: 9, Proto: packet.ProtoTCP}
+		p.Inner, p.Flow = flow, data
 		p.PayloadLen = 100
 		e := p.AddEncap()
 		e.SrcHyp, e.DstHyp, e.SrcPort, e.DstPort, e.ECT, e.CE = 0, 16, 50000, EncapDstPort, true, true
 		v.FromNetwork(p)
 		q := v.pool.Get()
 		q.Kind = packet.KindData
-		q.Inner = p.Inner.Reverse()
+		q.Inner, q.Flow = flow.Reverse(), data^1
 		q.PayloadLen = 100
 		v.FromVM(q)
 	}
@@ -589,15 +664,14 @@ func BenchmarkHotPathVSwitchReceiveCE(b *testing.B) {
 // allocation or a packet the endpoint did not get; the CI bench-smoke job
 // runs it.
 func BenchmarkHotPathVSwitchDeliver(b *testing.B) {
-	var flows Flows
-	r := newRig(b, 16, func(int) PathPolicy { return NewECMP() }, func(c *Config) { c.Flows = &flows })
+	r := newRig(b, 16, func(int) PathPolicy { return NewECMP() }, nil)
 	v := r.vsw[16]
 	got := 0
 	sink := func(a any, pkt *packet.Packet) {
 		got++
 		a.(*packet.Pool).Put(pkt)
 	}
-	data, _ := flows.Open(sink, v.pool, sink, v.pool)
+	data, _ := r.flows.Open(sink, v.pool, sink, v.pool)
 	flow := packet.FiveTuple{Src: 0, Dst: 16, SrcPort: 9, DstPort: 9, Proto: packet.ProtoTCP}
 	step := func() {
 		p := v.pool.Get()
