@@ -10,12 +10,14 @@ import (
 // and a delivery callback into the hypervisor virtual switch. The tenant VM
 // and the vswitch live above this in internal/vswitch.
 type Host struct {
-	id       packet.NodeID
-	hostID   packet.HostID
-	name     string
-	uplink   *Link // host -> leaf
-	downlink *Link // leaf -> host, the host's one inbound link
-	pool     *packet.Pool
+	id     packet.NodeID
+	hostID packet.HostID
+	name   string
+	uplink *Link // host -> leaf
+	// down holds the leaf -> host link, the host's one inbound link; down[:]
+	// is the leaf's one-element next-hop set toward the host.
+	down [1]*Link
+	pool *packet.Pool
 
 	// Deliver is invoked for every packet arriving at the NIC. The vswitch
 	// installs itself here. Packets arriving before installation are counted
@@ -40,7 +42,7 @@ func (h *Host) Uplink() *Link { return h.uplink }
 
 // Downlink returns the leaf's link toward the host: the last hop of every
 // path that reaches it.
-func (h *Host) Downlink() *Link { return h.downlink }
+func (h *Host) Downlink() *Link { return h.down[0] }
 
 // Pool returns the packet free list everything on this host draws from: the
 // topology's one pool (Topology.Pool).

@@ -3,6 +3,7 @@ package netem
 import (
 	"slices"
 	"testing"
+	"unsafe"
 
 	"clove/internal/packet"
 	"clove/internal/sim"
@@ -79,7 +80,12 @@ func referenceRoutes(t *Topology) [][][]*Link {
 // nil exactly where the reference has none.
 func checkRoutesMatchReference(t *testing.T, name string, topo *Topology) {
 	t.Helper()
-	ref := referenceRoutes(topo)
+	checkRoutes(t, name, topo, referenceRoutes(topo))
+}
+
+// checkRoutes is checkRoutesMatchReference against a reference taken earlier.
+func checkRoutes(t *testing.T, name string, topo *Topology, ref [][][]*Link) {
+	t.Helper()
 	bad := 0
 	for i, sw := range topo.switches {
 		for _, h := range topo.hosts {
@@ -127,6 +133,19 @@ func TestComputeRoutesMatchesPerHostReference(t *testing.T) {
 		k16.SetLinkPairUp(p[0], p[1], 0, true)
 	}
 	checkRoutesMatchReference(t, "k16, storm trunks back up", k16.Topology)
+	k16.SetSwitchUp("S3", false)
+	checkRoutesMatchReference(t, "k16, S3 down", k16.Topology)
+	k16.SetSwitchUp("S3", true)
+	checkRoutesMatchReference(t, "k16, S3 back up", k16.Topology)
+
+	// Under RouteRecomputeDelay the old routes stay installed until the
+	// delayed recompute runs, then the new ones replace them.
+	k16.RouteRecomputeDelay = 100 * sim.Microsecond
+	before := referenceRoutes(k16.Topology)
+	k16.SetLinkPairUp("L5", "S5", 0, false)
+	checkRoutes(t, "k16, L5-S5 down, before reconvergence", k16.Topology, before)
+	k16.Sim.RunUntil(k16.RouteRecomputeDelay)
+	checkRoutesMatchReference(t, "k16, L5-S5 down, reconverged", k16.Topology)
 
 	// A host whose leaf downlink is down is unreachable from every switch,
 	// while its leaf-mates keep their routes.
@@ -137,6 +156,22 @@ func TestComputeRoutesMatchesPerHostReference(t *testing.T) {
 	if nh := down.Spines[0].NextHops(17); nh != nil {
 		t.Errorf("S1 still routes to h17 over a dead downlink: %v", nh)
 	}
+	down.LinkByName("L2->h17#0").SetUp(true)
+	down.ComputeRoutes()
+	checkRoutesMatchReference(t, "host downlink back up", down.Topology)
+
+	// A switch added after a recompute routes nowhere until the next one,
+	// and is not mistaken for the first leaf.
+	late := BuildLeafSpine(sim.New(1), PaperTestbed(1))
+	x := late.AddSwitch("X")
+	late.Connect(x, late.Spines[0], 0, LinkConfig{RateBps: 40e9})
+	for _, h := range late.Hosts() {
+		if nh := x.NextHops(h.HostID()); nh != nil {
+			t.Fatalf("X routes to %s before any recompute: %v", h.Name(), nh)
+		}
+	}
+	late.ComputeRoutes()
+	checkRoutesMatchReference(t, "switch added after a recompute", late.Topology)
 
 	spine := BuildLeafSpine(sim.New(1), PaperTestbed(1))
 	spine.SetSwitchUp("S1", false)
@@ -148,24 +183,61 @@ func TestComputeRoutesMatchesPerHostReference(t *testing.T) {
 	checkRoutesMatchReference(t, "three-tier, P1L1-P1A1 down", tt.Topology)
 }
 
-// TestComputeRoutesAllocsIndependentOfHosts: a recomputation's allocations
-// scale with the switch graph, not with the hosts behind it (one BFS per
-// leaf, one shared set per switch and leaf).
+// TestComputeRoutesAllocsIndependentOfHosts: ComputeRoutes keeps its
+// working memory on the Topology, so a recompute after the first (every
+// storm flap) allocates nothing, at 4 hosts per leaf as at 16.
 func TestComputeRoutesAllocsIndependentOfHosts(t *testing.T) {
-	allocs := func(hostsPerLeaf int) float64 {
-		return testing.AllocsPerRun(5, k16Fabric(hostsPerLeaf).ComputeRoutes)
+	for _, hostsPerLeaf := range []int{4, 16} {
+		ls := k16Fabric(hostsPerLeaf)
+		ab, ba := ls.LinkByName("L1->S1#0"), ls.LinkByName("S1->L1#0")
+		flap := func() {
+			for _, up := range []bool{false, true} {
+				ab.SetUp(up)
+				ba.SetUp(up)
+				ls.ComputeRoutes()
+			}
+		}
+		if allocs := testing.AllocsPerRun(5, flap); allocs != 0 {
+			t.Fatalf("%d hosts per leaf: a trunk flap (two recomputes) allocates %v times, want 0", hostsPerLeaf, allocs)
+		}
 	}
-	few, many := allocs(4), allocs(16)
-	if many > 1.1*few {
-		t.Fatalf("ComputeRoutes allocates %.0f times at 16 hosts per leaf, %.0f at 4", many, few)
+}
+
+// routeStateBytes is the size of every switch's route table and of the
+// next-hop sets they point into.
+func routeStateBytes(t *Topology) int {
+	const header, ptr = int(unsafe.Sizeof([]*Link(nil))), int(unsafe.Sizeof((*Link)(nil)))
+	n := cap(t.rs.hops) * ptr
+	for _, sw := range t.switches {
+		n += cap(sw.routes) * header
+	}
+	return n
+}
+
+// TestRouteStateIndependentOfHosts: switches route by destination leaf, so
+// their route state is the same at 4 and at 16 hosts per leaf; what grows
+// with the host count is the topology's 4-byte leaf index per host.
+func TestRouteStateIndependentOfHosts(t *testing.T) {
+	few, many := k16Fabric(4), k16Fabric(16)
+	if a, b := routeStateBytes(few.Topology), routeStateBytes(many.Topology); a != b {
+		t.Fatalf("route state is %d bytes at 4 hosts per leaf, %d at 16", a, b)
+	}
+	if got, want := len(many.hostLeaf), len(many.Hosts()); got != want {
+		t.Fatalf("leaf index has %d entries for %d hosts", got, want)
 	}
 }
 
 // BenchmarkComputeRoutesK16 prices one route recomputation on the full-scale
 // k16 fabric (64 leaves x 8 spines x 16 hosts) — what every storm flap costs.
+// It fails if a recompute after the first allocates; the CI bench-smoke job
+// runs it.
 func BenchmarkComputeRoutesK16(b *testing.B) {
 	ls := k16Fabric(16)
+	if allocs := testing.AllocsPerRun(5, ls.ComputeRoutes); allocs != 0 {
+		b.Fatalf("allocs per recompute = %v, want 0", allocs)
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		ls.ComputeRoutes()
 	}

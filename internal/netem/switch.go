@@ -42,12 +42,13 @@ type Switch struct {
 
 	egress       []*Link // all egress links, kept sorted by ID once finalized
 	egressSorted bool
-	// routes holds the ECMP next-hop sets, indexed by destination HostID
-	// (host addresses are dense, assigned in creation order). A dense slice
-	// instead of a map keeps the per-packet forwarding lookup to one bounds
-	// check and one load — no hashing — which matters at fabric scale where
-	// every switch consults it for every forwarded packet.
-	routes [][]*Link
+	// routes holds the ECMP next-hop sets indexed by destination leaf, as a
+	// Clos switch routes on a rack's prefix (Topology.hostLeaf maps a host to
+	// its leaf): a dense slice, no hashing on the per-packet lookup. leafIdx
+	// is this switch's own leaf index (-1: not a leaf); toward its own hosts
+	// a leaf forwards on each host's one-element [downlink] set instead.
+	routes  [][]*Link
+	leafIdx int32
 
 	lb SwitchLB
 	// stampLoad makes this switch initiate INT on transiting data packets
@@ -92,18 +93,27 @@ func (s *Switch) Egress() []*Link {
 }
 
 // NextHops returns the current ECMP candidate set toward dst (nil if
-// unreachable). ComputeRoutes builds one set per (switch, destination leaf)
-// and shares it, read-only, across every host behind that leaf: the returned
-// slice must not be modified (its len == cap, so an append copies).
+// unreachable). The switch keeps one set per destination leaf, shared,
+// read-only, by every host behind that leaf: the returned slice must not be
+// modified (its len == cap, so an append copies), and the next ComputeRoutes
+// rewrites it in place.
 func (s *Switch) NextHops(dst packet.HostID) []*Link { return s.nextHops(dst) }
 
 // nextHops is the forwarding-path route lookup: dense-indexed, bounds-guarded
-// (an out-of-range address is simply unreachable, matching the old map miss).
+// (unknown hosts, dead downlinks and switches not yet routed: unreachable).
 func (s *Switch) nextHops(dst packet.HostID) []*Link {
-	if uint(dst) >= uint(len(s.routes)) {
+	hl := s.topo.hostLeaf
+	if uint(dst) >= uint(len(hl)) {
 		return nil
 	}
-	return s.routes[dst]
+	c := hl[dst]
+	if uint(c) >= uint(len(s.routes)) {
+		return nil
+	}
+	if c == s.leafIdx {
+		return s.topo.hosts[dst].down[:]
+	}
+	return s.routes[c]
 }
 
 // hashTuple implements the ECMP hash: FNV-1a over the 5-tuple, salted.

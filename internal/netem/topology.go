@@ -2,6 +2,8 @@ package netem
 
 import (
 	"fmt"
+	"slices"
+	"strconv"
 
 	"clove/internal/packet"
 	"clove/internal/sim"
@@ -24,6 +26,11 @@ type Topology struct {
 	byName   map[string]*Link // "A->B#k"
 	nextNode packet.NodeID
 	nextLink packet.LinkID
+
+	// hostLeaf maps each HostID to its leaf's Switch.leafIdx, or -1 while
+	// the host's downlink is down (ComputeRoutes).
+	hostLeaf []int32
+	rs       routeScratch
 
 	// RouteRecomputeDelay models routing-protocol reconvergence after a
 	// topology change: route tables update this long after SetLinkPairUp.
@@ -82,6 +89,8 @@ func (t *Topology) AddSwitch(name string) *Switch {
 		pool: t.pool,
 		seed: 0x9e3779b97f4a7c15 * uint64(t.nextNode+1),
 		topo: t,
+		// Not a leaf until a recompute finds a host behind it.
+		leafIdx: -1,
 	}
 	t.nextNode++
 	t.switches = append(t.switches, sw)
@@ -95,10 +104,9 @@ func (t *Topology) AddSwitch(name string) *Switch {
 func (t *Topology) AddHost(name string, leaf *Switch, upCfg, downCfg LinkConfig) *Host {
 	h := &Host{id: t.nextNode, hostID: packet.HostID(len(t.hosts)), name: name, pool: t.pool}
 	t.nextNode++
-	up := t.addLink(fmt.Sprintf("%s->%s#0", name, leaf.name), h.id, leaf, upCfg)
-	down := t.addLink(fmt.Sprintf("%s->%s#0", leaf.name, name), leaf.id, h, downCfg)
-	h.uplink, h.downlink = up, down
-	leaf.addEgress(down)
+	h.uplink = t.addLink(linkName(name, leaf.name, 0), h.id, leaf, upCfg)
+	h.down[0] = t.addLink(linkName(leaf.name, name, 0), leaf.id, h, downCfg)
+	leaf.addEgress(h.down[0])
 	t.hosts = append(t.hosts, h)
 	return h
 }
@@ -109,10 +117,15 @@ const HostQdiscCap = 1024
 
 // Connect creates the k-th bidirectional link pair between two switches.
 func (t *Topology) Connect(a, b *Switch, trunk int, cfg LinkConfig) {
-	ab := t.addLink(fmt.Sprintf("%s->%s#%d", a.name, b.name, trunk), a.id, b, cfg)
-	ba := t.addLink(fmt.Sprintf("%s->%s#%d", b.name, a.name, trunk), b.id, a, cfg)
+	ab := t.addLink(linkName(a.name, b.name, trunk), a.id, b, cfg)
+	ba := t.addLink(linkName(b.name, a.name, trunk), b.id, a, cfg)
 	a.addEgress(ab)
 	b.addEgress(ba)
+}
+
+// linkName is the "From->To#k" name of a link, as LinkByName looks it up.
+func linkName(from, to string, trunk int) string {
+	return from + "->" + to + "#" + strconv.Itoa(trunk)
 }
 
 func (t *Topology) addLink(name string, from packet.NodeID, to Node, cfg LinkConfig) *Link {
@@ -143,12 +156,7 @@ func (t *Topology) TrackUtilization() {
 // RouteRecomputeDelay if configured). It panics if the pair does not exist:
 // failing a nonexistent link is always a test-configuration bug.
 func (t *Topology) SetLinkPairUp(a, b string, trunk int, up bool) {
-	n1 := fmt.Sprintf("%s->%s#%d", a, b, trunk)
-	n2 := fmt.Sprintf("%s->%s#%d", b, a, trunk)
-	l1, l2 := t.byName[n1], t.byName[n2]
-	if l1 == nil || l2 == nil {
-		panic(fmt.Sprintf("netem: no link pair %s / %s", n1, n2))
-	}
+	l1, l2 := t.linkPair(a, b, trunk)
 	l1.SetUp(up)
 	l2.SetUp(up)
 	t.scheduleRecompute()
@@ -176,14 +184,19 @@ func (t *Topology) SetSwitchUp(name string, up bool) {
 // pair between switches named a and b (scenario speed downgrades). It panics
 // if the pair does not exist.
 func (t *Topology) SetLinkPairRate(a, b string, trunk int, rateBps int64) {
-	n1 := fmt.Sprintf("%s->%s#%d", a, b, trunk)
-	n2 := fmt.Sprintf("%s->%s#%d", b, a, trunk)
+	l1, l2 := t.linkPair(a, b, trunk)
+	l1.SetRateBps(rateBps)
+	l2.SetRateBps(rateBps)
+}
+
+// linkPair returns both directions of a trunk, or panics if there is none.
+func (t *Topology) linkPair(a, b string, trunk int) (*Link, *Link) {
+	n1, n2 := linkName(a, b, trunk), linkName(b, a, trunk)
 	l1, l2 := t.byName[n1], t.byName[n2]
 	if l1 == nil || l2 == nil {
 		panic(fmt.Sprintf("netem: no link pair %s / %s", n1, n2))
 	}
-	l1.SetRateBps(rateBps)
-	l2.SetRateBps(rateBps)
+	return l1, l2
 }
 
 // scheduleRecompute reruns ComputeRoutes after the reconvergence delay.
@@ -202,100 +215,105 @@ func (t *Topology) scheduleRecompute() {
 // [downlink] and every other switch's shortest-path next-hops toward the host
 // are exactly its next-hops toward the leaf; a host whose downlink is down
 // has no route anywhere. Hosts are never transit, so this is one reverse BFS
-// per leaf over the switch graph, and each per-leaf set is built once and
-// shared, read-only, by all of the leaf's hosts — the same sets, in the same
-// egress order, as a BFS per host (TestComputeRoutesMatchesPerHostReference),
-// for a cost that does not grow with the host count. Route recomputation
-// runs in-simulation on every link flap of a failure storm.
+// per leaf over the switch graph, and each switch keeps one set per
+// destination leaf — the same sets, in the same egress order, as a BFS per
+// host (TestComputeRoutesMatchesPerHostReference), for a cost that does not
+// grow with the host count. It runs in-simulation on every link flap of a
+// failure storm, so its working memory stays on the Topology: a recompute
+// after the first allocates nothing.
 func (t *Topology) ComputeRoutes() {
-	for _, sw := range t.switches {
-		if cap(sw.routes) >= len(t.hosts) {
-			sw.routes = sw.routes[:len(t.hosts)]
-			clear(sw.routes)
-		} else {
-			sw.routes = make([][]*Link, len(t.hosts))
-		}
-	}
 	// The switch graph, flat arrays indexed by the dense NodeIDs: each
 	// switch's up egress links toward switches in ID order (the ECMP
 	// candidate order), and their reverse edges for the BFS.
-	type edge struct {
-		link *Link
-		to   packet.NodeID
-	}
+	r := &t.rs
 	nNodes := int(t.nextNode)
-	adj := make([][]edge, nNodes)
-	radj := make([][]packet.NodeID, nNodes)
-	var leaves []*Switch
+	r.adj = slices.Grow(r.adj[:0], nNodes)[:nNodes]
+	r.radj = slices.Grow(r.radj[:0], nNodes)[:nNodes]
+	for i := range r.adj {
+		r.adj[i], r.radj[i] = r.adj[i][:0], r.radj[i][:0]
+	}
+	r.leaves = r.leaves[:0]
 	nEdges := 0
 	for _, sw := range t.switches {
 		sw.sortEgress() // finalize build-time insertions before use
-		leaf := false
+		sw.leafIdx = -1
 		for _, l := range sw.egress {
 			switch to := l.To().(type) {
 			case *Switch:
 				if l.Up() {
-					adj[sw.id] = append(adj[sw.id], edge{l, to.id})
-					radj[to.id] = append(radj[to.id], sw.id)
+					r.adj[sw.id] = append(r.adj[sw.id], routeEdge{l, to.id})
+					r.radj[to.id] = append(r.radj[to.id], sw.id)
 					nEdges++
 				}
 			case *Host:
-				leaf = true
+				if sw.leafIdx < 0 {
+					sw.leafIdx = int32(len(r.leaves))
+					r.leaves = append(r.leaves, sw)
+				}
 			}
 		}
-		if leaf {
-			leaves = append(leaves, sw)
+	}
+	t.hostLeaf = slices.Grow(t.hostLeaf[:0], len(t.hosts))[:len(t.hosts)]
+	for i, h := range t.hosts {
+		t.hostLeaf[i] = -1
+		if h.down[0].Up() {
+			t.hostLeaf[i] = h.uplink.To().(*Switch).leafIdx
 		}
+	}
+	for _, sw := range t.switches {
+		sw.routes = slices.Grow(sw.routes[:0], len(r.leaves))[:len(r.leaves)]
+		clear(sw.routes)
 	}
 
 	// Every set is a full-slice-expression window (len == cap) of hops, so
 	// no holder can append into a neighbour's set. Per leaf there is at most
-	// one candidate per edge, plus one downlink per host.
-	hops := make([]*Link, 0, len(leaves)*nEdges+len(t.hosts))
-	sets := make([][]*Link, len(t.switches)) // per switch, toward the current leaf
-	dist := make([]int32, nNodes)            // hops to the leaf; -1 = unreached
-	queue := make([]packet.NodeID, 0, len(t.switches))
-	for _, leaf := range leaves {
-		for i := range dist {
-			dist[i] = -1
+	// one candidate per edge, so hops never regrows under a set.
+	r.hops = slices.Grow(r.hops[:0], len(r.leaves)*nEdges)
+	r.dist = slices.Grow(r.dist[:0], nNodes)[:nNodes] // 1 + hops to the leaf; 0 = unreached
+	clear(r.dist)
+	r.queue = r.queue[:0]
+	for li, leaf := range r.leaves {
+		for _, n := range r.queue { // the previous BFS reached only these
+			r.dist[n] = 0
 		}
-		dist[leaf.id] = 0
-		queue = append(queue[:0], leaf.id)
-		for head := 0; head < len(queue); head++ {
-			n := queue[head]
-			for _, prev := range radj[n] {
-				if dist[prev] < 0 {
-					dist[prev] = dist[n] + 1
-					queue = append(queue, prev)
+		r.dist[leaf.id] = 1
+		r.queue = append(r.queue[:0], leaf.id)
+		for head := 0; head < len(r.queue); head++ {
+			n := r.queue[head]
+			for _, prev := range r.radj[n] {
+				if r.dist[prev] == 0 {
+					r.dist[prev] = r.dist[n] + 1
+					r.queue = append(r.queue, prev)
 				}
 			}
 		}
-		for i, sw := range t.switches {
-			sets[i] = nil
-			if d := dist[sw.id]; d > 0 {
-				start := len(hops)
-				for _, e := range adj[sw.id] {
-					if dist[e.to] == d-1 {
-						hops = append(hops, e.link)
+		for _, sw := range t.switches {
+			if d := r.dist[sw.id]; d > 1 {
+				start := len(r.hops)
+				for _, e := range r.adj[sw.id] {
+					if r.dist[e.to] == d-1 {
+						r.hops = append(r.hops, e.link)
 					}
 				}
-				sets[i] = hops[start:len(hops):len(hops)]
-			}
-		}
-		for _, down := range leaf.egress {
-			h, ok := down.To().(*Host)
-			if !ok || !down.Up() {
-				continue
-			}
-			hops = append(hops, down)
-			leaf.routes[h.hostID] = hops[len(hops)-1 : len(hops) : len(hops)]
-			for i, sw := range t.switches {
-				if sets[i] != nil {
-					sw.routes[h.hostID] = sets[i]
-				}
+				sw.routes[li] = r.hops[start:len(r.hops):len(r.hops)]
 			}
 		}
 	}
+}
+
+// routeScratch is ComputeRoutes' working memory.
+type routeScratch struct {
+	adj    [][]routeEdge
+	radj   [][]packet.NodeID
+	leaves []*Switch
+	hops   []*Link // the backing array of every next-hop set
+	dist   []int32
+	queue  []packet.NodeID
+}
+
+type routeEdge struct {
+	link *Link
+	to   packet.NodeID
 }
 
 // LeafSpineConfig parameterizes the 2-tier Clos used throughout the paper's

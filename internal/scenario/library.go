@@ -6,6 +6,7 @@ import (
 	"os"
 	"sort"
 	"strings"
+	"sync"
 
 	"clove/scenarios"
 )
@@ -42,22 +43,31 @@ func LoadLibrary(fsys fs.FS) (map[string]*Spec, error) {
 	return lib, nil
 }
 
-// Library returns the embedded scenario library, panicking on any defect in
-// the shipped files (they are compiled into the binary; a bad one is a bug,
-// and the library test catches it before release).
-func Library() map[string]*Spec {
+// library is the embedded library, parsed once per process. Its specs are
+// shared: what leaves this package is a Clone.
+var library = sync.OnceValue(func() map[string]*Spec {
 	lib, err := LoadLibrary(scenarios.FS)
 	if err != nil {
 		panic(err)
+	}
+	return lib
+})
+
+// Library returns a copy of the embedded scenario library, panicking on any
+// defect in the shipped files (they are compiled into the binary; a bad one
+// is a bug, and the library test catches it before release).
+func Library() map[string]*Spec {
+	lib := make(map[string]*Spec, len(library()))
+	for name, sp := range library() {
+		lib[name] = sp.Clone()
 	}
 	return lib
 }
 
 // Names lists the embedded scenarios in sorted order.
 func Names() []string {
-	lib := Library()
-	names := make([]string, 0, len(lib))
-	for name := range lib {
+	names := make([]string, 0, len(library()))
+	for name := range library() {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -67,7 +77,7 @@ func Names() []string {
 // Load resolves nameOrPath: an embedded scenario name first, else a path to
 // a spec file on disk.
 func Load(nameOrPath string) (*Spec, error) {
-	if sp, ok := Library()[nameOrPath]; ok {
+	if sp, ok := library()[nameOrPath]; ok {
 		return sp.Clone(), nil
 	}
 	data, err := os.ReadFile(nameOrPath)
