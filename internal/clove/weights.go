@@ -53,32 +53,48 @@ func DefaultWeightTableConfig(rtt sim.Time) WeightTableConfig {
 }
 
 // WeightTable is the source hypervisor's per-destination path table
-// (Fig. 2: "Path weight table"). It owns the WRR scheduler, applies the
-// Clove-ECN weight-adjustment rule on congestion feedback, records INT
-// utilization for Clove-INT, and survives topology transitions by carrying
-// state over to re-discovered port sets.
+// (Fig. 2: "Path weight table"). It schedules ports by smooth weighted
+// round-robin, applies the Clove-ECN weight-adjustment rule on congestion
+// feedback, records INT utilization for Clove-INT, and survives topology
+// transitions by carrying state over to re-discovered port sets.
+//
+// A table is two objects: this 32-byte header and one 48-byte record per
+// path. The header points at its config, which a vswitch's tables share
+// with their policy; a table from NewWeightTable keeps its own copy in the
+// header's allocation.
 type WeightTable struct {
-	cfg WeightTableConfig
-	// wrr holds every path's port and weight in table order; the table
-	// reweights it in place and restarts its smoothing.
-	wrr WRR
-	// obs holds what the table knows of each path beyond its WRR entry,
-	// index for index with wrr's paths.
-	obs []pathObs
+	cfg   *WeightTableConfig
+	paths []pathRec // table order
 }
 
-// pathObs is one path's feedback record: the latest congestion and
-// utilization reports, and normalize's floor marker.
-type pathObs struct {
+// pathRec is one path of a table or WRR: its port and weight, the smoothing
+// accumulator, normalize's floor marker, and the latest congestion and
+// utilization reports. A WRR reads only the port, weight and accumulator.
+type pathRec struct {
+	port          uint16
+	floored       bool
+	weight        float64
+	current       float64
 	lastCongested sim.Time // most recent ECN feedback; 0 = never
 	util          float64  // latest INT-reported max path utilization
 	utilAt        sim.Time // when util was reported; 0 = never
-	floored       bool
 }
 
 // NewWeightTable creates a table over the discovered ports with equal
-// weights.
+// weights and its own copy of cfg.
 func NewWeightTable(cfg WeightTableConfig, ports []uint16) *WeightTable {
+	own := &struct {
+		t   WeightTable
+		cfg WeightTableConfig
+	}{cfg: cfg}
+	own.t.cfg = &own.cfg
+	own.t.SetPorts(ports)
+	return &own.t
+}
+
+// NewSharedWeightTable is NewWeightTable reading cfg in place: cfg must not
+// change while the table lives.
+func NewSharedWeightTable(cfg *WeightTableConfig, ports []uint16) *WeightTable {
 	t := &WeightTable{cfg: cfg}
 	t.SetPorts(ports)
 	return t
@@ -89,19 +105,17 @@ func NewWeightTable(cfg WeightTableConfig, ports []uint16) *WeightTable {
 // new ports start at the mean weight of the retained ones. Weights are then
 // renormalized.
 func (t *WeightTable) SetPorts(ports []uint16) {
-	// The previous state is searched in copies, since both slices are
-	// rewritten in place; the copies live on the stack for up to 16 paths.
-	var pathBuf [16]wrrPath
-	var obsBuf [16]pathObs
-	oldPaths := append(pathBuf[:0], t.wrr.paths...)
-	oldObs := append(obsBuf[:0], t.obs...)
+	// The previous state is searched in a copy, since the records are
+	// rewritten in place; the copy lives on the stack for up to 16 paths.
+	var buf [16]pathRec
+	old := append(buf[:0], t.paths...)
 	mean := 1.0
-	if len(oldPaths) > 0 {
+	if len(old) > 0 {
 		var sum float64
 		kept := 0
 		for _, port := range ports {
-			if i := lastIndex(oldPaths, port); i >= 0 {
-				sum += oldPaths[i].weight
+			if i := lastIndex(old, port); i >= 0 {
+				sum += old[i].weight
 				kept++
 			}
 		}
@@ -110,24 +124,24 @@ func (t *WeightTable) SetPorts(ports []uint16) {
 		}
 	}
 	n := len(ports)
-	if cap(t.obs) < n {
-		t.wrr.paths, t.obs = make([]wrrPath, n), make([]pathObs, n)
+	if cap(t.paths) < n {
+		t.paths = make([]pathRec, n)
 	}
-	t.wrr.paths, t.obs = t.wrr.paths[:n], t.obs[:n]
+	t.paths = t.paths[:n]
 	for j, port := range ports {
-		if i := lastIndex(oldPaths, port); i >= 0 {
-			t.wrr.paths[j], t.obs[j] = oldPaths[i], oldObs[i]
+		if i := lastIndex(old, port); i >= 0 {
+			t.paths[j] = old[i]
 		} else {
-			t.wrr.paths[j], t.obs[j] = wrrPath{port: port, weight: mean}, pathObs{}
+			t.paths[j] = pathRec{port: port, weight: mean}
 		}
 	}
 	t.normalize()
-	t.wrr.restart()
+	restart(t.paths)
 }
 
 // lastIndex returns the index of the last path with port, or -1. The last
 // one wins, as it would when a duplicated port is keyed in a map.
-func lastIndex(paths []wrrPath, port uint16) int {
+func lastIndex(paths []pathRec, port uint16) int {
 	for i := len(paths) - 1; i >= 0; i-- {
 		if paths[i].port == port {
 			return i
@@ -137,15 +151,15 @@ func lastIndex(paths []wrrPath, port uint16) int {
 }
 
 // Ports returns the current port set in table order.
-func (t *WeightTable) Ports() []uint16 { return t.wrr.Ports() }
+func (t *WeightTable) Ports() []uint16 { return (&WRR{paths: t.paths}).Ports() }
 
 // Len reports the number of paths.
-func (t *WeightTable) Len() int { return len(t.obs) }
+func (t *WeightTable) Len() int { return len(t.paths) }
 
 // Weights returns a snapshot map port -> weight.
 func (t *WeightTable) Weights() map[uint16]float64 {
-	m := make(map[uint16]float64, len(t.obs))
-	for _, p := range t.wrr.paths {
+	m := make(map[uint16]float64, len(t.paths))
+	for _, p := range t.paths {
 		m[p.port] = p.weight
 	}
 	return m
@@ -161,14 +175,13 @@ func (t *WeightTable) States() []PathState {
 // VisitStates calls fn for every path's state in table order without
 // building a slice (the telemetry sampler walks tables every interval).
 func (t *WeightTable) VisitStates(fn func(PathState)) {
-	for i, p := range t.wrr.paths {
-		o := &t.obs[i]
-		fn(PathState{Port: p.port, Weight: p.weight, LastCongested: o.lastCongested, Util: o.util, UtilAt: o.utilAt})
+	for _, p := range t.paths {
+		fn(PathState{Port: p.port, Weight: p.weight, LastCongested: p.lastCongested, Util: p.util, UtilAt: p.utilAt})
 	}
 }
 
 // NextPort returns the next flowlet's port per weighted round-robin.
-func (t *WeightTable) NextPort() uint16 { return t.wrr.Next() }
+func (t *WeightTable) NextPort() uint16 { return next(t.paths) }
 
 // OnCongestion applies the Clove-ECN rule for ECN feedback on port at time
 // now: remove Beta of the path's weight and spread it equally over the
@@ -182,9 +195,8 @@ func (t *WeightTable) OnCongestion(port uint16, now sim.Time) {
 	if idx < 0 {
 		return
 	}
-	t.obs[idx].lastCongested = now
-
-	paths := t.wrr.paths
+	paths := t.paths
+	paths[idx].lastCongested = now
 	removed := paths[idx].weight * t.cfg.Beta
 	paths[idx].weight -= removed
 
@@ -211,7 +223,7 @@ func (t *WeightTable) OnCongestion(port uint16, now sim.Time) {
 		}
 	}
 	t.normalize()
-	t.wrr.restart()
+	restart(paths)
 }
 
 // OnFeedback applies one reflected observation at time now: an ECN mark
@@ -236,8 +248,8 @@ func (t *WeightTable) OnUtilization(port uint16, util float64, now sim.Time) {
 		return
 	}
 	if idx := t.index(port); idx >= 0 {
-		t.obs[idx].util = util
-		t.obs[idx].utilAt = now
+		t.paths[idx].util = util
+		t.paths[idx].utilAt = now
 	}
 }
 
@@ -251,33 +263,33 @@ func (t *WeightTable) OnUtilization(port uint16, util float64, now sim.Time) {
 // back to the table's weighted round-robin, which spreads flowlets across
 // all paths until INT feedback arrives.
 func (t *WeightTable) LeastUtilizedPort(now sim.Time) uint16 {
-	if len(t.obs) == 0 {
+	if len(t.paths) == 0 {
 		panic("clove: LeastUtilizedPort on empty table")
 	}
 	best, bestUtil := 0, math.Inf(1)
 	anyFresh := false
-	for i := range t.obs {
+	for i := range t.paths {
+		u := 0.0 // a stale sample counts as idle
 		if t.fresh(i, now) {
-			anyFresh = true
+			anyFresh, u = true, t.paths[i].util
 		}
-		u := t.effectiveUtil(i, now)
 		if u < bestUtil {
 			best, bestUtil = i, u
 		}
 	}
 	if !anyFresh {
-		return t.wrr.Next()
+		return next(t.paths)
 	}
-	return t.wrr.paths[best].port
+	return t.paths[best].port
 }
 
 // AllCongested reports whether every path has fresh congestion feedback —
 // the condition under which Clove stops masking ECN from the sending VM.
 func (t *WeightTable) AllCongested(now sim.Time) bool {
-	if len(t.obs) == 0 {
+	if len(t.paths) == 0 {
 		return false
 	}
-	for i := range t.obs {
+	for i := range t.paths {
 		if !t.congested(i, now) {
 			return false
 		}
@@ -286,25 +298,18 @@ func (t *WeightTable) AllCongested(now sim.Time) bool {
 }
 
 func (t *WeightTable) congested(i int, now sim.Time) bool {
-	lc := t.obs[i].lastCongested
+	lc := t.paths[i].lastCongested
 	return lc > 0 && now-lc < t.cfg.CongestedAge
 }
 
 // fresh reports whether path i has a utilization sample within UtilAge.
 func (t *WeightTable) fresh(i int, now sim.Time) bool {
-	return t.obs[i].utilAt != 0 && now-t.obs[i].utilAt <= t.cfg.UtilAge
-}
-
-func (t *WeightTable) effectiveUtil(i int, now sim.Time) float64 {
-	if !t.fresh(i, now) {
-		return 0
-	}
-	return t.obs[i].util
+	return t.paths[i].utilAt != 0 && now-t.paths[i].utilAt <= t.cfg.UtilAge
 }
 
 func (t *WeightTable) index(port uint16) int {
-	for i := range t.wrr.paths {
-		if t.wrr.paths[i].port == port {
+	for i := range t.paths {
+		if t.paths[i].port == port {
 			return i
 		}
 	}
@@ -320,33 +325,27 @@ func (t *WeightTable) index(port uint16) int {
 // compounds, and Clove stops probing exactly the paths the floor exists to
 // keep alive. Instead, water-fill: pin every path that lands at the floor
 // and rescale only the free paths into the remaining mass, repeating until
-// no free path falls below the floor. The first iteration is numerically
-// identical to the old single pass (multiply by 1, divide by sum), so runs
-// that never hit the floor are bit-for-bit unchanged.
+// no free path falls below the floor.
 //
 // When the floor itself is infeasible (Floor * len(paths) >= 1, e.g. 64
 // paths at the default 0.02) no distribution can satisfy it; the table
 // falls back to uniform weights, the closest floor-respecting shape.
 func (t *WeightTable) normalize() {
-	paths, obs := t.wrr.paths, t.obs
+	paths := t.paths
 	n := len(paths)
 	if n == 0 {
 		return
 	}
 	floor := t.cfg.Floor
-	if floor*float64(n) >= 1 {
-		eq := 1.0 / float64(n)
+	var sum float64 // stays 0 when the floor is infeasible
+	if floor*float64(n) < 1 {
 		for i := range paths {
-			paths[i].weight = eq
+			if paths[i].weight < floor {
+				paths[i].weight = floor
+			}
+			paths[i].floored = false
+			sum += paths[i].weight
 		}
-		return
-	}
-	var sum float64
-	for i := range paths {
-		if paths[i].weight < floor {
-			paths[i].weight = floor
-		}
-		sum += paths[i].weight
 	}
 	if sum <= 0 {
 		eq := 1.0 / float64(n)
@@ -354,9 +353,6 @@ func (t *WeightTable) normalize() {
 			paths[i].weight = eq
 		}
 		return
-	}
-	for i := range obs {
-		obs[i].floored = false
 	}
 	// Each iteration either converges or pins at least one more path, so the
 	// loop runs at most n times. Feasibility (floor*n < 1) guarantees the
@@ -367,7 +363,7 @@ func (t *WeightTable) normalize() {
 		nFloored := 0
 		sumFree := 0.0
 		for i := range paths {
-			if obs[i].floored {
+			if paths[i].floored {
 				nFloored++
 			} else {
 				sumFree += paths[i].weight
@@ -379,13 +375,13 @@ func (t *WeightTable) normalize() {
 		}
 		changed := false
 		for i := range paths {
-			if obs[i].floored {
+			if paths[i].floored {
 				continue
 			}
 			w := paths[i].weight * target / sumFree
 			if w < floor {
 				w = floor
-				obs[i].floored = true
+				paths[i].floored = true
 				changed = true
 			}
 			paths[i].weight = w

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+	"unsafe"
 
 	"clove/internal/packet"
 	"clove/internal/sim"
@@ -259,13 +260,24 @@ func TestWeightTableZeroAllocs(t *testing.T) {
 // includes the table itself.
 var tableSink *WeightTable
 
-// TestWeightTableBuildAllocs pins a built table to three objects: the table,
-// its WRR entries and its feedback records.
+// TestWeightTableBuildAllocs pins a built table to two objects: the header
+// (with its config, for a standalone table) and its path records.
 func TestWeightTableBuildAllocs(t *testing.T) {
 	cfg := DefaultWeightTableConfig(100 * sim.Microsecond)
 	ports := []uint16{10, 20, 30, 40}
-	if n := testing.AllocsPerRun(100, func() { tableSink = NewWeightTable(cfg, ports) }); n > 3 {
-		t.Errorf("NewWeightTable over 4 ports allocates %v objects, want <= 3", n)
+	if n := testing.AllocsPerRun(100, func() { tableSink = NewWeightTable(cfg, ports) }); n > 2 {
+		t.Errorf("NewWeightTable over 4 ports allocates %v objects, want <= 2", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { tableSink = NewSharedWeightTable(&cfg, ports) }); n > 2 {
+		t.Errorf("NewSharedWeightTable over 4 ports allocates %v objects, want <= 2", n)
+	}
+}
+
+// TestPathRecordIs48Bytes pins a table's per-path record (48 bytes on 64-bit
+// platforms): a 32,768-table mesh pays it once per path.
+func TestPathRecordIs48Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(pathRec{}); got > 48 {
+		t.Errorf("pathRec is %d bytes, want <= 48", got)
 	}
 }
 
@@ -327,10 +339,9 @@ func refSetPorts(prev []PathState, ports []uint16) []PathState {
 
 // tableOf builds a table holding exactly states, without normalizing.
 func tableOf(cfg WeightTableConfig, states []PathState) *WeightTable {
-	t := &WeightTable{cfg: cfg}
+	t := &WeightTable{cfg: &cfg}
 	for _, p := range states {
-		t.wrr.paths = append(t.wrr.paths, wrrPath{port: p.Port, weight: p.Weight})
-		t.obs = append(t.obs, pathObs{lastCongested: p.LastCongested, util: p.Util, utilAt: p.UtilAt})
+		t.paths = append(t.paths, pathRec{port: p.Port, weight: p.Weight, lastCongested: p.LastCongested, util: p.Util, utilAt: p.UtilAt})
 	}
 	return t
 }
@@ -358,8 +369,12 @@ func TestSetPortsMatchesMapReference(t *testing.T) {
 			ports[i], weights[i] = p.Port, p.Weight
 		}
 		want.Reset(ports, weights)
-		if !reflect.DeepEqual(tab.wrr.paths, want.paths) {
-			t.Fatalf("step %d: WRR ports, weights, current %+v, want %+v", step, tab.wrr.paths, want.paths)
+		got := make([]pathRec, tab.Len()) // the table's records, WRR fields only
+		for i, p := range tab.paths {
+			got[i] = pathRec{port: p.port, weight: p.weight, current: p.current}
+		}
+		if !reflect.DeepEqual(got, want.paths) {
+			t.Fatalf("step %d: WRR ports, weights, current %+v, want %+v", step, got, want.paths)
 		}
 	}
 	tab := NewWeightTable(cfg, randPorts())

@@ -9,24 +9,15 @@ package clove
 // Weights are arbitrary non-negative floats; they are treated as relative.
 // The scheduler is deterministic.
 type WRR struct {
-	paths []wrrPath
-}
-
-// wrrPath is one scheduled port: its weight and its smoothing accumulator.
-type wrrPath struct {
-	port    uint16
-	weight  float64
-	current float64
+	paths []pathRec
 }
 
 // NewWRR creates a scheduler over ports with equal weights.
 func NewWRR(ports []uint16) *WRR {
-	w := &WRR{}
-	eq := make([]float64, len(ports))
-	for i := range eq {
-		eq[i] = 1
+	w := &WRR{paths: make([]pathRec, len(ports))}
+	for i, port := range ports {
+		w.paths[i] = pathRec{port: port, weight: 1}
 	}
-	w.Reset(ports, eq)
 	return w
 }
 
@@ -38,19 +29,19 @@ func (w *WRR) Reset(ports []uint16, weights []float64) {
 	}
 	w.paths = w.paths[:0]
 	for i, port := range ports {
-		w.paths = append(w.paths, wrrPath{port: port, weight: weights[i]})
+		w.paths = append(w.paths, pathRec{port: port, weight: weights[i]})
 	}
-	w.restart()
+	restart(w.paths)
 }
 
 // restart zeroes every accumulator, so picks start afresh from the current
 // weights. It panics on a negative weight, a caller bug.
-func (w *WRR) restart() {
-	for i := range w.paths {
-		if w.paths[i].weight < 0 {
+func restart(paths []pathRec) {
+	for i := range paths {
+		if paths[i].weight < 0 {
 			panic("clove: negative WRR weight")
 		}
-		w.paths[i].current = 0
+		paths[i].current = 0
 	}
 }
 
@@ -66,37 +57,41 @@ func (w *WRR) Ports() []uint16 {
 	return out
 }
 
-// Next returns the next port per smooth WRR: each pick adds every weight to
-// its accumulator, selects the largest accumulator, and subtracts the total
-// weight from it. With all-zero weights it degrades to plain round-robin.
-// It panics on an empty scheduler.
-func (w *WRR) Next() uint16 {
-	if len(w.paths) == 0 {
+// Next returns the next port per smooth WRR. It panics on an empty
+// scheduler.
+func (w *WRR) Next() uint16 { return next(w.paths) }
+
+// next is the smooth WRR step WRR and WeightTable share: each pick adds
+// every weight to its accumulator, selects the largest accumulator, and
+// subtracts the total weight from it. With all-zero weights it degrades to
+// plain round-robin. It panics on an empty path set.
+func next(paths []pathRec) uint16 {
+	if len(paths) == 0 {
 		panic("clove: Next on empty WRR")
 	}
 	var total float64
-	for _, p := range w.paths {
+	for _, p := range paths {
 		total += p.weight
 	}
 	if total == 0 {
 		// Plain round-robin via the accumulators.
 		best := 0
-		for i := range w.paths {
-			w.paths[i].current++
-			if w.paths[i].current > w.paths[best].current {
+		for i := range paths {
+			paths[i].current++
+			if paths[i].current > paths[best].current {
 				best = i
 			}
 		}
-		w.paths[best].current -= float64(len(w.paths))
-		return w.paths[best].port
+		paths[best].current -= float64(len(paths))
+		return paths[best].port
 	}
 	best := 0
-	for i := range w.paths {
-		w.paths[i].current += w.paths[i].weight
-		if w.paths[i].current > w.paths[best].current {
+	for i := range paths {
+		paths[i].current += paths[i].weight
+		if paths[i].current > paths[best].current {
 			best = i
 		}
 	}
-	w.paths[best].current -= total
-	return w.paths[best].port
+	paths[best].current -= total
+	return paths[best].port
 }

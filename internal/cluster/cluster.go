@@ -155,7 +155,7 @@ type Cluster struct {
 	trace *telemetry.Tracer
 
 	rtt    sim.Time
-	tcpCfg tcp.Config
+	tcpCfg tcp.Config // every endpoint reads it in place (tcp.NewPair); fixed after New
 	// flows is the flow table every vswitch shares (vswitch.Config.Flows);
 	// a connection's handles are opened with its transport.
 	flows    vswitch.Flows

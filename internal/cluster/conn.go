@@ -71,14 +71,14 @@ func (conn *Conn) open() {
 	if c.Cfg.Scheme == SchemeMPTCP {
 		mp := tcp.NewMPSender(c.Sim, c.tcpCfg, conn.Flow, tcp.DefaultSubflows, cvs.FromVMFunc())
 		for _, sub := range mp.Subflows() {
-			rcv := tcp.NewReceiver(c.Sim, c.tcpCfg, sub.Flow(), svs.FromVMFunc())
+			rcv := tcp.NewSharedReceiver(c.Sim, &c.tcpCfg, sub.Flow(), svs.FromVMFunc())
 			data, ack := c.flows.Open(receiverData, rcv, mpSenderAck, mp)
 			sub.SetFlowHandle(data)
 			rcv.SetFlowHandle(ack)
 		}
 		conn.mp = mp
 	} else {
-		tp := tcp.NewPair(c.Sim, c.tcpCfg, conn.Flow, cvs.FromVMFunc(), svs.FromVMFunc())
+		tp := tcp.NewPair(c.Sim, &c.tcpCfg, conn.Flow, cvs.FromVMFunc(), svs.FromVMFunc())
 		data, ack := c.flows.Open(receiverData, &tp.Rcv, senderAck, &tp.Snd)
 		tp.Snd.SetFlowHandle(data)
 		tp.Rcv.SetFlowHandle(ack)

@@ -7,6 +7,7 @@ import (
 
 	"clove/internal/cluster"
 	"clove/internal/netem"
+	"clove/internal/packet"
 	"clove/internal/scenario"
 )
 
@@ -93,4 +94,39 @@ func BenchmarkOracleInstall64x8(b *testing.B) {
 		install()
 	}
 	b.ReportMetric(float64(o.Walked()-walked)/float64(b.N), "ports/pair")
+}
+
+// BenchmarkOracleFirstInstall64x8 prices a pair's first oracle install on
+// the k=16 slice's mesh, which BenchmarkOracleInstall64x8's reinstalls never
+// pay: the walk and selection, the installed port list, and the weight table
+// the source vswitch builds for the pair. ns, B and allocs are per fresh
+// pair; once a cluster's pairs are used up a new one is built outside the
+// timer. It fails above three objects per pair: the table's header and path
+// records, and the port list. The vswitch's sorted destination index grows
+// by doubling, which adds ≈22 B per pair and stays under AllocsPerRun's
+// integer mean.
+func BenchmarkOracleFirstInstall64x8(b *testing.B) {
+	var pairs [][2]packet.HostID
+	var o *cluster.OracleInstaller
+	next := 0
+	install := func() {
+		if next == len(pairs) {
+			b.StopTimer()
+			c := cluster.New(oracleFabrics()["64x8"])
+			pairs, o, next = c.MeshPairs(), c.NewOracleInstaller(), 0
+			b.StartTimer()
+		}
+		p := pairs[next]
+		next++
+		o.Install(p[0], p[1])
+	}
+	install()
+	if allocs := testing.AllocsPerRun(1000, install); allocs > 3 {
+		b.Fatalf("a first install allocates %v times, want at most 3 (table header, path records, port list)", allocs)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		install()
+	}
 }

@@ -2,6 +2,7 @@ package tcp
 
 import (
 	"testing"
+	"unsafe"
 
 	"clove/internal/packet"
 	"clove/internal/sim"
@@ -98,5 +99,14 @@ func BenchmarkHotPathSenderIdleJob(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		step()
+	}
+}
+
+// TestPairSize pins a connection's transport record at or under 416 bytes
+// (the 416-byte size class): a k16 unit opens ≈16k of them, and a copied
+// Config or a padded flag would each push it to the next class.
+func TestPairSize(t *testing.T) {
+	if n := unsafe.Sizeof(Pair{}); n > 416 {
+		t.Fatalf("unsafe.Sizeof(Pair{}) = %d, want <= 416", n)
 	}
 }

@@ -48,8 +48,8 @@ func NewMPSender(s *sim.Simulator, cfg Config, base packet.FiveTuple, n int, out
 	for i := 0; i < n; i++ {
 		ft := base
 		ft.SrcPort = base.SrcPort + uint16(i)
-		sub := NewSender(s, cfg, ft, output)
-		m.subflows = append(m.subflows, sub)
+		sub := makeSender(s, &m.cfg, ft, output)
+		m.subflows = append(m.subflows, &sub)
 	}
 	m.acked = make([]int64, n)
 	// Couple the windows: recompute LIA alpha after every ACK by wrapping

@@ -23,10 +23,11 @@ type interval struct{ start, end int64 }
 // Receiver is the data sink for one direction of a connection: it tracks the
 // in-order delivery point, buffers out-of-order segments, generates
 // cumulative ACKs, and echoes ECN congestion marks back to the sender
-// (ECE set on ACKs for marked segments, DCTCP-style per-packet echo).
+// (ECE set on ACKs for marked segments, DCTCP-style per-packet echo). It
+// reads its Config in place, like Sender.
 type Receiver struct {
 	sim  *sim.Simulator
-	cfg  Config
+	cfg  *Config
 	flow packet.FiveTuple // direction of the *data* (ACKs go the other way)
 	// handle is stamped on every ACK (SetFlowHandle); 0 for none.
 	handle packet.FlowHandle
@@ -41,14 +42,18 @@ type Receiver struct {
 }
 
 // NewReceiver creates a receiver for data flowing along flow; ACKs are
-// emitted on the reverse tuple via output.
+// emitted on the reverse tuple via output. It reads its own copy of cfg,
+// with zero fields defaulted.
 func NewReceiver(s *sim.Simulator, cfg Config, flow packet.FiveTuple, output func(*packet.Packet)) *Receiver {
-	r := makeReceiver(s, cfg, flow, output)
-	return &r
+	cfg = cfg.withDefaults()
+	return NewSharedReceiver(s, &cfg, flow, output)
 }
 
-func makeReceiver(s *sim.Simulator, cfg Config, flow packet.FiveTuple, output func(*packet.Packet)) Receiver {
-	return Receiver{sim: s, cfg: cfg.withDefaults(), flow: flow, Output: output}
+// NewSharedReceiver is NewReceiver reading cfg in place: cfg must have
+// every default filled (DefaultConfig, then overrides) and must not change
+// while the receiver lives.
+func NewSharedReceiver(s *sim.Simulator, cfg *Config, flow packet.FiveTuple, output func(*packet.Packet)) *Receiver {
+	return &Receiver{sim: s, cfg: cfg, flow: flow, Output: output}
 }
 
 // SetFlowHandle makes the receiver stamp h, the handle of the ACK

@@ -55,12 +55,19 @@ type SenderStats struct {
 // Sender is a NewReno TCP data sender for one direction of a connection.
 // Application jobs are byte ranges appended to a single stream (modelling
 // sequential RPCs on a persistent connection, as in the paper's workload).
+// It reads its Config in place: a cluster's endpoints share one.
 type Sender struct {
 	sim  *sim.Simulator
-	cfg  Config
+	cfg  *Config
 	flow packet.FiveTuple
 	// handle is stamped on every segment (SetFlowHandle); 0 for none.
 	handle packet.FlowHandle
+
+	// Flags, together so they share one word. hasSent records that a
+	// segment was ever emitted: the idle reset needs it, since lastSendTime
+	// == 0 cannot tell "never sent" from "first sent at time 0". aborted
+	// marks a torn-down sender: no new data, no timer re-arming.
+	inRecovery, hasSent, rttValid, rtoActive, aborted, sendCWR bool
 
 	// Output transmits a segment toward the network (the hypervisor
 	// vswitch installs itself here).
@@ -74,33 +81,20 @@ type Sender struct {
 	// Congestion control (cwnd in segments).
 	cwnd, ssthresh float64
 	dupAcks        int
-	inRecovery     bool
 	recover        int64
 	lastSendTime   sim.Time
-	// hasSent records that at least one segment was ever emitted. The
-	// slow-start-after-idle check needs it explicitly: lastSendTime == 0 is
-	// ambiguous between "never sent" and "first send happened at sim time
-	// 0", and treating time 0 as the never-sent sentinel disabled the idle
-	// reset for the whole life of such a connection.
-	hasSent bool
 
 	// RTT estimation (Karn: only time un-retransmitted segments).
 	srtt, rttvar sim.Time
 	rttSeq       int64
 	rttSentAt    sim.Time
-	rttValid     bool
 
 	// Retransmission timer.
 	rtoTimer   sim.EventID
-	rtoActive  bool
 	rtoBackoff int
-
-	// aborted marks a torn-down sender: no new data, no timer re-arming.
-	aborted bool
 
 	// ECN.
 	lastECNCut sim.Time
-	sendCWR    bool
 
 	// Telemetry (nil when disabled; see internal/telemetry).
 	trace *telemetry.Tracer
@@ -108,14 +102,16 @@ type Sender struct {
 	stats SenderStats
 }
 
-// NewSender creates a sender for flow, transmitting via output.
+// NewSender creates a sender for flow, transmitting via output. It reads
+// its own copy of cfg, with zero fields defaulted.
 func NewSender(s *sim.Simulator, cfg Config, flow packet.FiveTuple, output func(*packet.Packet)) *Sender {
-	snd := makeSender(s, cfg, flow, output)
+	cfg = cfg.withDefaults()
+	snd := makeSender(s, &cfg, flow, output)
 	return &snd
 }
 
-func makeSender(s *sim.Simulator, cfg Config, flow packet.FiveTuple, output func(*packet.Packet)) Sender {
-	cfg = cfg.withDefaults()
+// makeSender builds a sender reading cfg, which must be defaulted already.
+func makeSender(s *sim.Simulator, cfg *Config, flow packet.FiveTuple, output func(*packet.Packet)) Sender {
 	return Sender{
 		sim:      s,
 		cfg:      cfg,

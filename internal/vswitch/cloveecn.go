@@ -1,7 +1,7 @@
 package vswitch
 
 import (
-	"sort"
+	"slices"
 
 	"clove/internal/clove"
 	"clove/internal/packet"
@@ -10,54 +10,53 @@ import (
 
 // weightTables is the per-destination weight-table plumbing CloveECN and
 // CloveINT share: the tables, their deterministic iteration order, and the
-// PathPolicy methods that do not depend on how a port is picked.
+// PathPolicy methods that do not depend on how a port is picked. Every
+// table reads the policy's one config.
 type weightTables struct {
 	cfg    clove.WeightTableConfig
-	tables map[packet.HostID]*clove.WeightTable
-	dsts   []packet.HostID // table keys, ascending (deterministic iteration)
-}
-
-func newWeightTables(cfg clove.WeightTableConfig) weightTables {
-	return weightTables{cfg: cfg, tables: map[packet.HostID]*clove.WeightTable{}}
+	dsts   []packet.HostID      // ascending, searched by bisection
+	tables []*clove.WeightTable // index for index with dsts
 }
 
 // Table returns the weight table for dst (nil before discovery) — exposed
 // for tests and telemetry.
-func (w *weightTables) Table(dst packet.HostID) *clove.WeightTable { return w.tables[dst] }
+func (w *weightTables) Table(dst packet.HostID) *clove.WeightTable {
+	if i, ok := slices.BinarySearch(w.dsts, dst); ok {
+		return w.tables[i]
+	}
+	return nil
+}
 
 // VisitTables calls fn for every destination's weight table in ascending
-// HostID order. The telemetry sampler walks tables every interval; iterating
-// the map directly would randomize sample order per process.
+// HostID order, so telemetry samples in the same order in every process.
 func (w *weightTables) VisitTables(fn func(packet.HostID, *clove.WeightTable)) {
-	for _, d := range w.dsts {
-		fn(d, w.tables[d])
+	for i, d := range w.dsts {
+		fn(d, w.tables[i])
 	}
 }
 
 // SetPaths implements PathPolicy, preserving state across rediscovery.
 func (w *weightTables) SetPaths(dst packet.HostID, ports []uint16) {
-	if t := w.tables[dst]; t != nil {
-		t.SetPorts(ports)
+	i, ok := slices.BinarySearch(w.dsts, dst)
+	if ok {
+		w.tables[i].SetPorts(ports)
 		return
 	}
-	w.tables[dst] = clove.NewWeightTable(w.cfg, ports)
-	i := sort.Search(len(w.dsts), func(i int) bool { return w.dsts[i] >= dst })
-	w.dsts = append(w.dsts, 0)
-	copy(w.dsts[i+1:], w.dsts[i:])
-	w.dsts[i] = dst
+	w.dsts = slices.Insert(w.dsts, i, dst)
+	w.tables = slices.Insert(w.tables, i, clove.NewSharedWeightTable(&w.cfg, ports))
 }
 
 // OnFeedback implements PathPolicy: the destination's table applies the
 // reflected ECN mark and path metric.
 func (w *weightTables) OnFeedback(dst packet.HostID, fb packet.Feedback, now sim.Time) {
-	if t := w.tables[dst]; t != nil {
+	if t := w.Table(dst); t != nil {
 		t.OnFeedback(fb, now)
 	}
 }
 
 // AllCongested implements PathPolicy.
 func (w *weightTables) AllCongested(dst packet.HostID, now sim.Time) bool {
-	t := w.tables[dst]
+	t := w.Table(dst)
 	return t != nil && t.AllCongested(now)
 }
 
@@ -70,7 +69,7 @@ type CloveECN struct {
 
 // NewCloveECN creates the policy; cfg controls the weight-adjustment rule.
 func NewCloveECN(cfg clove.WeightTableConfig) *CloveECN {
-	return &CloveECN{newWeightTables(cfg)}
+	return &CloveECN{weightTables{cfg: cfg}}
 }
 
 // Name implements PathPolicy.
@@ -80,7 +79,7 @@ func (*CloveECN) Name() string { return "clove-ecn" }
 // paths. Before discovery completes it degrades to Edge-Flowlet behaviour
 // so traffic keeps flowing.
 func (c *CloveECN) PickPort(dst packet.HostID, flow packet.FiveTuple, flowletID uint32) uint16 {
-	t := c.tables[dst]
+	t := c.Table(dst)
 	if t == nil || t.Len() == 0 {
 		return portHash(flow, flowletID+1)
 	}
@@ -98,7 +97,7 @@ type CloveINT struct {
 // NewCloveINT creates the policy. now provides the simulation clock (the
 // least-utilized choice needs sample freshness).
 func NewCloveINT(cfg clove.WeightTableConfig, now func() sim.Time) *CloveINT {
-	return &CloveINT{weightTables: newWeightTables(cfg), now: now}
+	return &CloveINT{weightTables: weightTables{cfg: cfg}, now: now}
 }
 
 // Name implements PathPolicy.
@@ -106,7 +105,7 @@ func (*CloveINT) Name() string { return "clove-int" }
 
 // PickPort implements PathPolicy: least utilized discovered path.
 func (c *CloveINT) PickPort(dst packet.HostID, flow packet.FiveTuple, flowletID uint32) uint16 {
-	t := c.tables[dst]
+	t := c.Table(dst)
 	if t == nil || t.Len() == 0 {
 		return portHash(flow, flowletID+1)
 	}
