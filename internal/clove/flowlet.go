@@ -38,8 +38,9 @@ type FlowletEntry struct {
 
 // FlowletTable detects flowlet boundaries: a new flowlet starts when a
 // flow's inter-packet gap exceeds the configured gap (Sec. 3.2 recommends
-// about twice the network RTT, Fig. 6 explores the sensitivity). No entry
-// is evicted, so the entries follow the connections that cross the owner.
+// about twice the network RTT, Fig. 6 explores the sensitivity). The table
+// evicts no entry: its owner stores them, and drops them when it sees fit
+// (Expired).
 // An idle flow's next packet starts a new flowlet on its own entry, with
 // the next ID.
 //
@@ -49,22 +50,26 @@ type FlowletEntry struct {
 // keeps its pins beside their links, so neither hashes a tuple. Touch finds
 // the entry by five-tuple in the table's own map, one heap object per flow;
 // only the package's tests and the benchmark's flowlet micro-measurement
-// call it.
+// call it, so the map is made on the first Touch, and a table that only
+// serves TouchEntry is its three words, held by value by its owner.
+//
+// The zero FlowletTable is ready to use, with a zero gap (SetGap).
 type FlowletTable struct {
 	gap      sim.Time
-	entries  map[packet.FiveTuple]*FlowletEntry // Touch's entries
+	entries  map[packet.FiveTuple]*FlowletEntry // Touch's entries; nil until the first Touch
 	flowlets int64                              // total new flowlets observed
 }
 
 // NewFlowletTable creates a table with the given flowlet inter-packet gap.
 func NewFlowletTable(gap sim.Time) *FlowletTable {
-	return &FlowletTable{gap: gap, entries: map[packet.FiveTuple]*FlowletEntry{}}
+	return &FlowletTable{gap: gap}
 }
 
 // Gap returns the configured flowlet time gap.
 func (t *FlowletTable) Gap() sim.Time { return t.gap }
 
-// SetGap changes the flowlet gap (used by the adaptive-gap extension).
+// SetGap sets the flowlet gap: an owner holding the table by value sets it
+// once, and the adaptive-gap extension changes it.
 func (t *FlowletTable) SetGap(gap sim.Time) { t.gap = gap }
 
 // Flowlets reports the total number of flowlet starts observed, through
@@ -82,10 +87,20 @@ func (t *FlowletTable) Len() int { return len(t.entries) }
 func (t *FlowletTable) Touch(flow packet.FiveTuple, now sim.Time) (e *FlowletEntry, isNew bool) {
 	e = t.entries[flow]
 	if e == nil {
+		if t.entries == nil {
+			t.entries = map[packet.FiveTuple]*FlowletEntry{}
+		}
 		e = &FlowletEntry{}
 		t.entries[flow] = e
 	}
 	return e, t.TouchEntry(e, now)
+}
+
+// Expired reports whether e's flowlet has ended at now: the entry has been
+// touched, but not within the gap. Its next touch starts a new flowlet, as
+// the first touch of a zero entry does.
+func (t *FlowletTable) Expired(e *FlowletEntry, now sim.Time) bool {
+	return e.seen && now-e.lastSeen > t.gap
 }
 
 // TouchEntry is Touch for an entry the caller stores (a zero entry is a

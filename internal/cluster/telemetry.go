@@ -47,11 +47,16 @@ func (c *Cluster) setupTelemetry() {
 	tr.AddMetric("netem.drops", linkTotal(func(st netem.LinkStats) int64 { return st.Drops }))
 
 	// Stream: link queue occupancy plus cumulative ECN marks and drops, in
-	// topology build order.
+	// topology build order. Link.Name builds its string, so the names are
+	// built once here rather than on every sample.
+	names := make([]string, len(links))
+	for i, l := range links {
+		names[i] = l.Name()
+	}
 	tr.AddSampler(func(now sim.Time) {
-		for _, l := range links {
+		for i, l := range links {
 			st := l.Stats()
-			tr.QueueSample(now, l.ID(), l.Name(), l.QueueLen(), st.ECNMarks, st.Drops+st.DownDrops)
+			tr.QueueSample(now, l.ID(), names[i], l.QueueLen(), st.ECNMarks, st.Drops+st.DownDrops)
 		}
 	})
 

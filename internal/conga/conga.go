@@ -106,8 +106,13 @@ type spineLB struct{ pins pins }
 // not the edge's flow handles, and a table indexed by handle at every
 // switch would grow with flows × switches, so pins are found by the outer
 // tuple: one map probe per packet, into entries stored by value.
+//
+// A pin outlives its flowlet only until the table would grow: then the pins
+// whose flowlet has expired are dropped (evict). Every standalone feedback
+// packet leaves a vswitch on a fresh source port, so without this a switch
+// kept one pin per feedback packet it ever forwarded.
 type pins struct {
-	flowlets *clove.FlowletTable // the gap, and the flowlet count
+	flowlets clove.FlowletTable // the gap, and the flowlet count
 	index    map[packet.FiveTuple]int32
 	pinned   []pin
 }
@@ -116,10 +121,13 @@ type pins struct {
 type pin struct {
 	flowlet clove.FlowletEntry
 	link    *netem.Link
+	flow    packet.FiveTuple // the pin's key in index
 }
 
 func newPins(gap sim.Time) pins {
-	return pins{flowlets: clove.NewFlowletTable(gap), index: map[packet.FiveTuple]int32{}}
+	p := pins{index: map[packet.FiveTuple]int32{}}
+	p.flowlets.SetGap(gap)
+	return p
 }
 
 // get records a packet of flow at now and returns the link its flowlet is
@@ -129,9 +137,12 @@ func newPins(gap sim.Time) pins {
 func (p *pins) get(flow packet.FiveTuple, now sim.Time, candidates []*netem.Link) (*netem.Link, *pin) {
 	i, ok := p.index[flow]
 	if !ok {
+		if len(p.pinned) == cap(p.pinned) {
+			p.evict(now)
+		}
 		i = int32(len(p.pinned))
 		p.index[flow] = i
-		p.pinned = append(p.pinned, pin{})
+		p.pinned = append(p.pinned, pin{flow: flow})
 	}
 	pn := &p.pinned[i]
 	if p.flowlets.TouchEntry(&pn.flowlet, now) {
@@ -141,6 +152,30 @@ func (p *pins) get(flow packet.FiveTuple, now sim.Time, candidates []*netem.Link
 		return eg, pn
 	}
 	return nil, pn
+}
+
+// evict drops the pins whose flowlet has expired at now, keeping the others
+// in their order, and leaves room for at least as many new pins as remain,
+// so that sweeps cost O(1) per new pin. The next packet of an expired pin's
+// flow starts a new flowlet, as the first packet of an absent one does: the
+// same link is picked, with the same RNG draw, and the same flowlet is
+// counted (TestPinsEvictionMatchesReference).
+func (p *pins) evict(now sim.Time) {
+	n := 0
+	for i := range p.pinned {
+		pn := &p.pinned[i]
+		if p.flowlets.Expired(&pn.flowlet, now) {
+			delete(p.index, pn.flow)
+			continue
+		}
+		if n != i {
+			p.pinned[n] = *pn
+			p.index[pn.flow] = int32(n)
+		}
+		n++
+	}
+	clear(p.pinned[n:])
+	p.pinned = slices.Grow(p.pinned[:n], n)
 }
 
 // Fabric is CONGA on a leaf-spine topology: one SwitchLB per switch, and

@@ -133,7 +133,7 @@ func (k poolSink) Receive(pkt *packet.Packet, _ *Link) { k.pool.Put(pkt) }
 func BenchmarkHotPathLinkNoReader(b *testing.B) {
 	s := sim.New(1)
 	pool := &packet.Pool{}
-	l := newLink(s, pool, 0, "t", 1, poolSink{pool}, LinkConfig{RateBps: 40e9, Delay: 2 * sim.Microsecond})
+	l := newLink(s, pool, 0, nil, poolSink{pool}, LinkConfig{RateBps: 40e9, Delay: 2 * sim.Microsecond})
 	if l.dre != nil {
 		b.Fatal("a link outside a tracking topology has a DRE")
 	}

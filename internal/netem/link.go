@@ -6,6 +6,7 @@ package netem
 
 import (
 	"fmt"
+	"strconv"
 
 	"clove/internal/packet"
 	"clove/internal/sim"
@@ -34,10 +35,13 @@ type LinkStats struct {
 // when the instantaneous occupancy at enqueue meets the threshold, matching
 // the switch-port behaviour Clove assumes (Sec. 3.2).
 type Link struct {
-	id    packet.LinkID
-	name  string
+	id packet.LinkID
+	// trunk is the link's index among the parallel links between its two
+	// nodes, the k of its name.
+	trunk int32
 	sim   *sim.Simulator
-	from  packet.NodeID
+	// from is the sending node, nil on a link built outside a Topology.
+	from  Node
 	to    Node
 	rate  int64    // bits per second
 	delay sim.Time // propagation delay
@@ -85,27 +89,42 @@ const DefaultQueueCap = 256
 // initialRing is a link ring's starting size in slots, a power of two.
 const initialRing = 8
 
-func newLink(s *sim.Simulator, pool *packet.Pool, id packet.LinkID, name string, from packet.NodeID, to Node, cfg LinkConfig) *Link {
+// queueCap resolves the QueueCap default.
+func (cfg LinkConfig) queueCap() int {
 	if cfg.QueueCap == 0 {
-		cfg.QueueCap = DefaultQueueCap
+		return DefaultQueueCap
 	}
-	l := &Link{
+	return cfg.QueueCap
+}
+
+// ringSlots is the size of a link's initial ring.
+func (cfg LinkConfig) ringSlots() int { return min(initialRing, cfg.queueCap()) }
+
+// newLink allocates a link from -> to and its initial ring.
+func newLink(s *sim.Simulator, pool *packet.Pool, id packet.LinkID, from, to Node, cfg LinkConfig) *Link {
+	l := &Link{}
+	l.init(s, pool, id, from, to, cfg, make([]*packet.Packet, cfg.ringSlots()))
+	return l
+}
+
+// init sets up l in place, with ring (cfg.ringSlots() slots) as its initial
+// queue: a topology builder carves both from slabs.
+func (l *Link) init(s *sim.Simulator, pool *packet.Pool, id packet.LinkID, from, to Node, cfg LinkConfig, ring []*packet.Packet) {
+	*l = Link{
 		id:       id,
-		name:     name,
 		sim:      s,
 		pool:     pool,
 		from:     from,
 		to:       to,
 		rate:     cfg.RateBps,
 		delay:    cfg.Delay,
-		queueCap: cfg.QueueCap,
+		queueCap: cfg.queueCap(),
 		ecnK:     cfg.ECNK,
 		lane:     sim.LaneFor(s, cfg.Delay, linkPropagate),
 		up:       true,
-		queue:    make([]*packet.Packet, min(initialRing, cfg.QueueCap)),
+		queue:    ring,
 	}
 	l.setTxLanes()
-	return l
 }
 
 // fullFrame and ackFrame are the wire sizes of a full TCP segment and of a
@@ -144,14 +163,41 @@ func (l *Link) txLane(size int) *sim.Lane[Link, packet.Packet] {
 // ID returns the link's fabric-unique identifier.
 func (l *Link) ID() packet.LinkID { return l.id }
 
-// Name returns the human-readable name assigned by the topology builder.
-func (l *Link) Name() string { return l.name }
+// Name returns the link's "From->To#k" name: its two nodes' builder-assigned
+// names and its trunk index k. It is built on each call (a fabric keeps no
+// per-link string), so a caller that reads names repeatedly keeps its own
+// copy. A link built outside a Topology names its sending node "?".
+func (l *Link) Name() string {
+	return linkName(nodeName(l.from), nodeName(l.to), int(l.trunk))
+}
+
+// linkName is the "From->To#k" name of a link (Link.Name, LinkByName).
+func linkName(from, to string, trunk int) string {
+	return from + "->" + to + "#" + strconv.Itoa(trunk)
+}
+
+// nodeName is a switch's or host's builder-assigned name, "?" for anything
+// else.
+func nodeName(n Node) string {
+	switch n := n.(type) {
+	case *Switch:
+		return n.name
+	case *Host:
+		return n.name
+	}
+	return "?"
+}
+
+// matches reports whether l is the trunk-th link to the node named to.
+func (l *Link) matches(to string, trunk int) bool {
+	return int(l.trunk) == trunk && nodeName(l.to) == to
+}
 
 // To returns the receiving node.
 func (l *Link) To() Node { return l.to }
 
 // From returns the sending node's ID.
-func (l *Link) From() packet.NodeID { return l.from }
+func (l *Link) From() packet.NodeID { return l.from.ID() }
 
 // RateBps returns the link rate in bits per second.
 func (l *Link) RateBps() int64 { return l.rate }
@@ -364,5 +410,5 @@ func (l *Link) txDone() {
 
 // String implements fmt.Stringer.
 func (l *Link) String() string {
-	return fmt.Sprintf("link %d (%s)", l.id, l.name)
+	return fmt.Sprintf("link %d (%s)", l.id, l.Name())
 }

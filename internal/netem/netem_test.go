@@ -34,7 +34,7 @@ func dataPacket(src, dst packet.HostID, payload int) *packet.Packet {
 func TestLinkDeliveryTiming(t *testing.T) {
 	s := sim.New(1)
 	c := &collector{id: 99, s: s}
-	l := newLink(s, nil, 0, "t", 1, c, LinkConfig{RateBps: 1e9, Delay: 10 * sim.Microsecond})
+	l := newLink(s, nil, 0, nil, c, LinkConfig{RateBps: 1e9, Delay: 10 * sim.Microsecond})
 	p := dataPacket(0, 1, 1000-packet.InnerHeaderLen) // 1000B on the wire
 	l.Enqueue(p)
 	s.Run()
@@ -55,7 +55,7 @@ func TestLinkDeliveryTiming(t *testing.T) {
 func TestLinkSerializesBackToBack(t *testing.T) {
 	s := sim.New(1)
 	c := &collector{id: 99, s: s}
-	l := newLink(s, nil, 0, "t", 1, c, LinkConfig{RateBps: 1e9, Delay: 0})
+	l := newLink(s, nil, 0, nil, c, LinkConfig{RateBps: 1e9, Delay: 0})
 	for i := 0; i < 3; i++ {
 		l.Enqueue(dataPacket(0, 1, 1000-packet.InnerHeaderLen))
 	}
@@ -95,7 +95,7 @@ func TestLinkDropTail(t *testing.T) {
 	pool := &packet.Pool{}
 	rec := &dropRecorder{}
 	pool.SetObserver(rec)
-	l := newLink(s, pool, 0, "t", 1, c, LinkConfig{RateBps: 1e9, Delay: 0, QueueCap: 4})
+	l := newLink(s, pool, 0, nil, c, LinkConfig{RateBps: 1e9, Delay: 0, QueueCap: 4})
 	// One packet starts serializing immediately, 4 fill the queue, rest drop.
 	for i := 0; i < 10; i++ {
 		l.Enqueue(dataPacket(0, 1, 100))
@@ -112,7 +112,7 @@ func TestLinkDropTail(t *testing.T) {
 func TestLinkECNMarking(t *testing.T) {
 	s := sim.New(1)
 	c := &collector{id: 99}
-	l := newLink(s, nil, 0, "t", 1, c, LinkConfig{RateBps: 1e9, Delay: 0, QueueCap: 100, ECNK: 3})
+	l := newLink(s, nil, 0, nil, c, LinkConfig{RateBps: 1e9, Delay: 0, QueueCap: 100, ECNK: 3})
 	for i := 0; i < 8; i++ {
 		p := dataPacket(0, 1, 100)
 		p.Encap = &packet.Encap{ECT: true}
@@ -138,7 +138,7 @@ func TestLinkECNMarking(t *testing.T) {
 func TestLinkECNNotMarkedWhenNotECT(t *testing.T) {
 	s := sim.New(1)
 	c := &collector{id: 99}
-	l := newLink(s, nil, 0, "t", 1, c, LinkConfig{RateBps: 1e9, Delay: 0, ECNK: 1})
+	l := newLink(s, nil, 0, nil, c, LinkConfig{RateBps: 1e9, Delay: 0, ECNK: 1})
 	for i := 0; i < 5; i++ {
 		l.Enqueue(dataPacket(0, 1, 100)) // no ECT anywhere
 	}
@@ -151,7 +151,7 @@ func TestLinkECNNotMarkedWhenNotECT(t *testing.T) {
 func TestLinkDown(t *testing.T) {
 	s := sim.New(1)
 	c := &collector{id: 99}
-	l := newLink(s, nil, 0, "t", 1, c, LinkConfig{RateBps: 1e9, Delay: 0})
+	l := newLink(s, nil, 0, nil, c, LinkConfig{RateBps: 1e9, Delay: 0})
 	l.SetUp(false)
 	l.Enqueue(dataPacket(0, 1, 100))
 	s.Run()
@@ -172,7 +172,7 @@ func TestLinkDown(t *testing.T) {
 func TestLinkDownFlushesQueue(t *testing.T) {
 	s := sim.New(1)
 	c := &collector{id: 99}
-	l := newLink(s, nil, 0, "t", 1, c, LinkConfig{RateBps: 1e6, Delay: 0}) // slow
+	l := newLink(s, nil, 0, nil, c, LinkConfig{RateBps: 1e6, Delay: 0}) // slow
 	for i := 0; i < 5; i++ {
 		l.Enqueue(dataPacket(0, 1, 100))
 	}

@@ -114,7 +114,7 @@ func TestLinkQueueMatchesReference(t *testing.T) {
 				s.SetEventHook(o.AfterEvent)
 				sink := &seqSink{pool: pool}
 				ecnK := rng.Intn(queueCap + 1) // 0 disables marking
-				l := newLink(s, pool, 0, "t", 1, sink, LinkConfig{RateBps: 1e9, QueueCap: queueCap, ECNK: ecnK})
+				l := newLink(s, pool, 0, nil, sink, LinkConfig{RateBps: 1e9, QueueCap: queueCap, ECNK: ecnK})
 				size := packet.InnerHeaderLen + payload
 				ref := &refLink{
 					cap: queueCap, ecnK: ecnK, up: true,

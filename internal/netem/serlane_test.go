@@ -45,7 +45,7 @@ func TestLinkCommonSizesSerializeInLanes(t *testing.T) {
 	} {
 		s := sim.New(1)
 		c := &collector{id: 99, s: s}
-		l := newLink(s, nil, 0, "t", 1, c, LinkConfig{RateBps: rate, Delay: sim.Microsecond})
+		l := newLink(s, nil, 0, nil, c, LinkConfig{RateBps: rate, Delay: sim.Microsecond})
 		size := tc.pkt.Size()
 		tx := sim.TransmissionTime(size, rate)
 		if got := l.txLane(size); (got != nil) != tc.inLane || (got != nil && got != sim.LaneFor(s, tx, linkTxDone)) {
@@ -68,7 +68,7 @@ func TestLinkMixedSizesKeepFireOrder(t *testing.T) {
 	s := sim.New(1)
 	c := &collector{id: 99, s: s}
 	const rate = 10e9
-	l := newLink(s, nil, 0, "t", 1, c, LinkConfig{RateBps: rate, Delay: 3 * sim.Microsecond})
+	l := newLink(s, nil, 0, nil, c, LinkConfig{RateBps: rate, Delay: 3 * sim.Microsecond})
 	sizes := []int{encapFull, 700, encapACK, encapFull, 200, encapACK, fullFrame, 61}
 	var want []sim.Time
 	var tx sim.Time
@@ -96,7 +96,7 @@ func TestLinkMixedSizesKeepFireOrder(t *testing.T) {
 func TestLinkSetRateMovesSerializationLanes(t *testing.T) {
 	s := sim.New(1)
 	c := &collector{id: 99, s: s}
-	l := newLink(s, nil, 0, "t", 1, c, LinkConfig{RateBps: 40e9})
+	l := newLink(s, nil, 0, nil, c, LinkConfig{RateBps: 40e9})
 	l.Enqueue(sizedPacket(encapFull, true))
 	l.Enqueue(sizedPacket(encapFull, true))
 	l.SetRateBps(10e9)
@@ -119,7 +119,7 @@ func TestLinkSetRateMovesSerializationLanes(t *testing.T) {
 func TestLinkRateSweepStopsAtLaneCap(t *testing.T) {
 	s := sim.New(1)
 	c := &collector{id: 99, s: s}
-	l := newLink(s, nil, 0, "t", 1, c, LinkConfig{RateBps: 10e9, Delay: sim.Microsecond})
+	l := newLink(s, nil, 0, nil, c, LinkConfig{RateBps: 10e9, Delay: sim.Microsecond})
 	lanes := map[*sim.Lane[Link, packet.Packet]]bool{l.lane: true}
 	for i := 0; i <= 100; i++ {
 		for _, ln := range l.txLanes {

@@ -1,8 +1,9 @@
 package netem
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"clove/internal/packet"
 	"clove/internal/sim"
@@ -282,7 +283,7 @@ func (s *Switch) sortEgress() {
 	if s.egressSorted {
 		return
 	}
-	sort.Slice(s.egress, func(i, j int) bool { return s.egress[i].ID() < s.egress[j].ID() })
+	slices.SortFunc(s.egress, func(a, b *Link) int { return cmp.Compare(a.id, b.id) })
 	s.egressSorted = true
 }
 

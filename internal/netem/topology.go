@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 	"strconv"
+	"strings"
 
 	"clove/internal/packet"
 	"clove/internal/sim"
@@ -23,9 +24,9 @@ type Topology struct {
 	hosts    []*Host
 	switches []*Switch
 	links    []*Link
-	byName   map[string]*Link // "A->B#k"
 	nextNode packet.NodeID
 	nextLink packet.LinkID
+	slab     slabs
 
 	// hostLeaf maps each HostID to its leaf's Switch.leafIdx, or -1 while
 	// the host's downlink is down (ComputeRoutes).
@@ -38,9 +39,48 @@ type Topology struct {
 	RouteRecomputeDelay sim.Time
 }
 
+// slabs are the backing arrays a builder sizes from its counts
+// (Topology.reserve). AddSwitch, AddHost and Connect carve each new switch,
+// host, link, link ring and egress set from them, and allocate one object at
+// a time once a slab is spent, as for a hand-built topology.
+type slabs struct {
+	switches []Switch
+	hosts    []Host
+	links    []Link
+	rings    []*packet.Packet
+	egress   []*Link
+}
+
+// carve takes the next n elements of *slab as a full slice (len == cap), or
+// makes n new ones when fewer are left.
+func carve[T any](slab *[]T, n int) []T {
+	if len(*slab) < n {
+		return make([]T, n)
+	}
+	s := (*slab)[:n:n]
+	*slab = (*slab)[n:]
+	return s
+}
+
+// reserve sizes the slabs and the node and link lists for a fabric of the
+// given counts: rings is the links' initial ring slots in total, egress the
+// switches' egress links.
+func (t *Topology) reserve(switches, hosts, links, rings, egress int) {
+	t.slab = slabs{
+		switches: make([]Switch, switches),
+		hosts:    make([]Host, hosts),
+		links:    make([]Link, links),
+		rings:    make([]*packet.Packet, rings),
+		egress:   make([]*Link, egress),
+	}
+	t.switches = slices.Grow(t.switches, switches)
+	t.hosts = slices.Grow(t.hosts, hosts)
+	t.links = slices.Grow(t.links, links)
+}
+
 // NewTopology creates an empty fabric bound to s, with a fresh packet pool.
 func NewTopology(s *sim.Simulator) *Topology {
-	return &Topology{Sim: s, pool: &packet.Pool{}, byName: map[string]*Link{}}
+	return &Topology{Sim: s, pool: &packet.Pool{}}
 }
 
 // Pool returns the simulation-wide packet free list.
@@ -65,8 +105,40 @@ func (t *Topology) Host(id packet.HostID) *Host { return t.hosts[id] }
 // LinkByID returns the link with the given ID.
 func (t *Topology) LinkByID(id packet.LinkID) *Link { return t.links[id] }
 
-// LinkByName returns the link named "From->To#k", or nil.
-func (t *Topology) LinkByName(name string) *Link { return t.byName[name] }
+// LinkByName returns the link named "From->To#k" (Link.Name), or nil. It
+// parses the name and scans the sending node's egress links, so it builds no
+// names.
+func (t *Topology) LinkByName(name string) *Link {
+	from, rest, ok := strings.Cut(name, "->")
+	i := strings.LastIndexByte(rest, '#')
+	if !ok || i < 0 {
+		return nil
+	}
+	k, err := strconv.Atoi(rest[i+1:])
+	if err != nil || strconv.Itoa(k) != rest[i+1:] {
+		return nil
+	}
+	return t.link(from, rest[:i], k)
+}
+
+// link returns the trunk-th link from the node named from to the node named
+// to, or nil.
+func (t *Topology) link(from, to string, trunk int) *Link {
+	if sw := t.SwitchByName(from); sw != nil {
+		for _, l := range sw.egress {
+			if l.matches(to, trunk) {
+				return l
+			}
+		}
+		return nil
+	}
+	for _, h := range t.hosts {
+		if h.name == from && h.uplink.matches(to, trunk) {
+			return h.uplink
+		}
+	}
+	return nil
+}
 
 // SwitchByName returns the switch with the builder-assigned name, or nil.
 func (t *Topology) SwitchByName(name string) *Switch {
@@ -81,8 +153,12 @@ func (t *Topology) SwitchByName(name string) *Switch {
 // AddSwitch creates a switch. The per-switch ECMP hash seed is derived
 // deterministically from the node ID so that runs are reproducible while
 // different switches still hash differently.
-func (t *Topology) AddSwitch(name string) *Switch {
-	sw := &Switch{
+func (t *Topology) AddSwitch(name string) *Switch { return t.addSwitch(name, 0) }
+
+// addSwitch is AddSwitch with room for egress links reserved.
+func (t *Topology) addSwitch(name string, egress int) *Switch {
+	sw := &carve(&t.slab.switches, 1)[0]
+	*sw = Switch{
 		id:   t.nextNode,
 		name: name,
 		sim:  t.Sim,
@@ -91,6 +167,7 @@ func (t *Topology) AddSwitch(name string) *Switch {
 		topo: t,
 		// Not a leaf until a recompute finds a host behind it.
 		leafIdx: -1,
+		egress:  carve(&t.slab.egress, egress)[:0],
 	}
 	t.nextNode++
 	t.switches = append(t.switches, sw)
@@ -102,10 +179,11 @@ func (t *Topology) AddSwitch(name string) *Switch {
 // marking — a local stack backpressures rather than marks); downCfg shapes
 // the leaf's switch port toward the host.
 func (t *Topology) AddHost(name string, leaf *Switch, upCfg, downCfg LinkConfig) *Host {
-	h := &Host{id: t.nextNode, hostID: packet.HostID(len(t.hosts)), name: name, pool: t.pool}
+	h := &carve(&t.slab.hosts, 1)[0]
+	*h = Host{id: t.nextNode, hostID: packet.HostID(len(t.hosts)), name: name, pool: t.pool}
 	t.nextNode++
-	h.uplink = t.addLink(linkName(name, leaf.name, 0), h.id, leaf, upCfg)
-	h.down[0] = t.addLink(linkName(leaf.name, name, 0), leaf.id, h, downCfg)
+	h.uplink = t.addLink(h, leaf, 0, upCfg)
+	h.down[0] = t.addLink(leaf, h, 0, downCfg)
 	leaf.addEgress(h.down[0])
 	t.hosts = append(t.hosts, h)
 	return h
@@ -117,22 +195,18 @@ const HostQdiscCap = 1024
 
 // Connect creates the k-th bidirectional link pair between two switches.
 func (t *Topology) Connect(a, b *Switch, trunk int, cfg LinkConfig) {
-	ab := t.addLink(linkName(a.name, b.name, trunk), a.id, b, cfg)
-	ba := t.addLink(linkName(b.name, a.name, trunk), b.id, a, cfg)
+	ab := t.addLink(a, b, trunk, cfg)
+	ba := t.addLink(b, a, trunk, cfg)
 	a.addEgress(ab)
 	b.addEgress(ba)
 }
 
-// linkName is the "From->To#k" name of a link, as LinkByName looks it up.
-func linkName(from, to string, trunk int) string {
-	return from + "->" + to + "#" + strconv.Itoa(trunk)
-}
-
-func (t *Topology) addLink(name string, from packet.NodeID, to Node, cfg LinkConfig) *Link {
-	l := newLink(t.Sim, t.pool, t.nextLink, name, from, to, cfg)
+func (t *Topology) addLink(from, to Node, trunk int, cfg LinkConfig) *Link {
+	l := &carve(&t.slab.links, 1)[0]
+	l.init(t.Sim, t.pool, t.nextLink, from, to, cfg, carve(&t.slab.rings, cfg.ringSlots()))
+	l.trunk = int32(trunk)
 	t.nextLink++
 	t.links = append(t.links, l)
-	t.byName[name] = l
 	return l
 }
 
@@ -173,7 +247,7 @@ func (t *Topology) SetSwitchUp(name string, up bool) {
 		panic(fmt.Sprintf("netem: no switch %q", name))
 	}
 	for _, l := range t.links {
-		if l.from == sw.id || l.to.ID() == sw.id {
+		if l.from == Node(sw) || l.to == Node(sw) {
 			l.SetUp(up)
 		}
 	}
@@ -191,10 +265,9 @@ func (t *Topology) SetLinkPairRate(a, b string, trunk int, rateBps int64) {
 
 // linkPair returns both directions of a trunk, or panics if there is none.
 func (t *Topology) linkPair(a, b string, trunk int) (*Link, *Link) {
-	n1, n2 := linkName(a, b, trunk), linkName(b, a, trunk)
-	l1, l2 := t.byName[n1], t.byName[n2]
+	l1, l2 := t.link(a, b, trunk), t.link(b, a, trunk)
 	if l1 == nil || l2 == nil {
-		panic(fmt.Sprintf("netem: no link pair %s / %s", n1, n2))
+		panic(fmt.Sprintf("netem: no link pair %s / %s", linkName(a, b, trunk), linkName(b, a, trunk)))
 	}
 	return l1, l2
 }
@@ -220,19 +293,19 @@ func (t *Topology) scheduleRecompute() {
 // host (TestComputeRoutesMatchesPerHostReference), for a cost that does not
 // grow with the host count. It runs in-simulation on every link flap of a
 // failure storm, so its working memory stays on the Topology: a recompute
-// after the first allocates nothing.
+// after the first allocates nothing, and the first allocates a fixed number
+// of arrays, whatever the fabric's size.
 func (t *Topology) ComputeRoutes() {
 	// The switch graph, flat arrays indexed by the dense NodeIDs: each
 	// switch's up egress links toward switches in ID order (the ECMP
-	// candidate order), and their reverse edges for the BFS.
+	// candidate order), and their reverse edges for the BFS. A first pass
+	// counts each node's edges, so that every list is a window of one
+	// array.
 	r := &t.rs
 	nNodes := int(t.nextNode)
-	r.adj = slices.Grow(r.adj[:0], nNodes)[:nNodes]
-	r.radj = slices.Grow(r.radj[:0], nNodes)[:nNodes]
-	for i := range r.adj {
-		r.adj[i], r.radj[i] = r.adj[i][:0], r.radj[i][:0]
-	}
-	r.leaves = r.leaves[:0]
+	r.deg = slices.Grow(r.deg[:0], 2*nNodes)[:2*nNodes] // out-degree, in-degree
+	clear(r.deg)
+	r.leaves = slices.Grow(r.leaves[:0], len(t.switches))
 	nEdges := 0
 	for _, sw := range t.switches {
 		sw.sortEgress() // finalize build-time insertions before use
@@ -241,8 +314,8 @@ func (t *Topology) ComputeRoutes() {
 			switch to := l.To().(type) {
 			case *Switch:
 				if l.Up() {
-					r.adj[sw.id] = append(r.adj[sw.id], routeEdge{l, to.id})
-					r.radj[to.id] = append(r.radj[to.id], sw.id)
+					r.deg[2*sw.id]++
+					r.deg[2*to.id+1]++
 					nEdges++
 				}
 			case *Host:
@@ -253,6 +326,24 @@ func (t *Topology) ComputeRoutes() {
 			}
 		}
 	}
+	r.adj = slices.Grow(r.adj[:0], nNodes)[:nNodes]
+	r.radj = slices.Grow(r.radj[:0], nNodes)[:nNodes]
+	r.edges = slices.Grow(r.edges[:0], nEdges)[:nEdges]
+	r.preds = slices.Grow(r.preds[:0], nEdges)[:nEdges]
+	out, in := 0, 0
+	for i := range r.adj {
+		o, n := out+int(r.deg[2*i]), in+int(r.deg[2*i+1])
+		r.adj[i], r.radj[i] = r.edges[out:out:o], r.preds[in:in:n]
+		out, in = o, n
+	}
+	for _, sw := range t.switches {
+		for _, l := range sw.egress {
+			if to, ok := l.To().(*Switch); ok && l.Up() {
+				r.adj[sw.id] = append(r.adj[sw.id], routeEdge{l, to.id})
+				r.radj[to.id] = append(r.radj[to.id], sw.id)
+			}
+		}
+	}
 	t.hostLeaf = slices.Grow(t.hostLeaf[:0], len(t.hosts))[:len(t.hosts)]
 	for i, h := range t.hosts {
 		t.hostLeaf[i] = -1
@@ -260,9 +351,11 @@ func (t *Topology) ComputeRoutes() {
 			t.hostLeaf[i] = h.uplink.To().(*Switch).leafIdx
 		}
 	}
-	for _, sw := range t.switches {
-		sw.routes = slices.Grow(sw.routes[:0], len(r.leaves))[:len(r.leaves)]
-		clear(sw.routes)
+	nl := len(r.leaves)
+	r.routes = slices.Grow(r.routes[:0], len(t.switches)*nl)[:len(t.switches)*nl]
+	clear(r.routes)
+	for i, sw := range t.switches {
+		sw.routes = r.routes[i*nl : (i+1)*nl : (i+1)*nl]
 	}
 
 	// Every set is a full-slice-expression window (len == cap) of hops, so
@@ -271,7 +364,7 @@ func (t *Topology) ComputeRoutes() {
 	r.hops = slices.Grow(r.hops[:0], len(r.leaves)*nEdges)
 	r.dist = slices.Grow(r.dist[:0], nNodes)[:nNodes] // 1 + hops to the leaf; 0 = unreached
 	clear(r.dist)
-	r.queue = r.queue[:0]
+	r.queue = slices.Grow(r.queue[:0], nNodes)
 	for li, leaf := range r.leaves {
 		for _, n := range r.queue { // the previous BFS reached only these
 			r.dist[n] = 0
@@ -303,10 +396,14 @@ func (t *Topology) ComputeRoutes() {
 
 // routeScratch is ComputeRoutes' working memory.
 type routeScratch struct {
+	deg    []int32 // each node's out- and in-degree in the switch graph
 	adj    [][]routeEdge
 	radj   [][]packet.NodeID
+	edges  []routeEdge     // the backing array of every adj list
+	preds  []packet.NodeID // the backing array of every radj list
 	leaves []*Switch
-	hops   []*Link // the backing array of every next-hop set
+	routes [][]*Link // the backing array of every switch's routes
+	hops   []*Link   // the backing array of every next-hop set
 	dist   []int32
 	queue  []packet.NodeID
 }
@@ -402,34 +499,70 @@ type LeafSpine struct {
 }
 
 // BuildLeafSpine constructs the topology on s and computes initial routes.
-// Node creation order fixes IDs, names and ECMP hash seeds: leaves, spines,
-// then each leaf's hosts.
+// Node creation order fixes IDs, names and ECMP hash seeds: leaves (L1, L2,
+// ...), spines (S1, ...), then each leaf's hosts (h0, h1, ...); links are
+// numbered in the order they are made: every leaf's trunks to every spine,
+// then each host's uplink and downlink.
+//
+// The builder knows its counts, so switches, hosts, links, the links'
+// initial rings and the switches' egress sets each come from one slab sized
+// exactly, and the names of each kind of node share one string: a build
+// allocates per kind of object, not per link or host (TestBuildAllocsFlat).
 func BuildLeafSpine(s *sim.Simulator, cfg LeafSpineConfig) *LeafSpine {
 	t := NewTopology(s)
 	ls := &LeafSpine{Topology: t, Cfg: cfg}
-	for i := 0; i < cfg.Leaves; i++ {
-		ls.Leaves = append(ls.Leaves, t.AddSwitch(fmt.Sprintf("L%d", i+1)))
-	}
-	for i := 0; i < cfg.Spines; i++ {
-		ls.Spines = append(ls.Spines, t.AddSwitch(fmt.Sprintf("S%d", i+1)))
-	}
 	trunkCfg := LinkConfig{RateBps: cfg.TrunkRateBps, Delay: cfg.trunkDelay(), QueueCap: cfg.QueueCap, ECNK: cfg.ECNK}
+	upCfg := LinkConfig{RateBps: cfg.HostRateBps, Delay: cfg.LinkDelay, QueueCap: HostQdiscCap}
+	downCfg := LinkConfig{RateBps: cfg.HostRateBps, Delay: cfg.LinkDelay, QueueCap: cfg.QueueCap, ECNK: cfg.ECNK}
+	leaves, spines := max(cfg.Leaves, 0), max(cfg.Spines, 0)
+	trunksPer, hostsPer := max(cfg.TrunksPerPair, 0), max(cfg.HostsPerLeaf, 0)
+	pairs, hosts := leaves*spines*trunksPer, leaves*hostsPer // trunk link pairs, hosts
+	t.reserve(leaves+spines, hosts, 2*pairs+2*hosts,
+		2*pairs*trunkCfg.ringSlots()+hosts*(upCfg.ringSlots()+downCfg.ringSlots()),
+		2*pairs+hosts)
+	ls.Leaves = make([]*Switch, 0, leaves)
+	for _, name := range seqNames("L", 1, leaves) {
+		ls.Leaves = append(ls.Leaves, t.addSwitch(name, spines*trunksPer+hostsPer))
+	}
+	ls.Spines = make([]*Switch, 0, spines)
+	for _, name := range seqNames("S", 1, spines) {
+		ls.Spines = append(ls.Spines, t.addSwitch(name, leaves*trunksPer))
+	}
 	for _, lf := range ls.Leaves {
 		for _, sp := range ls.Spines {
-			for k := 0; k < cfg.TrunksPerPair; k++ {
+			for k := 0; k < trunksPer; k++ {
 				t.Connect(lf, sp, k, trunkCfg)
 			}
 		}
 	}
-	upCfg := LinkConfig{RateBps: cfg.HostRateBps, Delay: cfg.LinkDelay, QueueCap: HostQdiscCap}
-	downCfg := LinkConfig{RateBps: cfg.HostRateBps, Delay: cfg.LinkDelay, QueueCap: cfg.QueueCap, ECNK: cfg.ECNK}
+	names := seqNames("h", 0, hosts)
 	for li, lf := range ls.Leaves {
-		for j := 0; j < cfg.HostsPerLeaf; j++ {
-			t.AddHost(fmt.Sprintf("h%d", li*cfg.HostsPerLeaf+j), lf, upCfg, downCfg)
+		for j := 0; j < hostsPer; j++ {
+			t.AddHost(names[li*hostsPer+j], lf, upCfg, downCfg)
 		}
 	}
 	t.ComputeRoutes()
 	return ls
+}
+
+// seqNames returns the n names prefix+strconv.Itoa(first+i), backed by one
+// string.
+func seqNames(prefix string, first, n int) []string {
+	var num [20]byte
+	digits := func(i int) int { return len(strconv.AppendInt(num[:0], int64(i), 10)) }
+	var b strings.Builder
+	b.Grow(n * (len(prefix) + digits(first+n)))
+	for i := first; i < first+n; i++ {
+		b.WriteString(prefix)
+		b.Write(strconv.AppendInt(num[:0], int64(i), 10))
+	}
+	all := b.String()
+	names := make([]string, n)
+	for i := range names {
+		end := len(prefix) + digits(first+i)
+		names[i], all = all[:end], all[end:]
+	}
+	return names
 }
 
 // FailPaperLink takes down one trunk between S2 and L2, the asymmetry used

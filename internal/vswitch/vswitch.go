@@ -102,7 +102,7 @@ type VSwitch struct {
 	policy PathPolicy
 	// flowlets applies the flowlet gap and counts flowlets; each flow's
 	// entry is in its slot in flows (Config.Flows).
-	flowlets *clove.FlowletTable
+	flowlets clove.FlowletTable
 	flows    *Flows
 	// perPacket and rxHook are policy seen through its two optional
 	// interfaces, nil when it implements neither; resolved once in New.
@@ -116,7 +116,8 @@ type VSwitch struct {
 
 	// deliverFn and fromVMFn are v.deliver and v.FromVM bound once at
 	// construction; taking a method value per delivered packet, or per
-	// endpoint that transmits through FromVM, would allocate.
+	// endpoint that transmits through FromVM, would allocate. deliverFn is
+	// bound only for a policy with a receiver hook, its one reader.
 	deliverFn, fromVMFn func(*packet.Packet)
 
 	// peers is the receiver-side state of every remote hypervisor that sent
@@ -148,8 +149,11 @@ func New(s *sim.Simulator, host *netem.Host, cfg Config, policy PathPolicy) *VSw
 	}
 	v.perPacket, _ = policy.(perPacketPolicy)
 	v.rxHook, _ = policy.(receiverHook)
-	v.deliverFn, v.fromVMFn = v.deliver, v.FromVM
-	v.flowlets = clove.NewFlowletTable(cfg.FlowletGap)
+	if v.rxHook != nil {
+		v.deliverFn = v.deliver
+	}
+	v.fromVMFn = v.FromVM
+	v.flowlets.SetGap(cfg.FlowletGap)
 	v.baseGap = cfg.FlowletGap
 	host.Deliver = v.FromNetwork
 	return v
